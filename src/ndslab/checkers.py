@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import and_, or_
 from typing import Optional
 
 from . import hitting as ht
@@ -150,42 +152,89 @@ class Verdict:
 
 _MASK_CACHE: dict = {}
 
+_mask_members = ht._mask_members
+
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     """(basis, masks): masks[(i, j)] is the bitmask of N(B_i, B_j) members
     within [1, horizon] (bit n set for member n); undecided circle indices are
-    dropped from the masks, mirroring the hitting module."""
-    key = (spec, resolution, horizon)
+    dropped from the masks, mirroring the hitting module.
+
+    Each prefix class is decided once (see _class_pairs); on the shift every
+    exponent |e| > 2r moves the basis window clear of [-r, r], so all those
+    classes form one saturated class that hits every pair.  A product pair
+    meets exactly when every component pair does, so product masks are the
+    AND of the component masks."""
+    key = (spec, resolution, horizon, sp._env_alpha_bits())
     hit = _MASK_CACHE.get(key)
     if hit is not None:
         return hit
     space = spec.space
     basis = sp.enumerate_basis(space, resolution)
-    nb = len(basis)
-    masks = {(i, j): 0 for i in range(nb) for j in range(nb)}
-    for n in range(1, horizon + 1):
-        m = mp.prefix_compose(spec, n)
-        images = [mp.image(m, b) for b in basis]
-        bit = 1 << n
-        for i in range(nb):
-            for j in range(nb):
-                try:
-                    if sp.intersects(space, images[i], basis[j]):
-                        masks[(i, j)] |= bit
-                except sp.EnclosureUndecided:
-                    pass
+    if isinstance(spec, mp.ProductSpec):
+        parts = [_pair_masks(p, resolution, horizon) for p in spec.parts]
+        # enumerate_basis orders rectangles like product() orders index tuples
+        index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
+        masks = {
+            (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))
+            for i, u in enumerate(index)
+            for j, v in enumerate(index)
+        }
+    else:
+        masks = dict.fromkeys(product(range(len(basis)), repeat=2), 0)
+        saturated = 0
+        for m, times in ht.prefix_classes(spec, horizon).items():
+            if isinstance(m, mp.ShiftPowMap) and abs(m.exponent) > 2 * resolution:
+                saturated |= times
+                continue
+            for pair in _class_pairs(space, m, basis):
+                masks[pair] |= times
+        if saturated:
+            for pair in masks:
+                masks[pair] |= saturated
     _MASK_CACHE[key] = (basis, masks)
     return basis, masks
 
 
+def _class_pairs(space, m: mp.NormalMap, basis) -> list:
+    """The pairs (i, j) with m(B_i) meeting B_j; undecided pairs are left
+    out.  The circle basis is r equal arcs centred at k/r, so whether a
+    rotation carries B_i onto B_j depends on (i - j) mod r only: r tests
+    decide all r^2 pairs."""
+    if isinstance(space, sp.CircleSpace):
+        r = len(basis)
+        return [
+            (i, (i - d) % r)
+            for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])
+            for i in range(r)
+        ]
+    images = [mp.image(m, b) for b in basis]
+    return [
+        (i, j)
+        for i, img in enumerate(images)
+        for j, b in enumerate(basis) if ht._meets(space, img, b)
+    ]
+
+
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
+    """(basis, masks): masks[i] is the bitmask of N(B_i, delta) within
+    [1, horizon], undecided indices dropped.
+
+    Within one space every basis open has the same image diameter under a
+    prefix map (full-word cylinders share the window [-r, r], arcs share
+    their radius, points stay points), so each prefix class takes one
+    diameter for the whole basis.  A rectangle separates exactly when one of
+    its sides does, so product masks are the OR of the component masks."""
+    basis = sp.enumerate_basis(spec.space, resolution)
+    if isinstance(spec, mp.ProductSpec):
+        parts = [_sep_masks(p, resolution, horizon, delta)[1] for p in spec.parts]
+        return basis, [reduce(or_, combo) for combo in product(*parts)]
     space = spec.space
-    basis = sp.enumerate_basis(space, resolution)
-    masks = []
-    for b in basis:
-        ss = ht.separation_set(spec, b, delta, horizon)
-        masks.append(ss.member_mask())
-    return basis, masks
+    wide = 0
+    for m, times in ht.prefix_classes(spec, horizon).items():
+        if ht._wider_than(space, mp.image(m, basis[0]), delta):
+            wide |= times
+    return basis, [wide] * len(basis)
 
 
 def _first_bit(mask: int) -> Optional[int]:
@@ -206,10 +255,7 @@ def _label(basis, i: int) -> str:
 
 
 def _disjoint(space, A, B) -> bool:
-    try:
-        return not sp.intersects(space, A, B)
-    except sp.EnclosureUndecided:
-        return False
+    return ht._meets(space, A, B) is False
 
 
 def _find_disjoint_pair(space, basis) -> Optional[tuple]:
@@ -379,26 +425,23 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     space = spec.space
     tails = {}
     for (i, j), mask in sorted(masks.items()):
-        hs = ht.HittingSet("hitting", spec, H, tuple(
-            n for n in range(1, H + 1) if mask >> n & 1
-        ), u=basis[i], v=basis[j])
+        hs = ht.HittingSet("hitting", spec, H, _mask_members(mask), u=basis[i], v=basis[j])
         fe = ht.classify_frequency(hs, laws)
         if fe.tail_start is None:
             law = laws.exponent
-            if law is not None and _disjoint(space, basis[i], basis[j]):
-                for modulus in (2, 3):
-                    for residue in range(modulus):
-                        if law.zero_on_residue(modulus, residue):
-                            return Verdict(
-                                prop.render(), REFUTED, cfg,
-                                {
-                                    "refuting_pair": [_label(basis, i), _label(basis, j)],
-                                    "structural": (
-                                        f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
-                                        "disjoint sets: infinitely many misses; " + law.describe()
-                                    ),
-                                },
-                            )
+            zero = law.first_zero_residue() if law is not None else None
+            if zero is not None and _disjoint(space, basis[i], basis[j]):
+                modulus, residue = zero
+                return Verdict(
+                    prop.render(), REFUTED, cfg,
+                    {
+                        "refuting_pair": [_label(basis, i), _label(basis, j)],
+                        "structural": (
+                            f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
+                            "disjoint sets: infinitely many misses; " + law.describe()
+                        ),
+                    },
+                )
             reason = _never_hits(spec, laws, basis[i], basis[j])
             if reason is not None:
                 return Verdict(
@@ -581,7 +624,6 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     m_max = prop.order
     basis, masks = _pair_masks(spec, r, m_max * H)
     space = spec.space
-    items = sorted(masks.items())
     per_m = {}
     for m in range(1, m_max + 1):
         # structural refutation: some slot j has identically-zero exponents on
@@ -609,18 +651,7 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                     ),
                 },
             )
-        # universal common l: works for every tuple simultaneously; bitwise
-        # extraction commutes with intersection, so intersect masks first
-        global_and = -1
-        for _, mask in items:
-            global_and &= mask
-        universal = -1
-        for j in range(1, m + 1):
-            lmask = 0
-            for l in range(1, H + 1):
-                if global_and >> (j * l) & 1:
-                    lmask |= 1 << l
-            universal &= lmask
+        universal = _universal_l(masks.values(), m, H)
         if universal:
             per_m[str(m)] = _first_bit(universal)
             continue
@@ -636,6 +667,24 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     )
 
 
+def _universal_l(masks, m: int, H: int) -> int:
+    """Bitmask of the l in [1, H] such that j*l is a member of every mask for
+    every j <= m: one l that works for every tuple simultaneously.  Bitwise
+    extraction commutes with intersection, so the masks are intersected
+    first."""
+    common = -1
+    for mask in masks:
+        common &= mask
+    universal = -1
+    for j in range(1, m + 1):
+        lmask = 0
+        for l in range(1, H + 1):
+            if common >> (j * l) & 1:
+                lmask |= 1 << l
+        universal &= lmask
+    return universal
+
+
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
     space = spec.space
@@ -643,10 +692,10 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     worst_gap = 0
     worst_eventual = 0
     for (i, j), mask in sorted(masks.items()):
-        members = tuple(n for n in range(1, H + 1) if mask >> n & 1)
+        members = _mask_members(mask)
         hs = ht.HittingSet("hitting", spec, H, members, u=basis[i], v=basis[j])
         fe = ht.classify_frequency(hs, laws)
-        if fe.structural in ("sparse-support", "never-hits", "finite-support"):
+        if fe.structural in ("sparse-support", "finite-support"):
             return Verdict(
                 prop.render(), REFUTED, cfg,
                 {
@@ -942,7 +991,7 @@ def _check_sensitive(spec, prop, r, H, laws, cfg, mode: str = "plain") -> Verdic
     basis, masks = _sep_masks(spec, r, H, delta)
     stats = {}
     for idx, (U, mask) in enumerate(zip(basis, masks)):
-        members = tuple(n for n in range(1, H + 1) if mask >> n & 1)
+        members = _mask_members(mask)
         hs = ht.HittingSet("separation", spec, H, members, u=U, delta=delta)
         fe = ht.classify_frequency(hs, laws)
         never = _never_separates(spec, laws, U, delta)
@@ -1200,16 +1249,7 @@ def hitting_infinity_consistency(
         )
     if prop.name == "multi-transitive":
         _, masks = _pair_masks(spec, basis_resolution, prop.order * horizon)
-        global_and = -1
-        for mask in masks.values():
-            global_and &= mask
-        universal = -1
-        for j in range(1, prop.order + 1):
-            lmask = 0
-            for l in range(1, horizon + 1):
-                if global_and >> (j * l) & 1:
-                    lmask |= 1 << l
-            universal &= lmask
+        universal = _universal_l(masks.values(), prop.order, horizon)
         count = bin(universal).count("1")
         if count < members_required:
             return ConsistencyReport(

@@ -5,7 +5,8 @@ Exit codes: 0 all witnessed / all expectations met, 1 a check came back
 refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors.
 The JSON report is byte-identical across runs for identical inputs and
 configuration, apart from the timing fields; NDSLAB_ALPHA_BITS overrides the
-circle enclosure precision.
+circle enclosure precision (values below 72 count as 72), and the report's
+alpha_bits is the precision the engine actually used.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -21,13 +21,9 @@ from . import __version__
 from . import checkers as ck
 from . import corpus as corpus_mod
 from . import ndsl
+from . import spaces as sp
 
 SCHEMA_VERSION = 1
-
-
-def _alpha_bits() -> int:
-    raw = os.environ.get("NDSLAB_ALPHA_BITS", "")
-    return int(raw) if raw.isdigit() else 96
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +152,7 @@ def cmd_check(args) -> int:
             "basis": args.basis,
             "horizon": args.horizon,
             "law_horizon": args.law_horizon,
-            "alpha_bits": _alpha_bits(),
+            "alpha_bits": sp._env_alpha_bits(),
         },
     )
     report["checks"] = checks
@@ -201,7 +197,7 @@ def cmd_corpus(args) -> int:
         }
         for rep in reports
     ]
-    report = _report_envelope("corpus", args.filter or "all", {"alpha_bits": _alpha_bits()})
+    report = _report_envelope("corpus", args.filter or "all", {"alpha_bits": sp._env_alpha_bits()})
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":

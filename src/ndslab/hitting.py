@@ -38,12 +38,6 @@ class HittingSet:
     delta: Optional[Fraction] = None
     evidence: tuple = ()  # (n, short description) pairs
 
-    def member_mask(self) -> int:
-        mask = 0
-        for n in self.members:
-            mask |= 1 << n
-        return mask
-
 
 @dataclass(frozen=True)
 class FrequencyEvidence:
@@ -68,15 +62,58 @@ class FrequencyEvidence:
         return "structural" if self.structural else "enumerative"
 
 
-def _hit_once(space, m: mp.NormalMap, U, V) -> tuple[Optional[bool], str]:
-    """Does f(U) meet V?  None when the enclosure cannot decide."""
+def _meets(space, A, B) -> Optional[bool]:
+    """Does A meet B?  None when the enclosure cannot decide."""
     try:
-        img = mp.image(m, U)
-        if sp.intersects(space, img, V):
-            return True, _describe_open(img)
-        return False, ""
+        return sp.intersects(space, A, B)
     except sp.EnclosureUndecided:
-        return None, ""
+        return None
+
+
+def _wider_than(space, A, delta: Fraction) -> Optional[bool]:
+    """Is diam A > delta?  None when the enclosure cannot decide."""
+    try:
+        return sp.value_cmp(sp.diameter(space, A), delta) > 0
+    except sp.EnclosureUndecided:
+        return None
+
+
+def _mask_members(mask: int) -> tuple:
+    """The positions of the set bits of `mask`, lowest first."""
+    return tuple(n for n, digit in enumerate(bin(mask)[:1:-1]) if digit == "1")
+
+
+def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
+    """The times 1..horizon grouped by their prefix map: {f_1^n: bitmask of
+    those n}, in order of first occurrence.  Whether f_1^n(U) meets V or
+    separates past delta depends on n only through f_1^n, so every mask
+    kernel decides each class once instead of each time."""
+    classes = {}
+    for n in range(1, horizon + 1):
+        m = mp.prefix_compose(spec, n)
+        classes[m] = classes.get(m, 0) | 1 << n
+    return classes
+
+
+def _class_set(kind: str, spec, horizon: int, U, test, **fields) -> HittingSet:
+    """Decide `test(f_1^n(U))` once per prefix class and spread the outcome
+    over the class's times; each member's evidence describes its image."""
+    hits = undecided = 0
+    shown = []
+    for m, times in prefix_classes(spec, horizon).items():
+        img = mp.image(m, U)
+        verdict = test(img)
+        if verdict is None:
+            undecided |= times
+        elif verdict:
+            hits |= times
+            shown.append((times, _describe_open(img)))
+    members = _mask_members(hits)
+    text_at = {n: desc for times, desc in shown for n in _mask_members(times)}
+    return HittingSet(
+        kind, spec, horizon, members, _mask_members(undecided), u=U,
+        evidence=tuple((n, text_at[n]) for n in members), **fields,
+    )
 
 
 def _describe_open(A) -> str:
@@ -99,19 +136,7 @@ def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     space = spec.space
-    members, undecided, evidence = [], [], []
-    for n in range(1, horizon + 1):
-        m = mp.prefix_compose(spec, n)
-        hit, desc = _hit_once(space, m, U, V)
-        if hit is None:
-            undecided.append(n)
-        elif hit:
-            members.append(n)
-            evidence.append((n, desc))
-    return HittingSet(
-        "hitting", spec, horizon, tuple(members), tuple(undecided), u=U, v=V,
-        evidence=tuple(evidence),
-    )
+    return _class_set("hitting", spec, horizon, U, lambda img: _meets(space, img, V), v=V)
 
 
 def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> HittingSet:
@@ -128,20 +153,8 @@ def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> Hit
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     space = spec.space
-    members, undecided, evidence = [], [], []
-    for n in range(1, horizon + 1):
-        m = mp.prefix_compose(spec, n)
-        img = mp.image(m, U)
-        try:
-            diam = sp.diameter(space, img)
-            if sp.value_cmp(diam, delta) > 0:
-                members.append(n)
-                evidence.append((n, _describe_open(img)))
-        except sp.EnclosureUndecided:
-            undecided.append(n)
-    return HittingSet(
-        "separation", spec, horizon, tuple(members), tuple(undecided),
-        u=U, delta=delta, evidence=tuple(evidence),
+    return _class_set(
+        "separation", spec, horizon, U, lambda img: _wider_than(space, img, delta), delta=delta,
     )
 
 
@@ -184,13 +197,6 @@ def classify_frequency(hs: HittingSet, laws: Optional[mp.SystemLaws] = None) -> 
     )
 
 
-def _sets_disjoint(space, A, B) -> Optional[bool]:
-    try:
-        return not sp.intersects(space, A, B)
-    except sp.EnclosureUndecided:
-        return None
-
-
 def _structural_tag(hs: HittingSet, laws: Optional[mp.SystemLaws]) -> tuple[Optional[str], str]:
     if laws is None:
         return None, ""
@@ -198,21 +204,21 @@ def _structural_tag(hs: HittingSet, laws: Optional[mp.SystemLaws]) -> tuple[Opti
     space = spec.space
     if hs.kind == "hitting":
         law = laws.exponent
-        if law is not None and _sets_disjoint(space, hs.u, hs.v):
+        if law is not None and _meets(space, hs.u, hs.v) is False:
             if law.sparse_support():
                 return (
                     "sparse-support",
                     "nonzero exponents only on power/one-shot indices; with "
                     "disjoint sets the members inherit unbounded gaps: " + law.describe(),
                 )
-            for modulus in (2, 3):
-                for residue in range(modulus):
-                    if law.zero_on_residue(modulus, residue):
-                        return (
-                            "excluded-residue",
-                            f"exponent 0 on n≡{residue} (mod {modulus}) and the sets are "
-                            "disjoint, so that class never hits: " + law.describe(),
-                        )
+            zero = law.first_zero_residue()
+            if zero is not None:
+                modulus, residue = zero
+                return (
+                    "excluded-residue",
+                    f"exponent 0 on n≡{residue} (mod {modulus}) and the sets are "
+                    "disjoint, so that class never hits: " + law.describe(),
+                )
         if laws.table is not None:
             tab = laws.table
             pre_hits, cyc_hits = tab.indices_of(
@@ -234,15 +240,14 @@ def _structural_tag(hs: HittingSet, laws: Optional[mp.SystemLaws]) -> tuple[Opti
         law = laws.exponent
         if law is not None and isinstance(space, sp.ShiftSpace):
             diam_u = sp.diameter(space, hs.u)
-            if sp.value_cmp(diam_u, hs.delta) <= 0:
-                for modulus in (2, 3):
-                    for residue in range(modulus):
-                        if law.zero_on_residue(modulus, residue):
-                            return (
-                                "excluded-residue",
-                                f"exponent 0 on n≡{residue} (mod {modulus}) and diam(U) <= delta, "
-                                "so that class never separates: " + law.describe(),
-                            )
+            zero = law.first_zero_residue() if sp.value_cmp(diam_u, hs.delta) <= 0 else None
+            if zero is not None:
+                modulus, residue = zero
+                return (
+                    "excluded-residue",
+                    f"exponent 0 on n≡{residue} (mod {modulus}) and diam(U) <= delta, "
+                    "so that class never separates: " + law.describe(),
+                )
     return None, ""
 
 
@@ -259,7 +264,7 @@ def product_structural_miss(spec: mp.ProductSpec, laws: mp.SystemLaws, U, V) -> 
             law = part_laws.exponent
             if law is None:
                 continue
-            disjoint = _sets_disjoint(part.space, U.parts[j], V.parts[j])
+            disjoint = _meets(part.space, U.parts[j], V.parts[j]) is False
             if disjoint and law.zero_on_residue(2, residue):
                 found = (
                     f"n≡{residue} (mod 2): component {j + 1} has exponent 0 there "

@@ -610,6 +610,15 @@ class ExponentLaw:
     def zero_on_multiples(self, j: int) -> bool:
         return self.zero_on_residue(j, 0)
 
+    def first_zero_residue(self) -> Optional[tuple]:
+        """The first (modulus, residue), moduli 2 then 3 and residues in
+        increasing order, whose class the law forces to E(n) = 0; or None."""
+        for modulus in (2, 3):
+            for residue in range(modulus):
+                if self.zero_on_residue(modulus, residue):
+                    return modulus, residue
+        return None
+
     def sparse_support(self) -> bool:
         """True when every index with nonzero exponent lies in a power
         pattern or a finite list, which forces unbounded gaps."""

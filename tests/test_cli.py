@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from ndslab import cli
+from ndslab import spaces as sp
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
@@ -112,6 +113,18 @@ class TestCheckCommand:
                 chk.pop("timing_ms", None)
             rep.pop("timing_ms", None)
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+    def test_report_states_the_precision_in_force(self, ndsl_file, capsys, monkeypatch):
+        # values below the floor are raised to it; the report says what ran
+        monkeypatch.setenv("NDSLAB_ALPHA_BITS", "50")
+        code, out, _ = run(capsys, [
+            "check", ndsl_file(EX36), "--property", "transitive", "--horizon", "16",
+            "--basis", "1", "--format", "json",
+        ])
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert code == 0 and report["configuration"]["alpha_bits"] == sp._env_alpha_bits() == 72
 
 
 class TestCorpusCommand:

@@ -1,0 +1,254 @@
+"""The exponent-class mask kernel against independent step-fold oracles.
+
+The kernel decides each prefix class once; the oracles fold the step maps
+one index at a time and test every time separately, so any class that is
+keyed too coarsely (or any shortcut that is not exact) shows up as a mask
+that differs from the fold."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ndslab import checkers as ck
+from ndslab import hitting as ht
+from ndslab import maps as mp
+from ndslab import spaces as sp
+
+SHIFT = sp.ShiftSpace()
+# non-refinable angles: comparisons near multiples of these stay undecided
+CUSTOM_ALPHAS = [
+    sp.AlphaEnclosure.custom(Fraction(c), Fraction(1, 2**70))
+    for c in ("1/4", "1/3", "3/8")
+]
+
+
+def bits(times) -> int:
+    mask = 0
+    for n in times:
+        mask |= 1 << n
+    return mask
+
+
+def folded_images(spec, U, horizon):
+    """f_1^n(U) for n = 1..horizon, one step map at a time."""
+    current = U
+    for n in range(1, horizon + 1):
+        current = mp.image(mp.step_normal(spec, n), current)
+        yield n, current
+
+
+def reference_set(kind, spec, U, horizon, V=None, delta=None) -> ht.HittingSet:
+    """hitting_set / separation_set decided at every time separately."""
+    members, undecided, evidence = [], [], []
+    for n, img in folded_images(spec, U, horizon):
+        try:
+            if kind == "hitting":
+                hit = sp.intersects(spec.space, img, V)
+            else:
+                hit = sp.value_cmp(sp.diameter(spec.space, img), delta) > 0
+        except sp.EnclosureUndecided:
+            undecided.append(n)
+            continue
+        if hit:
+            members.append(n)
+            evidence.append((n, ht._describe_open(img)))
+    return ht.HittingSet(
+        kind, spec, horizon, tuple(members), tuple(undecided), u=U, v=V,
+        delta=None if delta is None else Fraction(delta), evidence=tuple(evidence),
+    )
+
+
+def separation_fold(spec, U, delta, horizon) -> int:
+    mask = 0
+    for n, img in folded_images(spec, U, horizon):
+        try:
+            if sp.value_cmp(sp.diameter(spec.space, img), delta) > 0:
+                mask |= 1 << n
+        except sp.EnclosureUndecided:
+            pass
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# systems
+
+
+@st.composite
+def shift_ap(draw):
+    step = draw(st.integers(2, 4))
+    a, b = draw(st.lists(st.integers(1, step), min_size=2, max_size=2, unique=True))
+    c, add = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    rules = (
+        mp.Rule(mp.ArithProgPattern(a, step), mp.FamilyTerm("shift", c, add)),
+        mp.Rule(mp.ArithProgPattern(b, step), mp.FamilyTerm("shift", -c, -add)),
+    )
+    return mp.NdsSpec(SHIFT, rules, mp.ShiftPowTerm(draw(st.integers(-1, 1))))
+
+
+@st.composite
+def shift_pow(draw):
+    base, c = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rules = (
+        mp.Rule(mp.PowerPattern(base, 0), mp.FamilyTerm("shift", c)),
+        mp.Rule(mp.PowerPattern(base, 1), mp.FamilyTerm("shift", -c)),
+    )
+    return mp.NdsSpec(SHIFT, rules)
+
+
+@st.composite
+def derived(draw, base):
+    spec = draw(base)
+    kind = draw(st.sampled_from(("plain", "tail", "iterate")))
+    if kind == "tail":
+        return mp.TailSpec(spec, draw(st.integers(2, 5)))
+    if kind == "iterate":
+        return mp.IterateSpec(spec, draw(st.integers(2, 3)))
+    return spec
+
+
+shift_systems = derived(st.one_of(shift_ap(), shift_pow()))
+
+
+@st.composite
+def circle_systems(draw):
+    alpha = draw(st.sampled_from([sp.DEFAULT_ALPHA] + CUSTOM_ALPHAS))
+    step = draw(st.integers(1, 3))
+    rules = (
+        mp.Rule(mp.ArithProgPattern(1, step), mp.FamilyTerm("rot", draw(st.integers(-2, 2)))),
+    ) if step > 1 else ()
+    default = mp.RotPowTerm(draw(st.integers(-2, 2)))
+    return mp.NdsSpec(sp.CircleSpace(alpha), rules, default)
+
+
+@st.composite
+def finite_systems(draw):
+    size = draw(st.integers(2, 4))
+    table = st.lists(st.integers(1, size), min_size=size, max_size=size).map(mp.FiniteFnTerm)
+    at = draw(st.lists(st.integers(1, 6), max_size=3, unique=True))
+    rules = tuple(mp.Rule(mp.EqualsPattern(n), draw(table)) for n in at)
+    return mp.NdsSpec(sp.FiniteSpace(size), rules, draw(table))
+
+
+product_systems = st.tuples(shift_systems, shift_systems).map(mp.ProductSpec)
+
+DELTAS = st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                          Fraction(3, 2), Fraction(2), Fraction(5, 2)])
+
+
+def system_cases():
+    """(spec, basis resolution, horizon) across every space kind."""
+    return st.one_of(
+        st.tuples(shift_systems, st.integers(1, 2), st.integers(1, 24)),
+        st.tuples(circle_systems(), st.integers(2, 4), st.integers(1, 24)),
+        st.tuples(finite_systems(), st.just(1), st.integers(1, 16)),
+        st.tuples(product_systems, st.just(1), st.integers(1, 5)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the checkers' kernels
+
+
+class TestPairMasks:
+    @given(system_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_pair_mask_matches_the_stepwise_oracle(self, case):
+        spec, r, H = case
+        basis, masks = ck._pair_masks(spec, r, H)
+        assert len(masks) == len(basis) ** 2
+        for (i, j), mask in masks.items():
+            assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], H)), (i, j)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_saturated_shift_class_hits_every_pair(self, r, sign):
+        # E(1) = 2r+1, E(2) = 4r, E(3) = 2r: the first two clear the window
+        # [-r, r], the last still overlaps it
+        w = 2 * r + 1
+        spec = mp.NdsSpec(SHIFT, (
+            mp.Rule(mp.EqualsPattern(1), mp.ShiftPowTerm(sign * w)),
+            mp.Rule(mp.EqualsPattern(2), mp.ShiftPowTerm(sign * (4 * r - w))),
+            mp.Rule(mp.EqualsPattern(3), mp.ShiftPowTerm(-sign * 2 * r)),
+        ))
+        assert [mp.prefix_compose(spec, n).exponent for n in (1, 2, 3)] == [
+            sign * w, sign * 4 * r, sign * 2 * r]
+        basis, masks = ck._pair_masks(spec, r, 3)
+        assert all(mask & 0b110 == 0b110 for mask in masks.values())
+        assert not all(mask & 0b1000 for mask in masks.values())
+        for (i, j), mask in masks.items():
+            assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 3))
+
+    def test_undecided_circle_indices_are_dropped(self):
+        alpha = sp.AlphaEnclosure.custom(Fraction(1, 4), Fraction(1, 2**70))
+        spec = mp.NdsSpec(sp.CircleSpace(alpha), (), mp.RotPowTerm(1))
+        basis, masks = ck._pair_masks(spec, 2, 8)
+        undecided = ht.hitting_set(spec, basis[0], basis[0], 8).inconclusive
+        assert undecided  # the oracle below really meets undecided times
+        for (i, j), mask in masks.items():
+            assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 8))
+            assert not mask & bits(ht.hitting_set(spec, basis[i], basis[j], 8).inconclusive)
+
+    def test_precision_change_misses_the_cache(self, monkeypatch):
+        spec = mp.NdsSpec(sp.CircleSpace(), (), mp.RotPowTerm(1), name="cache-probe")
+        monkeypatch.delenv("NDSLAB_ALPHA_BITS", raising=False)
+        ck._pair_masks(spec, 2, 16)
+        cached = ck._pair_masks(spec, 2, 16)
+        assert ck._pair_masks(spec, 2, 16) is cached
+        monkeypatch.setenv("NDSLAB_ALPHA_BITS", "120")
+        again = ck._pair_masks(spec, 2, 16)
+        assert again is not cached and again == cached
+        assert (spec, 2, 16, 120) in ck._MASK_CACHE
+
+
+class TestSeparationMasks:
+    @given(system_cases(), DELTAS)
+    @settings(max_examples=60, deadline=None)
+    def test_every_separation_mask_matches_the_stepwise_fold(self, case, delta):
+        spec, r, H = case
+        basis, masks = ck._sep_masks(spec, r, H, delta)
+        assert len(masks) == len(basis)
+        for U, mask in zip(basis, masks):
+            assert mask == separation_fold(spec, U, delta, H)
+
+
+# ---------------------------------------------------------------------------
+# the hitting module's sets, evidence included
+
+
+def opens(space, r):
+    return st.sampled_from(sp.enumerate_basis(space, r))
+
+
+class TestHittingSets:
+    @given(st.data(), system_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_hitting_set_matches_per_time_reference(self, data, case):
+        spec, r, H = case
+        U = data.draw(opens(spec.space, r))
+        V = data.draw(opens(spec.space, r))
+        assert ht.hitting_set(spec, U, V, H) == reference_set("hitting", spec, U, H, V=V)
+
+    @given(st.data(), system_cases(), DELTAS)
+    @settings(max_examples=60, deadline=None)
+    def test_separation_set_matches_per_time_reference(self, data, case, delta):
+        spec, r, H = case
+        U = data.draw(opens(spec.space, r))
+        got = ht.separation_set(spec, U, delta, H)
+        assert got == reference_set("separation", spec, U, H, delta=delta)
+
+    def test_partial_cylinders_keep_their_evidence(self):
+        spec = mp.NdsSpec(SHIFT, (
+            mp.Rule(mp.ArithProgPattern(1, 2), mp.FamilyTerm("shift", 1)),
+            mp.Rule(mp.ArithProgPattern(2, 2), mp.FamilyTerm("shift", -1)),
+        ))
+        U, V = sp.Cylinder(-2, (0, None, 1)), sp.Cylinder(0, (1, None, 0))
+        assert ht.hitting_set(spec, U, V, 40) == reference_set("hitting", spec, U, 40, V=V)
+        got = ht.separation_set(spec, U, Fraction(5, 2), 40)
+        assert got == reference_set("separation", spec, U, 40, delta=Fraction(5, 2))
+
+
+def test_mask_members_walks_the_set_bits():
+    assert ck._mask_members(0) == ()
+    assert ck._mask_members(0b101100) == (2, 3, 5)
+    assert ck._mask_members(1 << 1000 | 2) == (1, 1000)
