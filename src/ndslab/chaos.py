@@ -171,16 +171,17 @@ def lemma21_construct(
 
 
 def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
-    """Independent check: push each witness through the step maps one at a
-    time and test cylinder membership at each p_i."""
+    """Independent check: fold each witness through the step maps f_1..f_pK
+    (built once) one at a time, testing cylinder membership at each p_i."""
     space = spec.space
+    steps = [mp.step_normal(spec, n) for n in range(1, times[-1] + 1)]
     for label, x in witnesses.items():
         point = x
         n = 0
         for i, p in enumerate(times):
-            while n < p:
-                n += 1
-                point = mp.apply(mp.step_normal(spec, n), point)
+            for m in steps[n:p]:
+                point = mp.apply(m, point)
+            n = p
             target = level_sets[i][0] if label[i] == "A" else level_sets[i][1]
             if not sp.contains(space, target, point):
                 return False

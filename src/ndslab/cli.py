@@ -2,7 +2,8 @@
 scenario corpus, with human-readable tables or machine-readable JSON reports.
 
 Exit codes: 0 all witnessed / all expectations met, 1 a check came back
-refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors.
+refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors,
+4 an internal error (a fault in ndslab, never a verdict).
 The JSON report is byte-identical across runs for identical inputs and
 configuration, apart from the timing fields; NDSLAB_ALPHA_BITS overrides the
 circle enclosure precision (values below 72 count as 72), and the report's
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -78,6 +80,9 @@ def _json_safe(value):
 
 
 def cmd_check(args) -> int:
+    if args.horizon < 1 or args.basis < 1:
+        print("ndslab: --horizon and --basis must be at least 1", file=sys.stderr)
+        return 3
     try:
         with open(args.file, "rb") as fh:
             raw = fh.read()
@@ -213,9 +218,18 @@ def cmd_corpus(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    return cmd_corpus(args)
+    try:
+        if args.command == "check":
+            return cmd_check(args)
+        return cmd_corpus(args)
+    except Exception as exc:  # any escape is a fault in ndslab, never a verdict
+        import traceback  # only on this path: keeps it off every start-up
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = " ".join(str(exc).split())
+        print(f"ndslab: internal error: {type(exc).__name__}: {detail} "
+              f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -273,6 +273,13 @@ class NdsSpec:
                     raise OverlappingRules(
                         f"index {n} matches both {pa} and {pb}"
                     )
+        # specs key the prefix caches: hash the rule tree once, not per lookup
+        object.__setattr__(self, "_hash", hash(
+            (self.space, self.rules, self.default, self.validation_horizon, self.name)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

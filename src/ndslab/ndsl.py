@@ -138,6 +138,20 @@ def _lex(text: str):
 # ---------------------------------------------------------------------------
 # parser
 
+MAX_INT_DIGITS = 4000
+MAX_DENOMINATOR_BITS = 4096
+
+
+def _power_exceeds(base: int, exp: int, bits: int) -> bool:
+    """base**exp > 2**bits, decided without building an oversized power."""
+    if base <= 1 or exp == 0:
+        return False
+    if (base.bit_length() - 1) * exp > bits:
+        return True
+    # here base**exp < 2**(base.bit_length() * exp) <= 2**(2 * bits)
+    return base**exp > 1 << bits
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens, lex_diags = _lex(text)
@@ -175,6 +189,12 @@ class _Parser:
         return self.advance()
 
     def take_int(self, what: str) -> int:
+        t = self.peek()
+        if t.kind == "int" and len(t.text) > MAX_INT_DIGITS:
+            self.error(
+                f"{what} has {len(t.text)} digits; integer literals are limited to "
+                f"{MAX_INT_DIGITS}", kind="semantic",
+            )
         return int(self.expect("int", what).text)
 
     # grammar --------------------------------------------------------------
@@ -265,6 +285,8 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             exp = self.take_int(what)
+            if _power_exceeds(den, exp, MAX_DENOMINATOR_BITS):
+                self.error(f"denominator power exceeds 2^{MAX_DENOMINATOR_BITS}", kind="semantic")
             den = den**exp
         if den == 0:
             self.error("zero denominator", kind="semantic")

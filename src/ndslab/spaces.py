@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import ne
 from typing import Optional, Union
 
 
@@ -315,8 +316,11 @@ class BiWord:
         """The point y with y_i = x_{i+e} (image under the e-th shift power)."""
         if e == 0:
             return self
-        # periodic tails are anchored at the window, so only the anchor moves
-        return BiWord(self.window_start - e, self.window, self.left, self.right)
+        # periodic tails are anchored at the window and already primitive, so
+        # only the anchor moves and nothing is renormalised
+        moved = object.__new__(BiWord)
+        moved.__dict__.update(vars(self), window_start=self.window_start - e)
+        return moved
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiWord):
@@ -514,32 +518,32 @@ def _check_space_point(space: SpaceDesc, p: Point) -> None:
 # metric
 
 
-def _geometric_block(x: BiWord, y: BiWord, a: int, count, period: int, sign: int) -> Fraction:
-    """Sum of |x_i - y_i| * 2^(sign*i) over i = a + j*step for blocks of the
-    given period, `count` full periods (None = infinitely many), marching in
-    direction `sign` (+1 rightward with weights 2^-i, -1 leftward with 2^i).
+def _stretch(p: BiWord, a: int, b: int) -> tuple:
+    """p's coordinates a..b-1 on a stretch in one of p's modes, sliced."""
+    if a >= p.window_start and b <= p.window_end:
+        return p.window[a - p.window_start : b - p.window_start]
+    tail, anchor = (p.left, p.window_start) if b <= p.window_start else (p.right, p.window_end)
+    o = (a - anchor) % len(tail)
+    return (tail * ((o + b - a) // len(tail) + 1))[o : o + b - a]
 
-    Relies on the disagreement pattern being periodic from a onward in the
-    marching direction."""
-    step = 1 if sign > 0 else -1
-    block = Fraction(0)
-    for j in range(period):
-        i = a + step * j
-        if x.coord(i) != y.coord(i):
-            block += Fraction(1, 1 << abs(i))
-    if not block:
-        return block
-    ratio = Fraction(1, 1 << period)
-    if count is None:
-        return block / (1 - ratio)
-    return block * (1 - ratio**count) / (1 - ratio)
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(x: BiWord, y: BiWord, a: int, b: int, leftward: bool) -> int:
+    """Bit mask of x_i != y_i over a <= i < b, the cell nearest 0 high."""
+    bits = bytes(map(ne, _stretch(x, a, b), _stretch(y, a, b)))
+    return int((bits[::-1] if leftward else bits).translate(_BITS) or b"0", 2)
 
 
 def shift_distance(x: BiWord, y: BiWord) -> Fraction:
     """d(x, y) = sum over all integers i of |x_i - y_i| / 2^|i|, exactly.
 
-    Periodic stretches are summed as geometric blocks, so the cost depends on
-    window and period sizes, not on how far the windows sit from the origin.
+    Dyadic accumulation: the disagreements form one integer mask per side of
+    0 (cell nearest 0 in the high bit), a periodic stretch enters as one
+    block times a repunit and each infinite tail as block / (2^q - 1), so
+    the cost depends on window and period sizes, not on how far the windows
+    sit from the origin, and one Fraction is built at the end.
     """
     lp = len(x.left) * len(y.left) // gcd(len(x.left), len(y.left))
     rp = len(x.right) * len(y.right) // gcd(len(x.right), len(y.right))
@@ -554,31 +558,31 @@ def shift_distance(x: BiWord, y: BiWord) -> Fraction:
             return len(p.right)
         return None
 
-    total = Fraction(0)
-    # between consecutive cuts each point runs in one fixed mode and the sign
-    # of i is constant; window segments are short and summed directly, purely
-    # periodic segments collapse to geometric blocks
+    # right: cell i of [0, hi) at bit hi-1-i, so the mask is over 2^(hi-1);
+    # left: cell i of [lo, 0) at bit i-lo, so the mask is over 2^-lo
+    right = left = 0
     for a, b in zip(cuts, cuts[1:]):
         px, py = tail_period(x, a, b), tail_period(y, a, b)
         q = px * py // gcd(px, py) if (px and py) else None
-        if q is None or b - a <= 2 * q:
-            for i in range(a, b):
-                if x.coord(i) != y.coord(i):
-                    total += Fraction(1, 1 << abs(i))
-            continue
-        full, rem = divmod(b - a, q)
-        if b <= 0:
-            total += _geometric_block(x, y, b - 1, full, q, -1)
-            leftover = range(a, a + rem)
+        leftward = b <= 0
+        if q is None or b - a <= q:
+            seg = _mask(x, y, a, b, leftward)
         else:
-            total += _geometric_block(x, y, a, full, q, +1)
-            leftover = range(b - rem, b)
-        for i in leftover:
-            if x.coord(i) != y.coord(i):
-                total += Fraction(1, 1 << abs(i))
-    total += _geometric_block(x, y, hi, None, rp, +1)
-    total += _geometric_block(x, y, lo - 1, None, lp, -1)
-    return total
+            full, rem = divmod(b - a, q)
+            block = _mask(x, y, b - q, b, True) if leftward else _mask(x, y, a, a + q, False)
+            repunit = ((1 << (q * full)) - 1) // ((1 << q) - 1)
+            seg = ((block * repunit) << rem) | (block >> (q - rem))
+        if leftward:
+            left |= seg << (a - lo)
+        else:
+            right = (right << (b - a)) | seg
+    # each infinite tail repeats its next q-cell block: it adds block / (2^q - 1)
+    rden, lden = (1 << rp) - 1, (1 << lp) - 1
+    right = right * rden + _mask(x, y, hi, hi + rp, False)
+    left = left * lden + _mask(x, y, lo - lp, lo, True)
+    top = max(hi - 1, -lo)
+    num = ((right * lden) << (top - hi + 1)) + ((left * rden) << (top + lo))
+    return Fraction(num, (rden * lden) << top)
 
 
 def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:

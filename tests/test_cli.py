@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import jsonschema
 import pytest
@@ -125,6 +126,57 @@ class TestCheckCommand:
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
         assert code == 0 and report["configuration"]["alpha_bits"] == sp._env_alpha_bits() == 72
+
+
+def _long_period_source() -> str:
+    # finite(40) permutation of order 15015: cycles 3, 5, 7, 11, 13 and a fixed point
+    table, first = {}, 1
+    for length in (3, 5, 7, 11, 13):
+        for k in range(length):
+            table[first + k] = first + (k + 1) % length
+        first += length
+    table[40] = 40
+    maplets = ", ".join(f"{s}->{t}" for s, t in sorted(table.items()))
+    return f"space finite(40);\nsystem F {{\n  else: table {{ {maplets} }};\n}}\n"
+
+
+class TestExitCodes:
+    def test_internal_error_exits_four(self, ndsl_file, capsys):
+        code, out, err = run(capsys, [
+            "check", ndsl_file(_long_period_source()), "--property", "transitive",
+            "--horizon", "64", "--basis", "1",
+        ])
+        assert code == 4 and out == ""
+        assert err.startswith("ndslab: internal error: LawValidationError")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_any_escaping_exception_exits_four(self, ndsl_file, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("broken\nkernel")
+
+        monkeypatch.setattr(cli.ck, "check_property", broken)
+        code, _, err = run(capsys, ["check", ndsl_file(EX36_WITH_DIRECTIVE)])
+        assert code == 4
+        assert re.fullmatch(
+            r"ndslab: internal error: ZeroDivisionError: broken kernel \(at test_cli\.py:\d+\)\n", err
+        )
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--basis"])
+    def test_nonpositive_size_flag_exits_three(self, ndsl_file, capsys, flag):
+        code, _, err = run(capsys, [
+            "check", ndsl_file(EX36), "--property", "transitive", flag, "0",
+        ])
+        assert code == 3 and "must be at least 1" in err
+
+    def test_overlong_literal_exits_three(self, ndsl_file, capsys):
+        source = "space finite(" + "9" * 5000 + ");\nsystem F { else: id; }\n"
+        code, _, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
+        assert code == 3 and "semantic" in err and "Traceback" not in err
+
+    def test_oversized_denominator_exits_three(self, ndsl_file, capsys):
+        source = "space circle(alpha(1/2 +- 1/2^5000));\nsystem F { else: rot^1; }\n"
+        code, _, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
+        assert code == 3 and "exceeds 2^4096" in err
 
 
 class TestCorpusCommand:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndslab import maps as maps_mod
 from ndslab.maps import (
     ArithProgPattern,
     EqualsPattern,
@@ -84,6 +85,24 @@ def ex35():
 
 
 CONST_SIGMA = NdsSpec(SHIFT, (), ShiftPowTerm(1), name="constant-shift")
+
+
+class TestSpecHash:
+    def test_equal_specs_share_one_cumulative_entry(self):
+        def build():
+            return NdsSpec(SHIFT, (
+                Rule(ArithProgPattern(1, 3), ShiftPowTerm(2)),
+                Rule(ArithProgPattern(2, 3), FamilyTerm("shift", -1)),
+            ), name="hash-share")
+
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != NdsSpec(SHIFT, a.rules, name="hash-other")
+        prefix_compose(a, 40)
+        prefix_compose(b, 60)
+        keys = [k for k in maps_mod._CUM._exponents if k == a]
+        assert len(keys) == 1
+        assert len(maps_mod._CUM._exponents[b]) == 61
 
 
 class TestEvalTerm:

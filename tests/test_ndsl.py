@@ -115,6 +115,34 @@ class TestDiagnostics:
             payload = err.diagnostics[0].to_json()
             assert set(payload) == {"kind", "line", "column", "message", "expected"}
 
+    def test_overlong_integer_literal(self):
+        with pytest.raises(ndsl.NdslParseError) as err:
+            ndsl.parse("space finite(" + "9" * (ndsl.MAX_INT_DIGITS + 1) + ");")
+        diag = err.value.diagnostics[0]
+        assert diag.kind == "semantic" and "digits" in diag.message
+
+    def test_longest_integer_literal_parses(self):
+        doc = ndsl.parse("space shift(" + "0" * (ndsl.MAX_INT_DIGITS - 1) + "2);")
+        assert doc.space == ShiftSpace(2)
+
+    def test_oversized_power_denominator(self):
+        with pytest.raises(ndsl.NdslParseError) as err:
+            ndsl.parse("space circle(alpha(1/2 +- 1/3^4000));")
+        diag = err.value.diagnostics[0]
+        assert diag.kind == "semantic" and "exceeds 2^4096" in diag.message
+
+    def test_power_denominator_at_the_bound_parses(self):
+        doc = ndsl.parse("space circle(alpha(1/2 +- 1/2^4096));")
+        assert doc.space.alpha.halfwidth == Fraction(1, 1 << 4096)
+
+    def test_power_bound_decided_exactly(self):
+        for base in range(0, 40):
+            for exp in range(0, 30):
+                for bits in (1, 16, 64):
+                    assert ndsl._power_exceeds(base, exp, bits) == (base**exp > 1 << bits)
+        # decided from bit lengths alone: the power is never built
+        assert ndsl._power_exceeds(3, 10**12, ndsl.MAX_DENOMINATOR_BITS)
+
     def test_parser_is_total_on_junk(self):
         rng = random.Random(7)
         alphabet = string.ascii_letters + string.digits + "{}();:,^/=- \n#" + "->"

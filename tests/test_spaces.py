@@ -58,6 +58,29 @@ def truncated_distance(x, y, T=96):
 TRUNC_SLACK = Fraction(4, 1 << 96)
 
 
+def exact_distance(x, y):
+    """Independent exact oracle: sum the coordinates one by one out past both
+    windows plus one joint period on each side, then close each side with
+    its next period block over 1 - 2^-q (the disagreements repeat with the
+    joint tail period q from there on)."""
+    lq = math.lcm(len(x.left), len(y.left))
+    rq = math.lcm(len(x.right), len(y.right))
+    lo = min(x.window_start, y.window_start, 0) - lq
+    hi = max(x.window_end, y.window_end, 0) + rq
+
+    def weight(i):
+        return Fraction(1, 1 << abs(i)) if x.coord(i) != y.coord(i) else Fraction(0)
+
+    total = sum((weight(i) for i in range(lo, hi)), Fraction(0))
+    right_block = sum((weight(i) for i in range(hi, hi + rq)), Fraction(0))
+    left_block = sum((weight(i) for i in range(lo - lq, lo)), Fraction(0))
+    return (
+        total
+        + right_block / (1 - Fraction(1, 1 << rq))
+        + left_block / (1 - Fraction(1, 1 << lq))
+    )
+
+
 biwords = st.builds(
     BiWord,
     window_start=st.integers(-8, 8),
@@ -65,6 +88,27 @@ biwords = st.builds(
     left=st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
     right=st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
 )
+
+bits = st.integers(0, 1)
+far_biwords = st.builds(
+    BiWord,
+    window_start=st.integers(-600, 600),
+    window=st.lists(bits, max_size=12).map(tuple),
+    left=st.lists(bits, min_size=1, max_size=48).map(tuple),
+    right=st.lists(bits, min_size=1, max_size=48).map(tuple),
+)
+
+
+@st.composite
+def far_pairs(draw):
+    """Unrelated points, or two windows over shared tails (the Li-Yorke
+    candidates' shape: the distance then comes from the windows alone)."""
+    x = draw(far_biwords)
+    if draw(st.booleans()):
+        return x, draw(far_biwords)
+    start = draw(st.integers(-600, 600))
+    window = tuple(draw(st.lists(bits, max_size=12)))
+    return x, BiWord(start, window, x.left, x.right)
 
 
 class TestShiftMetric:
@@ -94,6 +138,21 @@ class TestShiftMetric:
     @settings(max_examples=150, deadline=None)
     def test_triangle(self, x, y, z):
         assert shift_distance(x, z) <= shift_distance(x, y) + shift_distance(y, z)
+
+    @given(far_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_oracle_far_from_origin(self, pair):
+        x, y = pair
+        assert shift_distance(x, y) == exact_distance(x, y)
+
+    @given(far_biwords, st.integers(-700, 700))
+    @settings(max_examples=150, deadline=None)
+    def test_shifted_equals_rebuilt_word(self, x, e):
+        moved = x.shifted(e)
+        rebuilt = BiWord(x.window_start - e, x.window, x.left, x.right)
+        fields = ("window_start", "window", "left", "right")
+        assert [getattr(moved, f) for f in fields] == [getattr(rebuilt, f) for f in fields]
+        assert moved == rebuilt
 
     def test_semantic_equality_across_representations(self):
         a = BiWord(0, (), (0,), (0,))
