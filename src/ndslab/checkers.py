@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from math import comb, prod
 from operator import and_, or_
 from typing import Optional
 
@@ -53,12 +54,15 @@ class PropertyKind:
                 raise ValueError(f"{self.name} needs a positive delta")
 
     def render(self) -> str:
-        bits = [self.name]
-        if self.order is not None:
-            bits.append(str(self.order))
-        if self.delta is not None:
-            bits.append(str(self.delta))
-        return ":".join(bits)
+        """The form ndsl.read_property reads back: `name`, `name:order`,
+        `name:delta` or `name:delta,k`, where k (the thick run length or the
+        multi-sensitive order) is left out at its default of 3."""
+        if self.name in ("weakly-mixing", "multi-transitive", "totally-transitive"):
+            return f"{self.name}:{self.order}"
+        if self.delta is None:
+            return self.name
+        k = {"thickly-sensitive": self.run_length, "multi-sensitive": self.order}.get(self.name, 3)
+        return f"{self.name}:{Fraction(self.delta)}" + (f",{k}" if k != 3 else "")
 
 
 def transitive() -> PropertyKind:
@@ -243,13 +247,6 @@ def _first_bit(mask: int) -> Optional[int]:
     return (mask & -mask).bit_length() - 1
 
 
-def _subset_count(n: int, m: int) -> int:
-    out = 1
-    for j in range(m):
-        out = out * (n - j) // (j + 1)
-    return out
-
-
 def _label(basis, i: int) -> str:
     return f"B{i}:{ht._describe_open(basis[i])}"
 
@@ -285,6 +282,40 @@ def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
         if claim is not None:
             return "parity coverage: " + claim
     return None
+
+
+def _refute_pair(spec, laws, prop, cfg, basis, i, j, reason=None, **extra) -> Optional[Verdict]:
+    """Refuted, citing the pair (B_i, B_j) and `reason` (by default the
+    _never_hits argument that no time ever hits it); None without a reason."""
+    if reason is None:
+        reason = _never_hits(spec, laws, basis[i], basis[j])
+        if reason is None:
+            return None
+    evidence = {**extra, "refuting_pair": [_label(basis, i), _label(basis, j)], "structural": reason}
+    return Verdict(prop.render(), REFUTED, cfg, evidence)
+
+
+def _refute_open(prop, cfg, basis, idx, reason) -> Verdict:
+    """Refuted, citing the basis open B_idx and the structural reason."""
+    return Verdict(
+        prop.render(), REFUTED, cfg, {"refuting_open": _label(basis, idx), "structural": reason}
+    )
+
+
+def _subset_search(masks, m: int, k: int = 1) -> tuple:
+    """(failing, worst) over every m-subset of masks: failing is the first
+    subset with fewer than k common members (worst is then None); otherwise
+    worst is (t, subset) for the subset whose k-th common member t is the
+    latest, or None when there is no m-subset."""
+    worst = None
+    for subset in combinations(range(len(masks)), m):
+        inter = reduce(and_, (masks[idx] for idx in subset), -1)
+        if inter.bit_count() < k:
+            return subset, None
+        t = _nth_bit(inter, k)
+        if worst is None or t > worst[0]:
+            worst = (t, subset)
+    return None, worst
 
 
 def _witness_entries(basis, masks) -> dict:
@@ -328,8 +359,7 @@ def check_property(
 
 def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    space = spec.space
-    empty = [(i, j) for (i, j), mask in sorted(masks.items()) if mask == 0]
+    empty = [pair for pair, mask in sorted(masks.items()) if mask == 0]
     if not empty:
         entries = _witness_entries(basis, masks)
         return Verdict(
@@ -342,15 +372,9 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             (_quantifier_note(r, H),),
         )
     for i, j in empty:
-        reason = _never_hits(spec, laws, basis[i], basis[j])
-        if reason is not None:
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {
-                    "refuting_pair": [_label(basis, i), _label(basis, j)],
-                    "structural": reason,
-                },
-            )
+        refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j)
+        if refuted:
+            return refuted
     return Verdict(
         prop.render(), INCONCLUSIVE, cfg,
         {"unhit_pairs": [f"{i}->{j}" for i, j in empty[:8]], "unhit_count": len(empty)},
@@ -364,20 +388,13 @@ def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     items = sorted(masks.items())
     for (i, j), mask in items:
         if mask == 0:
-            reason = _never_hits(spec, laws, basis[i], basis[j])
-            if reason is not None:
-                return Verdict(
-                    prop.render(), REFUTED, cfg,
-                    {"refuting_pair": [_label(basis, i), _label(basis, j)], "structural": reason},
-                )
-            return Verdict(
+            return _refute_pair(spec, laws, prop, cfg, basis, i, j) or Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"unhit_pair": f"{i}->{j}"},
                 ("a single pair already fails transitivity at this horizon",),
             )
-    common = -1
-    for _, mask in items:
-        common &= mask
+    pair_masks = [mask for _, mask in items]
+    common = reduce(and_, pair_masks, -1)
     if common:
         return Verdict(
             prop.render(), WITNESSED, cfg,
@@ -389,26 +406,19 @@ def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
             (_quantifier_note(r, H),),
         )
     # no single universal time: every m-subset of pairs must share one
-    if _subset_count(len(items), m) > 2_000_000:
+    if comb(len(items), m) > 2_000_000:
         return Verdict(
             prop.render(), INCONCLUSIVE, cfg,
             {"note": "tuple space too large without a universal common time"},
             ("lower the basis resolution or widen the horizon",),
         )
-    worst = None
-    for subset in combinations(range(len(items)), m):
-        inter = -1
-        for idx in subset:
-            inter &= items[idx][1]
-        if inter == 0:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"failing_tuple": [f"{items[idx][0]}" for idx in subset]},
-                ("no common time within the horizon; no structural refutation found",),
-            )
-        t = _first_bit(inter)
-        if worst is None or t > worst[0]:
-            worst = (t, subset)
+    failing, worst = _subset_search(pair_masks, m)
+    if failing:
+        return Verdict(
+            prop.render(), INCONCLUSIVE, cfg,
+            {"failing_tuple": [f"{items[idx][0]}" for idx in failing]},
+            ("no common time within the horizon; no structural refutation found",),
+        )
     return Verdict(
         prop.render(), WITNESSED, cfg,
         {
@@ -422,7 +432,6 @@ def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
 
 def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    space = spec.space
     tails = {}
     for (i, j), mask in sorted(masks.items()):
         hs = ht.HittingSet("hitting", spec, H, _mask_members(mask), u=basis[i], v=basis[j])
@@ -430,25 +439,14 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
         if fe.tail_start is None:
             law = laws.exponent
             zero = law.first_zero_residue() if law is not None else None
-            if zero is not None and _disjoint(space, basis[i], basis[j]):
+            reason = None
+            if zero is not None and _disjoint(spec.space, basis[i], basis[j]):
                 modulus, residue = zero
-                return Verdict(
-                    prop.render(), REFUTED, cfg,
-                    {
-                        "refuting_pair": [_label(basis, i), _label(basis, j)],
-                        "structural": (
-                            f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
-                            "disjoint sets: infinitely many misses; " + law.describe()
-                        ),
-                    },
+                reason = (
+                    f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
+                    "disjoint sets: infinitely many misses; " + law.describe()
                 )
-            reason = _never_hits(spec, laws, basis[i], basis[j])
-            if reason is not None:
-                return Verdict(
-                    prop.render(), REFUTED, cfg,
-                    {"refuting_pair": [_label(basis, i), _label(basis, j)], "structural": reason},
-                )
-            return Verdict(
+            return _refute_pair(spec, laws, prop, cfg, basis, i, j, reason) or Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"pair_without_tail": f"{i}->{j}"},
                 ("no cofinite tail within the horizon",),
@@ -503,34 +501,23 @@ def _check_totally_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
 
 
 def _cover_space(space, opens) -> bool:
-    """Exact: does the union of these basic opens cover the space?"""
+    """Exact: does the union of these basic opens cover the space?  Covers
+    exist for finite spaces, the circle and products of finite spaces (the
+    shift never gets here: _check_strongly_transitive refutes it first)."""
     if isinstance(space, sp.FiniteSpace):
-        got = set()
-        for o in opens:
-            got |= o.ids
-        return len(got) == space.point_count
-    if isinstance(space, sp.ShiftSpace):
-        # a union of proper cylinders misses a constant point unless some
-        # cylinder constrains nothing; check both constants then fall back to
-        # a bounded word search on a joint window
-        for fill in range(space.alphabet_size):
-            if all(any(s != fill for _, s in o.constrained()) for o in opens):
-                return False
-        lo = min(o.start for o in opens)
-        hi = max(o.end for o in opens)
-        if (hi - lo) > 20:
-            raise ht.sp.SpaceMismatch("cylinder cover check window too wide")
-        from itertools import product as iproduct
-
-        for word in iproduct(range(space.alphabet_size), repeat=hi - lo):
-            if not any(
-                all(word[i - lo] == s for i, s in o.constrained()) for o in opens
-            ):
-                return False
-        return True
+        return len(set().union(*(o.ids for o in opens))) == space.point_count
     if isinstance(space, sp.CircleSpace):
         return _cover_circle(space, opens)
+    if _finite_product(space):
+        points = set().union(*(product(*(part.ids for part in o.parts)) for o in opens))
+        return len(points) == prod(part.point_count for part in space.parts)
     raise sp.SpaceMismatch(f"no cover check for {space!r}")
+
+
+def _finite_product(space) -> bool:
+    return isinstance(space, sp.ProductSpace) and all(
+        isinstance(part, sp.FiniteSpace) for part in space.parts
+    )
 
 
 def _cover_circle(space, arcs) -> bool:
@@ -562,8 +549,13 @@ def _cover_circle(space, arcs) -> bool:
 
 
 def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
-    basis = sp.enumerate_basis(spec.space, r)
     space = spec.space
+    if isinstance(space, sp.ProductSpace) and not _finite_product(space):
+        return Verdict(
+            prop.render(), INCONCLUSIVE, cfg, {},
+            ("no exact cover check for products with a shift or circle factor",),
+        )
+    basis = sp.enumerate_basis(space, r)
     if isinstance(space, sp.ShiftSpace):
         # shifted copies of a fixed word always miss a constant point
         U = basis[0]
@@ -571,17 +563,11 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             fill for fill in range(space.alphabet_size)
             if any(s != fill for _, s in U.constrained())
         )
-        return Verdict(
-            prop.render(), REFUTED, cfg,
-            {
-                "refuting_open": _label(basis, 0),
-                "structural": (
-                    "prefix maps are shift powers, so every image is the same word "
-                    f"re-anchored; the constant-{witness_fill} point avoids each image, "
-                    "whatever the cover length"
-                ),
-            },
-        )
+        return _refute_open(prop, cfg, basis, 0, (
+            "prefix maps are shift powers, so every image is the same word "
+            f"re-anchored; the constant-{witness_fill} point avoids each image, "
+            "whatever the cover length"
+        ))
     covers = {}
     for idx, U in enumerate(basis):
         found = None
@@ -597,16 +583,10 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 for t in laws.table.all_tables():
                     all_img |= mp.image(t, U).ids
                 if len(all_img) < space.point_count:
-                    return Verdict(
-                        prop.render(), REFUTED, cfg,
-                        {
-                            "refuting_open": _label(basis, idx),
-                            "structural": (
-                                f"union over every reachable prefix table only reaches "
-                                f"{sorted(all_img)}; " + laws.table.describe()
-                            ),
-                        },
-                    )
+                    return _refute_open(prop, cfg, basis, idx, (
+                        f"union over every reachable prefix table only reaches "
+                        f"{sorted(all_img)}; " + laws.table.describe()
+                    ))
             return Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"uncovered_open": _label(basis, idx)},
@@ -639,18 +619,11 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                         break
         if refuted is not None:
             j, (pi, pj) = refuted
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {
-                    "order": m,
-                    "slot": j,
-                    "refuting_pair": [_label(basis, pi), _label(basis, pj)],
-                    "structural": (
-                        f"prefix exponent is 0 at every multiple of {j}, so slot {j} "
-                        "never connects disjoint sets: " + law.describe()
-                    ),
-                },
+            reason = (
+                f"prefix exponent is 0 at every multiple of {j}, so slot {j} "
+                "never connects disjoint sets: " + law.describe()
             )
+            return _refute_pair(spec, laws, prop, cfg, basis, pi, pj, reason, order=m, slot=j)
         universal = _universal_l(masks.values(), m, H)
         if universal:
             per_m[str(m)] = _first_bit(universal)
@@ -672,9 +645,7 @@ def _universal_l(masks, m: int, H: int) -> int:
     every j <= m: one l that works for every tuple simultaneously.  Bitwise
     extraction commutes with intersection, so the masks are intersected
     first."""
-    common = -1
-    for mask in masks:
-        common &= mask
+    common = reduce(and_, masks, -1)
     universal = -1
     for j in range(1, m + 1):
         lmask = 0
@@ -687,7 +658,6 @@ def _universal_l(masks, m: int, H: int) -> int:
 
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    space = spec.space
     stats = {}
     worst_gap = 0
     worst_eventual = 0
@@ -696,21 +666,9 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         hs = ht.HittingSet("hitting", spec, H, members, u=basis[i], v=basis[j])
         fe = ht.classify_frequency(hs, laws)
         if fe.structural in ("sparse-support", "finite-support"):
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {
-                    "refuting_pair": [_label(basis, i), _label(basis, j)],
-                    "structural": fe.structural_detail,
-                },
-            )
+            return _refute_pair(spec, laws, prop, cfg, basis, i, j, fe.structural_detail)
         if not members:
-            reason = _never_hits(spec, laws, basis[i], basis[j])
-            if reason is not None:
-                return Verdict(
-                    prop.render(), REFUTED, cfg,
-                    {"refuting_pair": [_label(basis, i), _label(basis, j)], "structural": reason},
-                )
-            return Verdict(
+            return _refute_pair(spec, laws, prop, cfg, basis, i, j) or Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"unhit_pair": f"{i}->{j}"},
                 ("a pair never hit within the horizon",),
@@ -753,20 +711,12 @@ def _champernowne_window(max_len: int) -> sp.BiWord:
 
 def _orbit_hits_all(spec, x, basis, H) -> tuple[bool, Optional[int], dict]:
     space = spec.space
-    remaining = {i: b for i, b in enumerate(basis)}
+    remaining = dict(enumerate(basis))
     hit_at = {}
     point = x
-    for i in list(remaining):
-        try:
-            if sp.contains(space, remaining[i], point):
-                hit_at[str(i)] = 0
-                del remaining[i]
-        except sp.EnclosureUndecided:
-            pass
-    n = 0
-    while remaining and n < H:
-        n += 1
-        point = mp.apply(mp.step_normal(spec, n), point)
+    for n in range(H + 1):
+        if n:
+            point = mp.apply(mp.step_normal(spec, n), point)
         for i in list(remaining):
             try:
                 if sp.contains(space, remaining[i], point):
@@ -774,6 +724,8 @@ def _orbit_hits_all(spec, x, basis, H) -> tuple[bool, Optional[int], dict]:
                     del remaining[i]
             except sp.EnclosureUndecided:
                 pass
+        if not remaining:
+            break
     if remaining:
         return False, next(iter(remaining)), hit_at
     return True, None, hit_at
@@ -979,64 +931,101 @@ def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
     )
 
 
-def _check_sensitive(spec, prop, r, H, laws, cfg, mode: str = "plain") -> Verdict:
+_SENSITIVE_NOTES = {
+    "sensitive": "some pair separates past delta for every basis open",
+    "syndetically-sensitive": "separation sets have the reported gap bounds within the horizon",
+    "thickly-sensitive": "runs of length >= {} found for every basis open",
+}
+
+
+def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
+    """Sensitive, syndetically, thickly and multi-sensitive: every basis
+    open must separate past delta; the first three then read each open's
+    separation set, multi-sensitive looks for common separation times."""
     delta = Fraction(prop.delta)
-    space = spec.space
-    if delta >= sp.space_diameter(space):
+    multi = prop.name == "multi-sensitive"
+    if delta >= sp.space_diameter(spec.space):
         return Verdict(
             prop.render(), REFUTED, cfg,
             {"structural": f"delta {delta} is at least the space diameter"},
-            ("trivial refutation: no pair can ever separate that far",),
+            () if multi else ("trivial refutation: no pair can ever separate that far",),
         )
     basis, masks = _sep_masks(spec, r, H, delta)
     stats = {}
     for idx, (U, mask) in enumerate(zip(basis, masks)):
-        members = _mask_members(mask)
-        hs = ht.HittingSet("separation", spec, H, members, u=U, delta=delta)
-        fe = ht.classify_frequency(hs, laws)
         never = _never_separates(spec, laws, U, delta)
         if never is not None:
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {"refuting_open": _label(basis, idx), "structural": never},
-            )
-        if not members:
+            return _refute_open(prop, cfg, basis, idx, never)
+        if mask == 0:
             return Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"silent_open": _label(basis, idx)},
-                ("no separation witnessed within the horizon",),
+                () if multi else ("no separation witnessed within the horizon",),
             )
-        if mode == "syndetic":
+        if multi:
+            continue
+        if prop.name == "sensitive":
+            stats[str(idx)] = {"first": _first_bit(mask)}
+            continue
+        hs = ht.HittingSet("separation", spec, H, _mask_members(mask), u=U, delta=delta)
+        fe = ht.classify_frequency(hs, laws)
+        if prop.name == "syndetically-sensitive":
             stats[str(idx)] = {"max_gap": fe.max_gap, "eventual_max_gap": fe.eventual_max_gap}
-        elif mode == "thick":
-            if fe.structural == "excluded-residue":
-                return Verdict(
-                    prop.render(), REFUTED, cfg,
-                    {
-                        "refuting_open": _label(basis, idx),
-                        "structural": (
-                            "separation times avoid a whole residue class, so runs never "
-                            "reach length 2: " + fe.structural_detail
-                        ),
-                    },
-                )
-            if fe.longest_run < prop.run_length:
-                return Verdict(
-                    prop.render(), INCONCLUSIVE, cfg,
-                    {"open": _label(basis, idx), "longest_run": fe.longest_run},
-                    (f"no run of length {prop.run_length} within the horizon",),
-                )
-            stats[str(idx)] = {"longest_run": fe.longest_run}
-        else:
-            stats[str(idx)] = {"first": members[0]}
-    note = {
-        "plain": "some pair separates past delta for every basis open",
-        "syndetic": "separation sets have the reported gap bounds within the horizon",
-        "thick": f"runs of length >= {prop.run_length} found for every basis open",
-    }[mode]
+            continue
+        if fe.structural == "excluded-residue":
+            return _refute_open(prop, cfg, basis, idx, (
+                "separation times avoid a whole residue class, so runs never "
+                "reach length 2: " + fe.structural_detail
+            ))
+        if fe.longest_run < prop.run_length:
+            return Verdict(
+                prop.render(), INCONCLUSIVE, cfg,
+                {"open": _label(basis, idx), "longest_run": fe.longest_run},
+                (f"no run of length {prop.run_length} within the horizon",),
+            )
+        stats[str(idx)] = {"longest_run": fe.longest_run}
+    if multi:
+        return _common_separation(prop, cfg, masks, r, H)
     return Verdict(
         prop.render(), WITNESSED, cfg,
-        {"per_open": stats, "note": note},
+        {"per_open": stats, "note": _SENSITIVE_NOTES[prop.name].format(prop.run_length)},
+        (_quantifier_note(r, H),),
+    )
+
+
+def _common_separation(prop, cfg, masks, r, H) -> Verdict:
+    """Multi-sensitivity: one time that separates every basis open, else
+    one per m-subset of opens for each order m up to prop.order."""
+    common = reduce(and_, masks, -1)
+    if common:
+        return Verdict(
+            prop.render(), WITNESSED, cfg,
+            {
+                "common_separation_time": _first_bit(common),
+                "orders_checked": prop.order,
+                "note": "one time separates every basis open past delta",
+            },
+            (_quantifier_note(r, H),),
+        )
+    latest = None
+    for m in range(2, prop.order + 1):
+        if comb(len(masks), m) > 2_000_000:
+            return Verdict(
+                prop.render(), INCONCLUSIVE, cfg,
+                {"note": "tuple space too large without a universal separation time"},
+                ("lower the basis resolution or widen the horizon",),
+            )
+        failing, worst = _subset_search(masks, m)
+        if failing:
+            return Verdict(
+                prop.render(), INCONCLUSIVE, cfg,
+                {"failing_tuple": list(failing), "order": m},
+            )
+        if worst is not None and (latest is None or worst[0] > latest):
+            latest = worst[0]
+    return Verdict(
+        prop.render(), WITNESSED, cfg,
+        {"latest_common_time": latest, "orders_checked": prop.order},
         (_quantifier_note(r, H),),
     )
 
@@ -1056,75 +1045,6 @@ def _never_separates(spec, laws, U, delta) -> Optional[str]:
         if sp.value_cmp(diam, delta) <= 0:
             return "every prefix is the identity and diam(U) <= delta: " + law.describe()
     return None
-
-
-def _check_syndetically_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
-    return _check_sensitive(spec, prop, r, H, laws, cfg, mode="syndetic")
-
-
-def _check_thickly_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
-    return _check_sensitive(spec, prop, r, H, laws, cfg, mode="thick")
-
-
-def _check_multi_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
-    delta = Fraction(prop.delta)
-    space = spec.space
-    if delta >= sp.space_diameter(space):
-        return Verdict(
-            prop.render(), REFUTED, cfg,
-            {"structural": f"delta {delta} is at least the space diameter"},
-        )
-    basis, masks = _sep_masks(spec, r, H, delta)
-    for idx, (U, mask) in enumerate(zip(basis, masks)):
-        never = _never_separates(spec, laws, U, delta)
-        if never is not None:
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {"refuting_open": _label(basis, idx), "structural": never},
-            )
-        if mask == 0:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"silent_open": _label(basis, idx)},
-            )
-    common = -1
-    for mask in masks:
-        common &= mask
-    if common:
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {
-                "common_separation_time": _first_bit(common),
-                "orders_checked": prop.order,
-                "note": "one time separates every basis open past delta",
-            },
-            (_quantifier_note(r, H),),
-        )
-    worst = None
-    for m in range(2, prop.order + 1):
-        if _subset_count(len(masks), m) > 2_000_000:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"note": "tuple space too large without a universal separation time"},
-                ("lower the basis resolution or widen the horizon",),
-            )
-        for subset in combinations(range(len(masks)), m):
-            inter = -1
-            for idx in subset:
-                inter &= masks[idx]
-            if inter == 0:
-                return Verdict(
-                    prop.render(), INCONCLUSIVE, cfg,
-                    {"failing_tuple": list(subset), "order": m},
-                )
-            t = _first_bit(inter)
-            if worst is None or t > worst[0]:
-                worst = (t, subset)
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
-        {"latest_common_time": worst[0] if worst else None, "orders_checked": prop.order},
-        (_quantifier_note(r, H),),
-    )
 
 
 def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:
@@ -1166,9 +1086,9 @@ _HANDLERS = {
     "dense-periodic-points": _check_dense_periodic,
     "almost-periodic-point": _check_almost_periodic,
     "sensitive": _check_sensitive,
-    "syndetically-sensitive": _check_syndetically_sensitive,
-    "thickly-sensitive": _check_thickly_sensitive,
-    "multi-sensitive": _check_multi_sensitive,
+    "syndetically-sensitive": _check_sensitive,
+    "thickly-sensitive": _check_sensitive,
+    "multi-sensitive": _check_sensitive,
     "surjective-sequence": _check_surjective,
 }
 
@@ -1230,27 +1150,23 @@ def hitting_infinity_consistency(
         )
     if prop.name == "weakly-mixing":
         _, masks = _pair_masks(spec, basis_resolution, horizon)
-        worst = None
         items = sorted(masks.items())
-        for a, b in combinations(range(len(items)), 2):
-            inter = items[a][1] & items[b][1]
-            count = bin(inter).count("1")
-            if count < members_required:
-                return ConsistencyReport(
-                    False, prop.render(), members_required, None,
-                    f"tuple ({items[a][0]}, {items[b][0]}) has only {count} common times",
-                )
-            kth = _nth_bit(inter, members_required)
-            if worst is None or kth > worst:
-                worst = kth
+        failing, worst = _subset_search([mask for _, mask in items], 2, members_required)
+        if failing:
+            a, b = failing
+            count = (items[a][1] & items[b][1]).bit_count()
+            return ConsistencyReport(
+                False, prop.render(), members_required, None,
+                f"tuple ({items[a][0]}, {items[b][0]}) has only {count} common times",
+            )
         return ConsistencyReport(
-            True, prop.render(), members_required, worst,
+            True, prop.render(), members_required, worst and worst[0],
             "every pair tuple reaches the required count; worst k-th common time reported",
         )
     if prop.name == "multi-transitive":
         _, masks = _pair_masks(spec, basis_resolution, prop.order * horizon)
         universal = _universal_l(masks.values(), prop.order, horizon)
-        count = bin(universal).count("1")
+        count = universal.bit_count()
         if count < members_required:
             return ConsistencyReport(
                 False, prop.render(), members_required, None,
@@ -1305,19 +1221,10 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
                 if not sp.intersects(spec.space, mp.image(m, basis[i]), basis[j]):
                     return False
         for m_str, l in ev.get("witness_l_per_order", {}).items():
-            for j in range(1, int(m_str) + 1):
-                m = mp.prefix_compose(spec, j * l)
-                for U in basis:
-                    for V in basis:
-                        if not sp.intersects(spec.space, mp.image(m, U), V):
-                            return False
+            if not all(_all_pairs_meet(spec, basis, j * l) for j in range(1, int(m_str) + 1)):
+                return False
         if "common_time_all_pairs" in ev:
-            n = ev["common_time_all_pairs"]
-            m = mp.prefix_compose(spec, n)
-            for U in basis:
-                for V in basis:
-                    if not sp.intersects(spec.space, mp.image(m, U), V):
-                        return False
+            return _all_pairs_meet(spec, basis, ev["common_time_all_pairs"])
         return True
     if verdict.status == REFUTED:
         text = str(ev)
@@ -1326,14 +1233,19 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
             # any mismatch
             if mp.derive_exponent_law(spec, verdict.config["law_horizon"]) is None:
                 return False
-        for key in ("refuting_pair",):
-            pair = ev.get(key)
-            if pair:
-                idx = [int(lbl.split(":")[0][1:]) for lbl in pair]
-                try:
-                    if sp.intersects(spec.space, basis[idx[0]], basis[idx[1]]):
-                        return False
-                except sp.EnclosureUndecided:
+        pair = ev.get("refuting_pair")
+        if pair:
+            i, j = (int(lbl.split(":")[0][1:]) for lbl in pair)
+            try:
+                if sp.intersects(spec.space, basis[i], basis[j]):
                     return False
+            except sp.EnclosureUndecided:
+                return False
         return True
     return True  # inconclusive verdicts claim nothing to re-check
+
+
+def _all_pairs_meet(spec, basis, n: int) -> bool:
+    """Does f_1^n(U) meet V for every pair of basis opens U, V?"""
+    m = mp.prefix_compose(spec, n)
+    return all(sp.intersects(spec.space, mp.image(m, U), V) for U in basis for V in basis)

@@ -2,7 +2,8 @@
 scenario corpus, with human-readable tables or machine-readable JSON reports.
 
 Exit codes: 0 all witnessed / all expectations met, 1 a check came back
-refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors,
+refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors
+(unreadable or invalid files, flags argparse rejects, sizes out of range),
 4 an internal error (a fault in ndslab, never a verdict).
 The JSON report is byte-identical across runs for identical inputs and
 configuration, apart from the timing fields; NDSLAB_ALPHA_BITS overrides the
@@ -28,8 +29,19 @@ from . import spaces as sp
 SCHEMA_VERSION = 1
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a rejected flag is an input error (exit 3), not argparse's exit 2,
+        # which would read as "inconclusive"
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ndslab",
         description="verification toolkit for non-autonomous map sequences",
     )
@@ -80,9 +92,6 @@ def _json_safe(value):
 
 
 def cmd_check(args) -> int:
-    if args.horizon < 1 or args.basis < 1:
-        print("ndslab: --horizon and --basis must be at least 1", file=sys.stderr)
-        return 3
     try:
         with open(args.file, "rb") as fh:
             raw = fh.read()
@@ -108,11 +117,8 @@ def cmd_check(args) -> int:
             print(f"ndslab: no system named {name!r} in {args.file}", file=sys.stderr)
             return 3
         for rendered in args.property:
-            head, _, tail = rendered.partition(":")
             try:
-                prop = ndsl.parse_property(
-                    head, [_param(p) for p in tail.split(",")] if tail else []
-                )
+                prop = ndsl.read_property(rendered)
             except ValueError as exc:
                 print(f"ndslab: {exc}", file=sys.stderr)
                 return 3
@@ -123,9 +129,15 @@ def cmd_check(args) -> int:
                   file=sys.stderr)
             return 3
         for chk in doc.checks:
-            requests.append(
-                (chk.system, chk.prop, chk.horizon or args.horizon, chk.basis or args.basis)
-            )
+            requests.append((
+                chk.system, chk.prop,
+                args.horizon if chk.horizon is None else chk.horizon,
+                args.basis if chk.basis is None else chk.basis,
+            ))
+    problem = _size_problem(args, doc, requests)
+    if problem:
+        print(f"ndslab: {problem}", file=sys.stderr)
+        return 3
     checks = []
     worst = 0
     for name, prop, horizon, basis in requests:
@@ -138,7 +150,7 @@ def cmd_check(args) -> int:
         checks.append(
             {
                 "system": name,
-                "property": ndsl.render_property(prop),
+                "property": prop.render(),
                 "status": verdict.status,
                 "basis": basis,
                 "horizon": horizon,
@@ -172,10 +184,20 @@ def cmd_check(args) -> int:
     return worst
 
 
-def _param(text: str):
-    from fractions import Fraction
-
-    return Fraction(text)
+def _size_problem(args, doc, requests):
+    """The first size below its least value, over the flags and every check
+    request: horizons and the law horizon need at least 1, a basis at least
+    the resolution its space admits (spaces.min_resolution)."""
+    sizes = [("--horizon", args.horizon, 1), ("--basis", args.basis, 1),
+             ("--law-horizon", args.law_horizon, 1)]
+    for name, prop, horizon, basis in requests:
+        where = f"check {name} {prop.render()}:"
+        sizes.append((f"{where} horizon", horizon, 1))
+        sizes.append((f"{where} basis", basis, sp.min_resolution(doc.system(name).space)))
+    for label, value, least in sizes:
+        if value < least:
+            return f"{label} must be at least {least}, got {value}"
+    return None
 
 
 def cmd_corpus(args) -> int:
@@ -217,7 +239,11 @@ def cmd_corpus(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"ndslab: {exc}", file=sys.stderr)
+        return 3
     try:
         if args.command == "check":
             return cmd_check(args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import maps as mp
@@ -61,14 +62,9 @@ def sup_distance(space: sp.SpaceDesc, a: mp.NormalMap, b: mp.NormalMap):
         val = sp.circle_separation(space, off, zero)
         return val.q if val.exact else val
     if isinstance(space, sp.ProductSpace):
-        parts = [sup_distance(s, x, y) for s, x, y in zip(space.parts, a.parts, b.parts)]
-        if all(isinstance(d, Fraction) for d in parts):
-            return max(parts)
-        best = parts[0]
-        for d in parts[1:]:
-            if sp.value_cmp(d, best) > 0:
-                best = d
-        return best
+        return sp.value_max(
+            [sup_distance(s, x, y) for s, x, y in zip(space.parts, a.parts, b.parts)]
+        )
     raise sp.SpaceMismatch(f"unknown space {space!r}")
 
 
@@ -145,19 +141,13 @@ def _default_fires_infinitely(spec: mp.NdsSpec) -> bool:
         return True
     period = 1
     for p in progs:
-        period = period * p.step // _gcd(period, p.step)
+        period = period * p.step // gcd(period, p.step)
     start = max(
         [p.first for p in progs]
         + [r.pattern.value + 1 for r in spec.rules if isinstance(r.pattern, mp.EqualsPattern)]
         + [1]
     )
     return any(not any(p.matches(n) for p in progs) for n in range(start, start + period))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _first_divergent_index(spec, limit_map, space, horizon: int):

@@ -2,7 +2,7 @@
 with pinned configurations and expected verdict statuses as the regression
 surface.
 
-Each scenario carries its NDSL source (also shipped as a file under
+Each scenario carries its NDSL source (read from its file under
 scenarios/), a list of expectations with catalog citations, and notes on
 which convergence/openness hypotheses the system meets or violates, so the
 corpus doubles as documentation of why each example behaves as it does.
@@ -107,8 +107,7 @@ def _term_from(params):
 
 def _run_property(doc, exp):
     system = doc.system(exp.target)
-    prop = ndsl.parse_property(exp.params["property"].split(":")[0],
-                               _prop_params(exp.params["property"]))
+    prop = ndsl.read_property(exp.params["property"])
     v = ck.check_property(
         system,
         prop,
@@ -117,12 +116,6 @@ def _run_property(doc, exp):
         law_horizon=exp.params.get("law_horizon", 2048),
     )
     return v.status, {"evidence": v.evidence, "caveats": list(v.caveats)}, v
-
-
-def _prop_params(rendered: str):
-    if ":" not in rendered:
-        return []
-    return [Fraction(p) for p in rendered.split(":", 1)[1].split(",")]
 
 
 def _run_uniform(doc, exp):
@@ -200,8 +193,7 @@ def _run_adversary(doc, exp):
 
 def _run_consistency(doc, exp):
     system = doc.system(exp.target)
-    prop = ndsl.parse_property(exp.params["property"].split(":")[0],
-                               _prop_params(exp.params["property"]))
+    prop = ndsl.read_property(exp.params["property"])
     report = ck.hitting_infinity_consistency(
         system, prop,
         exp.params.get("basis", 1),
@@ -369,11 +361,12 @@ def _prop(target, rendered, expected, citation, **params):
 
 
 def _scenarios() -> list:
+    src = scenario_sources()
     out = []
 
     out.append(Scenario(
         "example-3.1",
-        _load_source("example-3.1"),
+        src["example-3.1"],
         (
             _prop("F", "multi-transitive:2", "refuted",
                   "even prefixes are the identity, so slot 2 never connects disjoint sets",
@@ -390,7 +383,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.2",
-        _load_source("example-3.2"),
+        src["example-3.2"],
         (
             _prop("F", "multi-transitive:3", "witnessed",
                   "even prefixes carry growing powers",
@@ -404,7 +397,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.3",
-        _load_source("example-3.3"),
+        src["example-3.3"],
         (
             _prop("F", "minimal", "witnessed",
                   "every orbit visits both points", basis=1, horizon=10),
@@ -426,7 +419,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.5",
-        _load_source("example-3.5"),
+        src["example-3.5"],
         (
             _prop("F", "minimal", "witnessed", "three applications of the cycle visit everything",
                   basis=1, horizon=10),
@@ -454,7 +447,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.6",
-        _load_source("example-3.6"),
+        src["example-3.6"],
         (
             _prop("F", "syndetically-transitive", "witnessed",
                   "odd prefixes carry every large power: gaps settle at 2",
@@ -475,7 +468,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.7",
-        _load_source("example-3.7"),
+        src["example-3.7"],
         (
             _prop("P", "transitive", "refuted",
                   "at odd times the second factor idles, at even times the first: "
@@ -494,7 +487,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.8",
-        _load_source("example-3.8"),
+        src["example-3.8"],
         (
             _prop("F", "dense-periodic-points", "witnessed",
                   "even prefixes rotate by nothing, making every point 2-periodic",
@@ -513,7 +506,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.9",
-        _load_source("example-3.9"),
+        src["example-3.9"],
         (
             _prop("F", "multi-sensitive:1/2", "witnessed",
                   "odd prefixes stretch every cylinder past any constant",
@@ -533,7 +526,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "example-3.9-interleaved",
-        _load_source("example-3.9-interleaved"),
+        src["example-3.9-interleaved"],
         (
             Expectation("interleave-structure", "G", "pass",
                         {"horizon": 128, "firings": (1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78, 91, 105)},
@@ -546,7 +539,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "theorem-3.5-adversary",
-        _load_source("example-3.6"),
+        src["example-3.6"],
         (
             Expectation("gap-adversary-product", "F", "pass",
                         {"miss_times": tuple(range(4, 513, 4)), "horizon": 512, "basis": 1,
@@ -561,7 +554,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "theorem-3.2-3.3-consistency",
-        _load_source("consistency"),
+        src["consistency"],
         (
             Expectation("hitting-consistency", "F36", "pass",
                         {"property": "weakly-mixing:2", "basis": 1, "horizon": 2048,
@@ -582,7 +575,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "theorem-3.18-constant-shift",
-        _load_source("constant-shift"),
+        src["constant-shift"],
         (
             _prop("CS", "syndetically-transitive", "witnessed",
                   "the full shift mixes: hitting sets are cofinite",
@@ -604,7 +597,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "theorem-final-strong",
-        _load_source("three-cycle"),
+        src["three-cycle"],
         (
             _prop("C3", "strongly-transitive", "witnessed",
                   "three steps of the cycle cover the space from any point",
@@ -622,7 +615,7 @@ def _scenarios() -> list:
 
     out.append(Scenario(
         "lemma-2.1-construction",
-        _load_source("constant-shift"),
+        src["constant-shift"],
         (
             Expectation("itinerary-construction", "CS", "pass",
                         {"levels": 4, "horizon": 256},
@@ -641,126 +634,15 @@ def _scenarios() -> list:
     return out
 
 
-_SOURCES = {
-    "example-3.1": """space shift(2);
-system F {
-  at ap(3,2,k): sigma^k;
-  at ap(4,2,k): sigma^-k;
-}
-system T2 = tail(F, 2);
-""",
-    "example-3.2": """space shift(2);
-system F {
-  at ap(2,2,k): sigma^k;
-  at ap(3,2,k): sigma^-k;
-}
-system T2 = tail(F, 2);
-""",
-    "example-3.3": """space finite(2);
-system F {
-  at 1: table{1->1,2->1};
-  else: table{1->2,2->2};
-}
-system LIMIT {
-  else: table{1->2,2->2};
-}
-""",
-    "example-3.5": """space finite(3);
-system F {
-  at 1: table{1->2,2->3,3->1};
-  at 2: table{1->2,2->3,3->1};
-  at 3: table{1->2,2->3,3->1};
-}
-system LIMIT {
-  else: id;
-}
-""",
-    "example-3.6": """space shift(2);
-system F {
-  at ap(1,2,k): sigma^k;
-  at ap(2,2,k): sigma^-k;
-}
-""",
-    "example-3.7": """space shift(2);
-system F {
-  at ap(1,2,k): sigma^k;
-  at ap(2,2,k): sigma^-k;
-}
-system G {
-  at ap(2,2,k): sigma^k;
-  at ap(3,2,k): sigma^-k;
-}
-system P = product(F, G);
-""",
-    "example-3.8": """space circle(sqrt2m1);
-system F {
-  at pow(3,0,k): rot^k;
-  at pow(3,1,k): rot^-k;
-}
-""",
-    "example-3.9": """space shift(2);
-system F {
-  at ap(1,2,k): sigma^k;
-  at ap(2,2,k): sigma^-k;
-}
-""",
-    "example-3.9-interleaved": """space shift(2);
-system G {
-  at 1: sigma^1;
-  at 3: sigma^1;
-  at 6: sigma^1;
-  at 10: sigma^1;
-  at 15: sigma^1;
-  at 21: sigma^1;
-  at 28: sigma^1;
-  at 36: sigma^1;
-  at 45: sigma^1;
-  at 55: sigma^1;
-  at 66: sigma^1;
-  at 78: sigma^1;
-  at 91: sigma^1;
-  at 105: sigma^1;
-}
-""",
-    "consistency": """space shift(2);
-system F36 {
-  at ap(1,2,k): sigma^k;
-  at ap(2,2,k): sigma^-k;
-}
-system F32 {
-  at ap(2,2,k): sigma^k;
-  at ap(3,2,k): sigma^-k;
-}
-system CS {
-  else: sigma^1;
-}
-""",
-    "constant-shift": """space shift(2);
-system CS {
-  else: sigma^1;
-}
-""",
-    "three-cycle": """space finite(3);
-system C3 {
-  else: table{1->2,2->3,3->1};
-}
-""",
-}
-
-
-def _load_source(name: str) -> str:
-    """Scenario sources ship as .ndsl files inside the package; the inline
-    table is the generator and the fallback."""
-    try:
-        ref = resources.files(__package__) / "scenarios" / f"{name}.ndsl"
-        return ref.read_text()
-    except (FileNotFoundError, ModuleNotFoundError):
-        return _SOURCES[name]
-
-
 def scenario_sources() -> dict:
-    """NDSL source text per scenario file name (shipped under scenarios/)."""
-    return dict(_SOURCES)
+    """NDSL source text per scenario, keyed by the name of its .ndsl file
+    shipped under scenarios/ (the only copy of each source)."""
+    folder = resources.files(__package__) / "scenarios"
+    return {
+        ref.name.removesuffix(".ndsl"): ref.read_text()
+        for ref in sorted(folder.iterdir(), key=lambda ref: ref.name)
+        if ref.name.endswith(".ndsl")
+    }
 
 
 SCENARIOS = tuple(_scenarios())

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Union
 
 from .spaces import (
@@ -224,7 +225,7 @@ def _patterns_overlap(p: IndexPattern, q: IndexPattern, horizon: int):
     if isinstance(q, EqualsPattern):
         return q.value if p.matches(q.value) else None
     if isinstance(p, ArithProgPattern) and isinstance(q, ArithProgPattern):
-        g = _gcd(p.step, q.step)
+        g = gcd(p.step, q.step)
         if (q.first - p.first) % g != 0:
             return None
         n = max(p.first, q.first)
@@ -329,12 +330,6 @@ class ProductSpec:
 
 
 SystemSpec = Union[NdsSpec, TailSpec, IterateSpec, ProductSpec]
-
-
-def base_of(spec: SystemSpec) -> SystemSpec:
-    while isinstance(spec, (TailSpec, IterateSpec)):
-        spec = spec.base
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +655,7 @@ def _piece_zero_on_class(piece: LawPiece, mod: int, residue: int) -> bool:
         return not (pat.value % mod == residue % mod and piece.value_at(pat.value) != 0)
     if isinstance(pat, ArithProgPattern):
         # the progression meets the class iff the congruences are compatible
-        g = _gcd(pat.step, mod)
+        g = gcd(pat.step, mod)
         return (residue - pat.first) % g != 0
     if isinstance(pat, PowerPattern):
         # base^k mod `mod` is eventually periodic with transient + cycle well
@@ -672,12 +667,6 @@ def _piece_zero_on_class(piece: LawPiece, mod: int, residue: int) -> bool:
         return True
     # catch-all piece with a nonzero form touches every class
     return False
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _family_rules(spec: NdsSpec):
@@ -946,10 +935,6 @@ class SystemLaws:
     exponent: Optional[ExponentLaw] = None
     table: Optional[TableLaw] = None
     components: tuple = ()  # per-part laws for product systems
-
-    @property
-    def any(self) -> bool:
-        return self.exponent is not None or self.table is not None or bool(self.components)
 
 
 def derive_laws(spec: SystemSpec, horizon: int) -> SystemLaws:

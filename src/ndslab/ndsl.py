@@ -539,13 +539,22 @@ _NO_PARAM = {
 }
 
 
+def read_property(text: str) -> ck.PropertyKind:
+    """The property a rendering `name[:p1[,p2]]` (PropertyKind.render, the
+    --property flag, corpus expectations) names; ValueError when it is bad."""
+    head, _, tail = text.partition(":")
+    try:
+        params = [Fraction(p) for p in tail.split(",")] if tail else []
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    return parse_property(head, params)
+
+
 def parse_property(name: str, params) -> ck.PropertyKind:
     params = list(params)
     if name in _NO_PARAM:
         if params:
             raise ValueError(f"{name} takes no parameters")
-        if name == "almost-periodic-point":
-            return ck.PropertyKind(name)
         return ck.PropertyKind(name)
     if name in ("weakly-mixing", "multi-transitive", "totally-transitive"):
         order = int(params[0]) if params else (2 if name != "totally-transitive" else 3)
@@ -569,22 +578,6 @@ def parse_property(name: str, params) -> ck.PropertyKind:
     raise ValueError(f"unknown property {name!r}")
 
 
-def render_property(prop: ck.PropertyKind) -> str:
-    if prop.name in _NO_PARAM:
-        return prop.name
-    if prop.name in ("weakly-mixing", "multi-transitive", "totally-transitive"):
-        return f"{prop.name}:{prop.order}"
-    if prop.name in ("sensitive", "syndetically-sensitive"):
-        return f"{prop.name}:{_frac(prop.delta)}"
-    if prop.name == "thickly-sensitive":
-        suffix = f",{prop.run_length}" if prop.run_length != 3 else ""
-        return f"{prop.name}:{_frac(prop.delta)}{suffix}"
-    if prop.name == "multi-sensitive":
-        suffix = f",{prop.order}" if prop.order != 3 else ""
-        return f"{prop.name}:{_frac(prop.delta)}{suffix}"
-    return prop.name
-
-
 def _frac(f: Fraction) -> str:
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -602,7 +595,7 @@ def print_document(doc: NdslDocument) -> str:
         out.append(_print_system(name, spec, named))
     for chk in doc.checks:
         out.append("")
-        line = f"check {chk.system} {render_property(chk.prop)}"
+        line = f"check {chk.system} {chk.prop.render()}"
         if chk.horizon is not None:
             line += f" horizon {chk.horizon}"
         if chk.basis is not None:

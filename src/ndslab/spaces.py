@@ -182,10 +182,6 @@ class AlphaLinear:
         """Reduce into [0, 1)."""
         return self - Fraction(self.floor())
 
-    def float_estimate(self) -> float:
-        lo, hi = self.enclosure()
-        return float((lo + hi) / 2)
-
 
 RationalOrEnclosure = Union[Fraction, AlphaLinear]
 
@@ -198,6 +194,17 @@ def value_cmp(a: RationalOrEnclosure, b: Union[RationalOrEnclosure, int]) -> int
         return -b.cmp(a)
     a, b = Fraction(a), Fraction(b)
     return -1 if a < b else (1 if a > b else 0)
+
+
+def value_max(values: list) -> RationalOrEnclosure:
+    """The largest of some exact-or-enclosure values (the first on ties)."""
+    if all(isinstance(v, Fraction) for v in values):
+        return max(values)
+    best = values[0]
+    for v in values[1:]:
+        if value_cmp(v, best) > 0:
+            best = v
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +363,6 @@ def all_ones() -> BiWord:
     return BiWord.constant(1)
 
 
-def _norm_coeff(c) -> Fraction:
-    c = Fraction(c)
-    return c
-
-
 @dataclass(frozen=True)
 class AffineAngle:
     """The angle q + c*alpha (mod 1).  Coefficients from corpus points are
@@ -371,7 +373,7 @@ class AffineAngle:
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q) % 1)
-        object.__setattr__(self, "c", _norm_coeff(self.c))
+        object.__setattr__(self, "c", Fraction(self.c))
 
     def lift(self, alpha: AlphaEnclosure) -> AlphaLinear:
         return AlphaLinear(self.q, self.c, alpha)
@@ -597,14 +599,7 @@ def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:
     if isinstance(space, CircleSpace):
         sep = circle_separation(space, p, q)
         return sep.q if sep.exact else sep
-    parts = [distance(s, a, b) for s, a, b in zip(space.parts, p.parts, q.parts)]
-    if all(isinstance(d, Fraction) for d in parts):
-        return max(parts)
-    best = parts[0]
-    for d in parts[1:]:
-        if value_cmp(d, best) > 0:
-            best = d
-    return best
+    return value_max([distance(s, a, b) for s, a, b in zip(space.parts, p.parts, q.parts)])
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +768,7 @@ def diameter(space: SpaceDesc, A: BasicOpen) -> RationalOrEnclosure:
         _, length = _span_of(space, A)
         return length.q if length.exact else length
     if isinstance(A, ProductOpen):
-        parts = [diameter(s, a) for s, a in zip(space.parts, A.parts)]
-        if all(isinstance(d, Fraction) for d in parts):
-            return max(parts)
-        best = parts[0]
-        for d in parts[1:]:
-            if value_cmp(d, best) > 0:
-                best = d
-        return best
+        return value_max([diameter(s, a) for s, a in zip(space.parts, A.parts)])
     raise SpaceMismatch(f"unknown open set {A!r}")
 
 
@@ -814,10 +802,22 @@ def diameter_witness_pair(space: SpaceDesc, A: BasicOpen) -> tuple[Point, Point]
     raise SpaceMismatch(f"no witness pair for {A!r}")
 
 
+def min_resolution(space: SpaceDesc) -> int:
+    """The least basis resolution the space admits: circle arcs at
+    resolution r have radius 1/(2r) and an open arc needs a radius below
+    1/2, so a circle, or a product with a circle factor, needs r >= 2."""
+    if isinstance(space, CircleSpace):
+        return 2
+    if isinstance(space, ProductSpace):
+        return max(min_resolution(part) for part in space.parts)
+    return 1
+
+
 def enumerate_basis(space: SpaceDesc, resolution: int) -> list:
     """Finite topology basis at the given resolution, in deterministic order."""
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    least = min_resolution(space)
+    if resolution < least:
+        raise ValueError(f"resolution must be at least {least}")
     if isinstance(space, ShiftSpace):
         width = 2 * resolution + 1
         out = []

@@ -191,6 +191,23 @@ class TestStronglyTransitive:
         assert v.refuted
         assert "constant" in v.evidence["structural"]
 
+    def test_finite_product_cover_witnessed(self):
+        # prefixes are (swap^(n-1), cycle^n): by n = 6 every id pair is reached
+        swap_late = mp.NdsSpec(sp.FiniteSpace(2), (
+            mp.Rule(mp.EqualsPattern(1), mp.IDENTITY),
+        ), mp.FiniteFnTerm((2, 1)))
+        cycle = mp.NdsSpec(sp.FiniteSpace(3), (), mp.FiniteFnTerm((2, 3, 1)))
+        v = ck.check_property(mp.ProductSpec((swap_late, cycle)), ck.strongly_transitive(), 1, 16)
+        assert v.witnessed
+        assert v.evidence["cover_bound_per_open"] == {str(i): 6 for i in range(6)}
+
+    def test_shift_product_inconclusive(self):
+        v = ck.check_property(
+            mp.ProductSpec((CONST_SIGMA, CONST_SIGMA)), ck.strongly_transitive(), 1, 16
+        )
+        assert v.status == ck.INCONCLUSIVE
+        assert v.caveats == ("no exact cover check for products with a shift or circle factor",)
+
 
 class TestDensePeriodic:
     def test_circle_two_periodicity(self):

@@ -23,6 +23,14 @@ system F {
 
 EX36_WITH_DIRECTIVE = EX36 + "check F syndetically-transitive horizon 100 basis 1;\n"
 
+EX38_WITH_PRODUCT = """space circle(sqrt2m1);
+system F {
+  at pow(3,0,k): rot^k;
+  at pow(3,1,k): rot^-k;
+}
+system P = product(F, F);
+"""
+
 
 @pytest.fixture
 def ndsl_file(tmp_path):
@@ -167,6 +175,34 @@ class TestExitCodes:
             "check", ndsl_file(EX36), "--property", "transitive", flag, "0",
         ])
         assert code == 3 and "must be at least 1" in err
+
+    @pytest.mark.parametrize("system", ["F", "P"])
+    def test_circle_basis_one_exits_three(self, ndsl_file, capsys, system):
+        # arcs at resolution 1 would have radius 1/2: not an open arc
+        code, out, err = run(capsys, [
+            "check", ndsl_file(EX38_WITH_PRODUCT), "--system", system, "--property", "transitive",
+            "--basis", "1", "--horizon", "16",
+        ])
+        assert code == 3 and out == ""
+        assert err == f"ndslab: check {system} transitive: basis must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("sizes", ["horizon 0", "basis 0", "horizon 0 basis 0"])
+    def test_zero_sizes_in_a_directive_exit_three(self, ndsl_file, capsys, sizes):
+        code, out, err = run(capsys, ["check", ndsl_file(EX36 + f"check F transitive {sizes};\n")])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--horizon", "abc"], ["--basis", "1.5"], ["--format", "xml"], ["--no-such-flag"],
+    ])
+    def test_flags_argparse_rejects_exit_three(self, ndsl_file, capsys, argv):
+        code, out, err = run(capsys, ["check", ndsl_file(EX36), "--property", "transitive", *argv])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ndslab: ")
+
+    def test_zero_denominator_property_exits_three(self, ndsl_file, capsys):
+        code, _, err = run(capsys, ["check", ndsl_file(EX36), "--property", "sensitive:1/0"])
+        assert code == 3 and err == "ndslab: zero denominator in 'sensitive:1/0'\n"
 
     def test_overlong_literal_exits_three(self, ndsl_file, capsys):
         source = "space finite(" + "9" * 5000 + ");\nsystem F { else: id; }\n"

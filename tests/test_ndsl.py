@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ndslab import checkers as ck
 from ndslab import corpus, ndsl
 from ndslab.maps import (
     ArithProgPattern,
@@ -200,6 +201,22 @@ class TestPrinting:
             assert ndsl.parse(sources[file]).system(name) == spec
 
 
+class TestPropertyRendering:
+    @pytest.mark.parametrize("prop", [
+        *(ck.PropertyKind(name) for name in sorted(ndsl._NO_PARAM)),
+        *(ck.PropertyKind(name, order=k)
+          for name in ("weakly-mixing", "multi-transitive", "totally-transitive")
+          for k in (2, 3, 5)),
+        *(ck.PropertyKind(name, delta=d)
+          for name in ("sensitive", "syndetically-sensitive")
+          for d in (Fraction(1, 2), Fraction(3), Fraction(5, 1024))),
+        *(ck.thickly_sensitive(Fraction(1, 4), run) for run in (1, 3, 7)),
+        *(ck.multi_sensitive(Fraction(1, 4), m) for m in (1, 2, 3, 4)),
+    ], ids=repr)
+    def test_parse_reads_back_the_rendering(self, prop):
+        assert ndsl.read_property(prop.render()) == prop
+
+
 class TestRandomRoundTrip:
     def test_two_thousand_documents(self):
         rng = random.Random(20240809)
@@ -209,12 +226,28 @@ class TestRandomRoundTrip:
 
 
 class TestCorpusSources:
-    def test_shipped_files_match_inline_sources(self):
+    # scenarios whose source file is named differently from the scenario
+    FILE_OF = {
+        "theorem-3.5-adversary": "example-3.6",
+        "theorem-3.2-3.3-consistency": "consistency",
+        "theorem-3.18-constant-shift": "constant-shift",
+        "theorem-final-strong": "three-cycle",
+        "lemma-2.1-construction": "constant-shift",
+    }
+
+    def test_scenario_sources_are_the_shipped_files(self):
         from importlib import resources
 
-        for name, source in corpus.scenario_sources().items():
-            ref = resources.files("ndslab") / "scenarios" / f"{name}.ndsl"
-            assert ref.read_text() == source, name
+        folder = resources.files("ndslab") / "scenarios"
+        shipped = {
+            ref.name[: -len(".ndsl")]: ref.read_text()
+            for ref in folder.iterdir() if ref.name.endswith(".ndsl")
+        }
+        assert len(shipped) == 12
+        assert corpus.scenario_sources() == shipped
+        for scenario in corpus.SCENARIOS:
+            file = self.FILE_OF.get(scenario.name, scenario.name)
+            assert scenario.source == shipped[file], scenario.name
 
     def test_sources_compile_to_scenario_systems(self):
         for scenario in corpus.SCENARIOS:

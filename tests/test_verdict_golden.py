@@ -132,7 +132,7 @@ def _cases():
 
 
 def _key(system, prop) -> str:
-    return f"{system} {ndsl.render_property(prop)}"
+    return f"{system} {prop.render()}"
 
 
 def _verdict_digest(source, system, basis, horizon, prop) -> str:
