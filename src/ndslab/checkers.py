@@ -405,7 +405,9 @@ def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
             },
             (_quantifier_note(r, H),),
         )
-    # no single universal time: every m-subset of pairs must share one
+    # no single universal time: every m-subset of pairs must share one (with
+    # fewer than m pairs, the m-tuples repeat pairs: the largest is them all)
+    m = min(m, len(items))
     if comb(len(items), m) > 2_000_000:
         return Verdict(
             prop.render(), INCONCLUSIVE, cfg,
@@ -993,6 +995,23 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
     )
 
 
+def _never_separates(spec, laws, U, delta) -> Optional[str]:
+    space = spec.space
+    diam = sp.diameter(space, U)
+    if isinstance(space, sp.CircleSpace):
+        # rotations are isometries: the image diameter never changes
+        if sp.value_cmp(diam, delta) <= 0:
+            return "rotations preserve the arc diameter, which does not exceed delta"
+        return None
+    if isinstance(space, sp.FiniteSpace) and len(U.ids) == 1:
+        return "singleton opens have singleton images: separation is impossible"
+    law = laws.exponent
+    if law is not None and all(p.is_zero() for p in law.pieces):
+        if sp.value_cmp(diam, delta) <= 0:
+            return "every prefix is the identity and diam(U) <= delta: " + law.describe()
+    return None
+
+
 def _common_separation(prop, cfg, masks, r, H) -> Verdict:
     """Multi-sensitivity: one time that separates every basis open, else
     one per m-subset of opens for each order m up to prop.order."""
@@ -1028,23 +1047,6 @@ def _common_separation(prop, cfg, masks, r, H) -> Verdict:
         {"latest_common_time": latest, "orders_checked": prop.order},
         (_quantifier_note(r, H),),
     )
-
-
-def _never_separates(spec, laws, U, delta) -> Optional[str]:
-    space = spec.space
-    diam = sp.diameter(space, U)
-    if isinstance(space, sp.CircleSpace):
-        # rotations are isometries: the image diameter never changes
-        if sp.value_cmp(diam, delta) <= 0:
-            return "rotations preserve the arc diameter, which does not exceed delta"
-        return None
-    if isinstance(space, sp.FiniteSpace) and len(U.ids) == 1:
-        return "singleton opens have singleton images: separation is impossible"
-    law = laws.exponent
-    if law is not None and all(p.is_zero() for p in law.pieces):
-        if sp.value_cmp(diam, delta) <= 0:
-            return "every prefix is the identity and diam(U) <= delta: " + law.describe()
-    return None
 
 
 def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:

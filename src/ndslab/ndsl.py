@@ -578,11 +578,6 @@ def parse_property(name: str, params) -> ck.PropertyKind:
     raise ValueError(f"unknown property {name!r}")
 
 
-def _frac(f: Fraction) -> str:
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # canonical printer
 
@@ -613,7 +608,7 @@ def _print_space(space: sp.SpaceDesc) -> str:
         if space.alpha.kind == "sqrt2m1":
             return "space circle(sqrt2m1);"
         c, h = space.alpha.center, space.alpha.halfwidth
-        return f"space circle(alpha({_frac(c)} +- {_frac(h)}));"
+        return f"space circle(alpha({Fraction(c)} +- {Fraction(h)}));"
     raise sp.SpaceMismatch("product spaces are declared through product systems")
 
 

@@ -109,6 +109,16 @@ class TestMultiTransitive:
         assert v.refuted
 
 
+class TestWeaklyMixing:
+    def test_order_above_the_pair_count_reads_every_pair(self):
+        # 4 basis pairs, hit on alternate times: no m-tuple of pairs shares
+        # a time once it holds (1, 1) and (1, 2), whatever m is
+        swap = mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 1)))
+        v = ck.check_property(swap, ck.weakly_mixing(5), 1, 16)
+        assert v.status == ck.INCONCLUSIVE
+        assert v.evidence["failing_tuple"] == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"]
+
+
 class TestMinimal:
     def test_finite_examples(self):
         t1, t2 = mp.FiniteFnTerm((1, 1)), mp.FiniteFnTerm((2, 2))
