@@ -169,7 +169,7 @@ class TestExitCodes:
             r"ndslab: internal error: ZeroDivisionError: broken kernel \(at test_cli\.py:\d+\)\n", err
         )
 
-    @pytest.mark.parametrize("flag", ["--horizon", "--basis"])
+    @pytest.mark.parametrize("flag", ["--horizon", "--basis", "--law-horizon"])
     def test_nonpositive_size_flag_exits_three(self, ndsl_file, capsys, flag):
         code, _, err = run(capsys, [
             "check", ndsl_file(EX36), "--property", "transitive", flag, "0",
