@@ -383,7 +383,6 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
 
 
 def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
-    m = prop.order
     basis, masks = _pair_masks(spec, r, H)
     items = sorted(masks.items())
     for (i, j), mask in items:
@@ -407,7 +406,7 @@ def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
         )
     # no single universal time: every m-subset of pairs must share one (with
     # fewer than m pairs, the m-tuples repeat pairs: the largest is them all)
-    m = min(m, len(items))
+    m = min(prop.order, len(items))
     if comb(len(items), m) > 2_000_000:
         return Verdict(
             prop.render(), INCONCLUSIVE, cfg,
