@@ -156,8 +156,6 @@ class Verdict:
 
 _MASK_CACHE: dict = {}
 
-_mask_members = ht._mask_members
-
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     """(basis, masks): masks[(i, j)] is the bitmask of N(B_i, B_j) members
@@ -221,24 +219,24 @@ def _class_pairs(space, m: mp.NormalMap, basis) -> list:
 
 
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
-    """(basis, masks): masks[i] is the bitmask of N(B_i, delta) within
-    [1, horizon], undecided indices dropped.
+    """(basis, mask): mask is the bitmask of N(B, delta) within [1, horizon]
+    for every basis open B alike, undecided indices dropped.
 
     Within one space every basis open has the same image diameter under a
     prefix map (full-word cylinders share the window [-r, r], arcs share
     their radius, points stay points), so each prefix class takes one
     diameter for the whole basis.  A rectangle separates exactly when one of
-    its sides does, so product masks are the OR of the component masks."""
+    its sides does, so a product mask is the OR of the component masks."""
     basis = sp.enumerate_basis(spec.space, resolution)
     if isinstance(spec, mp.ProductSpec):
-        parts = [_sep_masks(p, resolution, horizon, delta)[1] for p in spec.parts]
-        return basis, [reduce(or_, combo) for combo in product(*parts)]
+        parts = (_sep_masks(p, resolution, horizon, delta)[1] for p in spec.parts)
+        return basis, reduce(or_, parts)
     space = spec.space
     wide = 0
     for m, times in ht.prefix_classes(spec, horizon).items():
         if ht._wider_than(space, mp.image(m, basis[0]), delta):
             wide |= times
-    return basis, [wide] * len(basis)
+    return basis, wide
 
 
 def _first_bit(mask: int) -> Optional[int]:
@@ -269,7 +267,7 @@ def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
     if not _disjoint(space, U, V):
         return None
     law = laws.exponent
-    if law is not None and all(p.is_zero() for p in law.pieces):
+    if law is not None and law.is_identity():
         return (
             "every prefix is the identity and the sets are disjoint: " + law.describe()
         )
@@ -435,9 +433,8 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
     tails = {}
     for (i, j), mask in sorted(masks.items()):
-        hs = ht.HittingSet("hitting", spec, H, _mask_members(mask), u=basis[i], v=basis[j])
-        fe = ht.classify_frequency(hs, laws)
-        if fe.tail_start is None:
+        tail_start = ht._frequency(mask, H)[3]
+        if tail_start is None:
             law = laws.exponent
             zero = law.first_zero_residue() if law is not None else None
             reason = None
@@ -452,7 +449,7 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
                 {"pair_without_tail": f"{i}->{j}"},
                 ("no cofinite tail within the horizon",),
             )
-        tails[f"{i}->{j}"] = fe.tail_start
+        tails[f"{i}->{j}"] = tail_start
     return Verdict(
         prop.render(), WITNESSED, cfg,
         {"tail_start_per_pair": tails, "latest_tail_start": max(tails.values())},
@@ -569,14 +566,17 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             f"re-anchored; the constant-{witness_fill} point avoids each image, "
             "whatever the cover length"
         ))
+    classes = ht.prefix_classes(spec, H)
     covers = {}
     for idx, U in enumerate(basis):
+        # the images of U grow only at a class's first time, so the first
+        # covering time is the first time of the class that completes a cover
         found = None
         images = []
-        for i in range(1, H + 1):
-            images.append(mp.image(mp.prefix_compose(spec, i), U))
+        for m, times in classes.items():
+            images.append(mp.image(m, U))
             if _cover_space(space, images):
-                found = i
+                found = _first_bit(times)
                 break
         if found is None:
             if laws.table is not None:
@@ -663,20 +663,19 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     worst_gap = 0
     worst_eventual = 0
     for (i, j), mask in sorted(masks.items()):
-        members = _mask_members(mask)
-        hs = ht.HittingSet("hitting", spec, H, members, u=basis[i], v=basis[j])
-        fe = ht.classify_frequency(hs, laws)
-        if fe.structural in ("sparse-support", "finite-support"):
-            return _refute_pair(spec, laws, prop, cfg, basis, i, j, fe.structural_detail)
-        if not members:
+        tag, detail = ht._structural_tag("hitting", spec, laws, basis[i], basis[j])
+        if tag in ("sparse-support", "finite-support"):
+            return _refute_pair(spec, laws, prop, cfg, basis, i, j, detail)
+        if mask == 0:
             return _refute_pair(spec, laws, prop, cfg, basis, i, j) or Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"unhit_pair": f"{i}->{j}"},
                 ("a pair never hit within the horizon",),
             )
-        worst_gap = max(worst_gap, fe.max_gap)
-        worst_eventual = max(worst_eventual, fe.eventual_max_gap)
-        stats[f"{i}->{j}"] = {"max_gap": fe.max_gap, "eventual_max_gap": fe.eventual_max_gap}
+        max_gap, eventual, _, _ = ht._frequency(mask, H)
+        worst_gap = max(worst_gap, max_gap)
+        worst_eventual = max(worst_eventual, eventual)
+        stats[f"{i}->{j}"] = {"max_gap": max_gap, "eventual_max_gap": eventual}
     return Verdict(
         prop.render(), WITNESSED, cfg,
         {
@@ -791,7 +790,7 @@ def _is_prefix_invariant(spec, laws, x) -> Optional[str]:
         if x.shifted(1) == x:
             return "the point is shift-invariant and every prefix map is a shift power"
     law = laws.exponent
-    if law is not None and all(p.is_zero() for p in law.pieces):
+    if law is not None and law.is_identity():
         return "every prefix map is the identity: " + law.describe()
     return None
 
@@ -906,25 +905,23 @@ def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
     space = spec.space
     out = {}
     for eps in (Fraction(1, 2), Fraction(1, 4)):
-        members = []
+        returns = 0
         point = x
         for n in range(1, H + 1):
             point = mp.apply(mp.step_normal(spec, n), point)
             d = sp.distance(space, point, x)
             try:
                 if sp.value_cmp(d, eps) < 0:
-                    members.append(n)
+                    returns |= 1 << n
             except sp.EnclosureUndecided:
                 pass
-        hs = ht.HittingSet("hitting", spec, H, tuple(members), u=None, v=None)
-        fe = ht.classify_frequency(hs, None)
-        if not members:
+        if not returns:
             return Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"epsilon": str(eps)},
                 ("no return times within the horizon",),
             )
-        out[str(eps)] = {"max_gap": fe.max_gap, "returns": len(members)}
+        out[str(eps)] = {"max_gap": ht._frequency(returns, H)[0], "returns": returns.bit_count()}
     return Verdict(
         prop.render(), WITNESSED, cfg,
         {"per_epsilon": out},
@@ -941,8 +938,10 @@ _SENSITIVE_NOTES = {
 
 def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
     """Sensitive, syndetically, thickly and multi-sensitive: every basis
-    open must separate past delta; the first three then read each open's
-    separation set, multi-sensitive looks for common separation times."""
+    open must separate past delta.  The opens share one separation mask and
+    one diameter (see _sep_masks), so B0 decides for the whole basis: the
+    first three read its separation set and cite it for every open,
+    multi-sensitive reports its first time, which separates them all."""
     delta = Fraction(prop.delta)
     multi = prop.name == "multi-sensitive"
     if delta >= sp.space_diameter(spec.space):
@@ -951,45 +950,52 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
             {"structural": f"delta {delta} is at least the space diameter"},
             () if multi else ("trivial refutation: no pair can ever separate that far",),
         )
-    basis, masks = _sep_masks(spec, r, H, delta)
-    stats = {}
-    for idx, (U, mask) in enumerate(zip(basis, masks)):
-        never = _never_separates(spec, laws, U, delta)
-        if never is not None:
-            return _refute_open(prop, cfg, basis, idx, never)
-        if mask == 0:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"silent_open": _label(basis, idx)},
-                () if multi else ("no separation witnessed within the horizon",),
-            )
-        if multi:
-            continue
-        if prop.name == "sensitive":
-            stats[str(idx)] = {"first": _first_bit(mask)}
-            continue
-        hs = ht.HittingSet("separation", spec, H, _mask_members(mask), u=U, delta=delta)
-        fe = ht.classify_frequency(hs, laws)
-        if prop.name == "syndetically-sensitive":
-            stats[str(idx)] = {"max_gap": fe.max_gap, "eventual_max_gap": fe.eventual_max_gap}
-            continue
-        if fe.structural == "excluded-residue":
-            return _refute_open(prop, cfg, basis, idx, (
+    basis, mask = _sep_masks(spec, r, H, delta)
+    never = _never_separates(spec, laws, basis[0], delta)
+    if never is not None:
+        return _refute_open(prop, cfg, basis, 0, never)
+    if mask == 0:
+        return Verdict(
+            prop.render(), INCONCLUSIVE, cfg,
+            {"silent_open": _label(basis, 0)},
+            () if multi else ("no separation witnessed within the horizon",),
+        )
+    if multi:
+        return Verdict(
+            prop.render(), WITNESSED, cfg,
+            {
+                "common_separation_time": _first_bit(mask),
+                "orders_checked": prop.order,
+                "note": "one time separates every basis open past delta",
+            },
+            (_quantifier_note(r, H),),
+        )
+    if prop.name == "sensitive":
+        entry = {"first": _first_bit(mask)}
+    elif prop.name == "syndetically-sensitive":
+        max_gap, eventual, _, _ = ht._frequency(mask, H)
+        entry = {"max_gap": max_gap, "eventual_max_gap": eventual}
+    else:
+        tag, detail = ht._structural_tag("separation", spec, laws, basis[0], delta=delta)
+        if tag == "excluded-residue":
+            return _refute_open(prop, cfg, basis, 0, (
                 "separation times avoid a whole residue class, so runs never "
-                "reach length 2: " + fe.structural_detail
+                "reach length 2: " + detail
             ))
-        if fe.longest_run < prop.run_length:
+        longest_run = ht._frequency(mask, H)[2]
+        if longest_run < prop.run_length:
             return Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
-                {"open": _label(basis, idx), "longest_run": fe.longest_run},
+                {"open": _label(basis, 0), "longest_run": longest_run},
                 (f"no run of length {prop.run_length} within the horizon",),
             )
-        stats[str(idx)] = {"longest_run": fe.longest_run}
-    if multi:
-        return _common_separation(prop, cfg, masks, r, H)
+        entry = {"longest_run": longest_run}
     return Verdict(
         prop.render(), WITNESSED, cfg,
-        {"per_open": stats, "note": _SENSITIVE_NOTES[prop.name].format(prop.run_length)},
+        {
+            "per_open": dict.fromkeys(map(str, range(len(basis))), entry),
+            "note": _SENSITIVE_NOTES[prop.name].format(prop.run_length),
+        },
         (_quantifier_note(r, H),),
     )
 
@@ -1005,47 +1011,10 @@ def _never_separates(spec, laws, U, delta) -> Optional[str]:
     if isinstance(space, sp.FiniteSpace) and len(U.ids) == 1:
         return "singleton opens have singleton images: separation is impossible"
     law = laws.exponent
-    if law is not None and all(p.is_zero() for p in law.pieces):
+    if law is not None and law.is_identity():
         if sp.value_cmp(diam, delta) <= 0:
             return "every prefix is the identity and diam(U) <= delta: " + law.describe()
     return None
-
-
-def _common_separation(prop, cfg, masks, r, H) -> Verdict:
-    """Multi-sensitivity: one time that separates every basis open, else
-    one per m-subset of opens for each order m up to prop.order."""
-    common = reduce(and_, masks, -1)
-    if common:
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {
-                "common_separation_time": _first_bit(common),
-                "orders_checked": prop.order,
-                "note": "one time separates every basis open past delta",
-            },
-            (_quantifier_note(r, H),),
-        )
-    latest = None
-    for m in range(2, prop.order + 1):
-        if comb(len(masks), m) > 2_000_000:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"note": "tuple space too large without a universal separation time"},
-                ("lower the basis resolution or widen the horizon",),
-            )
-        failing, worst = _subset_search(masks, m)
-        if failing:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"failing_tuple": list(failing), "order": m},
-            )
-        if worst is not None and (latest is None or worst[0] > latest):
-            latest = worst[0]
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
-        {"latest_common_time": latest, "orders_checked": prop.order},
-        (_quantifier_note(r, H),),
-    )
 
 
 def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:

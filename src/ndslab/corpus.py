@@ -679,6 +679,4 @@ def run_corpus(name_filter: Optional[str] = None) -> list:
 def _matches(name: str, pattern: str) -> bool:
     if pattern.endswith("*"):
         return name.startswith(pattern[:-1])
-    if pattern.endswith(".*"):
-        return name.startswith(pattern[:-2])
     return pattern in name

@@ -158,53 +158,48 @@ def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> Hit
     )
 
 
+def _frequency(mask: int, H: int) -> tuple:
+    """(max_gap, eventual_max_gap, longest_run, tail_start) of the members
+    of `mask` (bit n for member n, all within [1, H]) under the {0, H+1}
+    convention, read off its bit string instead of walking the members."""
+    bits = format(mask >> 1, f"0{H}b")[::-1]  # bits[k] == "1" when k + 1 is a member
+    max_gap = max(map(len, bits.split("1"))) + 1
+    # gaps between members opening at or after (H+1)//2, the late regime
+    late = bits[(H + 1) // 2 - 1:].strip("0")
+    eventual = max(map(len, late.split("1"))) + 1 if late.count("1") > 1 else 0
+    longest_run = max(map(len, bits.split("0")))
+    head = len(bits.rstrip("1"))  # [head + 1, H] is the longest all-member tail
+    return max_gap, eventual, longest_run, head + 1 if head < H else None
+
+
 def classify_frequency(hs: HittingSet, laws: Optional[mp.SystemLaws] = None) -> FrequencyEvidence:
     """Gap and run statistics under the {0, H+1} boundary convention, with a
     structural tag when a validated law pins behaviour beyond the horizon."""
-    members = list(hs.members)
-    H = hs.horizon
-    extended = [0] + members + [H + 1]
-    max_gap = max(b - a for a, b in zip(extended, extended[1:]))
-    onset = (H + 1) // 2
-    eventual = max(
-        (b - a for a, b in zip(members, members[1:]) if a >= onset), default=0
-    )
-    longest = best = 0
-    prev = None
-    for n in members:
-        best = best + 1 if prev == n - 1 else 1
-        longest = max(longest, best)
-        prev = n
-    tail_start = None
-    if members and members[-1] == H:
-        # smallest t with [t, H] fully inside the member set
-        idx = len(members) - 1
-        while idx > 0 and members[idx - 1] == members[idx] - 1:
-            idx -= 1
-        tail_start = members[idx]
-    # the gap ending at the H+1 boundary is only a lower bound
-    censored = (not members) or members[-1] < H
-    structural, detail = _structural_tag(hs, laws)
+    members = hs.members
+    max_gap, eventual, longest, tail_start = _frequency(sum(1 << n for n in members), hs.horizon)
+    structural, detail = _structural_tag(hs.kind, hs.spec, laws, hs.u, hs.v, hs.delta)
     return FrequencyEvidence(
         max_gap=max_gap,
         eventual_max_gap=eventual,
         longest_run=longest,
         tail_start=tail_start,
         first_member=members[0] if members else None,
-        censored_final_gap=censored,
+        # the gap ending at the H+1 boundary is only a lower bound
+        censored_final_gap=tail_start is None,
         structural=structural,
         structural_detail=detail,
     )
 
 
-def _structural_tag(hs: HittingSet, laws: Optional[mp.SystemLaws]) -> tuple[Optional[str], str]:
+def _structural_tag(kind: str, spec, laws, u, v=None, delta=None) -> tuple[Optional[str], str]:
+    """(tag, detail) when a validated law pins the hitting set N(u, v) or the
+    separation set N(u, delta) beyond the horizon; (None, "") otherwise."""
     if laws is None:
         return None, ""
-    spec = hs.spec
     space = spec.space
-    if hs.kind == "hitting":
+    if kind == "hitting":
         law = laws.exponent
-        if law is not None and _meets(space, hs.u, hs.v) is False:
+        if law is not None and _meets(space, u, v) is False:
             if law.sparse_support():
                 return (
                     "sparse-support",
@@ -222,7 +217,7 @@ def _structural_tag(hs: HittingSet, laws: Optional[mp.SystemLaws]) -> tuple[Opti
         if laws.table is not None:
             tab = laws.table
             pre_hits, cyc_hits = tab.indices_of(
-                lambda t: sp.intersects(space, mp.image(t, hs.u), hs.v)
+                lambda t: sp.intersects(space, mp.image(t, u), v)
             )
             if not cyc_hits:
                 return (
@@ -236,11 +231,11 @@ def _structural_tag(hs: HittingSet, laws: Optional[mp.SystemLaws]) -> tuple[Opti
                 f"hits exactly at prefix indices {list(pre_hits)} and cycle offsets "
                 f"{list(cyc_hits)}; " + tab.describe(),
             )
-    if hs.kind == "separation":
+    if kind == "separation":
         law = laws.exponent
         if law is not None and isinstance(space, sp.ShiftSpace):
-            diam_u = sp.diameter(space, hs.u)
-            zero = law.first_zero_residue() if sp.value_cmp(diam_u, hs.delta) <= 0 else None
+            diam_u = sp.diameter(space, u)
+            zero = law.first_zero_residue() if sp.value_cmp(diam_u, delta) <= 0 else None
             if zero is not None:
                 modulus, residue = zero
                 return (

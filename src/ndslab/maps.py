@@ -600,6 +600,10 @@ class ExponentLaw:
                 return piece.value_at(n)
         raise LawValidationError(f"law has no piece covering index {n}")
 
+    def is_identity(self) -> bool:
+        """True when E(n) = 0 for every n: every prefix map is the identity."""
+        return all(p.is_zero() for p in self.pieces)
+
     def nonzero_pieces(self) -> tuple:
         return tuple(p for p in self.pieces if not p.is_zero())
 

@@ -63,6 +63,25 @@ class TestExecution:
         assert first == second
 
 
+class TestNameFilter:
+    NAMES = [s.name for s in corpus.SCENARIOS]
+
+    def selected(self, pattern):
+        return {name for name in self.NAMES if corpus._matches(name, pattern)}
+
+    def test_star_selects_every_name_with_the_prefix(self):
+        assert self.selected("example-3.9*") == {"example-3.9", "example-3.9-interleaved"}
+
+    def test_dot_star_selects_the_whole_family(self):
+        family = {name for name in self.NAMES if name.startswith("example-3.")}
+        assert len(family) >= 9
+        assert self.selected("example-3.*") == family
+
+    def test_plain_pattern_is_a_substring(self):
+        assert self.selected("adversary") == {"theorem-3.5-adversary"}
+        assert self.selected("3.9-inter") == {"example-3.9-interleaved"}
+
+
 class TestVerdictSoundness:
     def test_every_corpus_property_verdict_rechecks(self):
         for scenario in corpus.SCENARIOS:

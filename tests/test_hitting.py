@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ndslab import hitting as ht
 from ndslab.hitting import (
     brute_force_hitting,
     classify_frequency,
@@ -196,6 +197,52 @@ class TestClassifyFrequency:
         hs = hitting_set(ex35(), FiniteSet(frozenset({1})), FiniteSet(frozenset({2})), 100)
         fe = classify_frequency(hs, derive_laws(ex35(), 100))
         assert fe.structural == "finite-support"
+
+
+def frequency_reference(members, H):
+    """(max_gap, eventual_max_gap, longest_run, tail_start) walking the
+    sorted members one by one, under the {0, H+1} boundary convention."""
+    extended = [0] + members + [H + 1]
+    max_gap = max(b - a for a, b in zip(extended, extended[1:]))
+    late = [(a, b) for a, b in zip(members, members[1:]) if a >= (H + 1) // 2]
+    eventual = max((b - a for a, b in late), default=0)
+    longest = run = 0
+    for k, n in enumerate(members):
+        run = run + 1 if k and members[k - 1] == n - 1 else 1
+        longest = max(longest, run)
+    tail_start = None
+    if members and members[-1] == H:
+        tail_start = H
+        while tail_start - 1 in members:
+            tail_start -= 1
+    return max_gap, eventual, longest, tail_start
+
+
+@st.composite
+def member_sets(draw):
+    H = draw(st.integers(1, 80))
+    every = set(range(1, H + 1))
+    members = draw(st.one_of(
+        st.just(set()),
+        st.just(every),
+        st.sets(st.integers(1, H)).map(lambda holes: every - holes),  # cofinite
+        st.integers(1, H).map(lambda n: {n}),
+        st.sets(st.integers(1, H)),
+    ))
+    return sorted(members), H
+
+
+class TestFrequencyFromMask:
+    @given(member_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_mask_statistics_match_the_member_walk(self, case):
+        members, H = case
+        mask = sum(1 << n for n in members)
+        assert ht._frequency(mask, H) == frequency_reference(members, H)
+
+    def test_horizon_one(self):
+        assert ht._frequency(0, 1) == (2, 0, 0, None)
+        assert ht._frequency(0b10, 1) == (1, 0, 1, 1)
 
 
 class TestProductStructuralMiss:

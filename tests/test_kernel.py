@@ -206,10 +206,40 @@ class TestSeparationMasks:
     @settings(max_examples=60, deadline=None)
     def test_every_separation_mask_matches_the_stepwise_fold(self, case, delta):
         spec, r, H = case
-        basis, masks = ck._sep_masks(spec, r, H, delta)
-        assert len(masks) == len(basis)
-        for U, mask in zip(basis, masks):
+        basis, mask = ck._sep_masks(spec, r, H, delta)
+        for U in basis:
             assert mask == separation_fold(spec, U, delta, H)
+
+
+def cover_fold(spec, U, horizon):
+    """The first n at which f_1^1(U), ..., f_1^n(U) cover the space, folding
+    one step map at a time and testing every time; None within the horizon."""
+    images = []
+    for n, img in folded_images(spec, U, horizon):
+        images.append(img)
+        if ck._cover_space(spec.space, images):
+            return n
+    return None
+
+
+class TestCoverSearch:
+    @given(st.one_of(
+        # the default angle keeps every arc endpoint comparison decidable
+        st.tuples(circle_systems().filter(lambda spec: spec.space == sp.CircleSpace()),
+                  st.integers(2, 4), st.integers(1, 40)),
+        st.tuples(finite_systems(), st.just(1), st.integers(1, 16)),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_strongly_transitive_cover_bounds_match_the_stepwise_fold(self, case):
+        spec, r, H = case
+        basis = sp.enumerate_basis(spec.space, r)
+        bounds = [cover_fold(spec, U, H) for U in basis]
+        ev = ck.check_property(spec, ck.strongly_transitive(), r, H).evidence
+        if None in bounds:
+            uncovered = ev.get("uncovered_open", ev.get("refuting_open"))
+            assert uncovered == ck._label(basis, bounds.index(None))
+        else:
+            assert ev["cover_bound_per_open"] == {str(i): n for i, n in enumerate(bounds)}
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +279,6 @@ class TestHittingSets:
 
 
 def test_mask_members_walks_the_set_bits():
-    assert ck._mask_members(0) == ()
-    assert ck._mask_members(0b101100) == (2, 3, 5)
-    assert ck._mask_members(1 << 1000 | 2) == (1, 1000)
+    assert ht._mask_members(0) == ()
+    assert ht._mask_members(0b101100) == (2, 3, 5)
+    assert ht._mask_members(1 << 1000 | 2) == (1, 1000)
