@@ -72,7 +72,11 @@ def li_yorke_scan(
     return reports
 
 
-def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int, period_base: int = 32) -> list:
+# right-tail period of the first scan candidate; the j-th adds 2j
+CANDIDATE_PERIOD = 32
+
+
+def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int) -> list:
     """Candidate pairs derived from two reference points: each pair is
     (a, mix) where mix follows b on one block per period of its right tail
     and a elsewhere.  Under shift dynamics the orbit distance oscillates
@@ -82,7 +86,7 @@ def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int, period
         raise ValueError("reference points must differ")
     pairs = []
     for j in range(count):
-        period = period_base + 2 * j
+        period = CANDIDATE_PERIOD + 2 * j
         block = max(4, period // 4)
         cells = tuple(b.coord(i) if i < block else a.coord(i) for i in range(period))
         mix = sp.BiWord(0, (), a.left, cells)

@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
 from operator import and_, or_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import hitting as ht
 from . import maps as mp
@@ -29,47 +29,72 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
+class Param(NamedTuple):
+    """One property parameter: the PropertyKind field it sets, its default
+    (None: the parameter is required) and its kind: an integer of at least
+    `least`, or (integer False) a positive fraction."""
+
+    field: str
+    default: Optional[int] = None
+    least: int = 1
+    integer: bool = True
+
+
 @dataclass(frozen=True)
 class PropertyKind:
     """A checkable property with its parameters.
 
     name is the kebab-case identifier also used by the NDSL check directive
-    and the command line; order carries m / s bounds, delta the sensitivity
-    constant, run_length the thick-sensitivity run requirement."""
+    and the command line; PROPERTIES lists the parameters each name takes:
+    order carries m / s bounds, delta the sensitivity constant, run_length
+    the thick-sensitivity run requirement.  A parameter left None takes its
+    default there; a bad name or parameter raises ValueError."""
 
     name: str
     order: Optional[int] = None
     delta: Optional[Fraction] = None
-    run_length: int = 3
+    run_length: Optional[int] = None
     point: Optional[object] = None
 
     def __post_init__(self):
-        if self.name in ("weakly-mixing", "multi-transitive", "totally-transitive", "multi-sensitive"):
-            if self.order is None or self.order < 1:
-                raise ValueError(f"{self.name} needs a positive order")
-            if self.name == "weakly-mixing" and self.order < 2:
-                raise ValueError("weakly mixing starts at order 2")
-        if self.name.endswith("sensitive"):
-            if self.delta is None or Fraction(self.delta) <= 0:
-                raise ValueError(f"{self.name} needs a positive delta")
+        if self.name not in PROPERTIES:
+            raise ValueError(f"unknown property {self.name!r}")
+        params = PROPERTIES[self.name][1]
+        for field in ("order", "delta", "run_length"):
+            if getattr(self, field) is not None and field not in (p.field for p in params):
+                raise ValueError(f"{self.name} takes no {field}")
+        for p in params:
+            label = p.field.replace("_", " ")
+            value = getattr(self, p.field)
+            if value is None:
+                if p.default is None:
+                    raise ValueError(f"{self.name} needs a {label}")
+                value = p.default
+            value = Fraction(value)
+            if p.integer and (value.denominator != 1 or value < p.least):
+                raise ValueError(
+                    f"{self.name} needs an integer {label} of at least {p.least}, got {value}"
+                )
+            if value <= 0:
+                raise ValueError(f"{self.name} needs a positive {label}, got {value}")
+            object.__setattr__(self, p.field, int(value) if p.integer else value)
 
     def render(self) -> str:
-        """The form ndsl.read_property reads back: `name`, `name:order`,
-        `name:delta` or `name:delta,k`, where k (the thick run length or the
-        multi-sensitive order) is left out at its default of 3."""
-        if self.name in ("weakly-mixing", "multi-transitive", "totally-transitive"):
-            return f"{self.name}:{self.order}"
-        if self.delta is None:
-            return self.name
-        k = {"thickly-sensitive": self.run_length, "multi-sensitive": self.order}.get(self.name, 3)
-        return f"{self.name}:{Fraction(self.delta)}" + (f",{k}" if k != 3 else "")
+        """The form ndsl.read_property reads back: the name, then a colon and
+        the parameters in PROPERTIES order; the first is always written, a
+        later one only when it differs from its default."""
+        params = PROPERTIES[self.name][1]
+        values = [getattr(self, p.field) for p in params]
+        while len(values) > 1 and values[-1] == params[len(values) - 1].default:
+            values.pop()
+        return self.name + (":" + ",".join(map(str, values)) if values else "")
 
 
 def transitive() -> PropertyKind:
     return PropertyKind("transitive")
 
 
-def weakly_mixing(order: int = 2) -> PropertyKind:
+def weakly_mixing(order: Optional[int] = None) -> PropertyKind:
     return PropertyKind("weakly-mixing", order=order)
 
 
@@ -81,7 +106,7 @@ def mildly_mixing() -> PropertyKind:
     return PropertyKind("mildly-mixing")
 
 
-def totally_transitive(s_max: int = 3) -> PropertyKind:
+def totally_transitive(s_max: Optional[int] = None) -> PropertyKind:
     return PropertyKind("totally-transitive", order=s_max)
 
 
@@ -89,7 +114,7 @@ def strongly_transitive() -> PropertyKind:
     return PropertyKind("strongly-transitive")
 
 
-def multi_transitive(m_max: int = 2) -> PropertyKind:
+def multi_transitive(m_max: Optional[int] = None) -> PropertyKind:
     return PropertyKind("multi-transitive", order=m_max)
 
 
@@ -114,19 +139,19 @@ def almost_periodic_point(x) -> PropertyKind:
 
 
 def sensitive(delta) -> PropertyKind:
-    return PropertyKind("sensitive", delta=Fraction(delta))
+    return PropertyKind("sensitive", delta=delta)
 
 
 def syndetically_sensitive(delta) -> PropertyKind:
-    return PropertyKind("syndetically-sensitive", delta=Fraction(delta))
+    return PropertyKind("syndetically-sensitive", delta=delta)
 
 
-def thickly_sensitive(delta, run_length: int = 3) -> PropertyKind:
-    return PropertyKind("thickly-sensitive", delta=Fraction(delta), run_length=run_length)
+def thickly_sensitive(delta, run_length: Optional[int] = None) -> PropertyKind:
+    return PropertyKind("thickly-sensitive", delta=delta, run_length=run_length)
 
 
-def multi_sensitive(delta, m_max: int = 3) -> PropertyKind:
-    return PropertyKind("multi-sensitive", delta=Fraction(delta), order=m_max)
+def multi_sensitive(delta, m_max: Optional[int] = None) -> PropertyKind:
+    return PropertyKind("multi-sensitive", delta=delta, order=m_max)
 
 
 def surjective_sequence() -> PropertyKind:
@@ -167,7 +192,7 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     classes form one saturated class that hits every pair.  A product pair
     meets exactly when every component pair does, so product masks are the
     AND of the component masks."""
-    key = (spec, resolution, horizon, sp._env_alpha_bits())
+    key = (spec, resolution, horizon)
     hit = _MASK_CACHE.get(key)
     if hit is not None:
         return hit
@@ -349,10 +374,7 @@ def check_property(
         "property": prop.render(),
     }
     laws = mp.derive_laws(spec, law_horizon)
-    handler = _HANDLERS.get(prop.name)
-    if handler is None:
-        raise ValueError(f"unknown property {prop.name!r}")
-    return handler(spec, prop, basis_resolution, horizon, laws, cfg)
+    return PROPERTIES[prop.name][0](spec, prop, basis_resolution, horizon, laws, cfg)
 
 
 def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
@@ -575,7 +597,17 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         images = []
         for m, times in classes.items():
             images.append(mp.image(m, U))
-            if _cover_space(space, images):
+            try:
+                covered = _cover_space(space, images)
+            except sp.EnclosureUndecided:
+                alpha = space.alpha
+                return Verdict(
+                    prop.render(), INCONCLUSIVE, cfg,
+                    {"undecided_open": _label(basis, idx), "undecided_time": _first_bit(times)},
+                    (f"the declared angle enclosure alpha({alpha.center} +- {alpha.halfwidth}) "
+                     "is too wide to decide whether the images cover the circle",),
+                )
+            if covered:
                 found = _first_bit(times)
                 break
         if found is None:
@@ -909,12 +941,11 @@ def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
         point = x
         for n in range(1, H + 1):
             point = mp.apply(mp.step_normal(spec, n), point)
-            d = sp.distance(space, point, x)
             try:
-                if sp.value_cmp(d, eps) < 0:
+                if sp.value_cmp(sp.distance(space, point, x), eps) < 0:
                     returns |= 1 << n
             except sp.EnclosureUndecided:
-                pass
+                pass  # an undecided return test counts as no return at n
         if not returns:
             return Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
@@ -1042,24 +1073,28 @@ def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:
     )
 
 
-_HANDLERS = {
-    "transitive": _check_transitive,
-    "weakly-mixing": _check_weakly_mixing,
-    "mixing": _check_mixing,
-    "mildly-mixing": _check_mildly_mixing,
-    "totally-transitive": _check_totally_transitive,
-    "strongly-transitive": _check_strongly_transitive,
-    "multi-transitive": _check_multi_transitive,
-    "syndetically-transitive": _check_syndetically_transitive,
-    "minimal": _check_minimal,
-    "feeble-open": _check_feeble_open,
-    "dense-periodic-points": _check_dense_periodic,
-    "almost-periodic-point": _check_almost_periodic,
-    "sensitive": _check_sensitive,
-    "syndetically-sensitive": _check_sensitive,
-    "thickly-sensitive": _check_sensitive,
-    "multi-sensitive": _check_sensitive,
-    "surjective-sequence": _check_surjective,
+_DELTA = Param("delta", integer=False)
+
+# every property: its checker and its parameters in the order a rendering
+# (`name:p1,p2`) lists them
+PROPERTIES = {
+    "transitive": (_check_transitive, ()),
+    "weakly-mixing": (_check_weakly_mixing, (Param("order", 2, least=2),)),
+    "mixing": (_check_mixing, ()),
+    "mildly-mixing": (_check_mildly_mixing, ()),
+    "totally-transitive": (_check_totally_transitive, (Param("order", 3),)),
+    "strongly-transitive": (_check_strongly_transitive, ()),
+    "multi-transitive": (_check_multi_transitive, (Param("order", 2),)),
+    "syndetically-transitive": (_check_syndetically_transitive, ()),
+    "minimal": (_check_minimal, ()),
+    "feeble-open": (_check_feeble_open, ()),
+    "dense-periodic-points": (_check_dense_periodic, ()),
+    "almost-periodic-point": (_check_almost_periodic, ()),
+    "sensitive": (_check_sensitive, (_DELTA,)),
+    "syndetically-sensitive": (_check_sensitive, (_DELTA,)),
+    "thickly-sensitive": (_check_sensitive, (_DELTA, Param("run_length", 3))),
+    "multi-sensitive": (_check_sensitive, (_DELTA, Param("order", 3))),
+    "surjective-sequence": (_check_surjective, ()),
 }
 
 

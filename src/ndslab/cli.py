@@ -6,9 +6,8 @@ refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors
 (unreadable or invalid files, flags argparse rejects, sizes out of range),
 4 an internal error (a fault in ndslab, never a verdict).
 The JSON report is byte-identical across runs for identical inputs and
-configuration, apart from the timing fields; NDSLAB_ALPHA_BITS overrides the
-circle enclosure precision (values below 72 count as 72), and the report's
-alpha_bits is the precision the engine actually used.
+configuration, apart from the timing fields; its configuration lists the
+flags in force (empty for the corpus, whose scenarios pin their own).
 """
 
 from __future__ import annotations
@@ -169,7 +168,6 @@ def cmd_check(args) -> int:
             "basis": args.basis,
             "horizon": args.horizon,
             "law_horizon": args.law_horizon,
-            "alpha_bits": sp._env_alpha_bits(),
         },
     )
     report["checks"] = checks
@@ -224,7 +222,7 @@ def cmd_corpus(args) -> int:
         }
         for rep in reports
     ]
-    report = _report_envelope("corpus", args.filter or "all", {"alpha_bits": sp._env_alpha_bits()})
+    report = _report_envelope("corpus", args.filter or "all", {})
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":

@@ -1,9 +1,10 @@
 """Hitting-time sets N(U, V), separation sets N(U, delta), and their
 classification as syndetic / thick / cofinite.
 
-Membership is exact on shift and finite spaces.  On the circle an index whose
-comparison stays undecided after bounded enclosure refinement is reported
-separately and excluded from both members and gap statistics.
+Membership is exact on shift and finite spaces and on the circle with the
+builtin angle.  Under a declared angle alpha(c +- w) an index whose
+comparison that interval cannot decide is reported separately and excluded
+from both members and gap statistics.
 
 The separation test follows the sensitivity reading of the definition:
 n is a member when two points of U can be driven more than delta apart by
@@ -56,10 +57,6 @@ class FrequencyEvidence:
     censored_final_gap: bool
     structural: Optional[str] = None  # machine-readable reason tag
     structural_detail: str = ""
-
-    @property
-    def tag(self) -> str:
-        return "structural" if self.structural else "enumerative"
 
 
 def _meets(space, A, B) -> Optional[bool]:

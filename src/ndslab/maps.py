@@ -57,9 +57,6 @@ class EqualsPattern:
     def first_match(self) -> int:
         return self.value
 
-    def is_finite(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class ArithProgPattern:
@@ -78,9 +75,6 @@ class ArithProgPattern:
 
     def first_match(self) -> int:
         return self.first
-
-    def is_finite(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -113,9 +107,6 @@ class PowerPattern:
     def first_match(self) -> int:
         return self.base + self.offset
 
-    def is_finite(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class ElsePattern:
@@ -127,9 +118,6 @@ class ElsePattern:
 
     def first_match(self) -> int:
         return 1
-
-    def is_finite(self) -> bool:
-        return False
 
 
 IndexPattern = Union[EqualsPattern, ArithProgPattern, PowerPattern, ElsePattern]
@@ -215,9 +203,13 @@ class Rule:
     term: RuleTerm
 
 
-def _patterns_overlap(p: IndexPattern, q: IndexPattern, horizon: int):
-    """First index <= horizon matched by both patterns (exact and structural
-    for most combinations), or None."""
+# power-pattern pairs are checked for a common index up to this bound
+VALIDATION_HORIZON = 4096
+
+
+def _patterns_overlap(p: IndexPattern, q: IndexPattern):
+    """First index matched by both patterns (exact and structural for most
+    combinations, up to VALIDATION_HORIZON with a power pattern), or None."""
     if isinstance(p, ElsePattern) or isinstance(q, ElsePattern):
         return 1
     if isinstance(p, EqualsPattern):
@@ -241,7 +233,7 @@ def _patterns_overlap(p: IndexPattern, q: IndexPattern, horizon: int):
         p, q = q, p
     if isinstance(q, PowerPattern):
         n = q.base + q.offset
-        while n <= horizon:
+        while n <= VALIDATION_HORIZON:
             if p.matches(n):
                 return n
             n = (n - q.offset) * q.base + q.offset
@@ -254,14 +246,13 @@ class NdsSpec:
     """A rule-based map sequence f_1, f_2, ... over one space.
 
     Every index matches at most one rule; pattern pairs are checked for
-    disjointness structurally where possible and up to `validation_horizon`
+    disjointness structurally where possible and up to VALIDATION_HORIZON
     for power-pattern combinations.  Unmatched indices get `default`.
     """
 
     space: SpaceDesc
     rules: tuple = ()
     default: MapTerm = IDENTITY
-    validation_horizon: int = 4096
     name: str = ""
 
     def __post_init__(self):
@@ -269,14 +260,14 @@ class NdsSpec:
         for a in range(len(self.rules)):
             for b in range(a + 1, len(self.rules)):
                 pa, pb = self.rules[a].pattern, self.rules[b].pattern
-                n = _patterns_overlap(pa, pb, self.validation_horizon)
+                n = _patterns_overlap(pa, pb)
                 if n is not None:
                     raise OverlappingRules(
                         f"index {n} matches both {pa} and {pb}"
                     )
         # specs key the prefix caches: hash the rule tree once, not per lookup
         object.__setattr__(self, "_hash", hash(
-            (self.space, self.rules, self.default, self.validation_horizon, self.name)
+            (self.space, self.rules, self.default, self.name)
         ))
 
     def __hash__(self) -> int:
@@ -752,7 +743,7 @@ def _shift_rules(spec: SystemSpec, offset: int) -> Optional[NdsSpec]:
             rules.append(Rule(ArithProgPattern(first, pat.step), term))
             continue
         return None  # power patterns do not reindex into a supported form
-    return NdsSpec(spec.space, tuple(rules), spec.default, spec.validation_horizon)
+    return NdsSpec(spec.space, tuple(rules), spec.default)
 
 
 def _law_candidate(spec: NdsSpec) -> Optional[list]:

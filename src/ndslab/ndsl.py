@@ -499,14 +499,13 @@ class _Parser:
             while self.peek().kind == ",":
                 self.advance()
                 params.append(self.fraction("property parameter"))
-        horizon = basis = None
+        sizes = {}  # horizon and basis, in either order, each at most once
         while self.peek().kind == "ident" and self.peek().text in ("horizon", "basis"):
+            if self.peek().text in sizes:
+                self.error(f"{self.peek().text} is set twice in one check directive",
+                           kind="semantic")
             which = self.advance().text
-            val = self.take_int(which)
-            if which == "horizon":
-                horizon = val
-            else:
-                basis = val
+            sizes[which] = self.take_int(which)
         self.expect(";", "check directive")
         try:
             prop = parse_property(name_tok.text, params)
@@ -516,6 +515,7 @@ class _Parser:
             )
             raise _Recover()
         sysname = next(n for n, s in self.systems if s is ref)
+        horizon, basis = sizes.get("horizon"), sizes.get("basis")
         self.checks.append(CheckDirective(sysname, prop, horizon, basis))
 
 
@@ -532,13 +532,6 @@ def parse(text: str) -> NdslDocument:
 # property name handling shared with the CLI
 
 
-_NO_PARAM = {
-    "transitive", "mixing", "mildly-mixing", "strongly-transitive",
-    "syndetically-transitive", "minimal", "feeble-open",
-    "dense-periodic-points", "surjective-sequence", "almost-periodic-point",
-}
-
-
 def read_property(text: str) -> ck.PropertyKind:
     """The property a rendering `name[:p1[,p2]]` (PropertyKind.render, the
     --property flag, corpus expectations) names; ValueError when it is bad."""
@@ -551,31 +544,17 @@ def read_property(text: str) -> ck.PropertyKind:
 
 
 def parse_property(name: str, params) -> ck.PropertyKind:
+    """The property `name` with its parameters in checkers.PROPERTIES order;
+    ValueError for an unknown name, a surplus or a bad parameter."""
+    if name not in ck.PROPERTIES:
+        raise ValueError(f"unknown property {name!r}")
+    declared = ck.PROPERTIES[name][1]
     params = list(params)
-    if name in _NO_PARAM:
-        if params:
-            raise ValueError(f"{name} takes no parameters")
-        return ck.PropertyKind(name)
-    if name in ("weakly-mixing", "multi-transitive", "totally-transitive"):
-        order = int(params[0]) if params else (2 if name != "totally-transitive" else 3)
-        if params and params[0] != order:
-            raise ValueError(f"{name} takes an integer order")
-        return ck.PropertyKind(name, order=order)
-    if name in ("sensitive", "syndetically-sensitive"):
-        if not params:
-            raise ValueError(f"{name} needs a sensitivity constant")
-        return ck.PropertyKind(name, delta=Fraction(params[0]))
-    if name == "thickly-sensitive":
-        if not params:
-            raise ValueError(f"{name} needs a sensitivity constant")
-        run = int(params[1]) if len(params) > 1 else 3
-        return ck.PropertyKind(name, delta=Fraction(params[0]), run_length=run)
-    if name == "multi-sensitive":
-        if not params:
-            raise ValueError(f"{name} needs a sensitivity constant")
-        order = int(params[1]) if len(params) > 1 else 3
-        return ck.PropertyKind(name, delta=Fraction(params[0]), order=order)
-    raise ValueError(f"unknown property {name!r}")
+    if len(params) > len(declared):
+        fields = ", ".join(p.field.replace("_", " ") for p in declared)
+        takes = f"only {fields}" if declared else "no parameters"
+        raise ValueError(f"{name} takes {takes}, got {len(params)}")
+    return ck.PropertyKind(name, **{p.field: v for p, v in zip(declared, params)})
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 the circle with an irrational rotation angle.
 
 All values are immutable and all operations are pure.  Shift and finite
-computations are exact rational arithmetic; circle computations are exact
-where possible (equal rotation coefficients) and otherwise work through a
-refinable rational enclosure of the angle.
+computations are exact rational arithmetic.  On the circle the builtin angle
+sqrt(2) - 1 is decided exactly: q + m*alpha is (p + n*sqrt(2)) / d over the
+integers and one integer square root gives its floor.  A declared angle
+alpha(c +- w) is only known to lie in its interval, so it decides what that
+one interval separates and raises EnclosureUndecided otherwise.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -22,20 +23,7 @@ class SpaceMismatch(ValueError):
 
 
 class EnclosureUndecided(Exception):
-    """A comparison could not be decided at the maximum enclosure refinement."""
-
-
-def _env_alpha_bits() -> int:
-    raw = os.environ.get("NDSLAB_ALPHA_BITS", "")
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = 0
-    # enclosure width must stay below 2^-64
-    return max(bits, 72)
-
-
-REFINE_RETRIES = 64
+    """A declared angle's interval is too wide to decide a comparison."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +32,9 @@ REFINE_RETRIES = 64
 
 @dataclass(frozen=True)
 class AlphaEnclosure:
-    """Rational enclosure of an irrational angle in (0, 1).
-
-    The builtin kind encloses sqrt(2) - 1 and refines to any precision;
-    a custom enclosure is a fixed declared interval and cannot refine past
-    its declared width.
-    """
+    """An irrational angle in (0, 1): the builtin sqrt(2) - 1, decided
+    exactly, or a custom angle known only to lie in a fixed declared
+    interval."""
 
     kind: str = "sqrt2m1"
     center: Optional[Fraction] = None
@@ -69,27 +54,13 @@ class AlphaEnclosure:
             raise ValueError("enclosure must lie inside (0, 1)")
         return AlphaEnclosure("custom", center, halfwidth)
 
-    @property
-    def refinable(self) -> bool:
-        return self.kind == "sqrt2m1"
-
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Lower/upper rational bounds; width <= 2^-bits when refinable."""
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Lower/upper rational bounds: the declared interval, or a 2^-72
+        bracket of sqrt(2) - 1 for display."""
         if self.kind == "sqrt2m1":
-            return _sqrt2m1_bounds(bits)
+            s = isqrt(2 << 144)
+            return Fraction(s, 1 << 72) - 1, Fraction(s + 1, 1 << 72) - 1
         return (self.center - self.halfwidth, self.center + self.halfwidth)
-
-
-_SQRT2M1_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
-
-
-def _sqrt2m1_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    hit = _SQRT2M1_CACHE.get(bits)
-    if hit is None:
-        s = isqrt(2 << (2 * bits))
-        hit = (Fraction(s, 1 << bits) - 1, Fraction(s + 1, 1 << bits) - 1)
-        _SQRT2M1_CACHE[bits] = hit
-    return hit
 
 
 DEFAULT_ALPHA = AlphaEnclosure.sqrt2_minus_1()
@@ -99,10 +70,10 @@ DEFAULT_ALPHA = AlphaEnclosure.sqrt2_minus_1()
 class AlphaLinear:
     """The real number q + m*alpha, carried exactly.
 
-    Comparisons against rationals (and other AlphaLinear values over the same
-    alpha) are decided by refining the enclosure; they can only stay undecided
-    when the two values are genuinely equal as reals, which for m != 0 cannot
-    happen against a rational because alpha is irrational.
+    Over the builtin angle every comparison is decided exactly: for m != 0
+    the value is irrational, so it is never equal to a rational.  Over a
+    declared angle a comparison is decided when the declared interval
+    separates it and raises EnclosureUndecided otherwise.
     """
 
     q: Fraction
@@ -113,16 +84,10 @@ class AlphaLinear:
     def exact(self) -> bool:
         return self.m == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.m != 0:
-            raise EnclosureUndecided("value is irrational, no exact fraction")
-        return self.q
-
-    def enclosure(self, bits: Optional[int] = None) -> tuple[Fraction, Fraction]:
+    def enclosure(self) -> tuple[Fraction, Fraction]:
         if self.m == 0:
             return (self.q, self.q)
-        bits = bits if bits is not None else _env_alpha_bits()
-        lo, hi = self.alpha.bounds(bits)
+        lo, hi = self.alpha.bounds()
         a = self.q + self.m * lo
         b = self.q + self.m * hi
         return (a, b) if a <= b else (b, a)
@@ -141,41 +106,41 @@ class AlphaLinear:
             return AlphaLinear(self.q - other.q, self.m - other.m, self.alpha)
         return AlphaLinear(self.q - Fraction(other), self.m, self.alpha)
 
-    def __neg__(self):
-        return AlphaLinear(-self.q, -self.m, self.alpha)
-
     def cmp(self, other: Union["AlphaLinear", Fraction, int]) -> int:
         """-1, 0, +1 against another value; raises EnclosureUndecided only
-        for non-refinable enclosures that are too wide."""
+        over a declared angle whose interval is too wide."""
         if isinstance(other, AlphaLinear):
             diff = self - other
         else:
             diff = self - Fraction(other)
         if diff.m == 0:
             return -1 if diff.q < 0 else (1 if diff.q > 0 else 0)
-        base = _env_alpha_bits()
-        for retry in range(REFINE_RETRIES + 1):
-            lo, hi = diff.enclosure(base + retry)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if not diff.alpha.refinable:
-                break
+        if diff.alpha.kind == "sqrt2m1":
+            # irrational, so never 0: the sign is the sign of the floor
+            return 1 if diff.floor() >= 0 else -1
+        lo, hi = diff.enclosure()
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         raise EnclosureUndecided(f"cannot order {diff} against 0")
 
     def floor(self) -> int:
-        if self.m == 0:
-            num, den = self.q.numerator, self.q.denominator
-            return num // den
-        base = _env_alpha_bits()
-        for retry in range(REFINE_RETRIES + 1):
-            lo, hi = self.enclosure(base + retry)
-            flo = lo.numerator // lo.denominator
-            if hi < flo + 1:
-                return flo
-            if not self.alpha.refinable:
-                break
+        q, m = self.q, self.m
+        if m == 0:
+            return q.numerator // q.denominator
+        if self.alpha.kind == "sqrt2m1":
+            # q + m*(sqrt2 - 1) = (p + n*sqrt2) / d with d = den(q)*den(m) > 0,
+            # and floor((p + y) / d) = (p + floor(y)) // d for integers p, d
+            d = q.denominator * m.denominator
+            n = m.numerator * q.denominator
+            p = q.numerator * m.denominator - n
+            root = isqrt(2 * n * n)  # n*sqrt2 is irrational: floor is root or -root-1
+            return (p + (root if n > 0 else -root - 1)) // d
+        lo, hi = self.enclosure()
+        flo = lo.numerator // lo.denominator
+        if hi < flo + 1:
+            return flo
         raise EnclosureUndecided(f"cannot take floor of {self}")
 
     def wrap(self) -> "AlphaLinear":
@@ -499,10 +464,6 @@ class ProductOpen:
 
 
 BasicOpen = Union[Cylinder, FiniteSet, Arc, ArcSpan, ProductOpen]
-
-
-def cylinder(start: int, symbols) -> Cylinder:
-    return Cylinder(start, tuple(symbols))
 
 
 def _check_space_point(space: SpaceDesc, p: Point) -> None:

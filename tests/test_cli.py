@@ -8,7 +8,6 @@ import jsonschema
 import pytest
 
 from ndslab import cli
-from ndslab import spaces as sp
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
@@ -124,16 +123,15 @@ class TestCheckCommand:
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
-    def test_report_states_the_precision_in_force(self, ndsl_file, capsys, monkeypatch):
-        # values below the floor are raised to it; the report says what ran
-        monkeypatch.setenv("NDSLAB_ALPHA_BITS", "50")
+    def test_report_states_the_precision_in_force(self, ndsl_file, capsys):
+        # the builtin angle is decided exactly: no precision setting to report
         code, out, _ = run(capsys, [
-            "check", ndsl_file(EX36), "--property", "transitive", "--horizon", "16",
-            "--basis", "1", "--format", "json",
+            "check", ndsl_file(EX38_WITH_PRODUCT), "--property", "transitive", "--horizon", "16",
+            "--format", "json",
         ])
         report = json.loads(out)
         jsonschema.validate(report, SCHEMA)
-        assert code == 0 and report["configuration"]["alpha_bits"] == sp._env_alpha_bits() == 72
+        assert code == 0 and "alpha_bits" not in report["configuration"]
 
 
 def _long_period_source() -> str:
@@ -213,6 +211,68 @@ class TestExitCodes:
         source = "space circle(alpha(1/2 +- 1/2^5000));\nsystem F { else: rot^1; }\n"
         code, _, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
         assert code == 3 and "exceeds 2^4096" in err
+
+
+HUGE_ROTATION = "space circle(sqrt2m1);\nsystem R { else: rot^1" + "0" * 60 + "; }\n"
+
+
+def declared_rotation(alpha: str) -> str:
+    return f"space circle(alpha({alpha}));\nsystem R {{ else: rot^1; }}\n"
+
+
+class TestCircleAngles:
+    @pytest.mark.parametrize("prop", [
+        "transitive", "minimal", "weakly-mixing", "almost-periodic-point", "strongly-transitive",
+    ])
+    def test_huge_rotation_exponent_is_witnessed(self, ndsl_file, capsys, prop):
+        # 10^60 * alpha lies far past any fixed enclosure precision
+        code, out, err = run(capsys, [
+            "check", ndsl_file(HUGE_ROTATION), "--property", prop, "--horizon", "64",
+        ])
+        assert code == 0 and out.startswith("witnessed") and err == ""
+
+    @pytest.mark.parametrize("alpha, prop", [
+        ("1/3 +- 1/2^80", "almost-periodic-point"),
+        ("1/3 +- 1/2^80", "strongly-transitive"),
+        ("1/4 +- 1/2^70", "almost-periodic-point"),
+        ("2/5 +- 1/2^90", "almost-periodic-point"),
+    ])
+    def test_declared_enclosure_never_exits_four(self, ndsl_file, capsys, alpha, prop):
+        code, out, err = run(capsys, [
+            "check", ndsl_file(declared_rotation(alpha)), "--property", prop,
+            "--horizon", "24", "--basis", "3",
+        ])
+        assert code in (0, 1, 2) and err == ""
+
+    def test_undecided_cover_names_the_enclosure(self, ndsl_file, capsys):
+        code, out, _ = run(capsys, [
+            "check", ndsl_file(declared_rotation("1/3 +- 1/2^80")), "--property",
+            "strongly-transitive", "--horizon", "24", "--basis", "3", "--format", "json",
+        ])
+        check = json.loads(out)["checks"][0]
+        assert code == 2 and check["status"] == "inconclusive"
+        assert f"alpha(1/3 +- 1/{2**80})" in check["caveats"][0]
+
+
+class TestPropertyParameters:
+    @pytest.mark.parametrize("prop", [
+        "sensitive:1/2,7", "weakly-mixing:2,9", "thickly-sensitive:1/4,5/2",
+        "multi-sensitive:1/2,3/2", "thickly-sensitive:1/4,0",
+    ])
+    def test_bad_property_flag_exits_three(self, ndsl_file, capsys, prop):
+        code, out, err = run(capsys, ["check", ndsl_file(EX36), "--property", prop])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ndslab: ")
+
+    @pytest.mark.parametrize("directive", [
+        "check F thickly-sensitive:1/4,0;",
+        "check F sensitive:1/2,7;",
+        "check F transitive horizon 5 horizon 9 basis 1;",
+        "check F transitive basis 1 horizon 5 basis 2;",
+    ])
+    def test_bad_directive_exits_three(self, ndsl_file, capsys, directive):
+        code, out, err = run(capsys, ["check", ndsl_file(EX36 + directive + "\n")])
+        assert code == 3 and out == "" and "semantic" in err
 
 
 class TestCorpusCommand:

@@ -1,5 +1,5 @@
 """Hardening: circle arithmetic against an independent high-precision
-oracle, bounded-refinement contracts, and cache thread-safety."""
+oracle, declared-enclosure contracts, and cache thread-safety."""
 
 import concurrent.futures
 import random
@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndslab import hitting as ht
 from ndslab.maps import (
@@ -24,7 +25,6 @@ from ndslab.spaces import (
     AlphaLinear,
     Arc,
     CircleSpace,
-    EnclosureUndecided,
     ShiftSpace,
     circle_separation,
     contains,
@@ -92,16 +92,35 @@ class TestAgainstMpmathOracle:
                 assert not got
 
 
+    @given(
+        st.integers(-10**300, 10**300), st.integers(1, 2**20),
+        st.integers(-10**300, 10**300).filter(bool), st.integers(1, 2**20),
+        st.integers(-10**300, 10**300), st.integers(1, 2**20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_builtin_floor_and_cmp(self, a, b, c, e, r, s):
+        # (p + n*sqrt2) / d sits at least about 1 / (3*n*d) from any
+        # rational of denominator d, so twice the operand digits resolve it
+        v, other = AlphaLinear(Fraction(a, b), Fraction(c, e)), Fraction(r, s)
+        with mpmath.workdps(2 * sum(len(str(x)) for x in (a, b, c, e, r, s)) + 40):
+            x = mpmath.mpf(a) / b + mpmath.mpf(c) / e * (mpmath.sqrt(2) - 1)
+            assert v.floor() == int(mpmath.floor(x))
+            assert v.cmp(other) == (1 if x > mpmath.mpf(r) / s else -1)
+
+
 class TestBoundedRefinement:
-    def test_pathologically_close_comparison_gives_up(self):
-        # a continued-fraction convergent p/q of the angle with q > 2^80 sits
-        # closer than the 64 extra refinement bits can separate
+    @pytest.mark.parametrize("bits", [80, 4000])
+    def test_convergents_far_past_any_fixed_precision_are_ordered(self, bits):
+        # consecutive continued-fraction convergents p/q of the angle sit
+        # within 1/q^2 of it, one on each side
         p0, q0, p1, q1 = 0, 1, 1, 2
-        while q1 <= 1 << 80:
+        while q1 <= 1 << bits:
             p0, q0, p1, q1 = p1, q1, 2 * p1 + p0, 2 * q1 + q0
         v = AlphaLinear(Fraction(0), Fraction(1))
-        with pytest.raises(EnclosureUndecided):
-            v.cmp(Fraction(p1, q1))
+        with mpmath.workdps(2 * len(str(q1)) + 40):
+            for p, q in ((p0, q0), (p1, q1)):
+                want = 1 if mpmath.sqrt(2) - 1 > mpmath.mpf(p) / q else -1
+                assert v.cmp(Fraction(p, q)) == want
 
     def test_moderately_close_comparison_decides(self):
         # a convergent with q ~ 2^20 is separated well within reach

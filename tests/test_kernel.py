@@ -189,17 +189,6 @@ class TestPairMasks:
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 8))
             assert not mask & bits(ht.hitting_set(spec, basis[i], basis[j], 8).inconclusive)
 
-    def test_precision_change_misses_the_cache(self, monkeypatch):
-        spec = mp.NdsSpec(sp.CircleSpace(), (), mp.RotPowTerm(1), name="cache-probe")
-        monkeypatch.delenv("NDSLAB_ALPHA_BITS", raising=False)
-        ck._pair_masks(spec, 2, 16)
-        cached = ck._pair_masks(spec, 2, 16)
-        assert ck._pair_masks(spec, 2, 16) is cached
-        monkeypatch.setenv("NDSLAB_ALPHA_BITS", "120")
-        again = ck._pair_masks(spec, 2, 16)
-        assert again is not cached and again == cached
-        assert (spec, 2, 16, 120) in ck._MASK_CACHE
-
 
 class TestSeparationMasks:
     @given(system_cases(), DELTAS)

@@ -1,6 +1,8 @@
 """NDSL front end: parsing, diagnostics, canonical printing, round-trips."""
 
+import pathlib
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -68,6 +70,12 @@ class TestParsing:
         assert doc.checks[0].horizon == 200 and doc.checks[0].basis == 2
         assert doc.checks[1].prop.delta == Fraction(1, 2)
 
+    def test_sizes_in_either_order(self):
+        doc = ndsl.parse(
+            "space shift(2); system F { else: sigma^1; } check F transitive basis 1 horizon 9;"
+        )
+        assert (doc.checks[0].horizon, doc.checks[0].basis) == (9, 1)
+
 
 class TestDiagnostics:
     def test_missing_map_expression(self):
@@ -115,6 +123,22 @@ class TestDiagnostics:
         except ndsl.NdslParseError as err:
             payload = err.diagnostics[0].to_json()
             assert set(payload) == {"kind", "line", "column", "message", "expected"}
+
+    @pytest.mark.parametrize("sizes", ["horizon 5 horizon 9", "basis 1 horizon 5 basis 2"])
+    def test_size_set_twice_in_a_directive(self, sizes):
+        with pytest.raises(ndsl.NdslParseError) as err:
+            ndsl.parse(f"space shift(2); system F {{ else: sigma^1; }} check F transitive {sizes};")
+        diag = err.value.diagnostics[0]
+        assert diag.kind == "semantic" and "set twice" in diag.message
+
+    @pytest.mark.parametrize("prop", [
+        "sensitive:1/2,7", "weakly-mixing:2,9", "thickly-sensitive:1/4,5/2",
+        "multi-sensitive:1/2,3/2", "thickly-sensitive:1/4,0",
+    ])
+    def test_bad_property_parameters(self, prop):
+        with pytest.raises(ndsl.NdslParseError) as err:
+            ndsl.parse(f"space shift(2); system F {{ else: sigma^1; }} check F {prop};")
+        assert [d.kind for d in err.value.diagnostics] == ["semantic"]
 
     def test_overlong_integer_literal(self):
         with pytest.raises(ndsl.NdslParseError) as err:
@@ -203,7 +227,7 @@ class TestPrinting:
 
 class TestPropertyRendering:
     @pytest.mark.parametrize("prop", [
-        *(ck.PropertyKind(name) for name in sorted(ndsl._NO_PARAM)),
+        *(ck.PropertyKind(name) for name, (_, params) in ck.PROPERTIES.items() if not params),
         *(ck.PropertyKind(name, order=k)
           for name in ("weakly-mixing", "multi-transitive", "totally-transitive")
           for k in (2, 3, 5)),
@@ -215,6 +239,16 @@ class TestPropertyRendering:
     ], ids=repr)
     def test_parse_reads_back_the_rendering(self, prop):
         assert ndsl.read_property(prop.render()) == prop
+
+    def test_docs_list_exactly_the_checkable_properties(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        listed = readme.split("Checkable properties:")[1].split("\n\n")[0]
+        grammar = (root / "docs" / "ndsl-grammar.ebnf").read_text()
+        alternatives = grammar.split("property-name =")[1].split(";")[0]
+        names = sorted(ck.PROPERTIES)
+        assert sorted(n.split(":")[0] for n in re.findall(r"`([^`]+)`", listed)) == names
+        assert sorted(re.findall(r'"([a-z-]+)"', alternatives)) == names
 
 
 class TestRandomRoundTrip:

@@ -209,15 +209,6 @@ class TestCircle:
         w = v.wrap()
         assert value_cmp(w, 0) >= 0 and value_cmp(w, 1) < 0
 
-    def test_alpha_bits_env_override(self, monkeypatch):
-        v = AlphaLinear(Fraction(0), Fraction(1))
-        monkeypatch.setenv("NDSLAB_ALPHA_BITS", "200")
-        lo, hi = v.enclosure()
-        assert hi - lo <= Fraction(1, 1 << 200)
-        monkeypatch.setenv("NDSLAB_ALPHA_BITS", "banana")
-        lo, hi = v.enclosure()  # malformed values fall back to the default
-        assert hi - lo <= Fraction(1, 1 << 64)
-
 
 class TestIntersection:
     def test_same_cylinder(self):
