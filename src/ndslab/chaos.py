@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 from . import maps as mp
 from . import spaces as sp
@@ -40,6 +41,81 @@ def orbit_distance_trace(spec: mp.SystemSpec, x: sp.Point, y: sp.Point, horizon:
     return out
 
 
+def _shift_tail_extremes(x: sp.BiWord, y: sp.BiWord, exponents: list) -> tuple:
+    """min and max of d(sigma^E x, sigma^E y) over the ascending distinct
+    exponents E, exactly.
+
+    With delta_j = [x_j != y_j] the distance splits at E into a right sum
+    R(E) = sum_{i>=0} delta_{E+i} 2^-i and a left sum
+    L(E) = sum_{i>=1} delta_{E-i} 2^-i, and one cell to the right
+    R(E+1) = 2(R(E) - delta_E), L(E+1) = (L(E) + delta_E) / 2.  delta is
+    periodic (lp) below lo and (rp) from hi on, so every value is an integer
+    over Q = (2^lp - 1)(2^rp - 1) 2^K, with K = hi - lo plus the distance of
+    the farthest exponent from the windows on a side whose tail correction
+    (below) is non-zero.  A gap between exponents up to the pair's extent
+    (hi - lo + lp + rp) is walked with the recurrence; a wider one is
+    re-seeded in closed form, so no cost grows with |E|.
+    """
+    for p in (x, y):
+        if not isinstance(p, sp.BiWord):
+            raise sp.SpaceMismatch(f"{type(p).__name__} is not a point of ShiftSpace")
+    lo, hi = min(x.window_start, y.window_start), max(x.window_end, y.window_end)
+    lp, rp = lcm(len(x.left), len(y.left)), lcm(len(x.right), len(y.right))
+    lden, rden, w = (1 << lp) - 1, (1 << rp) - 1, hi - lo
+
+    def bits(a, b, leftward=False):
+        return sp.disagreement_mask(x, y, a, b, leftward)
+
+    # [lo, hi) read rightward and leftward, and the tail blocks at its edges
+    win_r, win_l = bits(lo, hi), bits(lo, hi, True)
+    right_at_hi, left_at_lo = bits(hi, hi + rp), bits(lo - lp, lo, True)
+
+    def inside(e, k):
+        # (R, L) for lo <= e <= hi over Q with 2^k
+        r = (2 * (win_r & ((1 << (hi - e)) - 1)) * rden + 2 * right_at_hi) * lden
+        l = ((win_l & ((1 << (e - lo)) - 1)) * lden + left_at_lo) * rden
+        return r << (k - (hi - e)), l << (k - (e - lo))
+
+    def right_tail_l(e, k):
+        # left sum at e of the right tail's pattern continued leftward forever
+        e = hi + rp + (e - hi) % rp
+        return (bits(e - rp, e, True) * lden) << k
+
+    def left_tail_r(e, k):
+        # right sum at e of the left tail's pattern continued rightward forever
+        e = lo - lp - (lo - lp - e) % lp
+        return (2 * bits(e, e + lp) * rden) << k
+
+    # beyond a window edge a sum is its tail pattern's plus the edge's
+    # correction, halved once per cell of distance; a zero correction keeps
+    # the denominator free of that distance
+    fix_l = inside(hi, w)[1] - right_tail_l(hi, w)
+    fix_r = inside(lo, w)[0] - left_tail_r(lo, w)
+    k = w + max(0, exponents[-1] - hi if fix_l else 0, lo - exponents[0] if fix_r else 0)
+    fix_l, fix_r = fix_l << (k - w), fix_r << (k - w)
+    q = lden * rden << k
+
+    def seed(e):
+        if e > hi:
+            return (2 * bits(e, e + rp) * lden) << k, right_tail_l(e, k) + (fix_l >> (e - hi))
+        if e < lo:
+            return left_tail_r(e, k) + (fix_r >> (lo - e)), (bits(e - lp, e, True) * rden) << k
+        return inside(e, k)
+
+    extent = w + lp + rp
+    sums = []
+    for i, e in enumerate(exponents):
+        if i and e - exponents[i - 1] <= extent:
+            for j in range(exponents[i - 1], e):
+                if x.coord(j) != y.coord(j):
+                    r, l = r - q, l + q
+                r, l = r << 1, l >> 1
+        else:
+            r, l = seed(e)
+        sums.append(r + l)
+    return Fraction(min(sums), q), Fraction(max(sums), q)
+
+
 def li_yorke_scan(
     spec: mp.SystemSpec,
     candidates: list,
@@ -47,17 +123,26 @@ def li_yorke_scan(
     eps_low: Fraction = Fraction(1, 1024),
     delta_high: Fraction = Fraction(1, 2),
 ) -> list:
-    """Exact orbit-distance traces for candidate pairs; a pair qualifies when
-    its tail (n >= horizon/2) dips below eps_low and also exceeds delta_high."""
+    """Exact orbit-distance extremes for candidate pairs; a pair qualifies
+    when its tail (n >= horizon/2) dips below eps_low and also exceeds
+    delta_high.  On shift systems the tail is read off the prefix exponents
+    (`_shift_tail_extremes`); other spaces fold `orbit_distance_trace`."""
     eps_low, delta_high = Fraction(eps_low), Fraction(delta_high)
     if not eps_low < delta_high:
         raise ValueError("eps_low must be below delta_high")
-    tail_from = horizon // 2
+    if horizon < 1:
+        raise ValueError(f"the Li-Yorke horizon must be at least 1, got {horizon}")
+    tail_from = max(1, horizon // 2)
+    on_shift = isinstance(spec.space, sp.ShiftSpace)
+    if on_shift and candidates:
+        exponents = sorted({mp.prefix_compose(spec, n).exponent for n in range(tail_from, horizon + 1)})
     reports = []
     for idx, (x, y) in enumerate(candidates):
-        trace = orbit_distance_trace(spec, x, y, horizon)
-        tail = trace[tail_from - 1 :]
-        lo, hi = min(tail), max(tail)
+        if on_shift:
+            lo, hi = _shift_tail_extremes(x, y, exponents)
+        else:
+            tail = orbit_distance_trace(spec, x, y, horizon)[tail_from - 1 :]
+            lo, hi = min(tail), max(tail)
         reports.append(
             LiYorkeReport(
                 pair_label=f"pair-{idx}",
@@ -123,7 +208,7 @@ def lemma21_construct(
 ):
     """Build times p_1 < ... < p_levels and, for every A/B itinerary word C of
     that length, a point x_C with f_1^(p_i)(x_C) in C_i for all i, verified by
-    stepwise orbit computation.
+    an independent orbit computation over the step maps.
 
     Works on shift systems: the time-n prefix is a shift power, so the
     constraint at time p is the target word planted at coordinates shifted by
@@ -133,6 +218,8 @@ def lemma21_construct(
         raise sp.SpaceMismatch("the itinerary construction runs on shift systems")
     if a == b:
         raise ValueError("the two reference points must differ")
+    if levels < 0:
+        raise ValueError(f"the number of itinerary levels must be at least 0, got {levels}")
     if levels == 0:
         return ItineraryConstruction((), (), {}, True)
     level_sets = [(_target_cylinder(a, i), _target_cylinder(b, i)) for i in range(1, levels + 1)]
@@ -140,53 +227,62 @@ def lemma21_construct(
     # claimed block that no later target may overwrite
     base = level_sets[0][0]
     blocks = [(base.start, base.end - 1)]
-    times = []
+    times, shifts = [], []
     for i, (A_i, _B_i) in enumerate(level_sets, start=1):
         chosen = None
         for p in range(times[-1] + 1 if times else 1, horizon + 1):
             e = mp.prefix_compose(spec, p).exponent
             lo, hi = A_i.start + e, A_i.end - 1 + e
             if all(hi < blo - 1 or lo > bhi + 1 for blo, bhi in blocks):
-                chosen = (p, lo, hi)
+                chosen = (p, e, lo, hi)
                 break
         if chosen is None:
             return ItineraryFailure(
                 i, "", f"no time <= {horizon} moves the level-{i} targets clear of earlier blocks"
             )
         times.append(chosen[0])
-        blocks.append((chosen[1], chosen[2]))
+        shifts.append(chosen[1])
+        blocks.append(chosen[2:])
     lo = min(b0 for b0, _ in blocks)
     hi = max(b1 for _, b1 in blocks)
+    # each level's two target words, planted at that level's prefix exponent
+    planted = [
+        {choice: [(j + e - lo, s) for j, s in target.constrained()]
+         for choice, target in zip("AB", pair)}
+        for pair, e in zip(level_sets, shifts)
+    ]
+    start = [0] * (hi - lo + 1)
+    for j, s in base.constrained():
+        start[j - lo] = s
     witnesses = {}
     for word in iter_product("AB", repeat=levels):
-        label = "".join(word)
-        cells = [0] * (hi - lo + 1)
-        for j, s in base.constrained():
-            cells[j - lo] = s
-        for i, choice in enumerate(word):
-            target = level_sets[i][0] if choice == "A" else level_sets[i][1]
-            e = mp.prefix_compose(spec, times[i]).exponent
-            for j, s in target.constrained():
-                cells[j + e - lo] = s
-        witnesses[label] = sp.BiWord(lo, tuple(cells), (0,), (0,))
+        cells = list(start)
+        for level, choice in zip(planted, word):
+            for j, s in level[choice]:
+                cells[j] = s
+        witnesses["".join(word)] = sp.BiWord(lo, tuple(cells), (0,), (0,))
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "", "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
 
 
 def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
-    """Independent check: fold each witness through the step maps f_1..f_pK
-    (built once) one at a time, testing cylinder membership at each p_i."""
+    """Independent check: compose the step maps of each segment
+    (p_(i-1), p_i] once, then move every witness through the K segment maps,
+    testing cylinder membership at each p_i.  It never reads prefix
+    exponents or laws."""
     space = spec.space
-    steps = [mp.step_normal(spec, n) for n in range(1, times[-1] + 1)]
+    segments, n = [], 0
+    for p in times:
+        m = mp.identity_map(space)
+        for step in range(n + 1, p + 1):
+            m = mp.compose(mp.step_normal(spec, step), m)
+        segments.append(m)
+        n = p
     for label, x in witnesses.items():
         point = x
-        n = 0
-        for i, p in enumerate(times):
-            for m in steps[n:p]:
-                point = mp.apply(m, point)
-            n = p
-            target = level_sets[i][0] if label[i] == "A" else level_sets[i][1]
-            if not sp.contains(space, target, point):
+        for m, choice, targets in zip(segments, label, level_sets):
+            point = mp.apply(m, point)
+            if not sp.contains(space, targets[0] if choice == "A" else targets[1], point):
                 return False
     return True

@@ -499,46 +499,58 @@ def _mask(x: BiWord, y: BiWord, a: int, b: int, leftward: bool) -> int:
     return int((bits[::-1] if leftward else bits).translate(_BITS) or b"0", 2)
 
 
+def _mode_period(p: BiWord, a: int, b: int) -> Optional[int]:
+    """p's mode on a stretch [a, b) between window edges: the period of the
+    tail it runs, or None inside the window."""
+    if b <= p.window_start:
+        return len(p.left)
+    if a >= p.window_end:
+        return len(p.right)
+    return None
+
+
+def disagreement_mask(x: BiWord, y: BiWord, a: int, b: int, leftward: bool = False) -> int:
+    """Bit mask of x_i != y_i over a <= i < b: cell a in the high bit, or
+    cell b-1 when leftward.
+
+    The window edges cut [a, b) into stretches on which each point runs one
+    mode.  A periodic stretch longer than its joint period q is one q-cell
+    block (read in the mask's direction) times the repunit
+    (2^(q*full) - 1) / (2^q - 1), so cells are only sliced out of windows and
+    single periods; the rest is integer arithmetic on the mask's b - a bits.
+    """
+    edges = (x.window_start, x.window_end, y.window_start, y.window_end)
+    cuts = sorted({a, b, *(c for c in edges if a < c < b)})
+    mask = 0
+    for s, t in zip(cuts, cuts[1:]):
+        px, py = _mode_period(x, s, t), _mode_period(y, s, t)
+        q = px * py // gcd(px, py) if (px and py) else None
+        if q is None or t - s <= q:
+            seg = _mask(x, y, s, t, leftward)
+        else:
+            full, rem = divmod(t - s, q)
+            block = _mask(x, y, t - q, t, True) if leftward else _mask(x, y, s, s + q, False)
+            repunit = ((1 << (q * full)) - 1) // ((1 << q) - 1)
+            seg = ((block * repunit) << rem) | (block >> (q - rem))
+        mask = (mask | (seg << (s - a))) if leftward else ((mask << (t - s)) | seg)
+    return mask
+
+
 def shift_distance(x: BiWord, y: BiWord) -> Fraction:
     """d(x, y) = sum over all integers i of |x_i - y_i| / 2^|i|, exactly.
 
     Dyadic accumulation: the disagreements form one integer mask per side of
-    0 (cell nearest 0 in the high bit), a periodic stretch enters as one
-    block times a repunit and each infinite tail as block / (2^q - 1), so
-    the cost depends on window and period sizes, not on how far the windows
-    sit from the origin, and one Fraction is built at the end.
+    0 (cell nearest 0 in the high bit, `disagreement_mask`) and each
+    infinite tail adds block / (2^q - 1), so one Fraction is built at the end.
     """
     lp = len(x.left) * len(y.left) // gcd(len(x.left), len(y.left))
     rp = len(x.right) * len(y.right) // gcd(len(x.right), len(y.right))
-    cuts = sorted({0, x.window_start, x.window_end, y.window_start, y.window_end})
-    lo, hi = cuts[0], cuts[-1]
-
-    def tail_period(p: BiWord, a: int, b: int):
-        # p's mode on the segment [a, b): its pure period or None inside the window
-        if b <= p.window_start:
-            return len(p.left)
-        if a >= p.window_end:
-            return len(p.right)
-        return None
-
+    lo = min(0, x.window_start, y.window_start)
+    hi = max(0, x.window_end, y.window_end)
     # right: cell i of [0, hi) at bit hi-1-i, so the mask is over 2^(hi-1);
     # left: cell i of [lo, 0) at bit i-lo, so the mask is over 2^-lo
-    right = left = 0
-    for a, b in zip(cuts, cuts[1:]):
-        px, py = tail_period(x, a, b), tail_period(y, a, b)
-        q = px * py // gcd(px, py) if (px and py) else None
-        leftward = b <= 0
-        if q is None or b - a <= q:
-            seg = _mask(x, y, a, b, leftward)
-        else:
-            full, rem = divmod(b - a, q)
-            block = _mask(x, y, b - q, b, True) if leftward else _mask(x, y, a, a + q, False)
-            repunit = ((1 << (q * full)) - 1) // ((1 << q) - 1)
-            seg = ((block * repunit) << rem) | (block >> (q - rem))
-        if leftward:
-            left |= seg << (a - lo)
-        else:
-            right = (right << (b - a)) | seg
+    right = disagreement_mask(x, y, 0, hi)
+    left = disagreement_mask(x, y, lo, 0, True)
     # each infinite tail repeats its next q-cell block: it adds block / (2^q - 1)
     rden, lden = (1 << rp) - 1, (1 << lp) - 1
     right = right * rden + _mask(x, y, hi, hi + rp, False)
@@ -570,7 +582,11 @@ def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:
 def contains(space: SpaceDesc, A: BasicOpen, p: Point) -> bool:
     _check_space_point(space, p)
     if isinstance(A, Cylinder):
-        return all(p.coord(i) == s for i, s in A.constrained())
+        if p.window_start <= A.start and A.end <= p.window_end:
+            cells = p.window[A.start - p.window_start : A.end - p.window_start]
+        else:
+            cells = map(p.coord, range(A.start, A.end))
+        return all(s is None or c == s for c, s in zip(cells, A.word))
     if isinstance(A, FiniteSet):
         return p.index in A.ids
     if isinstance(A, Arc):

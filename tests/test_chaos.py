@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ndslab import chaos
 from ndslab.chaos import (
     ItineraryConstruction,
     ItineraryFailure,
@@ -13,13 +15,20 @@ from ndslab.chaos import (
     proximal_scrambled_candidates,
 )
 from ndslab.maps import (
+    ArithProgPattern,
+    EqualsPattern,
+    FamilyTerm,
     IdentityTerm,
+    IterateSpec,
     NdsSpec,
+    Rule,
     ShiftPowTerm,
+    TailSpec,
     apply,
     prefix_compose,
     step_normal,
 )
+from ndslab.ndsl import parse
 from ndslab.spaces import (
     BiWord,
     ShiftSpace,
@@ -32,6 +41,24 @@ from ndslab.spaces import (
 SHIFT = ShiftSpace()
 CONST_SIGMA = NdsSpec(SHIFT, (), ShiftPowTerm(1))
 CONST_ID = NdsSpec(SHIFT, (), IdentityTerm())
+AP12 = NdsSpec(SHIFT, (
+    Rule(ArithProgPattern(1, 2), FamilyTerm("shift", 1)),
+    Rule(ArithProgPattern(2, 2), FamilyTerm("shift", -1)),
+))
+ITINERARY_SYSTEMS = [CONST_SIGMA, NdsSpec(SHIFT, (), ShiftPowTerm(-2)), AP12,
+                     TailSpec(CONST_SIGMA, 3), IterateSpec(CONST_SIGMA, 2)]
+
+
+def folded_memberships(spec, res, label, x):
+    """Cylinder membership of x at each p_i, folding one step map at a time."""
+    point, n, out = x, 0, []
+    for i, p in enumerate(res.times):
+        while n < p:
+            n += 1
+            point = apply(step_normal(spec, n), point)
+        target = res.levels[i][0] if label[i] == "A" else res.levels[i][1]
+        out.append(contains(SHIFT, target, point))
+    return out
 
 
 class TestItineraryConstruction:
@@ -54,6 +81,30 @@ class TestItineraryConstruction:
                 target = res.levels[i][0] if label[i] == "A" else res.levels[i][1]
                 assert contains(SHIFT, target, point)
 
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_segment_fold_agrees_with_point_fold(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        assert isinstance(res, ItineraryConstruction)
+        for label, x in res.witnesses.items():
+            assert all(folded_memberships(spec, res, label, x))
+        assert chaos._verify_itineraries(spec, res.times, res.levels, res.witnesses)
+        # flip one planted cell of one level: both folds must reject it
+        label = data.draw(st.sampled_from(sorted(res.witnesses)))
+        i = data.draw(st.integers(0, levels - 1))
+        target = res.levels[i][0] if label[i] == "A" else res.levels[i][1]
+        j, s = data.draw(st.sampled_from(list(target.constrained())))
+        x = res.witnesses[label]
+        cell = j + prefix_compose(spec, res.times[i]).exponent
+        assert x.coord(cell) == s
+        window = list(x.window)
+        window[cell - x.window_start] = 1 - s
+        tampered = BiWord(x.window_start, tuple(window), x.left, x.right)
+        assert folded_memberships(spec, res, label, tampered) == [k != i for k in range(levels)]
+        assert not chaos._verify_itineraries(
+            spec, res.times, res.levels, {**res.witnesses, label: tampered}
+        )
+
     def test_zero_levels_trivial(self):
         res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), 0, 16)
         assert isinstance(res, ItineraryConstruction)
@@ -67,6 +118,10 @@ class TestItineraryConstruction:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             lemma21_construct(CONST_SIGMA, all_zeros(), all_zeros(), 2, 64)
+
+    def test_negative_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels must be at least 0"):
+            lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), -1, 64)
 
 
 class TestLiYorkeScan:
@@ -107,3 +162,113 @@ class TestLiYorkeScan:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             li_yorke_scan(CONST_SIGMA, [], 64, Fraction(1, 2), Fraction(1, 4))
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            li_yorke_scan(CONST_SIGMA, [(all_zeros(), all_ones())], horizon)
+
+
+# ---------------------------------------------------------------------------
+# the shift fast path against the stepwise trace
+
+bits = st.integers(0, 1)
+words = st.lists(bits, min_size=1, max_size=12).map(tuple)
+far_points = st.builds(
+    BiWord,
+    window_start=st.integers(-300, 300),
+    window=st.lists(bits, max_size=10).map(tuple),
+    left=words,
+    right=words,
+)
+
+
+@st.composite
+def far_pairs(draw):
+    """Unrelated eventually-periodic points, or two windows over shared tails
+    (the shape of the scan candidates)."""
+    x = draw(far_points)
+    if draw(st.booleans()):
+        return x, draw(far_points)
+    return x, BiWord(draw(st.integers(-300, 300)), draw(st.lists(bits, max_size=10)), x.left, x.right)
+
+
+@st.composite
+def shift_systems(draw):
+    kind = draw(st.sampled_from(("constant", "jump", "ap")))
+    if kind == "constant":
+        spec = NdsSpec(SHIFT, (), ShiftPowTerm(draw(st.integers(-3, 3))))
+    elif kind == "jump":
+        # one jump far past the windows: a gap the scan re-seeds, never walks
+        jump = ShiftPowTerm(draw(st.integers(200, 2000)) * draw(st.sampled_from([1, -1])))
+        spec = NdsSpec(SHIFT, (Rule(EqualsPattern(draw(st.integers(1, 20))), jump),),
+                       ShiftPowTerm(draw(st.integers(-1, 1))))
+    else:
+        step = draw(st.integers(2, 3))
+        a, b = draw(st.lists(st.integers(1, step), min_size=2, max_size=2, unique=True))
+        c, add = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        spec = NdsSpec(SHIFT, (
+            Rule(ArithProgPattern(a, step), FamilyTerm("shift", c, add)),
+            Rule(ArithProgPattern(b, step), FamilyTerm("shift", -c, -add)),
+        ), ShiftPowTerm(draw(st.integers(-1, 1))))
+    wrap = draw(st.sampled_from(("plain", "tail", "iterate")))
+    if wrap == "tail":
+        return TailSpec(spec, draw(st.integers(2, 5)))
+    if wrap == "iterate":
+        return IterateSpec(spec, draw(st.integers(2, 3)))
+    return spec
+
+
+# 1, 2 and odd horizons: the tail starts at n = max(1, H // 2)
+horizons = st.one_of(st.sampled_from([1, 2]), st.integers(1, 40).map(lambda k: 2 * k + 1))
+
+
+def traced_extremes(spec, x, y, horizon):
+    tail = orbit_distance_trace(spec, x, y, horizon)[max(1, horizon // 2) - 1 :]
+    return min(tail), max(tail)
+
+
+def periodic_point(pattern, start, length):
+    """The purely periodic point ...pattern pattern... written with a window
+    of `length` cells at `start`."""
+    p = len(pattern)
+    return BiWord(
+        start,
+        tuple(pattern[(start + i) % p] for i in range(length)),
+        tuple(pattern[(start + i) % p] for i in range(p)),
+        tuple(pattern[(start + length + i) % p] for i in range(p)),
+    )
+
+
+BIG = 7 * 10**39 + 12345  # 40 digits
+
+
+class TestLiYorkeFastPath:
+    @given(shift_systems(), far_pairs(), horizons)
+    @settings(max_examples=150, deadline=None)
+    def test_extremes_equal_the_traced_tail(self, spec, pair, horizon):
+        x, y = pair
+        rep = li_yorke_scan(spec, [pair], horizon)[0]
+        assert (rep.liminf_estimate, rep.limsup_estimate) == traced_extremes(spec, x, y, horizon)
+
+    def test_candidates_on_the_benchmark_systems(self):
+        pairs = proximal_scrambled_candidates(all_zeros(), all_ones(), 3)
+        for spec in (CONST_SIGMA, AP12, TailSpec(AP12, 2), IterateSpec(CONST_SIGMA, 3)):
+            reports = li_yorke_scan(spec, pairs, 301)
+            for (x, y), rep in zip(pairs, reports):
+                assert (rep.liminf_estimate, rep.limsup_estimate) == traced_extremes(spec, x, y, 301)
+
+    @given(words, words, st.integers(-10**6, 10**6), st.integers(0, 20), st.integers(-10**6, 10**6),
+           st.integers(0, 20), st.sampled_from([1, -1]), st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_forty_digit_jump_returns_at_once(self, p, q, sx, lx, sy, ly, sign, horizon):
+        # at n = 5 the system jumps by 40 digits; periodic points with windows
+        # anywhere see the same distances as after the jump reduced mod lcm
+        x, y = periodic_point(p, sx, lx), periodic_point(q, sy, ly)
+        period = len(p) * len(q)
+        big = parse(f"space shift(2); system S {{ at 5: sigma^{sign * BIG}; }}").system("S")
+        small = parse(
+            f"space shift(2); system S {{ at 5: sigma^{sign * BIG % period}; }}"
+        ).system("S")
+        rep = li_yorke_scan(big, [(x, y)], horizon)[0]
+        assert (rep.liminf_estimate, rep.limsup_estimate) == traced_extremes(small, x, y, horizon)
