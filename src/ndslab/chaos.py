@@ -125,30 +125,35 @@ def li_yorke_scan(
 ) -> list:
     """Exact orbit-distance extremes for candidate pairs; a pair qualifies
     when its tail (n >= horizon/2) dips below eps_low and also exceeds
-    delta_high.  On shift systems the tail is read off the prefix exponents
-    (`_shift_tail_extremes`); other spaces fold `orbit_distance_trace`."""
+    delta_high.  The tail is read off its distinct prefix maps f_1^n: on
+    shift systems through their exponents (`_shift_tail_extremes`), elsewhere
+    as one distance per map, ordered exactly (`spaces.value_cmp`)."""
     eps_low, delta_high = Fraction(eps_low), Fraction(delta_high)
     if not eps_low < delta_high:
         raise ValueError("eps_low must be below delta_high")
     if horizon < 1:
         raise ValueError(f"the Li-Yorke horizon must be at least 1, got {horizon}")
-    tail_from = max(1, horizon // 2)
-    on_shift = isinstance(spec.space, sp.ShiftSpace)
-    if on_shift and candidates:
-        exponents = sorted({mp.prefix_compose(spec, n).exponent for n in range(tail_from, horizon + 1)})
+    space = spec.space
+    times = range(max(1, horizon // 2), horizon + 1)
+    tail = dict.fromkeys(mp.prefix_compose(spec, n) for n in times)
+    exponents = sorted({m.exponent for m in tail}) if isinstance(space, sp.ShiftSpace) else None
     reports = []
     for idx, (x, y) in enumerate(candidates):
-        if on_shift:
-            lo, hi = _shift_tail_extremes(x, y, exponents)
+        if exponents is not None:
+            try:
+                lo, hi = _shift_tail_extremes(x, y, exponents)
+            except OverflowError:
+                raise ValueError(f"the exact tail distances of pair-{idx} need a denominator "
+                                 "with too many digits for an integer") from None
         else:
-            tail = orbit_distance_trace(spec, x, y, horizon)[tail_from - 1 :]
-            lo, hi = min(tail), max(tail)
+            dists = [sp.distance(space, mp.apply(m, x), mp.apply(m, y)) for m in tail]
+            lo, hi = sp.value_min(dists), sp.value_max(dists)
         reports.append(
             LiYorkeReport(
                 pair_label=f"pair-{idx}",
                 liminf_estimate=lo,
                 limsup_estimate=hi,
-                qualifies=(lo < eps_low and hi > delta_high),
+                qualifies=sp.value_cmp(lo, eps_low) < 0 and sp.value_cmp(hi, delta_high) > 0,
                 horizon=horizon,
                 eps_low=eps_low,
                 delta_high=delta_high,

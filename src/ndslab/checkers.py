@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, prod
 from operator import and_, or_
 from typing import NamedTuple, Optional
@@ -634,30 +634,23 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
 
 
 def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
-    m_max = prop.order
-    basis, masks = _pair_masks(spec, r, m_max * H)
-    space = spec.space
+    basis, masks = _pair_masks(spec, r, prop.order * H)
+    common = reduce(and_, masks.values())
+    law = laws.exponent
+    pair = _find_disjoint_pair(spec.space, basis) if law is not None else None
+    universal = -1
     per_m = {}
-    for m in range(1, m_max + 1):
-        # structural refutation: some slot j has identically-zero exponents on
-        # the multiples of j, and a disjoint pair can sit in that slot
-        refuted = None
-        law = laws.exponent
-        if law is not None:
-            pair = _find_disjoint_pair(space, basis)
-            if pair is not None:
-                for j in range(1, m + 1):
-                    if law.zero_on_multiples(j):
-                        refuted = (j, pair)
-                        break
-        if refuted is not None:
-            j, (pi, pj) = refuted
+    for m in range(1, prop.order + 1):
+        # structural refutation: slot m has identically-zero exponents on the
+        # multiples of m, and a disjoint pair can sit in that slot; a lower
+        # order already tested every smaller slot
+        if pair is not None and law.zero_on_multiples(m):
             reason = (
-                f"prefix exponent is 0 at every multiple of {j}, so slot {j} "
+                f"prefix exponent is 0 at every multiple of {m}, so slot {m} "
                 "never connects disjoint sets: " + law.describe()
             )
-            return _refute_pair(spec, laws, prop, cfg, basis, pi, pj, reason, order=m, slot=j)
-        universal = _universal_l(masks.values(), m, H)
+            return _refute_pair(spec, laws, prop, cfg, basis, *pair, reason, order=m, slot=m)
+        universal &= _slot(common, m, H)
         if universal:
             per_m[str(m)] = _first_bit(universal)
             continue
@@ -673,20 +666,20 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     )
 
 
+def _slot(common: int, j: int, H: int) -> int:
+    """Bitmask of the l in [1, H] with j*l in `common`: the stride-j slice of
+    its bits, read off the binary digits lowest first."""
+    digits = bin(common)[:1:-1][j::j][:H]
+    return int(digits[::-1] or "0", 2) << 1
+
+
 def _universal_l(masks, m: int, H: int) -> int:
     """Bitmask of the l in [1, H] such that j*l is a member of every mask for
     every j <= m: one l that works for every tuple simultaneously.  Bitwise
     extraction commutes with intersection, so the masks are intersected
     first."""
-    common = reduce(and_, masks, -1)
-    universal = -1
-    for j in range(1, m + 1):
-        lmask = 0
-        for l in range(1, H + 1):
-            if common >> (j * l) & 1:
-                lmask |= 1 << l
-        universal &= lmask
-    return universal
+    common = reduce(and_, masks)
+    return reduce(and_, (_slot(common, j, H) for j in range(1, m + 1)))
 
 
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
@@ -741,26 +734,24 @@ def _champernowne_window(max_len: int) -> sp.BiWord:
     return sp.BiWord(0, tuple(cells), (0,), (0,))
 
 
-def _orbit_hits_all(spec, x, basis, H) -> tuple[bool, Optional[int], dict]:
-    space = spec.space
-    remaining = dict(enumerate(basis))
+def _first_visits(spec, x, basis, H) -> dict:
+    """{i: the first n <= H with f_1^n(x) in B_i} over the opens the orbit
+    visits; f_1^0 is the identity.  The prefix classes come in order of
+    their first time, so the first class whose image of x lies in B_i gives
+    the first visit.  An undecided membership counts as no visit."""
     hit_at = {}
-    point = x
-    for n in range(H + 1):
-        if n:
-            point = mp.apply(mp.step_normal(spec, n), point)
-        for i in list(remaining):
+    classes = ht.prefix_classes(spec, H).items()
+    images = ((mp.apply(m, x), _first_bit(times)) for m, times in classes)
+    for point, n in chain([(x, 0)], images):
+        for i, B in enumerate(basis):
             try:
-                if sp.contains(space, remaining[i], point):
-                    hit_at[str(i)] = n
-                    del remaining[i]
+                if i not in hit_at and sp.contains(spec.space, B, point):
+                    hit_at[i] = n
             except sp.EnclosureUndecided:
                 pass
-        if not remaining:
+        if len(hit_at) == len(basis):
             break
-    if remaining:
-        return False, next(iter(remaining)), hit_at
-    return True, None, hit_at
+    return hit_at
 
 
 def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
@@ -788,10 +779,11 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
                 )
             per_rep[f"point-{idx}"] = "dense (exact)"
             continue
-        ok, missed, hit_at = _orbit_hits_all(spec, x, basis, H)
-        if ok:
+        hit_at = _first_visits(spec, x, basis, H)
+        if len(hit_at) == len(basis):
             per_rep[f"point-{idx}"] = max(hit_at.values())
             continue
+        missed = next(i for i in range(len(basis)) if i not in hit_at)
         # a fixed point of every prefix has a one-point orbit, exactly
         fixed = _is_prefix_invariant(spec, laws, x)
         if fixed and not sp.contains(space, basis[missed], x):
@@ -935,15 +927,14 @@ def _finite_periodic(tab: mp.TableLaw, x: sp.FiniteId, k: int) -> bool:
 def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
     x = prop.point if prop.point is not None else _representatives(spec.space)[0]
     space = spec.space
+    images = [(mp.apply(m, x), times) for m, times in ht.prefix_classes(spec, H).items()]
     out = {}
     for eps in (Fraction(1, 2), Fraction(1, 4)):
         returns = 0
-        point = x
-        for n in range(1, H + 1):
-            point = mp.apply(mp.step_normal(spec, n), point)
+        for point, times in images:
             try:
                 if sp.value_cmp(sp.distance(space, point, x), eps) < 0:
-                    returns |= 1 << n
+                    returns |= times
             except sp.EnclosureUndecided:
                 pass  # an undecided return test counts as no return at n
         if not returns:
@@ -1185,16 +1176,11 @@ def hitting_infinity_consistency(
 
 
 def _nth_bit(mask: int, n: int) -> int:
-    seen = 0
-    pos = 0
-    while mask:
-        low = mask & -mask
-        pos = low.bit_length() - 1
-        seen += 1
-        if seen == n:
-            return pos
-        mask ^= low
-    raise ValueError("mask has fewer set bits than requested")
+    if mask.bit_count() < n:
+        raise ValueError("mask has fewer set bits than requested")
+    for _ in range(n - 1):
+        mask &= mask - 1
+    return _first_bit(mask)
 
 
 # ---------------------------------------------------------------------------

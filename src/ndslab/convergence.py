@@ -230,7 +230,8 @@ def equicontinuity_modulus(
 
     Shift powers are Lipschitz with constant 2^|exponent|, rotations and
     finite tables are nonexpanding.  Returns (None, flag) when the window
-    exponents keep growing with n, since no single modulus can work."""
+    exponents keep growing with n, since no single modulus can work, and
+    raises ValueError when 2^|exponent| has too many digits for an integer."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0 or k < 1:
         raise ValueError("need epsilon > 0 and k >= 1")
@@ -239,17 +240,15 @@ def equicontinuity_modulus(
         return epsilon / 2, "nonexpanding maps; xi = epsilon/2"
     if not isinstance(space, sp.ShiftSpace):
         return None, "unsupported space"
-    worst = 0
-    worst_first_half = 0
-    for n in range(1, horizon + 1):
-        cum = 0
-        for j in range(k):
-            m = mp.step_normal(spec, n + j)
-            cum += m.exponent
-            worst = max(worst, abs(cum))
-            if n <= horizon // 2:
-                worst_first_half = max(worst_first_half, abs(cum))
+    # the window f_n^(j+1) is sigma^(E(n+j) - E(n-1)) for the prefix exponents E
+    E = [mp.prefix_compose(spec, t).exponent for t in range(horizon + k)]
+    window = [max(abs(E[n + j] - E[n - 1]) for j in range(k)) for n in range(1, horizon + 1)]
+    worst, worst_first_half = max(window, default=0), max(window[: horizon // 2], default=0)
     if worst > worst_first_half:
         return None, f"window exponents still growing at the horizon (max |E| = {worst})"
-    xi = epsilon / (2 ** (worst + 1))
+    try:
+        xi = epsilon / (1 << (worst + 1))
+    except OverflowError:
+        raise ValueError(f"the modulus needs a 2^{worst + 1} denominator, "
+                         "too many digits for an integer") from None
     return xi, f"Lipschitz constant 2^{worst} over all windows, safety factor 2"

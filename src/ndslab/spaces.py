@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt
 from operator import ne
 from typing import Optional, Union
@@ -163,13 +164,12 @@ def value_cmp(a: RationalOrEnclosure, b: Union[RationalOrEnclosure, int]) -> int
 
 def value_max(values: list) -> RationalOrEnclosure:
     """The largest of some exact-or-enclosure values (the first on ties)."""
-    if all(isinstance(v, Fraction) for v in values):
-        return max(values)
-    best = values[0]
-    for v in values[1:]:
-        if value_cmp(v, best) > 0:
-            best = v
-    return best
+    return max(values, key=cmp_to_key(value_cmp))
+
+
+def value_min(values: list) -> RationalOrEnclosure:
+    """The smallest of some exact-or-enclosure values (the first on ties)."""
+    return min(values, key=cmp_to_key(value_cmp))
 
 
 # ---------------------------------------------------------------------------
@@ -536,28 +536,44 @@ def disagreement_mask(x: BiWord, y: BiWord, a: int, b: int, leftward: bool = Fal
     return mask
 
 
+def _at_phase(p: BiWord) -> BiWord:
+    """p, or when p has no window and equal tails (a purely periodic point)
+    the same point anchored at its phase within one period of 0, so a far
+    shift of it costs nothing in `shift_distance`."""
+    if p.window or p.left != p.right:
+        return p
+    return p.shifted(p.window_start - p.window_start % len(p.left))
+
+
 def shift_distance(x: BiWord, y: BiWord) -> Fraction:
     """d(x, y) = sum over all integers i of |x_i - y_i| / 2^|i|, exactly.
 
     Dyadic accumulation: the disagreements form one integer mask per side of
     0 (cell nearest 0 in the high bit, `disagreement_mask`) and each
     infinite tail adds block / (2^q - 1), so one Fraction is built at the end.
+    A distance whose denominator has more bits than an integer can hold
+    raises ValueError.
     """
+    x, y = _at_phase(x), _at_phase(y)
     lp = len(x.left) * len(y.left) // gcd(len(x.left), len(y.left))
     rp = len(x.right) * len(y.right) // gcd(len(x.right), len(y.right))
     lo = min(0, x.window_start, y.window_start)
     hi = max(0, x.window_end, y.window_end)
-    # right: cell i of [0, hi) at bit hi-1-i, so the mask is over 2^(hi-1);
-    # left: cell i of [lo, 0) at bit i-lo, so the mask is over 2^-lo
-    right = disagreement_mask(x, y, 0, hi)
-    left = disagreement_mask(x, y, lo, 0, True)
-    # each infinite tail repeats its next q-cell block: it adds block / (2^q - 1)
-    rden, lden = (1 << rp) - 1, (1 << lp) - 1
-    right = right * rden + _mask(x, y, hi, hi + rp, False)
-    left = left * lden + _mask(x, y, lo - lp, lo, True)
     top = max(hi - 1, -lo)
-    num = ((right * lden) << (top - hi + 1)) + ((left * rden) << (top + lo))
-    return Fraction(num, (rden * lden) << top)
+    try:
+        # right: cell i of [0, hi) at bit hi-1-i, so the mask is over 2^(hi-1);
+        # left: cell i of [lo, 0) at bit i-lo, so the mask is over 2^-lo
+        right = disagreement_mask(x, y, 0, hi)
+        left = disagreement_mask(x, y, lo, 0, True)
+        # each infinite tail repeats its next q-cell block: it adds block / (2^q - 1)
+        rden, lden = (1 << rp) - 1, (1 << lp) - 1
+        right = right * rden + _mask(x, y, hi, hi + rp, False)
+        left = left * lden + _mask(x, y, lo - lp, lo, True)
+        num = ((right * lden) << (top - hi + 1)) + ((left * rden) << (top + lo))
+        return Fraction(num, (rden * lden) << top)
+    except OverflowError:
+        raise ValueError(f"the exact distance of {x!r} and {y!r} needs a 2^{top} "
+                         "denominator, too many digits for an integer") from None
 
 
 def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:

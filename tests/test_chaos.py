@@ -1,6 +1,7 @@
 """Itinerary construction and Li-Yorke pair scanning."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,12 @@ from ndslab.maps import (
     ArithProgPattern,
     EqualsPattern,
     FamilyTerm,
+    FiniteFnTerm,
     IdentityTerm,
     IterateSpec,
     NdsSpec,
+    ProductSpec,
+    RotPowTerm,
     Rule,
     ShiftPowTerm,
     TailSpec,
@@ -30,12 +34,21 @@ from ndslab.maps import (
 )
 from ndslab.ndsl import parse
 from ndslab.spaces import (
+    AffineAngle,
+    AlphaEnclosure,
     BiWord,
+    CircleSpace,
+    EnclosureUndecided,
+    FiniteId,
+    FiniteSpace,
+    ProductPoint,
     ShiftSpace,
     all_ones,
     all_zeros,
     contains,
+    distance,
     shift_distance,
+    value_cmp,
 )
 
 SHIFT = ShiftSpace()
@@ -167,6 +180,45 @@ class TestLiYorkeScan:
     def test_horizon_below_one_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             li_yorke_scan(CONST_SIGMA, [(all_zeros(), all_ones())], horizon)
+
+    @pytest.mark.parametrize("spec, x, y", [
+        # a circle pair: rotations keep the distance alpha at every time
+        (NdsSpec(CircleSpace(), (), RotPowTerm(1)), AffineAngle(0), AffineAngle(0, 1)),
+        # a product with a circle factor: the shift side drifts, the circle stays
+        (ProductSpec((NdsSpec(CircleSpace(), (), RotPowTerm(-1)), CONST_SIGMA)),
+         ProductPoint((AffineAngle(0), all_zeros())),
+         ProductPoint((AffineAngle(Fraction(1, 8), 1), BiWord.from_window(0, (1, 0, 1))))),
+        # a finite pair merged at time 1, then swapped apart from time 3 on
+        (NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(1), FiniteFnTerm((1, 1, 3))),),
+                 FiniteFnTerm((3, 2, 1))), FiniteId(2), FiniteId(3)),
+    ])
+    def test_tail_extremes_off_the_shift(self, spec, x, y):
+        tail = orbit_distance_trace(spec, x, y, 9)[3:]
+        ordered = sorted(tail, key=cmp_to_key(value_cmp))
+        rep = li_yorke_scan(spec, [(x, y)], 9, Fraction(1, 8), Fraction(1, 4))[0]
+        assert (rep.liminf_estimate, rep.limsup_estimate) == (ordered[0], ordered[-1])
+        assert rep.qualifies == (
+            value_cmp(ordered[0], Fraction(1, 8)) < 0 and value_cmp(ordered[-1], Fraction(1, 4)) > 0
+        )
+
+    def test_circle_pair_keeps_its_distance(self):
+        x, y = AffineAngle(0), AffineAngle(0, 1)
+        rep = li_yorke_scan(NdsSpec(CircleSpace(), (), RotPowTerm(1)), [(x, y)], 8)[0]
+        assert rep.liminf_estimate == rep.limsup_estimate == distance(CircleSpace(), x, y)
+        assert not rep.qualifies
+
+    def test_declared_angle_too_wide_to_decide_is_named(self):
+        # d = alpha = 1/4 +- 2^-70 cannot be ordered against eps_low = 1/4
+        circle = CircleSpace(AlphaEnclosure.custom(Fraction(1, 4), Fraction(1, 2**70)))
+        spec = NdsSpec(circle, (), RotPowTerm(1))
+        with pytest.raises(EnclosureUndecided):
+            li_yorke_scan(spec, [(AffineAngle(0), AffineAngle(0, 1))], 8, Fraction(1, 4), Fraction(1, 2))
+
+    def test_denominator_too_large_for_an_integer_is_a_value_error(self):
+        spec = parse(f"space shift(2); system S {{ at 5: sigma^{10**40}; }}").system("S")
+        pair = (all_zeros(), BiWord.from_window(0, (1,)))
+        with pytest.raises(ValueError, match="too many digits for an integer"):
+            li_yorke_scan(spec, [pair], 10)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ class TestExitCodes:
         assert err.startswith("ndslab: internal error: LawValidationError")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_forty_digit_shift_of_a_constant_point_gets_verdicts(self, ndsl_file, capsys):
+        source = (
+            f"space shift(2);\nsystem S {{ at 5: sigma^{10**40}; }}\n"
+            "check S almost-periodic-point horizon 10 basis 1;\n"
+            "check S minimal horizon 10 basis 1;\n"
+        )
+        code, out, err = run(capsys, ["check", ndsl_file(source), "--format", "json"])
+        assert (code, err) == (1, "")
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["witnessed", "refuted"]
+
     def test_any_escaping_exception_exits_four(self, ndsl_file, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ZeroDivisionError("broken\nkernel")

@@ -160,6 +160,12 @@ class TestEquicontinuityModulus:
         xi, note = equicontinuity_modulus(ex36(), Fraction(1, 4), 1, 64)
         assert xi is None and "growing" in note
 
+    def test_modulus_too_large_for_an_integer_is_a_value_error(self):
+        # the 40-digit window sits in the first half, so a modulus is due
+        spec = NdsSpec(SHIFT, (Rule(EqualsPattern(5), ShiftPowTerm(10**40)),))
+        with pytest.raises(ValueError, match="too many digits for an integer"):
+            equicontinuity_modulus(spec, Fraction(1, 2), 2, 10)
+
     def test_modulus_bound_on_sampled_pairs(self):
         # spec invariant: pairs closer than xi stay within epsilon/2 along
         # every window of length <= k starting at n <= H

@@ -1,16 +1,23 @@
-"""The exponent-class mask kernel against independent step-fold oracles.
+"""The exponent-class mask kernel and the orbit questions read off the
+prefix classes, against independent step-fold oracles.
 
 The kernel decides each prefix class once; the oracles fold the step maps
 one index at a time and test every time separately, so any class that is
 keyed too coarsely (or any shortcut that is not exact) shows up as a mask
 that differs from the fold."""
 
+import ast
 from fractions import Fraction
+from functools import cmp_to_key, reduce
+from operator import and_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndslab import chaos
 from ndslab import checkers as ck
+from ndslab import convergence as cv
 from ndslab import hitting as ht
 from ndslab import maps as mp
 from ndslab import spaces as sp
@@ -271,3 +278,174 @@ def test_mask_members_walks_the_set_bits():
     assert ht._mask_members(0) == ()
     assert ht._mask_members(0b101100) == (2, 3, 5)
     assert ht._mask_members(1 << 1000 | 2) == (1, 1000)
+
+
+# ---------------------------------------------------------------------------
+# orbit questions read off the prefix classes
+
+
+def points(space):
+    if isinstance(space, sp.ShiftSpace):
+        tails = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+        window = st.lists(st.integers(0, 1), max_size=5).map(tuple)
+        return st.builds(sp.BiWord, st.integers(-4, 4), window, tails, tails)
+    if isinstance(space, sp.FiniteSpace):
+        return st.integers(1, space.point_count).map(sp.FiniteId)
+    if isinstance(space, sp.CircleSpace):
+        return st.builds(sp.AffineAngle, st.fractions(0, 1, max_denominator=8), st.integers(-2, 2))
+    return st.tuples(*(points(p) for p in space.parts)).map(sp.ProductPoint)
+
+
+def folded_points(spec, x, horizon):
+    """f_1^n(x) for n = 1..horizon, one step map at a time."""
+    for n in range(1, horizon + 1):
+        x = mp.apply(mp.step_normal(spec, n), x)
+        yield n, x
+
+
+def first_visits_fold(spec, x, basis, H):
+    """The first n <= H with f_1^n(x) in B_i, for each basis open the
+    stepwise orbit visits (n = 0 is x itself)."""
+    hit_at = {}
+    for n, point in [(0, x), *folded_points(spec, x, H)]:
+        for i, B in enumerate(basis):
+            try:
+                if i not in hit_at and sp.contains(spec.space, B, point):
+                    hit_at[i] = n
+            except sp.EnclosureUndecided:
+                pass
+    return hit_at
+
+
+def returns_fold(spec, x, eps, H) -> int:
+    """Bitmask of the n <= H with d(f_1^n x, x) < eps, stepwise."""
+    mask = 0
+    for n, point in folded_points(spec, x, H):
+        try:
+            if sp.value_cmp(sp.distance(spec.space, point, x), eps) < 0:
+                mask |= 1 << n
+        except sp.EnclosureUndecided:
+            pass
+    return mask
+
+
+def slot_walk(common, j, H) -> int:
+    """The l in [1, H] with j*l in `common`, one bit at a time."""
+    return bits(l for l in range(1, H + 1) if common >> (j * l) & 1)
+
+
+def universal_walk(masks, m, H) -> int:
+    common = reduce(and_, masks, -1)
+    return reduce(and_, (slot_walk(common, j, H) for j in range(1, m + 1)), -1)
+
+
+def equicontinuity_fold(spec, epsilon, k, horizon):
+    """equicontinuity_modulus on a shift system, summing the step exponents
+    of every window by hand."""
+    worst = worst_first_half = 0
+    for n in range(1, horizon + 1):
+        cum = 0
+        for j in range(k):
+            cum += mp.step_normal(spec, n + j).exponent
+            worst = max(worst, abs(cum))
+            if n <= horizon // 2:
+                worst_first_half = max(worst_first_half, abs(cum))
+    if worst > worst_first_half:
+        return None, f"window exponents still growing at the horizon (max |E| = {worst})"
+    return epsilon / (2 ** (worst + 1)), f"Lipschitz constant 2^{worst} over all windows, safety factor 2"
+
+
+class TestOrbitQuestions:
+    @given(st.data(), system_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_first_visits_match_the_stepwise_orbit(self, data, case):
+        spec, r, H = case
+        basis = sp.enumerate_basis(spec.space, r)
+        x = data.draw(points(spec.space))
+        assert ck._first_visits(spec, x, basis, H) == first_visits_fold(spec, x, basis, H)
+
+    @given(st.data(), system_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_almost_periodic_returns_match_the_stepwise_orbit(self, data, case):
+        spec, r, H = case
+        x = data.draw(points(spec.space))
+        verdict = ck.check_property(spec, ck.almost_periodic_point(x), r, H)
+        out = {}
+        for eps in (Fraction(1, 2), Fraction(1, 4)):
+            returns = returns_fold(spec, x, eps, H)
+            if not returns:
+                assert (verdict.status, verdict.evidence) == (ck.INCONCLUSIVE, {"epsilon": str(eps)})
+                return
+            out[str(eps)] = {"max_gap": ht._frequency(returns, H)[0], "returns": returns.bit_count()}
+        assert (verdict.status, verdict.evidence) == (ck.WITNESSED, {"per_epsilon": out})
+
+    @given(system_cases(), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_slots_of_the_pair_masks_match_the_per_bit_walk(self, case, m):
+        spec, r, H = case
+        _, masks = ck._pair_masks(spec, r, m * H)
+        common = reduce(and_, masks.values())
+        for j in range(1, m + 1):
+            assert ck._slot(common, j, H) == slot_walk(common, j, H)
+        assert ck._universal_l(masks.values(), m, H) == universal_walk(masks.values(), m, H)
+
+    @given(st.lists(st.integers(0, 2**200), min_size=1, max_size=4), st.integers(1, 6),
+           st.integers(1, 40))
+    @settings(deadline=None)
+    def test_slots_of_any_masks_match_the_per_bit_walk(self, masks, m, H):
+        assert ck._universal_l(masks, m, H) == universal_walk(masks, m, H)
+
+    @given(shift_systems, st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 8)]),
+           st.integers(1, 4), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_equicontinuity_modulus_matches_the_step_exponent_sum(self, spec, eps, k, H):
+        assert cv.equicontinuity_modulus(spec, eps, k, H) == equicontinuity_fold(spec, eps, k, H)
+
+    @given(st.data(), st.one_of(
+        # the default angle keeps every distance comparison decidable
+        circle_systems().filter(lambda spec: spec.space == sp.CircleSpace()),
+        finite_systems(),
+        product_systems,
+        st.tuples(circle_systems().filter(lambda spec: spec.space == sp.CircleSpace()),
+                  st.one_of(finite_systems(), shift_systems)).map(mp.ProductSpec),
+    ), st.integers(1, 24), st.sampled_from([
+        (Fraction(1, 1024), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 4)), (Fraction(1, 3), Fraction(2, 5)),
+    ]))
+    @settings(max_examples=80, deadline=None)
+    def test_li_yorke_off_the_shift_matches_the_orbit_trace(self, data, spec, H, thresholds):
+        x, y = data.draw(points(spec.space)), data.draw(points(spec.space))
+        tail = chaos.orbit_distance_trace(spec, x, y, H)[max(1, H // 2) - 1 :]
+        ordered = sorted(tail, key=cmp_to_key(sp.value_cmp))
+        lo, hi = ordered[0], ordered[-1]
+        eps_low, delta_high = thresholds
+        rep = chaos.li_yorke_scan(spec, [(x, y)], H, eps_low, delta_high)[0]
+        assert (rep.liminf_estimate, rep.limsup_estimate) == (lo, hi)
+        assert rep.qualifies == (sp.value_cmp(lo, eps_low) < 0 and sp.value_cmp(hi, delta_high) > 0)
+
+
+# the stepwise oracles, the per-step questions (surjectivity, the uniform
+# convergence term distances), the table-law walk and step_normal itself
+STEP_FOLDS = {
+    "orbit_distance_trace", "_verify_itineraries", "brute_force_hitting", "_check_surjective",
+    "_first_divergent_index", "check_uniform_convergence", "step_normal", "_table_law_from",
+}
+
+
+def test_only_the_oracles_and_per_step_questions_read_step_maps():
+    """Verdict and scan paths take f_1^n from prefix_compose or prefix_classes;
+    a function that reads step_normal is one of the named stepwise paths."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "step_normal" or (
+            isinstance(node, ast.Name) and node.id == "step_normal"
+        ):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(mp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.name} (module level)")
+    assert readers == STEP_FOLDS

@@ -164,6 +164,23 @@ class TestShiftMetric:
         with pytest.raises(SpaceMismatch):
             distance(SHIFT, all_zeros(), FiniteId(1))
 
+    @given(st.lists(bits, min_size=1, max_size=4), biwords, st.sampled_from([1, -1]),
+           st.integers(-50, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_far_shift_of_a_periodic_point_reads_its_phase(self, pattern, y, sign, e):
+        # a 40-digit shift of a purely periodic point is the same point as
+        # the shift reduced mod its period
+        x = BiWord(0, (), tuple(pattern), tuple(pattern))
+        big = sign * 10**40 + e
+        near = x.shifted(big % len(pattern))
+        assert shift_distance(x.shifted(big), y) == shift_distance(near, y)
+        assert shift_distance(y, x.shifted(big)) == shift_distance(y, near)
+
+    def test_denominator_too_large_for_an_integer_is_a_value_error(self):
+        far = BiWord.from_window(0, (1,)).shifted(10**40)
+        with pytest.raises(ValueError, match="too many digits for an integer"):
+            shift_distance(all_zeros(), far)
+
 
 class TestFiniteMetric:
     def test_discrete(self):
