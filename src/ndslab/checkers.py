@@ -224,23 +224,38 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
 
 
 def _class_pairs(space, m: mp.NormalMap, basis) -> list:
-    """The pairs (i, j) with m(B_i) meeting B_j; undecided pairs are left
-    out.  The circle basis is r equal arcs centred at k/r, so whether a
-    rotation carries B_i onto B_j depends on (i - j) mod r only: r tests
-    decide all r^2 pairs."""
-    if isinstance(space, sp.CircleSpace):
-        r = len(basis)
-        return [
-            (i, (i - d) % r)
-            for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])
-            for i in range(r)
-        ]
-    images = [mp.image(m, b) for b in basis]
+    """The pairs (i, j) with m(B_i) meeting B_j, in order; undecided pairs
+    are left out.  Shift pairs are an overlap join on the basis words (see
+    _shift_pairs).  The finite basis is the singletons, so {i} goes to
+    {table[i-1]} and meets that singleton only.  The circle basis is r equal
+    arcs centred at k/r, so whether a rotation carries B_i onto B_j depends
+    on (i - j) mod r only: r tests decide all r^2 pairs."""
+    if isinstance(m, mp.ShiftPowMap):
+        return _shift_pairs(m.exponent, [b.word for b in basis])
+    if isinstance(m, mp.TableMap):
+        return [(i, t - 1) for i, t in enumerate(m.table)]
+    r = len(basis)
     return [
-        (i, j)
-        for i, img in enumerate(images)
-        for j, b in enumerate(basis) if ht._meets(space, img, b)
+        (i, (i - d) % r)
+        for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])
+        for i in range(r)
     ]
+
+
+def _shift_pairs(e: int, words: list) -> list:
+    """The pairs (i, j) with sigma^e(B_i) meeting B_j, in order, for the
+    cylinders B_i carrying the full words `words[i]` on one window of width
+    w.  The image moves the window e cells left, so the two overlap in
+    w - |e| cells (none once |e| >= w) and meet exactly when they agree
+    there: w_i[e:] == w_j[:w-e] for e >= 0, w_i[:w+e] == w_j[-e:] for
+    e < 0.  Grouping the j by their slice joins each i with its matches."""
+    w = len(words[0])
+    k = min(abs(e), w)
+    own, other = (slice(k, w), slice(0, w - k)) if e >= 0 else (slice(0, w - k), slice(k, w))
+    targets = {}
+    for j, word in enumerate(words):
+        targets.setdefault(word[other], []).append(j)
+    return [(i, j) for i, word in enumerate(words) for j in targets.get(word[own], ())]
 
 
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
@@ -363,8 +378,11 @@ def check_property(
     basis_resolution: int = 2,
     horizon: int = 512,
     law_horizon: int = 2048,
+    laws: Optional[mp.SystemLaws] = None,
 ) -> Verdict:
-    """Machine-checked verdict for one property of one system."""
+    """Machine-checked verdict for one property of one system.  `laws` are
+    the system's laws at `law_horizon` when the caller derived them already
+    (one derivation serves every check of a system); None derives them."""
     if basis_resolution < 1 or horizon < 1:
         raise ValueError("basis resolution and horizon must be positive")
     cfg = {
@@ -373,7 +391,8 @@ def check_property(
         "law_horizon": law_horizon,
         "property": prop.render(),
     }
-    laws = mp.derive_laws(spec, law_horizon)
+    if laws is None:
+        laws = mp.derive_laws(spec, law_horizon)
     return PROPERTIES[prop.name][0](spec, prop, basis_resolution, horizon, laws, cfg)
 
 

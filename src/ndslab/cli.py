@@ -22,6 +22,7 @@ import time
 from . import __version__
 from . import checkers as ck
 from . import corpus as corpus_mod
+from . import maps as mp
 from . import ndsl
 from . import spaces as sp
 
@@ -139,11 +140,15 @@ def cmd_check(args) -> int:
         return 3
     checks = []
     worst = 0
+    laws = {}  # each named system's laws, derived at its first check
     for name, prop, horizon, basis in requests:
         t0 = time.perf_counter()
+        system = doc.system(name)
+        if name not in laws:
+            laws[name] = mp.derive_laws(system, args.law_horizon)
         verdict = ck.check_property(
-            doc.system(name), prop, basis_resolution=basis, horizon=horizon,
-            law_horizon=args.law_horizon,
+            system, prop, basis_resolution=basis, horizon=horizon,
+            law_horizon=args.law_horizon, laws=laws[name],
         )
         ms = (time.perf_counter() - t0) * 1000
         checks.append(

@@ -241,7 +241,7 @@ def equicontinuity_modulus(
     if not isinstance(space, sp.ShiftSpace):
         return None, "unsupported space"
     # the window f_n^(j+1) is sigma^(E(n+j) - E(n-1)) for the prefix exponents E
-    E = [mp.prefix_compose(spec, t).exponent for t in range(horizon + k)]
+    E = mp.prefix_exponents(spec, horizon + k - 1)
     window = [max(abs(E[n + j] - E[n - 1]) for j in range(k)) for n in range(1, horizon + 1)]
     worst, worst_first_half = max(window, default=0), max(window[: horizon // 2], default=0)
     if worst > worst_first_half:

@@ -70,7 +70,7 @@ def _meets(space, A, B) -> Optional[bool]:
 def _wider_than(space, A, delta: Fraction) -> Optional[bool]:
     """Is diam A > delta?  None when the enclosure cannot decide."""
     try:
-        return sp.value_cmp(sp.diameter(space, A), delta) > 0
+        return sp.diameter_exceeds(space, A, delta)
     except sp.EnclosureUndecided:
         return None
 
@@ -84,7 +84,24 @@ def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
     """The times 1..horizon grouped by their prefix map: {f_1^n: bitmask of
     those n}, in order of first occurrence.  Whether f_1^n(U) meets V or
     separates past delta depends on n only through f_1^n, so every mask
-    kernel decides each class once instead of each time."""
+    kernel decides each class once instead of each time.
+
+    Shift and circle prefix maps are powers, so their classes group the one
+    prefix-exponent array; products and finite spaces compose each map."""
+    space = spec.space
+    if not isinstance(space, (sp.ShiftSpace, sp.CircleSpace)):
+        return _composed_classes(spec, horizon)
+    by_exponent = {}
+    exponents = mp.prefix_exponents(spec, horizon)
+    for n in range(1, horizon + 1):
+        e = exponents[n]
+        by_exponent[e] = by_exponent.get(e, 0) | 1 << n
+    power = mp.ShiftPowMap if isinstance(space, sp.ShiftSpace) else mp.RotPowMap
+    return {power(e): times for e, times in by_exponent.items()}
+
+
+def _composed_classes(spec: mp.SystemSpec, horizon: int) -> dict:
+    """prefix_classes by composing f_1^n for every n."""
     classes = {}
     for n in range(1, horizon + 1):
         m = mp.prefix_compose(spec, n)

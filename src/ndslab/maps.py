@@ -555,6 +555,22 @@ def prefix_compose(spec: SystemSpec, n: int) -> NormalMap:
     return window_compose(spec, 1, n)
 
 
+def prefix_exponents(spec: SystemSpec, upto: int) -> list:
+    """[E(0), ..., E(upto)]: the exponent (shift) or rotation coefficient
+    (circle) of every prefix map f_1^n, n <= upto, read off the one cached
+    cumulative array of the underlying rule system.  A tail starting at k
+    re-bases that array at k-1; the k-th iterate takes every k-th entry."""
+    if isinstance(spec, TailSpec):
+        base = prefix_exponents(spec.base, spec.k - 1 + upto)
+        start = base[spec.k - 1]
+        return [e - start for e in base[spec.k - 1:]]
+    if isinstance(spec, IterateSpec):
+        return prefix_exponents(spec.base, spec.k * upto)[::spec.k]
+    if isinstance(spec, NdsSpec) and isinstance(spec.space, (ShiftSpace, CircleSpace)):
+        return _CUM.exponents(spec, upto)[: upto + 1]
+    raise SpaceMismatch("prefix exponents need a shift or circle system")
+
+
 # ---------------------------------------------------------------------------
 # exponent laws
 
@@ -683,9 +699,10 @@ def _all_zero_terms(rules, default) -> bool:
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
     """Telescoping detection for the cumulative exponent of shift / circle
-    systems.  Every emitted piece is validated stepwise up to `horizon`;
-    a validation failure is a hard error.  Returns None when no supported
-    structure is present (callers fall back to enumeration-only checks)."""
+    systems.  The law is validated index by index up to `horizon` against
+    `prefix_exponents`; a validation failure is a hard error.  Returns None
+    when no supported structure is present (callers fall back to
+    enumeration-only checks)."""
     if isinstance(spec, (IterateSpec, ProductSpec)):
         return None
     if not isinstance(spec.space, (ShiftSpace, CircleSpace)):
@@ -707,14 +724,13 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]
     if candidate is None:
         return None
     law = ExponentLaw(kind, tuple(candidate), horizon)
-    # validate against the composition path the engine actually uses
+    # validate against the prefix exponents every verdict path reads
+    actual = prefix_exponents(spec, horizon)
     for n in range(1, horizon + 1):
-        m = prefix_compose(spec, n)
-        actual = m.exponent if isinstance(m, ShiftPowMap) else m.coefficient
-        if law.value(n) != actual:
+        if law.value(n) != actual[n]:
             raise LawValidationError(
                 f"derived law disagrees with composition at n={n}: "
-                f"{law.value(n)} vs {actual}"
+                f"{law.value(n)} vs {actual[n]}"
             )
     return law
 

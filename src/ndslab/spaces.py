@@ -765,6 +765,26 @@ def diameter(space: SpaceDesc, A: BasicOpen) -> RationalOrEnclosure:
     raise SpaceMismatch(f"unknown open set {A!r}")
 
 
+def diameter_exceeds(space: SpaceDesc, A: BasicOpen, delta: Fraction) -> bool:
+    """Exactly: is diam A > delta?
+
+    A cylinder whose cells all lie at least D from the origin has constrained
+    weights summing below 2^(2-D), so its diameter exceeds 3 - 2^(2-D).  Once
+    2^(D-2) passes the denominator of 3 - delta that bound decides the
+    comparison, with no 2^-|i| term built for a window moved far out.  A
+    rectangle is wider than delta exactly when one of its sides is."""
+    if isinstance(A, Cylinder):
+        gap = TOTAL_WEIGHT - Fraction(delta)
+        if gap <= 0:
+            return False  # some cell is constrained, so diam A < 3
+        near = max(A.start, 1 - A.end, 0)  # the least |i| over the window
+        if near - 2 >= gap.denominator.bit_length():
+            return True
+    if isinstance(A, ProductOpen):
+        return any(diameter_exceeds(s, a, delta) for s, a in zip(space.parts, A.parts))
+    return value_cmp(diameter(space, A), delta) > 0
+
+
 def diameter_witness_pair(space: SpaceDesc, A: BasicOpen) -> tuple[Point, Point]:
     """A pair inside A attaining (shift/finite) or approaching (arc) the
     diameter; used as re-checkable separation evidence."""

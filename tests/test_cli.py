@@ -166,6 +166,29 @@ class TestExitCodes:
         assert (code, err) == (1, "")
         assert [c["status"] for c in json.loads(out)["checks"]] == ["witnessed", "refuted"]
 
+    @pytest.mark.parametrize("delta, first, longest_run", [("1/2", 1, 10), ("5/2", 5, 6)])
+    def test_forty_digit_shift_gets_sensitivity_verdicts(
+        self, ndsl_file, capsys, delta, first, longest_run
+    ):
+        # from n = 5 on the basis window sits 10^40 cells out: every image
+        # there is wider than either delta, and the basis itself (diameter
+        # 1) only wider than 1/2
+        source = f"space shift(2);\nsystem S {{ at 5: sigma^{10**40}; }}\n"
+        names = ("sensitive", "syndetically-sensitive", "thickly-sensitive", "multi-sensitive")
+        flags = [arg for name in names for arg in ("--property", f"{name}:{delta}")]
+        code, out, err = run(capsys, [
+            "check", ndsl_file(source), *flags, "--horizon", "10", "--basis", "1",
+            "--format", "json",
+        ])
+        assert (code, err) == (0, "")
+        checks = json.loads(out)["checks"]
+        assert [c["status"] for c in checks] == ["witnessed"] * 4
+        sensitive, syndetic, thick, multi = (c["evidence"] for c in checks)
+        assert sensitive["per_open"]["0"] == {"first": first}
+        assert syndetic["per_open"]["0"]["max_gap"] == first
+        assert thick["per_open"]["0"] == {"longest_run": longest_run}
+        assert multi["common_separation_time"] == first
+
     def test_any_escaping_exception_exits_four(self, ndsl_file, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ZeroDivisionError("broken\nkernel")

@@ -11,9 +11,10 @@ from fractions import Fraction
 from functools import cmp_to_key, reduce
 from operator import and_
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ndslab import chaos
 from ndslab import checkers as ck
@@ -205,6 +206,117 @@ class TestSeparationMasks:
         basis, mask = ck._sep_masks(spec, r, H, delta)
         for U in basis:
             assert mask == separation_fold(spec, U, delta, H)
+
+
+def meets_pairs(space, m, basis, rows=None) -> list:
+    """The pairs (i, j), i in `rows` (default all), with m(B_i) meeting B_j,
+    one intersection test each."""
+    return [
+        (i, j) for i in (range(len(basis)) if rows is None else rows)
+        for j, b in enumerate(basis) if ht._meets(space, mp.image(m, basis[i]), b)
+    ]
+
+
+class TestClassPairs:
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_overlap_join_matches_the_intersection_tests(self, alphabet, r):
+        space = sp.ShiftSpace(alphabet)
+        basis = sp.enumerate_basis(space, r)
+        # evenly spaced rows, about 10^5 intersection tests per basis
+        rows = range(0, len(basis), max(1, len(basis) ** 2 * (4 * r + 1) // 100_000))
+        for e in range(-2 * r, 2 * r + 1):
+            m = mp.ShiftPowMap(e)
+            got = [(i, j) for i, j in ck._class_pairs(space, m, basis) if i in rows]
+            assert got == meets_pairs(space, m, basis, rows), e
+
+    @given(st.integers(2, 3), st.integers(1, 2), st.integers(-12, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_pairs_clear_of_the_window_are_every_pair(self, alphabet, r, e):
+        words = [b.word for b in sp.enumerate_basis(sp.ShiftSpace(alphabet), r)]
+        pairs = ck._shift_pairs(e, words)
+        assert (len(pairs) == len(words) ** 2) == (abs(e) > 2 * r)
+
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)))
+    @settings(max_examples=60, deadline=None)
+    def test_table_pairs_match_the_intersection_tests(self, table):
+        space = sp.FiniteSpace(len(table))
+        basis = sp.enumerate_basis(space, 1)
+        m = mp.TableMap(table)
+        assert ck._class_pairs(space, m, basis) == meets_pairs(space, m, basis)
+
+
+# every derived shape over a shift or circle rule system: (tail index a,
+# iterate order b) -> system
+SHAPES = {
+    "rules": lambda spec, a, b: spec,
+    "nested-tail": lambda spec, a, b: mp.TailSpec(mp.TailSpec(spec, a), b),
+    "iterate": lambda spec, a, b: mp.IterateSpec(spec, b),
+    "iterate-of-tail": lambda spec, a, b: mp.IterateSpec(mp.TailSpec(spec, a), b),
+}
+
+power_rules = st.one_of(shift_ap(), shift_pow(), circle_systems())
+
+
+def power_of(m) -> int:
+    return m.exponent if isinstance(m, mp.ShiftPowMap) else m.coefficient
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+class TestPrefixExponentArray:
+    @given(power_rules, st.integers(2, 5), st.integers(2, 3), st.integers(0, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_exponents_match_the_composition_walk(self, shape, rules, a, b, H):
+        spec = SHAPES[shape](rules, a, b)
+        walk = [power_of(mp.prefix_compose(spec, n)) for n in range(H + 1)]
+        assert mp.prefix_exponents(spec, H) == walk
+
+    @given(power_rules, st.integers(2, 5), st.integers(2, 3), st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_array_classes_match_the_composition_walk(self, shape, rules, a, b, H):
+        # the same maps, the same times and the same order of first occurrence
+        spec = SHAPES[shape](rules, a, b)
+        classes = ht.prefix_classes(spec, H)
+        assert list(classes.items()) == list(ht._composed_classes(spec, H).items())
+
+
+def constant_power(space):
+    term = mp.ShiftPowTerm if isinstance(space, sp.ShiftSpace) else mp.RotPowTerm
+    return st.integers(-3, 3).map(lambda c: mp.NdsSpec(space, (), term(c)))
+
+
+# systems whose exponent law mostly derives: telescoping progressions and
+# constant powers (their nested tails too) and telescoping power patterns
+lawful_systems = st.one_of(
+    shift_pow(),
+    st.builds(
+        lambda spec, a, b: mp.TailSpec(mp.TailSpec(spec, a), b),
+        st.one_of(shift_ap().map(lambda spec: mp.NdsSpec(SHIFT, spec.rules)),
+                  constant_power(SHIFT), constant_power(sp.CircleSpace())),
+        st.integers(1, 5), st.integers(1, 5),
+    ),
+)
+
+
+@given(lawful_systems, st.integers(1, 64), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_planted_wrong_law_still_raises(spec, n, off):
+    """A law off by `off` at n alone fails validation at exactly n."""
+    law = mp.derive_exponent_law(spec, 64)
+    assume(law is not None)  # some tails cut a telescoping pair out of step
+    wrong = mp.LawPiece(mp.EqualsPattern(n), 0, law.value(n) + off)
+    with mock.patch.object(mp, "_law_candidate", lambda source: [wrong, *law.pieces]):
+        with pytest.raises(mp.LawValidationError, match=f"at n={n}: "):
+            mp.derive_exponent_law(spec, 64)
+
+
+def test_prefix_exponents_need_a_power_system():
+    finite = mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 1)))
+    product = mp.ProductSpec((mp.NdsSpec(SHIFT), mp.NdsSpec(SHIFT)))
+    for spec in (finite, product, mp.TailSpec(product, 2)):
+        with pytest.raises(sp.SpaceMismatch):
+            mp.prefix_exponents(spec, 4)
 
 
 def cover_fold(spec, U, horizon):
@@ -431,16 +543,26 @@ STEP_FOLDS = {
 }
 
 
-def test_only_the_oracles_and_per_step_questions_read_step_maps():
-    """Verdict and scan paths take f_1^n from prefix_compose or prefix_classes;
-    a function that reads step_normal is one of the named stepwise paths."""
+# the functions that compose f_1^n one time at a time: the walk behind the
+# product and finite prefix classes, the evidence re-check, the Li-Yorke tail
+# and lemma-2.1 time search (over any space) and one corpus structure check;
+# laws, shift and circle classes and equicontinuity read prefix_exponents
+PREFIX_WALKS = {
+    "_composed_classes", "recheck_verdict", "_all_pairs_meet", "li_yorke_scan",
+    "lemma21_construct", "_run_interleave",
+}
+
+
+def readers_of(name: str) -> set:
+    """The functions of the package (or "<file> (module level)") whose body
+    names `name`, as a call or a reference."""
     readers = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "step_normal" or (
-            isinstance(node, ast.Name) and node.id == "step_normal"
+        if isinstance(node, ast.Attribute) and node.attr == name or (
+            isinstance(node, ast.Name) and node.id == name
         ):
             readers.add(owner)
         for child in ast.iter_child_nodes(node):
@@ -448,4 +570,17 @@ def test_only_the_oracles_and_per_step_questions_read_step_maps():
 
     for path in sorted(Path(mp.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), f"{path.name} (module level)")
-    assert readers == STEP_FOLDS
+    return readers
+
+
+def test_only_the_oracles_and_per_step_questions_read_step_maps():
+    """Verdict and scan paths take f_1^n from prefix_compose or prefix_classes;
+    a function that reads step_normal is one of the named stepwise paths."""
+    assert readers_of("step_normal") == STEP_FOLDS
+
+
+def test_only_the_named_walks_compose_prefix_maps():
+    """derive_exponent_law and the shift and circle prefix classes read the
+    one prefix-exponent array; a function that calls prefix_compose is one of
+    the named walks."""
+    assert readers_of("prefix_compose") == PREFIX_WALKS

@@ -24,12 +24,15 @@ from ndslab.spaces import (
     FiniteId,
     FiniteSet,
     FiniteSpace,
+    ProductOpen,
+    ProductSpace,
     ShiftSpace,
     SpaceMismatch,
     all_ones,
     all_zeros,
     contains,
     diameter,
+    diameter_exceeds,
     diameter_witness_pair,
     distance,
     enumerate_basis,
@@ -371,6 +374,26 @@ class TestDiameter:
     def test_singleton_and_arc(self):
         assert diameter(FiniteSpace(3), FiniteSet(frozenset({1}))) == 0
         assert diameter(CIRCLE, Arc(AffineAngle(Fraction(0)), Fraction(1, 8))) == Fraction(1, 4)
+
+    @given(
+        st.integers(-60, 60),
+        st.lists(st.sampled_from([0, 1, None]), min_size=1, max_size=6).filter(
+            lambda w: any(s is not None for s in w)),
+        st.one_of(st.fractions(0, 4, max_denominator=1 << 12),
+                  st.integers(1, 40).map(lambda k: 3 - Fraction(1, 1 << k))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exceeds_matches_the_exact_diameter(self, start, word, delta):
+        # deltas just below 3 sit where the far-window bound stops deciding
+        cyl = Cylinder(start, tuple(word))
+        assert diameter_exceeds(SHIFT, cyl, delta) == (diameter(SHIFT, cyl) > delta)
+
+    def test_exceeds_decides_a_window_moved_far_out(self):
+        far = Cylinder(10**40, (1, 0, 1))
+        assert diameter_exceeds(SHIFT, far, Fraction(5, 2))
+        assert not diameter_exceeds(SHIFT, far, Fraction(3))
+        rect = ProductOpen((Cylinder(0, (1,)), far))
+        assert diameter_exceeds(ProductSpace((SHIFT, SHIFT)), rect, Fraction(2))
 
 
 class TestBasis:
