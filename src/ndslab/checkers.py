@@ -191,15 +191,16 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     exponent |e| > 2r moves the basis window clear of [-r, r], so all those
     classes form one saturated class that hits every pair.  A product pair
     meets exactly when every component pair does, so product masks are the
-    AND of the component masks."""
+    AND of the component masks, a tail or iterate of a product included
+    (see _components)."""
     key = (spec, resolution, horizon)
     hit = _MASK_CACHE.get(key)
     if hit is not None:
         return hit
     space = spec.space
     basis = sp.enumerate_basis(space, resolution)
-    if isinstance(spec, mp.ProductSpec):
-        parts = [_pair_masks(p, resolution, horizon) for p in spec.parts]
+    if isinstance(space, sp.ProductSpace):
+        parts = [_pair_masks(p, resolution, horizon) for p in _components(spec)]
         # enumerate_basis orders rectangles like product() orders index tuples
         index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
         masks = {
@@ -223,23 +224,47 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     return basis, masks
 
 
+def _components(spec: mp.SystemSpec) -> tuple:
+    """The component systems of a product system or of a tail or iterate of
+    one.  A product steps every part at once, so its tail (or iterate) is
+    the product of the parts' tails (or iterates)."""
+    if isinstance(spec, mp.ProductSpec):
+        return spec.parts
+    return tuple(type(spec)(part, spec.k) for part in _components(spec.base))
+
+
 def _class_pairs(space, m: mp.NormalMap, basis) -> list:
     """The pairs (i, j) with m(B_i) meeting B_j, in order; undecided pairs
     are left out.  Shift pairs are an overlap join on the basis words (see
     _shift_pairs).  The finite basis is the singletons, so {i} goes to
     {table[i-1]} and meets that singleton only.  The circle basis is r equal
     arcs centred at k/r, so whether a rotation carries B_i onto B_j depends
-    on (i - j) mod r only: r tests decide all r^2 pairs."""
+    on the offset (i - j) mod r only (see _circle_offsets)."""
     if isinstance(m, mp.ShiftPowMap):
         return _shift_pairs(m.exponent, [b.word for b in basis])
     if isinstance(m, mp.TableMap):
         return [(i, t - 1) for i, t in enumerate(m.table)]
+    if not isinstance(m, mp.RotPowMap):
+        raise sp.SpaceMismatch(f"no basis pairs for a {type(m).__name__} class")
     r = len(basis)
-    return [
-        (i, (i - d) % r)
-        for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])
-        for i in range(r)
-    ]
+    if space.alpha.kind == "sqrt2m1":
+        offsets = _circle_offsets(m.coefficient, r)
+    else:  # a declared angle may leave an offset undecided: test each one
+        offsets = [d for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])]
+    return [(i, (i - d) % r) for d in offsets for i in range(r)]
+
+
+def _circle_offsets(c: int, r: int) -> list:
+    """The offsets d in [0, r), ascending, with rot^c(B_d) meeting B_0 on
+    the builtin angle.  The arcs have radius 1/(2r), so they meet exactly
+    when y = d + r*c*alpha lies within 1 of a multiple of r.  For c != 0, y
+    is irrational, so that holds exactly when floor(y) = d + k is 0 or -1
+    mod r, with k = floor(r*c*alpha) mod r; for c = 0 only d = 0 meets, the
+    arcs at d = +-1 touching at one endpoint."""
+    if c == 0:
+        return [0]
+    k = sp.AlphaLinear(Fraction(0), Fraction(r * c)).floor() % r
+    return sorted({-k % r, (-k - 1) % r})
 
 
 def _shift_pairs(e: int, words: list) -> list:
@@ -268,8 +293,8 @@ def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fracti
     diameter for the whole basis.  A rectangle separates exactly when one of
     its sides does, so a product mask is the OR of the component masks."""
     basis = sp.enumerate_basis(spec.space, resolution)
-    if isinstance(spec, mp.ProductSpec):
-        parts = (_sep_masks(p, resolution, horizon, delta)[1] for p in spec.parts)
+    if isinstance(spec.space, sp.ProductSpace):
+        parts = (_sep_masks(p, resolution, horizon, delta)[1] for p in _components(spec))
         return basis, reduce(or_, parts)
     space = spec.space
     wide = 0
@@ -704,6 +729,7 @@ def _universal_l(masks, m: int, H: int) -> int:
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
     stats = {}
+    freq = {}  # the gap statistics depend on the mask alone, and pairs share masks
     worst_gap = 0
     worst_eventual = 0
     for (i, j), mask in sorted(masks.items()):
@@ -716,7 +742,9 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 {"unhit_pair": f"{i}->{j}"},
                 ("a pair never hit within the horizon",),
             )
-        max_gap, eventual, _, _ = ht._frequency(mask, H)
+        if mask not in freq:
+            freq[mask] = ht._frequency(mask, H)
+        max_gap, eventual, _, _ = freq[mask]
         worst_gap = max(worst_gap, max_gap)
         worst_eventual = max(worst_eventual, eventual)
         stats[f"{i}->{j}"] = {"max_gap": max_gap, "eventual_max_gap": eventual}

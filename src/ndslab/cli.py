@@ -28,6 +28,10 @@ from . import spaces as sp
 
 SCHEMA_VERSION = 1
 
+# the largest horizon or law horizon a check accepts: the prefix-exponent
+# array and every hit mask are filled eagerly up to it
+MAX_HORIZON = 10**6
+
 
 class _UsageError(Exception):
     pass
@@ -55,9 +59,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; defaults to the file's check directives)",
     )
     chk.add_argument("--system", default=None, help="system name (default: first defined)")
-    chk.add_argument("--horizon", type=int, default=512)
+    chk.add_argument(
+        "--horizon", type=int, default=512,
+        help=f"times checked, 1 to {MAX_HORIZON} (check directives may set their own)",
+    )
     chk.add_argument("--basis", type=int, default=2)
-    chk.add_argument("--law-horizon", type=int, default=2048)
+    chk.add_argument(
+        "--law-horizon", type=int, default=2048,
+        help=f"indices each derived law is validated to, 1 to {MAX_HORIZON}",
+    )
     chk.add_argument("--format", choices=("table", "json"), default="table")
     chk.add_argument(
         "--diagnostics-json", action="store_true",
@@ -188,18 +198,20 @@ def cmd_check(args) -> int:
 
 
 def _size_problem(args, doc, requests):
-    """The first size below its least value, over the flags and every check
-    request: horizons and the law horizon need at least 1, a basis at least
-    the resolution its space admits (spaces.min_resolution)."""
-    sizes = [("--horizon", args.horizon, 1), ("--basis", args.basis, 1),
-             ("--law-horizon", args.law_horizon, 1)]
+    """The first size out of its range, over the flags and every check
+    request: horizons and the law horizon run from 1 to MAX_HORIZON, a basis
+    needs at least the resolution its space admits (spaces.min_resolution)."""
+    sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
+             ("--law-horizon", args.law_horizon, 1, MAX_HORIZON)]
     for name, prop, horizon, basis in requests:
         where = f"check {name} {prop.render()}:"
-        sizes.append((f"{where} horizon", horizon, 1))
-        sizes.append((f"{where} basis", basis, sp.min_resolution(doc.system(name).space)))
-    for label, value, least in sizes:
+        sizes.append((f"{where} horizon", horizon, 1, MAX_HORIZON))
+        sizes.append((f"{where} basis", basis, sp.min_resolution(doc.system(name).space), None))
+    for label, value, least, most in sizes:
         if value < least:
             return f"{label} must be at least {least}, got {value}"
+        if most is not None and value > most:
+            return f"{label} must be at most {most}, got {value}"
     return None
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from typing import Optional, Union
 
@@ -507,9 +508,10 @@ class _Cumulative:
     def exponents(self, spec: NdsSpec, upto: int) -> list:
         with self._lock:
             cum = self._exponents.setdefault(spec, [0])
-            while len(cum) <= upto:
-                i = len(cum)
-                cum.append(cum[-1] + term_exponent(eval_term(spec, i)))
+            if len(cum) <= upto:
+                steps = _step_exponents(spec, len(cum), upto)
+                steps[0] += cum[-1]
+                cum.extend(accumulate(steps))
             return cum
 
     def tables(self, spec: NdsSpec, upto: int) -> list:
@@ -522,6 +524,54 @@ class _Cumulative:
 
 
 _CUM = _Cumulative()
+
+
+def _step_exponents(spec: NdsSpec, lo: int, hi: int) -> list:
+    """[exponent of f_i for lo <= i <= hi]: each rule's term in closed form
+    over its matches (a family term is coeff*k + add at the k-th match), so
+    no index is dispatched through eval_term."""
+    pieces = [
+        (r.pattern, r.term.coeff, r.term.add) if isinstance(r.term, FamilyTerm)
+        else (r.pattern, 0, term_exponent(r.term))
+        for r in spec.rules
+    ]
+    return _closed_fill(pieces, lo, hi, term_exponent(spec.default))
+
+
+def _closed_fill(pieces, lo: int, hi: int, default) -> list:
+    """[v(n) for lo <= n <= hi]: v(n) = per_ordinal*k + constant from the
+    first piece (pattern, per_ordinal, constant) whose pattern matches n,
+    with k the match ordinal, and `default` where none matches.  The pieces
+    are laid down last to first, so an earlier one overwrites a later one
+    where both match; each writes its matches run by run (_runs) as one
+    slice of an arithmetic range."""
+    out = [default] * (hi - lo + 1)
+    for pattern, per, const in reversed(pieces):
+        for first, step, count, k in _runs(pattern, lo, hi):
+            at = slice(first - lo, first - lo + step * (count - 1) + 1, step)
+            out[at] = range(per * k + const, per * (k + count) + const, per) if per else [const] * count
+    return out
+
+
+def _runs(pattern: IndexPattern, lo: int, hi: int) -> list:
+    """The matches of `pattern` within [lo, hi] as runs (first index,
+    stride, count, ordinal of the first); the ordinal rises by one per step
+    of a run."""
+    if isinstance(pattern, ElsePattern):
+        return [(lo, 1, hi - lo + 1, lo)] if lo <= hi else []
+    if isinstance(pattern, EqualsPattern):
+        return [(pattern.value, 1, 1, 1)] if lo <= pattern.value <= hi else []
+    if isinstance(pattern, ArithProgPattern):
+        skipped = max(0, -((pattern.first - lo) // pattern.step))  # matches below lo
+        n = pattern.first + skipped * pattern.step
+        return [(n, pattern.step, (hi - n) // pattern.step + 1, skipped + 1)] if n <= hi else []
+    runs = []  # power pattern: base^k + offset for k = 1, 2, ...
+    power, k = pattern.base, 1
+    while power + pattern.offset <= hi:
+        if power + pattern.offset >= lo:
+            runs.append((power + pattern.offset, 1, 1, k))
+        power, k = power * pattern.base, k + 1
+    return runs
 
 
 def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
@@ -699,7 +749,7 @@ def _all_zero_terms(rules, default) -> bool:
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
     """Telescoping detection for the cumulative exponent of shift / circle
-    systems.  The law is validated index by index up to `horizon` against
+    systems.  The law is validated at every index up to `horizon` against
     `prefix_exponents`; a validation failure is a hard error.  Returns None
     when no supported structure is present (callers fall back to
     enumeration-only checks)."""
@@ -724,14 +774,18 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]
     if candidate is None:
         return None
     law = ExponentLaw(kind, tuple(candidate), horizon)
-    # validate against the prefix exponents every verdict path reads
+    # validate against the prefix exponents every verdict path reads: the
+    # law's values fill one array like the rules do, and only a mismatch is
+    # walked index by index to report the first n it fails at
     actual = prefix_exponents(spec, horizon)
-    for n in range(1, horizon + 1):
-        if law.value(n) != actual[n]:
-            raise LawValidationError(
-                f"derived law disagrees with composition at n={n}: "
-                f"{law.value(n)} vs {actual[n]}"
-            )
+    pieces = [(p.pattern, p.per_ordinal, p.constant) for p in law.pieces]
+    if _closed_fill(pieces, 1, horizon, None) != actual[1:]:
+        for n in range(1, horizon + 1):
+            if law.value(n) != actual[n]:
+                raise LawValidationError(
+                    f"derived law disagrees with composition at n={n}: "
+                    f"{law.value(n)} vs {actual[n]}"
+                )
     return law
 
 

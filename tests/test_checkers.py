@@ -7,6 +7,7 @@ import pytest
 
 from ndslab import checkers as ck
 from ndslab import maps as mp
+from ndslab import ndsl
 from ndslab import spaces as sp
 
 SHIFT = sp.ShiftSpace()
@@ -349,3 +350,29 @@ class TestParameterValidation:
     def test_unknown_property(self):
         with pytest.raises(ValueError):
             ck.check_property(CONST_SIGMA, ck.PropertyKind("nonsense"), 1, 8)
+
+
+TAIL_OF_PRODUCT = """space shift(2);
+system F { at ap(1,2,k): sigma^k; at ap(2,2,k): sigma^-k; }
+system G { else: sigma^1; }
+system P = product(F, G);
+system T = tail(P, 3);
+system I = iterate(P, 2);
+"""
+
+
+@pytest.mark.parametrize("name", ["T", "I"])
+def test_derived_products_get_verdicts_that_recheck(name):
+    """A tail or iterate of a product keys its classes by product maps; its
+    pair masks come from the parts' tails or iterates, as the per-time test
+    decides them."""
+    spec = ndsl.parse(TAIL_OF_PRODUCT).system(name)
+    v = ck.check_property(spec, ck.transitive(), 1, 16)
+    assert ck.recheck_verdict(spec, v)
+    basis, masks = ck._pair_masks(spec, 1, 16)
+    for (i, j), mask in sorted(masks.items())[::17]:  # 241 of the 4096 pairs
+        hits = sum(
+            1 << n for n in range(1, 17)
+            if sp.intersects(spec.space, mp.image(mp.prefix_compose(spec, n), basis[i]), basis[j])
+        )
+        assert mask == hits, (i, j)

@@ -207,6 +207,40 @@ class TestExitCodes:
         ])
         assert code == 3 and "must be at least 1" in err
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Fail fast instead of filling arrays and masks up to the bound,
+        should a size past it ever get through."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a size past the bound reached the kernels")
+
+        monkeypatch.setattr(cli.mp, "derive_laws", refuse)
+        monkeypatch.setattr(cli.ck, "check_property", refuse)
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--law-horizon"])
+    def test_horizon_flag_past_the_bound_exits_three(self, ndsl_file, capsys, no_work, flag):
+        over = str(cli.MAX_HORIZON + 1)
+        code, out, err = run(capsys, [
+            "check", ndsl_file(EX36), "--property", "transitive", "--basis", "1", flag, over,
+        ])
+        assert code == 3 and out == ""
+        assert err == f"ndslab: {flag} must be at most {cli.MAX_HORIZON}, got {over}\n"
+
+    def test_directive_horizon_past_the_bound_exits_three(self, ndsl_file, capsys, no_work):
+        over = cli.MAX_HORIZON + 1
+        code, out, err = run(capsys, [
+            "check", ndsl_file(EX36 + f"check F transitive horizon {over} basis 1;\n"),
+        ])
+        assert code == 3 and out == ""
+        assert err == (f"ndslab: check F transitive: horizon must be at most "
+                       f"{cli.MAX_HORIZON}, got {over}\n")
+
+    def test_help_gives_the_horizon_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["check", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.count(f"1 to {cli.MAX_HORIZON}") == 2 and cli.MAX_HORIZON >= 10**6
+
     @pytest.mark.parametrize("system", ["F", "P"])
     def test_circle_basis_one_exits_three(self, ndsl_file, capsys, system):
         # arcs at resolution 1 would have radius 1/2: not an open arc

@@ -9,6 +9,7 @@ that differs from the fold."""
 import ast
 from fractions import Fraction
 from functools import cmp_to_key, reduce
+from itertools import accumulate
 from operator import and_
 from pathlib import Path
 from unittest import mock
@@ -246,6 +247,98 @@ class TestClassPairs:
         m = mp.TableMap(table)
         assert ck._class_pairs(space, m, basis) == meets_pairs(space, m, basis)
 
+    def test_classes_of_no_basis_kind_are_refused(self):
+        space = sp.ProductSpace((SHIFT, SHIFT))
+        m = mp.ProductMap((mp.ShiftPowMap(1), mp.ShiftPowMap(0)))
+        with pytest.raises(sp.SpaceMismatch):
+            ck._class_pairs(space, m, sp.enumerate_basis(space, 1))
+
+
+def offset_pairs(space, m, basis) -> list:
+    """The circle class pairs from one intersection test per offset d,
+    rot^c(B_d) against B_0, spread over every i; undecided offsets are
+    left out."""
+    r = len(basis)
+    return [
+        (i, (i - d) % r)
+        for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])
+        for i in range(r)
+    ]
+
+
+CIRCLE_COEFFICIENTS = [0, 10**40, -10**40] + [s * c for c in range(1, 301) for s in (1, -1)]
+
+
+class TestCircleClassPairs:
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_builtin_angle_offsets_match_the_intersection_tests(self, r):
+        space = sp.CircleSpace()
+        basis = sp.enumerate_basis(space, r)
+        for c in CIRCLE_COEFFICIENTS:
+            m = mp.RotPowMap(c)
+            assert ck._class_pairs(space, m, basis) == offset_pairs(space, m, basis), c
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_builtin_angle_offsets_match_every_pair(self, r):
+        space = sp.CircleSpace()
+        basis = sp.enumerate_basis(space, r)
+        for c in [0, 10**40, -10**40] + list(range(-20, 21)):
+            m = mp.RotPowMap(c)
+            assert sorted(ck._class_pairs(space, m, basis)) == meets_pairs(space, m, basis), c
+
+    @pytest.mark.parametrize("alpha", CUSTOM_ALPHAS, ids=lambda a: str(a.center))
+    def test_a_declared_angle_drops_exactly_the_undecided_offsets(self, alpha):
+        space = sp.CircleSpace(alpha)
+        dropped = 0
+        for r in range(2, 9):
+            basis = sp.enumerate_basis(space, r)
+            for c in range(-24, 25):
+                m = mp.RotPowMap(c)
+                outcome = [ht._meets(space, mp.image(m, basis[d]), basis[0]) for d in range(r)]
+                dropped += outcome.count(None)
+                kept = [(i, (i - d) % r) for d in range(r) if outcome[d] for i in range(r)]
+                assert ck._class_pairs(space, m, basis) == kept, (r, c)
+        assert dropped  # the angle really leaves offsets undecided
+
+
+def product_parts(kinds):
+    """Strategies for the component systems of a product, one per kind."""
+    kinds_to_parts = {
+        "shift": shift_systems, "circle": circle_systems(), "finite": finite_systems(),
+    }
+    return st.tuples(*(kinds_to_parts[k] for k in kinds)).map(mp.ProductSpec)
+
+
+@pytest.mark.parametrize("kinds, r", [
+    (("shift", "shift"), 1), (("shift", "circle"), 2), (("finite", "shift"), 1),
+])
+class TestDerivedProductMasks:
+    """A tail or iterate of a product is not a ProductSpec, but its prefix
+    maps are still product maps: its masks must equal the per-time test."""
+
+    @given(st.data(), st.sampled_from(["tail", "iterate"]), st.integers(2, 4), st.integers(1, 6))
+    @settings(max_examples=12, deadline=None)
+    def test_pair_masks_match_the_per_time_oracle(self, kinds, r, data, shape, k, H):
+        product = data.draw(product_parts(kinds))
+        spec = mp.TailSpec(product, k) if shape == "tail" else mp.IterateSpec(product, k)
+        basis, masks = ck._pair_masks(spec, r, H)
+        assert len(masks) == len(basis) ** 2
+        # every third row: its images folded once, then tested on every column
+        for i in range(0, len(basis), 3):
+            images = list(folded_images(spec, basis[i], H))
+            for j, V in enumerate(basis):
+                hits = bits(n for n, img in images if ht._meets(spec.space, img, V))
+                assert masks[(i, j)] == hits, (i, j)
+
+    @given(st.data(), st.sampled_from(["tail", "iterate"]), st.integers(2, 4), st.integers(1, 6),
+           DELTAS)
+    @settings(max_examples=12, deadline=None)
+    def test_separation_masks_match_the_per_time_fold(self, kinds, r, data, shape, k, H, delta):
+        product = data.draw(product_parts(kinds))
+        spec = mp.TailSpec(product, k) if shape == "tail" else mp.IterateSpec(product, k)
+        basis, mask = ck._sep_masks(spec, r, H, delta)
+        assert mask == separation_fold(spec, basis[0], delta, H)
+
 
 # every derived shape over a shift or circle rule system: (tail index a,
 # iterate order b) -> system
@@ -302,13 +395,105 @@ lawful_systems = st.one_of(
 @given(lawful_systems, st.integers(1, 64), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_a_planted_wrong_law_still_raises(spec, n, off):
-    """A law off by `off` at n alone fails validation at exactly n."""
+    """A law off by `off` at n alone fails validation at exactly n, with the
+    text an index-by-index check gives."""
     law = mp.derive_exponent_law(spec, 64)
     assume(law is not None)  # some tails cut a telescoping pair out of step
-    wrong = mp.LawPiece(mp.EqualsPattern(n), 0, law.value(n) + off)
+    right = law.value(n)
+    wrong = mp.LawPiece(mp.EqualsPattern(n), 0, right + off)
     with mock.patch.object(mp, "_law_candidate", lambda source: [wrong, *law.pieces]):
-        with pytest.raises(mp.LawValidationError, match=f"at n={n}: "):
+        with pytest.raises(mp.LawValidationError) as caught:
             mp.derive_exponent_law(spec, 64)
+    assert str(caught.value) == (
+        f"derived law disagrees with composition at n={n}: {right + off} vs {right}"
+    )
+
+
+def with_overlaps(space, rules, default) -> mp.NdsSpec:
+    """An NdsSpec built without the disjointness check, so patterns may
+    share indices and the first matching rule decides them."""
+    with mock.patch.object(mp, "_patterns_overlap", lambda p, q: None):
+        return mp.NdsSpec(space, tuple(rules), default)
+
+
+patterns = st.one_of(
+    st.integers(1, 80).map(mp.EqualsPattern),
+    st.builds(mp.ArithProgPattern, st.integers(1, 12), st.integers(1, 9)),
+    st.builds(mp.PowerPattern, st.integers(2, 4), st.integers(0, 6)),
+    st.just(mp.ElsePattern()),
+)
+# coefficients and constants: zero, negative and 40-digit ones
+amounts = st.one_of(st.integers(-3, 3), st.sampled_from([10**40, -(10**40) + 1]))
+rule_terms = st.one_of(
+    st.builds(mp.FamilyTerm, st.just("shift"), amounts, amounts),
+    amounts.map(mp.ShiftPowTerm),
+)
+
+
+def stepwise_exponents(spec, upto) -> list:
+    """E(0..upto) summed one eval_term dispatch at a time."""
+    steps = (mp.term_exponent(mp.eval_term(spec, i)) for i in range(1, upto + 1))
+    return list(accumulate(steps, initial=0))
+
+
+class TestExponentFill:
+    @given(st.lists(st.tuples(patterns, rule_terms), max_size=5), amounts,
+           st.lists(st.integers(0, 90), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_fill_matches_the_stepwise_dispatch(self, rules, default, stops):
+        spec = with_overlaps(SHIFT, (mp.Rule(p, t) for p, t in rules), mp.ShiftPowTerm(default))
+        mp._CUM._exponents.pop(spec, None)
+        # grown in several steps, each extension filled from the last entry
+        for upto in sorted(stops):
+            assert mp._CUM.exponents(spec, upto)[: upto + 1] == stepwise_exponents(spec, upto)
+
+    @given(st.lists(st.tuples(patterns, rule_terms), max_size=4), st.integers(-3, 3),
+           st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_circle_and_derived_arrays_match_the_stepwise_dispatch(self, rules, default, H):
+        rot = [(p, mp.FamilyTerm("rot", t.coeff, t.add) if isinstance(t, mp.FamilyTerm)
+                else mp.RotPowTerm(t.exponent)) for p, t in rules]
+        spec = with_overlaps(sp.CircleSpace(), (mp.Rule(p, t) for p, t in rot), mp.RotPowTerm(default))
+        base = stepwise_exponents(spec, 3 * H + 4)
+        assert mp.prefix_exponents(spec, H) == base[: H + 1]
+        assert mp.prefix_exponents(mp.TailSpec(spec, 4), H) == [e - base[3] for e in base[3: H + 4]]
+        assert mp.prefix_exponents(mp.IterateSpec(spec, 3), H) == base[: 3 * H + 1: 3]
+
+    def test_a_law_missing_an_index_raises_the_uncovered_text(self):
+        spec = mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(0))
+        partial = [mp.LawPiece(mp.ArithProgPattern(1, 2), 0, 0)]  # n = 2 is uncovered
+        with mock.patch.object(mp, "_law_candidate", lambda source: partial):
+            with pytest.raises(mp.LawValidationError) as caught:
+                mp.derive_exponent_law(spec, 8)
+        assert str(caught.value) == "law has no piece covering index 2"
+
+
+def test_arrays_and_laws_need_no_index_dispatch(monkeypatch):
+    """The exponent fill and a passing law validation call neither
+    eval_term nor ExponentLaw.value: both read closed forms."""
+    ap = mp.NdsSpec(SHIFT, (
+        mp.Rule(mp.ArithProgPattern(1, 2), mp.FamilyTerm("shift", 2, 1)),
+        mp.Rule(mp.ArithProgPattern(2, 2), mp.FamilyTerm("shift", -2, -1)),
+    ), name="pinned-ap")
+    power = mp.NdsSpec(sp.CircleSpace(), (
+        mp.Rule(mp.PowerPattern(3, 0), mp.FamilyTerm("rot", 1)),
+        mp.Rule(mp.PowerPattern(3, 1), mp.FamilyTerm("rot", -1)),
+    ), name="pinned-power")
+    constant = mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(3), name="pinned-constant")
+    systems = [ap, power, constant, mp.TailSpec(ap, 3), mp.TailSpec(mp.TailSpec(constant, 2), 3),
+               mp.IterateSpec(power, 2), mp.IterateSpec(mp.TailSpec(ap, 2), 3)]
+    expected = [mp.prefix_exponents(spec, 300) for spec in systems]
+    for spec in (ap, power, constant):
+        mp._CUM._exponents.pop(spec, None)
+
+    def dispatch(*args):
+        raise AssertionError("index dispatch on a closed-form path")
+
+    monkeypatch.setattr(mp, "eval_term", dispatch)
+    monkeypatch.setattr(mp.ExponentLaw, "value", dispatch)
+    assert [mp.prefix_exponents(spec, 300) for spec in systems] == expected
+    laws = [mp.derive_exponent_law(spec, 300) for spec in systems]
+    assert all(law is not None for law in laws[:5])  # iterates derive no law
 
 
 def test_prefix_exponents_need_a_power_system():
