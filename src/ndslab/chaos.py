@@ -52,9 +52,11 @@ def _shift_tail_extremes(x: sp.BiWord, y: sp.BiWord, exponents: list) -> tuple:
     periodic (lp) below lo and (rp) from hi on, so every value is an integer
     over Q = (2^lp - 1)(2^rp - 1) 2^K, with K = hi - lo plus the distance of
     the farthest exponent from the windows on a side whose tail correction
-    (below) is non-zero.  A gap between exponents up to the pair's extent
-    (hi - lo + lp + rp) is walked with the recurrence; a wider one is
-    re-seeded in closed form, so no cost grows with |E|.
+    (below) is non-zero.  Over a gap of g cells up to the pair's extent
+    (hi - lo + lp + rp) the recurrence folds to R <- 2^g R - 2Q M_r and
+    L <- (L + Q M_l) / 2^g, with M_r and M_l the gap's disagreement masks
+    read in the two directions; a wider gap is re-seeded in closed form, so
+    no cost grows with |E|.
     """
     for p in (x, y):
         if not isinstance(p, sp.BiWord):
@@ -103,16 +105,24 @@ def _shift_tail_extremes(x: sp.BiWord, y: sp.BiWord, exponents: list) -> tuple:
         return inside(e, k)
 
     extent = w + lp + rp
-    sums = []
-    for i, e in enumerate(exponents):
-        if i and e - exponents[i - 1] <= extent:
-            for j in range(exponents[i - 1], e):
-                if x.coord(j) != y.coord(j):
-                    r, l = r - q, l + q
-                r, l = r << 1, l >> 1
-        else:
-            r, l = seed(e)
+    sums, i = [], 0
+    while i < len(exponents):
+        # a run of exponents at most the extent apart: seed its first one,
+        # then step over each gap [E, E+g) at once off the run's one mask
+        j = i
+        while j + 1 < len(exponents) and exponents[j + 1] - exponents[j] <= extent:
+            j += 1
+        a, b = exponents[i], exponents[j]
+        r, l = seed(a)
         sums.append(r + l)
+        cells = format(bits(a, b), f"0{b - a}b")  # delta_E at index E - a
+        for e0, e in zip(exponents[i:j], exponents[i + 1 : j + 1]):
+            g, gap = e - e0, cells[e0 - a : e - a]
+            # the masks of [E, E+g) with cell E high (M_r) and cell E+g-1 high (M_l)
+            r = (r << g) - 2 * q * int(gap, 2)
+            l = (l + q * int(gap[::-1], 2)) >> g
+            sums.append(r + l)
+        i = j + 1
     return Fraction(min(sums), q), Fraction(max(sums), q)
 
 
@@ -134,9 +144,12 @@ def li_yorke_scan(
     if horizon < 1:
         raise ValueError(f"the Li-Yorke horizon must be at least 1, got {horizon}")
     space = spec.space
-    times = range(max(1, horizon // 2), horizon + 1)
-    tail = dict.fromkeys(mp.prefix_compose(spec, n) for n in times)
-    exponents = sorted({m.exponent for m in tail}) if isinstance(space, sp.ShiftSpace) else None
+    start = max(1, horizon // 2)
+    if isinstance(space, sp.ShiftSpace):
+        exponents = sorted(set(mp.prefix_exponents(spec, horizon)[start:]))
+    else:
+        exponents = None
+        tail = dict.fromkeys(mp.prefix_compose(spec, n) for n in range(start, horizon + 1))
     reports = []
     for idx, (x, y) in enumerate(candidates):
         if exponents is not None:
@@ -233,10 +246,13 @@ def lemma21_construct(
     base = level_sets[0][0]
     blocks = [(base.start, base.end - 1)]
     times, shifts = [], []
+    exps = [0]  # E(0..len-1), read in chunks that double as the search goes on
     for i, (A_i, _B_i) in enumerate(level_sets, start=1):
         chosen = None
         for p in range(times[-1] + 1 if times else 1, horizon + 1):
-            e = mp.prefix_compose(spec, p).exponent
+            if p == len(exps):
+                exps = mp.prefix_exponents(spec, min(horizon, 2 * p))
+            e = exps[p]
             lo, hi = A_i.start + e, A_i.end - 1 + e
             if all(hi < blo - 1 or lo > bhi + 1 for blo, bhi in blocks):
                 chosen = (p, e, lo, hi)
@@ -272,22 +288,20 @@ def lemma21_construct(
 
 
 def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
-    """Independent check: compose the step maps of each segment
-    (p_(i-1), p_i] once, then move every witness through the K segment maps,
-    testing cylinder membership at each p_i.  It never reads prefix
-    exponents or laws."""
+    """Independent check: compose the step maps up to each p_i, one segment
+    (p_(i-1), p_i] after another, pull both level-i targets back through
+    that map once, and test every witness against the pulled-back cylinders
+    at every level.  It never reads prefix exponents, `maps._CUM` or laws,
+    and never moves a point."""
     space = spec.space
-    segments, n = [], 0
-    for p in times:
-        m = mp.identity_map(space)
+    pulled, m, n = [], mp.identity_map(space), 0
+    for p, targets in zip(times, level_sets):
         for step in range(n + 1, p + 1):
             m = mp.compose(mp.step_normal(spec, step), m)
-        segments.append(m)
         n = p
-    for label, x in witnesses.items():
-        point = x
-        for m, choice, targets in zip(segments, label, level_sets):
-            point = mp.apply(m, point)
-            if not sp.contains(space, targets[0] if choice == "A" else targets[1], point):
-                return False
-    return True
+        pulled.append(dict(zip("AB", (mp.preimage(m, t) for t in targets))))
+    return all(
+        sp.contains(space, level[choice], x)
+        for label, x in witnesses.items()
+        for level, choice in zip(pulled, label)
+    )

@@ -315,10 +315,8 @@ class ProductSpec:
     def __post_init__(self):
         if len(self.parts) < 2:
             raise ValueError("a product system needs at least two components")
-
-    @property
-    def space(self):
-        return ProductSpace(tuple(p.space for p in self.parts))
+        # built once, not per read; not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "space", ProductSpace(tuple(p.space for p in self.parts)))
 
 
 SystemSpec = Union[NdsSpec, TailSpec, IterateSpec, ProductSpec]
@@ -509,7 +507,8 @@ class _Cumulative:
         with self._lock:
             cum = self._exponents.setdefault(spec, [0])
             if len(cum) <= upto:
-                steps = _step_exponents(spec, len(cum), upto)
+                # at least double: a walk over n = 1, 2, ... fills O(log n) times
+                steps = _step_exponents(spec, len(cum), max(upto, 2 * len(cum)))
                 steps[0] += cum[-1]
                 cum.extend(accumulate(steps))
             return cum

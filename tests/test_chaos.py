@@ -6,7 +6,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndslab import chaos
+from ndslab import chaos, maps
 from ndslab.chaos import (
     ItineraryConstruction,
     ItineraryFailure,
@@ -117,6 +117,18 @@ class TestItineraryConstruction:
         assert not chaos._verify_itineraries(
             spec, res.times, res.levels, {**res.witnesses, label: tampered}
         )
+        # a time moved by one pulls its targets back off the planted blocks
+        for k in range(levels):
+            for d in (-1, 1):
+                moved = [p + d * (n == k) for n, p in enumerate(res.times)]
+                if moved[0] >= 1 and all(a < b for a, b in zip(moved, moved[1:])):
+                    assert not chaos._verify_itineraries(spec, moved, res.levels, res.witnesses)
+
+    def test_time_search_reads_the_exponent_array_lazily(self):
+        maps._CUM._exponents.pop(CONST_SIGMA, None)
+        res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), 3, horizon=10**7)
+        assert isinstance(res, ItineraryConstruction)
+        assert len(maps._CUM._exponents[CONST_SIGMA]) < 300
 
     def test_zero_levels_trivial(self):
         res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), 0, 16)

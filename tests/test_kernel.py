@@ -730,11 +730,12 @@ STEP_FOLDS = {
 
 # the functions that compose f_1^n one time at a time: the walk behind the
 # product and finite prefix classes, the evidence re-check, the Li-Yorke tail
-# and lemma-2.1 time search (over any space) and one corpus structure check;
-# laws, shift and circle classes and equicontinuity read prefix_exponents
+# off the shift and one corpus structure check; laws, shift and circle
+# classes, equicontinuity, the shift Li-Yorke tail and the lemma-2.1 time
+# search read prefix_exponents
 PREFIX_WALKS = {
     "_composed_classes", "recheck_verdict", "_all_pairs_meet", "li_yorke_scan",
-    "lemma21_construct", "_run_interleave",
+    "_run_interleave",
 }
 
 

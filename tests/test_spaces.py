@@ -114,6 +114,36 @@ def far_pairs(draw):
     return x, BiWord(start, window, x.left, x.right)
 
 
+@st.composite
+def cylinders_and_points(draw):
+    """A cylinder with unconstrained inner cells and a point whose window
+    either covers it or stops inside it; the point mostly follows the
+    cylinder's word, so both answers occur."""
+    inner = draw(st.lists(st.one_of(st.none(), bits), max_size=6))
+    cyl = Cylinder(draw(st.integers(-6, 6)), (draw(bits), *inner, draw(bits)))
+    pad = st.integers(0, 3)
+    if draw(st.booleans()):
+        lo, hi = cyl.start - draw(pad), cyl.end + draw(pad)
+    else:
+        cut = draw(st.integers(cyl.start + 1, cyl.end - 1))
+        lo, hi = (cut, cyl.end + draw(pad)) if draw(st.booleans()) else (cyl.start - draw(pad), cut)
+    window = tuple(
+        draw(bits) if cyl.at(i) is None or draw(st.integers(0, 7)) == 0 else cyl.at(i)
+        for i in range(lo, hi)
+    )
+    tail = st.lists(bits, min_size=1, max_size=3).map(tuple)
+    return cyl, BiWord(lo, window, draw(tail), draw(tail))
+
+
+class TestMembership:
+    @given(cylinders_and_points())
+    @settings(max_examples=300)
+    def test_cylinder_membership_is_the_per_cell_rule(self, case):
+        cyl, x = case
+        expected = all(s is None or x.coord(cyl.start + k) == s for k, s in enumerate(cyl.word))
+        assert contains(SHIFT, cyl, x) == expected
+
+
 class TestShiftMetric:
     def test_identical_points(self):
         x = BiWord(0, (1, 0, 1), (0,), (1, 1, 0))
