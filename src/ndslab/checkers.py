@@ -347,6 +347,21 @@ def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
     return None
 
 
+def _pair_signature(spec, laws: mp.SystemLaws, U, V, sides: dict):
+    """What _never_hits(spec, laws, U, V) reads of the pair.  Without a table
+    law, a product pair is read only through whether each pair of sides
+    meets (True, False or None), so pairs that agree there share one reason;
+    `sides` keeps each side test.  Any other pair is its own signature."""
+    if not isinstance(spec, mp.ProductSpec) or laws.table is not None:
+        return U, V
+    signature = []
+    for j, (part, a, b) in enumerate(zip(spec.parts, U.parts, V.parts)):
+        if (j, a, b) not in sides:
+            sides[j, a, b] = ht._meets(part.space, a, b)
+        signature.append(sides[j, a, b])
+    return tuple(signature)
+
+
 def _refute_pair(spec, laws, prop, cfg, basis, i, j, reason=None, **extra) -> Optional[Verdict]:
     """Refuted, citing the pair (B_i, B_j) and `reason` (by default the
     _never_hits argument that no time ever hits it); None without a reason."""
@@ -435,10 +450,16 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             },
             (_quantifier_note(r, H),),
         )
+    sides = {}
+    unrefuted = set()  # signatures (see _pair_signature) _never_hits has no reason for
     for i, j in empty:
+        signature = _pair_signature(spec, laws, basis[i], basis[j], sides)
+        if signature in unrefuted:
+            continue
         refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j)
         if refuted:
             return refuted
+        unrefuted.add(signature)
     return Verdict(
         prop.render(), INCONCLUSIVE, cfg,
         {"unhit_pairs": [f"{i}->{j}" for i, j in empty[:8]], "unhit_count": len(empty)},
@@ -730,10 +751,17 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
     stats = {}
     freq = {}  # the gap statistics depend on the mask alone, and pairs share masks
+    tags = {}  # without a table law the tag reads the pair only through disjointness
     worst_gap = 0
     worst_eventual = 0
     for (i, j), mask in sorted(masks.items()):
-        tag, detail = ht._structural_tag("hitting", spec, laws, basis[i], basis[j])
+        if laws.table is not None:
+            key = i, j
+        else:
+            key = laws.exponent is not None and _disjoint(spec.space, basis[i], basis[j])
+        if key not in tags:
+            tags[key] = ht._structural_tag("hitting", spec, laws, basis[i], basis[j])
+        tag, detail = tags[key]
         if tag in ("sparse-support", "finite-support"):
             return _refute_pair(spec, laws, prop, cfg, basis, i, j, detail)
         if mask == 0:
@@ -781,14 +809,14 @@ def _champernowne_window(max_len: int) -> sp.BiWord:
     return sp.BiWord(0, tuple(cells), (0,), (0,))
 
 
-def _first_visits(spec, x, basis, H) -> dict:
-    """{i: the first n <= H with f_1^n(x) in B_i} over the opens the orbit
-    visits; f_1^0 is the identity.  The prefix classes come in order of
-    their first time, so the first class whose image of x lies in B_i gives
-    the first visit.  An undecided membership counts as no visit."""
+def _first_visits(spec, x, basis, classes: dict) -> dict:
+    """{i: the first n with f_1^n(x) in B_i} over the opens the orbit visits
+    within the horizon of `classes`, the prefix classes; f_1^0 is the
+    identity.  The classes come in order of their first time, so the first
+    class whose image of x lies in B_i gives the first visit.  An undecided
+    membership counts as no visit."""
     hit_at = {}
-    classes = ht.prefix_classes(spec, H).items()
-    images = ((mp.apply(m, x), _first_bit(times)) for m, times in classes)
+    images = ((mp.apply(m, x), _first_bit(times)) for m, times in classes.items())
     for point, n in chain([(x, 0)], images):
         for i, B in enumerate(basis):
             try:
@@ -807,6 +835,8 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
     reps = _representatives(space)
     exact = isinstance(space, sp.FiniteSpace) and laws.table is not None
     per_rep = {}
+    # every representative's orbit reads the same prefix classes
+    classes = None if exact else ht.prefix_classes(spec, H)
     for idx, x in enumerate(reps):
         if exact:
             tab = laws.table
@@ -826,7 +856,7 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
                 )
             per_rep[f"point-{idx}"] = "dense (exact)"
             continue
-        hit_at = _first_visits(spec, x, basis, H)
+        hit_at = _first_visits(spec, x, basis, classes)
         if len(hit_at) == len(basis):
             per_rep[f"point-{idx}"] = max(hit_at.values())
             continue

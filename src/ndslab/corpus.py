@@ -212,21 +212,19 @@ def _run_gap_bound(doc, exp):
     system, observed sensitivity gaps stay within the sum of the two
     transitivity gap bounds from the separation construction."""
     system = doc.system(exp.target)
-    space = system.space
     r = exp.params.get("basis", 2)
     H = exp.params.get("horizon", 200)
     delta = Fraction(exp.params["delta"])
-    basis = sp.enumerate_basis(space, r)
-    laws = mp.derive_laws(system, H)
-    # fixed reference orbit (all-zeros is invariant) and a far point
-    far_window = 2
-    V = sp.Cylinder(-far_window, tuple([1] * (2 * far_window + 1)))
+    # fixed reference orbit (all-zeros is invariant) and a far point: V is the
+    # all-ones basis open, so its column of the pair masks holds every N(U, V)
+    basis, masks = ck._pair_masks(system, r, H)
+    v = basis.index(sp.Cylinder(-r, (1,) * (2 * r + 1)))
     m1 = 0
-    for U in basis:
-        fe = ht.classify_frequency(ht.hitting_set(system, U, V, H), laws)
-        if fe.first_member is None:
+    for u in range(len(basis)):
+        mask = masks[(u, v)]
+        if not mask:
             return "fail", {"reason": "reference target never hit"}, None
-        m1 = max(m1, fe.max_gap)
+        m1 = max(m1, ht._frequency(mask, H)[0])
     # tracking neighborhood of the reference point, sized by the modulus
     xi, note = cv.equicontinuity_modulus(system, delta, max(1, m1), H)
     if xi is None:
@@ -234,17 +232,16 @@ def _run_gap_bound(doc, exp):
     w = 1
     while Fraction(2, 1 << w) > xi:
         w += 1
+    # W is wider than the basis window, so each N(U, W) is its own hitting set
     W = sp.Cylinder(-w, tuple([0] * (2 * w + 1)))
     m2 = 0
     for U in basis:
-        fe = ht.classify_frequency(ht.hitting_set(system, U, W, H), laws)
+        fe = ht.classify_frequency(ht.hitting_set(system, U, W, H))
         if fe.first_member is None:
             return "fail", {"reason": "tracking neighborhood never hit"}, None
         m2 = max(m2, fe.max_gap)
-    sens_gap = 0
-    for U in basis:
-        fe = ht.classify_frequency(ht.separation_set(system, U, delta, H), laws)
-        sens_gap = max(sens_gap, fe.max_gap)
+    # every basis open shares one separation mask
+    sens_gap = ht._frequency(ck._sep_masks(system, r, H, delta)[1], H)[0]
     ok = sens_gap <= m1 + m2
     return (
         "pass" if ok else "fail",

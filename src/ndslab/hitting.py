@@ -101,19 +101,24 @@ def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
 
 
 def _composed_classes(spec: mp.SystemSpec, horizon: int) -> dict:
-    """prefix_classes by composing f_1^n for every n."""
+    """prefix_classes by folding one step per time, f_1^n = f_n o f_1^(n-1),
+    so each time costs a step and one compose (recomposing f_1^n from the
+    start would cost n on a tail of a finite system)."""
     classes = {}
+    m = mp.prefix_compose(spec, 0)
     for n in range(1, horizon + 1):
-        m = mp.prefix_compose(spec, n)
+        m = mp.compose(mp.window_compose(spec, n, 1), m)
         classes[m] = classes.get(m, 0) | 1 << n
     return classes
 
 
 def _class_set(kind: str, spec, horizon: int, U, test, **fields) -> HittingSet:
     """Decide `test(f_1^n(U))` once per prefix class and spread the outcome
-    over the class's times; each member's evidence describes its image."""
+    over the class's times; each member's evidence describes its image.  The
+    description reaches a class's members by walking its set bits, so the
+    spread costs one step per member, not one scan of the mask per class."""
     hits = undecided = 0
-    shown = []
+    text_at = {}
     for m, times in prefix_classes(spec, horizon).items():
         img = mp.image(m, U)
         verdict = test(img)
@@ -121,9 +126,12 @@ def _class_set(kind: str, spec, horizon: int, U, test, **fields) -> HittingSet:
             undecided |= times
         elif verdict:
             hits |= times
-            shown.append((times, _describe_open(img)))
+            desc = _describe_open(img)
+            while times:
+                low = times & -times
+                text_at[low.bit_length() - 1] = desc
+                times ^= low
     members = _mask_members(hits)
-    text_at = {n: desc for times, desc in shown for n in _mask_members(times)}
     return HittingSet(
         kind, spec, horizon, members, _mask_members(undecided), u=U,
         evidence=tuple((n, text_at[n]) for n in members), **fields,

@@ -593,8 +593,8 @@ def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
         return ShiftPowMap(e) if isinstance(space, ShiftSpace) else RotPowMap(e)
     if i == 1:
         return _CUM.tables(spec, k)[k]
-    m = identity_map(space)
-    for j in range(i, i + k):
+    m = term_to_normal(space, eval_term(spec, i))
+    for j in range(i + 1, i + k):
         m = compose(term_to_normal(space, eval_term(spec, j)), m)
     return m
 

@@ -4,8 +4,10 @@ the hierarchy coherence between properties."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndslab import checkers as ck
+from ndslab import hitting as ht
 from ndslab import maps as mp
 from ndslab import ndsl
 from ndslab import spaces as sp
@@ -376,3 +378,73 @@ def test_derived_products_get_verdicts_that_recheck(name):
             if sp.intersects(spec.space, mp.image(mp.prefix_compose(spec, n), basis[i]), basis[j])
         )
         assert mask == hits, (i, j)
+
+
+# ---------------------------------------------------------------------------
+# structural reasons decided once per group of pairs
+
+
+@st.composite
+def ap_shifts(draw):
+    """Paired progressions sigma^(ck) / sigma^(-ck): exponent laws that are
+    zero on some residues, so parity coverage can or cannot be claimed."""
+    step = draw(st.integers(2, 3))
+    a, b = draw(st.lists(st.integers(1, step), min_size=2, max_size=2, unique=True))
+    c = draw(st.integers(1, 2))
+    return mp.NdsSpec(SHIFT, (
+        mp.Rule(mp.ArithProgPattern(a, step), mp.FamilyTerm("shift", c)),
+        mp.Rule(mp.ArithProgPattern(b, step), mp.FamilyTerm("shift", -c)),
+    ))
+
+
+circles = st.integers(-2, 2).map(lambda c: mp.NdsSpec(sp.CircleSpace(), (), mp.RotPowTerm(c)))
+
+products = st.one_of(
+    st.tuples(ap_shifts(), ap_shifts()).map(mp.ProductSpec),
+    st.tuples(ap_shifts(), circles).map(mp.ProductSpec),
+    st.tuples(ap_shifts(), st.just(mp.NdsSpec(SHIFT, (), mp.IDENTITY))).map(mp.ProductSpec),
+)
+
+
+class TestGroupedReasons:
+    @given(products)
+    @settings(max_examples=25, deadline=None)
+    def test_product_pairs_with_one_signature_share_one_reason(self, spec):
+        laws = mp.derive_laws(spec, 256)
+        basis = sp.enumerate_basis(spec.space, sp.min_resolution(spec.space))
+        sides, reasons = {}, {}
+        for U in basis[::3]:
+            for V in basis:
+                signature = ck._pair_signature(spec, laws, U, V, sides)
+                reasons.setdefault(signature, set()).add(ck._never_hits(spec, laws, U, V))
+        assert all(len(found) == 1 for found in reasons.values())
+
+    @given(products, st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_transitive_refutes_with_the_first_pair_a_walk_refutes(self, spec, H):
+        laws = mp.derive_laws(spec, 256)
+        prop = ck.transitive()
+        r = sp.min_resolution(spec.space)
+        v = ck.check_property(spec, prop, r, H, laws=laws)
+        basis, masks = ck._pair_masks(spec, r, H)
+        walk = (
+            ck._refute_pair(spec, laws, prop, v.config, basis, i, j)
+            for (i, j), mask in sorted(masks.items()) if mask == 0
+        )
+        first = next((refuted for refuted in walk if refuted), None)
+        if first is None:
+            assert v.status != ck.REFUTED
+        else:
+            assert v == first
+
+    @given(st.one_of(ap_shifts(), circles), st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_without_a_table_law_tags_read_only_disjointness(self, spec, r):
+        laws = mp.derive_laws(spec, 256)
+        basis = sp.enumerate_basis(spec.space, max(r, sp.min_resolution(spec.space)))
+        tags = {}
+        for U in basis:
+            for V in basis:
+                disjoint = ck._disjoint(spec.space, U, V)
+                tags.setdefault(disjoint, set()).add(ht._structural_tag("hitting", spec, laws, U, V))
+        assert all(len(found) == 1 for found in tags.values())

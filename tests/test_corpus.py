@@ -1,7 +1,16 @@
 """Corpus completeness, reproducibility, and verdict soundness."""
 
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ndslab import checkers as ck
+from ndslab import convergence as cv
 from ndslab import corpus, ndsl
+from ndslab import hitting as ht
+from ndslab import maps as mp
+from ndslab import spaces as sp
 
 REQUIRED_SCENARIOS = {
     "example-3.1",
@@ -103,3 +112,97 @@ class TestVerdictSoundness:
                     law_horizon=exp.params.get("law_horizon", 2048),
                 )
                 assert ck.recheck_verdict(spec, verdict), (scenario.name, rendered)
+
+
+def gap_bound_per_open(system, r, H, delta):
+    """The sensitivity-gap-bound payload with every hitting and separation
+    set decided open by open through the hitting module."""
+    basis = sp.enumerate_basis(system.space, r)
+    laws = mp.derive_laws(system, H)
+    V = sp.Cylinder(-r, tuple([1] * (2 * r + 1)))
+    m1 = 0
+    for U in basis:
+        fe = ht.classify_frequency(ht.hitting_set(system, U, V, H), laws)
+        if fe.first_member is None:
+            return "fail", {"reason": "reference target never hit"}, None
+        m1 = max(m1, fe.max_gap)
+    xi, note = cv.equicontinuity_modulus(system, delta, max(1, m1), H)
+    if xi is None:
+        return "fail", {"reason": "no modulus: " + note}, None
+    w = 1
+    while Fraction(2, 1 << w) > xi:
+        w += 1
+    W = sp.Cylinder(-w, tuple([0] * (2 * w + 1)))
+    m2 = 0
+    for U in basis:
+        fe = ht.classify_frequency(ht.hitting_set(system, U, W, H), laws)
+        if fe.first_member is None:
+            return "fail", {"reason": "tracking neighborhood never hit"}, None
+        m2 = max(m2, fe.max_gap)
+    sens_gap = 0
+    for U in basis:
+        fe = ht.classify_frequency(ht.separation_set(system, U, delta, H), laws)
+        sens_gap = max(sens_gap, fe.max_gap)
+    return (
+        "pass" if sens_gap <= m1 + m2 else "fail",
+        {"sensitivity_max_gap": sens_gap, "m1": m1, "m2": m2, "modulus_note": note},
+        None,
+    )
+
+
+class OneSystem:
+    """A stand-in document holding one system under every name."""
+
+    def __init__(self, system):
+        self._system = system
+
+    def system(self, name):
+        return self._system
+
+
+def gap_bound(system, r, H, delta):
+    exp = corpus.Expectation(
+        "sensitivity-gap-bound", "X", "pass", {"basis": r, "horizon": H, "delta": delta}, "",
+    )
+    return corpus._run_gap_bound(OneSystem(system), exp)
+
+
+SHIFT = sp.ShiftSpace()
+CS = ndsl.parse(corpus.scenario_sources()["constant-shift"]).system("CS")
+# systems reaching every outcome: bounded drifts pass (and miss the tracking
+# neighborhood at short horizons), the identity never hits the target, and
+# the growing exponents of example 3.6 have no modulus
+GAP_SYSTEMS = {
+    "CS": CS,
+    "sigma^2": mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(2)),
+    "alternating": mp.NdsSpec(
+        SHIFT, (mp.Rule(mp.ArithProgPattern(1, 2), mp.ShiftPowTerm(3)),), mp.ShiftPowTerm(-1),
+    ),
+    "identity": mp.NdsSpec(SHIFT, (), mp.IdentityTerm()),
+    "example-3.6": ndsl.parse(corpus.scenario_sources()["example-3.6"]).system("F"),
+}
+
+
+class TestGapBound:
+    """The demonstration reads the pair and separation masks; the oracle asks
+    the hitting module about each basis open."""
+
+    @pytest.mark.parametrize("name, r, H, delta", [
+        ("CS", 1, 200, Fraction(1, 4)),
+        ("CS", 2, 200, Fraction(1, 4)),
+        ("alternating", 2, 200, Fraction(1, 4)),
+    ])
+    def test_payload_matches_the_per_open_oracle(self, name, r, H, delta):
+        system = GAP_SYSTEMS[name]
+        assert gap_bound(system, r, H, delta) == gap_bound_per_open(system, r, H, delta)
+
+    @given(st.sampled_from(sorted(GAP_SYSTEMS)), st.integers(1, 2), st.integers(1, 80),
+           st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    @settings(max_examples=40, deadline=None)
+    def test_payload_matches_at_any_horizon(self, name, r, H, delta):
+        system = GAP_SYSTEMS[name]
+        assert gap_bound(system, r, H, delta) == gap_bound_per_open(system, r, H, delta)
+
+    def test_the_pinned_demonstration_passes(self):
+        status, payload, _ = gap_bound(CS, 2, 200, Fraction(1, 4))
+        assert status == "pass" and payload["sensitivity_max_gap"] <= payload["m1"] + payload["m2"]

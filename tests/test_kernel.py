@@ -374,6 +374,46 @@ class TestPrefixExponentArray:
         assert list(classes.items()) == list(ht._composed_classes(spec, H).items())
 
 
+def composition_walk(spec, H) -> list:
+    """prefix_classes as (map, mask) pairs by composing f_1^n afresh for
+    every n, in order of first occurrence."""
+    classes = {}
+    for n in range(1, H + 1):
+        m = mp.prefix_compose(spec, n)
+        classes[m] = classes.get(m, 0) | 1 << n
+    return list(classes.items())
+
+
+# every shape whose prefix classes are composed, not read off an array
+composed_systems = st.one_of(
+    st.builds(mp.TailSpec, finite_systems(), st.integers(2, 5)),
+    st.builds(mp.IterateSpec, finite_systems(), st.integers(2, 3)),
+    product_parts(("finite", "shift")),
+    product_parts(("shift", "circle")),
+    st.builds(mp.TailSpec, product_parts(("finite", "shift")), st.integers(2, 5)),
+    st.builds(mp.TailSpec, product_parts(("shift", "shift")), st.integers(2, 5)),
+)
+
+
+class TestFoldedClasses:
+    @given(composed_systems, st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_folded_classes_match_the_composition_walk(self, spec, H):
+        # the same maps, the same times and the same order of first occurrence
+        assert list(ht.prefix_classes(spec, H).items()) == composition_walk(spec, H)
+
+    def test_a_finite_tail_composes_a_bounded_number_of_times_per_time(self):
+        """Recomposing f_1^n from the start for every n costs about H^2 / 2
+        composes on a tail of a finite system; the fold costs a few per time."""
+        H = 2000
+        cycle = mp.NdsSpec(sp.FiniteSpace(5), (), mp.FiniteFnTerm((2, 3, 4, 5, 1)))
+        spec = mp.TailSpec(cycle, 3)
+        with mock.patch.object(mp, "compose", wraps=mp.compose) as compose:
+            classes = ht.prefix_classes(spec, H)
+        assert compose.call_count <= 3 * H
+        assert list(classes.values()) == [bits(range(t, H + 1, 5)) for t in range(1, 6)]
+
+
 def constant_power(space):
     term = mp.ShiftPowTerm if isinstance(space, sp.ShiftSpace) else mp.RotPowTerm
     return st.integers(-3, 3).map(lambda c: mp.NdsSpec(space, (), term(c)))
@@ -570,6 +610,19 @@ class TestHittingSets:
         got = ht.separation_set(spec, U, Fraction(5, 2), 40)
         assert got == reference_set("separation", spec, U, 40, delta=Fraction(5, 2))
 
+    def test_one_class_per_time_keeps_every_members_evidence(self):
+        """Example 3.6 moves to a new exponent at every odd time, so nearly
+        every member is its own class, each with its own evidence."""
+        spec = mp.NdsSpec(SHIFT, (
+            mp.Rule(mp.ArithProgPattern(1, 2), mp.FamilyTerm("shift", 1)),
+            mp.Rule(mp.ArithProgPattern(2, 2), mp.FamilyTerm("shift", -1)),
+        ))
+        U, V = sp.Cylinder(-1, (0, 1, 0)), sp.Cylinder(-1, (1, 0, 1))
+        got = ht.hitting_set(spec, U, V, 1024)
+        assert len(ht.prefix_classes(spec, 1024)) == 513
+        assert got == reference_set("hitting", spec, U, 1024, V=V)
+        assert len(got.evidence) == len(got.members) > 500
+
 
 def test_mask_members_walks_the_set_bits():
     assert ht._mask_members(0) == ()
@@ -659,7 +712,8 @@ class TestOrbitQuestions:
         spec, r, H = case
         basis = sp.enumerate_basis(spec.space, r)
         x = data.draw(points(spec.space))
-        assert ck._first_visits(spec, x, basis, H) == first_visits_fold(spec, x, basis, H)
+        got = ck._first_visits(spec, x, basis, ht.prefix_classes(spec, H))
+        assert got == first_visits_fold(spec, x, basis, H)
 
     @given(st.data(), system_cases())
     @settings(max_examples=60, deadline=None)
