@@ -90,74 +90,6 @@ class PropertyKind:
         return self.name + (":" + ",".join(map(str, values)) if values else "")
 
 
-def transitive() -> PropertyKind:
-    return PropertyKind("transitive")
-
-
-def weakly_mixing(order: Optional[int] = None) -> PropertyKind:
-    return PropertyKind("weakly-mixing", order=order)
-
-
-def mixing() -> PropertyKind:
-    return PropertyKind("mixing")
-
-
-def mildly_mixing() -> PropertyKind:
-    return PropertyKind("mildly-mixing")
-
-
-def totally_transitive(s_max: Optional[int] = None) -> PropertyKind:
-    return PropertyKind("totally-transitive", order=s_max)
-
-
-def strongly_transitive() -> PropertyKind:
-    return PropertyKind("strongly-transitive")
-
-
-def multi_transitive(m_max: Optional[int] = None) -> PropertyKind:
-    return PropertyKind("multi-transitive", order=m_max)
-
-
-def syndetically_transitive() -> PropertyKind:
-    return PropertyKind("syndetically-transitive")
-
-
-def minimal() -> PropertyKind:
-    return PropertyKind("minimal")
-
-
-def feeble_open() -> PropertyKind:
-    return PropertyKind("feeble-open")
-
-
-def dense_periodic_points() -> PropertyKind:
-    return PropertyKind("dense-periodic-points")
-
-
-def almost_periodic_point(x) -> PropertyKind:
-    return PropertyKind("almost-periodic-point", point=x)
-
-
-def sensitive(delta) -> PropertyKind:
-    return PropertyKind("sensitive", delta=delta)
-
-
-def syndetically_sensitive(delta) -> PropertyKind:
-    return PropertyKind("syndetically-sensitive", delta=delta)
-
-
-def thickly_sensitive(delta, run_length: Optional[int] = None) -> PropertyKind:
-    return PropertyKind("thickly-sensitive", delta=delta, run_length=run_length)
-
-
-def multi_sensitive(delta, m_max: Optional[int] = None) -> PropertyKind:
-    return PropertyKind("multi-sensitive", delta=delta, order=m_max)
-
-
-def surjective_sequence() -> PropertyKind:
-    return PropertyKind("surjective-sequence")
-
-
 @dataclass(frozen=True)
 class Verdict:
     property: str

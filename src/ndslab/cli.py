@@ -91,16 +91,6 @@ def _report_envelope(mode: str, digest: str, configuration: dict) -> dict:
     }
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return str(value)
-
-
 def cmd_check(args) -> int:
     try:
         with open(args.file, "rb") as fh:
@@ -168,7 +158,7 @@ def cmd_check(args) -> int:
                 "status": verdict.status,
                 "basis": basis,
                 "horizon": horizon,
-                "evidence": _json_safe(verdict.evidence),
+                "evidence": verdict.evidence,
                 "caveats": list(verdict.caveats),
                 "timing_ms": round(ms, 3),
             }
@@ -187,7 +177,8 @@ def cmd_check(args) -> int:
     )
     report["checks"] = checks
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        # evidence keys are all str; Fractions and other exact values print as str
+        print(json.dumps(report, sort_keys=True, indent=2, default=str))
     else:
         for c in checks:
             print(f"{c['status']:<13} {c['system']:<10} {c['property']:<28} "

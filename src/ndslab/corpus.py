@@ -170,7 +170,7 @@ def _run_adversary(doc, exp):
     miss = list(exp.params["miss_times"])
     horizon = exp.params.get("horizon", 512)
     adv, law = ck.build_gap_adversary(miss, law_horizon=horizon + 2)
-    v = ck.check_property(adv, ck.transitive(), exp.params.get("basis", 1), horizon)
+    v = ck.check_property(adv, ck.PropertyKind("transitive"), exp.params.get("basis", 1), horizon)
     if v.status != ck.WITNESSED:
         return "fail", {"adversary_transitive": v.status}, v
     product = mp.ProductSpec((base, adv))
@@ -263,11 +263,12 @@ def _run_strong_agreement(doc, exp):
                        name=f"random-perm-{count}")
         )
     rows = []
+    strong = ck.PropertyKind("strongly-transitive")
     for system in systems:
-        base_v = ck.check_property(system, ck.strongly_transitive(), 1, exp.params.get("horizon", 64))
+        base_v = ck.check_property(system, strong, 1, exp.params.get("horizon", 64))
         for k in range(1, exp.params.get("max_tail", 4) + 1):
             tail_v = ck.check_property(
-                mp.TailSpec(system, k + 1), ck.strongly_transitive(), 1,
+                mp.TailSpec(system, k + 1), strong, 1,
                 exp.params.get("horizon", 64),
             )
             agree = base_v.status == tail_v.status

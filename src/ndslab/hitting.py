@@ -26,8 +26,8 @@ from . import spaces as sp
 
 @dataclass(frozen=True)
 class HittingSet:
-    """Times n <= horizon at which the test held, plus per-member evidence
-    that can be re-checked independently."""
+    """Times n <= horizon at which the test held; each member re-checks by
+    testing f_1^n(u) against v or delta."""
 
     kind: str  # "hitting" | "separation"
     spec: mp.SystemSpec
@@ -37,7 +37,6 @@ class HittingSet:
     u: Optional[sp.BasicOpen] = None
     v: Optional[sp.BasicOpen] = None
     delta: Optional[Fraction] = None
-    evidence: tuple = ()  # (n, short description) pairs
 
 
 @dataclass(frozen=True)
@@ -114,27 +113,16 @@ def _composed_classes(spec: mp.SystemSpec, horizon: int) -> dict:
 
 def _class_set(kind: str, spec, horizon: int, U, test, **fields) -> HittingSet:
     """Decide `test(f_1^n(U))` once per prefix class and spread the outcome
-    over the class's times; each member's evidence describes its image.  The
-    description reaches a class's members by walking its set bits, so the
-    spread costs one step per member, not one scan of the mask per class."""
+    over the class's times."""
     hits = undecided = 0
-    text_at = {}
     for m, times in prefix_classes(spec, horizon).items():
-        img = mp.image(m, U)
-        verdict = test(img)
+        verdict = test(mp.image(m, U))
         if verdict is None:
             undecided |= times
         elif verdict:
             hits |= times
-            desc = _describe_open(img)
-            while times:
-                low = times & -times
-                text_at[low.bit_length() - 1] = desc
-                times ^= low
-    members = _mask_members(hits)
     return HittingSet(
-        kind, spec, horizon, members, _mask_members(undecided), u=U,
-        evidence=tuple((n, text_at[n]) for n in members), **fields,
+        kind, spec, horizon, _mask_members(hits), _mask_members(undecided), u=U, **fields,
     )
 
 
@@ -146,8 +134,6 @@ def _describe_open(A) -> str:
         return "{" + ",".join(str(i) for i in sorted(A.ids)) + "}"
     if isinstance(A, sp.Arc):
         return f"arc({A.center.q}+{A.center.c}a,r={A.radius})"
-    if isinstance(A, sp.ArcSpan):
-        return f"span({A.start.q}+{A.start.c}a..{A.end.q}+{A.end.c}a)"
     if isinstance(A, sp.ProductOpen):
         return "x".join(_describe_open(p) for p in A.parts)
     return repr(A)

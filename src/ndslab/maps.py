@@ -15,7 +15,6 @@ from typing import Optional, Union
 from .spaces import (
     AffineAngle,
     Arc,
-    ArcSpan,
     BasicOpen,
     BiWord,
     CircleSpace,
@@ -421,11 +420,9 @@ def image(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
             raise SpaceMismatch("shift power images apply to cylinders")
         return Cylinder(A.start - m.exponent, A.word)
     if isinstance(m, RotPowMap):
-        if isinstance(A, Arc):
-            return Arc(A.center.rotated(m.coefficient), A.radius)
-        if isinstance(A, ArcSpan):
-            return ArcSpan(A.start.rotated(m.coefficient), A.end.rotated(m.coefficient))
-        raise SpaceMismatch("rotation images apply to arcs")
+        if not isinstance(A, Arc):
+            raise SpaceMismatch("rotation images apply to arcs")
+        return Arc(A.center.rotated(m.coefficient), A.radius)
     if isinstance(m, TableMap):
         if not isinstance(A, FiniteSet):
             raise SpaceMismatch("finite table images apply to id sets")
@@ -441,15 +438,21 @@ def image(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
 def preimage(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
     """Full inverse image; None when empty (possible for finite tables)."""
     if isinstance(m, ShiftPowMap):
+        if not isinstance(A, Cylinder):
+            raise SpaceMismatch("shift power preimages apply to cylinders")
         return Cylinder(A.start + m.exponent, A.word)
     if isinstance(m, RotPowMap):
-        if isinstance(A, Arc):
-            return Arc(A.center.rotated(-m.coefficient), A.radius)
-        return ArcSpan(A.start.rotated(-m.coefficient), A.end.rotated(-m.coefficient))
+        if not isinstance(A, Arc):
+            raise SpaceMismatch("rotation preimages apply to arcs")
+        return Arc(A.center.rotated(-m.coefficient), A.radius)
     if isinstance(m, TableMap):
+        if not isinstance(A, FiniteSet):
+            raise SpaceMismatch("finite table preimages apply to id sets")
         ids = frozenset(i for i in range(1, len(m.table) + 1) if m.table[i - 1] in A.ids)
         return FiniteSet(ids) if ids else None
     if isinstance(m, ProductMap):
+        if not isinstance(A, ProductOpen):
+            raise SpaceMismatch("product map preimages apply to rectangles")
         parts = []
         for c, a in zip(m.parts, A.parts):
             r = preimage(c, a)

@@ -669,11 +669,11 @@ def random_document(rng) -> NdslDocument:
         name = systems[rng.randrange(len(systems))][0]
         prop = rng.choice(
             [
-                ck.transitive(),
-                ck.weakly_mixing(rng.randint(2, 3)),
-                ck.multi_transitive(rng.randint(1, 3)),
-                ck.sensitive(Fraction(1, rng.choice([2, 4, 8]))),
-                ck.syndetically_transitive(),
+                ck.PropertyKind("transitive"),
+                ck.PropertyKind("weakly-mixing", order=rng.randint(2, 3)),
+                ck.PropertyKind("multi-transitive", order=rng.randint(1, 3)),
+                ck.PropertyKind("sensitive", delta=Fraction(1, rng.choice([2, 4, 8]))),
+                ck.PropertyKind("syndetically-transitive"),
             ]
         )
         checks.append(

@@ -330,8 +330,7 @@ def all_ones() -> BiWord:
 
 @dataclass(frozen=True)
 class AffineAngle:
-    """The angle q + c*alpha (mod 1).  Coefficients from corpus points are
-    integers; arc intersection midpoints may carry half-integers."""
+    """The angle q + c*alpha (mod 1)."""
 
     q: Fraction
     c: Fraction = Fraction(0)
@@ -355,11 +354,6 @@ class ProductPoint:
 Point = Union[FiniteId, BiWord, AffineAngle, ProductPoint]
 
 
-def _angle_from_linear(v: AlphaLinear) -> AffineAngle:
-    w = v.wrap()
-    return AffineAngle(w.q, w.m)
-
-
 def circle_separation(space: CircleSpace, a: AffineAngle, b: AffineAngle) -> AlphaLinear:
     """Circle metric min(t, 1-t) for the angular difference t, exact-aware."""
     diff = AlphaLinear(a.q - b.q, a.c - b.c, space.alpha)
@@ -381,8 +375,7 @@ def circle_separation(space: CircleSpace, a: AffineAngle, b: AffineAngle) -> Alp
 class Cylinder:
     """Points agreeing with `word` on the window starting at `start`.
 
-    A None entry leaves that coordinate unconstrained; merged cylinders with
-    disjoint windows use this to stay exactly representable.
+    A None entry leaves that coordinate unconstrained.
     """
 
     start: int
@@ -416,10 +409,6 @@ class Cylinder:
             return self.word[i - self.start]
         return None
 
-    def interior_point(self, fill: int = 0) -> BiWord:
-        window = tuple(fill if s is None else s for s in self.word)
-        return BiWord.from_window(self.start, window, fill)
-
 
 @dataclass(frozen=True)
 class FiniteSet:
@@ -447,23 +436,11 @@ class Arc:
 
 
 @dataclass(frozen=True)
-class ArcSpan:
-    """Open arc running counterclockwise from `start` to `end` (exclusive).
-
-    Produced by arc intersections whose endpoints are irrationally offset and
-    therefore have no center-radius form with rational radius.
-    """
-
-    start: AffineAngle
-    end: AffineAngle
-
-
-@dataclass(frozen=True)
 class ProductOpen:
     parts: tuple
 
 
-BasicOpen = Union[Cylinder, FiniteSet, Arc, ArcSpan, ProductOpen]
+BasicOpen = Union[Cylinder, FiniteSet, Arc, ProductOpen]
 
 
 def _check_space_point(space: SpaceDesc, p: Point) -> None:
@@ -610,116 +587,24 @@ def contains(space: SpaceDesc, A: BasicOpen, p: Point) -> bool:
     if isinstance(A, Arc):
         sep = circle_separation(space, p, A.center)
         return value_cmp(sep, A.radius) < 0
-    if isinstance(A, ArcSpan):
-        alpha = space.alpha
-        w = (p.lift(alpha) - A.start.lift(alpha)).wrap()
-        length = (A.end.lift(alpha) - A.start.lift(alpha)).wrap()
-        return value_cmp(w, 0) > 0 and value_cmp(w, length) < 0
     if isinstance(A, ProductOpen):
         return all(contains(s, a, x) for s, a, x in zip(space.parts, A.parts, p.parts))
     raise SpaceMismatch(f"unknown open set {A!r}")
 
 
-def interior_point(space: SpaceDesc, A: BasicOpen) -> Point:
-    """Some point inside A (deterministic)."""
-    if isinstance(A, Cylinder):
-        return A.interior_point()
-    if isinstance(A, FiniteSet):
-        return FiniteId(min(A.ids))
-    if isinstance(A, Arc):
-        return A.center
-    if isinstance(A, ArcSpan):
-        alpha = space.alpha
-        s = A.start.lift(alpha)
-        length = (A.end.lift(alpha) - s).wrap()
-        mid = s + AlphaLinear(length.q / 2, length.m / 2, alpha)
-        return _angle_from_linear(mid)
-    if isinstance(A, ProductOpen):
-        return ProductPoint(tuple(interior_point(s, a) for s, a in zip(space.parts, A.parts)))
-    raise SpaceMismatch(f"unknown open set {A!r}")
-
-
 # ---------------------------------------------------------------------------
-# intersection
+# meets
 
 
-def _intersect_cylinders(a: Cylinder, b: Cylinder) -> Optional[Cylinder]:
-    lo = min(a.start, b.start)
-    hi = max(a.end, b.end)
-    merged = []
-    for i in range(lo, hi):
-        sa, sb = a.at(i), b.at(i)
-        if sa is not None and sb is not None and sa != sb:
-            return None
-        merged.append(sa if sa is not None else sb)
-    return Cylinder(lo, tuple(merged))
-
-
-def _span_of(space: CircleSpace, A: Union[Arc, ArcSpan]) -> tuple[AlphaLinear, AlphaLinear]:
+def _span_of(space: CircleSpace, A: Arc) -> tuple[AlphaLinear, AlphaLinear]:
     """(start position, length) of the arc, as exact reals."""
-    alpha = space.alpha
-    if isinstance(A, Arc):
-        start = A.center.lift(alpha) - A.radius
-        return start, AlphaLinear(2 * A.radius, Fraction(0), alpha)
-    start = A.start.lift(alpha)
-    return start, (A.end.lift(alpha) - start).wrap()
-
-
-def _make_arc(space: CircleSpace, start: AlphaLinear, end: AlphaLinear) -> Union[Arc, ArcSpan]:
-    length = end - start
-    if length.m == 0 and Fraction(0) < length.q < 1 and length.q / 2 < Fraction(1, 2):
-        mid = start + length.q / 2
-        return Arc(_angle_from_linear(mid), length.q / 2)
-    return ArcSpan(_angle_from_linear(start), _angle_from_linear(end))
-
-
-def _intersect_arcs(space: CircleSpace, A, B) -> tuple[Optional[BasicOpen], int]:
-    sa, la = _span_of(space, A)
-    sb, lb = _span_of(space, B)
-    # lift B's start relative to A's start into [0, 1)
-    w = (sb - sa).wrap()
-    components = []
-    for shift in (w, w - 1):
-        lo = shift if value_cmp(shift, 0) > 0 else AlphaLinear(Fraction(0), Fraction(0), space.alpha)
-        hi = shift + lb if value_cmp(shift + lb, la) < 0 else la
-        if value_cmp(lo, hi) < 0:
-            components.append((sa + lo, sa + hi))
-    if not components:
-        return None, 0
-    first = min(components, key=lambda c: c[0].enclosure()[0])
-    return _make_arc(space, first[0], first[1]), len(components)
-
-
-def intersect_basic_ex(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> tuple[Optional[BasicOpen], int]:
-    """Intersection with component count (arcs may split into two pieces; the
-    first component is returned)."""
-    if isinstance(A, Cylinder) and isinstance(B, Cylinder):
-        r = _intersect_cylinders(A, B)
-        return r, (1 if r is not None else 0)
-    if isinstance(A, FiniteSet) and isinstance(B, FiniteSet):
-        common = A.ids & B.ids
-        return (FiniteSet(common), 1) if common else (None, 0)
-    if isinstance(A, (Arc, ArcSpan)) and isinstance(B, (Arc, ArcSpan)):
-        if not isinstance(space, CircleSpace):
-            raise SpaceMismatch("arc intersection needs a circle space")
-        return _intersect_arcs(space, A, B)
-    if isinstance(A, ProductOpen) and isinstance(B, ProductOpen):
-        parts = []
-        for s, a, b in zip(space.parts, A.parts, B.parts):
-            r, _ = intersect_basic_ex(s, a, b)
-            if r is None:
-                return None, 0
-            parts.append(r)
-        return ProductOpen(tuple(parts)), 1
-    raise SpaceMismatch(f"cannot intersect {type(A).__name__} with {type(B).__name__}")
-
-
-def intersect_basic(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> Optional[BasicOpen]:
-    return intersect_basic_ex(space, A, B)[0]
+    start = A.center.lift(space.alpha) - A.radius
+    return start, AlphaLinear(2 * A.radius, Fraction(0), space.alpha)
 
 
 def intersects(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> bool:
-    """Nonemptiness of A intersect B (cheaper than building the intersection)."""
+    """Nonemptiness of A intersect B, decided on A and B themselves: no
+    verdict needs the intersection as an open set."""
     if isinstance(A, Cylinder) and isinstance(B, Cylinder):
         lo = max(A.start, B.start)
         hi = min(A.end, B.end)
@@ -735,7 +620,7 @@ def intersects(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> bool:
         return value_cmp(sep, A.radius + B.radius) < 0
     if isinstance(A, ProductOpen) and isinstance(B, ProductOpen):
         return all(intersects(s, a, b) for s, a, b in zip(space.parts, A.parts, B.parts))
-    return intersect_basic(space, A, B) is not None
+    raise SpaceMismatch(f"cannot intersect {type(A).__name__} with {type(B).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -759,9 +644,6 @@ def diameter(space: SpaceDesc, A: BasicOpen) -> RationalOrEnclosure:
         return Fraction(0) if len(A.ids) == 1 else Fraction(1)
     if isinstance(A, Arc):
         return 2 * A.radius
-    if isinstance(A, ArcSpan):
-        _, length = _span_of(space, A)
-        return length.q if length.exact else length
     if isinstance(A, ProductOpen):
         return value_max([diameter(s, a) for s, a in zip(space.parts, A.parts)])
     raise SpaceMismatch(f"unknown open set {A!r}")
@@ -789,7 +671,7 @@ def diameter_exceeds(space: SpaceDesc, A: BasicOpen, delta: Fraction) -> bool:
 
 def diameter_witness_pair(space: SpaceDesc, A: BasicOpen) -> tuple[Point, Point]:
     """A pair inside A attaining (shift/finite) or approaching (arc) the
-    diameter; used as re-checkable separation evidence."""
+    diameter: attainment is what makes the separation test exact."""
     if isinstance(A, Cylinder):
         lo = min(A.start, 0) - 1
         hi = max(A.end, 0) + 1

@@ -53,9 +53,11 @@ class TestAcceptance:
     def test_criterion_01_example_31(self):
         doc = _scenario_doc("example-3.1")
         base, tail = doc.system("F"), doc.system("T2")
-        refuted = ck.check_property(base, ck.multi_transitive(2), 2, 64, law_horizon=2048)
+        refuted = ck.check_property(base, ck.PropertyKind("multi-transitive", order=2), 2, 64,
+                                    law_horizon=2048)
         ok = refuted.refuted and "validated to 2048" in refuted.evidence["structural"]
-        witnessed = ck.check_property(tail, ck.multi_transitive(3), 2, 512, law_horizon=2048)
+        witnessed = ck.check_property(tail, ck.PropertyKind("multi-transitive", order=3), 2, 512,
+                                      law_horizon=2048)
         ok = ok and witnessed.witnessed
         mixing_bound = _sigma_mixing_bound(2)
         allowed = 2 * (mixing_bound + 1)
@@ -66,10 +68,10 @@ class TestAcceptance:
 
     def test_criterion_02_example_32(self):
         doc = _scenario_doc("example-3.2")
-        witnessed = ck.check_property(doc.system("F"), ck.multi_transitive(3), 2, 512,
-                                      law_horizon=2048)
-        refuted = ck.check_property(doc.system("T2"), ck.multi_transitive(2), 2, 64,
-                                    law_horizon=2048)
+        witnessed = ck.check_property(doc.system("F"), ck.PropertyKind("multi-transitive", order=3),
+                                      2, 512, law_horizon=2048)
+        refuted = ck.check_property(doc.system("T2"), ck.PropertyKind("multi-transitive", order=2),
+                                    2, 64, law_horizon=2048)
         _verdict(witnessed.witnessed and refuted.refuted, "02 example-3.2 mirror")
 
     def test_criterion_03_examples_33_35(self):
@@ -77,18 +79,18 @@ class TestAcceptance:
 
         doc33 = _scenario_doc("example-3.3")
         f33, lim33 = doc33.system("F"), doc33.system("LIMIT")
-        ok = ck.check_property(f33, ck.minimal(), 1, 10).witnessed
-        ok = ok and ck.check_property(lim33, ck.minimal(), 1, 10).refuted
+        ok = ck.check_property(f33, ck.PropertyKind("minimal"), 1, 10).witnessed
+        ok = ok and ck.check_property(lim33, ck.PropertyKind("minimal"), 1, 10).refuted
         limit33 = mp.FiniteFnTerm((2, 2))
         ok = ok and cv.check_uniform_convergence(f33, limit33, 64).witnessed
         ok = ok and cv.check_collective_convergence(f33, limit33, 64, 6).witnessed
 
         doc35 = _scenario_doc("example-3.5")
         f35, lim35 = doc35.system("F"), doc35.system("LIMIT")
-        ok = ok and ck.check_property(f35, ck.minimal(), 1, 10).witnessed
-        ok = ok and ck.check_property(f35, ck.transitive(), 1, 10).witnessed
-        ok = ok and ck.check_property(lim35, ck.transitive(), 1, 10).refuted
-        ok = ok and ck.check_property(lim35, ck.minimal(), 1, 10).refuted
+        ok = ok and ck.check_property(f35, ck.PropertyKind("minimal"), 1, 10).witnessed
+        ok = ok and ck.check_property(f35, ck.PropertyKind("transitive"), 1, 10).witnessed
+        ok = ok and ck.check_property(lim35, ck.PropertyKind("transitive"), 1, 10).refuted
+        ok = ok and ck.check_property(lim35, ck.PropertyKind("minimal"), 1, 10).refuted
         hs = ht.hitting_set(f35, sp.FiniteSet(frozenset({1})), sp.FiniteSet(frozenset({2})), 100)
         fe = ht.classify_frequency(hs, mp.derive_laws(f35, 100))
         ok = ok and hs.members == (1,) and fe.structural == "finite-support"
@@ -101,7 +103,7 @@ class TestAcceptance:
         base = doc.system("F")
         miss = list(range(4, 513, 4))  # even, gaps 4 > 2; the base misses every even time
         adv, law = ck.build_gap_adversary(miss, law_horizon=520)
-        witnessed = ck.check_property(adv, ck.transitive(), 1, 512)
+        witnessed = ck.check_property(adv, ck.PropertyKind("transitive"), 1, 512)
         product = mp.ProductSpec((base, adv))
         U = sp.ProductOpen((sp.Cylinder(0, (0,)), sp.Cylinder(0, (0,))))
         V = sp.ProductOpen((sp.Cylinder(0, (1,)), sp.Cylinder(0, (1,))))
@@ -119,27 +121,27 @@ class TestAcceptance:
     def test_criterion_05_example_36(self):
         doc = _scenario_doc("example-3.6")
         f = doc.system("F")
-        synd = ck.check_property(f, ck.syndetically_transitive(), 2, 200)
+        synd = ck.check_property(f, ck.PropertyKind("syndetically-transitive"), 2, 200)
         ok = synd.witnessed and synd.evidence["eventual_max_gap"] == 2
-        ok = ok and ck.check_property(f, ck.weakly_mixing(2), 2, 200).witnessed
-        mt = ck.check_property(f, ck.multi_transitive(2), 2, 64, law_horizon=2048)
+        ok = ok and ck.check_property(f, ck.PropertyKind("weakly-mixing", order=2), 2, 200).witnessed
+        mt = ck.check_property(f, ck.PropertyKind("multi-transitive", order=2), 2, 64, law_horizon=2048)
         ok = ok and mt.refuted and "structural" in mt.evidence
         _verdict(ok, "05 example-3.6", "eventual max gap exactly 2")
 
     def test_criterion_06_example_38_circle(self):
         doc = _scenario_doc("example-3.8")
         f = doc.system("F")
-        dense = ck.check_property(f, ck.dense_periodic_points(), 4, 64, law_horizon=2200)
+        dense = ck.check_property(f, ck.PropertyKind("dense-periodic-points"), 4, 64, law_horizon=2200)
         ok = dense.witnessed and dense.evidence["period"] == 2
-        trans = ck.check_property(f, ck.transitive(), 4, 2200, law_horizon=2200)
+        trans = ck.check_property(f, ck.PropertyKind("transitive"), 4, 2200, law_horizon=2200)
         ok = ok and trans.witnessed
         powers = {3**k for k in range(1, 8)}
         basis = sp.enumerate_basis(f.space, 4)
         for key, n in trans.evidence["witness_times"].items():
             i, j = (int(p) for p in key.split("->"))
-            if sp.intersect_basic(f.space, basis[i], basis[j]) is None:
+            if not sp.intersects(f.space, basis[i], basis[j]):
                 ok = ok and n in powers
-        synd = ck.check_property(f, ck.syndetically_transitive(), 4, 512, law_horizon=2200)
+        synd = ck.check_property(f, ck.PropertyKind("syndetically-transitive"), 4, 512, law_horizon=2200)
         ok = ok and synd.refuted and "power" in str(synd.evidence)
         _verdict(ok, "06 example-3.8 circle",
                  f"disjoint pairs first hit inside {{3^k, k <= 7}}")
@@ -147,9 +149,10 @@ class TestAcceptance:
     def test_criterion_07_example_39(self):
         doc = _scenario_doc("example-3.9")
         f = doc.system("F")
-        multi = ck.check_property(f, ck.multi_sensitive(Fraction(1, 2), 3), 2, 64)
+        multi = ck.check_property(f, ck.PropertyKind("multi-sensitive", delta=Fraction(1, 2), order=3),
+                                  2, 64)
         ok = multi.witnessed
-        thick = ck.check_property(f, ck.thickly_sensitive(Fraction(1, 2)), 3, 64,
+        thick = ck.check_property(f, ck.PropertyKind("thickly-sensitive", delta=Fraction(1, 2)), 3, 64,
                                   law_horizon=2048)
         # basis resolution 3: diam(U) = 2^(1-3) = 1/4 < 1/2
         basis = sp.enumerate_basis(SHIFT, 3)
@@ -160,10 +163,11 @@ class TestAcceptance:
     def test_criterion_08_hitting_infinity(self):
         doc = _scenario_doc("consistency")
         checks = [
-            (doc.system("F36"), ck.weakly_mixing(2)),
-            (doc.system("CS"), ck.weakly_mixing(2)),
-            (doc.system("F32"), ck.multi_transitive(2)),
-            (mp.TailSpec(_scenario_doc("example-3.1").system("F"), 2), ck.multi_transitive(2)),
+            (doc.system("F36"), ck.PropertyKind("weakly-mixing", order=2)),
+            (doc.system("CS"), ck.PropertyKind("weakly-mixing", order=2)),
+            (doc.system("F32"), ck.PropertyKind("multi-transitive", order=2)),
+            (mp.TailSpec(_scenario_doc("example-3.1").system("F"), 2),
+             ck.PropertyKind("multi-transitive", order=2)),
         ]
         ok = True
         worst = 0
@@ -200,10 +204,11 @@ class TestAcceptance:
         reports = corpus.run_corpus("theorem-final-strong")
         ok = bool(reports) and reports[0].passed
         cyc = _scenario_doc("three-cycle").system("C3")
-        v = ck.check_property(cyc, ck.strongly_transitive(), 1, 64)
+        v = ck.check_property(cyc, ck.PropertyKind("strongly-transitive"), 1, 64)
         ok = ok and v.witnessed and v.evidence["cover_bound"] == 3
         for k in range(1, 5):
-            vt = ck.check_property(mp.TailSpec(cyc, k + 1), ck.strongly_transitive(), 1, 64)
+            vt = ck.check_property(mp.TailSpec(cyc, k + 1), ck.PropertyKind("strongly-transitive"),
+                                   1, 64)
             ok = ok and vt.witnessed
             ok = ok and abs(vt.evidence["cover_bound"] - v.evidence["cover_bound"]) <= k
         _verdict(ok, "11 strong transitivity transfer", "cover bounds within k")
@@ -245,15 +250,17 @@ class TestAcceptance:
         for spec in seen:
             if not isinstance(spec.space, sp.ShiftSpace) or isinstance(spec, mp.ProductSpec):
                 continue
-            mix = ck.check_property(spec, ck.mixing(), 1, 128)
+            mix = ck.check_property(spec, ck.PropertyKind("mixing"), 1, 128)
+            wm2 = ck.PropertyKind("weakly-mixing", order=2)
             if mix.witnessed:
-                if ck.check_property(spec, ck.weakly_mixing(2), 1, 128).refuted:
+                if ck.check_property(spec, wm2, 1, 128).refuted:
                     ok = False
-            wm3 = ck.check_property(spec, ck.weakly_mixing(3), 1, 128)
-            if wm3.witnessed and not ck.check_property(spec, ck.weakly_mixing(2), 1, 128).witnessed:
+            wm3 = ck.check_property(spec, ck.PropertyKind("weakly-mixing", order=3), 1, 128)
+            if wm3.witnessed and not ck.check_property(spec, wm2, 1, 128).witnessed:
                 ok = False
-            mt = ck.check_property(spec, ck.multi_transitive(2), 1, 256)
-            if mt.witnessed and not ck.check_property(spec, ck.transitive(), 1, 512).witnessed:
+            mt = ck.check_property(spec, ck.PropertyKind("multi-transitive", order=2), 1, 256)
+            trans = ck.PropertyKind("transitive")
+            if mt.witnessed and not ck.check_property(spec, trans, 1, 512).witnessed:
                 ok = False
         _verdict(ok, "12 engine oracles",
                  "prefix fold, hitting brute force, 10k round-trips, hierarchy")

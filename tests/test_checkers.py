@@ -71,44 +71,45 @@ def recheck_refutation(spec, verdict):
     if pair:
         basis = sp.enumerate_basis(spec.space, verdict.config["basis"])
         idx = [int(lbl.split(":")[0][1:]) for lbl in pair]
-        assert sp.intersect_basic(spec.space, basis[idx[0]], basis[idx[1]]) is None
+        assert not sp.intersects(spec.space, basis[idx[0]], basis[idx[1]])
 
 
 class TestTransitive:
     def test_witnessed_entries_recheck(self):
-        v = ck.check_property(CONST_SIGMA, ck.transitive(), 1, 32)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("transitive"), 1, 32)
         assert v.witnessed
         recheck_witness_entries(CONST_SIGMA, v)
 
     def test_identity_refuted_structurally(self):
         spec = mp.NdsSpec(SHIFT, (), mp.IDENTITY)
-        v = ck.check_property(spec, ck.transitive(), 1, 32)
+        v = ck.check_property(spec, ck.PropertyKind("transitive"), 1, 32)
         assert v.refuted
         recheck_refutation(spec, v)
 
     def test_finite_identity_refuted(self):
-        v = ck.check_property(CONST_ID_FINITE, ck.transitive(), 1, 16)
+        v = ck.check_property(CONST_ID_FINITE, ck.PropertyKind("transitive"), 1, 16)
         assert v.refuted
 
     def test_deterministic(self):
-        a = ck.check_property(ex36(), ck.transitive(), 2, 64)
-        b = ck.check_property(ex36(), ck.transitive(), 2, 64)
+        a = ck.check_property(ex36(), ck.PropertyKind("transitive"), 2, 64)
+        b = ck.check_property(ex36(), ck.PropertyKind("transitive"), 2, 64)
         assert a == b
 
 
 class TestMultiTransitive:
     def test_example_31_refuted_with_even_law(self):
-        v = ck.check_property(ex31(), ck.multi_transitive(2), 1, 64)
+        v = ck.check_property(ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
         assert v.refuted
         assert "multiple of 2" in v.evidence["structural"]
         recheck_refutation(ex31(), v)
 
     def test_tail_witnessed_at_low_resolution(self):
-        v = ck.check_property(mp.TailSpec(ex31(), 2), ck.multi_transitive(3), 1, 512)
+        v = ck.check_property(mp.TailSpec(ex31(), 2), ck.PropertyKind("multi-transitive", order=3),
+                              1, 512)
         assert v.witnessed
 
     def test_example_36_refuted(self):
-        v = ck.check_property(ex36(), ck.multi_transitive(2), 1, 64)
+        v = ck.check_property(ex36(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
         assert v.refuted
 
 
@@ -117,7 +118,7 @@ class TestWeaklyMixing:
         # 4 basis pairs, hit on alternate times: no m-tuple of pairs shares
         # a time once it holds (1, 1) and (1, 2), whatever m is
         swap = mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 1)))
-        v = ck.check_property(swap, ck.weakly_mixing(5), 1, 16)
+        v = ck.check_property(swap, ck.PropertyKind("weakly-mixing", order=5), 1, 16)
         assert v.status == ck.INCONCLUSIVE
         assert v.evidence["failing_tuple"] == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"]
 
@@ -126,81 +127,84 @@ class TestMinimal:
     def test_finite_examples(self):
         t1, t2 = mp.FiniteFnTerm((1, 1)), mp.FiniteFnTerm((2, 2))
         ex33 = mp.NdsSpec(sp.FiniteSpace(2), (mp.Rule(mp.EqualsPattern(1), t1),), t2)
-        assert ck.check_property(ex33, ck.minimal(), 1, 10).witnessed
+        assert ck.check_property(ex33, ck.PropertyKind("minimal"), 1, 10).witnessed
         limit = mp.NdsSpec(sp.FiniteSpace(2), (), t2)
-        assert ck.check_property(limit, ck.minimal(), 1, 10).refuted
+        assert ck.check_property(limit, ck.PropertyKind("minimal"), 1, 10).refuted
 
     def test_shift_fixed_point_refutes(self):
-        v = ck.check_property(CONST_SIGMA, ck.minimal(), 1, 64)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("minimal"), 1, 64)
         assert v.refuted
         assert "shift-invariant" in v.evidence["structural"]
 
 
 class TestMixingFamily:
     def test_constant_shift_mixing(self):
-        v = ck.check_property(CONST_SIGMA, ck.mixing(), 1, 32)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("mixing"), 1, 32)
         assert v.witnessed
         assert any("censored" in c for c in v.caveats)
 
     def test_example_36_mixing_refuted(self):
-        v = ck.check_property(ex36(), ck.mixing(), 1, 64)
+        v = ck.check_property(ex36(), ck.PropertyKind("mixing"), 1, 64)
         assert v.refuted
         assert "mod 2" in v.evidence["structural"]
 
     def test_mildly_mixing_tracks_mixing_without_isolated_points(self):
-        v = ck.check_property(CONST_SIGMA, ck.mildly_mixing(), 1, 32)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("mildly-mixing"), 1, 32)
         assert v.witnessed
         assert any("equivalence" in c for c in v.caveats)
 
     def test_mildly_mixing_on_finite_space_inconclusive_or_refuted(self):
-        v = ck.check_property(ex35(), ck.mildly_mixing(), 1, 16)
+        v = ck.check_property(ex35(), ck.PropertyKind("mildly-mixing"), 1, 16)
         assert v.status in (ck.REFUTED, ck.INCONCLUSIVE)
         assert any("isolated" in c for c in v.caveats)
 
 
 class TestSensitivity:
     def test_delta_above_diameter_trivially_refuted(self):
-        v = ck.check_property(CONST_SIGMA, ck.sensitive(Fraction(4)), 1, 16)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("sensitive", delta=Fraction(4)), 1, 16)
         assert v.refuted
         assert any("trivial" in c for c in v.caveats)
 
     def test_finite_spaces_never_sensitive(self):
-        v = ck.check_property(ex35(), ck.sensitive(Fraction(1, 2)), 1, 16)
+        v = ck.check_property(ex35(), ck.PropertyKind("sensitive", delta=Fraction(1, 2)), 1, 16)
         assert v.refuted
         assert "singleton" in v.evidence["structural"]
 
     def test_rotations_below_delta_refuted(self):
         # arcs at resolution 4 have diameter 1/4 < 1/3 < the space diameter
-        v = ck.check_property(ex38(), ck.sensitive(Fraction(1, 3)), 4, 16)
+        v = ck.check_property(ex38(), ck.PropertyKind("sensitive", delta=Fraction(1, 3)), 4, 16)
         assert v.refuted
         assert "preserve" in v.evidence["structural"]
 
     def test_multi_sensitive_on_shift(self):
-        v = ck.check_property(ex36(), ck.multi_sensitive(Fraction(1, 2), 3), 2, 64)
+        prop = ck.PropertyKind("multi-sensitive", delta=Fraction(1, 2), order=3)
+        v = ck.check_property(ex36(), prop, 2, 64)
         assert v.witnessed
 
     def test_thickly_sensitive_refuted_by_parity(self):
-        v = ck.check_property(ex36(), ck.thickly_sensitive(Fraction(1, 2)), 3, 64)
+        prop = ck.PropertyKind("thickly-sensitive", delta=Fraction(1, 2))
+        v = ck.check_property(ex36(), prop, 3, 64)
         assert v.refuted
 
     def test_thickly_sensitive_witnessed_on_mixing_shift(self):
-        v = ck.check_property(CONST_SIGMA, ck.thickly_sensitive(Fraction(1, 4)), 2, 64)
+        prop = ck.PropertyKind("thickly-sensitive", delta=Fraction(1, 4))
+        v = ck.check_property(CONST_SIGMA, prop, 2, 64)
         assert v.witnessed
 
 
 class TestStronglyTransitive:
     def test_three_cycle(self):
         spec = mp.NdsSpec(sp.FiniteSpace(3), (), mp.FiniteFnTerm((2, 3, 1)))
-        v = ck.check_property(spec, ck.strongly_transitive(), 1, 32)
+        v = ck.check_property(spec, ck.PropertyKind("strongly-transitive"), 1, 32)
         assert v.witnessed and v.evidence["cover_bound"] == 3
 
     def test_two_cycles_refuted(self):
         spec = mp.NdsSpec(sp.FiniteSpace(4), (), mp.FiniteFnTerm((2, 1, 4, 3)))
-        v = ck.check_property(spec, ck.strongly_transitive(), 1, 32)
+        v = ck.check_property(spec, ck.PropertyKind("strongly-transitive"), 1, 32)
         assert v.refuted
 
     def test_shift_refuted_by_constant_point(self):
-        v = ck.check_property(CONST_SIGMA, ck.strongly_transitive(), 1, 32)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("strongly-transitive"), 1, 32)
         assert v.refuted
         assert "constant" in v.evidence["structural"]
 
@@ -210,13 +214,14 @@ class TestStronglyTransitive:
             mp.Rule(mp.EqualsPattern(1), mp.IDENTITY),
         ), mp.FiniteFnTerm((2, 1)))
         cycle = mp.NdsSpec(sp.FiniteSpace(3), (), mp.FiniteFnTerm((2, 3, 1)))
-        v = ck.check_property(mp.ProductSpec((swap_late, cycle)), ck.strongly_transitive(), 1, 16)
+        v = ck.check_property(mp.ProductSpec((swap_late, cycle)),
+                              ck.PropertyKind("strongly-transitive"), 1, 16)
         assert v.witnessed
         assert v.evidence["cover_bound_per_open"] == {str(i): 6 for i in range(6)}
 
     def test_shift_product_inconclusive(self):
         v = ck.check_property(
-            mp.ProductSpec((CONST_SIGMA, CONST_SIGMA)), ck.strongly_transitive(), 1, 16
+            mp.ProductSpec((CONST_SIGMA, CONST_SIGMA)), ck.PropertyKind("strongly-transitive"), 1, 16
         )
         assert v.status == ck.INCONCLUSIVE
         assert v.caveats == ("no exact cover check for products with a shift or circle factor",)
@@ -224,26 +229,26 @@ class TestStronglyTransitive:
 
 class TestDensePeriodic:
     def test_circle_two_periodicity(self):
-        v = ck.check_property(ex38(), ck.dense_periodic_points(), 4, 32, law_horizon=2200)
+        v = ck.check_property(ex38(), ck.PropertyKind("dense-periodic-points"), 4, 32, law_horizon=2200)
         assert v.witnessed and v.evidence["period"] == 2
 
     def test_constant_shift_periodic_words(self):
-        v = ck.check_property(CONST_SIGMA, ck.dense_periodic_points(), 2, 32)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("dense-periodic-points"), 2, 32)
         assert v.witnessed
 
 
 class TestSurjectiveAndFeeble:
     def test_shift_powers_surjective(self):
-        assert ck.check_property(ex31(), ck.surjective_sequence(), 1, 16).witnessed
+        assert ck.check_property(ex31(), ck.PropertyKind("surjective-sequence"), 1, 16).witnessed
 
     def test_non_surjective_table_refuted(self):
         bad = mp.NdsSpec(sp.FiniteSpace(2), (mp.Rule(mp.EqualsPattern(1), mp.FiniteFnTerm((1, 1))),))
-        v = ck.check_property(bad, ck.surjective_sequence(), 1, 16)
+        v = ck.check_property(bad, ck.PropertyKind("surjective-sequence"), 1, 16)
         assert v.refuted and v.evidence["index"] == 1
 
     def test_feeble_open_everywhere(self):
         for spec in (ex31(), ex35(), ex38()):
-            assert ck.check_property(spec, ck.feeble_open(), 1, 8).witnessed
+            assert ck.check_property(spec, ck.PropertyKind("feeble-open"), 1, 8).witnessed
 
 
 class TestGapAdversary:
@@ -268,7 +273,7 @@ class TestGapAdversary:
     def test_product_with_base_refuted(self):
         adv, _ = ck.build_gap_adversary(list(range(4, 130, 4)), law_horizon=160)
         prod = mp.ProductSpec((ex36(), adv))
-        v = ck.check_property(prod, ck.transitive(), 1, 128, law_horizon=160)
+        v = ck.check_property(prod, ck.PropertyKind("transitive"), 1, 128, law_horizon=160)
         assert v.refuted
         assert "parity" in v.evidence["structural"]
 
@@ -276,17 +281,19 @@ class TestGapAdversary:
 class TestConsistency:
     def test_tail_31_multi_transitive(self):
         rep = ck.hitting_infinity_consistency(
-            mp.TailSpec(ex31(), 2), ck.multi_transitive(2), 1, 256, 5
+            mp.TailSpec(ex31(), 2), ck.PropertyKind("multi-transitive", order=2), 1, 256, 5
         )
         assert rep.ok and rep.kth_common_time is not None
 
     def test_constant_shift_weak_mixing(self):
-        rep = ck.hitting_infinity_consistency(CONST_SIGMA, ck.weakly_mixing(2), 1, 128, 10)
+        rep = ck.hitting_infinity_consistency(
+            CONST_SIGMA, ck.PropertyKind("weakly-mixing", order=2), 1, 128, 10)
         assert rep.ok
 
     def test_precondition_failure_reported(self):
         two_id = mp.NdsSpec(sp.FiniteSpace(2), (), mp.IDENTITY)
-        rep = ck.hitting_infinity_consistency(two_id, ck.weakly_mixing(2), 1, 32, 3)
+        rep = ck.hitting_infinity_consistency(
+            two_id, ck.PropertyKind("weakly-mixing", order=2), 1, 32, 3)
         assert not rep.ok and "precondition" in rep.detail
 
 
@@ -298,27 +305,29 @@ class TestHierarchyCoherence:
 
     def test_mixing_implies_weak_mixing_not_refuted(self):
         for spec in self._systems():
-            mix = ck.check_property(spec, ck.mixing(), 1, 128)
+            mix = ck.check_property(spec, ck.PropertyKind("mixing"), 1, 128)
             if mix.witnessed:
-                wm = ck.check_property(spec, ck.weakly_mixing(2), 1, 128)
+                wm = ck.check_property(spec, ck.PropertyKind("weakly-mixing", order=2), 1, 128)
                 assert wm.status != ck.REFUTED
 
     def test_higher_weak_mixing_implies_lower(self):
         for spec in self._systems():
-            wm3 = ck.check_property(spec, ck.weakly_mixing(3), 1, 128)
+            wm3 = ck.check_property(spec, ck.PropertyKind("weakly-mixing", order=3), 1, 128)
             if wm3.witnessed:
-                assert ck.check_property(spec, ck.weakly_mixing(2), 1, 128).witnessed
+                wm2 = ck.check_property(spec, ck.PropertyKind("weakly-mixing", order=2), 1, 128)
+                assert wm2.witnessed
 
     def test_multi_transitive_implies_transitive(self):
         for spec in self._systems():
-            mt = ck.check_property(spec, ck.multi_transitive(2), 1, 256)
+            mt = ck.check_property(spec, ck.PropertyKind("multi-transitive", order=2), 1, 256)
             if mt.witnessed:
-                assert ck.check_property(spec, ck.transitive(), 1, 512).witnessed
+                assert ck.check_property(spec, ck.PropertyKind("transitive"), 1, 512).witnessed
 
     def test_tail_verdicts_are_independent(self):
-        base_refuted = ck.check_property(ex31(), ck.multi_transitive(2), 1, 64).refuted
+        base_refuted = ck.check_property(
+            ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64).refuted
         tail_witnessed = ck.check_property(
-            mp.TailSpec(ex31(), 2), ck.multi_transitive(2), 1, 256
+            mp.TailSpec(ex31(), 2), ck.PropertyKind("multi-transitive", order=2), 1, 256
         ).witnessed
         assert base_refuted and tail_witnessed
 
@@ -327,27 +336,27 @@ class TestAlmostPeriodic:
     def test_rotation_orbit_returns(self):
         spec = mp.NdsSpec(sp.CircleSpace(), (), mp.RotPowTerm(1))
         v = ck.check_property(
-            spec, ck.almost_periodic_point(sp.AffineAngle(Fraction(0), 0)), 1, 128
+            spec, ck.PropertyKind("almost-periodic-point", point=sp.AffineAngle(Fraction(0), 0)), 1, 128
         )
         assert v.witnessed
         assert "per_epsilon" in v.evidence
 
     def test_escaping_orbit_inconclusive(self):
         x = sp.BiWord.from_window(0, (1,), 0)
-        v = ck.check_property(CONST_SIGMA, ck.almost_periodic_point(x), 1, 64)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("almost-periodic-point", point=x), 1, 64)
         assert v.status in (ck.WITNESSED, ck.INCONCLUSIVE)
 
 
 class TestParameterValidation:
     def test_bad_orders_rejected(self):
         with pytest.raises(ValueError):
-            ck.weakly_mixing(1)
+            ck.PropertyKind("weakly-mixing", order=1)
         with pytest.raises(ValueError):
             ck.PropertyKind("multi-transitive", order=0)
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
-            ck.sensitive(Fraction(0))
+            ck.PropertyKind("sensitive", delta=Fraction(0))
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):
@@ -369,7 +378,7 @@ def test_derived_products_get_verdicts_that_recheck(name):
     pair masks come from the parts' tails or iterates, as the per-time test
     decides them."""
     spec = ndsl.parse(TAIL_OF_PRODUCT).system(name)
-    v = ck.check_property(spec, ck.transitive(), 1, 16)
+    v = ck.check_property(spec, ck.PropertyKind("transitive"), 1, 16)
     assert ck.recheck_verdict(spec, v)
     basis, masks = ck._pair_masks(spec, 1, 16)
     for (i, j), mask in sorted(masks.items())[::17]:  # 241 of the 4096 pairs
@@ -423,7 +432,7 @@ class TestGroupedReasons:
     @settings(max_examples=25, deadline=None)
     def test_transitive_refutes_with_the_first_pair_a_walk_refutes(self, spec, H):
         laws = mp.derive_laws(spec, 256)
-        prop = ck.transitive()
+        prop = ck.PropertyKind("transitive")
         r = sp.min_resolution(spec.space)
         v = ck.check_property(spec, prop, r, H, laws=laws)
         basis, masks = ck._pair_masks(spec, r, H)

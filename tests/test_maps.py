@@ -21,11 +21,14 @@ from ndslab.maps import (
     NdsSpec,
     OverlappingRules,
     PowerPattern,
+    ProductMap,
     ProductSpec,
+    RotPowMap,
     RotPowTerm,
     Rule,
     ShiftPowMap,
     ShiftPowTerm,
+    TableMap,
     TailSpec,
     apply,
     compose,
@@ -43,15 +46,18 @@ from ndslab.maps import (
 )
 from ndslab.spaces import (
     AffineAngle,
+    Arc,
     BiWord,
     CircleSpace,
     Cylinder,
     FiniteId,
     FiniteSet,
     FiniteSpace,
+    ProductOpen,
     ShiftSpace,
+    SpaceMismatch,
     contains,
-    intersect_basic,
+    intersects,
 )
 
 SHIFT = ShiftSpace()
@@ -198,6 +204,21 @@ class TestImagePreimage:
         const = term_to_normal(FiniteSpace(2), FiniteFnTerm((1, 1)))
         assert preimage(const, FiniteSet(frozenset({2}))) is None
 
+    @pytest.mark.parametrize("m", [
+        ShiftPowMap(1), RotPowMap(1), TableMap((2, 1)), ProductMap((ShiftPowMap(1), RotPowMap(1))),
+    ], ids=repr)
+    def test_preimage_checks_its_input_as_image_does(self, m):
+        opens = [Cylinder(0, (1,)), Arc(AffineAngle(Fraction(0)), Fraction(1, 8)),
+                 FiniteSet(frozenset({1})), ProductOpen((Cylinder(0, (1,)), Cylinder(0, (0,))))]
+        for A in opens:
+            try:
+                image(m, A)
+            except SpaceMismatch:
+                with pytest.raises(SpaceMismatch):
+                    preimage(m, A)
+            else:
+                preimage(m, A)
+
     @given(
         st.integers(-3, 3),
         st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
@@ -209,10 +230,7 @@ class TestImagePreimage:
     def test_image_respects_intersection(self, s1, w1, s2, w2, e):
         a, b = Cylinder(s1, w1), Cylinder(s2, w2)
         m = ShiftPowMap(e)
-        both = intersect_basic(SHIFT, a, b)
-        img_both = None if both is None else image(m, both)
-        other = intersect_basic(SHIFT, image(m, a), image(m, b))
-        assert img_both == other  # equality since shifts are invertible
+        assert intersects(SHIFT, image(m, a), image(m, b)) == intersects(SHIFT, a, b)
 
     @given(st.integers(-4, 4), st.integers(-3, 3),
            st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple))

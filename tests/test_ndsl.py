@@ -234,8 +234,9 @@ class TestPropertyRendering:
         *(ck.PropertyKind(name, delta=d)
           for name in ("sensitive", "syndetically-sensitive")
           for d in (Fraction(1, 2), Fraction(3), Fraction(5, 1024))),
-        *(ck.thickly_sensitive(Fraction(1, 4), run) for run in (1, 3, 7)),
-        *(ck.multi_sensitive(Fraction(1, 4), m) for m in (1, 2, 3, 4)),
+        *(ck.PropertyKind("thickly-sensitive", delta=Fraction(1, 4), run_length=run)
+          for run in (1, 3, 7)),
+        *(ck.PropertyKind("multi-sensitive", delta=Fraction(1, 4), order=m) for m in (1, 2, 3, 4)),
     ], ids=repr)
     def test_parse_reads_back_the_rendering(self, prop):
         assert ndsl.read_property(prop.render()) == prop

@@ -1,4 +1,4 @@
-"""Phase-space layer: exact metrics, cylinder/arc algebra, basis enumeration.
+"""Phase-space layer: exact metrics, cylinder/arc meets, basis enumeration.
 
 Derived expectations are computed by independent brute-force oracles
 (truncated metric sums, word enumeration) before being asserted.
@@ -16,7 +16,6 @@ from ndslab.spaces import (
     AlphaEnclosure,
     AlphaLinear,
     Arc,
-    ArcSpan,
     BiWord,
     CircleSpace,
     Cylinder,
@@ -36,9 +35,6 @@ from ndslab.spaces import (
     diameter_witness_pair,
     distance,
     enumerate_basis,
-    interior_point,
-    intersect_basic,
-    intersect_basic_ex,
     intersects,
     shift_distance,
     value_cmp,
@@ -263,15 +259,14 @@ class TestCircle:
 class TestIntersection:
     def test_same_cylinder(self):
         c = Cylinder(0, (1,))
-        assert intersect_basic(SHIFT, c, c) == c
+        assert intersects(SHIFT, c, c)
 
     def test_symbol_conflict(self):
-        assert intersect_basic(SHIFT, Cylinder(0, (1,)), Cylinder(0, (0,))) is None
+        assert not intersects(SHIFT, Cylinder(0, (1,)), Cylinder(0, (0,)))
 
     def test_overlapping_merge_matches_enumeration(self):
         a = Cylinder(-1, (0, 1))
         b = Cylinder(0, (1, 0))
-        merged = intersect_basic(SHIFT, a, b)
         # oracle: brute force over all words on [-1, 2)
         members = [
             w
@@ -279,15 +274,16 @@ class TestIntersection:
             if w[0] == 0 and w[1] == 1 and w[1] == 1 and w[2] == 0
         ]
         assert members == [(0, 1, 0)]
-        assert merged == Cylinder(-1, (0, 1, 0))
+        assert intersects(SHIFT, a, b) and intersects(SHIFT, b, a)
+        assert not intersects(SHIFT, a, Cylinder(0, (0, 0)))
 
     def test_gap_merge_keeps_free_middle(self):
         a = Cylinder(-3, (1,))
         b = Cylinder(2, (0,))
-        merged = intersect_basic(SHIFT, a, b)
-        assert merged.at(-3) == 1 and merged.at(2) == 0 and merged.at(0) is None
-        p = merged.interior_point()
-        assert contains(SHIFT, a, p) and contains(SHIFT, b, p)
+        assert intersects(SHIFT, a, b)
+        for fill in (0, 1):
+            p = BiWord.from_window(-3, (1, fill, fill, fill, fill, 0), fill)
+            assert contains(SHIFT, a, p) and contains(SHIFT, b, p)
 
     @given(
         st.integers(-3, 3), st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
@@ -298,75 +294,63 @@ class TestIntersection:
         a, b = Cylinder(s1, w1), Cylinder(s2, w2)
         lo = min(a.start, b.start)
         hi = max(a.end, b.end)
-        window = range(lo, hi)
         in_both = [
             w
             for w in iproduct((0, 1), repeat=hi - lo)
             if all(w[i - lo] == s for i, s in a.constrained())
             and all(w[i - lo] == s for i, s in b.constrained())
         ]
-        merged = intersect_basic(SHIFT, a, b)
-        if merged is None:
-            assert not in_both
-        else:
-            want = [
-                w
-                for w in iproduct((0, 1), repeat=hi - lo)
-                if all(w[i - lo] == s for i, s in merged.constrained())
-            ]
-            assert want == in_both
-        # commutativity up to denotation
-        other = intersect_basic(SHIFT, b, a)
-        assert (merged is None) == (other is None)
-        if merged is not None:
-            assert merged == other
+        assert intersects(SHIFT, a, b) == bool(in_both)
+        assert intersects(SHIFT, b, a) == bool(in_both)
 
     def test_finite_sets(self):
         a = FiniteSet(frozenset({1, 2}))
         b = FiniteSet(frozenset({2, 3}))
-        assert intersect_basic(FiniteSpace(3), a, b) == FiniteSet(frozenset({2}))
-        assert intersect_basic(FiniteSpace(3), a, FiniteSet(frozenset({3}))) is None
+        assert intersects(FiniteSpace(3), a, b)
+        assert not intersects(FiniteSpace(3), a, FiniteSet(frozenset({3})))
 
     def test_variant_mismatch(self):
         with pytest.raises(SpaceMismatch):
-            intersect_basic(SHIFT, Cylinder(0, (1,)), FiniteSet(frozenset({1})))
+            intersects(SHIFT, Cylinder(0, (1,)), FiniteSet(frozenset({1})))
+        arc = Arc(AffineAngle(Fraction(0)), Fraction(1, 8))
+        with pytest.raises(SpaceMismatch):
+            intersects(SHIFT, arc, arc)
 
 
 class TestArcs:
     def test_disjoint_arcs(self):
         a = Arc(AffineAngle(Fraction(0)), Fraction(1, 8))
         b = Arc(AffineAngle(Fraction(1, 2)), Fraction(1, 8))
-        assert intersect_basic(CIRCLE, a, b) is None
         assert not intersects(CIRCLE, a, b)
 
     def test_identical_arcs(self):
         a = Arc(AffineAngle(Fraction(1, 4)), Fraction(1, 8))
-        got, count = intersect_basic_ex(CIRCLE, a, a)
-        assert got == a and count == 1
+        assert intersects(CIRCLE, a, a)
 
-    def test_containment_keeps_rational_form(self):
+    def test_nested_and_two_piece_overlaps_meet(self):
         big = Arc(AffineAngle(Fraction(0)), Fraction(1, 4))
         small = Arc(AffineAngle(Fraction(0)), Fraction(1, 16))
-        assert intersect_basic(CIRCLE, big, small) == small
+        assert intersects(CIRCLE, big, small) and intersects(CIRCLE, small, big)
+        # radius 3/8 around 0 and 1/2: the overlap is two arcs, around 1/4 and 3/4
+        a = Arc(AffineAngle(Fraction(0)), Fraction(3, 8))
+        b = Arc(AffineAngle(Fraction(1, 2)), Fraction(3, 8))
+        assert intersects(CIRCLE, a, b)
+        for q in (Fraction(1, 4), Fraction(3, 4)):
+            assert contains(CIRCLE, a, AffineAngle(q)) and contains(CIRCLE, b, AffineAngle(q))
 
     def test_partial_overlap_with_irrational_offset(self):
         a = Arc(AffineAngle(Fraction(0)), Fraction(1, 4))
         b = Arc(AffineAngle(Fraction(0), 1), Fraction(1, 4))  # center at alpha
-        got, count = intersect_basic_ex(CIRCLE, a, b)
-        assert count == 1 and isinstance(got, ArcSpan)
-        mid = interior_point(CIRCLE, got)
+        assert intersects(CIRCLE, a, b) and intersects(CIRCLE, b, a)
+        # the overlap is (alpha - 1/4, 1/4), about (0.164, 0.25)
+        mid = AffineAngle(Fraction(1, 5))
         assert contains(CIRCLE, a, mid) and contains(CIRCLE, b, mid)
-
-    def test_double_overlap_flags_two_components(self):
-        a = Arc(AffineAngle(Fraction(0)), Fraction(3, 8))
-        b = Arc(AffineAngle(Fraction(1, 2)), Fraction(3, 8))
-        got, count = intersect_basic_ex(CIRCLE, a, b)
-        assert count == 2 and got is not None
+        assert not intersects(CIRCLE, b, Arc(AffineAngle(Fraction(7, 8)), Fraction(1, 16)))
 
     def test_touching_open_arcs_are_disjoint(self):
         a = Arc(AffineAngle(Fraction(0)), Fraction(1, 8))
         b = Arc(AffineAngle(Fraction(1, 4)), Fraction(1, 8))
-        assert intersect_basic(CIRCLE, a, b) is None
+        assert not intersects(CIRCLE, a, b)
 
 
 class TestDiameter:
@@ -466,7 +450,7 @@ class TestBasis:
     def test_points_within_diameter(self):
         basis = enumerate_basis(SHIFT, 2)
         A = basis[17]
-        p = interior_point(SHIFT, A)
+        p = BiWord.from_window(A.start, A.word)
         x, y = diameter_witness_pair(SHIFT, A)
         for q in (x, y):
             assert shift_distance(p, q) <= diameter(SHIFT, A)
