@@ -1049,8 +1049,7 @@ def _never_separates(spec, laws, U, delta) -> Optional[str]:
 
 
 def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:
-    structural = mp.spec_is_surjective_structurally(spec)
-    if structural is True:
+    if mp.spec_is_surjective_structurally(spec):
         return Verdict(
             prop.render(), WITNESSED, cfg,
             {"structural": "every rule term is surjective (shift powers, rotations, bijective tables)"},

@@ -5,16 +5,16 @@ gap-bound arguments.
 On the shift and on finite spaces the sup metric between distinct normal
 maps is bounded below by a fixed constant (3 between distinct shift powers,
 1 between distinct tables), so convergence verdicts reduce to eventual
-equality of terms plus a structural argument that every rule firing beyond
-the stabilization index emits the limit term.  No silent extrapolation:
-without that structural argument a verdict stays inconclusive.
+equality of steps: `maps.eventual_step` proves from the rules that every
+step from some index on is one map, and that map must be the limit.  No
+silent extrapolation: without that structural argument a verdict stays
+inconclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from . import maps as mp
@@ -68,51 +68,10 @@ def sup_distance(space: sp.SpaceDesc, a: mp.NormalMap, b: mp.NormalMap):
     raise sp.SpaceMismatch(f"unknown space {space!r}")
 
 
-def _term_equals(space, term: mp.RuleTerm, limit_map: mp.NormalMap) -> bool:
-    """Semantic comparison of a rule term against the limit's normal form
-    (so an identity term matches an identity table)."""
-    if isinstance(term, mp.FamilyTerm):
-        if term.coeff != 0:
-            return False
-        term = term.at_ordinal(1)
-    return mp.term_to_normal(space, term) == limit_map
-
-
-def _limit_stabilization(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> Optional[int]:
-    """Smallest r0 such that the rules guarantee term == limit for every
-    index >= r0; None when no such structural argument exists."""
-    if isinstance(spec, mp.TailSpec):
-        inner = _limit_stabilization(spec.base, limit_map)
-        return None if inner is None else max(1, inner - (spec.k - 1))
-    if not isinstance(spec, mp.NdsSpec):
-        return None
-    space = spec.space
-    bound = 1
-    covered_from = None  # index from which the rules swallow every n
-    for r in spec.rules:
-        pat, term = r.pattern, r.term
-        if isinstance(pat, mp.EqualsPattern):
-            if not _term_equals(space, term, limit_map):
-                bound = max(bound, pat.value + 1)
-            continue
-        # infinite pattern: every firing index must emit the limit
-        if not _term_equals(space, term, limit_map):
-            return None
-        if isinstance(pat, mp.ElsePattern):
-            covered_from = 1
-        elif isinstance(pat, mp.ArithProgPattern) and pat.step == 1:
-            covered_from = pat.first if covered_from is None else min(covered_from, pat.first)
-    if covered_from is not None:
-        return max(bound, covered_from)
-    if not _term_equals(space, spec.default, limit_map):
-        return None
-    return bound
-
-
 def _infinite_non_limit_rule(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> Optional[str]:
     """A structural reason why infinitely many step terms differ from the
-    limit (family exponents grow without bound, or a constant non-limit term
-    fires on an infinite pattern)."""
+    limit (family exponents grow without bound, a constant non-limit term
+    fires on an infinite pattern, or the default does)."""
     if isinstance(spec, mp.TailSpec):
         return _infinite_non_limit_rule(spec.base, limit_map)
     if not isinstance(spec, mp.NdsSpec):
@@ -121,33 +80,14 @@ def _infinite_non_limit_rule(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> Op
     for r in spec.rules:
         if isinstance(r.pattern, mp.EqualsPattern):
             continue
-        if isinstance(r.term, mp.FamilyTerm) and r.term.coeff != 0:
+        m = mp.rule_map(space, r.term)
+        if m is None:
             return f"rule {r.pattern} emits unboundedly growing powers"
-        if not _term_equals(space, r.term, limit_map):
+        if m != limit_map:
             return f"rule {r.pattern} emits {r.term} infinitely often"
-    if not _term_equals(space, spec.default, limit_map) and _default_fires_infinitely(spec):
+    if mp.rule_map(space, spec.default) != limit_map and mp.covered_from(spec) is None:
         return f"the default emits {spec.default} infinitely often"
     return None
-
-
-def _default_fires_infinitely(spec: mp.NdsSpec) -> bool:
-    """Structural: do the rules leave infinitely many indices to the default?
-    Only else-rules and arithmetic progressions can cover cofinitely; power
-    patterns are too sparse to close residue gaps."""
-    if any(isinstance(r.pattern, mp.ElsePattern) for r in spec.rules):
-        return False
-    progs = [r.pattern for r in spec.rules if isinstance(r.pattern, mp.ArithProgPattern)]
-    if not progs:
-        return True
-    period = 1
-    for p in progs:
-        period = period * p.step // gcd(period, p.step)
-    start = max(
-        [p.first for p in progs]
-        + [r.pattern.value + 1 for r in spec.rules if isinstance(r.pattern, mp.EqualsPattern)]
-        + [1]
-    )
-    return any(not any(p.matches(n) for p in progs) for n in range(start, start + period))
 
 
 def _first_divergent_index(spec, limit_map, space, horizon: int):
@@ -163,8 +103,8 @@ def check_uniform_convergence(spec: mp.SystemSpec, limit: mp.MapTerm, horizon: i
     convergence is eventual equality of terms."""
     space = spec.space
     limit_map = mp.term_to_normal(space, limit)
-    r0 = _limit_stabilization(spec, limit_map)
-    if r0 is not None:
+    r0, g = mp.eventual_step(spec) or (None, None)
+    if g == limit_map:
         for n in range(1, min(horizon, r0 + 8) + 1):
             d = sup_distance(space, mp.step_normal(spec, n), limit_map)
             if n >= r0 and sp.value_cmp(d, 0) != 0:
@@ -193,8 +133,8 @@ def check_collective_convergence(
     exhibits a concrete (r, k) separation recurring structurally."""
     space = spec.space
     limit_map = mp.term_to_normal(space, limit)
-    r0 = _limit_stabilization(spec, limit_map)
-    if r0 is not None:
+    r0, g = mp.eventual_step(spec) or (None, None)
+    if g == limit_map:
         limit_pow = mp.identity_map(space)
         for k in range(1, max_window + 1):
             limit_pow = mp.compose(limit_map, limit_pow)

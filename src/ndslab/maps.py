@@ -9,7 +9,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .spaces import (
@@ -247,7 +247,8 @@ class NdsSpec:
 
     Every index matches at most one rule; pattern pairs are checked for
     disjointness structurally where possible and up to VALIDATION_HORIZON
-    for power-pattern combinations.  Unmatched indices get `default`.
+    for power-pattern combinations.  Unmatched indices get `default`.  Every
+    term must fit the space (SpaceMismatch otherwise).
     """
 
     space: SpaceDesc
@@ -257,6 +258,9 @@ class NdsSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+        for term in [r.term for r in self.rules] + [self.default]:
+            # every term must fit the space; a family is checked by its kind
+            term_to_normal(self.space, term.at_ordinal(1) if isinstance(term, FamilyTerm) else term)
         for a in range(len(self.rules)):
             for b in range(a + 1, len(self.rules)):
                 pa, pb = self.rules[a].pattern, self.rules[b].pattern
@@ -892,13 +896,76 @@ def _equals_pair_candidate(spec: NdsSpec) -> Optional[list]:
 
 
 # ---------------------------------------------------------------------------
+# where the steps settle
+
+
+def rule_map(space: SpaceDesc, term: RuleTerm) -> Optional[NormalMap]:
+    """The one normal map `term` emits every time its rule fires; None for a
+    family whose exponent changes with the match ordinal."""
+    if isinstance(term, FamilyTerm):
+        if term.coeff != 0:
+            return None
+        term = term.at_ordinal(1)
+    return term_to_normal(space, term)
+
+
+def covered_from(spec: NdsSpec) -> Optional[int]:
+    """The least index from which every index matches a rule, so the default
+    never fires again: 1 under an else rule, None when the default fires
+    infinitely often.  Disjoint progressions hold disjoint residue classes
+    modulo the lcm of their steps, and they hold all of them exactly when
+    their shares 1/step sum to 1 (equals and power matches are too sparse
+    to fill a class).  The indices they then leave open are each
+    progression's own class below its first term, so the last gap is found
+    stepping down those classes past the finitely many other matches."""
+    if any(isinstance(r.pattern, ElsePattern) for r in spec.rules):
+        return 1
+    progs = [r.pattern for r in spec.rules if isinstance(r.pattern, ArithProgPattern)]
+    period = lcm(*(p.step for p in progs))
+    if sum(period // p.step for p in progs) != period:
+        return None
+    last_gap = 0
+    for p in progs:
+        n = p.first - p.step
+        while n > last_gap and any(r.pattern.matches(n) for r in spec.rules):
+            n -= p.step
+        last_gap = max(last_gap, n)
+    return last_gap + 1
+
+
+def eventual_step(spec: SystemSpec) -> Optional[tuple]:
+    """(r0, g) when the rules prove that every step from index r0 on is the
+    normal map g; None when they do not settle on one map.  Every rule on an
+    infinite pattern must emit g, and so must the default unless the rules
+    cover every index from some point on (covered_from); r0 is the later of
+    that cover index and one past each equals rule emitting another map.  A
+    tail at k moves r0 back by k - 1; iterates and products are not read."""
+    if isinstance(spec, TailSpec):
+        inner = eventual_step(spec.base)
+        return None if inner is None else (max(1, inner[0] - (spec.k - 1)), inner[1])
+    if not isinstance(spec, NdsSpec):
+        return None
+    space, cover = spec.space, covered_from(spec)
+    infinite = {rule_map(space, r.term) for r in spec.rules if not isinstance(r.pattern, EqualsPattern)}
+    if cover is None:
+        infinite.add(rule_map(space, spec.default))
+    if len(infinite) != 1 or None in infinite:
+        return None
+    (g,) = infinite
+    return max([cover or 1] + [
+        r.pattern.value + 1 for r in spec.rules
+        if isinstance(r.pattern, EqualsPattern) and rule_map(space, r.term) != g
+    ]), g
+
+
+# ---------------------------------------------------------------------------
 # finite-space analogue: eventually periodic prefix tables
 
 
 @dataclass(frozen=True)
 class TableLaw:
     """Exact description of every prefix table of a finite-space system whose
-    rules emit one fixed term from `stabilized_from` on: the prefix tables
+    steps are one fixed table from `stabilized_from` on: the prefix tables
     T(1), T(2), ... consist of `preperiod` followed by `cycle` repeating."""
 
     stabilized_from: int
@@ -930,46 +997,10 @@ class TableLaw:
 
 
 def derive_table_law(spec: SystemSpec) -> Optional[TableLaw]:
-    if isinstance(spec, TailSpec):
-        inner = derive_table_law(spec.base)
-        if inner is None:
-            return None
-        # recompute directly on the tail; stabilization carries over
-        return _table_law_from(spec, max(1, inner.stabilized_from - (spec.k - 1)))
-    if not isinstance(spec, NdsSpec) or not isinstance(spec.space, FiniteSpace):
-        return None
-    stable = _stabilization_index(spec)
-    if stable is None:
-        return None
-    return _table_law_from(spec, stable)
-
-
-def _stabilization_index(spec: NdsSpec) -> Optional[int]:
-    """Smallest r0 such that the rule set structurally guarantees one fixed
-    constant term at every index >= r0; None when the tail is not constant."""
-    bound = 1
-    swallows_tail = []  # rules covering everything from some index on
-    partial = []  # infinite rules with gaps (other indices fall to default)
-    for r in spec.rules:
-        if isinstance(r.term, FamilyTerm):
-            return None
-        if isinstance(r.pattern, EqualsPattern):
-            bound = max(bound, r.pattern.value + 1)
-        elif isinstance(r.pattern, ElsePattern):
-            swallows_tail.append((1, r.term))
-        elif isinstance(r.pattern, ArithProgPattern) and r.pattern.step == 1:
-            swallows_tail.append((r.pattern.first, r.term))
-        else:
-            partial.append((r.pattern.first_match(), r.term))
-    if swallows_tail:
-        # disjointness validation leaves at most one full-coverage rule and no
-        # partial rules beyond its start
-        first, _ = swallows_tail[0]
-        return max(bound, first)
-    terms_beyond = {t for _, t in partial} | {spec.default}
-    if len(terms_beyond) == 1:
-        return max([bound] + [f for f, _ in partial])
-    return None
+    """The prefix tables of a finite-space system whose steps settle on one
+    table (eventual_step); None otherwise."""
+    settled = eventual_step(spec) if isinstance(spec.space, FiniteSpace) else None
+    return None if settled is None else _table_law_from(spec, settled[0])
 
 
 def _table_law_from(spec: SystemSpec, stable: int) -> TableLaw:
@@ -1015,27 +1046,13 @@ def derive_laws(spec: SystemSpec, horizon: int) -> SystemLaws:
     return SystemLaws()
 
 
-def spec_is_surjective_structurally(spec: SystemSpec) -> Optional[bool]:
-    """True/False when decidable from the rule set; None otherwise."""
-    if isinstance(spec, TailSpec):
-        return spec_is_surjective_structurally(spec.base)
-    if isinstance(spec, IterateSpec):
+def spec_is_surjective_structurally(spec: SystemSpec) -> bool:
+    """True when the rule set alone makes every step map surjective: every
+    rule term does, and so does the default unless the rules cover every
+    index (covered_from)."""
+    if isinstance(spec, (TailSpec, IterateSpec)):
         return spec_is_surjective_structurally(spec.base)
     if isinstance(spec, ProductSpec):
-        parts = [spec_is_surjective_structurally(p) for p in spec.parts]
-        if all(p is True for p in parts):
-            return True
-        if any(p is False for p in parts):
-            return False
-        return None
-    for r in spec.rules:
-        if not isinstance(r.term, FamilyTerm) and not term_is_surjective(r.term):
-            return False  # every pattern fires at least once
-    covered = any(
-        isinstance(r.pattern, ElsePattern)
-        or (isinstance(r.pattern, ArithProgPattern) and r.pattern.step == 1 and r.pattern.first == 1)
-        for r in spec.rules
-    )
-    if covered:
-        return True
-    return term_is_surjective(spec.default)
+        return all(spec_is_surjective_structurally(p) for p in spec.parts)
+    terms = [r.term for r in spec.rules] + ([] if covered_from(spec) == 1 else [spec.default])
+    return all(isinstance(t, FamilyTerm) or term_is_surjective(t) for t in terms)

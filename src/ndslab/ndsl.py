@@ -244,12 +244,12 @@ class _Parser:
             self.error(f"found {t.text!r}", expected=("shift", "finite", "circle"))
         kind = self.advance().text
         self.expect("(", "space declaration")
-        if kind == "shift":
-            n = self.take_int("alphabet size")
-            space = sp.ShiftSpace(n)
-        elif kind == "finite":
-            n = self.take_int("point count")
-            space = sp.FiniteSpace(n)
+        if kind in ("shift", "finite"):
+            n = self.take_int("alphabet size" if kind == "shift" else "point count")
+            try:
+                space = sp.ShiftSpace(n) if kind == "shift" else sp.FiniteSpace(n)
+            except ValueError as exc:
+                self.error(str(exc), kind="semantic")
         else:
             space = sp.CircleSpace(self.alpha_expr())
         self.expect(")", "space declaration")

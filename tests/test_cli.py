@@ -280,6 +280,26 @@ class TestExitCodes:
         assert code == 3 and "exceeds 2^4096" in err
 
 
+class TestSpaceDeclarations:
+    @pytest.mark.parametrize("source", [
+        "space shift(2);\nsystem F { else: rot^1; }\n",
+        "space circle(sqrt2m1);\nsystem F { at odd(k): sigma^k; }\n",
+        "space finite(3);\nsystem F { else: table{1->2,2->1}; }\n",
+        "space finite(2);\nsystem F { else: sigma^1; }\n",
+    ], ids=["rotation-on-shift", "shift-family-on-circle", "short-table", "shift-on-finite"])
+    def test_map_that_does_not_fit_the_space_exits_three(self, ndsl_file, capsys, source):
+        code, out, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
+        assert code == 3 and out == ""
+        assert "semantic" in err and "space" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("space", ["shift(1)", "shift(0)", "finite(0)"])
+    def test_empty_or_one_letter_space_exits_three(self, ndsl_file, capsys, space):
+        source = f"space {space};\nsystem F {{ else: id; }}\n"
+        code, out, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
+        assert code == 3 and out == ""
+        assert "semantic" in err and "internal error" not in err
+
+
 HUGE_ROTATION = "space circle(sqrt2m1);\nsystem R { else: rot^1" + "0" * 60 + "; }\n"
 
 

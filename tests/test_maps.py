@@ -6,6 +6,7 @@ the closed-form window compositions.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ndslab import maps as maps_mod
 from ndslab.maps import (
     ArithProgPattern,
+    ElsePattern,
     EqualsPattern,
     FamilyTerm,
     FiniteFnTerm,
@@ -32,10 +34,12 @@ from ndslab.maps import (
     TailSpec,
     apply,
     compose,
+    covered_from,
     derive_exponent_law,
     derive_laws,
     derive_table_law,
     eval_term,
+    eventual_step,
     identity_map,
     image,
     preimage,
@@ -44,6 +48,7 @@ from ndslab.maps import (
     term_to_normal,
     window_compose,
 )
+from ndslab import convergence
 from ndslab.spaces import (
     AffineAngle,
     Arc,
@@ -364,3 +369,127 @@ class TestDerivedLaws:
         first = [prefix_compose(spec, n) for n in range(1, 128)]
         second = [prefix_compose(spec, n) for n in range(1, 128)]
         assert first == second
+
+
+SWAP = FiniteFnTerm((2, 1))
+CYCLE3 = FiniteFnTerm((2, 3, 1))
+
+
+@st.composite
+def rule_systems(draw):
+    """Random rule systems on the shift, the circle and finite(2), with
+    equals, ap, pow and else rules (a rule that overlaps the ones kept is
+    dropped), and tails of them.  Progressions share one step most of the
+    time, so they often cover every residue."""
+    kind = draw(st.sampled_from(("shift", "circle", "finite")))
+    if kind == "finite":
+        space = FiniteSpace(2)
+        terms = families = st.sampled_from([IDENTITY, SWAP, FiniteFnTerm((1, 2)), FiniteFnTerm((1, 1))])
+    else:
+        space, power = (SHIFT, ShiftPowTerm) if kind == "shift" else (CircleSpace(), RotPowTerm)
+        terms = st.sampled_from([IDENTITY, power(0), power(1), power(-1)])
+        families = st.builds(FamilyTerm, st.just("shift" if kind == "shift" else "rot"),
+                             st.integers(-1, 1), st.integers(-1, 1))
+    if draw(st.integers(0, 9)) == 0:
+        spec = NdsSpec(space, (Rule(ElsePattern(), draw(terms)),), draw(terms))
+    else:
+        step = draw(st.integers(1, 4))
+        patterns = [ArithProgPattern(r + step * draw(st.integers(0, 2)), step)
+                    for r in range(1, step + 1) if draw(st.integers(0, 4))]
+        patterns += [ArithProgPattern(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+                     for _ in range(draw(st.integers(0, 1)))]
+        patterns += [EqualsPattern(v) for v in draw(st.lists(st.integers(1, 14), max_size=4))]
+        patterns += [PowerPattern(draw(st.integers(2, 3)), draw(st.integers(0, 3)))
+                     for _ in range(draw(st.integers(0, 2)))]
+        rules, default = [], draw(terms)
+        for pattern in draw(st.permutations(patterns)):
+            term = draw(st.one_of(terms, families))
+            try:
+                NdsSpec(space, tuple(rules) + (Rule(pattern, term),), default)
+            except OverlappingRules:
+                continue
+            rules.append(Rule(pattern, term))
+        spec = NdsSpec(space, tuple(rules), default)
+    return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
+
+
+def progression_period(spec) -> int:
+    return lcm(*(r.pattern.step for r in spec.rules if isinstance(r.pattern, ArithProgPattern)))
+
+
+class TestWhereTheStepsSettle:
+    @given(rule_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_every_step_from_r0_is_g(self, spec):
+        settled = eventual_step(spec)
+        if settled is not None:
+            r0, g = settled
+            period = progression_period(spec.base if isinstance(spec, TailSpec) else spec)
+            for n in range(r0, r0 + 2 * period + 9):
+                assert step_normal(spec, n) == g
+
+    @given(rule_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_cover_index_matches_a_scan(self, spec):
+        spec = spec.base if isinstance(spec, TailSpec) else spec
+
+        def matched(n):
+            return any(r.pattern.matches(n) for r in spec.rules)
+
+        period = progression_period(spec)
+        top = max([r.pattern.first_match() for r in spec.rules], default=1) + 2 * period + 8
+        cover = covered_from(spec)
+        if cover is None:
+            # an open residue class keeps an index no rule matches in every stretch
+            assert not all(matched(n) for n in range(top, top + 64 * period))
+        else:
+            assert all(matched(n) for n in range(cover, top))
+            assert cover == 1 or not matched(cover - 1)
+
+    def test_equals_rule_emitting_g_does_not_delay_the_law(self):
+        spec = NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(5), CYCLE3),), CYCLE3)
+        assert eventual_step(spec) == (1, TableMap(CYCLE3.table))
+        assert derive_table_law(spec).stabilized_from == 1
+        verdict = convergence.check_uniform_convergence(spec, CYCLE3, 64)
+        assert verdict.witnessed and verdict.stabilization_index == 1
+
+    def test_power_rule_past_the_overlap_check_gets_no_law(self):
+        # pow(2,0) meets ap(5000,1) first at 8192, past VALIDATION_HORIZON
+        spec = NdsSpec(FiniteSpace(2), (
+            Rule(PowerPattern(2, 0), SWAP), Rule(ArithProgPattern(5000, 1), IDENTITY),
+        ))
+        assert step_normal(spec, 8192) == TableMap((2, 1))
+        assert eventual_step(spec) is None and derive_table_law(spec) is None
+
+    def test_covering_progressions_settle_without_the_default(self):
+        spec = NdsSpec(FiniteSpace(2), (
+            Rule(ArithProgPattern(1, 2), SWAP), Rule(ArithProgPattern(2, 2), SWAP),
+        ), IDENTITY)
+        assert covered_from(spec) == 1 and eventual_step(spec) == (1, TableMap((2, 1)))
+        law = derive_table_law(spec)
+        acc = identity_map(spec.space)
+        for n in range(1, 40):
+            acc = compose(step_normal(spec, n), acc)
+            assert law.table_at(n) == acc
+        assert convergence.check_uniform_convergence(spec, SWAP, 64).witnessed
+        assert convergence.check_collective_convergence(spec, SWAP, 64, 4).witnessed
+
+    def test_tail_law_walks_only_the_tail(self, monkeypatch):
+        base = NdsSpec(FiniteSpace(3), (), CYCLE3, name="C3")
+        tail = TailSpec(base, 2)
+        calls = {base: 0, tail: 0}
+        real = maps_mod.step_normal
+
+        def counting(spec, i):
+            calls[spec] += 1
+            return real(spec, i)
+
+        monkeypatch.setattr(maps_mod, "step_normal", counting)
+        law = derive_table_law(tail)
+        monkeypatch.undo()
+        # every base step read goes through a tail step: no base law is walked
+        assert calls[base] == calls[tail] > 0
+        acc = identity_map(tail.space)
+        for n in range(1, 20):
+            acc = compose(step_normal(tail, n), acc)
+            assert law.table_at(n) == acc
