@@ -268,10 +268,8 @@ def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
         return (
             "every prefix is the identity and the sets are disjoint: " + law.describe()
         )
-    if laws.table is not None:
-        pre, cyc = laws.table.indices_of(lambda t: sp.intersects(space, mp.image(t, U), V))
-        if not pre and not cyc:
-            return "no reachable prefix table moves U onto V: " + laws.table.describe()
+    if laws.table is not None and not laws.table.reach(U.ids) & V.ids:
+        return "no reachable prefix table moves U onto V: " + laws.table.describe()
     if isinstance(spec, mp.ProductSpec):
         claim = ht.product_structural_miss(spec, laws, U, V)
         if claim is not None:
@@ -609,9 +607,7 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 break
         if found is None:
             if laws.table is not None:
-                all_img = set()
-                for t in laws.table.all_tables():
-                    all_img |= mp.image(t, U).ids
+                all_img = laws.table.reach(U.ids)
                 if len(all_img) < space.point_count:
                     return _refute_open(prop, cfg, basis, idx, (
                         f"union over every reachable prefix table only reaches "
@@ -772,9 +768,7 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
     for idx, x in enumerate(reps):
         if exact:
             tab = laws.table
-            orbit = {x.index}
-            for t in tab.all_tables():
-                orbit.add(mp.apply(t, x).index)
+            orbit = {x.index} | tab.reach({x.index})
             if len(orbit) < space.point_count:
                 return Verdict(
                     prop.render(), REFUTED, cfg,
@@ -885,12 +879,7 @@ def _check_dense_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
         tab = laws.table
         witnesses = {}
         for idx, U in enumerate(basis):
-            x = sp.FiniteId(min(U.ids))
-            k_found = None
-            for k in range(1, len(tab.all_tables()) + 2):
-                if _finite_periodic(tab, x, k):
-                    k_found = k
-                    break
+            k_found = _finite_period(tab, min(U.ids))
             if k_found is None:
                 return Verdict(
                     prop.render(), INCONCLUSIVE, cfg,
@@ -922,15 +911,16 @@ def _certify_periodicity(law, word_period: int, k: int) -> bool:
     return True
 
 
-def _finite_periodic(tab: mp.TableLaw, x: sp.FiniteId, k: int) -> bool:
-    pre, cyc = len(tab.preperiod), len(tab.cycle)
-    horizon = pre + cyc * k + k  # covers every residue the multiples of k visit
-    n = k
-    while n <= horizon:
-        if mp.apply(tab.table_at(n), x) != x:
-            return False
-        n += k
-    return True
+def _finite_period(tab: mp.TableLaw, x: int) -> Optional[int]:
+    """The least k with T(k)(x) = T(2k)(x) = ... = x, or None.  Past the P
+    lead tables x runs round a loop of length p, so k must be a multiple of
+    p and x must sit where the multiples of p land; then the least multiple
+    of p past P works, and the search stops there."""
+    lead, loop = tab.orbit(x)
+    P, p = len(lead), len(loop)
+    if loop[-(P + 1) % p] != x:
+        return None
+    return next(k for k in range(p, P + p + 1, p) if all(lead[n - 1] == x for n in range(k, P + 1, k)))
 
 
 def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:

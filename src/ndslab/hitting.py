@@ -224,20 +224,22 @@ def _structural_tag(kind: str, spec, laws, u, v=None, delta=None) -> tuple[Optio
                 )
         if laws.table is not None:
             tab = laws.table
-            pre_hits, cyc_hits = tab.indices_of(
-                lambda t: sp.intersects(space, mp.image(t, u), v)
-            )
-            if not cyc_hits:
+            loops = [tab.orbit(i)[1] for i in u.ids]
+            pre_hits = [n + 1 for n, t in enumerate(tab.lead) if mp.image(t, u).ids & v.ids]
+            loop_hits = [(r, len(loop)) for loop in loops for r, y in enumerate(loop) if y in v.ids]
+            if not loop_hits:
                 return (
                     "finite-support",
-                    f"only prefix indices {list(pre_hits)} can ever hit; " + tab.describe(),
+                    f"only prefix indices {pre_hits} can ever hit; " + tab.describe(),
                 )
-            if len(cyc_hits) == len(tab.cycle) and len(pre_hits) == len(tab.preperiod):
+            # the hitting offsets into the cycle, O(|U| * cycle), once a loop meets V
+            cyc_hits = sorted({j for r, p in loop_hits for j in range(r, tab.cycle, p)})
+            if len(cyc_hits) == tab.cycle and len(pre_hits) == len(tab.lead):
                 return ("always-hits", "every prefix table moves U onto V: " + tab.describe())
             return (
                 "cycle-exact",
-                f"hits exactly at prefix indices {list(pre_hits)} and cycle offsets "
-                f"{list(cyc_hits)}; " + tab.describe(),
+                f"hits exactly at prefix indices {pre_hits} and cycle offsets "
+                f"{cyc_hits}; " + tab.describe(),
             )
     if kind == "separation":
         law = laws.exponent

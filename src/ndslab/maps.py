@@ -959,69 +959,72 @@ def eventual_step(spec: SystemSpec) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# finite-space analogue: eventually periodic prefix tables
+# finite-space analogue: a lead of prefix tables, then one settled step
 
 
 @dataclass(frozen=True)
 class TableLaw:
-    """Exact description of every prefix table of a finite-space system whose
-    steps are one fixed table from `stabilized_from` on: the prefix tables
-    T(1), T(2), ... consist of `preperiod` followed by `cycle` repeating."""
+    """Exact description of every prefix table T(n) of a finite-space system
+    whose steps are one table `step` (g) from `stabilized_from` on: T(1) ..
+    T(P) are `lead`, `entry` is T(P+1) and T(n+1) = g o T(n) from there on,
+    so each point runs round a loop of g.  T(P+1+cycle) is the first repeat
+    of a table at or past `stabilized_from`."""
 
     stabilized_from: int
-    preperiod: tuple  # T(1) .. T(len(preperiod))
-    cycle: tuple
+    lead: tuple  # T(1) .. T(P)
+    entry: TableMap
+    step: TableMap
+    cycle: int
 
-    def table_at(self, n: int) -> TableMap:
-        if n < 1:
-            raise ValueError("prefix index must be >= 1")
-        if n <= len(self.preperiod):
-            return self.preperiod[n - 1]
-        return self.cycle[(n - len(self.preperiod) - 1) % len(self.cycle)]
+    def orbit(self, i: int) -> tuple:
+        """((T(1)(i), .., T(P)(i)), loop) with T(P+1+j)(i) = loop[j % len(loop)]."""
+        loop = [self.entry.table[i - 1]]
+        while (y := self.step.table[loop[-1] - 1]) != loop[0]:
+            loop.append(y)
+        return tuple(t.table[i - 1] for t in self.lead), tuple(loop)
 
-    def all_tables(self) -> tuple:
-        return tuple(self.preperiod) + tuple(self.cycle)
-
-    def indices_of(self, predicate) -> tuple:
-        """(sorted finite prefix indices, sorted cycle residues) whose tables
-        satisfy the predicate; residues are offsets into the repeating cycle."""
-        pre = tuple(n for n in range(1, len(self.preperiod) + 1) if predicate(self.preperiod[n - 1]))
-        cyc = tuple(j for j in range(len(self.cycle)) if predicate(self.cycle[j]))
-        return pre, cyc
+    def reach(self, ids) -> set:
+        """Every T(n)(i) over n >= 1 and i in ids."""
+        return {y for i in ids for part in self.orbit(i) for y in part}
 
     def describe(self) -> str:
         return (
             f"prefix tables stabilize at index {self.stabilized_from}; "
-            f"{len(self.preperiod)} leading tables then a cycle of {len(self.cycle)}"
+            f"{len(self.lead)} leading tables then a cycle of {self.cycle}"
         )
 
 
 def derive_table_law(spec: SystemSpec) -> Optional[TableLaw]:
     """The prefix tables of a finite-space system whose steps settle on one
-    table (eventual_step); None otherwise."""
+    table g from r0 on (eventual_step); None otherwise.  Only the r0 - 1
+    tables before r0 are composed from the steps, a walk the literal indices
+    of the rules bound before it starts.  Past them T(r0 - 1 + j) is
+    g^j o T(r0 - 1), so it repeats exactly when every point y of the image
+    of T(r0 - 1) is past its tail t_y under g and has gone a multiple of its
+    loop length p_y round: the first repeat starts at j = max(1, max t_y)
+    and closes lcm p_y later.  Each rho takes at most |X| steps of g."""
     settled = eventual_step(spec) if isinstance(spec.space, FiniteSpace) else None
-    return None if settled is None else _table_law_from(spec, settled[0])
-
-
-def _table_law_from(spec: SystemSpec, stable: int) -> TableLaw:
-    """Walk prefix tables until the first repeat at or past the stabilization
-    point; from there T(n+1) = g o T(n) with a fixed g, so the repeat closes
-    a cycle valid for every n."""
-    tables = []
-    prefix = identity_map(spec.space)
-    seen = {}
-    n = 0
-    while True:
-        n += 1
-        prefix = compose(step_normal(spec, n), prefix)
-        if n >= stable:
-            if prefix in seen:
-                start = seen[prefix]
-                return TableLaw(stable, tuple(tables[: start - 1]), tuple(tables[start - 1 :]))
-            seen[prefix] = n
-        tables.append(prefix)
-        if n > 10_000:
-            raise LawValidationError("finite prefix tables failed to cycle")
+    if settled is None:
+        return None
+    r0, g = settled
+    if r0 > 10_001:
+        raise LawValidationError(
+            f"finite prefix tables settle at index {r0}, past the 10,000-step lead walk"
+        )
+    lead = list(accumulate((step_normal(spec, n) for n in range(1, r0)), lambda t, s: compose(s, t)))
+    prefix = lead[-1] if lead else identity_map(spec.space)
+    tails, loops = [1], []
+    for y in set(prefix.table):
+        seen = {}
+        while y not in seen:
+            seen[y] = len(seen)
+            y = g.table[y - 1]
+        tails.append(seen[y])
+        loops.append(len(seen) - seen[y])
+    for _ in range(max(tails) - 1):
+        prefix = compose(g, prefix)
+        lead.append(prefix)
+    return TableLaw(r0, tuple(lead), compose(g, prefix), g, lcm(*loops))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,7 @@ class _Parser:
         self.diags = list(lex_diags)
         self.pos = 0
         self.space: Optional[sp.SpaceDesc] = None
+        self.space_declared = False
         self.systems: list = []
         self.checks: list = []
 
@@ -171,8 +172,8 @@ class _Parser:
             self.pos += 1
         return t
 
-    def error(self, message: str, expected=(), kind="syntax"):
-        t = self.peek()
+    def error(self, message: str, expected=(), kind="syntax", at: Optional[Token] = None):
+        t = at or self.peek()
         self.diags.append(Diagnostic(kind, t.line, t.column, message, tuple(expected)))
         raise _Recover()
 
@@ -228,6 +229,8 @@ class _Parser:
 
     def statement(self):
         t = self.peek()
+        if self.space is None and self.space_declared and t.text in ("system", "check"):
+            raise _Recover()  # the failed space declaration is the one diagnostic
         if t.kind == "ident" and t.text == "space":
             self.space_decl()
         elif t.kind == "ident" and t.text == "system":
@@ -239,17 +242,19 @@ class _Parser:
 
     def space_decl(self):
         self.expect_word("space")
+        self.space_declared = True
         t = self.peek()
         if t.kind != "ident" or t.text not in ("shift", "finite", "circle"):
             self.error(f"found {t.text!r}", expected=("shift", "finite", "circle"))
         kind = self.advance().text
         self.expect("(", "space declaration")
         if kind in ("shift", "finite"):
+            size = self.peek()
             n = self.take_int("alphabet size" if kind == "shift" else "point count")
             try:
                 space = sp.ShiftSpace(n) if kind == "shift" else sp.FiniteSpace(n)
             except ValueError as exc:
-                self.error(str(exc), kind="semantic")
+                self.error(str(exc), kind="semantic", at=size)
         else:
             space = sp.CircleSpace(self.alpha_expr())
         self.expect(")", "space declaration")
@@ -340,10 +345,7 @@ class _Parser:
         for n, s in self.systems:
             if n == t.text:
                 return s
-        self.diags.append(
-            Diagnostic("semantic", t.line, t.column, f"unknown system {t.text!r}")
-        )
-        raise _Recover()
+        self.error(f"unknown system {t.text!r}", kind="semantic", at=t)
 
     def rule_block(self, name_tok: Token) -> mp.NdsSpec:
         if self.space is None:
@@ -382,16 +384,8 @@ class _Parser:
             return mp.NdsSpec(
                 self.space, tuple(rules), default if default is not None else mp.IDENTITY
             )
-        except mp.OverlappingRules as exc:
-            self.diags.append(
-                Diagnostic("semantic", name_tok.line, name_tok.column, str(exc))
-            )
-            raise _Recover()
-        except sp.SpaceMismatch as exc:
-            self.diags.append(
-                Diagnostic("semantic", name_tok.line, name_tok.column, str(exc))
-            )
-            raise _Recover()
+        except (mp.OverlappingRules, sp.SpaceMismatch) as exc:
+            self.error(str(exc), kind="semantic", at=name_tok)
 
     def pattern(self):
         t = self.peek()
@@ -510,10 +504,7 @@ class _Parser:
         try:
             prop = parse_property(name_tok.text, params)
         except ValueError as exc:
-            self.diags.append(
-                Diagnostic("semantic", name_tok.line, name_tok.column, str(exc))
-            )
-            raise _Recover()
+            self.error(str(exc), kind="semantic", at=name_tok)
         sysname = next(n for n, s in self.systems if s is ref)
         horizon, basis = sizes.get("horizon"), sizes.get("basis")
         self.checks.append(CheckDirective(sysname, prop, horizon, basis))

@@ -774,10 +774,10 @@ class TestOrbitQuestions:
 
 
 # the stepwise oracles, the per-step questions (surjectivity, the uniform
-# convergence term distances), the table-law walk and step_normal itself
+# convergence term distances), the table law's lead walk and step_normal itself
 STEP_FOLDS = {
     "orbit_distance_trace", "_verify_itineraries", "brute_force_hitting", "_check_surjective",
-    "_first_divergent_index", "check_uniform_convergence", "step_normal", "_table_law_from",
+    "_first_divergent_index", "check_uniform_convergence", "step_normal", "derive_table_law",
 }
 
 

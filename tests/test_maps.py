@@ -11,6 +11,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndslab import checkers as ck
 from ndslab import maps as maps_mod
 from ndslab.maps import (
     ArithProgPattern,
@@ -20,6 +21,7 @@ from ndslab.maps import (
     FiniteFnTerm,
     IDENTITY,
     IterateSpec,
+    LawValidationError,
     NdsSpec,
     OverlappingRules,
     PowerPattern,
@@ -329,33 +331,113 @@ class TestExponentLaws:
         assert derive_exponent_law(spec, 64) is None
 
 
+def law_table(law, n: int) -> TableMap:
+    """T(n) read off every point's orbit under the table law."""
+    def at(i):
+        lead, loop = law.orbit(i)
+        return lead[n - 1] if n <= len(lead) else loop[(n - len(lead) - 1) % len(loop)]
+
+    return TableMap(tuple(at(i) for i in range(1, len(law.step.table) + 1)))
+
+
+def table_fold(spec, upto: int) -> list:
+    """[T(1), .., T(upto)], composing one step at a time."""
+    acc, tables = identity_map(spec.space), []
+    for n in range(1, upto + 1):
+        acc = compose(step_normal(spec, n), acc)
+        tables.append(acc)
+    return tables
+
+
+@st.composite
+def settled_finite_systems(draw):
+    """Random finite(1..6) systems that settle on one table: equals rules
+    over a constant default, or a single else rule, and tails of these."""
+    size = draw(st.integers(1, 6))
+    tables = st.one_of(
+        st.permutations(range(1, size + 1)), st.lists(st.integers(1, size), min_size=size, max_size=size),
+    ).map(lambda t: FiniteFnTerm(tuple(t)))
+    if draw(st.integers(0, 4)) == 0:
+        spec = NdsSpec(FiniteSpace(size), (Rule(ElsePattern(), draw(tables)),), draw(tables))
+    else:
+        values = draw(st.sets(st.integers(1, 12), max_size=4))
+        spec = NdsSpec(FiniteSpace(size), tuple(Rule(EqualsPattern(v), draw(tables)) for v in sorted(values)),
+                       draw(tables))
+    return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
+
+
+def brute_period(tables: list, x: int, top: int):
+    """The least k <= top with T(n)(x) = x at every multiple n of k in
+    `tables`, which must reach past top * (top + 1); None when there is none."""
+    return next((k for k in range(1, top + 1)
+                 if all(t.table[x - 1] == x for t in tables[k - 1 :: k])), None)
+
+
 class TestTableLaw:
     def test_example_35_tables(self):
         law = derive_table_law(ex35())
         assert law is not None
-        assert law.table_at(1).table == (2, 3, 1)
-        assert law.table_at(2).table == (3, 1, 2)
+        assert law_table(law, 1).table == (2, 3, 1)
+        assert law_table(law, 2).table == (3, 1, 2)
         for n in range(3, 40):
-            assert law.table_at(n).table == (1, 2, 3)
+            assert law_table(law, n).table == (1, 2, 3)
 
     def test_matches_fold_for_all_small_n(self):
         spec = ex35()
         law = derive_table_law(spec)
-        acc = identity_map(spec.space)
-        for n in range(1, 64):
-            acc = compose(step_normal(spec, n), acc)
-            assert law.table_at(n) == acc
+        for n, table in enumerate(table_fold(spec, 63), 1):
+            assert law_table(law, n) == table
 
     def test_tail_table_law(self):
-        law = derive_table_law(TailSpec(ex35(), 2))
-        acc = identity_map(FiniteSpace(3))
         tail = TailSpec(ex35(), 2)
-        for n in range(1, 32):
-            acc = compose(step_normal(tail, n), acc)
-            assert law.table_at(n) == acc
+        law = derive_table_law(tail)
+        for n, table in enumerate(table_fold(tail, 31), 1):
+            assert law_table(law, n) == table
 
     def test_family_rules_have_no_table_law(self):
         assert derive_table_law(ex36()) is None
+
+    @given(settled_finite_systems(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_orbits_match_the_fold(self, spec, data):
+        law = derive_table_law(spec)
+        assert law is not None
+        P, cycle = len(law.lead), law.cycle
+        top = P + cycle + 1
+        tables = table_fold(spec, max(P + 2 * cycle + 8, top * (top + 1)))
+        for n in range(1, P + 2 * cycle + 9):
+            assert law_table(law, n) == tables[n - 1]
+        # the first repeat at or past r0 is T(P + 1 + cycle) = T(P + 1)
+        assert law.entry == tables[P] == tables[P + cycle]
+        r0 = law.stabilized_from
+        assert r0 <= P + 1 and len(set(tables[r0 - 1 : P + cycle])) == P + cycle - r0 + 1
+        points = range(1, spec.space.point_count + 1)
+        ids = data.draw(st.sets(st.sampled_from(points), min_size=1))
+        assert law.reach(ids) == {t.table[i - 1] for t in tables[:top] for i in ids}
+        for x in points:
+            assert ck._finite_period(law, x) == brute_period(tables, x, top)
+
+    def test_long_permutation_composes_no_cycle(self, monkeypatch):
+        # cycles 5, 7, 8, 9 and 11 on finite(40): order 27720
+        table, first = [], 1
+        for length in (5, 7, 8, 9, 11):
+            table += [first + (k + 1) % length for k in range(length)]
+            first += length
+        spec = NdsSpec(FiniteSpace(40), (), FiniteFnTerm(tuple(table)))
+        calls = []
+        real = maps_mod.compose
+        monkeypatch.setattr(maps_mod, "compose", lambda a, b: calls.append(1) or real(a, b))
+        law = derive_table_law(spec)
+        monkeypatch.undo()
+        assert len(calls) <= 41
+        assert (law.cycle, len(law.lead)) == (27720, 0)
+        assert law_table(law, 27721) == law.entry == TableMap(tuple(table))
+
+    def test_lead_walk_bound_is_checked_before_walking(self, monkeypatch):
+        spec = NdsSpec(FiniteSpace(2), (Rule(EqualsPattern(20_000), SWAP),), IDENTITY)
+        monkeypatch.setattr(maps_mod, "step_normal", lambda *args: pytest.fail("the lead was walked"))
+        with pytest.raises(LawValidationError, match="index 20001"):
+            derive_table_law(spec)
 
 
 class TestDerivedLaws:
@@ -467,10 +549,8 @@ class TestWhereTheStepsSettle:
         ), IDENTITY)
         assert covered_from(spec) == 1 and eventual_step(spec) == (1, TableMap((2, 1)))
         law = derive_table_law(spec)
-        acc = identity_map(spec.space)
-        for n in range(1, 40):
-            acc = compose(step_normal(spec, n), acc)
-            assert law.table_at(n) == acc
+        for n, table in enumerate(table_fold(spec, 39), 1):
+            assert law_table(law, n) == table
         assert convergence.check_uniform_convergence(spec, SWAP, 64).witnessed
         assert convergence.check_collective_convergence(spec, SWAP, 64, 4).witnessed
 
@@ -488,8 +568,6 @@ class TestWhereTheStepsSettle:
         law = derive_table_law(tail)
         monkeypatch.undo()
         # every base step read goes through a tail step: no base law is walked
-        assert calls[base] == calls[tail] > 0
-        acc = identity_map(tail.space)
-        for n in range(1, 20):
-            acc = compose(step_normal(tail, n), acc)
-            assert law.table_at(n) == acc
+        assert calls[base] == calls[tail]
+        for n, table in enumerate(table_fold(tail, 19), 1):
+            assert law_table(law, n) == table
