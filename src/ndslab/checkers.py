@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, combinations, product
+from functools import partial, reduce
+from itertools import chain, combinations, islice, product
 from math import comb, prod
-from operator import and_, or_
+from operator import and_, getitem, or_
 from typing import NamedTuple, Optional
 
 from . import hitting as ht
@@ -117,7 +117,8 @@ _MASK_CACHE: dict = {}
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     """(basis, masks): masks[(i, j)] is the bitmask of N(B_i, B_j) members
     within [1, horizon] (bit n set for member n); undecided circle indices are
-    dropped from the masks, mirroring the hitting module.
+    dropped from the masks, mirroring the hitting module.  masks lists its
+    pairs in (i, j) order, so the checkers read them in that order unsorted.
 
     Each prefix class is decided once (see _class_pairs); on the shift every
     exponent |e| > 2r moves the basis window clear of [-r, r], so all those
@@ -135,11 +136,15 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
         parts = [_pair_masks(p, resolution, horizon) for p in _components(spec)]
         # enumerate_basis orders rectangles like product() orders index tuples
         index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
-        masks = {
-            (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))
-            for i, u in enumerate(index)
-            for j, v in enumerate(index)
-        }
+        # spread[k][a][j] is part k's mask for (a, side k of rectangle j):
+        # part k has one such row per open a, and the row of rectangle u is
+        # the AND of its sides' rows, spread[k][u[k]] over k
+        spread = [
+            [[part[a, u[k]] for u in index] for a in range(len(part_basis))]
+            for k, (part_basis, part) in enumerate(parts)
+        ]
+        rows = (reduce(partial(map, and_), map(getitem, spread, u)) for u in index)
+        masks = dict(zip(product(range(len(index)), repeat=2), chain.from_iterable(rows)))
     else:
         masks = dict.fromkeys(product(range(len(basis)), repeat=2), 0)
         saturated = 0
@@ -327,11 +332,10 @@ def _subset_search(masks, m: int, k: int = 1) -> tuple:
 
 
 def _witness_entries(basis, masks) -> dict:
-    return {
-        f"{i}->{j}": _first_bit(mask)
-        for (i, j), mask in sorted(masks.items())
-        if mask
-    }
+    """The first member of every hit pair, keyed "i->j" in pair order; pairs
+    share masks, so each distinct mask's first bit is read once."""
+    first = {mask: _first_bit(mask) for mask in set(masks.values())}
+    return {f"{i}->{j}": first[mask] for (i, j), mask in masks.items() if mask}
 
 
 def _quantifier_note(resolution: int, horizon: int) -> str:
@@ -368,7 +372,7 @@ def check_property(
 
 def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    empty = [pair for pair, mask in sorted(masks.items()) if mask == 0]
+    empty = [pair for pair, mask in masks.items() if mask == 0]
     if not empty:
         entries = _witness_entries(basis, masks)
         return Verdict(
@@ -399,7 +403,7 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
 
 def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    items = sorted(masks.items())
+    items = list(masks.items())
     for (i, j), mask in items:
         if mask == 0:
             return _refute_pair(spec, laws, prop, cfg, basis, i, j) or Verdict(
@@ -448,9 +452,11 @@ def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
 
 def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
+    # the tail start depends on the mask alone, and pairs share masks
+    tail_of = {mask: ht._frequency(mask, H)[3] for mask in set(masks.values())}
     tails = {}
-    for (i, j), mask in sorted(masks.items()):
-        tail_start = ht._frequency(mask, H)[3]
+    for (i, j), mask in masks.items():
+        tail_start = tail_of[mask]
         if tail_start is None:
             law = laws.exponent
             zero = law.first_zero_residue() if law is not None else None
@@ -677,12 +683,8 @@ def _universal_l(masks, m: int, H: int) -> int:
 
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    stats = {}
-    freq = {}  # the gap statistics depend on the mask alone, and pairs share masks
     tags = {}  # without a table law the tag reads the pair only through disjointness
-    worst_gap = 0
-    worst_eventual = 0
-    for (i, j), mask in sorted(masks.items()):
+    for (i, j), mask in masks.items():
         if laws.table is not None:
             key = i, j
         else:
@@ -698,19 +700,19 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 {"unhit_pair": f"{i}->{j}"},
                 ("a pair never hit within the horizon",),
             )
-        if mask not in freq:
-            freq[mask] = ht._frequency(mask, H)
-        max_gap, eventual, _, _ = freq[mask]
-        worst_gap = max(worst_gap, max_gap)
-        worst_eventual = max(worst_eventual, eventual)
-        stats[f"{i}->{j}"] = {"max_gap": max_gap, "eventual_max_gap": eventual}
+    # the gap statistics depend on the mask alone, and pairs share masks
+    freq = {mask: ht._frequency(mask, H)[:2] for mask in set(masks.values())}
+    gaps, eventuals = zip(*freq.values())
     return Verdict(
         prop.render(), WITNESSED, cfg,
         {
-            "max_gap": worst_gap,
-            "eventual_max_gap": worst_eventual,
+            "max_gap": max(gaps),
+            "eventual_max_gap": max(eventuals),
             "pairs_checked": len(masks),
-            "per_pair": {k: v for k, v in list(stats.items())[:16]},
+            "per_pair": {
+                f"{i}->{j}": {"max_gap": freq[mask][0], "eventual_max_gap": freq[mask][1]}
+                for (i, j), mask in islice(masks.items(), 16)
+            },
         },
         (_quantifier_note(r, H), "gaps at the horizon edge are censored lower bounds"),
     )
@@ -1144,7 +1146,7 @@ def hitting_infinity_consistency(
         )
     if prop.name == "weakly-mixing":
         _, masks = _pair_masks(spec, basis_resolution, horizon)
-        items = sorted(masks.items())
+        items = list(masks.items())
         failing, worst = _subset_search([mask for _, mask in items], 2, members_required)
         if failing:
             a, b = failing

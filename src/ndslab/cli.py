@@ -18,6 +18,8 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
+from itertools import repeat
 
 from . import __version__
 from . import checkers as ck
@@ -44,14 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ndslab",
-        description="verification toolkit for non-autonomous map sequences",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    chk = sub.add_parser("check", help="run property checks on an NDSL file")
+def _check_arguments(chk: argparse.ArgumentParser) -> None:
     chk.add_argument("file", help="NDSL source file")
     chk.add_argument(
         "--property", action="append", default=[],
@@ -74,10 +69,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit parse diagnostics as JSON lines on stderr",
     )
 
-    cor = sub.add_parser("corpus", help="run the scenario corpus")
+
+def _corpus_arguments(cor: argparse.ArgumentParser) -> None:
     cor.add_argument("--filter", default=None, help="scenario name filter (substring or prefix*)")
     cor.add_argument("--format", choices=("table", "json"), default="table")
+
+
+# each subcommand: its help line and the function adding its arguments
+_SUBCOMMANDS = {
+    "check": ("run property checks on an NDSL file", _check_arguments),
+    "corpus": ("run the scenario corpus", _corpus_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="ndslab",
+        description="verification toolkit for non-autonomous map sequences",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the subcommand's own
+    parser when argv names one: that parser is the one build_parser gives
+    the subcommand, so its help and its errors read the same."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    parser = _Parser(prog=f"ndslab {argv[0]}")
+    _SUBCOMMANDS[argv[0]][1](parser)
+    args = parser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _report_envelope(mode: str, digest: str, configuration: dict) -> dict:
@@ -89,6 +116,42 @@ def _report_envelope(mode: str, digest: str, configuration: dict) -> dict:
         "input_digest": digest,
         "configuration": configuration,
     }
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _encoder(depth: int):
+    """The C encoder's encode for the items of a container at `depth`: its
+    item separator carries the newline and the indent that indent=2 puts
+    between them."""
+    return json.JSONEncoder(
+        sort_keys=True, default=str, separators=(",\n" + "  " * depth, ": ")
+    ).encode
+
+
+def report_text(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, default=str), byte for byte,
+    for dict keys that are str.  That call runs the pure-Python encoder (the
+    C encoder does not indent), so this frames each level itself and hands
+    every container of scalars, such as a table of per-pair times, to the C
+    encoder whole."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _encoder(depth)(obj)
+    values = obj.values() if isinstance(obj, dict) else obj
+    inner = "\n" + "  " * (depth + 1)
+    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+        body = _encoder(depth + 1)(obj)[1:-1]
+    elif isinstance(obj, dict):
+        body = ("," + inner).join(
+            f"{json.encoder.encode_basestring_ascii(key)}: {report_text(value, depth + 1)}"
+            for key, value in sorted(obj.items())
+        )
+    else:
+        body = ("," + inner).join(report_text(value, depth + 1) for value in obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
 
 
 def cmd_check(args) -> int:
@@ -178,7 +241,7 @@ def cmd_check(args) -> int:
     report["checks"] = checks
     if args.format == "json":
         # evidence keys are all str; Fractions and other exact values print as str
-        print(json.dumps(report, sort_keys=True, indent=2, default=str))
+        print(report_text(report))
     else:
         for c in checks:
             print(f"{c['status']:<13} {c['system']:<10} {c['property']:<28} "
@@ -234,7 +297,7 @@ def cmd_corpus(args) -> int:
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(report_text(report))
     else:
         width = max((len(r.description) for rep in reports for r in rep.results), default=20)
         for rep in reports:
@@ -246,7 +309,7 @@ def cmd_corpus(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"ndslab: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,11 @@
 import json
 import pathlib
 import re
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndslab import cli
 
@@ -156,6 +158,18 @@ class TestExitCodes:
         assert (code, err) == (1, "")
         (check,) = json.loads(out)["checks"]
         assert check["status"] == "refuted" and "a cycle of 15015" in check["evidence"]["structural"]
+
+    def test_steps_settling_past_the_lead_walk_get_a_verdict(self, ndsl_file, capsys):
+        # the steps settle at index 20001, past the 10,000-step lead walk:
+        # no table law, so the check stays within its horizon
+        source = "space finite(2);\nsystem F { at 20000: table{1->2,2->1}; }\n"
+        code, out, err = run(capsys, [
+            "check", ndsl_file(source), "--property", "transitive", "--format", "json",
+        ])
+        assert (code, err) == (2, "")
+        (check,) = json.loads(out)["checks"]
+        assert check["status"] == "inconclusive"
+        assert check["evidence"] == {"unhit_count": 2, "unhit_pairs": ["0->1", "1->0"]}
 
     def test_forty_digit_shift_of_a_constant_point_gets_verdicts(self, ndsl_file, capsys):
         source = (
@@ -385,3 +399,33 @@ class TestCorpusCommand:
     def test_empty_filter_warns_and_exits_zero(self, capsys):
         code, out, err = run(capsys, ["corpus", "--filter", "nonexistent"])
         assert code == 0 and "no scenario matches" in err
+
+
+# strings with the characters an encoder must escape, and any others
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé≡\u2028'), st.characters()))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(), JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportText:
+    @given(JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_indented_encoder(self, value):
+        assert cli.report_text(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+    def test_a_table_of_scalars_keeps_its_indent(self):
+        report = {"checks": [{"evidence": {"witness_times": {"0->0": 1, "0->1": 2}},
+                              "caveats": [], "delta": Fraction(1, 4)}], "schema": 1}
+        assert cli.report_text(report) == json.dumps(report, sort_keys=True, indent=2, default=str)
+        assert '\n        "witness_times": {\n          "0->0": 1,\n          "0->1": 2\n' in (
+            cli.report_text(report))

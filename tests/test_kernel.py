@@ -9,7 +9,7 @@ that differs from the fold."""
 import ast
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import and_
 from pathlib import Path
 from unittest import mock
@@ -337,6 +337,35 @@ class TestDerivedProductMasks:
         spec = mp.TailSpec(product, k) if shape == "tail" else mp.IterateSpec(product, k)
         basis, mask = ck._sep_masks(spec, r, H, delta)
         assert mask == separation_fold(spec, basis[0], delta, H)
+
+
+def masks_by_rectangle(spec, r, H) -> dict:
+    """A product's pair masks one rectangle pair at a time: the AND of the
+    component masks at each pair of sides, in (i, j) order."""
+    parts = [ck._pair_masks(p, r, H) for p in ck._components(spec)]
+    index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
+    return {
+        (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))
+        for i, u in enumerate(index)
+        for j, v in enumerate(index)
+    }
+
+
+@pytest.mark.parametrize("kinds, r", [
+    (("shift", "shift"), 1), (("shift", "finite", "shift"), 1), (("finite", "shift"), 1),
+    (("circle", "shift"), 2),
+])
+@given(data=st.data(), shape=st.sampled_from(["product", "tail", "iterate"]),
+       k=st.integers(2, 4), H=st.integers(1, 12))
+@settings(max_examples=10, deadline=None)
+def test_product_rows_match_the_per_rectangle_and(kinds, r, data, shape, k, H):
+    """The spread rows of _pair_masks give the per-rectangle AND, in the
+    same (i, j) order, for products, their tails and their iterates."""
+    parts = data.draw(product_parts(kinds))
+    spec = {"product": parts, "tail": mp.TailSpec(parts, k), "iterate": mp.IterateSpec(parts, k)}[shape]
+    _, masks = ck._pair_masks(spec, r, H)
+    oracle = masks_by_rectangle(spec, r, H)
+    assert list(masks) == list(oracle) and masks == oracle
 
 
 # every derived shape over a shift or circle rule system: (tail index a,
