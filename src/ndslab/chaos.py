@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
+from operator import eq, itemgetter
 
 from . import maps as mp
 from . import spaces as sp
@@ -266,22 +267,21 @@ def lemma21_construct(
         blocks.append(chosen[2:])
     lo = min(b0 for b0, _ in blocks)
     hi = max(b1 for _, b1 in blocks)
-    # each level's two target words, planted at that level's prefix exponent
+    # a target constrains every cell of its window, so each level plants as
+    # one slice at its prefix exponent
+    start = [0] * (hi - lo + 1)
+    start[base.start - lo : base.end - lo] = base.word
     planted = [
-        {choice: [(j + e - lo, s) for j, s in target.constrained()]
-         for choice, target in zip("AB", pair)}
+        [(slice(t.start + e - lo, t.end + e - lo), t.word) for t in pair]
         for pair, e in zip(level_sets, shifts)
     ]
-    start = [0] * (hi - lo + 1)
-    for j, s in base.constrained():
-        start[j - lo] = s
     witnesses = {}
-    for word in iter_product("AB", repeat=levels):
-        cells = list(start)
-        for level, choice in zip(planted, word):
-            for j, s in level[choice]:
-                cells[j] = s
-        witnesses["".join(word)] = sp.BiWord(lo, tuple(cells), (0,), (0,))
+    labels = map("".join, iter_product("AB", repeat=levels))
+    for label, choices in zip(labels, iter_product(*planted)):
+        cells = start.copy()
+        for span, word in choices:
+            cells[span] = word
+        witnesses[label] = sp.BiWord(lo, tuple(cells), (0,), (0,))
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "", "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
@@ -292,7 +292,13 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     (p_(i-1), p_i] after another, pull both level-i targets back through
     that map once, and test every witness against the pulled-back cylinders
     at every level.  It never reads prefix exponents, `maps._CUM` or laws,
-    and never moves a point."""
+    and never moves a point.
+
+    Witnesses that share the first one's window are tested a level at a
+    time: where a level's two pulled-back words span one stretch inside that
+    window and constrain every cell of it, membership is equality of the
+    stretch's slice, compared for all of them in one pass.  Every other
+    witness and level goes through `spaces.contains`."""
     space = spec.space
     pulled, m, n = [], mp.identity_map(space), 0
     for p, targets in zip(times, level_sets):
@@ -300,8 +306,28 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
             m = mp.compose(mp.step_normal(spec, step), m)
         n = p
         pulled.append(dict(zip("AB", (mp.preimage(m, t) for t in targets))))
+    shared, rest = {}, dict(witnesses)
+    first = next(iter(witnesses.values()), None)
+    if isinstance(space, sp.ShiftSpace) and isinstance(first, sp.BiWord):
+        lo, width = first.window_start, len(first.window)
+        for label, x in witnesses.items():
+            if isinstance(x, sp.BiWord) and x.window_start == lo and len(x.window) == width \
+                    and len(label) >= len(pulled):
+                shared[label] = rest.pop(label).window
+    for i, level in enumerate(pulled if shared else ()):
+        a, b = level["A"], level["B"]
+        if (isinstance(a, sp.Cylinder) and isinstance(b, sp.Cylinder)
+                and (a.start, a.end) == (b.start, b.end) and None not in a.word + b.word
+                and lo <= a.start and a.end <= lo + width):
+            cut = itemgetter(slice(a.start - lo, a.end - lo))
+            expected = map({"A": a.word, "B": b.word}.__getitem__, map(itemgetter(i), shared))
+            held = all(map(eq, map(cut, shared.values()), expected))
+        else:
+            held = all(sp.contains(space, level[label[i]], witnesses[label]) for label in shared)
+        if not held:
+            return False
     return all(
         sp.contains(space, level[choice], x)
-        for label, x in witnesses.items()
+        for label, x in rest.items()
         for level, choice in zip(pulled, label)
     )

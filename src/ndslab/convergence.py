@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Optional
 
 from . import maps as mp
@@ -180,9 +181,13 @@ def equicontinuity_modulus(
         return epsilon / 2, "nonexpanding maps; xi = epsilon/2"
     if not isinstance(space, sp.ShiftSpace):
         return None, "unsupported space"
-    # the window f_n^(j+1) is sigma^(E(n+j) - E(n-1)) for the prefix exponents E
+    # the window f_n^(j+1) is sigma^(E(n+j) - E(n-1)) for the prefix exponents E;
+    # one pass over n per window length j + 1
     E = mp.prefix_exponents(spec, horizon + k - 1)
-    window = [max(abs(E[n + j] - E[n - 1]) for j in range(k)) for n in range(1, horizon + 1)]
+    before = E[:horizon]
+    window = [0] * horizon
+    for j in range(1, k + 1):
+        window = list(map(max, window, map(abs, map(sub, E[j : horizon + j], before))))
     worst, worst_first_half = max(window, default=0), max(window[: horizon // 2], default=0)
     if worst > worst_first_half:
         return None, f"window exponents still growing at the horizon (max |E| = {worst})"

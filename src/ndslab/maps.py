@@ -33,7 +33,8 @@ from .spaces import (
 
 
 class OverlappingRules(ValueError):
-    """Two rule patterns matched the same index within the validation horizon."""
+    """Two rule patterns match the same index, or the overlap check could not
+    decide within its budget whether they do."""
 
 
 class LawValidationError(RuntimeError):
@@ -203,13 +204,44 @@ class Rule:
     term: RuleTerm
 
 
-# power-pattern pairs are checked for a common index up to this bound
+# two power patterns are checked for a common index up to this bound
 VALIDATION_HORIZON = 4096
+
+# powers a power pattern walks against a progression before the overlap check
+# gives up undecided
+OVERLAP_WALK_BUDGET = 1 << 15
+
+
+def _power_meets_progression(q: PowerPattern, p: ArithProgPattern):
+    """First n = base^k + offset (k >= 1) matched by the progression, or None.
+
+    From k = step.bit_length() on, base^k mod step is purely periodic: a
+    prime power of the step that divides base^k at all does so by then, and
+    the rest is a unit's orbit.  So the walk of residues past the first term
+    is exhaustive once the residue it had there comes round again.  A walk
+    longer than OVERLAP_WALK_BUDGET raises OverlappingRules, undecided."""
+    k, power = 1, q.base
+    while power + q.offset < p.first:
+        k, power = k + 1, power * q.base
+    target, r = (p.first - q.offset) % p.step, power % p.step
+    settle = max(k, p.step.bit_length())
+    for k in range(k, k + OVERLAP_WALK_BUDGET):
+        if r == target:
+            return q.base**k + q.offset
+        if k == settle:
+            anchor = r
+        elif k > settle and r == anchor:
+            return None
+        r = r * q.base % p.step
+    raise OverlappingRules(
+        f"cannot decide whether {q} and {p} share an index: the powers mod {p.step} "
+        f"do not repeat within the overlap check's budget of {OVERLAP_WALK_BUDGET} powers"
+    )
 
 
 def _patterns_overlap(p: IndexPattern, q: IndexPattern):
-    """First index matched by both patterns (exact and structural for most
-    combinations, up to VALIDATION_HORIZON with a power pattern), or None."""
+    """First index matched by both patterns (exact, except two power patterns,
+    checked up to VALIDATION_HORIZON), or None."""
     if isinstance(p, ElsePattern) or isinstance(q, ElsePattern):
         return 1
     if isinstance(p, EqualsPattern):
@@ -231,6 +263,8 @@ def _patterns_overlap(p: IndexPattern, q: IndexPattern):
         return None
     if isinstance(p, PowerPattern) and not isinstance(q, PowerPattern):
         p, q = q, p
+    if isinstance(p, ArithProgPattern):
+        return _power_meets_progression(q, p)
     if isinstance(q, PowerPattern):
         n = q.base + q.offset
         while n <= VALIDATION_HORIZON:
@@ -246,9 +280,11 @@ class NdsSpec:
     """A rule-based map sequence f_1, f_2, ... over one space.
 
     Every index matches at most one rule; pattern pairs are checked for
-    disjointness structurally where possible and up to VALIDATION_HORIZON
-    for power-pattern combinations.  Unmatched indices get `default`.  Every
-    term must fit the space (SpaceMismatch otherwise).
+    disjointness exactly, except two power patterns, checked up to
+    VALIDATION_HORIZON.  A power pattern whose powers against a progression
+    do not repeat within OVERLAP_WALK_BUDGET raises OverlappingRules
+    undecided.  Unmatched indices get `default`.  Every term must fit the
+    space (SpaceMismatch otherwise).
     """
 
     space: SpaceDesc
@@ -266,9 +302,9 @@ class NdsSpec:
                 pa, pb = self.rules[a].pattern, self.rules[b].pattern
                 n = _patterns_overlap(pa, pb)
                 if n is not None:
-                    raise OverlappingRules(
-                        f"index {n} matches both {pa} and {pb}"
-                    )
+                    # a power index can have more digits than str() writes
+                    at = n if n.bit_length() <= 4096 else f"of {n.bit_length()} bits"
+                    raise OverlappingRules(f"index {at} matches both {pa} and {pb}")
         # specs key the prefix caches: hash the rule tree once, not per lookup
         object.__setattr__(self, "_hash", hash(
             (self.space, self.rules, self.default, self.name)

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ndslab import chaos, maps
 from ndslab.chaos import (
@@ -38,6 +39,7 @@ from ndslab.spaces import (
     AlphaEnclosure,
     BiWord,
     CircleSpace,
+    Cylinder,
     EnclosureUndecided,
     FiniteId,
     FiniteSpace,
@@ -72,6 +74,45 @@ def folded_memberships(spec, res, label, x):
         target = res.levels[i][0] if label[i] == "A" else res.levels[i][1]
         out.append(contains(SHIFT, target, point))
     return out
+
+
+def planted_cell_by_cell(spec, res):
+    """The witnesses of a construction, planted one constrained cell at a time
+    over the window spanning the level-1 block of the first reference point
+    and every level's block at its prefix exponent."""
+    if not res.times:
+        return {}
+    shifts = [prefix_compose(spec, p).exponent for p in res.times]
+    base = res.levels[0][0]
+    blocks = [(base.start, base.end - 1)] + [
+        (A.start + e, A.end - 1 + e) for (A, _B), e in zip(res.levels, shifts)
+    ]
+    lo, hi = min(b0 for b0, _ in blocks), max(b1 for _, b1 in blocks)
+    planted = [
+        {choice: [(j + e - lo, s) for j, s in target.constrained()]
+         for choice, target in zip("AB", pair)}
+        for pair, e in zip(res.levels, shifts)
+    ]
+    start = [0] * (hi - lo + 1)
+    for j, s in base.constrained():
+        start[j - lo] = s
+    witnesses = {}
+    for word in iter_product("AB", repeat=len(res.times)):
+        cells = list(start)
+        for level, choice in zip(planted, word):
+            for j, s in level[choice]:
+                cells[j] = s
+        witnesses["".join(word)] = BiWord(lo, tuple(cells), (0,), (0,))
+    return witnesses
+
+
+reference_points = st.builds(
+    BiWord,
+    window_start=st.integers(-4, 4),
+    window=st.lists(st.integers(0, 1), max_size=6).map(tuple),
+    left=st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+    right=st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+)
 
 
 class TestItineraryConstruction:
@@ -123,6 +164,77 @@ class TestItineraryConstruction:
                 moved = [p + d * (n == k) for n, p in enumerate(res.times)]
                 if moved[0] >= 1 and all(a < b for a, b in zip(moved, moved[1:])):
                     assert not chaos._verify_itineraries(spec, moved, res.levels, res.witnesses)
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(0, 8),
+           st.one_of(st.just((all_zeros(), all_ones())), st.tuples(reference_points, reference_points)))
+    @settings(max_examples=60, deadline=None)
+    def test_slice_planting_matches_the_cell_by_cell_oracle(self, spec, levels, ab):
+        a, b = ab
+        assume(a != b)
+        res = lemma21_construct(spec, a, b, levels, 512)
+        assert isinstance(res, ItineraryConstruction)
+        oracle = planted_cell_by_cell(spec, res)
+        # no levels, no witnesses
+        words = ["".join(w) for w in iter_product("AB", repeat=levels)] if levels else []
+        assert list(res.witnesses) == list(oracle) == words
+        assert [repr(x) for x in res.witnesses.values()] == [repr(x) for x in oracle.values()]
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_other_window_representations_are_decided_exactly(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        labels = sorted(res.witnesses)
+        # wider or shifted windows of the same points: equal, so accepted
+        moved = {}
+        for label in data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True)):
+            x = res.witnesses[label]
+            s = x.window_start - data.draw(st.integers(0, 4))
+            t = x.window_end + data.draw(st.integers(0, 4))
+            moved[label] = BiWord(s, tuple(map(x.coord, range(s, t))), (0,), (0,))
+            assert moved[label] == x
+        assert chaos._verify_itineraries(spec, res.times, res.levels, {**res.witnesses, **moved})
+        # a window cut short on either side, the rest read off new tails
+        label = data.draw(st.sampled_from(labels))
+        x = res.witnesses[label]
+        left = data.draw(st.integers(0, len(x.window)))
+        right = data.draw(st.integers(left, len(x.window)))
+        tails = st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple)
+        cut = BiWord(x.window_start + left, x.window[left:right], data.draw(tails), data.draw(tails))
+        assert chaos._verify_itineraries(spec, res.times, res.levels, {**res.witnesses, label: cut}) \
+            == all(folded_memberships(spec, res, label, cut))
+        # the same window at another start: another point, of the same width
+        d = data.draw(st.integers(-3, 3))
+        other = BiWord(x.window_start + d, x.window, x.left, x.right)
+        assert chaos._verify_itineraries(spec, res.times, res.levels, {**res.witnesses, label: other}) \
+            == all(folded_memberships(spec, res, label, other))
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_targets_off_the_shared_window_are_decided_exactly(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        # loosen one target: a free cell inside its word, or a shorter window
+        # than its partner's
+        i, k = data.draw(st.integers(0, levels - 1)), data.draw(st.integers(0, 1))
+        target = res.levels[i][k]
+        j = data.draw(st.integers(0, len(target.word) - 1))
+        if data.draw(st.booleans()):
+            loose = Cylinder(target.start, target.word[:j] + (None,) + target.word[j + 1 :])
+        else:
+            loose = Cylinder(target.start + j, target.word[j:])
+        levels_ = tuple(
+            tuple(loose if (n, c) == (i, k) else t for c, t in enumerate(pair))
+            for n, pair in enumerate(res.levels)
+        )
+        loosened = ItineraryConstruction(res.times, levels_, res.witnesses, True)
+        # flip one cell of one witness at the loosened level
+        label = data.draw(st.sampled_from(sorted(res.witnesses)))
+        x = res.witnesses[label]
+        cell = data.draw(st.integers(x.window_start, x.window_end - 1))
+        window = list(x.window)
+        window[cell - x.window_start] ^= 1
+        witnesses = {**res.witnesses, label: BiWord(x.window_start, tuple(window), x.left, x.right)}
+        expected = all(all(folded_memberships(spec, loosened, lb, w)) for lb, w in witnesses.items())
+        assert chaos._verify_itineraries(spec, res.times, levels_, witnesses) == expected
 
     def test_time_search_reads_the_exponent_array_lazily(self):
         maps._CUM._exponents.pop(CONST_SIGMA, None)

@@ -171,6 +171,13 @@ class TestExitCodes:
         assert check["status"] == "inconclusive"
         assert check["evidence"] == {"unhit_count": 2, "unhit_pairs": ["0->1", "1->0"]}
 
+    def test_power_rule_meeting_a_progression_late_is_an_input_error(self, ndsl_file, capsys):
+        source = ("space finite(2);\n"
+                  "system F { at pow(2,0,k): table{1->2,2->1}; at ap(5000,1): id; }\n")
+        code, out, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
+        assert (code, out) == (3, "")
+        assert "index 8192 matches both" in err
+
     def test_forty_digit_shift_of_a_constant_point_gets_verdicts(self, ndsl_file, capsys):
         source = (
             f"space shift(2);\nsystem S {{ at 5: sigma^{10**40}; }}\n"

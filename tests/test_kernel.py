@@ -733,6 +733,17 @@ def equicontinuity_fold(spec, epsilon, k, horizon):
     return epsilon / (2 ** (worst + 1)), f"Lipschitz constant 2^{worst} over all windows, safety factor 2"
 
 
+def equicontinuity_window_loop(spec, epsilon, k, horizon):
+    """equicontinuity_modulus with each window's exponent taken in a double
+    loop over n and j, off the prefix exponents."""
+    E = mp.prefix_exponents(spec, horizon + k - 1)
+    window = [max(abs(E[n + j] - E[n - 1]) for j in range(k)) for n in range(1, horizon + 1)]
+    worst, worst_first_half = max(window, default=0), max(window[: horizon // 2], default=0)
+    if worst > worst_first_half:
+        return None, f"window exponents still growing at the horizon (max |E| = {worst})"
+    return epsilon / (1 << (worst + 1)), f"Lipschitz constant 2^{worst} over all windows, safety factor 2"
+
+
 class TestOrbitQuestions:
     @given(st.data(), system_cases())
     @settings(max_examples=60, deadline=None)
@@ -779,6 +790,13 @@ class TestOrbitQuestions:
     @settings(max_examples=100, deadline=None)
     def test_equicontinuity_modulus_matches_the_step_exponent_sum(self, spec, eps, k, H):
         assert cv.equicontinuity_modulus(spec, eps, k, H) == equicontinuity_fold(spec, eps, k, H)
+
+    # horizons 0 and 1, and windows longer than the horizon
+    @given(shift_systems, st.sampled_from([Fraction(1), Fraction(1, 8)]), st.integers(1, 12),
+           st.one_of(st.integers(0, 1), st.integers(2, 64)))
+    @settings(max_examples=150, deadline=None)
+    def test_equicontinuity_modulus_matches_the_window_double_loop(self, spec, eps, k, H):
+        assert cv.equicontinuity_modulus(spec, eps, k, H) == equicontinuity_window_loop(spec, eps, k, H)
 
     @given(st.data(), st.one_of(
         # the default angle keeps every distance comparison decidable

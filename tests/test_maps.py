@@ -140,6 +140,42 @@ class TestEvalTerm:
             ))
 
 
+def first_common_power(q, p, powers):
+    """The first base^k + offset, k <= powers, that the progression matches."""
+    return next((n for n in (q.base**k + q.offset for k in range(1, powers + 1)) if p.matches(n)), None)
+
+
+class TestPowerAgainstProgression:
+    @given(st.integers(2, 12), st.integers(0, 40), st.integers(1, 10**5), st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_first_common_index_matches_the_power_walk(self, base, offset, first, step):
+        q, p = PowerPattern(base, offset), ArithProgPattern(first, step)
+        # the powers up to the first term (at most 17), the step's bit length
+        # and one period of the residues mod step (at most step) all fit in
+        # 3 * step + 64
+        expected = first_common_power(q, p, 3 * step + 64)
+        assert maps_mod._patterns_overlap(q, p) == maps_mod._patterns_overlap(p, q) == expected
+
+    def test_an_index_too_long_to_print_is_named_by_its_bits(self):
+        # 3^k = 1 (mod 10007) first at k = 5003: an index of 7930 bits
+        with pytest.raises(OverlappingRules, match="index of 7930 bits matches both"):
+            NdsSpec(SHIFT, (
+                Rule(PowerPattern(3, 0), ShiftPowTerm(1)),
+                Rule(ArithProgPattern(1, 10007), ShiftPowTerm(2)),
+            ))
+
+    def test_a_residue_cycle_longer_than_the_budget_is_undecided(self):
+        # 3 is a primitive root of the prime 65537: its powers run through
+        # 65536 residues, none of them 0, before they repeat
+        budget = maps_mod.OVERLAP_WALK_BUDGET
+        assert budget < 65536
+        with pytest.raises(OverlappingRules, match=f"budget of {budget} powers"):
+            NdsSpec(SHIFT, (
+                Rule(PowerPattern(3, 0), ShiftPowTerm(1)),
+                Rule(ArithProgPattern(65537, 65537), ShiftPowTerm(2)),
+            ))
+
+
 class TestWindowCompose:
     def test_zero_window_is_identity(self):
         for spec in (ex31(), ex38(), ex35()):
@@ -534,13 +570,12 @@ class TestWhereTheStepsSettle:
         verdict = convergence.check_uniform_convergence(spec, CYCLE3, 64)
         assert verdict.witnessed and verdict.stabilization_index == 1
 
-    def test_power_rule_past_the_overlap_check_gets_no_law(self):
+    def test_power_rule_meeting_a_progression_past_4096_overlaps(self):
         # pow(2,0) meets ap(5000,1) first at 8192, past VALIDATION_HORIZON
-        spec = NdsSpec(FiniteSpace(2), (
-            Rule(PowerPattern(2, 0), SWAP), Rule(ArithProgPattern(5000, 1), IDENTITY),
-        ))
-        assert step_normal(spec, 8192) == TableMap((2, 1))
-        assert eventual_step(spec) is None and derive_table_law(spec) is None
+        with pytest.raises(OverlappingRules, match="index 8192 matches both"):
+            NdsSpec(FiniteSpace(2), (
+                Rule(PowerPattern(2, 0), SWAP), Rule(ArithProgPattern(5000, 1), IDENTITY),
+            ))
 
     def test_covering_progressions_settle_without_the_default(self):
         spec = NdsSpec(FiniteSpace(2), (
