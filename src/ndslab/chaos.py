@@ -8,6 +8,7 @@ the tail convention (n >= H/2) and the thresholds are configuration.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -58,6 +59,14 @@ def _shift_tail_extremes(x: sp.BiWord, y: sp.BiWord, exponents: list) -> tuple:
     L <- (L + Q M_l) / 2^g, with M_r and M_l the gap's disagreement masks
     read in the two directions; a wider gap is re-seeded in closed form, so
     no cost grows with |E|.
+
+    Past a window edge the sum is a part periodic in E (rp on the right, lp
+    on the left) plus the edge's correction, halved once per cell, so it is
+    monotone on each residue class and only the class's first and last
+    exponent can be its minimum or maximum.  The fold keeps every exponent
+    in [lo, hi] and those class ends, at most w + 1 + 2(lp + rp) of them;
+    picking the ends is two C-level passes, so no fold or exact sum grows
+    with the number of exponents.
     """
     for p in (x, y):
         if not isinstance(p, sp.BiWord):
@@ -104,6 +113,14 @@ def _shift_tail_extremes(x: sp.BiWord, y: sp.BiWord, exponents: list) -> tuple:
         if e < lo:
             return left_tail_r(e, k) + (fix_r >> (lo - e)), (bits(e - lp, e, True) * rden) << k
         return inside(e, k)
+
+    a, b = bisect_left(exponents, lo), bisect_right(exponents, hi)
+    below, above = exponents[:a], exponents[b:]
+    # dict keeps a residue's last exponent: built forward, its class's
+    # last; built backward, its first
+    ends = [e for side, period in ((below, lp), (above, rp)) for run in (side, side[::-1])
+            for e in dict(zip(map(period.__rmod__, run), run)).values()]
+    exponents = sorted({*exponents[a:b], *ends})
 
     extent = w + lp + rp
     sums, i = [], 0

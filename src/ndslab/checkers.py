@@ -125,7 +125,7 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     classes form one saturated class that hits every pair.  A product pair
     meets exactly when every component pair does, so product masks are the
     AND of the component masks, a tail or iterate of a product included
-    (see _components)."""
+    (see hitting._components)."""
     key = (spec, resolution, horizon)
     hit = _MASK_CACHE.get(key)
     if hit is not None:
@@ -133,7 +133,7 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     space = spec.space
     basis = sp.enumerate_basis(space, resolution)
     if isinstance(space, sp.ProductSpace):
-        parts = [_pair_masks(p, resolution, horizon) for p in _components(spec)]
+        parts = [_pair_masks(p, resolution, horizon) for p in ht._components(spec)]
         # enumerate_basis orders rectangles like product() orders index tuples
         index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
         # spread[k][a][j] is part k's mask for (a, side k of rectangle j):
@@ -159,15 +159,6 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
                 masks[pair] |= saturated
     _MASK_CACHE[key] = (basis, masks)
     return basis, masks
-
-
-def _components(spec: mp.SystemSpec) -> tuple:
-    """The component systems of a product system or of a tail or iterate of
-    one.  A product steps every part at once, so its tail (or iterate) is
-    the product of the parts' tails (or iterates)."""
-    if isinstance(spec, mp.ProductSpec):
-        return spec.parts
-    return tuple(type(spec)(part, spec.k) for part in _components(spec.base))
 
 
 def _class_pairs(space, m: mp.NormalMap, basis) -> list:
@@ -231,7 +222,7 @@ def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fracti
     its sides does, so a product mask is the OR of the component masks."""
     basis = sp.enumerate_basis(spec.space, resolution)
     if isinstance(spec.space, sp.ProductSpace):
-        parts = (_sep_masks(p, resolution, horizon, delta)[1] for p in _components(spec))
+        parts = (_sep_masks(p, resolution, horizon, delta)[1] for p in ht._components(spec))
         return basis, reduce(or_, parts)
     space = spec.space
     wide = 0
@@ -319,13 +310,25 @@ def _subset_search(masks, m: int, k: int = 1) -> tuple:
     """(failing, worst) over every m-subset of masks: failing is the first
     subset with fewer than k common members (worst is then None); otherwise
     worst is (t, subset) for the subset whose k-th common member t is the
-    latest, or None when there is no m-subset."""
+    latest, or None when there is no m-subset.
+
+    AND is idempotent and commutative, so a subset's verdict depends only on
+    its set of distinct mask values: each such set is decided once (its
+    k-th common member, or None when it has fewer than k), and the scan
+    keeps combinations order for the first failing and first worst."""
+    values = list(dict.fromkeys(masks))
+    index = {mask: i for i, mask in enumerate(values)}
+    ids = [index[mask] for mask in masks]
+    decided = {}
     worst = None
     for subset in combinations(range(len(masks)), m):
-        inter = reduce(and_, (masks[idx] for idx in subset), -1)
-        if inter.bit_count() < k:
+        key = frozenset(ids[idx] for idx in subset)
+        t = decided.get(key, False)
+        if t is False:
+            inter = reduce(and_, (values[i] for i in key), -1)
+            t = decided[key] = _nth_bit(inter, k) if inter.bit_count() >= k else None
+        if t is None:
             return subset, None
-        t = _nth_bit(inter, k)
         if worst is None or t > worst[0]:
             worst = (t, subset)
     return None, worst

@@ -232,14 +232,13 @@ def _run_gap_bound(doc, exp):
     w = 1
     while Fraction(2, 1 << w) > xi:
         w += 1
-    # W is wider than the basis window, so each N(U, W) is its own hitting set
+    # W is no basis open, so its column N(U, W) is one walk of the classes
     W = sp.Cylinder(-w, tuple([0] * (2 * w + 1)))
     m2 = 0
-    for U in basis:
-        fe = ht.classify_frequency(ht.hitting_set(system, U, W, H))
-        if fe.first_member is None:
+    for hits, _undecided in ht.hitting_masks(system, basis, W, H):
+        if not hits:
             return "fail", {"reason": "tracking neighborhood never hit"}, None
-        m2 = max(m2, fe.max_gap)
+        m2 = max(m2, ht._frequency(hits, H)[0])
     # every basis open shares one separation mask
     sens_gap = ht._frequency(ck._sep_masks(system, r, H, delta)[1], H)[0]
     ok = sens_gap <= m1 + m2

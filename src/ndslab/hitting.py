@@ -111,19 +111,28 @@ def _composed_classes(spec: mp.SystemSpec, horizon: int) -> dict:
     return classes
 
 
-def _class_set(kind: str, spec, horizon: int, U, test, **fields) -> HittingSet:
-    """Decide `test(f_1^n(U))` once per prefix class and spread the outcome
-    over the class's times."""
-    hits = undecided = 0
-    for m, times in prefix_classes(spec, horizon).items():
-        verdict = test(mp.image(m, U))
-        if verdict is None:
-            undecided |= times
-        elif verdict:
-            hits |= times
-    return HittingSet(
-        kind, spec, horizon, _mask_members(hits), _mask_members(undecided), u=U, **fields,
-    )
+def _class_masks(classes: dict, opens, test) -> list:
+    """[hits, undecided] masks for each open U of `opens`: `test(m, U)`
+    (True, False, or None when undecided) is decided once per prefix class
+    m of `classes` and spread over the class's times, in one walk."""
+    masks = [[0, 0] for _ in opens]
+    for m, times in classes.items():
+        for mask, U in zip(masks, opens):
+            verdict = test(m, U)
+            if verdict is None:
+                mask[1] |= times
+            elif verdict:
+                mask[0] |= times
+    return masks
+
+
+def _components(spec: mp.SystemSpec) -> tuple:
+    """The component systems of a product system or of a tail or iterate of
+    one.  A product steps every part at once, so its tail (or iterate) is
+    the product of the parts' tails (or iterates)."""
+    if isinstance(spec, mp.ProductSpec):
+        return spec.parts
+    return tuple(type(spec)(part, spec.k) for part in _components(spec.base))
 
 
 def _describe_open(A) -> str:
@@ -139,12 +148,55 @@ def _describe_open(A) -> str:
     return repr(A)
 
 
+def hitting_masks(spec: mp.SystemSpec, opens, V, horizon: int) -> list:
+    """[hits, undecided] masks of N(U, V) within [1, horizon] (bit n for
+    time n) for every U of `opens`, from one walk of the prefix classes.
+
+    Two cylinders on disjoint windows always meet, so a shift class that
+    moves every open's window clear of V's hits every open without a test.
+    A rectangle pair on a product is folded from its parts' masks in
+    part order, as `spaces.intersects` reads the sides: a time stays alive
+    while every side so far meets, and turns undecided at the first side
+    that cannot decide while it is alive."""
+    space = spec.space
+    if isinstance(space, sp.ProductSpace) and all(
+        isinstance(A, sp.ProductOpen) for A in (V, *opens)
+    ):
+        parts = [
+            hitting_masks(part, [U.parts[k] for U in opens], V.parts[k], horizon)
+            for k, part in enumerate(_components(spec))
+        ]
+        masks = []
+        for sides in zip(*parts):
+            alive, undecided = (1 << horizon + 1) - 2, 0
+            for members_k, undecided_k in sides:
+                undecided |= alive & undecided_k
+                alive &= members_k
+            masks.append([alive, undecided])
+        return masks
+
+    classes = prefix_classes(spec, horizon)
+    clear = 0
+    if isinstance(space, sp.ShiftSpace) and opens and all(
+        isinstance(A, sp.Cylinder) for A in (V, *opens)
+    ):
+        lo, hi = min(U.start for U in opens), max(U.end for U in opens)
+        for m in [m for m in classes if lo - m.exponent >= V.end or hi - m.exponent <= V.start]:
+            clear |= classes.pop(m)
+    masks = _class_masks(classes, opens, lambda m, U: _meets(space, mp.image(m, U), V))
+    for mask in masks:
+        mask[0] |= clear
+    return masks
+
+
 def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:
     """N(U, V) restricted to [1, horizon]: times n with f_1^n(U) meeting V."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    space = spec.space
-    return _class_set("hitting", spec, horizon, U, lambda img: _meets(space, img, V), v=V)
+    [(hits, undecided)] = hitting_masks(spec, (U,), V, horizon)
+    return HittingSet(
+        "hitting", spec, horizon, _mask_members(hits), _mask_members(undecided), u=U, v=V,
+    )
 
 
 def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> HittingSet:
@@ -161,8 +213,12 @@ def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> Hit
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     space = spec.space
-    return _class_set(
-        "separation", spec, horizon, U, lambda img: _wider_than(space, img, delta), delta=delta,
+    [(wide, undecided)] = _class_masks(
+        prefix_classes(spec, horizon), (U,), lambda m, U: _wider_than(space, mp.image(m, U), delta),
+    )
+    return HittingSet(
+        "separation", spec, horizon, _mask_members(wide), _mask_members(undecided),
+        u=U, delta=delta,
     )
 
 

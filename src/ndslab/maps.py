@@ -204,7 +204,8 @@ class Rule:
     term: RuleTerm
 
 
-# two power patterns are checked for a common index up to this bound
+# two power patterns with unequal offsets are checked for a common index up
+# to this bound
 VALIDATION_HORIZON = 4096
 
 # powers a power pattern walks against a progression before the overlap check
@@ -239,9 +240,30 @@ def _power_meets_progression(q: PowerPattern, p: ArithProgPattern):
     )
 
 
+def _powers_meet(p: PowerPattern, q: PowerPattern):
+    """First n = p.base^j + offset = q.base^k + offset (j, k >= 1), or None.
+
+    b1^j = b2^k holds exactly when both bases are powers of one root: then
+    the smaller base divides the larger and their quotient is a power of
+    that root too, so dividing down as in Euclid's algorithm ends at the
+    largest common root g (b1 = g^s, b2 = g^t, s and t coprime) or at a
+    remainder, and the first common power is g^lcm(s, t) = b1^t."""
+    g, y = sorted((p.base, q.base))
+    while g != y:
+        y, rem = divmod(y, g)
+        if rem:
+            return None
+        g, y = sorted((g, y))
+    t, b = 0, q.base
+    while b > 1:
+        b //= g
+        t += 1
+    return p.base**t + p.offset
+
+
 def _patterns_overlap(p: IndexPattern, q: IndexPattern):
-    """First index matched by both patterns (exact, except two power patterns,
-    checked up to VALIDATION_HORIZON), or None."""
+    """First index matched by both patterns, or None.  Exact, except two
+    power patterns with unequal offsets, walked up to VALIDATION_HORIZON."""
     if isinstance(p, ElsePattern) or isinstance(q, ElsePattern):
         return 1
     if isinstance(p, EqualsPattern):
@@ -266,6 +288,8 @@ def _patterns_overlap(p: IndexPattern, q: IndexPattern):
     if isinstance(p, ArithProgPattern):
         return _power_meets_progression(q, p)
     if isinstance(q, PowerPattern):
+        if p.offset == q.offset:
+            return _powers_meet(p, q)
         n = q.base + q.offset
         while n <= VALIDATION_HORIZON:
             if p.matches(n):
@@ -280,11 +304,13 @@ class NdsSpec:
     """A rule-based map sequence f_1, f_2, ... over one space.
 
     Every index matches at most one rule; pattern pairs are checked for
-    disjointness exactly, except two power patterns, checked up to
-    VALIDATION_HORIZON.  A power pattern whose powers against a progression
-    do not repeat within OVERLAP_WALK_BUDGET raises OverlappingRules
-    undecided.  Unmatched indices get `default`.  Every term must fit the
-    space (SpaceMismatch otherwise).
+    disjointness exactly, except two power patterns with unequal offsets,
+    checked up to VALIDATION_HORIZON.  Two literals can only clash on one
+    value, so each literal is paired with the other kinds of pattern and
+    with the literals of its own value only.  A power pattern whose powers
+    against a progression do not repeat within OVERLAP_WALK_BUDGET raises
+    OverlappingRules undecided.  Unmatched indices get `default`.  Every
+    term must fit the space (SpaceMismatch otherwise).
     """
 
     space: SpaceDesc
@@ -297,9 +323,20 @@ class NdsSpec:
         for term in [r.term for r in self.rules] + [self.default]:
             # every term must fit the space; a family is checked by its kind
             term_to_normal(self.space, term.at_ordinal(1) if isinstance(term, FamilyTerm) else term)
-        for a in range(len(self.rules)):
-            for b in range(a + 1, len(self.rules)):
-                pa, pb = self.rules[a].pattern, self.rules[b].pattern
+        patterns = [r.pattern for r in self.rules]
+        others, literals = [], {}
+        for b, pb in enumerate(patterns):
+            if isinstance(pb, EqualsPattern):
+                literals.setdefault(pb.value, []).append(b)
+            else:
+                others.append(b)
+        for a, pa in enumerate(patterns):
+            if isinstance(pa, EqualsPattern):
+                later = sorted(b for b in (*others, *literals[pa.value]) if b > a)
+            else:
+                later = range(a + 1, len(patterns))
+            for b in later:
+                pb = patterns[b]
                 n = _patterns_overlap(pa, pb)
                 if n is not None:
                     # a power index can have more digits than str() writes

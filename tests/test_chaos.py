@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 from itertools import product as iter_product
 
 import pytest
@@ -48,6 +49,7 @@ from ndslab.spaces import (
     all_ones,
     all_zeros,
     contains,
+    disagreement_mask,
     distance,
     shift_distance,
     value_cmp,
@@ -414,6 +416,110 @@ def periodic_point(pattern, start, length):
         tuple(pattern[(start + i) % p] for i in range(p)),
         tuple(pattern[(start + length + i) % p] for i in range(p)),
     )
+
+
+def full_list_extremes(x, y, exponents):
+    """The tail extremes folded over every exponent, with no residue-class
+    pruning: the oracle for `chaos._shift_tail_extremes`."""
+    lo, hi = min(x.window_start, y.window_start), max(x.window_end, y.window_end)
+    lp, rp = lcm(len(x.left), len(y.left)), lcm(len(x.right), len(y.right))
+    lden, rden, w = (1 << lp) - 1, (1 << rp) - 1, hi - lo
+
+    def bits(a, b, leftward=False):
+        return disagreement_mask(x, y, a, b, leftward)
+
+    # [lo, hi) read rightward and leftward, and the tail blocks at its edges
+    win_r, win_l = bits(lo, hi), bits(lo, hi, True)
+    right_at_hi, left_at_lo = bits(hi, hi + rp), bits(lo - lp, lo, True)
+
+    def inside(e, k):
+        # (R, L) for lo <= e <= hi over Q with 2^k
+        r = (2 * (win_r & ((1 << (hi - e)) - 1)) * rden + 2 * right_at_hi) * lden
+        l = ((win_l & ((1 << (e - lo)) - 1)) * lden + left_at_lo) * rden
+        return r << (k - (hi - e)), l << (k - (e - lo))
+
+    def right_tail_l(e, k):
+        # left sum at e of the right tail's pattern continued leftward forever
+        e = hi + rp + (e - hi) % rp
+        return (bits(e - rp, e, True) * lden) << k
+
+    def left_tail_r(e, k):
+        # right sum at e of the left tail's pattern continued rightward forever
+        e = lo - lp - (lo - lp - e) % lp
+        return (2 * bits(e, e + lp) * rden) << k
+
+    # beyond a window edge a sum is its tail pattern's plus the edge's
+    # correction, halved once per cell of distance; a zero correction keeps
+    # the denominator free of that distance
+    fix_l = inside(hi, w)[1] - right_tail_l(hi, w)
+    fix_r = inside(lo, w)[0] - left_tail_r(lo, w)
+    k = w + max(0, exponents[-1] - hi if fix_l else 0, lo - exponents[0] if fix_r else 0)
+    fix_l, fix_r = fix_l << (k - w), fix_r << (k - w)
+    q = lden * rden << k
+
+    def seed(e):
+        if e > hi:
+            return (2 * bits(e, e + rp) * lden) << k, right_tail_l(e, k) + (fix_l >> (e - hi))
+        if e < lo:
+            return left_tail_r(e, k) + (fix_r >> (lo - e)), (bits(e - lp, e, True) * rden) << k
+        return inside(e, k)
+
+    extent = w + lp + rp
+    sums, i = [], 0
+    while i < len(exponents):
+        # a run of exponents at most the extent apart: seed its first one,
+        # then step over each gap [E, E+g) at once off the run's one mask
+        j = i
+        while j + 1 < len(exponents) and exponents[j + 1] - exponents[j] <= extent:
+            j += 1
+        a, b = exponents[i], exponents[j]
+        r, l = seed(a)
+        sums.append(r + l)
+        cells = format(bits(a, b), f"0{b - a}b")  # delta_E at index E - a
+        for e0, e in zip(exponents[i:j], exponents[i + 1 : j + 1]):
+            g, gap = e - e0, cells[e0 - a : e - a]
+            # the masks of [E, E+g) with cell E high (M_r) and cell E+g-1 high (M_l)
+            r = (r << g) - 2 * q * int(gap, 2)
+            l = (l + q * int(gap[::-1], 2)) >> g
+            sums.append(r + l)
+        i = j + 1
+    return Fraction(min(sums), q), Fraction(max(sums), q)
+
+
+@st.composite
+def pairs_and_exponents(draw):
+    """A far pair and an ascending exponent set with members below, inside
+    and above the pair's windows, some of them far out."""
+    x, y = draw(far_pairs())
+    lo, hi = min(x.window_start, y.window_start), max(x.window_end, y.window_end)
+    near = st.integers(lo - 120, hi + 120)
+    far = st.integers(lo - 2000, hi + 2000)
+    inside = st.integers(lo, hi)
+    exponents = draw(st.lists(st.one_of(near, inside, far), min_size=1, max_size=160))
+    return x, y, sorted(set(exponents))
+
+
+class TestTailPruning:
+    @given(pairs_and_exponents())
+    @settings(max_examples=200, deadline=None)
+    def test_class_ends_give_the_full_list_extremes(self, case):
+        x, y, exponents = case
+        assert chaos._shift_tail_extremes(x, y, exponents) == full_list_extremes(x, y, exponents)
+
+    @given(far_pairs(), st.integers(-400, 400), st.integers(1, 600))
+    @settings(max_examples=60, deadline=None)
+    def test_a_long_run_of_exponents_gives_the_full_list_extremes(self, pair, start, count):
+        x, y = pair
+        exponents = list(range(start, start + count))
+        assert chaos._shift_tail_extremes(x, y, exponents) == full_list_extremes(x, y, exponents)
+
+    def test_the_corpus_candidates_at_horizon_4096(self):
+        spec = parse("space shift(2); system CS { else: sigma^1; }").system("CS")
+        exponents = sorted(set(maps.prefix_exponents(spec, 4096)[2048:]))
+        for x, y in proximal_scrambled_candidates(all_zeros(), all_ones(), 6):
+            got = chaos._shift_tail_extremes(x, y, exponents)
+            assert got == full_list_extremes(x, y, exponents)
+            assert all(isinstance(v, Fraction) for v in got)
 
 
 BIG = 7 * 10**39 + 12345  # 40 digits

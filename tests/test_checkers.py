@@ -2,6 +2,9 @@
 the hierarchy coherence between properties."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +298,37 @@ class TestConsistency:
         rep = ck.hitting_infinity_consistency(
             two_id, ck.PropertyKind("weakly-mixing", order=2), 1, 32, 3)
         assert not rep.ok and "precondition" in rep.detail
+
+
+def plain_subset_search(masks, m, k=1):
+    """Every m-subset ANDed on its own, in combinations order: the oracle
+    for `checkers._subset_search`."""
+    worst = None
+    for subset in combinations(range(len(masks)), m):
+        inter = reduce(and_, (masks[idx] for idx in subset), -1)
+        if inter.bit_count() < k:
+            return subset, None
+        t = ck._nth_bit(inter, k)
+        if worst is None or t > worst[0]:
+            worst = (t, subset)
+    return None, worst
+
+
+class TestSubsetSearch:
+    @given(st.lists(st.integers(0, 2**24 - 1), min_size=1, max_size=5), st.data(),
+           st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_masks_give_the_plain_search(self, values, data, m, k):
+        # few distinct values spread over many positions, as pair masks share them
+        masks = data.draw(st.lists(st.sampled_from(values), min_size=0, max_size=12))
+        assert ck._subset_search(masks, m, k) == plain_subset_search(masks, m, k)
+
+    def test_constant_shift_pair_masks(self):
+        _, masks = ck._pair_masks(CONST_SIGMA, 1, 128)
+        pair_masks = list(masks.values())
+        assert len(set(pair_masks)) < len(pair_masks)
+        for k in (1, 10, 200):
+            assert ck._subset_search(pair_masks, 2, k) == plain_subset_search(pair_masks, 2, k)
 
 
 class TestHierarchyCoherence:

@@ -178,6 +178,15 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "index 8192 matches both" in err
 
+    def test_power_rules_first_meeting_past_the_walk_bound_are_an_input_error(
+        self, ndsl_file, capsys
+    ):
+        source = ("space finite(2);\n"
+                  "system F { at pow(2,0,k): table{1->2,2->1}; at pow(8192,0,k): id; }\n")
+        code, out, err = run(capsys, ["check", ndsl_file(source), "--property", "transitive"])
+        assert (code, out) == (3, "")
+        assert "index 8192 matches both" in err
+
     def test_forty_digit_shift_of_a_constant_point_gets_verdicts(self, ndsl_file, capsys):
         source = (
             f"space shift(2);\nsystem S {{ at 5: sigma^{10**40}; }}\n"

@@ -21,13 +21,16 @@ from ndslab.maps import (
     NdsSpec,
     PowerPattern,
     ProductSpec,
+    RotPowTerm,
     Rule,
     ShiftPowTerm,
     derive_laws,
+    image,
     prefix_compose,
 )
 from ndslab.spaces import (
     AffineAngle,
+    AlphaEnclosure,
     Arc,
     CircleSpace,
     Cylinder,
@@ -35,6 +38,7 @@ from ndslab.spaces import (
     FiniteSpace,
     ProductOpen,
     ShiftSpace,
+    enumerate_basis,
 )
 
 SHIFT = ShiftSpace()
@@ -107,6 +111,80 @@ class TestHittingSet:
         long = hitting_set(ex36(), U, V, 200)
         short = hitting_set(ex36(), U, V, 60)
         assert short.members == tuple(n for n in long.members if n <= 60)
+
+    def test_several_opens_share_one_class_walk(self):
+        basis = enumerate_basis(SHIFT, 2)
+        W = Cylinder(-3, (0,) * 7)
+        for spec in (ex36(), CONST_SIGMA):
+            masks = ht.hitting_masks(spec, basis, W, 100)
+            for U, (hits, undecided) in zip(basis, masks):
+                assert ht._mask_members(hits) == brute_force_hitting(spec, U, W, 100)
+                assert undecided == 0
+
+
+def class_walk(spec, U, V, H) -> tuple:
+    """(members, inconclusive) of N(U, V) from the rectangle's own class
+    walk: every product prefix map composed, its image of U tested once."""
+    space = spec.space
+    [(hits, undecided)] = ht._class_masks(
+        ht.prefix_classes(spec, H), (U,), lambda m, A: ht._meets(space, image(m, A), V)
+    )
+    return ht._mask_members(hits), ht._mask_members(undecided)
+
+
+# a declared angle of 1/4: the basis arcs' comparisons at even times stay
+# undecided under rot^1
+DECLARED = NdsSpec(
+    CircleSpace(AlphaEnclosure.custom(Fraction(1, 4), Fraction(1, 2**70))), (), RotPowTerm(1)
+)
+PRODUCT_PARTS = [ex31(), ex36(), CONST_SIGMA, ex35(), DECLARED]
+
+
+@st.composite
+def rectangle_pairs(draw):
+    """A product of two or three parts, with U and V drawn from the parts'
+    bases at resolution 2 (the least on the circle)."""
+    parts = tuple(draw(st.lists(st.sampled_from(PRODUCT_PARTS), min_size=2, max_size=3)))
+    sides = [draw(st.lists(st.sampled_from(enumerate_basis(p.space, 2)), min_size=2, max_size=2))
+             for p in parts]
+    U, V = (ProductOpen(tuple(side[k] for side in sides)) for k in (0, 1))
+    return ProductSpec(parts), U, V
+
+
+class TestProductHittingSet:
+    @given(rectangle_pairs(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_the_part_fold_equals_the_rectangle_class_walk(self, case, H):
+        spec, U, V = case
+        hs = hitting_set(spec, U, V, H)
+        assert (hs.members, hs.inconclusive) == class_walk(spec, U, V, H)
+        assert hs.members == brute_force_hitting(spec, U, V, H)
+
+    def test_shift_by_shift_and_shift_by_finite(self):
+        for parts in ((ex36(), CONST_SIGMA), (ex31(), ex35())):
+            spec = ProductSpec(parts)
+            for i, j in ((0, 1), (1, 0), (0, 0)):
+                U, V = (ProductOpen(tuple(enumerate_basis(p.space, 1)[k] for p in parts))
+                        for k in (i, j))
+                hs = hitting_set(spec, U, V, 64)
+                assert (hs.members, hs.inconclusive) == class_walk(spec, U, V, 64)
+                assert hs.members == brute_force_hitting(spec, U, V, 64)
+
+    def test_the_first_side_that_misses_decides_before_a_later_undecided_one(self):
+        arc = enumerate_basis(DECLARED.space, 2)[0]
+        zero, one = Cylinder(0, (0,)), Cylinder(0, (1,))
+        circle_first = ProductSpec((DECLARED, ex31()))
+        shift_first = ProductSpec((ex31(), DECLARED))
+        # the circle side is undecided at every even time, where ex31's
+        # identity prefixes keep the disjoint cylinders apart
+        a = hitting_set(circle_first, ProductOpen((arc, zero)), ProductOpen((arc, one)), 16)
+        b = hitting_set(shift_first, ProductOpen((zero, arc)), ProductOpen((one, arc)), 16)
+        assert a.members == b.members == (3, 5, 7, 9, 11, 13, 15)
+        assert a.inconclusive == tuple(range(2, 17, 2)) and b.inconclusive == ()
+        assert (a.members, a.inconclusive) == class_walk(
+            circle_first, ProductOpen((arc, zero)), ProductOpen((arc, one)), 16)
+        assert (b.members, b.inconclusive) == class_walk(
+            shift_first, ProductOpen((zero, arc)), ProductOpen((one, arc)), 16)
 
 
 class TestSeparationSet:

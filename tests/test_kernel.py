@@ -342,7 +342,7 @@ class TestDerivedProductMasks:
 def masks_by_rectangle(spec, r, H) -> dict:
     """A product's pair masks one rectangle pair at a time: the AND of the
     component masks at each pair of sides, in (i, j) order."""
-    parts = [ck._pair_masks(p, r, H) for p in ck._components(spec)]
+    parts = [ck._pair_masks(p, r, H) for p in ht._components(spec)]
     index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
     return {
         (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))

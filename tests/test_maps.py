@@ -176,6 +176,81 @@ class TestPowerAgainstProgression:
             ))
 
 
+class TestPowerAgainstPower:
+    @given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_offsets_match_the_power_walk(self, a, b, offset):
+        p, q = PowerPattern(a, offset), PowerPattern(b, offset)
+        # bases up to 40 are powers of their root with exponents up to 5, so a
+        # first common power is at most 5 powers of either base out
+        expected = first_common_power(q, p, 64)
+        assert maps_mod._patterns_overlap(p, q) == maps_mod._patterns_overlap(q, p) == expected
+
+    def test_a_first_common_power_past_the_walk_bound_overlaps(self):
+        # 8192 = 2^13 is past VALIDATION_HORIZON, and pow(8192,0) starts there
+        with pytest.raises(OverlappingRules, match="index 8192 matches both"):
+            NdsSpec(FiniteSpace(2), (
+                Rule(PowerPattern(2, 0), SWAP), Rule(PowerPattern(8192, 0), IDENTITY),
+            ))
+
+    def test_bases_without_a_common_root_never_meet(self):
+        assert maps_mod._patterns_overlap(PowerPattern(6, 1), PowerPattern(12, 1)) is None
+        # 4^3 = 8^2: the first common power is 2^lcm(2, 3)
+        assert maps_mod._patterns_overlap(PowerPattern(4, 3), PowerPattern(8, 3)) == 2**6 + 3
+
+
+def pairwise_overlap_error(rules):
+    """The disjointness check as one loop over every rule pair, the oracle
+    for the literal grouping: the message of its first clash, or None."""
+    for a in range(len(rules)):
+        for b in range(a + 1, len(rules)):
+            pa, pb = rules[a].pattern, rules[b].pattern
+            n = maps_mod._patterns_overlap(pa, pb)
+            if n is not None:
+                at = n if n.bit_length() <= 4096 else f"of {n.bit_length()} bits"
+                return f"index {at} matches both {pa} and {pb}"
+    return None
+
+
+# literals drawn twice as often as each other kind, from few values, so
+# they repeat
+clash_patterns = st.one_of(
+    st.integers(1, 12).map(EqualsPattern),
+    st.integers(1, 12).map(EqualsPattern),
+    st.builds(ArithProgPattern, st.integers(1, 60), st.integers(5, 40)),
+    st.builds(PowerPattern, st.integers(2, 4), st.integers(0, 40)),
+)
+
+
+class TestLiteralRules:
+    @given(st.lists(clash_patterns, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_the_first_clash_equals_the_pairwise_loop(self, patterns):
+        rules = tuple(Rule(p, ShiftPowTerm(1)) for p in patterns)
+        expected = pairwise_overlap_error(rules)
+        try:
+            NdsSpec(SHIFT, rules)
+        except OverlappingRules as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_the_adversary_check_is_linear_in_its_rules(self, monkeypatch):
+        real, calls = maps_mod._patterns_overlap, []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(maps_mod, "_patterns_overlap", counting)
+        adv, _ = ck.build_gap_adversary(list(range(4, 513, 4)), law_horizon=514)
+        assert len(adv.rules) == 256 and len(calls) <= len(adv.rules)
+        # one progression among the literals is checked against each of them once
+        calls.clear()
+        NdsSpec(SHIFT, adv.rules + (Rule(ArithProgPattern(1000, 2), ShiftPowTerm(1)),))
+        assert len(calls) == len(adv.rules)
+
+
 class TestWindowCompose:
     def test_zero_window_is_identity(self):
         for spec in (ex31(), ex38(), ex35()):
