@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, combinations, islice, product
 from math import comb, prod
-from operator import and_, getitem, or_
+from operator import and_, eq, getitem, or_
 from typing import NamedTuple, Optional
 
 from . import hitting as ht
@@ -213,23 +213,32 @@ def _shift_pairs(e: int, words: list) -> list:
 
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
     """(basis, mask): mask is the bitmask of N(B, delta) within [1, horizon]
-    for every basis open B alike, undecided indices dropped.
-
-    Within one space every basis open has the same image diameter under a
-    prefix map (full-word cylinders share the window [-r, r], arcs share
-    their radius, points stay points), so each prefix class takes one
-    diameter for the whole basis.  A rectangle separates exactly when one of
-    its sides does, so a product mask is the OR of the component masks."""
+    for every basis open B alike, since they share their image diameter
+    under each prefix map.  A singleton's image is a singleton and a rotated
+    arc keeps its radius, so those masks are no time or every time.  On the
+    shift diam sigma^e(B0) depends on |e| only and strictly grows with it,
+    so the wide classes are those with |e| >= t, the first wide |e|; the
+    walk to t ends by r + 2 + bitlen(den(3 - delta)), where diameter_exceeds
+    answers from its far-window bound.  A rectangle separates exactly when
+    one of its sides does: a product mask is the OR of the component masks."""
     basis = sp.enumerate_basis(spec.space, resolution)
-    if isinstance(spec.space, sp.ProductSpace):
+    space = spec.space
+    if isinstance(space, sp.ProductSpace):
         parts = (_sep_masks(p, resolution, horizon, delta)[1] for p in ht._components(spec))
         return basis, reduce(or_, parts)
-    space = spec.space
-    wide = 0
-    for m, times in ht.prefix_classes(spec, horizon).items():
-        if ht._wider_than(space, mp.image(m, basis[0]), delta):
-            wide |= times
-    return basis, wide
+    every = (1 << horizon + 1) - 2
+    if isinstance(space, sp.FiniteSpace):
+        return basis, every if delta < 0 else 0
+    if isinstance(space, sp.CircleSpace):
+        return basis, every if sp.diameter_exceeds(space, basis[0], delta) else 0
+    if delta >= sp.TOTAL_WEIGHT:
+        return basis, 0  # every cylinder constrains a cell, so none is that wide
+    classes = ht.prefix_classes(spec, horizon)
+    top = max(abs(m.exponent) for m in classes)
+    word, t = basis[0].word, 0
+    while t <= top and not sp.diameter_exceeds(space, sp.Cylinder(-resolution - t, word), delta):
+        t += 1
+    return basis, reduce(or_, (times for m, times in classes.items() if abs(m.exponent) >= t), 0)
 
 
 def _first_bit(mask: int) -> Optional[int]:
@@ -242,22 +251,11 @@ def _label(basis, i: int) -> str:
     return f"B{i}:{ht._describe_open(basis[i])}"
 
 
-def _disjoint(space, A, B) -> bool:
-    return ht._meets(space, A, B) is False
-
-
-def _find_disjoint_pair(space, basis) -> Optional[tuple]:
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j and _disjoint(space, basis[i], basis[j]):
-                return i, j
-    return None
-
-
 def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
-    """Structural argument that N(U, V) is empty for every n, or None."""
-    space = spec.space
-    if not _disjoint(space, U, V):
+    """Structural argument that N(U, V) is empty for every n, or None, for
+    basis opens U and V: they partition the space, so they are disjoint
+    exactly when they differ."""
+    if U == V:
         return None
     law = laws.exponent
     if law is not None and law.is_identity():
@@ -273,19 +271,15 @@ def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
     return None
 
 
-def _pair_signature(spec, laws: mp.SystemLaws, U, V, sides: dict):
-    """What _never_hits(spec, laws, U, V) reads of the pair.  Without a table
-    law, a product pair is read only through whether each pair of sides
-    meets (True, False or None), so pairs that agree there share one reason;
-    `sides` keeps each side test.  Any other pair is its own signature."""
+def _pair_signature(spec, laws: mp.SystemLaws, U, V):
+    """What _never_hits(spec, laws, U, V) reads of the basis pair.  Without
+    a table law, a product pair is read only through whether each pair of
+    sides meets, which for basis sides is whether they are the same open,
+    so pairs that agree there share one reason.  Any other pair is its own
+    signature."""
     if not isinstance(spec, mp.ProductSpec) or laws.table is not None:
         return U, V
-    signature = []
-    for j, (part, a, b) in enumerate(zip(spec.parts, U.parts, V.parts)):
-        if (j, a, b) not in sides:
-            sides[j, a, b] = ht._meets(part.space, a, b)
-        signature.append(sides[j, a, b])
-    return tuple(signature)
+    return tuple(map(eq, U.parts, V.parts))
 
 
 def _refute_pair(spec, laws, prop, cfg, basis, i, j, reason=None, **extra) -> Optional[Verdict]:
@@ -387,10 +381,9 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             },
             (_quantifier_note(r, H),),
         )
-    sides = {}
     unrefuted = set()  # signatures (see _pair_signature) _never_hits has no reason for
     for i, j in empty:
-        signature = _pair_signature(spec, laws, basis[i], basis[j], sides)
+        signature = _pair_signature(spec, laws, basis[i], basis[j])
         if signature in unrefuted:
             continue
         refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j)
@@ -464,7 +457,7 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
             law = laws.exponent
             zero = law.first_zero_residue() if law is not None else None
             reason = None
-            if zero is not None and _disjoint(spec.space, basis[i], basis[j]):
+            if zero is not None and i != j:  # distinct basis opens are disjoint
                 modulus, residue = zero
                 reason = (
                     f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
@@ -639,7 +632,8 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, prop.order * H)
     common = reduce(and_, masks.values())
     law = laws.exponent
-    pair = _find_disjoint_pair(spec.space, basis) if law is not None else None
+    # distinct basis opens are disjoint
+    pair = (0, 1) if law is not None and len(basis) > 1 else None
     universal = -1
     per_m = {}
     for m in range(1, prop.order + 1):
@@ -686,14 +680,15 @@ def _universal_l(masks, m: int, H: int) -> int:
 
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    tags = {}  # without a table law the tag reads the pair only through disjointness
+    # without a table law the tag reads the pair only through disjointness,
+    # and distinct basis opens are disjoint
+    tags = {}
     for (i, j), mask in masks.items():
-        if laws.table is not None:
-            key = i, j
-        else:
-            key = laws.exponent is not None and _disjoint(spec.space, basis[i], basis[j])
+        key = (i, j) if laws.table is not None else laws.exponent is not None and i != j
         if key not in tags:
-            tags[key] = ht._structural_tag("hitting", spec, laws, basis[i], basis[j])
+            tags[key] = ht._structural_tag(
+                "hitting", spec, laws, basis[i], basis[j], disjoint=i != j
+            )
         tag, detail = tags[key]
         if tag in ("sparse-support", "finite-support"):
             return _refute_pair(spec, laws, prop, cfg, basis, i, j, detail)
@@ -746,19 +741,18 @@ def _first_visits(spec, x, basis, classes: dict) -> dict:
     """{i: the first n with f_1^n(x) in B_i} over the opens the orbit visits
     within the horizon of `classes`, the prefix classes; f_1^0 is the
     identity.  The classes come in order of their first time, so the first
-    class whose image of x lies in B_i gives the first visit.  An undecided
-    membership counts as no visit."""
+    class whose image of x lies in B_i gives the first visit.  Each image
+    lies in at most one basis open, read off the point (spaces.basis_reader);
+    an undecided membership counts as no visit."""
+    read = sp.basis_reader(spec.space, basis)
     hit_at = {}
     images = ((mp.apply(m, x), _first_bit(times)) for m, times in classes.items())
     for point, n in chain([(x, 0)], images):
-        for i, B in enumerate(basis):
-            try:
-                if i not in hit_at and sp.contains(spec.space, B, point):
-                    hit_at[i] = n
-            except sp.EnclosureUndecided:
-                pass
-        if len(hit_at) == len(basis):
-            break
+        i = read(point)
+        if i is not None and i not in hit_at:
+            hit_at[i] = n
+            if len(hit_at) == len(basis):
+                break
     return hit_at
 
 

@@ -254,13 +254,18 @@ def cmd_check(args) -> int:
 def _size_problem(args, doc, requests):
     """The first size out of its range, over the flags and every check
     request: horizons and the law horizon run from 1 to MAX_HORIZON, a basis
-    needs at least the resolution its space admits (spaces.min_resolution)."""
+    needs at least the resolution its space admits (spaces.min_resolution),
+    and the pair masks of multi-transitive:m span m times the horizon, so
+    that product may not pass MAX_HORIZON either."""
     sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
              ("--law-horizon", args.law_horizon, 1, MAX_HORIZON)]
     for name, prop, horizon, basis in requests:
         where = f"check {name} {prop.render()}:"
         sizes.append((f"{where} horizon", horizon, 1, MAX_HORIZON))
         sizes.append((f"{where} basis", basis, sp.min_resolution(doc.system(name).space), None))
+        if prop.name == "multi-transitive":
+            span = f"{where} order {prop.order} times horizon {horizon}"
+            sizes.append((span, prop.order * horizon, 1, MAX_HORIZON))
     for label, value, least, most in sizes:
         if value < least:
             return f"{label} must be at least {least}, got {value}"

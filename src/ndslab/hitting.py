@@ -255,15 +255,21 @@ def classify_frequency(hs: HittingSet, laws: Optional[mp.SystemLaws] = None) -> 
     )
 
 
-def _structural_tag(kind: str, spec, laws, u, v=None, delta=None) -> tuple[Optional[str], str]:
+def _structural_tag(
+    kind: str, spec, laws, u, v=None, delta=None, disjoint: Optional[bool] = None
+) -> tuple[Optional[str], str]:
     """(tag, detail) when a validated law pins the hitting set N(u, v) or the
-    separation set N(u, delta) beyond the horizon; (None, "") otherwise."""
+    separation set N(u, delta) beyond the horizon; (None, "") otherwise.
+    `disjoint` says whether u and v are disjoint when the caller knows it
+    (basis opens are disjoint exactly when they differ); None tests it."""
     if laws is None:
         return None, ""
     space = spec.space
     if kind == "hitting":
         law = laws.exponent
-        if law is not None and _meets(space, u, v) is False:
+        if law is not None and disjoint is None:
+            disjoint = _meets(space, u, v) is False
+        if law is not None and disjoint:
             if law.sparse_support():
                 return (
                     "sparse-support",

@@ -711,7 +711,19 @@ def min_resolution(space: SpaceDesc) -> int:
 
 
 def enumerate_basis(space: SpaceDesc, resolution: int) -> list:
-    """Finite topology basis at the given resolution, in deterministic order."""
+    """Finite topology basis at the given resolution, in deterministic order.
+
+    The opens are pairwise disjoint, so B_i meets B_j exactly when i == j:
+    the full-word cylinders on [-r, r] of the shift, the singletons of a
+    finite space, the r arcs of radius 1/(2r) centred at k/r (neighbours
+    touch at one endpoint only) and the rectangles of these.  On the shift
+    and finite spaces they also cover the space, so every point lies in
+    exactly one of them (see basis_reader).
+
+    Index order: a shift word's symbols read as base-a digits, most
+    significant first, give its index; singleton {i} has index i - 1; arc
+    k has index k; a rectangle's index tuple runs in itertools.product
+    order over its parts' indices, the first part most significant."""
     least = min_resolution(space)
     if resolution < least:
         raise ValueError(f"resolution must be at least {least}")
@@ -738,3 +750,44 @@ def enumerate_basis(space: SpaceDesc, resolution: int) -> list:
             out = [ProductOpen(p.parts + (b,)) for p in out for b in sub]
         return out
     raise SpaceMismatch(f"unknown space {space!r}")
+
+
+def basis_reader(space: SpaceDesc, basis: list):
+    """The function taking a point to the index of the open of `basis`
+    (enumerate_basis(space, r)) holding it, or None when none does.
+
+    The opens partition the shift and finite spaces, so the index is read
+    off the point: its word on [-r, r] looked up among the basis words, or
+    its id - 1.  A rectangle's index is the mixed-radix number of its
+    sides' indices, in enumerate_basis order.  A circle point is tested
+    against each arc, since a declared angle can leave membership undecided
+    (an undecided arc does not hold the point); at most one arc holds it."""
+    if isinstance(space, ShiftSpace):
+        words = {B.word: i for i, B in enumerate(basis)}
+        cells = range(basis[0].start, basis[0].end)
+        return lambda p: words.get(tuple(map(p.coord, cells)))
+    if isinstance(space, FiniteSpace):
+        return lambda p: p.index - 1
+    if isinstance(space, CircleSpace):
+        return lambda p: next((i for i, A in enumerate(basis) if _holds(space, A, p)), None)
+    # each part's basis, in order: its opens as the rectangles first list them
+    bases = [list(dict.fromkeys(B.parts[k] for B in basis)) for k in range(len(space.parts))]
+    readers = [basis_reader(part, sides) for part, sides in zip(space.parts, bases)]
+
+    def read(p: ProductPoint) -> Optional[int]:
+        index = 0
+        for reader, sides, x in zip(readers, bases, p.parts):
+            i = reader(x)
+            if i is None:
+                return None
+            index = index * len(sides) + i
+        return index
+
+    return read
+
+
+def _holds(space: CircleSpace, A: Arc, p: AffineAngle) -> bool:
+    try:
+        return contains(space, A, p)
+    except EnclosureUndecided:
+        return False

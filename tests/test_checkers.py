@@ -4,7 +4,8 @@ the hierarchy coherence between properties."""
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,10 +456,10 @@ class TestGroupedReasons:
     def test_product_pairs_with_one_signature_share_one_reason(self, spec):
         laws = mp.derive_laws(spec, 256)
         basis = sp.enumerate_basis(spec.space, sp.min_resolution(spec.space))
-        sides, reasons = {}, {}
+        reasons = {}
         for U in basis[::3]:
             for V in basis:
-                signature = ck._pair_signature(spec, laws, U, V, sides)
+                signature = ck._pair_signature(spec, laws, U, V)
                 reasons.setdefault(signature, set()).add(ck._never_hits(spec, laws, U, V))
         assert all(len(found) == 1 for found in reasons.values())
 
@@ -488,6 +489,197 @@ class TestGroupedReasons:
         tags = {}
         for U in basis:
             for V in basis:
-                disjoint = ck._disjoint(spec.space, U, V)
+                disjoint = ht._meets(spec.space, U, V) is False
                 tags.setdefault(disjoint, set()).add(ht._structural_tag("hitting", spec, laws, U, V))
         assert all(len(found) == 1 for found in tags.values())
+
+
+# ---------------------------------------------------------------------------
+# the basis partition: disjointness, index reads and the separation threshold
+
+
+DECLARED = sp.AlphaEnclosure.custom(Fraction(1, 3), Fraction(1, 2**70))
+PART_SPACES = st.sampled_from([SHIFT, sp.FiniteSpace(3), sp.CircleSpace(), sp.CircleSpace(DECLARED)])
+
+
+def spaces_with_resolutions():
+    """(space, resolution) over every space kind and products of two."""
+    single = st.one_of(
+        st.tuples(st.integers(2, 3).map(sp.ShiftSpace), st.just(1)),
+        st.tuples(st.just(SHIFT), st.just(2)),
+        st.tuples(st.integers(1, 5).map(sp.FiniteSpace), st.just(1)),
+        st.tuples(st.sampled_from([sp.CircleSpace(), sp.CircleSpace(DECLARED)]), st.integers(2, 5)),
+    )
+    products = st.tuples(PART_SPACES, PART_SPACES).map(sp.ProductSpace)
+    return st.one_of(single, products.map(lambda space: (space, sp.min_resolution(space))))
+
+
+def space_points(space):
+    """Points of every space kind: shifted BiWords with periodic tails,
+    finite ids, circle angles on and off the arc endpoints, and tuples."""
+    if isinstance(space, sp.ShiftSpace):
+        symbols = st.integers(0, space.alphabet_size - 1)
+        tails = st.lists(symbols, min_size=1, max_size=3).map(tuple)
+        words = st.builds(
+            sp.BiWord, st.integers(-6, 6), st.lists(symbols, max_size=6).map(tuple), tails, tails
+        )
+        return st.tuples(words, st.integers(-9, 9)).map(lambda we: we[0].shifted(we[1]))
+    if isinstance(space, sp.FiniteSpace):
+        return st.integers(1, space.point_count).map(sp.FiniteId)
+    if isinstance(space, sp.CircleSpace):
+        return st.builds(sp.AffineAngle, st.fractions(0, 1, max_denominator=20), st.integers(-2, 2))
+    return st.tuples(*(space_points(p) for p in space.parts)).map(sp.ProductPoint)
+
+
+def contains_walk(space, basis, p):
+    """The first basis open decidedly holding p, one membership test each."""
+    for i, B in enumerate(basis):
+        try:
+            if sp.contains(space, B, p):
+                return i
+        except sp.EnclosureUndecided:
+            pass
+    return None
+
+
+def sep_mask_per_class(spec, r, H, delta) -> int:
+    """The separation mask one prefix class at a time: the image diameter of
+    B0 under each class, the fold the threshold walk replaces."""
+    if isinstance(spec.space, sp.ProductSpace):
+        return reduce(or_, (sep_mask_per_class(p, r, H, delta) for p in ht._components(spec)))
+    B0 = sp.enumerate_basis(spec.space, r)[0]
+    wide = 0
+    for m, times in ht.prefix_classes(spec, H).items():
+        if ht._wider_than(spec.space, mp.image(m, B0), delta):
+            wide |= times
+    return wide
+
+
+def window_weight(r: int, e: int) -> Fraction:
+    """W(e): the constrained weight of the basis window moved to [-r-e, r-e]."""
+    return sum(Fraction(1, 1 << abs(i)) for i in range(-r - e, r - e + 1))
+
+
+@st.composite
+def boundary_deltas(draw, r):
+    """3 - W(e), where the shift mask changes, or one of its neighbours."""
+    base = 3 - window_weight(r, draw(st.integers(0, 2 * r + 4)))
+    return base + draw(st.sampled_from([0, 1, -1])) * Fraction(1, 1 << draw(st.integers(1, 12)))
+
+
+@st.composite
+def shift_families(draw):
+    """Paired progressions and the growing sigma^(c*k + a), whose exponents
+    leave the basis window for good."""
+    step = draw(st.integers(2, 3))
+    c, a = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        return mp.NdsSpec(SHIFT, (mp.Rule(mp.ElsePattern(), mp.FamilyTerm("shift", c, a)),))
+    return mp.NdsSpec(SHIFT, (
+        mp.Rule(mp.ArithProgPattern(1, step), mp.FamilyTerm("shift", c, a)),
+        mp.Rule(mp.ArithProgPattern(2, step), mp.FamilyTerm("shift", -c, draw(st.integers(-2, 2)))),
+    ))
+
+
+def finite_system(size: int, table: tuple):
+    return mp.NdsSpec(sp.FiniteSpace(size), (), mp.FiniteFnTerm(list(table)))
+
+
+class TestBasisPartition:
+    @given(spaces_with_resolutions())
+    @settings(max_examples=40, deadline=None)
+    def test_basis_opens_meet_exactly_themselves(self, case):
+        space, r = case
+        basis = sp.enumerate_basis(space, r)
+        for i, A in enumerate(basis):
+            for j, B in enumerate(basis):
+                assert sp.intersects(space, A, B) is (i == j), (i, j)
+
+    @given(spaces_with_resolutions(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_index_read_matches_the_contains_walk(self, case, data):
+        space, r = case
+        basis = sp.enumerate_basis(space, r)
+        read = sp.basis_reader(space, basis)
+        for p in data.draw(st.lists(space_points(space), min_size=1, max_size=8)):
+            assert read(p) == contains_walk(space, basis, p), p
+
+    @given(st.integers(1, 2), st.integers(-40, 40), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_shift_point_lies_in_an_open(self, r, e, data):
+        basis = sp.enumerate_basis(SHIFT, r)
+        x = data.draw(space_points(SHIFT)).shifted(e)
+        index = sp.basis_reader(SHIFT, basis)(x)
+        assert index is not None and index == contains_walk(SHIFT, basis, x)
+
+    @given(st.integers(1, 2), st.integers(1, 24), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_threshold_walk_matches_the_per_class_fold(self, r, H, data):
+        spec = data.draw(st.one_of(shift_families(), shift_families().map(lambda s: mp.TailSpec(s, 3))))
+        delta = data.draw(boundary_deltas(r))
+        assert ck._sep_masks(spec, r, H, delta)[1] == sep_mask_per_class(spec, r, H, delta)
+
+    @given(st.integers(2, 4), st.integers(1, 16), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_circle_finite_and_product_masks_match_the_fold(self, r, H, data):
+        delta = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(2)]))
+        alpha = data.draw(st.sampled_from([sp.DEFAULT_ALPHA, DECLARED]))
+        circle = mp.NdsSpec(sp.CircleSpace(alpha), (), mp.RotPowTerm(data.draw(st.integers(-2, 2))))
+        table = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        finite = finite_system(3, tuple(table))
+        shift = data.draw(shift_families())
+        for spec, res in ((circle, r), (finite, 1), (mp.ProductSpec((shift, finite)), 1),
+                          (mp.ProductSpec((circle, shift)), r)):
+            assert ck._sep_masks(spec, res, H, delta)[1] == sep_mask_per_class(spec, res, H, delta)
+
+    @pytest.mark.parametrize("delta", [Fraction(3), Fraction(7, 2), Fraction(10**6)])
+    def test_delta_of_at_least_three_separates_nothing_without_a_walk(self, monkeypatch, delta):
+        # no cylinder is that wide: a walk towards |e| = 10^40 would never end
+        count_calls(monkeypatch, "diameter_exceeds", limit=0)
+        growing = mp.NdsSpec(SHIFT, (mp.Rule(mp.ElsePattern(), mp.FamilyTerm("shift", 10**40)),))
+        assert ck._sep_masks(growing, 2, 2000, delta)[1] == 0
+
+
+def count_calls(monkeypatch, name: str, limit: Optional[int] = None) -> list:
+    """Patch spaces.<name> to record each call's arguments in the list
+    returned, failing at once on a call past `limit`."""
+    calls, real = [], getattr(sp, name)
+
+    def counted(*args):
+        calls.append(args)
+        assert limit is None or len(calls) <= limit, f"more than {limit} {name} calls"
+        return real(*args)
+
+    monkeypatch.setattr(sp, name, counted)
+    return calls
+
+
+class TestCountedCalls:
+    @pytest.mark.parametrize("delta", [Fraction(1, 8), Fraction(1), Fraction(5, 2),
+                                       3 - window_weight(2, 1), Fraction(3) - Fraction(1, 2**20)])
+    @pytest.mark.parametrize("spec", [ex36(), mp.NdsSpec(SHIFT, (
+        mp.Rule(mp.ElsePattern(), mp.FamilyTerm("shift", 1)),))], ids=["example-3.6", "sigma^k"])
+    def test_separation_walk_is_bounded(self, monkeypatch, spec, delta):
+        r = 2
+        count_calls(monkeypatch, "diameter_exceeds", limit=r + 3 + (3 - delta).denominator.bit_length())
+        ck._sep_masks(spec, r, 2000, delta)
+
+    def test_first_visits_read_opens_without_membership_tests(self, monkeypatch):
+        shift = ex36()
+        finite = finite_system(4, (2, 3, 4, 1))
+        cases = [(shift, 2), (finite, 1), (mp.ProductSpec((shift, finite)), 1),
+                 (mp.ProductSpec((finite, finite)), 1)]
+        count_calls(monkeypatch, "contains", limit=0)
+        for spec, r in cases:
+            basis = sp.enumerate_basis(spec.space, r)
+            classes = ht.prefix_classes(spec, 64)
+            for x in ck._representatives(spec.space):
+                ck._first_visits(spec, x, basis, classes)
+
+    @pytest.mark.parametrize("spec", [ex31(), ex36()], ids=["example-3.1", "example-3.6"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_syndetic_tags_test_no_basis_pair(self, monkeypatch, spec, r):
+        laws = mp.derive_laws(spec, 256)
+        assert laws.exponent is not None
+        count_calls(monkeypatch, "intersects", limit=0)
+        ck.check_property(spec, ck.PropertyKind("syndetically-transitive"), r, 100, laws=laws)

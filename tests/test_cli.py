@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndslab import cli
+from ndslab import cli, ndsl
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
@@ -265,6 +265,37 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == (f"ndslab: check F transitive: horizon must be at most "
                        f"{cli.MAX_HORIZON}, got {over}\n")
+
+    @pytest.fixture
+    def no_masks(self, monkeypatch, no_work):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-budget order reached the pair masks")
+
+        monkeypatch.setattr(cli.ck, "_pair_masks", refuse)
+
+    @pytest.mark.parametrize("via", ["flag", "directive"])
+    def test_multi_transitive_span_past_the_bound_exits_three(self, ndsl_file, capsys, no_masks, via):
+        # multi-transitive:m builds its pair masks over m times the horizon
+        order, horizon = 4, cli.MAX_HORIZON // 4 + 1
+        prop = f"multi-transitive:{order}"
+        if via == "flag":
+            argv = ["check", ndsl_file(EX36), "--property", prop, "--basis", "1",
+                    "--horizon", str(horizon)]
+        else:
+            argv = ["check", ndsl_file(EX36 + f"check F {prop} horizon {horizon} basis 1;\n")]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == (f"ndslab: check F {prop}: order {order} times horizon {horizon} must be "
+                       f"at most {cli.MAX_HORIZON}, got {order * horizon}\n")
+
+    def test_multi_transitive_span_at_the_bound_is_accepted(self):
+        # estimated only: a span of exactly MAX_HORIZON passes the size check
+        args = cli._parse_args(["check", "x.ndsl"])
+        doc = ndsl.parse(EX36)
+        requests = [("F", ndsl.read_property("multi-transitive:4"), cli.MAX_HORIZON // 4, 1)]
+        assert cli._size_problem(args, doc, requests) is None
+        requests = [("F", ndsl.read_property("multi-transitive:4"), cli.MAX_HORIZON // 4 + 1, 1)]
+        assert "order 4 times horizon" in cli._size_problem(args, doc, requests)
 
     def test_help_gives_the_horizon_bound(self, capsys):
         with pytest.raises(SystemExit):
