@@ -15,6 +15,7 @@ from itertools import product as iter_product
 from math import lcm
 from operator import eq, itemgetter
 
+from . import hitting as ht
 from . import maps as mp
 from . import spaces as sp
 
@@ -155,7 +156,8 @@ def li_yorke_scan(
     when its tail (n >= horizon/2) dips below eps_low and also exceeds
     delta_high.  The tail is read off its distinct prefix maps f_1^n: on
     shift systems through their exponents (`_shift_tail_extremes`), elsewhere
-    as one distance per map, ordered exactly (`spaces.value_cmp`)."""
+    as one distance per prefix class with a tail time
+    (`hitting.prefix_classes`), ordered exactly (`spaces.value_cmp`)."""
     eps_low, delta_high = Fraction(eps_low), Fraction(delta_high)
     if not eps_low < delta_high:
         raise ValueError("eps_low must be below delta_high")
@@ -167,7 +169,7 @@ def li_yorke_scan(
         exponents = sorted(set(mp.prefix_exponents(spec, horizon)[start:]))
     else:
         exponents = None
-        tail = dict.fromkeys(mp.prefix_compose(spec, n) for n in range(start, horizon + 1))
+        tail = [m for m, times in ht.prefix_classes(spec, horizon).items() if times >> start]
     reports = []
     for idx, (x, y) in enumerate(candidates):
         if exponents is not None:

@@ -55,12 +55,12 @@ def _check_arguments(chk: argparse.ArgumentParser) -> None:
     )
     chk.add_argument("--system", default=None, help="system name (default: first defined)")
     chk.add_argument(
-        "--horizon", type=int, default=512,
+        "--horizon", type=int, default=ck.DEFAULT_HORIZON,
         help=f"times checked, 1 to {MAX_HORIZON} (check directives may set their own)",
     )
-    chk.add_argument("--basis", type=int, default=2)
+    chk.add_argument("--basis", type=int, default=ck.DEFAULT_BASIS)
     chk.add_argument(
-        "--law-horizon", type=int, default=2048,
+        "--law-horizon", type=int, default=ck.DEFAULT_LAW_HORIZON,
         help=f"indices each derived law is validated to, 1 to {MAX_HORIZON}",
     )
     chk.add_argument("--format", choices=("table", "json"), default="table")

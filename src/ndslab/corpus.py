@@ -83,8 +83,6 @@ def _mk_open(space, spec):
         return sp.Cylinder(spec[1], tuple(int(c) for c in spec[2]))
     if kind == "ids":
         return sp.FiniteSet(frozenset(spec[1]))
-    if kind == "arc":
-        return sp.Arc(sp.AffineAngle(Fraction(spec[1])), Fraction(spec[2]))
     if kind == "rect":
         return sp.ProductOpen(tuple(_mk_open(s, part) for s, part in zip(space.parts, spec[1])))
     raise ValueError(f"unknown open spec {spec!r}")
@@ -96,8 +94,6 @@ def _term_from(params):
         return mp.IDENTITY
     if isinstance(kind, tuple) and kind[0] == "table":
         return mp.FiniteFnTerm(tuple(kind[1]))
-    if isinstance(kind, tuple) and kind[0] == "sigma":
-        return mp.ShiftPowTerm(kind[1])
     raise ValueError(f"unknown limit term {kind!r}")
 
 
@@ -111,9 +107,9 @@ def _run_property(doc, exp):
     v = ck.check_property(
         system,
         prop,
-        basis_resolution=exp.params.get("basis", 2),
-        horizon=exp.params.get("horizon", 512),
-        law_horizon=exp.params.get("law_horizon", 2048),
+        basis_resolution=exp.params.get("basis", ck.DEFAULT_BASIS),
+        horizon=exp.params.get("horizon", ck.DEFAULT_HORIZON),
+        law_horizon=exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON),
     )
     return v.status, {"evidence": v.evidence, "caveats": list(v.caveats)}, v
 
@@ -144,7 +140,7 @@ def _run_hitting(doc, exp):
     V = _mk_open(space, exp.params["v"])
     hs = ht.hitting_set(system, U, V, exp.params.get("horizon", 100))
     want = tuple(exp.params["members"])
-    laws = mp.derive_laws(system, exp.params.get("law_horizon", 2048))
+    laws = mp.derive_laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
     fe = ht.classify_frequency(hs, laws)
     ok = hs.members == want
     if exp.params.get("structural_tag") is not None:

@@ -284,24 +284,12 @@ def _structural_tag(
                     f"exponent 0 on n≡{residue} (mod {modulus}) and the sets are "
                     "disjoint, so that class never hits: " + law.describe(),
                 )
-        if laws.table is not None:
-            tab = laws.table
-            loops = [tab.orbit(i)[1] for i in u.ids]
+        tab = laws.table
+        if tab is not None and not any(y in v.ids for i in u.ids for y in tab.orbit(i)[1]):
             pre_hits = [n + 1 for n, t in enumerate(tab.lead) if mp.image(t, u).ids & v.ids]
-            loop_hits = [(r, len(loop)) for loop in loops for r, y in enumerate(loop) if y in v.ids]
-            if not loop_hits:
-                return (
-                    "finite-support",
-                    f"only prefix indices {pre_hits} can ever hit; " + tab.describe(),
-                )
-            # the hitting offsets into the cycle, O(|U| * cycle), once a loop meets V
-            cyc_hits = sorted({j for r, p in loop_hits for j in range(r, tab.cycle, p)})
-            if len(cyc_hits) == tab.cycle and len(pre_hits) == len(tab.lead):
-                return ("always-hits", "every prefix table moves U onto V: " + tab.describe())
             return (
-                "cycle-exact",
-                f"hits exactly at prefix indices {pre_hits} and cycle offsets "
-                f"{cyc_hits}; " + tab.describe(),
+                "finite-support",
+                f"only prefix indices {pre_hits} can ever hit; " + tab.describe(),
             )
     if kind == "separation":
         law = laws.exponent

@@ -575,13 +575,12 @@ def step_normal(spec: SystemSpec, i: int) -> NormalMap:
 
 
 class _Cumulative:
-    """Per-system cache of cumulative exponents / prefix tables; cached and
-    uncached composition results are identical by construction."""
+    """Per-system cache of cumulative exponents; cached and uncached
+    composition results are identical by construction."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._exponents: dict = {}
-        self._tables: dict = {}
 
     def exponents(self, spec: NdsSpec, upto: int) -> list:
         with self._lock:
@@ -592,14 +591,6 @@ class _Cumulative:
                 steps[0] += cum[-1]
                 cum.extend(accumulate(steps))
             return cum
-
-    def tables(self, spec: NdsSpec, upto: int) -> list:
-        with self._lock:
-            tabs = self._tables.setdefault(spec, [identity_map(spec.space)])
-            while len(tabs) <= upto:
-                i = len(tabs)
-                tabs.append(compose(term_to_normal(spec.space, eval_term(spec, i)), tabs[-1]))
-            return tabs
 
 
 _CUM = _Cumulative()
@@ -671,8 +662,6 @@ def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
         cum = _CUM.exponents(spec, i + k - 1)
         e = cum[i + k - 1] - cum[i - 1]
         return ShiftPowMap(e) if isinstance(space, ShiftSpace) else RotPowMap(e)
-    if i == 1:
-        return _CUM.tables(spec, k)[k]
     m = term_to_normal(space, eval_term(spec, i))
     for j in range(i + 1, i + k):
         m = compose(term_to_normal(space, eval_term(spec, j)), m)

@@ -670,33 +670,18 @@ def diameter_exceeds(space: SpaceDesc, A: BasicOpen, delta: Fraction) -> bool:
 
 
 def diameter_witness_pair(space: SpaceDesc, A: BasicOpen) -> tuple[Point, Point]:
-    """A pair inside A attaining (shift/finite) or approaching (arc) the
-    diameter: attainment is what makes the separation test exact."""
-    if isinstance(A, Cylinder):
-        lo = min(A.start, 0) - 1
-        hi = max(A.end, 0) + 1
+    """A pair of points of cylinder A attaining its diameter: one fills
+    every free cell with 0, the other with 1."""
+    if not isinstance(A, Cylinder):
+        raise SpaceMismatch(f"no witness pair for {A!r}")
+    lo = min(A.start, 0) - 1
+    hi = max(A.end, 0) + 1
 
-        def build(fill):
-            window = tuple(A.at(i) if A.at(i) is not None else fill for i in range(lo, hi))
-            return BiWord(lo, window, (fill,), (fill,))
+    def build(fill):
+        window = tuple(A.at(i) if A.at(i) is not None else fill for i in range(lo, hi))
+        return BiWord(lo, window, (fill,), (fill,))
 
-        return build(0), build(1)
-    if isinstance(A, FiniteSet):
-        ids = sorted(A.ids)
-        return FiniteId(ids[0]), FiniteId(ids[-1])
-    if isinstance(A, Arc):
-        off = A.radius / 2
-        return (
-            AffineAngle(A.center.q - off, A.center.c),
-            AffineAngle(A.center.q + off, A.center.c),
-        )
-    if isinstance(A, ProductOpen):
-        pairs = [diameter_witness_pair(s, a) for s, a in zip(space.parts, A.parts)]
-        return (
-            ProductPoint(tuple(p[0] for p in pairs)),
-            ProductPoint(tuple(p[1] for p in pairs)),
-        )
-    raise SpaceMismatch(f"no witness pair for {A!r}")
+    return build(0), build(1)
 
 
 def min_resolution(space: SpaceDesc) -> int:

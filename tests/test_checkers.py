@@ -1,6 +1,7 @@
 """Verdict engine: witnessed/refuted semantics, structural soundness, and
 the hierarchy coherence between properties."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -98,6 +99,46 @@ class TestTransitive:
         a = ck.check_property(ex36(), ck.PropertyKind("transitive"), 2, 64)
         b = ck.check_property(ex36(), ck.PropertyKind("transitive"), 2, 64)
         assert a == b
+
+
+def with_evidence(verdict, **changes):
+    """The verdict with some evidence fields replaced."""
+    return replace(verdict, evidence={**verdict.evidence, **changes})
+
+
+class TestRecheckVerdict:
+    """recheck_verdict accepts true evidence and rejects each corruption.
+    At resolution 1 on the shift, sigma(B0) (cells -1..1 all 0) still pins
+    cells -1 and 0 to 0, so time 1 never moves B0 onto B7 (all 1)."""
+
+    @pytest.mark.parametrize("prop", ["transitive", "mixing", "weakly-mixing", "multi-transitive:2"])
+    def test_witnessed_evidence_rechecks(self, prop):
+        v = ck.check_property(CONST_SIGMA, ndsl.read_property(prop), 1, 64)
+        assert v.witnessed and ck.recheck_verdict(CONST_SIGMA, v)
+
+    @pytest.mark.parametrize("prop, field, value", [
+        ("transitive", "witness_times", {"0->7": 1}),
+        ("mixing", "tail_start_per_pair", {"0->7": 1}),
+        ("multi-transitive:2", "witness_l_per_order", {"2": 1}),
+        ("weakly-mixing", "common_time_all_pairs", 1),
+    ])
+    def test_a_corrupted_witness_fails(self, prop, field, value):
+        v = ck.check_property(CONST_SIGMA, ndsl.read_property(prop), 1, 64)
+        assert field in v.evidence
+        assert not ck.recheck_verdict(CONST_SIGMA, with_evidence(v, **{field: value}))
+
+    def test_a_refuting_pair_of_one_open_fails(self):
+        v = ck.check_property(ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
+        assert v.refuted and ck.recheck_verdict(ex31(), v)
+        first = v.evidence["refuting_pair"][0]
+        assert not ck.recheck_verdict(ex31(), with_evidence(v, refuting_pair=[first, first]))
+
+    def test_a_law_cited_for_a_system_without_one_fails(self):
+        v = ck.check_property(ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
+        assert "validated to" in v.evidence["structural"]
+        lawless = mp.IterateSpec(ex31(), 2)
+        assert mp.derive_exponent_law(lawless, v.config["law_horizon"]) is None
+        assert not ck.recheck_verdict(lawless, v)
 
 
 class TestMultiTransitive:
@@ -675,6 +716,14 @@ class TestCountedCalls:
             classes = ht.prefix_classes(spec, 64)
             for x in ck._representatives(spec.space):
                 ck._first_visits(spec, x, basis, classes)
+
+    def test_product_separation_builds_one_basis(self, monkeypatch):
+        """The product builds its sides' bases itself; each side's mask
+        reads its part of B0 and builds none."""
+        spec = mp.ProductSpec((ex36(), CONST_SIGMA))
+        calls = count_calls(monkeypatch, "enumerate_basis")
+        ck._sep_masks(spec, 2, 64, Fraction(1, 2))
+        assert [args[0] for args in calls] == [spec.space, *spec.space.parts]
 
     @pytest.mark.parametrize("spec", [ex31(), ex36()], ids=["example-3.1", "example-3.6"])
     @pytest.mark.parametrize("r", [1, 2])

@@ -829,14 +829,11 @@ STEP_FOLDS = {
 
 
 # the functions that compose f_1^n one time at a time: the walk behind the
-# product and finite prefix classes, the evidence re-check, the Li-Yorke tail
-# off the shift and one corpus structure check; laws, shift and circle
-# classes, equicontinuity, the shift Li-Yorke tail and the lemma-2.1 time
-# search read prefix_exponents
-PREFIX_WALKS = {
-    "_composed_classes", "recheck_verdict", "_all_pairs_meet", "li_yorke_scan",
-    "_run_interleave",
-}
+# product and finite prefix classes, the evidence re-check and one corpus
+# structure check; laws, shift and circle classes, equicontinuity, the shift
+# Li-Yorke tail and the lemma-2.1 time search read prefix_exponents, and the
+# Li-Yorke tail off the shift reads prefix_classes
+PREFIX_WALKS = {"_composed_classes", "recheck_verdict", "_all_pairs_meet", "_run_interleave"}
 
 
 def readers_of(name: str) -> set:
