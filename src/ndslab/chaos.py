@@ -310,8 +310,8 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     """Independent check: compose the step maps up to each p_i, one segment
     (p_(i-1), p_i] after another, pull both level-i targets back through
     that map once, and test every witness against the pulled-back cylinders
-    at every level.  It never reads prefix exponents, `maps._CUM` or laws,
-    and never moves a point.
+    at every level.  It never reads prefix exponents or laws, and never
+    moves a point.
 
     Witnesses that share the first one's window are tested a level at a
     time: where a level's two pulled-back words span one stretch inside that

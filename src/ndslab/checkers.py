@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
 from operator import and_, eq, getitem, or_
 from typing import NamedTuple, Optional
@@ -1188,8 +1188,12 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     """Independently re-check a verdict's evidence: re-run the exact
     membership test behind each witness entry, re-validate cited laws (the
     derivation itself re-validates index by index), and re-check cited
-    open-set conflicts.  Returns False on the first discrepancy."""
+    open-set conflicts.  A transitive or weakly-mixing refutation must cite
+    a disjoint pair that the step fold never hits within the horizon, and a
+    minimal one a representative point whose folded orbit misses (see
+    _orbit_misses).  Returns False on the first discrepancy."""
     r = verdict.config["basis"]
+    H = verdict.config["horizon"]
     basis = sp.enumerate_basis(spec.space, r)
     ev = verdict.evidence
     if verdict.status == WITNESSED:
@@ -1203,7 +1207,6 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
                 return False
         for key, t in ev.get("tail_start_per_pair", {}).items():
             i, j = (int(p) for p in key.split("->"))
-            H = verdict.config["horizon"]
             for n in {t, min(t + 1, H), H}:
                 m = mp.prefix_compose(spec, n)
                 if not sp.intersects(spec.space, mp.image(m, basis[i]), basis[j]):
@@ -1215,6 +1218,7 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
             return _all_pairs_meet(spec, basis, ev["common_time_all_pairs"])
         return True
     if verdict.status == REFUTED:
+        kind = verdict.property.split(":")[0]
         text = str(ev)
         if "validated to" in text and not isinstance(spec, mp.ProductSpec):
             # re-derivation re-validates the law index by index and raises on
@@ -1222,15 +1226,45 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
             if mp.derive_exponent_law(spec, verdict.config["law_horizon"]) is None:
                 return False
         pair = ev.get("refuting_pair")
+        unhit_pair = kind in ("transitive", "weakly-mixing")
+        if unhit_pair and not pair:
+            return False
         if pair:
-            i, j = (int(lbl.split(":")[0][1:]) for lbl in pair)
+            i, j = map(_label_index, pair)
             try:
                 if sp.intersects(spec.space, basis[i], basis[j]):
                     return False
             except sp.EnclosureUndecided:
                 return False
+            if unhit_pair and ht.brute_force_hitting(spec, basis[i], basis[j], H):
+                return False
+        if kind == "minimal":
+            return _orbit_misses(spec, basis, ev, H)
         return True
     return True  # inconclusive verdicts claim nothing to re-check
+
+
+def _label_index(label: str) -> int:
+    """i of a basis label B{i}:... (see _label)."""
+    return int(label.split(":")[0][1:])
+
+
+def _orbit_misses(spec, basis, ev, H: int) -> bool:
+    """Does the orbit of the representative `point` cited in `ev`, folded
+    one step map at a time to the horizon, stay out of the cited
+    `missed_open`, or, when no open is cited, leave some point of the finite
+    space unvisited?  False when `point` names no representative."""
+    x = next((p for p in _representatives(spec.space) if repr(p) == ev.get("point")), None)
+    if x is None:
+        return False
+    orbit = accumulate(range(1, H + 1), lambda y, n: mp.apply(mp.step_normal(spec, n), y), initial=x)
+    if "missed_open" not in ev:
+        return isinstance(spec.space, sp.FiniteSpace) and len(set(orbit)) < spec.space.point_count
+    missed = basis[_label_index(ev["missed_open"])]
+    try:
+        return not any(sp.contains(spec.space, missed, y) for y in orbit)
+    except sp.EnclosureUndecided:
+        return False
 
 
 def _all_pairs_meet(spec, basis, n: int) -> bool:

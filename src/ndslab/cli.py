@@ -20,6 +20,7 @@ import sys
 import time
 from functools import lru_cache
 from itertools import repeat
+from math import prod
 
 from . import __version__
 from . import checkers as ck
@@ -33,6 +34,19 @@ SCHEMA_VERSION = 1
 # the largest horizon or law horizon a check accepts: the prefix-exponent
 # array and every hit mask are filled eagerly up to it
 MAX_HORIZON = 10**6
+
+# the work a check may take on, estimated before it runs: the opens of its
+# basis, and the bytes of the pair masks of the properties that build them
+# (N^2 pairs of N opens, each an H-bit mask plus MASK_PAIR_BYTES of dict
+# entry, key and int header, as tracemalloc measured on shift and product
+# masks)
+MAX_BASIS_OPENS = 1 << 16
+MAX_MASK_BYTES = 1 << 28
+MASK_PAIR_BYTES = 144
+PAIR_MASK_PROPERTIES = frozenset({
+    "transitive", "weakly-mixing", "mixing", "mildly-mixing", "totally-transitive",
+    "multi-transitive", "syndetically-transitive",
+})
 
 
 class _UsageError(Exception):
@@ -256,7 +270,8 @@ def _size_problem(args, doc, requests):
     request: horizons and the law horizon run from 1 to MAX_HORIZON, a basis
     needs at least the resolution its space admits (spaces.min_resolution),
     and the pair masks of multi-transitive:m span m times the horizon, so
-    that product may not pass MAX_HORIZON either."""
+    that product may not pass MAX_HORIZON either.  Then the first request
+    whose estimated work is over its budget (_work_problem)."""
     sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
              ("--law-horizon", args.law_horizon, 1, MAX_HORIZON)]
     for name, prop, horizon, basis in requests:
@@ -271,6 +286,46 @@ def _size_problem(args, doc, requests):
             return f"{label} must be at least {least}, got {value}"
         if most is not None and value > most:
             return f"{label} must be at most {most}, got {value}"
+    for name, prop, horizon, basis in requests:
+        problem = _work_problem(doc.system(name).space, prop, horizon, basis)
+        if problem:
+            return f"check {name} {prop.render()}: {problem}"
+    return None
+
+
+def _basis_size(space, r: int) -> int:
+    """len(spaces.enumerate_basis(space, r)), counted without building it:
+    a^(2r+1) words on the shift, n singletons, r arcs, and the product of
+    the parts' counts; a count past MAX_BASIS_OPENS comes out as
+    MAX_BASIS_OPENS + 1."""
+    if isinstance(space, sp.ShiftSpace):
+        # a >= 2, so a^(2r+1) passes the budget before 2r+1 passes its bit length
+        n = space.alphabet_size ** min(2 * r + 1, MAX_BASIS_OPENS.bit_length())
+    elif isinstance(space, sp.FiniteSpace):
+        n = space.point_count
+    elif isinstance(space, sp.CircleSpace):
+        n = r
+    else:
+        n = prod(_basis_size(part, r) for part in space.parts)
+    return min(n, MAX_BASIS_OPENS + 1)
+
+
+def _work_problem(space, prop, horizon: int, basis: int):
+    """Why a check of `prop` at this horizon and basis is over budget, or
+    None: its basis has more than MAX_BASIS_OPENS opens, or the estimated
+    bytes of its pair masks (over order times the horizon for
+    multi-transitive) pass MAX_MASK_BYTES."""
+    n = _basis_size(space, basis)
+    if n > MAX_BASIS_OPENS:
+        return f"basis {basis} gives more than the budget of MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens"
+    if prop.name not in PAIR_MASK_PROPERTIES:
+        return None
+    span = prop.order * horizon if prop.name == "multi-transitive" else horizon
+    need = n * n * (span // 8 + MASK_PAIR_BYTES)
+    if need > MAX_MASK_BYTES:
+        return (f"basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times "
+                f"need an estimated {need} bytes, over the budget of MAX_MASK_BYTES = "
+                f"{MAX_MASK_BYTES} bytes")
     return None
 
 

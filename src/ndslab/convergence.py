@@ -91,36 +91,36 @@ def _infinite_non_limit_rule(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> Op
     return None
 
 
-def _first_divergent_index(spec, limit_map, space, horizon: int):
-    for n in range(1, horizon + 1):
-        d = sup_distance(space, mp.step_normal(spec, n), limit_map)
-        if sp.value_cmp(d, 0) > 0:
-            return n, d
-    return None
+def _divergent_windows(spec, limit_map, starts, max_window: int):
+    """Each (r, k, d) with d = D(f_r^k, f^k) != 0, for the window lengths
+    k = 1..max_window in turn and, within each, r over `starts`."""
+    space = spec.space
+    limit_pow = mp.identity_map(space)
+    for k in range(1, max_window + 1):
+        limit_pow = mp.compose(limit_map, limit_pow)
+        for r in starts:
+            d = sup_distance(space, mp.window_compose(spec, r, k), limit_pow)
+            if sp.value_cmp(d, 0) != 0:
+                yield r, k, d
 
 
 def check_uniform_convergence(spec: mp.SystemSpec, limit: mp.MapTerm, horizon: int) -> ConvergenceVerdict:
     """Does D(f_n, f) -> 0?  On these discrete-valued sup metrics uniform
-    convergence is eventual equality of terms."""
-    space = spec.space
-    limit_map = mp.term_to_normal(space, limit)
+    convergence is eventual equality of terms: the windows of length 1."""
+    limit_map = mp.term_to_normal(spec.space, limit)
     r0, g = mp.eventual_step(spec) or (None, None)
     if g == limit_map:
-        for n in range(1, min(horizon, r0 + 8) + 1):
-            d = sup_distance(space, mp.step_normal(spec, n), limit_map)
-            if n >= r0 and sp.value_cmp(d, 0) != 0:
-                raise mp.LawValidationError("stabilization argument disagrees with terms")
+        if next(_divergent_windows(spec, limit_map, range(r0, min(horizon, r0 + 8) + 1), 1), None):
+            raise mp.LawValidationError("stabilization argument disagrees with terms")
         return ConvergenceVerdict(
             "witnessed", "uniform", stabilization_index=r0,
             detail=f"every rule firing at n >= {r0} emits the limit term",
         )
     reason = _infinite_non_limit_rule(spec, limit_map)
     if reason is not None:
-        probe = _first_divergent_index(spec, limit_map, space, horizon)
-        if probe is not None:
-            n, d = probe
+        for n, k, d in _divergent_windows(spec, limit_map, range(1, horizon + 1), 1):
             return ConvergenceVerdict(
-                "refuted", "uniform", refuting_pair=(n, 1, d),
+                "refuted", "uniform", refuting_pair=(n, k, d),
                 detail=f"{reason}; D(f_{n}, f) = {d}",
             )
     return ConvergenceVerdict("inconclusive", "uniform", detail="no structural argument either way")
@@ -132,17 +132,11 @@ def check_collective_convergence(
     """Does D(f_r^k, f^k) -> 0 uniformly in k?  Witnessed needs stabilized
     rules (windows beyond r0 are then limit iterates for every k); refuted
     exhibits a concrete (r, k) separation recurring structurally."""
-    space = spec.space
-    limit_map = mp.term_to_normal(space, limit)
+    limit_map = mp.term_to_normal(spec.space, limit)
     r0, g = mp.eventual_step(spec) or (None, None)
     if g == limit_map:
-        limit_pow = mp.identity_map(space)
-        for k in range(1, max_window + 1):
-            limit_pow = mp.compose(limit_map, limit_pow)
-            for r in range(r0, min(horizon, r0 + 8) + 1):
-                d = sup_distance(space, mp.window_compose(spec, r, k), limit_pow)
-                if sp.value_cmp(d, 0) != 0:
-                    raise mp.LawValidationError("stabilization argument disagrees with windows")
+        if next(_divergent_windows(spec, limit_map, range(r0, min(horizon, r0 + 8) + 1), max_window), None):
+            raise mp.LawValidationError("stabilization argument disagrees with windows")
         return ConvergenceVerdict(
             "witnessed", "collective", stabilization_index=r0,
             detail=f"windows starting at r >= {r0} equal limit iterates for all k <= {max_window}, "
@@ -150,16 +144,11 @@ def check_collective_convergence(
         )
     reason = _infinite_non_limit_rule(spec, limit_map)
     if reason is not None:
-        limit_pow = mp.identity_map(space)
-        for k in range(1, max_window + 1):
-            limit_pow = mp.compose(limit_map, limit_pow)
-            for r in range(1, horizon + 1):
-                d = sup_distance(space, mp.window_compose(spec, r, k), limit_pow)
-                if sp.value_cmp(d, 0) > 0:
-                    return ConvergenceVerdict(
-                        "refuted", "collective", refuting_pair=(r, k, d),
-                        detail=f"{reason}; D(f_{r}^{k}, f^{k}) = {d}",
-                    )
+        for r, k, d in _divergent_windows(spec, limit_map, range(1, horizon + 1), max_window):
+            return ConvergenceVerdict(
+                "refuted", "collective", refuting_pair=(r, k, d),
+                detail=f"{reason}; D(f_{r}^{k}, f^{k}) = {d}",
+            )
     return ConvergenceVerdict("inconclusive", "collective", detail="no structural argument either way")
 
 

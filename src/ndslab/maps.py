@@ -6,7 +6,6 @@ exponents / rotation coefficients (and their finite-space analogue).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, lcm
@@ -271,18 +270,17 @@ def _patterns_overlap(p: IndexPattern, q: IndexPattern):
     if isinstance(q, EqualsPattern):
         return q.value if p.matches(q.value) else None
     if isinstance(p, ArithProgPattern) and isinstance(q, ArithProgPattern):
+        # the CRT: n = p.first + p.step*t meets q exactly when p.step*t is
+        # q.first - p.first mod q.step, solvable iff g divides that gap; the
+        # common indices then step by the lcm, from the least one that is at
+        # least both first terms
         g = gcd(p.step, q.step)
-        if (q.first - p.first) % g != 0:
+        gap, rest = divmod(q.first - p.first, g)
+        if rest:
             return None
-        n = max(p.first, q.first)
-        # scan one progression; the joint period is lcm of the steps
-        lcm = p.step * q.step // g
-        start = p.first + ((n - p.first + p.step - 1) // p.step) * p.step
-        for i in range(lcm // p.step + 1):
-            cand = start + i * p.step
-            if q.matches(cand):
-                return cand
-        return None
+        t = gap * pow(p.step // g, -1, q.step // g)
+        n, joint = max(p.first, q.first), p.step // g * q.step
+        return n + (p.first + p.step * t - n) % joint
     if isinstance(p, PowerPattern) and not isinstance(q, PowerPattern):
         p, q = q, p
     if isinstance(p, ArithProgPattern):
@@ -342,7 +340,7 @@ class NdsSpec:
                     # a power index can have more digits than str() writes
                     at = n if n.bit_length() <= 4096 else f"of {n.bit_length()} bits"
                     raise OverlappingRules(f"index {at} matches both {pa} and {pb}")
-        # specs key the prefix caches: hash the rule tree once, not per lookup
+        # specs key checkers._MASK_CACHE: hash the rule tree once, not per lookup
         object.__setattr__(self, "_hash", hash(
             (self.space, self.rules, self.default, self.name)
         ))
@@ -574,28 +572,6 @@ def step_normal(spec: SystemSpec, i: int) -> NormalMap:
     raise SpaceMismatch(f"unknown system {spec!r}")
 
 
-class _Cumulative:
-    """Per-system cache of cumulative exponents; cached and uncached
-    composition results are identical by construction."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._exponents: dict = {}
-
-    def exponents(self, spec: NdsSpec, upto: int) -> list:
-        with self._lock:
-            cum = self._exponents.setdefault(spec, [0])
-            if len(cum) <= upto:
-                # at least double: a walk over n = 1, 2, ... fills O(log n) times
-                steps = _step_exponents(spec, len(cum), max(upto, 2 * len(cum)))
-                steps[0] += cum[-1]
-                cum.extend(accumulate(steps))
-            return cum
-
-
-_CUM = _Cumulative()
-
-
 def _step_exponents(spec: NdsSpec, lo: int, hi: int) -> list:
     """[exponent of f_i for lo <= i <= hi]: each rule's term in closed form
     over its matches (a family term is coeff*k + add at the k-th match), so
@@ -646,7 +622,8 @@ def _runs(pattern: IndexPattern, lo: int, hi: int) -> list:
 
 def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
     """Exact closed form of the window composition f_{i+k-1} o ... o f_i
-    (identity for k = 0)."""
+    (identity for k = 0).  On the shift and the circle it is the power whose
+    exponent sums the window's step exponents (_step_exponents)."""
     if i < 1 or k < 0:
         raise ValueError("need i >= 1 and k >= 0")
     if isinstance(spec, TailSpec):
@@ -659,8 +636,7 @@ def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
     if k == 0:
         return identity_map(space)
     if isinstance(space, (ShiftSpace, CircleSpace)):
-        cum = _CUM.exponents(spec, i + k - 1)
-        e = cum[i + k - 1] - cum[i - 1]
+        e = sum(_step_exponents(spec, i, i + k - 1))
         return ShiftPowMap(e) if isinstance(space, ShiftSpace) else RotPowMap(e)
     m = term_to_normal(space, eval_term(spec, i))
     for j in range(i + 1, i + k):
@@ -675,9 +651,10 @@ def prefix_compose(spec: SystemSpec, n: int) -> NormalMap:
 
 def prefix_exponents(spec: SystemSpec, upto: int) -> list:
     """[E(0), ..., E(upto)]: the exponent (shift) or rotation coefficient
-    (circle) of every prefix map f_1^n, n <= upto, read off the one cached
-    cumulative array of the underlying rule system.  A tail starting at k
-    re-bases that array at k-1; the k-th iterate takes every k-th entry."""
+    (circle) of every prefix map f_1^n, n <= upto: the running sums of the
+    underlying rule system's step exponents, filled afresh on every call.  A
+    tail starting at k re-bases that array at k-1; the k-th iterate takes
+    every k-th entry."""
     if isinstance(spec, TailSpec):
         base = prefix_exponents(spec.base, spec.k - 1 + upto)
         start = base[spec.k - 1]
@@ -685,7 +662,7 @@ def prefix_exponents(spec: SystemSpec, upto: int) -> list:
     if isinstance(spec, IterateSpec):
         return prefix_exponents(spec.base, spec.k * upto)[::spec.k]
     if isinstance(spec, NdsSpec) and isinstance(spec.space, (ShiftSpace, CircleSpace)):
-        return _CUM.exponents(spec, upto)[: upto + 1]
+        return list(accumulate(_step_exponents(spec, 1, upto), initial=0))
     raise SpaceMismatch("prefix exponents need a shift or circle system")
 
 
@@ -776,26 +753,15 @@ class ExponentLaw:
 
 def _piece_zero_on_class(piece: LawPiece, mod: int, residue: int) -> bool:
     """Conservatively: does this piece provably never place a nonzero value
-    on the class n ≡ residue (mod mod)?"""
+    on the class n ≡ residue (mod mod)?  A piece whose pattern shares no
+    index with the class does not; a power walk the overlap check cannot
+    finish counts as a shared index."""
     if piece.is_zero():
         return True
-    pat = piece.pattern
-    if isinstance(pat, EqualsPattern):
-        return not (pat.value % mod == residue % mod and piece.value_at(pat.value) != 0)
-    if isinstance(pat, ArithProgPattern):
-        # the progression meets the class iff the congruences are compatible
-        g = gcd(pat.step, mod)
-        return (residue - pat.first) % g != 0
-    if isinstance(pat, PowerPattern):
-        # base^k mod `mod` is eventually periodic with transient + cycle well
-        # under 2*mod, so scanning k up to 4*mod + 8 sees every reachable
-        # residue of base^k + offset
-        for k in range(1, 4 * mod + 9):
-            if (pat.base**k + pat.offset) % mod == residue % mod:
-                return False
-        return True
-    # catch-all piece with a nonzero form touches every class
-    return False
+    try:
+        return _patterns_overlap(piece.pattern, ArithProgPattern((residue - 1) % mod + 1, mod)) is None
+    except OverlappingRules:
+        return False
 
 
 def _family_rules(spec: NdsSpec):

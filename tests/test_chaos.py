@@ -238,11 +238,18 @@ class TestItineraryConstruction:
         expected = all(all(folded_memberships(spec, loosened, lb, w)) for lb, w in witnesses.items())
         assert chaos._verify_itineraries(spec, res.times, levels_, witnesses) == expected
 
-    def test_time_search_reads_the_exponent_array_lazily(self):
-        maps._CUM._exponents.pop(CONST_SIGMA, None)
+    def test_time_search_reads_the_exponent_array_lazily(self, monkeypatch):
+        reads = []
+        fill = maps.prefix_exponents
+
+        def counted(spec, upto):
+            reads.append(upto)
+            return fill(spec, upto)
+
+        monkeypatch.setattr(maps, "prefix_exponents", counted)
         res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), 3, horizon=10**7)
         assert isinstance(res, ItineraryConstruction)
-        assert len(maps._CUM._exponents[CONST_SIGMA]) < 300
+        assert reads and max(reads) < 300
 
     def test_zero_levels_trivial(self):
         res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), 0, 16)

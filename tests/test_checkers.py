@@ -50,6 +50,7 @@ def ex35():
 
 CONST_SIGMA = mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(1), name="constant-shift")
 CONST_ID_FINITE = mp.NdsSpec(sp.FiniteSpace(3), (), mp.IDENTITY, name="constant-id")
+CYCLE = mp.NdsSpec(sp.FiniteSpace(3), (), mp.FiniteFnTerm((2, 3, 1)), name="3-cycle")
 
 
 def recheck_witness_entries(spec, verdict):
@@ -139,6 +140,33 @@ class TestRecheckVerdict:
         lawless = mp.IterateSpec(ex31(), 2)
         assert mp.derive_exponent_law(lawless, v.config["law_horizon"]) is None
         assert not ck.recheck_verdict(lawless, v)
+
+    @pytest.mark.parametrize("prop", ["transitive", "weakly-mixing"])
+    def test_a_refuting_pair_that_a_time_hits_fails(self, prop):
+        # the cycle moves {1} onto {2} at time 1, so no argument refutes that pair
+        true = ck.check_property(CONST_ID_FINITE, ndsl.read_property(prop), 1, 16)
+        assert true.refuted and ck.recheck_verdict(CONST_ID_FINITE, true)
+        forged = replace(true, evidence={**true.evidence, "refuting_pair": ["B0:{1}", "B1:{2}"]})
+        assert not ck.recheck_verdict(CYCLE, forged)
+        assert not ck.recheck_verdict(CYCLE, with_evidence(forged, refuting_pair=None))
+
+    def test_a_minimal_refutation_needs_a_point_whose_orbit_misses(self):
+        true = ck.check_property(CONST_ID_FINITE, ck.PropertyKind("minimal"), 1, 16)
+        assert true.refuted and "missed_open" not in true.evidence
+        assert ck.recheck_verdict(CONST_ID_FINITE, true)
+        cited_open = replace(true, evidence={"refuting_open": "B1:{2}", "structural": "forged"})
+        assert not ck.recheck_verdict(CYCLE, cited_open)
+        # the cycle's orbit of 1 visits every point
+        assert not ck.recheck_verdict(CYCLE, true)
+        assert not ck.recheck_verdict(CYCLE, with_evidence(true, missed_open="B1:{2}"))
+        assert not ck.recheck_verdict(CONST_ID_FINITE, with_evidence(true, point="FiniteId(index=9)"))
+
+    def test_a_missed_open_the_orbit_visits_fails(self):
+        identity = mp.NdsSpec(SHIFT, (), mp.IDENTITY)
+        true = ck.check_property(identity, ck.PropertyKind("minimal"), 1, 16)
+        assert true.refuted and ck.recheck_verdict(identity, true)
+        # the all-zeros point sits in B0 at every time
+        assert not ck.recheck_verdict(identity, with_evidence(true, missed_open="B0:cyl@-1:000"))
 
 
 class TestMultiTransitive:

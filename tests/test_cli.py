@@ -1,15 +1,21 @@
 """Command-line contract: exit codes, report schema, determinism."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndslab import checkers as ck
 from ndslab import cli, ndsl
+from ndslab import spaces as sp
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report-schema.json").read_text()
@@ -23,6 +29,11 @@ system F {
 """
 
 EX36_WITH_DIRECTIVE = EX36 + "check F syndetically-transitive horizon 100 basis 1;\n"
+
+SHIFT_SQUARE = """space shift(2);
+system A { else: sigma^1; }
+system P = product(A, A);
+"""
 
 EX38_WITH_PRODUCT = """space circle(sqrt2m1);
 system F {
@@ -296,6 +307,87 @@ class TestExitCodes:
         assert cli._size_problem(args, doc, requests) is None
         requests = [("F", ndsl.read_property("multi-transitive:4"), cli.MAX_HORIZON // 4 + 1, 1)]
         assert "order 4 times horizon" in cli._size_problem(args, doc, requests)
+
+    @pytest.fixture
+    def no_basis(self, monkeypatch, no_masks):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-budget basis was enumerated")
+
+        monkeypatch.setattr(cli.sp, "enumerate_basis", refuse)
+
+    def test_pair_masks_over_the_budget_exit_three(self, ndsl_file, capsys, no_basis):
+        # 2^7 words a side at basis 3: 16384 rectangles and 268 M pairs
+        code, out, err = run(capsys, [
+            "check", ndsl_file(SHIFT_SQUARE), "--system", "P", "--property", "transitive",
+            "--basis", "3", "--horizon", "8",
+        ])
+        need = 16384**2 * (8 // 8 + cli.MASK_PAIR_BYTES)
+        assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
+        assert err == (f"ndslab: check P transitive: basis 3 gives 16384 opens, whose 268435456 "
+                       f"pair masks over 8 times need an estimated {need} bytes, over the budget "
+                       f"of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
+
+    @pytest.mark.parametrize("source, system, basis", [
+        (SHIFT_SQUARE, "A", 8), (SHIFT_SQUARE, "P", 4), (SHIFT_SQUARE, "A", 10**9),
+        (EX38_WITH_PRODUCT, "F", 10**5),
+    ])
+    def test_a_basis_over_the_budget_exits_three(self, ndsl_file, capsys, no_basis, source, system, basis):
+        code, out, err = run(capsys, [
+            "check", ndsl_file(source), "--system", system, "--property", "minimal",
+            "--basis", str(basis),
+        ])
+        assert code == 3 and out == ""
+        assert err == (f"ndslab: check {system} minimal: basis {basis} gives more than the budget "
+                       f"of MAX_BASIS_OPENS = {cli.MAX_BASIS_OPENS} opens\n")
+
+    def test_only_pair_mask_properties_are_held_to_the_mask_budget(self):
+        # estimated only: 1024 rectangles at basis 2, a million pairs over 2^12 times
+        doc = ndsl.parse(SHIFT_SQUARE)
+        args = cli._parse_args(["check", "x.ndsl"])
+        for name, (_, params) in ck.PROPERTIES.items():
+            needs_delta = any(p.field == "delta" for p in params)
+            prop = ck.PropertyKind(name, delta=Fraction(1, 2) if needs_delta else None)
+            problem = cli._size_problem(args, doc, [("P", prop, 4096, 2)])
+            if name in cli.PAIR_MASK_PROPERTIES:
+                assert "MAX_MASK_BYTES" in problem
+            else:
+                assert problem is None
+        assert cli._size_problem(args, doc, [("A", ndsl.read_property("transitive"), 4096, 2)]) is None
+
+    @pytest.mark.parametrize("space", [
+        sp.ShiftSpace(), sp.ShiftSpace(3), sp.FiniteSpace(5), sp.CircleSpace(),
+        sp.ProductSpace((sp.ShiftSpace(), sp.FiniteSpace(3))),
+        sp.ProductSpace((sp.CircleSpace(), sp.ShiftSpace(), sp.CircleSpace())),
+    ])
+    def test_the_basis_size_counts_the_enumerated_opens(self, space):
+        for r in range(sp.min_resolution(space), 4):
+            assert cli._basis_size(space, r) == len(sp.enumerate_basis(space, r))
+
+    def test_the_mask_bytes_per_pair_cover_the_measured_ones(self):
+        doc = ndsl.parse(SHIFT_SQUARE)
+        for name, r, H in [("A", 2, 64), ("A", 3, 8), ("P", 1, 200)]:
+            ck._MASK_CACHE.clear()
+            tracemalloc.start()
+            try:
+                _, masks = ck._pair_masks(doc.system(name), r, H)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held <= len(masks) * (H // 8 + cli.MASK_PAIR_BYTES)
+        ck._MASK_CACHE.clear()
+
+    def test_coprime_thirty_digit_steps_exit_three_at_the_crt_index(self, tmp_path):
+        a, b = 10**29 + 1, 10**29 + 7
+        path = tmp_path / "crt.ndsl"
+        path.write_text(f"space shift(2);\nsystem F {{ at ap(1,{a}): sigma^1; at ap(2,{b}): sigma^-1; }}\n"
+                        "check F transitive;\n")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "ndslab.cli", "check", str(path)],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert done.returncode == 3 and done.stdout == ""
+        n = 8333333333333333333333333333983333333333333333333333333340
+        assert (n % a, n % b) == (1, 2)
+        assert f"semantic: index {n} matches both ArithProgPattern(first=1, step={a})" in done.stderr
 
     def test_help_gives_the_horizon_bound(self, capsys):
         with pytest.raises(SystemExit):

@@ -206,3 +206,30 @@ class TestGapBound:
     def test_the_pinned_demonstration_passes(self):
         status, payload, _ = gap_bound(CS, 2, 200, Fraction(1, 4))
         assert status == "pass" and payload["sensitivity_max_gap"] <= payload["m1"] + payload["m2"]
+
+
+class TestInterleave:
+    """The interleave check reads one set of prefix classes; the oracle asks
+    prefix_compose at each time of each window between two firings."""
+
+    DOC = ndsl.parse(corpus.scenario_sources()["example-3.9-interleaved"])
+
+    def run(self, horizon, firings):
+        exp = corpus.Expectation("interleave-structure", "G", "pass",
+                                 {"horizon": horizon, "firings": firings}, "")
+        return corpus._run_interleave(self.DOC, exp)[1]["runs_constant"]
+
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=8, unique=True), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_match_the_prefix_maps_at_each_time(self, firings, horizon):
+        firings = tuple(sorted(firings))
+        system = self.DOC.system("G")
+        expected = all(
+            len({mp.prefix_compose(system, n) for n in range(a, min(b, horizon))}) == 1
+            for a, b in zip(firings, firings[1:])
+        )
+        assert self.run(horizon, firings) == expected
+
+    def test_a_window_past_the_horizon_holds_no_run(self):
+        assert self.run(11, (1, 3, 6, 10, 15))
+        assert not self.run(10, (1, 3, 6, 10, 15))

@@ -510,10 +510,8 @@ class TestExponentFill:
     @settings(max_examples=150, deadline=None)
     def test_fill_matches_the_stepwise_dispatch(self, rules, default, stops):
         spec = with_overlaps(SHIFT, (mp.Rule(p, t) for p, t in rules), mp.ShiftPowTerm(default))
-        mp._CUM._exponents.pop(spec, None)
-        # grown in several steps, each extension filled from the last entry
         for upto in sorted(stops):
-            assert mp._CUM.exponents(spec, upto)[: upto + 1] == stepwise_exponents(spec, upto)
+            assert mp.prefix_exponents(spec, upto) == stepwise_exponents(spec, upto)
 
     @given(st.lists(st.tuples(patterns, rule_terms), max_size=4), st.integers(-3, 3),
            st.integers(1, 60))
@@ -551,8 +549,6 @@ def test_arrays_and_laws_need_no_index_dispatch(monkeypatch):
     systems = [ap, power, constant, mp.TailSpec(ap, 3), mp.TailSpec(mp.TailSpec(constant, 2), 3),
                mp.IterateSpec(power, 2), mp.IterateSpec(mp.TailSpec(ap, 2), 3)]
     expected = [mp.prefix_exponents(spec, 300) for spec in systems]
-    for spec in (ap, power, constant):
-        mp._CUM._exponents.pop(spec, None)
 
     def dispatch(*args):
         raise AssertionError("index dispatch on a closed-form path")
@@ -820,20 +816,21 @@ class TestOrbitQuestions:
         assert rep.qualifies == (sp.value_cmp(lo, eps_low) < 0 and sp.value_cmp(hi, delta_high) > 0)
 
 
-# the stepwise oracles, the per-step questions (surjectivity, the uniform
-# convergence term distances), the table law's lead walk and step_normal itself
+# the stepwise oracles, the per-step question of surjectivity, the orbit fold
+# that re-checks a minimal refutation, the table law's lead walk and
+# step_normal itself
 STEP_FOLDS = {
     "orbit_distance_trace", "_verify_itineraries", "brute_force_hitting", "_check_surjective",
-    "_first_divergent_index", "check_uniform_convergence", "step_normal", "derive_table_law",
+    "_orbit_misses", "step_normal", "derive_table_law",
 }
 
 
 # the functions that compose f_1^n one time at a time: the walk behind the
-# product and finite prefix classes, the evidence re-check and one corpus
-# structure check; laws, shift and circle classes, equicontinuity, the shift
-# Li-Yorke tail and the lemma-2.1 time search read prefix_exponents, and the
-# Li-Yorke tail off the shift reads prefix_classes
-PREFIX_WALKS = {"_composed_classes", "recheck_verdict", "_all_pairs_meet", "_run_interleave"}
+# product and finite prefix classes and the evidence re-check; laws, shift
+# and circle classes, equicontinuity, the shift Li-Yorke tail and the
+# lemma-2.1 time search read prefix_exponents, and the Li-Yorke tail off the
+# shift and the corpus interleave check read prefix_classes
+PREFIX_WALKS = {"_composed_classes", "recheck_verdict", "_all_pairs_meet"}
 
 
 def readers_of(name: str) -> set:

@@ -6,10 +6,10 @@ the closed-form window compositions.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ndslab import checkers as ck
 from ndslab import maps as maps_mod
@@ -100,7 +100,7 @@ CONST_SIGMA = NdsSpec(SHIFT, (), ShiftPowTerm(1), name="constant-shift")
 
 
 class TestSpecHash:
-    def test_equal_specs_share_one_cumulative_entry(self):
+    def test_equal_specs_share_one_mask_cache_entry(self):
         def build():
             return NdsSpec(SHIFT, (
                 Rule(ArithProgPattern(1, 3), ShiftPowTerm(2)),
@@ -110,12 +110,10 @@ class TestSpecHash:
         a, b = build(), build()
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != NdsSpec(SHIFT, a.rules, name="hash-other")
-        prefix_compose(a, 40)
-        prefix_compose(b, 60)
-        keys = [k for k in maps_mod._CUM._exponents if k == a]
-        assert len(keys) == 1
-        # b's call grew a's 41 entries, at least doubling them: to index max(60, 2 * 41)
-        assert len(maps_mod._CUM._exponents[b]) == 83
+        _, masks = ck._pair_masks(a, 1, 40)
+        # b's call finds a's entry: one key, the same masks
+        assert ck._pair_masks(b, 1, 40)[1] is masks
+        assert sum(key == (a, 1, 40) for key in ck._MASK_CACHE) == 1
 
 
 class TestEvalTerm:
@@ -197,6 +195,76 @@ class TestPowerAgainstPower:
         assert maps_mod._patterns_overlap(PowerPattern(6, 1), PowerPattern(12, 1)) is None
         # 4^3 = 8^2: the first common power is 2^lcm(2, 3)
         assert maps_mod._patterns_overlap(PowerPattern(4, 3), PowerPattern(8, 3)) == 2**6 + 3
+
+
+def scanned_progression_overlap(p, q):
+    """The first index both progressions match, scanning p's terms from the
+    larger first term over one joint period, the lcm of the steps."""
+    if (q.first - p.first) % gcd(p.step, q.step):
+        return None
+    start = p.first + -(-(max(p.first, q.first) - p.first) // p.step) * p.step
+    joint = range(start, start + lcm(p.step, q.step) + 1, p.step)
+    return next((n for n in joint if q.matches(n)), None)
+
+
+class TestProgressionAgainstProgression:
+    @given(st.integers(1, 200), st.integers(1, 60), st.integers(1, 200), st.integers(1, 60))
+    @settings(max_examples=500, deadline=None)
+    def test_the_crt_index_equals_the_scan(self, a, s, b, t):
+        p, q = ArithProgPattern(a, s), ArithProgPattern(b, t)
+        expected = scanned_progression_overlap(p, q)
+        assert scanned_progression_overlap(q, p) == expected
+        assert maps_mod._patterns_overlap(p, q) == maps_mod._patterns_overlap(q, p) == expected
+
+    def test_coprime_steps_of_thirty_digits_clash_at_the_crt_index(self):
+        a, b = 10**29 + 1, 10**29 + 7
+        n = maps_mod._patterns_overlap(ArithProgPattern(1, a), ArithProgPattern(2, b))
+        assert (n % a, n % b) == (1, 2) and n < a * b
+
+
+def scanned_zero_on_class(piece, mod: int, residue: int) -> bool:
+    """Whether a law piece is zero on n ≡ residue (mod mod), each pattern
+    decided on its own: a literal by its residue, a progression by the
+    gcd of the steps, a power by scanning base^k + offset over k up to
+    4*mod + 8, past the transient and one period of base^k mod mod."""
+    pat = piece.pattern
+    if piece.is_zero():
+        return True
+    if isinstance(pat, EqualsPattern):
+        return not (pat.value % mod == residue % mod and piece.value_at(pat.value) != 0)
+    if isinstance(pat, ArithProgPattern):
+        return (residue - pat.first) % gcd(pat.step, mod) != 0
+    if isinstance(pat, PowerPattern):
+        return all((pat.base**k + pat.offset - residue) % mod for k in range(1, 4 * mod + 9))
+    return False
+
+
+law_piece_patterns = st.one_of(
+    st.builds(EqualsPattern, st.integers(1, 300)),
+    st.builds(ArithProgPattern, st.integers(1, 200), st.integers(1, 60)),
+    st.builds(PowerPattern, st.integers(2, 12), st.integers(0, 40)),
+    st.just(ElsePattern()),
+)
+
+
+class TestZeroOnResidue:
+    @given(law_piece_patterns, st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 64),
+           st.integers(-100, 100))
+    @settings(max_examples=500, deadline=None)
+    def test_the_overlap_kernel_equals_the_scan(self, pattern, per, constant, mod, residue):
+        piece = maps_mod.LawPiece(pattern, per, constant)
+        # the laws give a literal a constant value (per_ordinal 0)
+        assume(not isinstance(pattern, EqualsPattern) or per == 0)
+        law = maps_mod.ExponentLaw("shift", (piece, maps_mod.LawPiece(ElsePattern(), 0, 0)), 1)
+        assert law.zero_on_residue(mod, residue) == scanned_zero_on_class(piece, mod, residue)
+
+    def test_a_power_walk_past_the_budget_may_meet_the_class(self):
+        # 3 is a primitive root of the prime 65537: no power is 0 mod 65537,
+        # but the residues do not repeat within OVERLAP_WALK_BUDGET, so the
+        # class counts as met, the conservative answer
+        law = maps_mod.ExponentLaw("shift", (maps_mod.LawPiece(PowerPattern(3, 0), 1, 0),), 1)
+        assert not law.zero_on_residue(65537, 0)
+        assert law.zero_on_residue(3, 1) and not law.zero_on_residue(3, 0)
 
 
 def pairwise_overlap_error(rules):
