@@ -9,7 +9,6 @@ the tail convention (n >= H/2) and the thresholds are configuration.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import lcm
@@ -18,9 +17,10 @@ from operator import eq, itemgetter
 from . import hitting as ht
 from . import maps as mp
 from . import spaces as sp
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class LiYorkeReport:
     pair_label: str
     liminf_estimate: Fraction  # min over the tail of the orbit distances
@@ -217,7 +217,7 @@ def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int) -> lis
     return pairs
 
 
-@dataclass(frozen=True)
+@record
 class ItineraryConstruction:
     times: tuple  # p_1 < ... < p_K
     levels: tuple  # (A_i, B_i) cylinder pairs per level
@@ -225,7 +225,7 @@ class ItineraryConstruction:
     verified: bool
 
 
-@dataclass(frozen=True)
+@record
 class ItineraryFailure:
     level: int
     itinerary: str

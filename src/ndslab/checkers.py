@@ -12,7 +12,6 @@ inconclusive with its exhausted bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, combinations, islice, product
@@ -23,6 +22,7 @@ from typing import NamedTuple, Optional
 from . import hitting as ht
 from . import maps as mp
 from . import spaces as sp
+from .record import record
 
 WITNESSED = "witnessed"
 REFUTED = "refuted"
@@ -40,7 +40,7 @@ class Param(NamedTuple):
     integer: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class PropertyKind:
     """A checkable property with its parameters.
 
@@ -90,7 +90,7 @@ class PropertyKind:
         return self.name + (":" + ",".join(map(str, values)) if values else "")
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     property: str
     status: str
@@ -1116,7 +1116,7 @@ def build_gap_adversary(miss_times, law_horizon: int = 1024):
 # consistency of infinite common-hitting claims
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyReport:
     ok: bool
     property: str

@@ -13,19 +13,19 @@ inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Optional
 
 from . import maps as mp
 from . import spaces as sp
+from .record import record
 
 
 SHIFT_SUP_GAP = Fraction(3)  # sup over x of d(x, sigma^m x) for any m != 0
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceVerdict:
     status: str  # "witnessed" | "refuted" | "inconclusive"
     mode: str  # "uniform" | "collective"

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from . import chaos
@@ -25,9 +24,10 @@ from . import hitting as ht
 from . import maps as mp
 from . import ndsl
 from . import spaces as sp
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Expectation:
     kind: str  # "property" | "uniform-convergence" | ... | custom ops
     target: str  # system name inside the scenario document
@@ -42,7 +42,7 @@ class Expectation:
         return f"{self.kind}{extra} on {self.target} expects {self.expected}"
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     source: str
@@ -50,7 +50,7 @@ class Scenario:
     hypothesis_notes: str
 
 
-@dataclass(frozen=True)
+@record
 class ExpectationResult:
     scenario: str
     description: str
@@ -62,7 +62,7 @@ class ExpectationResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioReport:
     name: str
     results: tuple
@@ -101,15 +101,33 @@ def _term_from(params):
 # expectation executors
 
 
+class _ScenarioDoc:
+    """One scenario's parsed document, with the laws of each (system, law
+    horizon) derived once and shared by the scenario's expectations, as
+    `ndslab check` shares them within a file."""
+
+    def __init__(self, doc):
+        self.system = doc.system
+        self._laws = {}
+
+    def laws(self, system, law_horizon):
+        key = (system, law_horizon)
+        if key not in self._laws:
+            self._laws[key] = mp.derive_laws(system, law_horizon)
+        return self._laws[key]
+
+
 def _run_property(doc, exp):
     system = doc.system(exp.target)
     prop = ndsl.read_property(exp.params["property"])
+    law_horizon = exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON)
     v = ck.check_property(
         system,
         prop,
         basis_resolution=exp.params.get("basis", ck.DEFAULT_BASIS),
         horizon=exp.params.get("horizon", ck.DEFAULT_HORIZON),
-        law_horizon=exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON),
+        law_horizon=law_horizon,
+        laws=doc.laws(system, law_horizon),
     )
     return v.status, {"evidence": v.evidence, "caveats": list(v.caveats)}, v
 
@@ -140,7 +158,7 @@ def _run_hitting(doc, exp):
     V = _mk_open(space, exp.params["v"])
     hs = ht.hitting_set(system, U, V, exp.params.get("horizon", 100))
     want = tuple(exp.params["members"])
-    laws = mp.derive_laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
+    laws = doc.laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
     fe = ht.classify_frequency(hs, laws)
     ok = hs.members == want
     if exp.params.get("structural_tag") is not None:
@@ -260,7 +278,8 @@ def _run_strong_agreement(doc, exp):
     rows = []
     strong = ck.PropertyKind("strongly-transitive")
     for system in systems:
-        base_v = ck.check_property(system, strong, 1, exp.params.get("horizon", 64))
+        base_v = ck.check_property(system, strong, 1, exp.params.get("horizon", 64),
+                                   laws=doc.laws(system, ck.DEFAULT_LAW_HORIZON))
         for k in range(1, exp.params.get("max_tail", 4) + 1):
             tail_v = ck.check_property(
                 mp.TailSpec(system, k + 1), strong, 1,
@@ -631,13 +650,16 @@ def _scenarios() -> list:
 
 def scenario_sources() -> dict:
     """NDSL source text per scenario, keyed by the name of its .ndsl file
-    shipped under scenarios/ (the only copy of each source)."""
-    folder = resources.files(__package__) / "scenarios"
-    return {
-        ref.name.removesuffix(".ndsl"): ref.read_text()
-        for ref in sorted(folder.iterdir(), key=lambda ref: ref.name)
-        if ref.name.endswith(".ndsl")
-    }
+    shipped under scenarios/ (the only copy of each source).  The files are
+    read off the package folder: importlib.resources would add a quarter of
+    the import time (pathlib, tempfile, and inspect from Python 3.12)."""
+    folder = os.path.join(os.path.dirname(__file__), "scenarios")
+    sources = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".ndsl"):
+            with open(os.path.join(folder, name), encoding="utf-8") as f:
+                sources[name.removesuffix(".ndsl")] = f.read()
+    return sources
 
 
 SCENARIOS = tuple(_scenarios())
@@ -650,7 +672,7 @@ def run_corpus(name_filter: Optional[str] = None) -> list:
     for scenario in sorted(SCENARIOS, key=lambda s: s.name):
         if name_filter and not _matches(scenario.name, name_filter):
             continue
-        doc = ndsl.parse(scenario.source)
+        doc = _ScenarioDoc(ndsl.parse(scenario.source))
         results = []
         for exp in scenario.expectations:
             runner = _EXECUTORS[exp.kind]

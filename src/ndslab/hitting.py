@@ -16,15 +16,15 @@ horizon edge is reported as censored (a lower bound, never an exact gap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import maps as mp
 from . import spaces as sp
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class HittingSet:
     """Times n <= horizon at which the test held; each member re-checks by
     testing f_1^n(u) against v or delta."""
@@ -39,7 +39,7 @@ class HittingSet:
     delta: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
+@record
 class FrequencyEvidence:
     """Gap/run statistics of a hitting set over [1, H], with an optional
     structural upgrade backed by a validated law.

@@ -6,11 +6,11 @@ exponents / rotation coefficients (and their finite-space analogue).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional, Union
 
+from .record import record
 from .spaces import (
     AffineAngle,
     Arc,
@@ -44,7 +44,7 @@ class LawValidationError(RuntimeError):
 # index patterns
 
 
-@dataclass(frozen=True)
+@record
 class EqualsPattern:
     value: int
 
@@ -58,7 +58,7 @@ class EqualsPattern:
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class ArithProgPattern:
     first: int
     step: int
@@ -77,7 +77,7 @@ class ArithProgPattern:
         return self.first
 
 
-@dataclass(frozen=True)
+@record
 class PowerPattern:
     """Matches n = base**k + offset for k = 1, 2, 3, ..."""
 
@@ -108,7 +108,7 @@ class PowerPattern:
         return self.base + self.offset
 
 
-@dataclass(frozen=True)
+@record
 class ElsePattern:
     def matches(self, n: int) -> bool:
         return True
@@ -127,22 +127,22 @@ IndexPattern = Union[EqualsPattern, ArithProgPattern, PowerPattern, ElsePattern]
 # map terms
 
 
-@dataclass(frozen=True)
+@record
 class IdentityTerm:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ShiftPowTerm:
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class RotPowTerm:
     coefficient: int
 
 
-@dataclass(frozen=True)
+@record
 class FiniteFnTerm:
     table: tuple  # table[i-1] is the image of id i
 
@@ -156,7 +156,7 @@ class FiniteFnTerm:
         return len(set(self.table)) == len(self.table)
 
 
-@dataclass(frozen=True)
+@record
 class FamilyTerm:
     """sigma^(coeff*k + add) or rot^(coeff*k + add) at the k-th match of the
     owning rule's pattern."""
@@ -197,7 +197,7 @@ def term_is_surjective(term: MapTerm) -> bool:
 # system specifications
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     pattern: IndexPattern
     term: RuleTerm
@@ -297,7 +297,7 @@ def _patterns_overlap(p: IndexPattern, q: IndexPattern):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class NdsSpec:
     """A rule-based map sequence f_1, f_2, ... over one space.
 
@@ -349,7 +349,7 @@ class NdsSpec:
         return self._hash
 
 
-@dataclass(frozen=True)
+@record
 class TailSpec:
     """f_{k,infinity}: the sequence starting at index k of the base system."""
 
@@ -365,7 +365,7 @@ class TailSpec:
         return self.base.space
 
 
-@dataclass(frozen=True)
+@record
 class IterateSpec:
     """The k-th iterate system: step n is the window f over indices
     k(n-1)+1 .. kn of the base."""
@@ -382,7 +382,7 @@ class IterateSpec:
         return self.base.space
 
 
-@dataclass(frozen=True)
+@record
 class ProductSpec:
     parts: tuple
 
@@ -400,17 +400,17 @@ SystemSpec = Union[NdsSpec, TailSpec, IterateSpec, ProductSpec]
 # normal maps
 
 
-@dataclass(frozen=True)
+@record
 class ShiftPowMap:
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class RotPowMap:
     coefficient: int
 
 
-@dataclass(frozen=True)
+@record
 class TableMap:
     table: tuple
 
@@ -419,7 +419,7 @@ class TableMap:
         return len(set(self.table)) == len(self.table)
 
 
-@dataclass(frozen=True)
+@record
 class ProductMap:
     parts: tuple
 
@@ -670,7 +670,7 @@ def prefix_exponents(spec: SystemSpec, upto: int) -> list:
 # exponent laws
 
 
-@dataclass(frozen=True)
+@record
 class LawPiece:
     """On indices matching `pattern` (with match ordinal k) the cumulative
     exponent equals per_ordinal*k + constant."""
@@ -686,7 +686,7 @@ class LawPiece:
         return self.per_ordinal == 0 and self.constant == 0
 
 
-@dataclass(frozen=True)
+@record
 class ExponentLaw:
     """Piecewise closed form for the prefix exponent E(n) (shift) or rotation
     coefficient C(n) (circle); first matching piece wins, the final piece is
@@ -990,7 +990,7 @@ def eventual_step(spec: SystemSpec) -> Optional[tuple]:
 # finite-space analogue: a lead of prefix tables, then one settled step
 
 
-@dataclass(frozen=True)
+@record
 class TableLaw:
     """Exact description of every prefix table T(n) of a finite-space system
     whose steps are one table `step` (g) from `stabilized_from` on: T(1) ..
@@ -1062,7 +1062,7 @@ def derive_table_law(spec: SystemSpec) -> Optional[TableLaw]:
 # law container used by the checkers
 
 
-@dataclass(frozen=True)
+@record
 class SystemLaws:
     exponent: Optional[ExponentLaw] = None
     table: Optional[TableLaw] = None

@@ -11,13 +11,13 @@ so printing and reparsing reproduces the document structure exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import checkers as ck
 from . import maps as mp
 from . import spaces as sp
+from .record import record
 
 KEYWORDS = {
     "space", "system", "at", "else", "tail", "iterate", "product", "check",
@@ -26,7 +26,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     kind: str  # "lexical" | "syntax" | "semantic"
     line: int
@@ -54,7 +54,7 @@ class NdslParseError(ValueError):
         super().__init__("; ".join(d.render() for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
+@record
 class CheckDirective:
     system: str
     prop: ck.PropertyKind
@@ -62,7 +62,7 @@ class CheckDirective:
     basis: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record
 class NdslDocument:
     space: sp.SpaceDesc
     systems: tuple  # (name, SystemSpec) in definition order
@@ -96,7 +96,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str  # "int" | "ident" | literal symbol | "eof"
     text: str

@@ -11,12 +11,13 @@ one interval separates and raises EnclosureUndecided otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, isqrt
 from operator import ne
 from typing import Optional, Union
+
+from .record import record
 
 
 class SpaceMismatch(ValueError):
@@ -31,7 +32,7 @@ class EnclosureUndecided(Exception):
 # angle enclosures
 
 
-@dataclass(frozen=True)
+@record
 class AlphaEnclosure:
     """An irrational angle in (0, 1): the builtin sqrt(2) - 1, decided
     exactly, or a custom angle known only to lie in a fixed declared
@@ -67,7 +68,7 @@ class AlphaEnclosure:
 DEFAULT_ALPHA = AlphaEnclosure.sqrt2_minus_1()
 
 
-@dataclass(frozen=True)
+@record
 class AlphaLinear:
     """The real number q + m*alpha, carried exactly.
 
@@ -176,7 +177,7 @@ def value_min(values: list) -> RationalOrEnclosure:
 # space descriptions
 
 
-@dataclass(frozen=True)
+@record
 class ShiftSpace:
     alphabet_size: int = 2
 
@@ -185,7 +186,7 @@ class ShiftSpace:
             raise ValueError("alphabet_size must be at least 2")
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSpace:
     point_count: int
 
@@ -194,12 +195,12 @@ class FiniteSpace:
             raise ValueError("point_count must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class CircleSpace:
     alpha: AlphaEnclosure = DEFAULT_ALPHA
 
 
-@dataclass(frozen=True)
+@record
 class ProductSpace:
     parts: tuple
 
@@ -233,7 +234,7 @@ def space_diameter(space: SpaceDesc) -> Fraction:
 # points
 
 
-@dataclass(frozen=True)
+@record
 class FiniteId:
     index: int
 
@@ -250,7 +251,7 @@ def _primitive(period: tuple) -> tuple:
     return period
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class BiWord:
     """A bi-infinite symbol sequence: a finite window with purely periodic
     tails on both sides.  Coordinate i for i < window_start comes from `left`
@@ -328,7 +329,7 @@ def all_ones() -> BiWord:
     return BiWord.constant(1)
 
 
-@dataclass(frozen=True)
+@record
 class AffineAngle:
     """The angle q + c*alpha (mod 1)."""
 
@@ -346,7 +347,7 @@ class AffineAngle:
         return AffineAngle(self.q, self.c + Fraction(coefficient))
 
 
-@dataclass(frozen=True)
+@record
 class ProductPoint:
     parts: tuple
 
@@ -371,7 +372,7 @@ def circle_separation(space: CircleSpace, a: AffineAngle, b: AffineAngle) -> Alp
 # basic open sets
 
 
-@dataclass(frozen=True)
+@record
 class Cylinder:
     """Points agreeing with `word` on the window starting at `start`.
 
@@ -410,7 +411,7 @@ class Cylinder:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSet:
     ids: frozenset
 
@@ -421,7 +422,7 @@ class FiniteSet:
         object.__setattr__(self, "ids", ids)
 
 
-@dataclass(frozen=True)
+@record
 class Arc:
     """Open arc of circumference length 2*radius around `center`."""
 
@@ -435,7 +436,7 @@ class Arc:
         object.__setattr__(self, "radius", r)
 
 
-@dataclass(frozen=True)
+@record
 class ProductOpen:
     parts: tuple
 

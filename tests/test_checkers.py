@@ -1,7 +1,6 @@
 """Verdict engine: witnessed/refuted semantics, structural soundness, and
 the hierarchy coherence between properties."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -100,6 +99,11 @@ class TestTransitive:
         a = ck.check_property(ex36(), ck.PropertyKind("transitive"), 2, 64)
         b = ck.check_property(ex36(), ck.PropertyKind("transitive"), 2, 64)
         assert a == b
+
+
+def replace(obj, **changes):
+    """A copy of the record `obj` with some fields changed."""
+    return type(obj)(**{**vars(obj), **changes})
 
 
 def with_evidence(verdict, **changes):

@@ -1,0 +1,208 @@
+"""`record` against its oracle, the standard library's frozen dataclass: twin
+classes with one body agree on construction, equality, hashing and repr;
+and importing ndslab loads neither dataclasses nor inspect."""
+
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ndslab
+from ndslab.record import FrozenInstanceError, record
+
+
+# one class body per shape that src/ndslab uses; each call builds a fresh class
+
+
+def empty():
+    class Empty:
+        pass
+    return Empty
+
+
+def one():
+    class One:
+        a: object
+    return One
+
+
+def three():
+    class Three:
+        a: object
+        b: object
+        c: object = "default"
+    return Three
+
+
+def normalised():
+    """__post_init__ rewrites a field and keeps a non-field attribute, as
+    ProductSpec.space does."""
+    class Normalised:
+        a: object
+        b: object
+
+        def __post_init__(self):
+            object.__setattr__(self, "a", ("normalised", self.a))
+            object.__setattr__(self, "extra", repr(self.b))
+    return Normalised
+
+
+def semantic_eq():
+    """BiWord's shape: its own equality and no hash."""
+    class SemanticEq:
+        a: object
+        b: object
+
+        def __eq__(self, other):
+            if not isinstance(other, SemanticEq):
+                return NotImplemented
+            return len(repr(self.a)) == len(repr(other.a))
+
+        __hash__ = None
+    return SemanticEq
+
+
+def cached_hash():
+    """NdsSpec's shape: a hash computed once, in a non-field attribute."""
+    class CachedHash:
+        a: object
+        b: object = 0
+
+        def __post_init__(self):
+            object.__setattr__(self, "_hash", hash((self.b, self.a)))
+
+        def __hash__(self):
+            return self._hash
+    return CachedHash
+
+
+def own_repr():
+    class OwnRepr:
+        a: object
+
+        def __repr__(self):
+            return f"<{self.a!r}>"
+    return OwnRepr
+
+
+SHAPES = (empty, one, three, normalised, semantic_eq, cached_hash, own_repr)
+
+
+def twins(shape):
+    """(record, frozen dataclass) built from one body; a body with its own
+    __eq__ is declared eq=False, as BiWord was."""
+    return record(shape()), dataclass(frozen=True, eq="__eq__" not in vars(shape()))(shape())
+
+
+TWINS = {shape.__name__: twins(shape) for shape in SHAPES}
+NEST_R, NEST_D = TWINS["one"]
+
+# pairs (value for the record twin, value for the dataclass twin)
+LEAVES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-1, max_value=1, max_denominator=3),
+    st.sampled_from(["", "a", "b"]),
+).map(lambda v: (v, v))
+PAIRS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: ((t[0][0], t[1][0]), (t[0][1], t[1][1]))),
+        inner.map(lambda p: (NEST_R(p[0]), NEST_D(p[1]))),
+    ),
+    max_leaves=4,
+)
+
+
+def _arity(cls):
+    names = list(cls.__annotations__)
+    return sum(n not in vars(cls) for n in names), len(names)
+
+
+def _hash(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return ("unhashable", str(exc))
+
+
+@pytest.mark.parametrize("shape", sorted(TWINS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_twins_agree(shape, data):
+    R, D = TWINS[shape]
+    required, total = _arity(R)
+    made = []
+    for _ in range(2):
+        n = data.draw(st.integers(required, total))
+        args = data.draw(st.lists(PAIRS, min_size=n, max_size=n))
+        made.append((R(*[a for a, _ in args]), D(*[d for _, d in args])))
+    (r1, d1), (r2, d2) = made
+    assert repr(r1) == repr(d1)
+    assert _hash(r1) == _hash(d1)
+    assert (r1 == r2) == (d1 == d2)
+    assert (r1 != r2) == (d1 != d2)
+    assert (r1 == r1) and not (r1 != r1)
+    assert (r1 == "x", r1 != "x") == (d1 == "x", d1 != "x") == (False, True)
+
+
+@pytest.mark.parametrize("shape", sorted(TWINS))
+def test_fields_defaults_and_frozen(shape):
+    R, D = TWINS[shape]
+    required, total = _arity(R)
+    for cls in (R, D):
+        if required:
+            with pytest.raises(TypeError):  # missing
+                cls(*range(required - 1))
+        with pytest.raises(TypeError):  # extra
+            cls(*range(total + 1))
+        obj = cls(*range(required))
+        if total:
+            first = next(iter(cls.__annotations__))
+            with pytest.raises(TypeError):  # repeated
+                cls(*range(required or 1), **{first: 0})
+        for name in (*cls.__annotations__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert repr(R(*range(required))) == repr(D(*range(required)))
+    assert vars(R(*range(total))) == vars(D(*range(total)))
+
+
+def test_frozen_error_and_defaults():
+    R, _ = TWINS["three"]
+    obj = R(1, 2)
+    assert obj.c == "default"
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'a'"):
+        obj.a = 0
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'c'"):
+        del obj.c
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert R.__init__.__qualname__ == f"{R.__qualname__}.__init__"
+    assert hash(obj) == hash((1, 2, "default"))
+    assert NEST_R(Fraction(1, 2)) == NEST_R(Fraction(2, 4))
+
+
+SRC = pathlib.Path(ndslab.__file__).parent
+
+
+class TestImportGuard:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        code = (
+            "import sys; before = set(sys.modules); import ndslab, ndslab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_no_module_declares_a_dataclass(self):
+        offenders = [p.name for p in sorted(SRC.rglob("*.py")) if "@dataclass" in p.read_text()]
+        assert offenders == []
