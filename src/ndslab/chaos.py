@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 from math import lcm
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 
 from . import hitting as ht
 from . import maps as mp
@@ -217,6 +217,10 @@ def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int) -> lis
     return pairs
 
 
+# a construction of L levels builds 2^L witnesses
+MAX_ITINERARY_LEVELS = 16
+
+
 @record
 class ItineraryConstruction:
     times: tuple  # p_1 < ... < p_K
@@ -235,9 +239,7 @@ class ItineraryFailure:
 def _target_cylinder(point: sp.BiWord, level: int) -> sp.Cylinder:
     """Inside approximation of the radius-1/level ball around the point: its
     cylinder on [-w, w] with 2^(1-w) <= 1/level."""
-    w = 1
-    while Fraction(2, 1 << w) > Fraction(1, level):
-        w += 1
+    w = (level - 1).bit_length() + 1  # the least w >= 1 with 2^(w-1) >= level
     return sp.Cylinder(-w, tuple(point.coord(i) for i in range(-w, w + 1)))
 
 
@@ -258,6 +260,9 @@ def lemma21_construct(
         raise ValueError("the two reference points must differ")
     if levels < 0:
         raise ValueError(f"the number of itinerary levels must be at least 0, got {levels}")
+    if levels > MAX_ITINERARY_LEVELS:
+        raise ValueError(f"the number of itinerary levels must be at most MAX_ITINERARY_LEVELS = "
+                         f"{MAX_ITINERARY_LEVELS} ({1 << MAX_ITINERARY_LEVELS} witnesses), got {levels}")
     if levels == 0:
         return ItineraryConstruction((), (), {}, True)
     level_sets = [(_target_cylinder(a, i), _target_cylinder(b, i)) for i in range(1, levels + 1)]
@@ -286,21 +291,23 @@ def lemma21_construct(
         blocks.append(chosen[2:])
     lo = min(b0 for b0, _ in blocks)
     hi = max(b1 for _, b1 in blocks)
-    # a target constrains every cell of its window, so each level plants as
-    # one slice at its prefix exponent
-    start = [0] * (hi - lo + 1)
-    start[base.start - lo : base.end - lo] = base.word
-    planted = [
-        [(slice(t.start + e - lo, t.end + e - lo), t.word) for t in pair]
-        for pair, e in zip(level_sets, shifts)
-    ]
-    witnesses = {}
+    # a level's two targets share the window [-w, w] and constrain every cell
+    # of it, so each plants as one slice at its prefix exponent and replaces
+    # the other.  In product order witness k differs from witness k - 1 in
+    # its last z + 1 levels, z the trailing zeros of k, so one cell list is
+    # rewritten there and copied once per witness: 2^(L+1) - 2 slice writes
+    cells = [0] * (hi - lo + 1)
+    cells[base.start - lo : base.end - lo] = base.word
+    spans = [slice(A.start + e - lo, A.end + e - lo) for (A, _B), e in zip(level_sets, shifts)]
+    words = [(A.word, B.word) for A, B in level_sets]
+    for span, (word, _) in zip(spans, words):
+        cells[span] = word
+    witnesses, zero = {}, (0,)
     labels = map("".join, iter_product("AB", repeat=levels))
-    for label, choices in zip(labels, iter_product(*planted)):
-        cells = start.copy()
-        for span, word in choices:
-            cells[span] = word
-        witnesses[label] = sp.BiWord(lo, tuple(cells), (0,), (0,))
+    for k, label in enumerate(labels):
+        for i in range(levels - (k & -k).bit_length(), levels):
+            cells[spans[i]] = words[i][k >> (levels - 1 - i) & 1]
+        witnesses[label] = sp.BiWord(lo, tuple(cells), zero, zero)
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "", "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
@@ -313,11 +320,14 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     at every level.  It never reads prefix exponents or laws, and never
     moves a point.
 
-    Witnesses that share the first one's window are tested a level at a
-    time: where a level's two pulled-back words span one stretch inside that
-    window and constrain every cell of it, membership is equality of the
-    stretch's slice, compared for all of them in one pass.  Every other
-    witness and level goes through `spaces.contains`."""
+    When the labels are exactly the A/B words of the levels' length in
+    product order and the witnesses share one window, a level is tested for
+    all of them at once: where its two pulled-back words span one stretch
+    inside that window and constrain every cell of it, membership is
+    equality of the stretch's slice with the label's word, and in product
+    order those words are the A word and the B word in alternating blocks of
+    2^(L-1-i).  Every other witness dict and level goes through
+    `spaces.contains`."""
     space = spec.space
     pulled, m, n = [], mp.identity_map(space), 0
     for p, targets in zip(times, level_sets):
@@ -325,28 +335,29 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
             m = mp.compose(mp.step_normal(spec, step), m)
         n = p
         pulled.append(dict(zip("AB", (mp.preimage(m, t) for t in targets))))
-    shared, rest = {}, dict(witnesses)
-    first = next(iter(witnesses.values()), None)
-    if isinstance(space, sp.ShiftSpace) and isinstance(first, sp.BiWord):
-        lo, width = first.window_start, len(first.window)
-        for label, x in witnesses.items():
-            if isinstance(x, sp.BiWord) and x.window_start == lo and len(x.window) == width \
-                    and len(label) >= len(pulled):
-                shared[label] = rest.pop(label).window
-    for i, level in enumerate(pulled if shared else ()):
+    levels, points = len(pulled), list(witnesses.values())
+    if not (isinstance(space, sp.ShiftSpace) and len(points) == 1 << levels
+            and all(map(isinstance, points, repeat(sp.BiWord)))
+            and all(map(eq, witnesses, map("".join, iter_product("AB", repeat=levels))))):
+        return all(
+            sp.contains(space, level[choice], x)
+            for label, x in witnesses.items()
+            for level, choice in zip(pulled, label)
+        )
+    windows = list(map(attrgetter("window"), points))
+    lo, width = points[0].window_start, len(windows[0])
+    shared = set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
+    for i, level in enumerate(pulled):
         a, b = level["A"], level["B"]
-        if (isinstance(a, sp.Cylinder) and isinstance(b, sp.Cylinder)
+        if (shared and isinstance(a, sp.Cylinder) and isinstance(b, sp.Cylinder)
                 and (a.start, a.end) == (b.start, b.end) and None not in a.word + b.word
                 and lo <= a.start and a.end <= lo + width):
+            block = 1 << (levels - 1 - i)
+            expected = ([a.word] * block + [b.word] * block) * (1 << i)
             cut = itemgetter(slice(a.start - lo, a.end - lo))
-            expected = map({"A": a.word, "B": b.word}.__getitem__, map(itemgetter(i), shared))
-            held = all(map(eq, map(cut, shared.values()), expected))
+            held = all(map(eq, map(cut, windows), expected))
         else:
-            held = all(sp.contains(space, level[label[i]], witnesses[label]) for label in shared)
+            held = all(sp.contains(space, level[label[i]], x) for label, x in witnesses.items())
         if not held:
             return False
-    return all(
-        sp.contains(space, level[choice], x)
-        for label, x in rest.items()
-        for level, choice in zip(pulled, label)
-    )
+    return True

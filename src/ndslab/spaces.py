@@ -268,11 +268,17 @@ class BiWord:
     right: tuple
 
     def __post_init__(self):
-        if not self.left or not self.right:
+        left, right, window = self.left, self.right, self.window
+        if not left or not right:
             raise ValueError("periodic tails must be nonempty")
-        object.__setattr__(self, "left", _primitive(tuple(self.left)))
-        object.__setattr__(self, "right", _primitive(tuple(self.right)))
-        object.__setattr__(self, "window", tuple(self.window))
+        # a one-symbol tuple tail is primitive and a tuple window is normal:
+        # only other fields are normalised and stored again
+        if type(left) is not tuple or len(left) > 1:
+            object.__setattr__(self, "left", _primitive(tuple(left)))
+        if type(right) is not tuple or len(right) > 1:
+            object.__setattr__(self, "right", _primitive(tuple(right)))
+        if type(window) is not tuple:
+            object.__setattr__(self, "window", tuple(window))
 
     @property
     def window_end(self) -> int:

@@ -1,5 +1,6 @@
 """Itinerary construction and Li-Yorke pair scanning."""
 
+import gc
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
@@ -8,8 +9,9 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ndslab import chaos, maps
+from ndslab import chaos, maps, spaces
 from ndslab.chaos import (
+    MAX_ITINERARY_LEVELS,
     ItineraryConstruction,
     ItineraryFailure,
     lemma21_construct,
@@ -268,6 +270,128 @@ class TestItineraryConstruction:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError, match="levels must be at least 0"):
             lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), -1, 64)
+
+
+def fraction_radius(level):
+    """The target radius as the Fraction search found it: the least w >= 1
+    with 2^(1-w) <= 1/level."""
+    w = 1
+    while Fraction(2, 1 << w) > Fraction(1, level):
+        w += 1
+    return w
+
+
+# every 2^k and 2^k +- 1 in 1..2^20
+POWER_EDGES = sorted({n for k in range(21) for n in (2**k - 1, 2**k, 2**k + 1) if 1 <= n <= 2**20})
+TARGET_POINT = BiWord(-2, (1, 0, 1, 1), (0, 1), (1, 1, 0))
+
+
+def assert_radius(level):
+    w = fraction_radius(level)
+    cyl = chaos._target_cylinder(TARGET_POINT, level)
+    assert (cyl.start, cyl.end) == (-w, w + 1)
+    assert cyl.word == tuple(TARGET_POINT.coord(i) for i in range(-w, w + 1))
+
+
+class TestItineraryScale:
+    def test_radius_at_the_powers_of_two(self):
+        for level in POWER_EDGES:
+            assert_radius(level)
+
+    @given(st.one_of(st.integers(1, 2**20), st.sampled_from(POWER_EDGES)))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_radius_matches_the_fraction_search(self, level):
+        assert_radius(level)
+
+    def test_levels_past_the_bound_are_refused_before_any_work(self, monkeypatch):
+        def refuse(spec, upto):
+            raise AssertionError("the time search started")
+
+        monkeypatch.setattr(maps, "prefix_exponents", refuse)
+        for levels in (MAX_ITINERARY_LEVELS + 1, 40):
+            with pytest.raises(ValueError, match="MAX_ITINERARY_LEVELS"):
+                lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), levels, 64)
+        # at the bound itself the construction starts its time search
+        with pytest.raises(AssertionError, match="the time search started"):
+            lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), MAX_ITINERARY_LEVELS, 64)
+
+    def test_a_construction_leaves_no_cyclic_garbage(self):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            res = lemma21_construct(AP12, all_zeros(), all_ones(), 8, 512)
+            assert isinstance(res, ItineraryConstruction) and len(res.witnesses) == 256
+            del res
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def counting_contains(monkeypatch):
+    """Patch spaces.contains to append to a list per call; that list."""
+    calls = []
+    inner = spaces.contains
+
+    def counted(space, A, p):
+        calls.append(1)
+        return inner(space, A, p)
+
+    monkeypatch.setattr(spaces, "contains", counted)
+    return calls
+
+
+def folded_verdict(spec, res, witnesses):
+    return all(all(folded_memberships(spec, res, label, x)) for label, x in witnesses.items())
+
+
+class TestProductOrderCheck:
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_construction_order_is_checked_by_slices_alone(self, spec, levels):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        with pytest.MonkeyPatch.context() as mp_:
+            calls = counting_contains(mp_)
+            assert chaos._verify_itineraries(spec, res.times, res.levels, res.witnesses)
+        assert not calls
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_another_order_goes_through_contains(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        labels = data.draw(st.permutations(list(res.witnesses)))
+        assume(labels != list(res.witnesses))
+        reordered = {label: res.witnesses[label] for label in labels}
+        with pytest.MonkeyPatch.context() as mp_:
+            calls = counting_contains(mp_)
+            assert chaos._verify_itineraries(spec, res.times, res.levels, reordered)
+        assert len(calls) == levels << levels
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_swapped_witnesses_are_refused(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        u, v = data.draw(st.lists(st.sampled_from(list(res.witnesses)), min_size=2, max_size=2,
+                                  unique=True))
+        swapped = {**res.witnesses, u: res.witnesses[v], v: res.witnesses[u]}
+        assert list(swapped) == list(res.witnesses)
+        assert not folded_verdict(spec, res, swapped)
+        assert not chaos._verify_itineraries(spec, res.times, res.levels, swapped)
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_missing_word_is_decided_exactly(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        labels = list(res.witnesses)
+        gone = data.draw(st.sampled_from(labels))
+        witnesses = {label: x for label, x in res.witnesses.items() if label != gone}
+        if data.draw(st.booleans()):
+            # and one remaining witness swapped for the missing one's
+            other = data.draw(st.sampled_from(list(witnesses)))
+            witnesses[other] = res.witnesses[gone]
+        assert chaos._verify_itineraries(spec, res.times, res.levels, witnesses) \
+            == folded_verdict(spec, res, witnesses)
 
 
 class TestLiYorkeScan:

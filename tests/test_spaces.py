@@ -140,6 +140,60 @@ class TestMembership:
         assert contains(SHIFT, cyl, x) == expected
 
 
+class TupleKind(tuple):
+    """A tuple subclass: normalising stores a plain tuple in its place."""
+
+
+def primitive_period(period):
+    n = len(period)
+    return next(period[:p] for p in range(1, n + 1) if n % p == 0 and period == period[:p] * (n // p))
+
+
+BIWORD_FIELDS = ("window_start", "window", "left", "right")
+
+
+def normalised_as_before(window_start, window, left, right):
+    """A BiWord normalised as its __post_init__ once did: every field stored
+    again, each tail as its primitive period."""
+    x = object.__new__(BiWord)
+    for name, value in zip(BIWORD_FIELDS, (window_start, window, left, right)):
+        object.__setattr__(x, name, value)
+    if not x.left or not x.right:
+        raise ValueError("periodic tails must be nonempty")
+    object.__setattr__(x, "left", primitive_period(tuple(x.left)))
+    object.__setattr__(x, "right", primitive_period(tuple(x.right)))
+    object.__setattr__(x, "window", tuple(x.window))
+    return x
+
+
+kinds = st.sampled_from([tuple, list, TupleKind])
+# a tail is a block repeated: one symbol, primitive, or not primitive
+tails = st.builds(lambda block, times, kind: kind(block * times),
+                  st.lists(bits, min_size=0, max_size=3), st.integers(1, 3), kinds)
+
+
+class TestBiWordConstruction:
+    @given(st.integers(-5, 5), st.builds(lambda w, kind: kind(w), st.lists(bits, max_size=6), kinds),
+           tails, tails)
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_matches_the_old_normal_form(self, start, window, left, right):
+        try:
+            old = normalised_as_before(start, window, left, right)
+        except ValueError:
+            with pytest.raises(ValueError, match="periodic tails must be nonempty"):
+                BiWord(start, window, left, right)
+            return
+        new = BiWord(start, window, left, right)
+        for f in BIWORD_FIELDS:
+            assert type(getattr(new, f)) is type(getattr(old, f))
+            assert getattr(new, f) == getattr(old, f)
+        assert repr(new) == repr(old)
+        assert new == old and old == new
+        for x in (new, old):
+            with pytest.raises(TypeError):
+                hash(x)
+
+
 class TestShiftMetric:
     def test_identical_points(self):
         x = BiWord(0, (1, 0, 1), (0,), (1, 1, 0))
