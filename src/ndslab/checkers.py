@@ -149,7 +149,7 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
         masks = dict.fromkeys(product(range(len(basis)), repeat=2), 0)
         saturated = 0
         for m, times in ht.prefix_classes(spec, horizon).items():
-            if isinstance(m, mp.ShiftPowMap) and abs(m.exponent) > 2 * resolution:
+            if isinstance(m, mp.ShiftPowTerm) and abs(m.exponent) > 2 * resolution:
                 saturated |= times
                 continue
             for pair in _class_pairs(space, m, basis):
@@ -168,11 +168,11 @@ def _class_pairs(space, m: mp.NormalMap, basis) -> list:
     {table[i-1]} and meets that singleton only.  The circle basis is r equal
     arcs centred at k/r, so whether a rotation carries B_i onto B_j depends
     on the offset (i - j) mod r only (see _circle_offsets)."""
-    if isinstance(m, mp.ShiftPowMap):
+    if isinstance(m, mp.ShiftPowTerm):
         return _shift_pairs(m.exponent, [b.word for b in basis])
-    if isinstance(m, mp.TableMap):
+    if isinstance(m, mp.FiniteFnTerm):
         return [(i, t - 1) for i, t in enumerate(m.table)]
-    if not isinstance(m, mp.RotPowMap):
+    if not isinstance(m, mp.RotPowTerm):
         raise sp.SpaceMismatch(f"no basis pairs for a {type(m).__name__} class")
     r = len(basis)
     if space.alpha.kind == "sqrt2m1":
@@ -510,7 +510,8 @@ def _check_totally_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     per = {}
     for s in range(1, prop.order + 1):
         derived = mp.IterateSpec(spec, s) if s > 1 else spec
-        sub_laws = mp.derive_laws(derived, cfg["law_horizon"]) if s > 1 else laws
+        # an iterate has no law: no exponent law, no settled step, none on a product
+        sub_laws = mp.SystemLaws() if s > 1 else laws
         v = _check_transitive(derived, PropertyKind("transitive"), r, max(1, H // s), sub_laws, cfg)
         per[s] = v.status
         if v.status == REFUTED:
@@ -1045,13 +1046,13 @@ def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:
         )
     for i in range(1, H + 1):
         m = mp.step_normal(spec, i)
-        if isinstance(m, mp.TableMap) and not m.surjective:
+        if isinstance(m, mp.FiniteFnTerm) and not m.surjective:
             return Verdict(
                 prop.render(), REFUTED, cfg,
                 {"index": i, "table": list(m.table)},
             )
         if isinstance(m, mp.ProductMap) and any(
-            isinstance(p, mp.TableMap) and not p.surjective for p in m.parts
+            isinstance(p, mp.FiniteFnTerm) and not p.surjective for p in m.parts
         ):
             return Verdict(prop.render(), REFUTED, cfg, {"index": i})
     return Verdict(

@@ -42,17 +42,17 @@ def sup_distance(space: sp.SpaceDesc, a: mp.NormalMap, b: mp.NormalMap):
     """D(f, g) = sup over x of d(f(x), g(x)); exact rational on shift and
     finite spaces, exact-or-enclosure on the circle."""
     if isinstance(space, sp.ShiftSpace):
-        if not isinstance(a, mp.ShiftPowMap) or not isinstance(b, mp.ShiftPowMap):
+        if not isinstance(a, mp.ShiftPowTerm) or not isinstance(b, mp.ShiftPowTerm):
             raise sp.SpaceMismatch("shift sup distance needs shift powers")
         # for m != 0 a word alternating on blocks of |m| disagrees with its
         # own m-shift at every coordinate, attaining the full weight 3
         return Fraction(0) if a.exponent == b.exponent else SHIFT_SUP_GAP
     if isinstance(space, sp.FiniteSpace):
-        if not isinstance(a, mp.TableMap) or not isinstance(b, mp.TableMap):
+        if not isinstance(a, mp.FiniteFnTerm) or not isinstance(b, mp.FiniteFnTerm):
             raise sp.SpaceMismatch("finite sup distance needs tables")
         return Fraction(0) if a.table == b.table else Fraction(1)
     if isinstance(space, sp.CircleSpace):
-        if not isinstance(a, mp.RotPowMap) or not isinstance(b, mp.RotPowMap):
+        if not isinstance(a, mp.RotPowTerm) or not isinstance(b, mp.RotPowTerm):
             raise sp.SpaceMismatch("circle sup distance needs rotations")
         if a.coefficient == b.coefficient:
             return Fraction(0)

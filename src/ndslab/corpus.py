@@ -191,7 +191,8 @@ def _run_adversary(doc, exp):
     U = _mk_open(product.space, exp.params["u"])
     V = _mk_open(product.space, exp.params["v"])
     hs = ht.hitting_set(product, U, V, horizon)
-    laws = mp.derive_laws(product, horizon + 2)
+    # the adversary's law is the one build_gap_adversary validated
+    laws = mp.SystemLaws(components=(doc.laws(base, horizon + 2), mp.SystemLaws(exponent=law)))
     claim = ht.product_structural_miss(product, laws, U, V)
     ok = hs.members == () and claim is not None
     return (

@@ -95,7 +95,7 @@ def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
     for n in range(1, horizon + 1):
         e = exponents[n]
         by_exponent[e] = by_exponent.get(e, 0) | 1 << n
-    power = mp.ShiftPowMap if isinstance(space, sp.ShiftSpace) else mp.RotPowMap
+    power = mp.ShiftPowTerm if isinstance(space, sp.ShiftSpace) else mp.RotPowTerm
     return {power(e): times for e, times in by_exponent.items()}
 
 

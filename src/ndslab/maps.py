@@ -144,11 +144,9 @@ class RotPowTerm:
 
 @record
 class FiniteFnTerm:
-    table: tuple  # table[i-1] is the image of id i
+    table: tuple  # table[i-1] is the image of id i; NdsSpec checks it is total
 
     def __post_init__(self):
-        if not self.table or any(not (1 <= v <= len(self.table)) for v in self.table):
-            raise ValueError("finite map table must be total on 1..n")
         object.__setattr__(self, "table", tuple(self.table))
 
     @property
@@ -308,7 +306,8 @@ class NdsSpec:
     with the literals of its own value only.  A power pattern whose powers
     against a progression do not repeat within OVERLAP_WALK_BUDGET raises
     OverlappingRules undecided.  Unmatched indices get `default`.  Every
-    term must fit the space (SpaceMismatch otherwise).
+    term must fit the space (SpaceMismatch otherwise), and every table must
+    be total on 1..n (ValueError otherwise).
     """
 
     space: SpaceDesc
@@ -319,6 +318,10 @@ class NdsSpec:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         for term in [r.term for r in self.rules] + [self.default]:
+            if isinstance(term, FiniteFnTerm) and (
+                not term.table or any(not (1 <= v <= len(term.table)) for v in term.table)
+            ):
+                raise ValueError("finite map table must be total on 1..n")
             # every term must fit the space; a family is checked by its kind
             term_to_normal(self.space, term.at_ordinal(1) if isinstance(term, FamilyTerm) else term)
         patterns = [r.pattern for r in self.rules]
@@ -397,26 +400,7 @@ SystemSpec = Union[NdsSpec, TailSpec, IterateSpec, ProductSpec]
 
 
 # ---------------------------------------------------------------------------
-# normal maps
-
-
-@record
-class ShiftPowMap:
-    exponent: int
-
-
-@record
-class RotPowMap:
-    coefficient: int
-
-
-@record
-class TableMap:
-    table: tuple
-
-    @property
-    def surjective(self) -> bool:
-        return len(set(self.table)) == len(self.table)
+# normal maps: a term other than the identity is its own normal map
 
 
 @record
@@ -424,60 +408,61 @@ class ProductMap:
     parts: tuple
 
 
-NormalMap = Union[ShiftPowMap, RotPowMap, TableMap, ProductMap]
+NormalMap = Union[ShiftPowTerm, RotPowTerm, FiniteFnTerm, ProductMap]
 
 
 def identity_map(space: SpaceDesc) -> NormalMap:
     if isinstance(space, ShiftSpace):
-        return ShiftPowMap(0)
+        return ShiftPowTerm(0)
     if isinstance(space, CircleSpace):
-        return RotPowMap(0)
+        return RotPowTerm(0)
     if isinstance(space, FiniteSpace):
-        return TableMap(tuple(range(1, space.point_count + 1)))
+        return FiniteFnTerm(tuple(range(1, space.point_count + 1)))
     return ProductMap(tuple(identity_map(p) for p in space.parts))
 
 
 def term_to_normal(space: SpaceDesc, term: MapTerm) -> NormalMap:
+    """The identity as the space's identity map; any other term, checked
+    against the space, as it is."""
     if isinstance(term, IdentityTerm):
         return identity_map(space)
     if isinstance(term, ShiftPowTerm):
         if not isinstance(space, ShiftSpace):
             raise SpaceMismatch("shift power on a non-shift space")
-        return ShiftPowMap(term.exponent)
-    if isinstance(term, RotPowTerm):
+    elif isinstance(term, RotPowTerm):
         if not isinstance(space, CircleSpace):
             raise SpaceMismatch("rotation power on a non-circle space")
-        return RotPowMap(term.coefficient)
-    if isinstance(term, FiniteFnTerm):
+    elif isinstance(term, FiniteFnTerm):
         if not isinstance(space, FiniteSpace) or len(term.table) != space.point_count:
             raise SpaceMismatch("finite map table does not fit the space")
-        return TableMap(term.table)
-    raise SpaceMismatch(f"unknown term {term!r}")
+    else:
+        raise SpaceMismatch(f"unknown term {term!r}")
+    return term
 
 
 def compose(after: NormalMap, before: NormalMap) -> NormalMap:
     """after o before"""
-    if isinstance(after, ShiftPowMap) and isinstance(before, ShiftPowMap):
-        return ShiftPowMap(after.exponent + before.exponent)
-    if isinstance(after, RotPowMap) and isinstance(before, RotPowMap):
-        return RotPowMap(after.coefficient + before.coefficient)
-    if isinstance(after, TableMap) and isinstance(before, TableMap):
-        return TableMap(tuple(after.table[v - 1] for v in before.table))
+    if isinstance(after, ShiftPowTerm) and isinstance(before, ShiftPowTerm):
+        return ShiftPowTerm(after.exponent + before.exponent)
+    if isinstance(after, RotPowTerm) and isinstance(before, RotPowTerm):
+        return RotPowTerm(after.coefficient + before.coefficient)
+    if isinstance(after, FiniteFnTerm) and isinstance(before, FiniteFnTerm):
+        return FiniteFnTerm(tuple(after.table[v - 1] for v in before.table))
     if isinstance(after, ProductMap) and isinstance(before, ProductMap):
         return ProductMap(tuple(compose(a, b) for a, b in zip(after.parts, before.parts)))
     raise SpaceMismatch(f"cannot compose {type(after).__name__} with {type(before).__name__}")
 
 
 def apply(m: NormalMap, p: Point) -> Point:
-    if isinstance(m, ShiftPowMap):
+    if isinstance(m, ShiftPowTerm):
         if not isinstance(p, BiWord):
             raise SpaceMismatch("shift power applies to shift-space points")
         return p.shifted(m.exponent)
-    if isinstance(m, RotPowMap):
+    if isinstance(m, RotPowTerm):
         if not isinstance(p, AffineAngle):
             raise SpaceMismatch("rotation applies to circle points")
         return p.rotated(m.coefficient)
-    if isinstance(m, TableMap):
+    if isinstance(m, FiniteFnTerm):
         if not isinstance(p, FiniteId):
             raise SpaceMismatch("finite tables apply to finite-space points")
         return FiniteId(m.table[p.index - 1])
@@ -490,15 +475,15 @@ def apply(m: NormalMap, p: Point) -> Point:
 
 def image(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
     """Forward image; nonempty input gives nonempty output."""
-    if isinstance(m, ShiftPowMap):
+    if isinstance(m, ShiftPowTerm):
         if not isinstance(A, Cylinder):
             raise SpaceMismatch("shift power images apply to cylinders")
         return Cylinder(A.start - m.exponent, A.word)
-    if isinstance(m, RotPowMap):
+    if isinstance(m, RotPowTerm):
         if not isinstance(A, Arc):
             raise SpaceMismatch("rotation images apply to arcs")
         return Arc(A.center.rotated(m.coefficient), A.radius)
-    if isinstance(m, TableMap):
+    if isinstance(m, FiniteFnTerm):
         if not isinstance(A, FiniteSet):
             raise SpaceMismatch("finite table images apply to id sets")
         return FiniteSet(frozenset(m.table[i - 1] for i in A.ids))
@@ -512,15 +497,15 @@ def image(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
 
 def preimage(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
     """Full inverse image; None when empty (possible for finite tables)."""
-    if isinstance(m, ShiftPowMap):
+    if isinstance(m, ShiftPowTerm):
         if not isinstance(A, Cylinder):
             raise SpaceMismatch("shift power preimages apply to cylinders")
         return Cylinder(A.start + m.exponent, A.word)
-    if isinstance(m, RotPowMap):
+    if isinstance(m, RotPowTerm):
         if not isinstance(A, Arc):
             raise SpaceMismatch("rotation preimages apply to arcs")
         return Arc(A.center.rotated(-m.coefficient), A.radius)
-    if isinstance(m, TableMap):
+    if isinstance(m, FiniteFnTerm):
         if not isinstance(A, FiniteSet):
             raise SpaceMismatch("finite table preimages apply to id sets")
         ids = frozenset(i for i in range(1, len(m.table) + 1) if m.table[i - 1] in A.ids)
@@ -637,7 +622,7 @@ def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
         return identity_map(space)
     if isinstance(space, (ShiftSpace, CircleSpace)):
         e = sum(_step_exponents(spec, i, i + k - 1))
-        return ShiftPowMap(e) if isinstance(space, ShiftSpace) else RotPowMap(e)
+        return ShiftPowTerm(e) if isinstance(space, ShiftSpace) else RotPowTerm(e)
     m = term_to_normal(space, eval_term(spec, i))
     for j in range(i + 1, i + k):
         m = compose(term_to_normal(space, eval_term(spec, j)), m)
@@ -1000,8 +985,8 @@ class TableLaw:
 
     stabilized_from: int
     lead: tuple  # T(1) .. T(P)
-    entry: TableMap
-    step: TableMap
+    entry: FiniteFnTerm
+    step: FiniteFnTerm
     cycle: int
 
     def orbit(self, i: int) -> tuple:

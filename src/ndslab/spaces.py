@@ -582,12 +582,7 @@ def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:
 def contains(space: SpaceDesc, A: BasicOpen, p: Point) -> bool:
     _check_space_point(space, p)
     if isinstance(A, Cylinder):
-        if p.window_start <= A.start and A.end <= p.window_end:
-            cells = p.window[A.start - p.window_start : A.end - p.window_start]
-            if cells == A.word:  # cells hold no None, so this is membership
-                return True
-        else:
-            cells = map(p.coord, range(A.start, A.end))
+        cells = map(p.coord, range(A.start, A.end))
         return all(s is None or c == s for c, s in zip(cells, A.word))
     if isinstance(A, FiniteSet):
         return p.index in A.ids

@@ -41,7 +41,7 @@ def _sigma_mixing_bound(resolution: int) -> int:
     basis = sp.enumerate_basis(SHIFT, resolution)
     worst = 0
     for p in range(1, 8 * resolution + 8):
-        m = mp.ShiftPowMap(p)
+        m = mp.ShiftPowTerm(p)
         for U in basis:
             for V in basis:
                 if not sp.intersects(SHIFT, mp.image(m, U), V):

@@ -341,7 +341,7 @@ class TestGapAdversary:
 
     def test_empty_miss_list(self):
         adv, law = ck.build_gap_adversary([], law_horizon=16)
-        assert mp.prefix_compose(adv, 10) == mp.ShiftPowMap(0)
+        assert mp.prefix_compose(adv, 10) == mp.ShiftPowTerm(0)
 
     def test_gap_precondition(self):
         with pytest.raises(ValueError):

@@ -19,12 +19,9 @@ from ndslab.maps import (
     FiniteFnTerm,
     IdentityTerm,
     NdsSpec,
-    RotPowMap,
     RotPowTerm,
     Rule,
-    ShiftPowMap,
     ShiftPowTerm,
-    TableMap,
     apply,
     step_normal,
 )
@@ -49,33 +46,33 @@ def alternating_word(m: int) -> BiWord:
 
 class TestSupDistance:
     def test_equal_shift_powers(self):
-        assert sup_distance(SHIFT, ShiftPowMap(1), ShiftPowMap(1)) == 0
+        assert sup_distance(SHIFT, ShiftPowTerm(1), ShiftPowTerm(1)) == 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_shift_gap_attained(self, m):
         # oracle: the alternating-block word realizes distance 3 to its shift
         x = alternating_word(m)
-        y = apply(ShiftPowMap(m), x)
+        y = apply(ShiftPowTerm(m), x)
         assert shift_distance(x, y) == 3
-        assert sup_distance(SHIFT, ShiftPowMap(m), ShiftPowMap(0)) == 3
+        assert sup_distance(SHIFT, ShiftPowTerm(m), ShiftPowTerm(0)) == 3
 
     def test_finite_tables(self):
         space = FiniteSpace(2)
-        one = TableMap((1, 1))
-        two = TableMap((2, 2))
+        one = FiniteFnTerm((1, 1))
+        two = FiniteFnTerm((2, 2))
         assert sup_distance(space, one, two) == 1
         assert sup_distance(space, one, one) == 0
 
     def test_circle_rotations(self):
         space = CircleSpace()
-        assert sup_distance(space, RotPowMap(2), RotPowMap(2)) == 0
-        d = sup_distance(space, RotPowMap(1), RotPowMap(0))
+        assert sup_distance(space, RotPowTerm(2), RotPowTerm(2)) == 0
+        d = sup_distance(space, RotPowTerm(1), RotPowTerm(0))
         assert value_cmp(d, Fraction(41, 100)) > 0
 
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
     @settings(max_examples=60, deadline=None)
     def test_metric_axioms_on_shift_powers(self, a, b, c):
-        A, B, C = ShiftPowMap(a), ShiftPowMap(b), ShiftPowMap(c)
+        A, B, C = ShiftPowTerm(a), ShiftPowTerm(b), ShiftPowTerm(c)
         dab = sup_distance(SHIFT, A, B)
         assert dab == sup_distance(SHIFT, B, A)
         assert (dab == 0) == (a == b)

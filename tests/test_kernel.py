@@ -226,7 +226,7 @@ class TestClassPairs:
         # evenly spaced rows, about 10^5 intersection tests per basis
         rows = range(0, len(basis), max(1, len(basis) ** 2 * (4 * r + 1) // 100_000))
         for e in range(-2 * r, 2 * r + 1):
-            m = mp.ShiftPowMap(e)
+            m = mp.ShiftPowTerm(e)
             got = [(i, j) for i, j in ck._class_pairs(space, m, basis) if i in rows]
             assert got == meets_pairs(space, m, basis, rows), e
 
@@ -243,12 +243,12 @@ class TestClassPairs:
     def test_table_pairs_match_the_intersection_tests(self, table):
         space = sp.FiniteSpace(len(table))
         basis = sp.enumerate_basis(space, 1)
-        m = mp.TableMap(table)
+        m = mp.FiniteFnTerm(table)
         assert ck._class_pairs(space, m, basis) == meets_pairs(space, m, basis)
 
     def test_classes_of_no_basis_kind_are_refused(self):
         space = sp.ProductSpace((SHIFT, SHIFT))
-        m = mp.ProductMap((mp.ShiftPowMap(1), mp.ShiftPowMap(0)))
+        m = mp.ProductMap((mp.ShiftPowTerm(1), mp.ShiftPowTerm(0)))
         with pytest.raises(sp.SpaceMismatch):
             ck._class_pairs(space, m, sp.enumerate_basis(space, 1))
 
@@ -274,7 +274,7 @@ class TestCircleClassPairs:
         space = sp.CircleSpace()
         basis = sp.enumerate_basis(space, r)
         for c in CIRCLE_COEFFICIENTS:
-            m = mp.RotPowMap(c)
+            m = mp.RotPowTerm(c)
             assert ck._class_pairs(space, m, basis) == offset_pairs(space, m, basis), c
 
     @pytest.mark.parametrize("r", [2, 3, 5])
@@ -282,7 +282,7 @@ class TestCircleClassPairs:
         space = sp.CircleSpace()
         basis = sp.enumerate_basis(space, r)
         for c in [0, 10**40, -10**40] + list(range(-20, 21)):
-            m = mp.RotPowMap(c)
+            m = mp.RotPowTerm(c)
             assert sorted(ck._class_pairs(space, m, basis)) == meets_pairs(space, m, basis), c
 
     @pytest.mark.parametrize("alpha", CUSTOM_ALPHAS, ids=lambda a: str(a.center))
@@ -292,7 +292,7 @@ class TestCircleClassPairs:
         for r in range(2, 9):
             basis = sp.enumerate_basis(space, r)
             for c in range(-24, 25):
-                m = mp.RotPowMap(c)
+                m = mp.RotPowTerm(c)
                 outcome = [ht._meets(space, mp.image(m, basis[d]), basis[0]) for d in range(r)]
                 dropped += outcome.count(None)
                 kept = [(i, (i - d) % r) for d in range(r) if outcome[d] for i in range(r)]
@@ -381,7 +381,7 @@ power_rules = st.one_of(shift_ap(), shift_pow(), circle_systems())
 
 
 def power_of(m) -> int:
-    return m.exponent if isinstance(m, mp.ShiftPowMap) else m.coefficient
+    return m.exponent if isinstance(m, mp.ShiftPowTerm) else m.coefficient
 
 
 @pytest.mark.parametrize("shape", SHAPES)

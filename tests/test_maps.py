@@ -26,12 +26,9 @@ from ndslab.maps import (
     PowerPattern,
     ProductMap,
     ProductSpec,
-    RotPowMap,
     RotPowTerm,
     Rule,
-    ShiftPowMap,
     ShiftPowTerm,
-    TableMap,
     TailSpec,
     apply,
     compose,
@@ -327,12 +324,12 @@ class TestWindowCompose:
     def test_even_prefixes_cancel(self):
         spec = ex31()
         for t in (1, 2, 5, 20):
-            assert prefix_compose(spec, 2 * t) == ShiftPowMap(0)
+            assert prefix_compose(spec, 2 * t) == ShiftPowTerm(0)
 
     def test_odd_prefixes_grow(self):
         spec = ex36()
         for m in (1, 2, 7, 30):
-            assert prefix_compose(spec, 2 * m - 1) == ShiftPowMap(m)
+            assert prefix_compose(spec, 2 * m - 1) == ShiftPowTerm(m)
 
     def test_matches_step_fold_oracle(self):
         for spec in (ex31(), ex36(), ex38(), ex35(), CONST_SIGMA, TailSpec(ex31(), 2)):
@@ -371,16 +368,16 @@ class TestWindowCompose:
 class TestImagePreimage:
     def test_identity_image(self):
         c = Cylinder(0, (1, 0))
-        assert image(ShiftPowMap(0), c) == c
+        assert image(ShiftPowTerm(0), c) == c
 
     def test_shift_image_checked_on_points(self):
         c = Cylinder(0, (1,))
-        img = image(ShiftPowMap(1), c)
+        img = image(ShiftPowTerm(1), c)
         assert img == Cylinder(-1, (1,))
         # oracle: apply the shift to sample points and test membership
         for fill in (0, 1):
             x = BiWord.from_window(0, (1,), fill)
-            y = apply(ShiftPowMap(1), x)
+            y = apply(ShiftPowTerm(1), x)
             assert contains(SHIFT, img, y)
 
     def test_finite_image_and_empty_preimage(self):
@@ -390,7 +387,7 @@ class TestImagePreimage:
         assert preimage(const, FiniteSet(frozenset({2}))) is None
 
     @pytest.mark.parametrize("m", [
-        ShiftPowMap(1), RotPowMap(1), TableMap((2, 1)), ProductMap((ShiftPowMap(1), RotPowMap(1))),
+        ShiftPowTerm(1), RotPowTerm(1), FiniteFnTerm((2, 1)), ProductMap((ShiftPowTerm(1), RotPowTerm(1))),
     ], ids=repr)
     def test_preimage_checks_its_input_as_image_does(self, m):
         opens = [Cylinder(0, (1,)), Arc(AffineAngle(Fraction(0)), Fraction(1, 8)),
@@ -414,7 +411,7 @@ class TestImagePreimage:
     @settings(max_examples=200, deadline=None)
     def test_image_respects_intersection(self, s1, w1, s2, w2, e):
         a, b = Cylinder(s1, w1), Cylinder(s2, w2)
-        m = ShiftPowMap(e)
+        m = ShiftPowTerm(e)
         assert intersects(SHIFT, image(m, a), image(m, b)) == intersects(SHIFT, a, b)
 
     @given(st.integers(-4, 4), st.integers(-3, 3),
@@ -422,7 +419,7 @@ class TestImagePreimage:
     @settings(max_examples=100, deadline=None)
     def test_preimage_inverts_image(self, e, s, w):
         a = Cylinder(s, w)
-        m = ShiftPowMap(e)
+        m = ShiftPowTerm(e)
         assert preimage(m, image(m, a)) == a
 
     @given(st.lists(st.integers(1, 4), min_size=4, max_size=4).map(tuple),
@@ -509,13 +506,13 @@ class TestExponentLaws:
         assert derive_exponent_law(spec, 64) is None
 
 
-def law_table(law, n: int) -> TableMap:
+def law_table(law, n: int) -> FiniteFnTerm:
     """T(n) read off every point's orbit under the table law."""
     def at(i):
         lead, loop = law.orbit(i)
         return lead[n - 1] if n <= len(lead) else loop[(n - len(lead) - 1) % len(loop)]
 
-    return TableMap(tuple(at(i) for i in range(1, len(law.step.table) + 1)))
+    return FiniteFnTerm(tuple(at(i) for i in range(1, len(law.step.table) + 1)))
 
 
 def table_fold(spec, upto: int) -> list:
@@ -609,7 +606,7 @@ class TestTableLaw:
         monkeypatch.undo()
         assert len(calls) <= 41
         assert (law.cycle, len(law.lead)) == (27720, 0)
-        assert law_table(law, 27721) == law.entry == TableMap(tuple(table))
+        assert law_table(law, 27721) == law.entry == FiniteFnTerm(tuple(table))
 
     def test_lead_walk_bound_is_checked_before_walking(self, monkeypatch):
         # the steps settle at index 20001: past the bound there is no law
@@ -708,7 +705,7 @@ class TestWhereTheStepsSettle:
 
     def test_equals_rule_emitting_g_does_not_delay_the_law(self):
         spec = NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(5), CYCLE3),), CYCLE3)
-        assert eventual_step(spec) == (1, TableMap(CYCLE3.table))
+        assert eventual_step(spec) == (1, FiniteFnTerm(CYCLE3.table))
         assert derive_table_law(spec).stabilized_from == 1
         verdict = convergence.check_uniform_convergence(spec, CYCLE3, 64)
         assert verdict.witnessed and verdict.stabilization_index == 1
@@ -724,7 +721,7 @@ class TestWhereTheStepsSettle:
         spec = NdsSpec(FiniteSpace(2), (
             Rule(ArithProgPattern(1, 2), SWAP), Rule(ArithProgPattern(2, 2), SWAP),
         ), IDENTITY)
-        assert covered_from(spec) == 1 and eventual_step(spec) == (1, TableMap((2, 1)))
+        assert covered_from(spec) == 1 and eventual_step(spec) == (1, FiniteFnTerm((2, 1)))
         law = derive_table_law(spec)
         for n, table in enumerate(table_fold(spec, 39), 1):
             assert law_table(law, n) == table
@@ -748,3 +745,104 @@ class TestWhereTheStepsSettle:
         assert calls[base] == calls[tail]
         for n, table in enumerate(table_fold(tail, 19), 1):
             assert law_table(law, n) == table
+
+
+class TestTermsAreNormalMaps:
+    @given(st.one_of(
+        st.integers(-10**6, 10**6).map(lambda e: (SHIFT, ShiftPowTerm(e))),
+        st.integers(-10**6, 10**6).map(lambda c: (CircleSpace(), RotPowTerm(c))),
+        st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n).map(
+            lambda t: (FiniteSpace(len(t)), FiniteFnTerm(t)))),
+    ))
+    def test_a_fitting_term_is_its_own_normal_map(self, case):
+        space, term = case
+        assert term_to_normal(space, term) is term
+
+    @pytest.mark.parametrize("space", [SHIFT, CircleSpace(), FiniteSpace(3),
+                                       ProductSpec((CONST_SIGMA, ex35())).space], ids=repr)
+    def test_the_identity_resolves_to_the_identity_map(self, space):
+        assert term_to_normal(space, IDENTITY) == identity_map(space)
+
+    def test_a_table_given_as_a_list_is_stored_as_a_tuple(self):
+        assert FiniteFnTerm([2, 1]).table == (2, 1)
+        assert FiniteFnTerm([2, 1]) == FiniteFnTerm((2, 1))
+
+    @pytest.mark.parametrize("table", [(), (0, 1), (1, 3), (2, 2, 4)], ids=repr)
+    def test_a_spec_refuses_a_table_not_total_on_its_ids(self, table):
+        space = FiniteSpace(max(1, len(table)))
+        with pytest.raises(ValueError, match=r"finite map table must be total on 1\.\.n"):
+            NdsSpec(space, (), FiniteFnTerm(table))
+        with pytest.raises(ValueError, match=r"finite map table must be total on 1\.\.n"):
+            NdsSpec(space, (Rule(EqualsPattern(2), FiniteFnTerm(table)),))
+
+
+class TestIteratesHaveNoLaw:
+    @given(rule_systems(), rule_systems(), st.booleans(), st.integers(2, 4), st.integers(1, 128))
+    @settings(max_examples=100, deadline=None)
+    def test_derive_laws_gives_an_iterate_no_law(self, a, b, product, k, horizon):
+        base = ProductSpec((a, b)) if product else a
+        assert derive_laws(IterateSpec(base, k), horizon) == maps_mod.SystemLaws()
+
+
+def assert_law_matches_prefix_exponents(spec, law, horizon: int):
+    exponents = maps_mod.prefix_exponents(spec, horizon)
+    assert [law.value(n) for n in range(1, horizon + 1)] == exponents[1:]
+
+
+class TestLawRecogniserShapes:
+    """Shapes the law recogniser takes or refuses.  A refused shape gets no
+    law although its prefix exponent has a closed form; ROADMAP item 3 (one
+    closed form for every rule set) is expected to give each of them one."""
+
+    ADVERSARY = ck.build_gap_adversary([4, 8, 12])[0]
+
+    def test_a_tail_cut_past_a_literal_pair_reindexes_the_literals(self):
+        # offset 5 drops the pair at 4 and 5; the pairs at 8 and 12 move to 3 and 7
+        tail = TailSpec(self.ADVERSARY, 6)
+        law = derive_exponent_law(tail, 64)
+        assert law.describe() == "E(n=3)=8; E(n=7)=12; E(otherwise)=0 [validated to 64]"
+        assert_law_matches_prefix_exponents(tail, law, 64)
+
+    def test_a_tail_cut_inside_a_literal_pair_gets_no_law(self):
+        # offset 4 keeps only the undoing half of the first pair, at index 1,
+        # so E is -4 from there to the next pair: no paired one-shot shape
+        assert derive_exponent_law(TailSpec(self.ADVERSARY, 5), 64) is None
+
+    def test_a_single_else_rule_is_a_constant_sequence(self):
+        spec = NdsSpec(SHIFT, (Rule(ElsePattern(), ShiftPowTerm(2)),), ShiftPowTerm(5))
+        law = derive_exponent_law(spec, 64)
+        assert law.describe() == "E(otherwise)=2*k+0 [validated to 64]"
+        assert_law_matches_prefix_exponents(spec, law, 64)
+
+    def test_a_zero_literal_is_skipped_between_pairs(self):
+        spec = NdsSpec(SHIFT, (
+            Rule(EqualsPattern(3), ShiftPowTerm(0)),
+            Rule(EqualsPattern(5), ShiftPowTerm(2)),
+            Rule(EqualsPattern(6), ShiftPowTerm(-2)),
+        ))
+        law = derive_exponent_law(spec, 64)
+        assert law.describe() == "E(n=5)=2; E(otherwise)=0 [validated to 64]"
+        assert_law_matches_prefix_exponents(spec, law, 64)
+
+    def test_a_constant_rule_on_a_progression_gets_no_law(self):
+        spec = NdsSpec(SHIFT, (
+            Rule(EqualsPattern(1), ShiftPowTerm(1)),
+            Rule(ArithProgPattern(2, 2), ShiftPowTerm(-1)),
+        ))
+        assert derive_exponent_law(spec, 64) is None
+
+    @pytest.mark.parametrize("patterns", [
+        (ArithProgPattern(1, 2), ArithProgPattern(2, 4)),  # unequal steps
+        (PowerPattern(2, 0), PowerPattern(3, 0)),  # unequal bases
+        (PowerPattern(3, 0), PowerPattern(2, 0)),
+        (PowerPattern(2, 0), PowerPattern(2, 3)),  # offsets three apart
+        (PowerPattern(2, 3), PowerPattern(2, 0)),
+        (ArithProgPattern(1, 2), PowerPattern(2, 0)),  # a progression and powers
+    ], ids=repr)
+    @pytest.mark.parametrize("space", [SHIFT, CircleSpace()], ids=repr)
+    def test_opposite_families_outside_the_telescoping_shapes_get_no_law(self, patterns, space):
+        kind = "shift" if space == SHIFT else "rot"
+        spec = NdsSpec(space, (
+            Rule(patterns[0], FamilyTerm(kind, 1)), Rule(patterns[1], FamilyTerm(kind, -1)),
+        ))
+        assert derive_exponent_law(spec, 64) is None
