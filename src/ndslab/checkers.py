@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
-from operator import and_, eq, getitem, or_
+from operator import and_, eq, getitem
 from typing import NamedTuple, Optional
 
 from . import hitting as ht
@@ -214,37 +214,9 @@ def _shift_pairs(e: int, words: list) -> list:
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
     """(basis, mask): mask is the bitmask of N(B, delta) within [1, horizon]
     for every basis open B alike, since they share their image diameter
-    under each prefix map.  A singleton's image is a singleton and a rotated
-    arc keeps its radius, so those masks are no time or every time.  On the
-    shift diam sigma^e(B0) depends on |e| only and strictly grows with it,
-    so the wide classes are those with |e| >= t, the first wide |e|; the
-    walk to t ends by r + 2 + bitlen(den(3 - delta)), where diameter_exceeds
-    answers from its far-window bound.  A rectangle separates exactly when
-    one of its sides does: a product mask is the OR of the component masks,
-    each read off B0's side in that component."""
+    under each prefix map, so hitting.separation_mask reads it off B0."""
     basis = sp.enumerate_basis(spec.space, resolution)
-    return basis, _sep_mask(spec, basis[0], horizon, delta)
-
-
-def _sep_mask(spec: mp.SystemSpec, B0, horizon: int, delta: Fraction) -> int:
-    """The separation mask of _sep_masks, read off the first basis open B0."""
-    space = spec.space
-    if isinstance(space, sp.ProductSpace):
-        parts = zip(ht._components(spec), B0.parts)
-        return reduce(or_, (_sep_mask(p, side, horizon, delta) for p, side in parts))
-    every = (1 << horizon + 1) - 2
-    if isinstance(space, sp.FiniteSpace):
-        return every if delta < 0 else 0
-    if isinstance(space, sp.CircleSpace):
-        return every if sp.diameter_exceeds(space, B0, delta) else 0
-    if delta >= sp.TOTAL_WEIGHT:
-        return 0  # every cylinder constrains a cell, so none is that wide
-    classes = ht.prefix_classes(spec, horizon)
-    top = max(abs(m.exponent) for m in classes)
-    t = 0
-    while t <= top and not sp.diameter_exceeds(space, sp.Cylinder(B0.start - t, B0.word), delta):
-        t += 1
-    return reduce(or_, (times for m, times in classes.items() if abs(m.exponent) >= t), 0)
+    return basis, ht.separation_mask(spec, basis[0], delta, horizon)
 
 
 def _first_bit(mask: int) -> Optional[int]:

@@ -25,6 +25,7 @@ from math import prod
 from . import __version__
 from . import checkers as ck
 from . import corpus as corpus_mod
+from . import hitting as ht
 from . import maps as mp
 from . import ndsl
 from . import spaces as sp
@@ -32,7 +33,8 @@ from . import spaces as sp
 SCHEMA_VERSION = 1
 
 # the largest horizon or law horizon a check accepts: the prefix-exponent
-# array and every hit mask are filled eagerly up to it
+# array and every hit mask are filled eagerly up to it.  It also bounds the
+# base indices a tail or an iterate fills (_base_fill)
 MAX_HORIZON = 10**6
 
 # the work a check may take on, estimated before it runs: the opens of its
@@ -187,6 +189,9 @@ def cmd_check(args) -> int:
         return 3
     requests = []
     if args.property:
+        if not (args.system or doc.names):
+            print(f"ndslab: {args.file} defines no system to check", file=sys.stderr)
+            return 3
         name = args.system or doc.names[0]
         try:
             system = doc.system(name)
@@ -287,7 +292,7 @@ def _size_problem(args, doc, requests):
         if most is not None and value > most:
             return f"{label} must be at most {most}, got {value}"
     for name, prop, horizon, basis in requests:
-        problem = _work_problem(doc.system(name).space, prop, horizon, basis)
+        problem = _work_problem(doc.system(name), prop, horizon, basis, args.law_horizon)
         if problem:
             return f"check {name} {prop.render()}: {problem}"
     return None
@@ -310,22 +315,55 @@ def _basis_size(space, r: int) -> int:
     return min(n, MAX_BASIS_OPENS + 1)
 
 
-def _work_problem(space, prop, horizon: int, basis: int):
+def _base_fill(spec, span: int) -> int:
+    """The base indices a check over `span` times of `spec` fills or steps
+    through: a tail at k of a shift or circle system fills its base's
+    prefix exponents to k - 1 + span (a finite tail steps once per time),
+    an iterate of order k reads k * span base indices, and a product, or a
+    tail or iterate of one, as much as its widest part."""
+    if isinstance(spec.space, sp.ProductSpace):
+        return max(_base_fill(part, span) for part in ht._components(spec))
+    if isinstance(spec, mp.IterateSpec):
+        return _base_fill(spec.base, spec.k * span)
+    if isinstance(spec, mp.TailSpec):
+        offset = 0 if isinstance(spec.space, sp.FiniteSpace) else spec.k - 1
+        return _base_fill(spec.base, offset + span)
+    return span
+
+
+def _law_fill(spec, law_horizon: int) -> int:
+    """The base indices derive_laws fills validating an exponent law of
+    `spec` to `law_horizon` (0 where no law is validated); a product
+    derives each part's laws."""
+    if isinstance(spec, mp.ProductSpec):
+        return max(_law_fill(part, law_horizon) for part in spec.parts)
+    return _base_fill(spec, law_horizon) if mp.law_candidate(spec) is not None else 0
+
+
+def _work_problem(system, prop, horizon: int, basis: int, law_horizon: int):
     """Why a check of `prop` at this horizon and basis is over budget, or
-    None: its basis has more than MAX_BASIS_OPENS opens, or the estimated
+    None: its basis has more than MAX_BASIS_OPENS opens, the estimated
     bytes of its pair masks (over order times the horizon for
-    multi-transitive) pass MAX_MASK_BYTES."""
-    n = _basis_size(space, basis)
+    multi-transitive, one set per iterate for totally-transitive) pass
+    MAX_MASK_BYTES, or the base indices it fills through a tail or an
+    iterate (the law horizon too where a law is validated) pass
+    MAX_HORIZON."""
+    n = _basis_size(system.space, basis)
     if n > MAX_BASIS_OPENS:
         return f"basis {basis} gives more than the budget of MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens"
-    if prop.name not in PAIR_MASK_PROPERTIES:
-        return None
     span = prop.order * horizon if prop.name == "multi-transitive" else horizon
-    need = n * n * (span // 8 + MASK_PAIR_BYTES)
-    if need > MAX_MASK_BYTES:
-        return (f"basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times "
-                f"need an estimated {need} bytes, over the budget of MAX_MASK_BYTES = "
-                f"{MAX_MASK_BYTES} bytes")
+    if prop.name in PAIR_MASK_PROPERTIES:
+        sets = prop.order if prop.name == "totally-transitive" else 1
+        need = sets * n * n * (span // 8 + MASK_PAIR_BYTES)
+        if need > MAX_MASK_BYTES:
+            per_iterate = f", one set for each of {sets} iterates," if sets > 1 else ""
+            return (f"basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times"
+                    f"{per_iterate} need an estimated {need} bytes, over the budget of "
+                    f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
+    fill = max(_base_fill(system, span), _law_fill(system, law_horizon))
+    if fill > MAX_HORIZON:
+        return (f"fills {fill} indices of its base system, over the budget of "
+                f"MAX_HORIZON = {MAX_HORIZON}")
     return None
 
 

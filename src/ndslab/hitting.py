@@ -17,6 +17,8 @@ horizon edge is reported as censored (a lower bound, never an exact gap).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from . import maps as mp
@@ -62,14 +64,6 @@ def _meets(space, A, B) -> Optional[bool]:
     """Does A meet B?  None when the enclosure cannot decide."""
     try:
         return sp.intersects(space, A, B)
-    except sp.EnclosureUndecided:
-        return None
-
-
-def _wider_than(space, A, delta: Fraction) -> Optional[bool]:
-    """Is diam A > delta?  None when the enclosure cannot decide."""
-    try:
-        return sp.diameter_exceeds(space, A, delta)
     except sp.EnclosureUndecided:
         return None
 
@@ -199,27 +193,47 @@ def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:
     )
 
 
+def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> int:
+    """The bitmask of N(U, delta) within [1, horizon] (bit n for time n) for
+    any open U.  Diameters are exact, so no time is left undecided.
+
+    A rectangle separates exactly when one of its sides does: a product
+    mask is the OR of its parts' masks.  A rotated arc keeps its radius and
+    a singleton's image is a singleton: every time or none.  No cylinder is
+    3 wide.  For a full word centred on the origin diam sigma^e(U) depends
+    on |e| only and strictly grows with it, so the wide classes are those
+    with |e| >= t, the first wide |e|; the walk to t ends by r + 2 +
+    bitlen(den(3 - delta)), where diameter_exceeds answers from its
+    far-window bound.  Any other open decides each prefix class once."""
+    space = spec.space
+    if isinstance(space, sp.ProductSpace):
+        parts = zip(_components(spec), U.parts)
+        return reduce(or_, (separation_mask(p, side, delta, horizon) for p, side in parts))
+    if isinstance(U, sp.Arc) or isinstance(U, sp.FiniteSet) and len(U.ids) == 1:
+        return (1 << horizon + 1) - 2 if sp.diameter_exceeds(space, U, delta) else 0
+    if delta >= sp.TOTAL_WEIGHT:
+        return 0
+    classes = prefix_classes(spec, horizon)
+    if isinstance(U, sp.Cylinder) and U.start == 1 - U.end and None not in U.word:
+        top = max(abs(m.exponent) for m in classes)
+        t = 0
+        while t <= top and not sp.diameter_exceeds(space, sp.Cylinder(U.start - t, U.word), delta):
+            t += 1
+        return reduce(or_, (times for m, times in classes.items() if abs(m.exponent) >= t), 0)
+    return reduce(or_, (times for m, times in classes.items()
+                        if sp.diameter_exceeds(space, mp.image(m, U), delta)), 0)
+
+
 def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> HittingSet:
     """N(U, delta) restricted to [1, horizon]: times at which some pair in U
-    is separated beyond delta.
-
-    The image diameter is attained on cylinders and finite sets, so the
-    strict comparison against delta decides membership exactly.  Arc images
-    keep their radius under rotation, so circle membership is constant in n.
-    """
+    is separated beyond delta, read off separation_mask."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    space = spec.space
-    [(wide, undecided)] = _class_masks(
-        prefix_classes(spec, horizon), (U,), lambda m, U: _wider_than(space, mp.image(m, U), delta),
-    )
-    return HittingSet(
-        "separation", spec, horizon, _mask_members(wide), _mask_members(undecided),
-        u=U, delta=delta,
-    )
+    mask = separation_mask(spec, U, delta, horizon)
+    return HittingSet("separation", spec, horizon, _mask_members(mask), u=U, delta=delta)
 
 
 def _frequency(mask: int, H: int) -> tuple:

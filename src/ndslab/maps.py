@@ -766,12 +766,10 @@ def _all_zero_terms(rules, default) -> bool:
     return term_exponent(default) == 0
 
 
-def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
-    """Telescoping detection for the cumulative exponent of shift / circle
-    systems.  The law is validated at every index up to `horizon` against
-    `prefix_exponents`; a validation failure is a hard error.  Returns None
-    when no supported structure is present (callers fall back to
-    enumeration-only checks)."""
+def law_candidate(spec: SystemSpec) -> Optional[list]:
+    """The pieces of the exponent law the rules of a shift / circle system
+    or of a tail of one give, not yet validated; None when no supported
+    structure is present (iterates, products and finite spaces included)."""
     if isinstance(spec, (IterateSpec, ProductSpec)):
         return None
     if not isinstance(spec.space, (ShiftSpace, CircleSpace)):
@@ -788,10 +786,19 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]
             return None
     else:
         source = spec
-    kind = "shift" if isinstance(spec.space, ShiftSpace) else "rotation"
-    candidate = _law_candidate(source)
+    return _law_candidate(source)
+
+
+def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
+    """Telescoping detection for the cumulative exponent of shift / circle
+    systems.  The law_candidate is validated at every index up to `horizon`
+    against `prefix_exponents`; a validation failure is a hard error.
+    Returns None when no supported structure is present (callers fall back
+    to enumeration-only checks)."""
+    candidate = law_candidate(spec)
     if candidate is None:
         return None
+    kind = "shift" if isinstance(spec.space, ShiftSpace) else "rotation"
     law = ExponentLaw(kind, tuple(candidate), horizon)
     # validate against the prefix exponents every verdict path reads: the
     # law's values fill one array like the rules do, and only a mismatch is

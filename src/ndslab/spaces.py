@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 from math import gcd, isqrt
 from operator import ne
 from typing import Optional, Union
@@ -715,27 +716,16 @@ def enumerate_basis(space: SpaceDesc, resolution: int) -> list:
     if resolution < least:
         raise ValueError(f"resolution must be at least {least}")
     if isinstance(space, ShiftSpace):
-        width = 2 * resolution + 1
-        out = []
-        for code in range(space.alphabet_size**width):
-            word = []
-            v = code
-            for _ in range(width):
-                word.append(v % space.alphabet_size)
-                v //= space.alphabet_size
-            out.append(Cylinder(-resolution, tuple(reversed(word))))
-        return out
+        words = product(range(space.alphabet_size), repeat=2 * resolution + 1)
+        return [Cylinder(-resolution, word) for word in words]
     if isinstance(space, FiniteSpace):
         return [FiniteSet(frozenset({i})) for i in range(1, space.point_count + 1)]
     if isinstance(space, CircleSpace):
         r = Fraction(1, 2 * resolution)
         return [Arc(AffineAngle(Fraction(k, resolution)), r) for k in range(resolution)]
     if isinstance(space, ProductSpace):
-        out = [ProductOpen(())]
-        for part in space.parts:
-            sub = enumerate_basis(part, resolution)
-            out = [ProductOpen(p.parts + (b,)) for p in out for b in sub]
-        return out
+        bases = [enumerate_basis(part, resolution) for part in space.parts]
+        return [ProductOpen(sides) for sides in product(*bases)]
     raise SpaceMismatch(f"unknown space {space!r}")
 
 

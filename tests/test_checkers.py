@@ -213,6 +213,15 @@ class TestMinimal:
         assert v.refuted
         assert "shift-invariant" in v.evidence["structural"]
 
+    def test_identity_law_refutes_on_the_circle(self):
+        # no shift-invariant point here: the identity law is the reason
+        spec = ndsl.parse("space circle(sqrt2m1);\nsystem F { else: id; }\n").system("F")
+        v = ck.check_property(spec, ck.PropertyKind("minimal"), 2)
+        assert v.refuted and v.evidence["structural"] == (
+            "every prefix map is the identity: E(otherwise)=0 [validated to 2048]"
+        )
+        assert ck.recheck_verdict(spec, v)
+
 
 class TestMixingFamily:
     def test_constant_shift_mixing(self):
@@ -623,7 +632,7 @@ def sep_mask_per_class(spec, r, H, delta) -> int:
     B0 = sp.enumerate_basis(spec.space, r)[0]
     wide = 0
     for m, times in ht.prefix_classes(spec, H).items():
-        if ht._wider_than(spec.space, mp.image(m, B0), delta):
+        if sp.diameter_exceeds(spec.space, mp.image(m, B0), delta):
             wide |= times
     return wide
 

@@ -35,6 +35,10 @@ system A { else: sigma^1; }
 system P = product(A, A);
 """
 
+SIGMA = "space shift(2);\nsystem F { else: sigma^1; }\n"
+
+FINITE_SWAP = "space finite(2);\nsystem F { else: table{1->2,2->1}; }\n"
+
 EX38_WITH_PRODUCT = """space circle(sqrt2m1);
 system F {
   at pow(3,0,k): rot^k;
@@ -119,6 +123,18 @@ class TestCheckCommand:
             "check", ndsl_file(EX36), "--system", "NOPE", "--property", "transitive",
         ])
         assert code == 3 and "no system named" in err
+
+    def test_document_without_a_system_exits_three(self, ndsl_file, capsys):
+        path = ndsl_file("space shift(2);\n")
+        code, out, err = run(capsys, ["check", path, "--property", "transitive"])
+        assert (code, out) == (3, "")
+        assert err == f"ndslab: {path} defines no system to check\n"
+
+    def test_no_directives_and_no_property_exits_three(self, ndsl_file, capsys):
+        path = ndsl_file(EX36)
+        code, out, err = run(capsys, ["check", path])
+        assert (code, out) == (3, "")
+        assert err == f"ndslab: {path} has no check directives and no --property given\n"
 
     def test_json_report_validates_and_reproduces(self, ndsl_file, capsys):
         path = ndsl_file(EX36)
@@ -307,6 +323,91 @@ class TestExitCodes:
         assert cli._size_problem(args, doc, requests) is None
         requests = [("F", ndsl.read_property("multi-transitive:4"), cli.MAX_HORIZON // 4 + 1, 1)]
         assert "order 4 times horizon" in cli._size_problem(args, doc, requests)
+
+    @pytest.mark.parametrize("via", ["flag", "directive"])
+    def test_totally_transitive_iterates_over_the_budget_exit_three(
+        self, ndsl_file, capsys, no_masks, via
+    ):
+        # totally-transitive:m keeps one set of pair masks for each iterate
+        prop = "totally-transitive:1725"
+        if via == "flag":
+            argv = ["check", ndsl_file(SIGMA), "--property", prop, "--horizon", "64"]
+        else:
+            argv = ["check", ndsl_file(SIGMA + f"check F {prop} horizon 64;\n")]
+        code, out, err = run(capsys, argv)
+        need = 1725 * 32**2 * (64 // 8 + cli.MASK_PAIR_BYTES)
+        assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
+        assert err == (f"ndslab: check F {prop}: basis 2 gives 32 opens, whose 1024 pair masks "
+                       f"over 64 times, one set for each of 1725 iterates, need an estimated "
+                       f"{need} bytes, over the budget of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
+
+    def test_totally_transitive_iterates_within_the_budget_are_accepted(self):
+        # estimated only: at basis 2 and horizon 64 the budget admits 1724 iterates
+        args = cli._parse_args(["check", "x.ndsl"])
+        doc = ndsl.parse(SIGMA)
+        for order, accepted in [(1724, True), (1725, False)]:
+            request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 2)
+            assert (cli._size_problem(args, doc, [request]) is None) is accepted
+
+    @pytest.mark.parametrize("source, system, fill", [
+        (SIGMA + "system T = tail(F, 1000000000);\n", "T", 10**9 - 1 + 2048),
+        (SIGMA + "system I = iterate(F, 1000000);\n", "I", 512 * 10**6),
+        (FINITE_SWAP + "system I = iterate(F, 1000000);\n", "I", 512 * 10**6),
+        (SIGMA + "system T = tail(F, 1000000000);\nsystem P = product(T, F);\n", "P",
+         10**9 - 1 + 2048),
+        (SHIFT_SQUARE + "system T = tail(P, 1000000000);\n", "T", 10**9 - 1 + 512),
+        (SIGMA + "system I = iterate(F, 1000);\nsystem T = tail(I, 1000);\n", "T", 1000 * 1511),
+    ])
+    def test_derived_fill_past_the_bound_exits_three(self, ndsl_file, capsys, no_work, source, system, fill):
+        code, out, err = run(capsys, [
+            "check", ndsl_file(source), "--system", system, "--property", "transitive",
+        ])
+        assert code == 3 and out == ""
+        assert err == (f"ndslab: check {system} transitive: fills {fill} indices of its base "
+                       f"system, over the budget of MAX_HORIZON = {cli.MAX_HORIZON}\n")
+
+    @pytest.mark.parametrize("source, system, accepted", [
+        # no law is validated on an iterate, so 600 * 2048 is not counted
+        (SIGMA + "system I = iterate(F, 600);\n", "I", True),
+        # the law horizon counts through a tail whose rules give a law
+        (SIGMA + "system T = tail(F, 997953);\n", "T", True),
+        (SIGMA + "system T = tail(F, 997954);\n", "T", False),
+        # power rules that do not re-index give no law: only the horizon counts
+        (EX38_WITH_PRODUCT + "system T = tail(F, 999489);\n", "T", True),
+        (EX38_WITH_PRODUCT + "system T = tail(F, 999490);\n", "T", False),
+        # a finite tail steps once per time
+        (FINITE_SWAP + "system T = tail(F, 1000000000);\n", "T", True),
+    ])
+    def test_derived_fill_at_the_bound_is_accepted(self, source, system, accepted):
+        # estimated only
+        args = cli._parse_args(["check", "x.ndsl"])
+        request = (system, ndsl.read_property("transitive"), 512, 2)
+        assert (cli._size_problem(args, ndsl.parse(source), [request]) is None) is accepted
+
+    @pytest.mark.parametrize("source, system", [
+        (SIGMA + "system T = tail(F, 40);\n", "T"),
+        (EX36 + "system T = tail(F, 40);\n", "T"),
+        (SIGMA + "system I = iterate(F, 7);\n", "I"),
+        (SIGMA + "system I = iterate(F, 3);\nsystem T = tail(I, 9);\n", "T"),
+        (SIGMA + "system T = tail(F, 9);\nsystem I = iterate(T, 3);\n", "I"),
+        (SIGMA + "system T = tail(F, 50);\nsystem I = iterate(F, 3);\nsystem P = product(T, I);\n", "P"),
+        (SHIFT_SQUARE + "system T = tail(P, 30);\n", "T"),
+    ])
+    def test_the_base_fill_is_the_measured_one(self, ndsl_file, capsys, monkeypatch, source, system):
+        filled, real = [], cli.mp.prefix_exponents
+
+        def recorded(spec, upto):
+            if isinstance(spec, cli.mp.NdsSpec):
+                filled.append(upto)
+            return real(spec, upto)
+
+        monkeypatch.setattr(cli.mp, "prefix_exponents", recorded)
+        args = ["check", ndsl_file(source), "--system", system, "--property", "transitive",
+                "--horizon", "16", "--law-horizon", "24", "--basis", "1"]
+        assert run(capsys, args)[0] < 3
+        doc = ndsl.parse(source)
+        spec = doc.system(system)
+        assert max(filled) == max(cli._base_fill(spec, 16), cli._law_fill(spec, 24))
 
     @pytest.fixture
     def no_basis(self, monkeypatch, no_masks):

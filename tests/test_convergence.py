@@ -18,7 +18,9 @@ from ndslab.maps import (
     FamilyTerm,
     FiniteFnTerm,
     IdentityTerm,
+    IterateSpec,
     NdsSpec,
+    PowerPattern,
     RotPowTerm,
     Rule,
     ShiftPowTerm,
@@ -141,6 +143,34 @@ class TestCollectiveConvergence:
             coll = check_collective_convergence(spec, limit, 64, 6)
             unif = check_uniform_convergence(spec, limit, 64)
             assert not coll.witnessed or unif.witnessed
+
+
+class TestInconclusiveConvergence:
+    """Neither a settled step nor a divergent window backs a verdict."""
+
+    CHECKS = [
+        lambda spec: check_uniform_convergence(spec, IdentityTerm(), 64),
+        lambda spec: check_collective_convergence(spec, IdentityTerm(), 64, 8),
+    ]
+
+    @pytest.mark.parametrize("check", CHECKS, ids=["uniform", "collective"])
+    def test_an_iterate_has_no_structural_reason(self, check):
+        v = check(IterateSpec(CONST_SIGMA, 2))
+        assert (v.status, v.detail) == ("inconclusive", "no structural argument either way")
+
+    @pytest.mark.parametrize("check", CHECKS, ids=["uniform", "collective"])
+    def test_a_reason_without_a_divergent_window_in_the_horizon(self, check):
+        # sigma^1 first fires at 2 + 100, past every window within the horizon
+        late = NdsSpec(SHIFT, (Rule(PowerPattern(2, 100), ShiftPowTerm(1)),))
+        v = check(late)
+        assert (v.status, v.detail) == ("inconclusive", "no structural argument either way")
+
+    def test_an_equals_rule_is_no_reason(self):
+        spec = NdsSpec(SHIFT, (Rule(EqualsPattern(5), ShiftPowTerm(2)),), ShiftPowTerm(1))
+        v = check_uniform_convergence(spec, IdentityTerm(), 64)
+        assert v.status == "refuted" and v.detail == (
+            "the default emits ShiftPowTerm(exponent=1) infinitely often; D(f_1, f) = 3"
+        )
 
 
 class TestEquicontinuityModulus:

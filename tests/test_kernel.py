@@ -607,6 +607,33 @@ def opens(space, r):
     return st.sampled_from(sp.enumerate_basis(space, r))
 
 
+def open_sets(space):
+    """Opens beyond the basis: off-centre and partial cylinders (centred
+    partial words included), finite sets of several points, arcs of any
+    centre and radius, and rectangles of these."""
+    if isinstance(space, sp.ShiftSpace):
+        word = st.lists(st.sampled_from([0, 1, None]), min_size=1, max_size=5)
+        word = word.filter(lambda w: any(s is not None for s in w)).map(tuple)
+        centred = word.filter(lambda w: len(w) % 2).map(lambda w: sp.Cylinder(-(len(w) // 2), w))
+        return st.one_of(st.builds(sp.Cylinder, st.integers(-5, 5), word), centred)
+    if isinstance(space, sp.FiniteSpace):
+        return st.frozensets(st.integers(1, space.point_count), min_size=1).map(sp.FiniteSet)
+    if isinstance(space, sp.CircleSpace):
+        centre = st.builds(sp.AffineAngle, st.fractions(0, 1, max_denominator=8), st.integers(-2, 2))
+        return st.builds(sp.Arc, centre, st.fractions(Fraction(1, 64), Fraction(1, 4), max_denominator=64))
+    return st.tuples(*(open_sets(part) for part in space.parts)).map(sp.ProductOpen)
+
+
+mixed_products = st.tuples(shift_systems, finite_systems()).map(mp.ProductSpec)
+derived_products = st.one_of(product_systems, mixed_products).flatmap(
+    lambda spec: st.one_of(
+        st.just(spec),
+        st.integers(2, 5).map(lambda k: mp.TailSpec(spec, k)),
+        st.integers(2, 3).map(lambda k: mp.IterateSpec(spec, k)),
+    )
+)
+
+
 class TestHittingSets:
     @given(st.data(), system_cases())
     @settings(max_examples=60, deadline=None)
@@ -624,6 +651,19 @@ class TestHittingSets:
         got = ht.separation_set(spec, U, delta, H)
         assert got == reference_set("separation", spec, U, H, delta=delta)
 
+    @given(st.data(), st.one_of(
+        st.tuples(shift_systems, st.integers(1, 24)),
+        st.tuples(circle_systems(), st.integers(1, 24)),
+        st.tuples(finite_systems(), st.integers(1, 16)),
+        st.tuples(derived_products, st.integers(1, 5)),
+    ), st.one_of(DELTAS, st.just(Fraction(3))))
+    @settings(max_examples=100, deadline=None)
+    def test_separation_set_of_any_open_matches_per_time_reference(self, data, case, delta):
+        spec, H = case
+        U = data.draw(open_sets(spec.space))
+        got = ht.separation_set(spec, U, delta, H)
+        assert got == reference_set("separation", spec, U, H, delta=delta)
+
     def test_partial_cylinders_match_the_fold(self):
         spec = mp.NdsSpec(SHIFT, (
             mp.Rule(mp.ArithProgPattern(1, 2), mp.FamilyTerm("shift", 1)),
@@ -633,6 +673,12 @@ class TestHittingSets:
         assert ht.hitting_set(spec, U, V, 40) == reference_set("hitting", spec, U, 40, V=V)
         got = ht.separation_set(spec, U, Fraction(5, 2), 40)
         assert got == reference_set("separation", spec, U, 40, delta=Fraction(5, 2))
+        # centred but partial: diam sigma^e(U) is 2, 7/4, 19/8 at |e| = 0, 1, 2,
+        # so it does not grow with |e| as a full word's does
+        U = sp.Cylinder(-1, (0, None, 1))
+        got = ht.separation_set(spec, U, Fraction(19, 10), 40)
+        assert got == reference_set("separation", spec, U, 40, delta=Fraction(19, 10))
+        assert 1 not in got.members and 2 in got.members
 
     def test_one_class_per_time_matches_the_fold(self):
         """Example 3.6 moves to a new exponent at every odd time, so nearly
