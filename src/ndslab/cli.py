@@ -25,7 +25,6 @@ from math import prod
 from . import __version__
 from . import checkers as ck
 from . import corpus as corpus_mod
-from . import hitting as ht
 from . import maps as mp
 from . import ndsl
 from . import spaces as sp
@@ -315,20 +314,18 @@ def _basis_size(space, r: int) -> int:
     return min(n, MAX_BASIS_OPENS + 1)
 
 
-def _base_fill(spec, span: int) -> int:
+def _base_fill(spec, span: int, a: int = 0, s: int = 1) -> int:
     """The base indices a check over `span` times of `spec` fills or steps
-    through: a tail at k of a shift or circle system fills its base's
-    prefix exponents to k - 1 + span (a finite tail steps once per time),
-    an iterate of order k reads k * span base indices, and a product, or a
-    tail or iterate of one, as much as its widest part."""
-    if isinstance(spec.space, sp.ProductSpace):
-        return max(_base_fill(part, span) for part in ht._components(spec))
-    if isinstance(spec, mp.IterateSpec):
-        return _base_fill(spec.base, spec.k * span)
-    if isinstance(spec, mp.TailSpec):
-        offset = 0 if isinstance(spec.space, sp.FiniteSpace) else spec.k - 1
-        return _base_fill(spec.base, offset + span)
-    return span
+    through, where time n reads indices a + s(n-1) + 1 .. a + sn of `spec`:
+    each tail and iterate composes its reading (maps.reading) into (a, s)
+    down to the leaves, a shift or circle leaf fills its prefix exponents to
+    s*span + a, a finite leaf steps through s*span indices, and a product
+    fills as much as its widest part."""
+    F, at, stride = mp.reading(spec)
+    a, s = at + stride * a, stride * s
+    if isinstance(F, mp.ProductSpec):
+        return max(_base_fill(part, span, a, s) for part in F.parts)
+    return s * span + (0 if isinstance(F.space, sp.FiniteSpace) else a)
 
 
 def _law_fill(spec, law_horizon: int) -> int:
@@ -346,7 +343,8 @@ def _work_problem(system, prop, horizon: int, basis: int, law_horizon: int):
     bytes of its pair masks (over order times the horizon for
     multi-transitive, one set per iterate for totally-transitive) pass
     MAX_MASK_BYTES, or the base indices it fills through a tail or an
-    iterate (the law horizon too where a law is validated) pass
+    iterate (the law horizon too where a law is validated, and the order
+    where totally-transitive's last iterate reads past the horizon) pass
     MAX_HORIZON."""
     n = _basis_size(system.space, basis)
     if n > MAX_BASIS_OPENS:
@@ -360,6 +358,8 @@ def _work_problem(system, prop, horizon: int, basis: int, law_horizon: int):
             return (f"basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times"
                     f"{per_iterate} need an estimated {need} bytes, over the budget of "
                     f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
+    if prop.name == "totally-transitive":  # iterate m reads base time m
+        span = max(span, prop.order)
     fill = max(_base_fill(system, span), _law_fill(system, law_horizon))
     if fill > MAX_HORIZON:
         return (f"fills {fill} indices of its base system, over the budget of "

@@ -73,9 +73,8 @@ def _infinite_non_limit_rule(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> Op
     """A structural reason why infinitely many step terms differ from the
     limit (family exponents grow without bound, a constant non-limit term
     fires on an infinite pattern, or the default does)."""
-    if isinstance(spec, mp.TailSpec):
-        return _infinite_non_limit_rule(spec.base, limit_map)
-    if not isinstance(spec, mp.NdsSpec):
+    spec, _, s = mp.reading(spec)
+    if s > 1 or not isinstance(spec, mp.NdsSpec):
         return None
     space = spec.space
     for r in spec.rules:

@@ -527,15 +527,11 @@ def preimage(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
 # term dispatch and composition
 
 
-def eval_term(spec: SystemSpec, i: int) -> MapTerm:
-    """The i-th map of the sequence as a concrete term (indexed families get
+def eval_term(spec: NdsSpec, i: int) -> MapTerm:
+    """The i-th map of a rule system as a concrete term (indexed families get
     their match ordinal substituted)."""
     if i < 1:
         raise ValueError("sequence indices are 1-based")
-    if isinstance(spec, TailSpec):
-        return eval_term(spec.base, spec.k + i - 1)
-    if isinstance(spec, (IterateSpec, ProductSpec)):
-        raise SpaceMismatch("derived iterate/product steps are normal maps; use step_normal")
     for rule in spec.rules:
         if rule.pattern.matches(i):
             if isinstance(rule.term, FamilyTerm):
@@ -544,17 +540,29 @@ def eval_term(spec: SystemSpec, i: int) -> MapTerm:
     return spec.default
 
 
+def reading(spec: SystemSpec) -> tuple:
+    """(F, a, s): step n of `spec` is the composed window of F over indices
+    a + s(n-1) + 1 .. a + sn, with F a rule system or a product.  Walking
+    the tower from the outside in, a tail at k maps (a, s) to (a + k - 1, s)
+    and an iterate of order j maps it to (j*a, j*s)."""
+    a, s = 0, 1
+    while isinstance(spec, (TailSpec, IterateSpec)):
+        if isinstance(spec, TailSpec):
+            a += spec.k - 1
+        else:
+            a, s = spec.k * a, spec.k * s
+        spec = spec.base
+    return spec, a, s
+
+
 def step_normal(spec: SystemSpec, i: int) -> NormalMap:
     """The i-th step map as a normal map; total on every system kind."""
-    if isinstance(spec, NdsSpec):
-        return term_to_normal(spec.space, eval_term(spec, i))
-    if isinstance(spec, TailSpec):
-        return step_normal(spec.base, spec.k + i - 1)
-    if isinstance(spec, IterateSpec):
-        return window_compose(spec.base, spec.k * (i - 1) + 1, spec.k)
-    if isinstance(spec, ProductSpec):
-        return ProductMap(tuple(step_normal(p, i) for p in spec.parts))
-    raise SpaceMismatch(f"unknown system {spec!r}")
+    F, a, s = reading(spec)
+    if s > 1:
+        return window_compose(F, a + s * (i - 1) + 1, s)
+    if isinstance(F, ProductSpec):
+        return ProductMap(tuple(step_normal(p, a + i) for p in F.parts))
+    return term_to_normal(F.space, eval_term(F, a + i))
 
 
 def _step_exponents(spec: NdsSpec, lo: int, hi: int) -> list:
@@ -611,10 +619,8 @@ def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
     exponent sums the window's step exponents (_step_exponents)."""
     if i < 1 or k < 0:
         raise ValueError("need i >= 1 and k >= 0")
-    if isinstance(spec, TailSpec):
-        return window_compose(spec.base, spec.k + i - 1, k)
-    if isinstance(spec, IterateSpec):
-        return window_compose(spec.base, spec.k * (i - 1) + 1, spec.k * k)
+    spec, a, s = reading(spec)
+    i, k = a + s * (i - 1) + 1, s * k
     if isinstance(spec, ProductSpec):
         return ProductMap(tuple(window_compose(p, i, k) for p in spec.parts))
     space = spec.space
@@ -636,19 +642,17 @@ def prefix_compose(spec: SystemSpec, n: int) -> NormalMap:
 
 def prefix_exponents(spec: SystemSpec, upto: int) -> list:
     """[E(0), ..., E(upto)]: the exponent (shift) or rotation coefficient
-    (circle) of every prefix map f_1^n, n <= upto: the running sums of the
-    underlying rule system's step exponents, filled afresh on every call.  A
-    tail starting at k re-bases that array at k-1; the k-th iterate takes
-    every k-th entry."""
-    if isinstance(spec, TailSpec):
-        base = prefix_exponents(spec.base, spec.k - 1 + upto)
-        start = base[spec.k - 1]
-        return [e - start for e in base[spec.k - 1:]]
-    if isinstance(spec, IterateSpec):
-        return prefix_exponents(spec.base, spec.k * upto)[::spec.k]
-    if isinstance(spec, NdsSpec) and isinstance(spec.space, (ShiftSpace, CircleSpace)):
-        return list(accumulate(_step_exponents(spec, 1, upto), initial=0))
-    raise SpaceMismatch("prefix exponents need a shift or circle system")
+    (circle) of every prefix map f_1^n, n <= upto: the running sums E of the
+    step exponents of the rule system F that `spec` reads (see reading),
+    filled afresh on every call to a + s*upto and read from index a on,
+    every s-th entry, re-based at E[a]."""
+    F, a, s = reading(spec)
+    if not isinstance(F, NdsSpec) or not isinstance(F.space, (ShiftSpace, CircleSpace)):
+        raise SpaceMismatch("prefix exponents need a shift or circle system")
+    E = list(accumulate(_step_exponents(F, 1, a + s * upto), initial=0))
+    if a == 0 and s == 1:
+        return E
+    return [e - E[a] for e in E[a::s]]
 
 
 # ---------------------------------------------------------------------------
@@ -769,24 +773,13 @@ def _all_zero_terms(rules, default) -> bool:
 def law_candidate(spec: SystemSpec) -> Optional[list]:
     """The pieces of the exponent law the rules of a shift / circle system
     or of a tail of one give, not yet validated; None when no supported
-    structure is present (iterates, products and finite spaces included)."""
-    if isinstance(spec, (IterateSpec, ProductSpec)):
+    structure is present (iterates of order past 1, products and finite
+    spaces included)."""
+    F, a, s = reading(spec)
+    if s > 1 or not isinstance(F.space, (ShiftSpace, CircleSpace)):
         return None
-    if not isinstance(spec.space, (ShiftSpace, CircleSpace)):
-        return None
-    if isinstance(spec, TailSpec):
-        inner, off = spec.base, spec.k - 1
-        while isinstance(inner, TailSpec):
-            off += inner.k - 1
-            inner = inner.base
-        if not isinstance(inner, NdsSpec):
-            return None
-        source = _shift_rules(inner, off)
-        if source is None:
-            return None
-    else:
-        source = spec
-    return _law_candidate(source)
+    source = _shift_rules(F, a)
+    return None if source is None else _law_candidate(source)
 
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
@@ -815,11 +808,11 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]
     return law
 
 
-def _shift_rules(spec: SystemSpec, offset: int) -> Optional[NdsSpec]:
-    """Rewrite a base spec's rules for the tail starting `offset` indices in;
-    None when a pattern does not survive the reindexing."""
-    if not isinstance(spec, NdsSpec) or offset == 0:
-        return spec if isinstance(spec, NdsSpec) else None
+def _shift_rules(spec: NdsSpec, offset: int) -> Optional[NdsSpec]:
+    """Rewrite a rule system's rules for the tail starting `offset` indices
+    in; None when a pattern does not survive the reindexing."""
+    if offset == 0:
+        return spec
     rules = []
     for r in spec.rules:
         pat, term = r.pattern, r.term
@@ -959,11 +952,10 @@ def eventual_step(spec: SystemSpec) -> Optional[tuple]:
     infinite pattern must emit g, and so must the default unless the rules
     cover every index from some point on (covered_from); r0 is the later of
     that cover index and one past each equals rule emitting another map.  A
-    tail at k moves r0 back by k - 1; iterates and products are not read."""
-    if isinstance(spec, TailSpec):
-        inner = eventual_step(spec.base)
-        return None if inner is None else (max(1, inner[0] - (spec.k - 1)), inner[1])
-    if not isinstance(spec, NdsSpec):
+    system that reads a rule system from index a on (see reading) moves r0
+    back by a; iterates of order past 1 and products are not read."""
+    spec, a, s = reading(spec)
+    if s > 1 or not isinstance(spec, NdsSpec):
         return None
     space, cover = spec.space, covered_from(spec)
     infinite = {rule_map(space, r.term) for r in spec.rules if not isinstance(r.pattern, EqualsPattern)}
@@ -972,10 +964,11 @@ def eventual_step(spec: SystemSpec) -> Optional[tuple]:
     if len(infinite) != 1 or None in infinite:
         return None
     (g,) = infinite
-    return max([cover or 1] + [
+    r0 = max([cover or 1] + [
         r.pattern.value + 1 for r in spec.rules
         if isinstance(r.pattern, EqualsPattern) and rule_map(space, r.term) != g
-    ]), g
+    ])
+    return max(1, r0 - a), g
 
 
 # ---------------------------------------------------------------------------
@@ -1076,8 +1069,7 @@ def spec_is_surjective_structurally(spec: SystemSpec) -> bool:
     """True when the rule set alone makes every step map surjective: every
     rule term does, and so does the default unless the rules cover every
     index (covered_from)."""
-    if isinstance(spec, (TailSpec, IterateSpec)):
-        return spec_is_surjective_structurally(spec.base)
+    spec = reading(spec)[0]
     if isinstance(spec, ProductSpec):
         return all(spec_is_surjective_structurally(p) for p in spec.parts)
     terms = [r.term for r in spec.rules] + ([] if covered_from(spec) == 1 else [spec.default])

@@ -773,3 +773,80 @@ class TestCountedCalls:
         assert laws.exponent is not None
         count_calls(monkeypatch, "intersects", limit=0)
         ck.check_property(spec, ck.PropertyKind("syndetically-transitive"), r, 100, laws=laws)
+
+
+# ---------------------------------------------------------------------------
+# totally-transitive: every iterate read off one set of base masks
+
+
+def totally_transitive_per_iterate(spec, prop, r, H) -> ck.Verdict:
+    """The check one iterate system at a time, each with its own pair masks
+    over max(1, H // s) times and no law past s = 1: the loop the stride-s
+    slices of the base masks replace."""
+    law_horizon = ck.DEFAULT_LAW_HORIZON
+    laws = mp.derive_laws(spec, law_horizon)
+    cfg = {"basis": r, "horizon": H, "law_horizon": law_horizon, "property": prop.render()}
+    per = {}
+    for s in range(1, prop.order + 1):
+        derived = mp.IterateSpec(spec, s) if s > 1 else spec
+        sub_laws = mp.SystemLaws() if s > 1 else laws
+        v = ck._check_transitive(derived, ck.PropertyKind("transitive"), r, max(1, H // s), sub_laws, cfg)
+        per[s] = v.status
+        if v.status != ck.WITNESSED:
+            return ck.Verdict(prop.render(), v.status, cfg, {"iterate_order": s, "inner": v.evidence})
+    return ck.Verdict(
+        prop.render(), ck.WITNESSED, cfg,
+        {"iterates_checked": prop.order, "statuses": {str(k): v for k, v in per.items()}},
+        (ck._quantifier_note(r, H),),
+    )
+
+
+@st.composite
+def single_systems(draw):
+    """A shift, circle (builtin or declared angle) or finite(2..3) system
+    whose steps alternate between two maps on a progression."""
+    kind = draw(st.sampled_from(("shift", "circle", "finite")))
+    if kind == "shift":
+        return draw(st.one_of(shift_families(), ap_shifts()))
+    if kind == "circle":
+        space = draw(st.sampled_from([sp.CircleSpace(), sp.CircleSpace(DECLARED)]))
+        terms = st.integers(-2, 2).map(mp.RotPowTerm)
+    else:
+        space = sp.FiniteSpace(draw(st.integers(2, 3)))
+        terms = st.permutations(range(1, space.point_count + 1)).map(tuple).map(mp.FiniteFnTerm)
+        terms = st.one_of(terms, st.just(mp.FiniteFnTerm((1,) * space.point_count)))
+    step = draw(st.integers(1, 3))
+    rule = mp.Rule(mp.ArithProgPattern(draw(st.integers(1, step)), step), draw(terms))
+    return mp.NdsSpec(space, (rule,), draw(terms))
+
+
+tt_systems = st.one_of(
+    single_systems(), st.tuples(single_systems(), single_systems()).map(mp.ProductSpec)
+)
+
+
+class TestTotallyTransitive:
+    @given(tt_systems, st.integers(1, 6), st.integers(1, 24))
+    @settings(max_examples=120, deadline=None)
+    def test_slices_match_the_per_iterate_checks(self, spec, m, H):
+        r = sp.min_resolution(spec.space)
+        prop = ck.PropertyKind("totally-transitive", order=m)
+        assert ck.check_property(spec, prop, r, H) == totally_transitive_per_iterate(spec, prop, r, H)
+
+    @given(tt_systems)
+    @settings(max_examples=40, deadline=None)
+    def test_iterates_past_the_horizon_match_the_per_iterate_checks(self, spec):
+        r = sp.min_resolution(spec.space)
+        prop = ck.PropertyKind("totally-transitive", order=9)
+        assert ck.check_property(spec, prop, r, 4) == totally_transitive_per_iterate(spec, prop, r, 4)
+
+    @pytest.mark.parametrize("spec", [ex36(), CYCLE, mp.ProductSpec((ex36(), CYCLE))],
+                             ids=["shift", "finite", "product"])
+    def test_one_set_of_base_masks_past_the_first_iterate(self, spec):
+        ck._MASK_CACHE.clear()
+        r = sp.min_resolution(spec.space)
+        ck.check_property(spec, ck.PropertyKind("totally-transitive", order=9), r, 4)
+        keys = list(ck._MASK_CACHE)
+        assert not any(isinstance(key[0], mp.IterateSpec) for key in keys)
+        assert {key[2] for key in keys} <= {4, 9}
+        assert sum(key[0] == spec for key in keys) <= 2

@@ -39,6 +39,8 @@ SIGMA = "space shift(2);\nsystem F { else: sigma^1; }\n"
 
 FINITE_SWAP = "space finite(2);\nsystem F { else: table{1->2,2->1}; }\n"
 
+FINITE_ONE = "space finite(1);\nsystem F { else: table{1->1}; }\n"
+
 EX38_WITH_PRODUCT = """space circle(sqrt2m1);
 system F {
   at pow(3,0,k): rot^k;
@@ -349,6 +351,31 @@ class TestExitCodes:
             request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 2)
             assert (cli._size_problem(args, doc, [request]) is None) is accepted
 
+    def test_totally_transitive_counts_the_base_times_of_its_last_iterate(
+        self, ndsl_file, capsys, no_masks
+    ):
+        # iterate m reads base time m, past the horizon 8; one point keeps the mask estimate small
+        over = cli.MAX_HORIZON + 1
+        code, out, err = run(capsys, [
+            "check", ndsl_file(FINITE_ONE), "--property", f"totally-transitive:{over}", "--horizon", "8",
+        ])
+        assert code == 3 and out == ""
+        assert err == (f"ndslab: check F totally-transitive:{over}: fills {over} indices of its base "
+                       f"system, over the budget of MAX_HORIZON = {cli.MAX_HORIZON}\n")
+        args = cli._parse_args(["check", "x.ndsl"])
+        request = ("F", ndsl.read_property(f"totally-transitive:{cli.MAX_HORIZON}"), 8, 2)
+        assert cli._size_problem(args, ndsl.parse(FINITE_ONE), [request]) is None
+
+    def test_four_thousand_iterates_past_the_horizon_are_witnessed(self, ndsl_file, capsys):
+        # each iterate is a slice of one set of base masks: no work per iterate and time
+        code, out, _ = run(capsys, [
+            "check", ndsl_file(FINITE_ONE), "--property", "totally-transitive:4000", "--horizon", "8",
+            "--format", "json",
+        ])
+        (check,) = json.loads(out)["checks"]
+        assert code == 0 and check["status"] == "witnessed"
+        assert check["evidence"]["iterates_checked"] == 4000
+
     @pytest.mark.parametrize("source, system, fill", [
         (SIGMA + "system T = tail(F, 1000000000);\n", "T", 10**9 - 1 + 2048),
         (SIGMA + "system I = iterate(F, 1000000);\n", "I", 512 * 10**6),
@@ -394,14 +421,13 @@ class TestExitCodes:
         (SHIFT_SQUARE + "system T = tail(P, 30);\n", "T"),
     ])
     def test_the_base_fill_is_the_measured_one(self, ndsl_file, capsys, monkeypatch, source, system):
-        filled, real = [], cli.mp.prefix_exponents
+        filled, real = [], cli.mp._step_exponents
 
-        def recorded(spec, upto):
-            if isinstance(spec, cli.mp.NdsSpec):
-                filled.append(upto)
-            return real(spec, upto)
+        def recorded(spec, lo, hi):
+            filled.append(hi)
+            return real(spec, lo, hi)
 
-        monkeypatch.setattr(cli.mp, "prefix_exponents", recorded)
+        monkeypatch.setattr(cli.mp, "_step_exponents", recorded)
         args = ["check", ndsl_file(source), "--system", system, "--property", "transitive",
                 "--horizon", "16", "--law-horizon", "24", "--basis", "1"]
         assert run(capsys, args)[0] < 3

@@ -1,0 +1,101 @@
+"""An exhaustive decider for small finite systems, grading the checkers.
+
+On a finite space with eventually periodic rules the prefix maps T(n) =
+f_n o ... o f_1 form an eventually periodic sequence, so a walk to the first
+repeated (map, phase) state decides every property exactly.  The decider
+follows the checkers' definitions: the basis opens at resolution 1 are the
+singletons, hits count from n = 1, and `minimal` counts the point itself
+(n = 0).  It shares no code with the checkers but the step maps."""
+
+from itertools import product
+
+from ndslab import checkers as ck
+from ndslab import maps as mp
+from ndslab import ndsl
+from ndslab import spaces as sp
+
+SPACE = sp.FiniteSpace(2)
+TABLES = [mp.FiniteFnTerm(t) for t in product((1, 2), repeat=2)]
+
+# past index LEAD every shape repeats with a period dividing PERIOD
+LEAD, PERIOD = 3, 6
+
+
+def shapes():
+    """Every system of the four shapes `else: A;`, `at ap(1,2): A; else: B;`,
+    `at 1: A; else: B;` and `at ap(2,3): A; else: B;` on finite(2)."""
+    systems = [mp.NdsSpec(SPACE, (mp.Rule(mp.ElsePattern(), a),)) for a in TABLES]
+    for pattern in (mp.ArithProgPattern(1, 2), mp.EqualsPattern(1), mp.ArithProgPattern(2, 3)):
+        systems += [mp.NdsSpec(SPACE, (mp.Rule(pattern, a),), b) for a in TABLES for b in TABLES]
+    return systems
+
+
+def phase(i: int) -> int:
+    """Steps at indices of one phase are one map."""
+    return i if i <= LEAD else LEAD + 1 + (i - LEAD - 1) % PERIOD
+
+
+def prefix_walk(spec) -> tuple:
+    """(tables, n0, p): tables[n] is T(n) for n < n0 + p, and T(n) =
+    T(n0 + (n - n0) % p) from n0 on."""
+    T = mp.identity_map(SPACE)
+    tables, seen = [], {}
+    while (T, phase(len(tables) + 1)) not in seen:
+        seen[T, phase(len(tables) + 1)] = len(tables)
+        tables.append(T)
+        T = mp.compose(mp.step_normal(spec, len(tables)), T)
+    n0 = seen[T, phase(len(tables) + 1)]
+    return tables, n0, len(tables) - n0
+
+
+def decide(spec) -> dict:
+    """The exact answer of every graded property."""
+    tables, n0, p = prefix_walk(spec)
+
+    def at(n: int, i: int) -> int:
+        return tables[n if n < n0 + p else n0 + (n - n0) % p].table[i - 1]
+
+    points = range(1, SPACE.point_count + 1)
+    pairs = list(product(points, repeat=2))
+    # past n0 every T(s*n), s = 1 or 2, repeats with period p
+    times = range(1, n0 + p + 1)
+    cycle = range(n0 + p, n0 + 2 * p)
+
+    def hit(s: int, i: int, j: int) -> bool:
+        return any(at(s * n, i) == j for n in times)
+
+    transitive = all(hit(1, i, j) for i, j in pairs)
+    return {
+        "transitive": transitive,
+        "mixing": all(all(at(n, i) == j for n in cycle) for i, j in pairs),
+        "weakly-mixing:2": all(
+            any(at(n, i) == j and at(n, k) == l for n in times)
+            for (i, j), (k, l) in product(pairs, repeat=2)
+        ),
+        "minimal": all(any(at(n, i) == j for n in range(n0 + p)) for i, j in pairs),
+        # with singleton opens, the images of {i} cover the space exactly
+        # when {i} reaches every point
+        "strongly-transitive": transitive,
+        "syndetically-transitive": all(any(at(n, i) == j for n in cycle) for i, j in pairs),
+        "totally-transitive:2": transitive and all(hit(2, i, j) for i, j in pairs),
+        "multi-transitive:2": all(
+            any(at(n, i) == j and at(2 * n, k) == l for n in times)
+            for (i, j), (k, l) in product(pairs, repeat=2)
+        ),
+    }
+
+
+def test_no_verdict_contradicts_the_exhaustive_decider():
+    systems = shapes()
+    assert len(systems) == 52
+    wrong, decided, total = [], 0, 0
+    for spec in systems:
+        truth = decide(spec)
+        for rendered, holds in truth.items():
+            verdict = ck.check_property(spec, ndsl.read_property(rendered), 1, 64)
+            total += 1
+            decided += verdict.status != ck.INCONCLUSIVE
+            if (verdict.witnessed and not holds) or (verdict.refuted and holds):
+                wrong.append((spec, rendered, verdict.status))
+    print(f"finite(2) oracle: {decided} of {total} verdicts decided ({decided / total:.1%})")
+    assert wrong == []

@@ -784,6 +784,80 @@ class TestIteratesHaveNoLaw:
         assert derive_laws(IterateSpec(base, k), horizon) == maps_mod.SystemLaws()
 
 
+def unfolded_step(spec, i: int):
+    """f_i of `spec`, unfolding one tail or iterate at a time: the oracle
+    maps.reading replaces."""
+    if isinstance(spec, TailSpec):
+        return unfolded_step(spec.base, spec.k + i - 1)
+    if isinstance(spec, IterateSpec):
+        return unfolded_window(spec.base, spec.k * (i - 1) + 1, spec.k)
+    if isinstance(spec, ProductSpec):
+        return ProductMap(tuple(unfolded_step(p, i) for p in spec.parts))
+    return term_to_normal(spec.space, eval_term(spec, i))
+
+
+def unfolded_window(spec, i: int, k: int):
+    """f_{i+k-1} o ... o f_i, folding unfolded_step one index at a time."""
+    m = identity_map(spec.space)
+    for j in range(i, i + k):
+        m = compose(unfolded_step(spec, j), m)
+    return m
+
+
+@st.composite
+def towers(draw, products: int = 2):
+    """Up to three tails and iterates of orders 1 to 3 around a rule system
+    on the shift, the circle or finite(2), or around a product of two such
+    towers, which may hold a product themselves."""
+    if products and draw(st.integers(0, 2)) == 0:
+        spec = ProductSpec((draw(towers(products - 1)), draw(towers(products - 1))))
+    else:
+        spec = draw(rule_systems())
+    for _ in range(draw(st.integers(0, 3))):
+        spec = draw(st.sampled_from((TailSpec, IterateSpec)))(spec, draw(st.integers(1, 3)))
+    return spec
+
+
+class TestReading:
+    @given(towers(), st.integers(1, 10), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_steps_windows_and_exponents_match_the_unfolded_tower(self, spec, i, k):
+        assert step_normal(spec, i) == unfolded_step(spec, i)
+        assert window_compose(spec, i, k) == unfolded_window(spec, i, k)
+        F = maps_mod.reading(spec)[0]
+        if isinstance(F, NdsSpec) and not isinstance(F.space, FiniteSpace):
+            expected = [maps_mod.term_exponent(unfolded_window(spec, 1, n)) for n in range(i + k + 1)]
+            assert maps_mod.prefix_exponents(spec, i + k) == expected
+        else:
+            with pytest.raises(SpaceMismatch):
+                maps_mod.prefix_exponents(spec, i + k)
+
+    def test_a_tower_composes_its_offsets_and_strides_from_the_outside_in(self):
+        spec = TailSpec(IterateSpec(TailSpec(IterateSpec(ex36(), 2), 4), 3), 5)
+        # tail 5: (4, 1); iterate 3: (12, 3); tail 4: (15, 3); iterate 2: (30, 6)
+        assert maps_mod.reading(spec) == (ex36(), 30, 6)
+
+    @given(rule_systems(), st.integers(1, 96))
+    @settings(max_examples=100, deadline=None)
+    def test_an_order_one_iterate_reads_as_its_base(self, spec, horizon):
+        it = IterateSpec(spec, 1)
+        assert maps_mod.reading(it) == maps_mod.reading(spec)
+        assert derive_laws(it, horizon) == derive_laws(spec, horizon)
+        assert eventual_step(it) == eventual_step(spec)
+
+    @pytest.mark.parametrize("prop, status", [
+        (ck.PropertyKind("multi-transitive", order=2), ck.REFUTED),
+        (ck.PropertyKind("mixing"), ck.REFUTED),
+        (ck.PropertyKind("dense-periodic-points"), ck.WITNESSED),
+    ])
+    def test_an_order_one_iterate_gets_its_bases_verdict(self, prop, status):
+        # without its base's law, iterate(F, 1) of example 3.6 stayed inconclusive on these
+        base = ck.check_property(ex36(), prop, 1, 64)
+        derived = ck.check_property(IterateSpec(ex36(), 1), prop, 1, 64)
+        assert base.status == derived.status == status
+        assert derived == base
+
+
 def assert_law_matches_prefix_exponents(spec, law, horizon: int):
     exponents = maps_mod.prefix_exponents(spec, horizon)
     assert [law.value(n) for n in range(1, horizon + 1)] == exponents[1:]
