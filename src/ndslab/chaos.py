@@ -8,10 +8,8 @@ the tail convention (n >= H/2) and the thresholds are configuration.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product as iter_product, repeat
-from math import lcm
 from operator import attrgetter, eq, itemgetter
 
 from . import hitting as ht
@@ -44,107 +42,6 @@ def orbit_distance_trace(spec: mp.SystemSpec, x: sp.Point, y: sp.Point, horizon:
     return out
 
 
-def _shift_tail_extremes(x: sp.BiWord, y: sp.BiWord, exponents: list) -> tuple:
-    """min and max of d(sigma^E x, sigma^E y) over the ascending distinct
-    exponents E, exactly.
-
-    With delta_j = [x_j != y_j] the distance splits at E into a right sum
-    R(E) = sum_{i>=0} delta_{E+i} 2^-i and a left sum
-    L(E) = sum_{i>=1} delta_{E-i} 2^-i, and one cell to the right
-    R(E+1) = 2(R(E) - delta_E), L(E+1) = (L(E) + delta_E) / 2.  delta is
-    periodic (lp) below lo and (rp) from hi on, so every value is an integer
-    over Q = (2^lp - 1)(2^rp - 1) 2^K, with K = hi - lo plus the distance of
-    the farthest exponent from the windows on a side whose tail correction
-    (below) is non-zero.  Over a gap of g cells up to the pair's extent
-    (hi - lo + lp + rp) the recurrence folds to R <- 2^g R - 2Q M_r and
-    L <- (L + Q M_l) / 2^g, with M_r and M_l the gap's disagreement masks
-    read in the two directions; a wider gap is re-seeded in closed form, so
-    no cost grows with |E|.
-
-    Past a window edge the sum is a part periodic in E (rp on the right, lp
-    on the left) plus the edge's correction, halved once per cell, so it is
-    monotone on each residue class and only the class's first and last
-    exponent can be its minimum or maximum.  The fold keeps every exponent
-    in [lo, hi] and those class ends, at most w + 1 + 2(lp + rp) of them;
-    picking the ends is two C-level passes, so no fold or exact sum grows
-    with the number of exponents.
-    """
-    for p in (x, y):
-        if not isinstance(p, sp.BiWord):
-            raise sp.SpaceMismatch(f"{type(p).__name__} is not a point of ShiftSpace")
-    lo, hi = min(x.window_start, y.window_start), max(x.window_end, y.window_end)
-    lp, rp = lcm(len(x.left), len(y.left)), lcm(len(x.right), len(y.right))
-    lden, rden, w = (1 << lp) - 1, (1 << rp) - 1, hi - lo
-
-    def bits(a, b, leftward=False):
-        return sp.disagreement_mask(x, y, a, b, leftward)
-
-    # [lo, hi) read rightward and leftward, and the tail blocks at its edges
-    win_r, win_l = bits(lo, hi), bits(lo, hi, True)
-    right_at_hi, left_at_lo = bits(hi, hi + rp), bits(lo - lp, lo, True)
-
-    def inside(e, k):
-        # (R, L) for lo <= e <= hi over Q with 2^k
-        r = (2 * (win_r & ((1 << (hi - e)) - 1)) * rden + 2 * right_at_hi) * lden
-        l = ((win_l & ((1 << (e - lo)) - 1)) * lden + left_at_lo) * rden
-        return r << (k - (hi - e)), l << (k - (e - lo))
-
-    def right_tail_l(e, k):
-        # left sum at e of the right tail's pattern continued leftward forever
-        e = hi + rp + (e - hi) % rp
-        return (bits(e - rp, e, True) * lden) << k
-
-    def left_tail_r(e, k):
-        # right sum at e of the left tail's pattern continued rightward forever
-        e = lo - lp - (lo - lp - e) % lp
-        return (2 * bits(e, e + lp) * rden) << k
-
-    # beyond a window edge a sum is its tail pattern's plus the edge's
-    # correction, halved once per cell of distance; a zero correction keeps
-    # the denominator free of that distance
-    fix_l = inside(hi, w)[1] - right_tail_l(hi, w)
-    fix_r = inside(lo, w)[0] - left_tail_r(lo, w)
-    k = w + max(0, exponents[-1] - hi if fix_l else 0, lo - exponents[0] if fix_r else 0)
-    fix_l, fix_r = fix_l << (k - w), fix_r << (k - w)
-    q = lden * rden << k
-
-    def seed(e):
-        if e > hi:
-            return (2 * bits(e, e + rp) * lden) << k, right_tail_l(e, k) + (fix_l >> (e - hi))
-        if e < lo:
-            return left_tail_r(e, k) + (fix_r >> (lo - e)), (bits(e - lp, e, True) * rden) << k
-        return inside(e, k)
-
-    a, b = bisect_left(exponents, lo), bisect_right(exponents, hi)
-    below, above = exponents[:a], exponents[b:]
-    # dict keeps a residue's last exponent: built forward, its class's
-    # last; built backward, its first
-    ends = [e for side, period in ((below, lp), (above, rp)) for run in (side, side[::-1])
-            for e in dict(zip(map(period.__rmod__, run), run)).values()]
-    exponents = sorted({*exponents[a:b], *ends})
-
-    extent = w + lp + rp
-    sums, i = [], 0
-    while i < len(exponents):
-        # a run of exponents at most the extent apart: seed its first one,
-        # then step over each gap [E, E+g) at once off the run's one mask
-        j = i
-        while j + 1 < len(exponents) and exponents[j + 1] - exponents[j] <= extent:
-            j += 1
-        a, b = exponents[i], exponents[j]
-        r, l = seed(a)
-        sums.append(r + l)
-        cells = format(bits(a, b), f"0{b - a}b")  # delta_E at index E - a
-        for e0, e in zip(exponents[i:j], exponents[i + 1 : j + 1]):
-            g, gap = e - e0, cells[e0 - a : e - a]
-            # the masks of [E, E+g) with cell E high (M_r) and cell E+g-1 high (M_l)
-            r = (r << g) - 2 * q * int(gap, 2)
-            l = (l + q * int(gap[::-1], 2)) >> g
-            sums.append(r + l)
-        i = j + 1
-    return Fraction(min(sums), q), Fraction(max(sums), q)
-
-
 def li_yorke_scan(
     spec: mp.SystemSpec,
     candidates: list,
@@ -155,9 +52,10 @@ def li_yorke_scan(
     """Exact orbit-distance extremes for candidate pairs; a pair qualifies
     when its tail (n >= horizon/2) dips below eps_low and also exceeds
     delta_high.  The tail is read off its distinct prefix maps f_1^n: on
-    shift systems through their exponents (`_shift_tail_extremes`), elsewhere
-    as one distance per prefix class with a tail time
-    (`hitting.prefix_classes`), ordered exactly (`spaces.value_cmp`)."""
+    shift systems through their exponents
+    (`spaces.shift_distance_extremes`), elsewhere as one distance per prefix
+    class with a tail time (`hitting.prefix_classes`), ordered exactly
+    (`spaces.value_cmp`)."""
     eps_low, delta_high = Fraction(eps_low), Fraction(delta_high)
     if not eps_low < delta_high:
         raise ValueError("eps_low must be below delta_high")
@@ -174,7 +72,7 @@ def li_yorke_scan(
     for idx, (x, y) in enumerate(candidates):
         if exponents is not None:
             try:
-                lo, hi = _shift_tail_extremes(x, y, exponents)
+                lo, hi = sp.shift_distance_extremes(x, y, exponents)
             except OverflowError:
                 raise ValueError(f"the exact tail distances of pair-{idx} need a denominator "
                                  "with too many digits for an integer") from None

@@ -169,6 +169,20 @@ def report_text(obj, depth: int = 0) -> str:
     return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
 
 
+def _write_report(lines: list) -> None:
+    """Write the report's lines to stdout.  A reader that closes the pipe
+    early (`| head`) ends the writing, not the command: the exit code is
+    already computed, and stdout goes to os.devnull from then on, so the
+    flush at exit cannot fail either."""
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_check(args) -> int:
     try:
         with open(args.file, "rb") as fh:
@@ -259,13 +273,14 @@ def cmd_check(args) -> int:
     report["checks"] = checks
     if args.format == "json":
         # evidence keys are all str; Fractions and other exact values print as str
-        print(report_text(report))
+        _write_report([report_text(report)])
     else:
+        lines = []
         for c in checks:
-            print(f"{c['status']:<13} {c['system']:<10} {c['property']:<28} "
-                  f"basis={c['basis']} horizon={c['horizon']}")
-            for caveat in c["caveats"]:
-                print(f"              note: {caveat}")
+            lines.append(f"{c['status']:<13} {c['system']:<10} {c['property']:<28} "
+                         f"basis={c['basis']} horizon={c['horizon']}")
+            lines += [f"              note: {caveat}" for caveat in c["caveats"]]
+        _write_report(lines)
     return worst
 
 
@@ -395,13 +410,12 @@ def cmd_corpus(args) -> int:
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":
-        print(report_text(report))
+        _write_report([report_text(report)])
     else:
         width = max((len(r.description) for rep in reports for r in rep.results), default=20)
-        for rep in reports:
-            for r in rep.results:
-                flag = "PASS" if r.passed else "FAIL"
-                print(f"{flag} {rep.name:<28} {r.description:<{width}} -> {r.actual}")
+        _write_report([f"{'PASS' if r.passed else 'FAIL'} {rep.name:<28} "
+                       f"{r.description:<{width}} -> {r.actual}"
+                       for rep in reports for r in rep.results])
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -411,6 +425,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"ndslab: {exc}", file=sys.stderr)
         return 3
+    # pair masks live for one command, however many run in this process
+    ck._MASK_CACHE.clear()
     try:
         if args.command == "check":
             return cmd_check(args)

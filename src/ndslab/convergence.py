@@ -22,9 +22,6 @@ from . import spaces as sp
 from .record import record
 
 
-SHIFT_SUP_GAP = Fraction(3)  # sup over x of d(x, sigma^m x) for any m != 0
-
-
 @record
 class ConvergenceVerdict:
     status: str  # "witnessed" | "refuted" | "inconclusive"
@@ -46,7 +43,7 @@ def sup_distance(space: sp.SpaceDesc, a: mp.NormalMap, b: mp.NormalMap):
             raise sp.SpaceMismatch("shift sup distance needs shift powers")
         # for m != 0 a word alternating on blocks of |m| disagrees with its
         # own m-shift at every coordinate, attaining the full weight 3
-        return Fraction(0) if a.exponent == b.exponent else SHIFT_SUP_GAP
+        return Fraction(0) if a.exponent == b.exponent else sp.TOTAL_WEIGHT
     if isinstance(space, sp.FiniteSpace):
         if not isinstance(a, mp.FiniteFnTerm) or not isinstance(b, mp.FiniteFnTerm):
             raise sp.SpaceMismatch("finite sup distance needs tables")
@@ -54,14 +51,10 @@ def sup_distance(space: sp.SpaceDesc, a: mp.NormalMap, b: mp.NormalMap):
     if isinstance(space, sp.CircleSpace):
         if not isinstance(a, mp.RotPowTerm) or not isinstance(b, mp.RotPowTerm):
             raise sp.SpaceMismatch("circle sup distance needs rotations")
-        if a.coefficient == b.coefficient:
-            return Fraction(0)
         # rotations differ by a rigid rotation, so the pointwise distance is
         # constant and equals the circle distance of the offset
-        off = sp.AffineAngle(Fraction(0), a.coefficient - b.coefficient)
-        zero = sp.AffineAngle(Fraction(0), 0)
-        val = sp.circle_separation(space, off, zero)
-        return val.q if val.exact else val
+        off = sp.AffineAngle(0, a.coefficient - b.coefficient)
+        return sp.distance(space, off, sp.AffineAngle(0))
     if isinstance(space, sp.ProductSpace):
         return sp.value_max(
             [sup_distance(s, x, y) for s, x, y in zip(space.parts, a.parts, b.parts)]

@@ -11,10 +11,11 @@ one interval separates and raises EnclosureUndecided otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
-from math import gcd, isqrt
+from math import isqrt, lcm
 from operator import ne
 from typing import Optional, Union
 
@@ -221,9 +222,12 @@ def has_isolated_points(space: SpaceDesc) -> bool:
     return False
 
 
+TOTAL_WEIGHT = Fraction(3)  # sum over all integers i of 2^-|i|
+
+
 def space_diameter(space: SpaceDesc) -> Fraction:
     if isinstance(space, ShiftSpace):
-        return Fraction(3)
+        return TOTAL_WEIGHT
     if isinstance(space, FiniteSpace):
         return Fraction(0) if space.point_count == 1 else Fraction(1)
     if isinstance(space, CircleSpace):
@@ -305,8 +309,8 @@ class BiWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiWord):
             return NotImplemented
-        lcm_l = len(self.left) * len(other.left) // gcd(len(self.left), len(other.left))
-        lcm_r = len(self.right) * len(other.right) // gcd(len(self.right), len(other.right))
+        lcm_l = lcm(len(self.left), len(other.left))
+        lcm_r = lcm(len(self.right), len(other.right))
         lo = min(self.window_start, other.window_start) - lcm_l
         hi = max(self.window_end, other.window_end) + lcm_r
         return all(self.coord(i) == other.coord(i) for i in range(lo, hi))
@@ -509,7 +513,7 @@ def disagreement_mask(x: BiWord, y: BiWord, a: int, b: int, leftward: bool = Fal
     mask = 0
     for s, t in zip(cuts, cuts[1:]):
         px, py = _mode_period(x, s, t), _mode_period(y, s, t)
-        q = px * py // gcd(px, py) if (px and py) else None
+        q = lcm(px, py) if (px and py) else None
         if q is None or t - s <= q:
             seg = _mask(x, y, s, t, leftward)
         else:
@@ -530,35 +534,118 @@ def _at_phase(p: BiWord) -> BiWord:
     return p.shifted(p.window_start - p.window_start % len(p.left))
 
 
-def shift_distance(x: BiWord, y: BiWord) -> Fraction:
-    """d(x, y) = sum over all integers i of |x_i - y_i| / 2^|i|, exactly.
+def shift_distance_extremes(x: BiWord, y: BiWord, exponents: list) -> tuple:
+    """min and max of d(sigma^E x, sigma^E y) over the ascending distinct
+    exponents E, exactly.
 
-    Dyadic accumulation: the disagreements form one integer mask per side of
-    0 (cell nearest 0 in the high bit, `disagreement_mask`) and each
-    infinite tail adds block / (2^q - 1), so one Fraction is built at the end.
-    A distance whose denominator has more bits than an integer can hold
-    raises ValueError.
+    With delta_j = [x_j != y_j] the distance splits at E into a right sum
+    R(E) = sum_{i>=0} delta_{E+i} 2^-i and a left sum
+    L(E) = sum_{i>=1} delta_{E-i} 2^-i, and one cell to the right
+    R(E+1) = 2(R(E) - delta_E), L(E+1) = (L(E) + delta_E) / 2.  delta is
+    periodic (lp) below lo and (rp) from hi on, so every value is an integer
+    over Q = (2^lp - 1)(2^rp - 1) 2^K, with K = hi - lo plus the distance of
+    the farthest exponent from the windows on a side whose tail correction
+    (below) is non-zero.  Over a gap of g cells up to the pair's extent
+    (hi - lo + lp + rp) the recurrence folds to R <- 2^g R - 2Q M_r and
+    L <- (L + Q M_l) / 2^g, with M_r and M_l the gap's disagreement masks
+    read in the two directions; a wider gap is re-seeded in closed form, so
+    no cost grows with |E|.
+
+    Past a window edge the sum is a part periodic in E (rp on the right, lp
+    on the left) plus the edge's correction, halved once per cell, so it is
+    monotone on each residue class and only the class's first and last
+    exponent can be its minimum or maximum.  The fold keeps every exponent
+    in [lo, hi] and those class ends, at most w + 1 + 2(lp + rp) of them;
+    picking the ends is two C-level passes, so no fold or exact sum grows
+    with the number of exponents.
+    """
+    for p in (x, y):
+        if not isinstance(p, BiWord):
+            raise SpaceMismatch(f"{type(p).__name__} is not a point of ShiftSpace")
+    lo, hi = min(x.window_start, y.window_start), max(x.window_end, y.window_end)
+    lp, rp = lcm(len(x.left), len(y.left)), lcm(len(x.right), len(y.right))
+    lden, rden, w = (1 << lp) - 1, (1 << rp) - 1, hi - lo
+
+    def bits(a, b, leftward=False):
+        return disagreement_mask(x, y, a, b, leftward)
+
+    # [lo, hi) read rightward and leftward, and the tail blocks at its edges
+    win_r, win_l = bits(lo, hi), bits(lo, hi, True)
+    right_at_hi, left_at_lo = bits(hi, hi + rp), bits(lo - lp, lo, True)
+
+    def inside(e, k):
+        # (R, L) for lo <= e <= hi over Q with 2^k
+        r = (2 * (win_r & ((1 << (hi - e)) - 1)) * rden + 2 * right_at_hi) * lden
+        l = ((win_l & ((1 << (e - lo)) - 1)) * lden + left_at_lo) * rden
+        return r << (k - (hi - e)), l << (k - (e - lo))
+
+    def right_tail_l(e, k):
+        # left sum at e of the right tail's pattern continued leftward forever
+        e = hi + rp + (e - hi) % rp
+        return (bits(e - rp, e, True) * lden) << k
+
+    def left_tail_r(e, k):
+        # right sum at e of the left tail's pattern continued rightward forever
+        e = lo - lp - (lo - lp - e) % lp
+        return (2 * bits(e, e + lp) * rden) << k
+
+    # beyond a window edge a sum is its tail pattern's plus the edge's
+    # correction, halved once per cell of distance; a zero correction keeps
+    # the denominator free of that distance
+    fix_l = inside(hi, w)[1] - right_tail_l(hi, w)
+    fix_r = inside(lo, w)[0] - left_tail_r(lo, w)
+    k = w + max(0, exponents[-1] - hi if fix_l else 0, lo - exponents[0] if fix_r else 0)
+    fix_l, fix_r = fix_l << (k - w), fix_r << (k - w)
+    q = lden * rden << k
+
+    def seed(e):
+        if e > hi:
+            return (2 * bits(e, e + rp) * lden) << k, right_tail_l(e, k) + (fix_l >> (e - hi))
+        if e < lo:
+            return left_tail_r(e, k) + (fix_r >> (lo - e)), (bits(e - lp, e, True) * rden) << k
+        return inside(e, k)
+
+    a, b = bisect_left(exponents, lo), bisect_right(exponents, hi)
+    below, above = exponents[:a], exponents[b:]
+    # dict keeps a residue's last exponent: built forward, its class's
+    # last; built backward, its first
+    ends = [e for side, period in ((below, lp), (above, rp)) for run in (side, side[::-1])
+            for e in dict(zip(map(period.__rmod__, run), run)).values()]
+    exponents = sorted({*exponents[a:b], *ends})
+
+    extent = w + lp + rp
+    sums, i = [], 0
+    while i < len(exponents):
+        # a run of exponents at most the extent apart: seed its first one,
+        # then step over each gap [E, E+g) at once off the run's one mask
+        j = i
+        while j + 1 < len(exponents) and exponents[j + 1] - exponents[j] <= extent:
+            j += 1
+        a, b = exponents[i], exponents[j]
+        r, l = seed(a)
+        sums.append(r + l)
+        cells = format(bits(a, b), f"0{b - a}b")  # delta_E at index E - a
+        for e0, e in zip(exponents[i:j], exponents[i + 1 : j + 1]):
+            g, gap = e - e0, cells[e0 - a : e - a]
+            # the masks of [E, E+g) with cell E high (M_r) and cell E+g-1 high (M_l)
+            r = (r << g) - 2 * q * int(gap, 2)
+            l = (l + q * int(gap[::-1], 2)) >> g
+            sums.append(r + l)
+        i = j + 1
+    return Fraction(min(sums), q), Fraction(max(sums), q)
+
+
+def shift_distance(x: BiWord, y: BiWord) -> Fraction:
+    """d(x, y) = sum over all integers i of |x_i - y_i| / 2^|i|, exactly: the
+    one-exponent case E = 0 of `shift_distance_extremes`.  A distance whose
+    denominator has more bits than an integer can hold raises ValueError.
     """
     x, y = _at_phase(x), _at_phase(y)
-    lp = len(x.left) * len(y.left) // gcd(len(x.left), len(y.left))
-    rp = len(x.right) * len(y.right) // gcd(len(x.right), len(y.right))
-    lo = min(0, x.window_start, y.window_start)
-    hi = max(0, x.window_end, y.window_end)
-    top = max(hi - 1, -lo)
     try:
-        # right: cell i of [0, hi) at bit hi-1-i, so the mask is over 2^(hi-1);
-        # left: cell i of [lo, 0) at bit i-lo, so the mask is over 2^-lo
-        right = disagreement_mask(x, y, 0, hi)
-        left = disagreement_mask(x, y, lo, 0, True)
-        # each infinite tail repeats its next q-cell block: it adds block / (2^q - 1)
-        rden, lden = (1 << rp) - 1, (1 << lp) - 1
-        right = right * rden + _mask(x, y, hi, hi + rp, False)
-        left = left * lden + _mask(x, y, lo - lp, lo, True)
-        num = ((right * lden) << (top - hi + 1)) + ((left * rden) << (top + lo))
-        return Fraction(num, (rden * lden) << top)
+        return shift_distance_extremes(x, y, [0])[0]
     except OverflowError:
-        raise ValueError(f"the exact distance of {x!r} and {y!r} needs a 2^{top} "
-                         "denominator, too many digits for an integer") from None
+        raise ValueError(f"the exact distance of {x!r} and {y!r} needs a denominator "
+                         "with too many digits for an integer") from None
 
 
 def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:
@@ -628,9 +715,6 @@ def intersects(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> bool:
 
 # ---------------------------------------------------------------------------
 # diameter and basis
-
-
-TOTAL_WEIGHT = Fraction(3)  # sum over all integers i of 2^-|i|
 
 
 def diameter(space: SpaceDesc, A: BasicOpen) -> RationalOrEnclosure:

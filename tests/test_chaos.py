@@ -551,7 +551,7 @@ def periodic_point(pattern, start, length):
 
 def full_list_extremes(x, y, exponents):
     """The tail extremes folded over every exponent, with no residue-class
-    pruning: the oracle for `chaos._shift_tail_extremes`."""
+    pruning: the oracle for `spaces.shift_distance_extremes`."""
     lo, hi = min(x.window_start, y.window_start), max(x.window_end, y.window_end)
     lp, rp = lcm(len(x.left), len(y.left)), lcm(len(x.right), len(y.right))
     lden, rden, w = (1 << lp) - 1, (1 << rp) - 1, hi - lo
@@ -635,20 +635,20 @@ class TestTailPruning:
     @settings(max_examples=200, deadline=None)
     def test_class_ends_give_the_full_list_extremes(self, case):
         x, y, exponents = case
-        assert chaos._shift_tail_extremes(x, y, exponents) == full_list_extremes(x, y, exponents)
+        assert spaces.shift_distance_extremes(x, y, exponents) == full_list_extremes(x, y, exponents)
 
     @given(far_pairs(), st.integers(-400, 400), st.integers(1, 600))
     @settings(max_examples=60, deadline=None)
     def test_a_long_run_of_exponents_gives_the_full_list_extremes(self, pair, start, count):
         x, y = pair
         exponents = list(range(start, start + count))
-        assert chaos._shift_tail_extremes(x, y, exponents) == full_list_extremes(x, y, exponents)
+        assert spaces.shift_distance_extremes(x, y, exponents) == full_list_extremes(x, y, exponents)
 
     def test_the_corpus_candidates_at_horizon_4096(self):
         spec = parse("space shift(2); system CS { else: sigma^1; }").system("CS")
         exponents = sorted(set(maps.prefix_exponents(spec, 4096)[2048:]))
         for x, y in proximal_scrambled_candidates(all_zeros(), all_ones(), 6):
-            got = chaos._shift_tail_extremes(x, y, exponents)
+            got = spaces.shift_distance_extremes(x, y, exponents)
             assert got == full_list_extremes(x, y, exponents)
             assert all(isinstance(v, Fraction) for v in got)
 

@@ -667,6 +667,43 @@ class TestCorpusCommand:
         assert code == 0 and "no scenario matches" in err
 
 
+class TestOneCommandInAProcess:
+    @pytest.mark.parametrize("count, over", [(3, False), (200, True)], ids=["under-64KB", "over-64KB"])
+    @pytest.mark.parametrize("read", [0, 10])
+    def test_a_reader_closing_the_pipe_early_gets_the_exit_code(self, ndsl_file, capsys,
+                                                                count, over, read):
+        # a pipe buffers 64 KB: past it the writer is still writing when the
+        # reader closes, under it the reader may close before the write
+        path = ndsl_file(FINITE_SWAP + "check F mixing horizon 8;\ncheck F transitive horizon 8;\n" * count)
+        code, out, _ = run(capsys, ["check", path, "--format", "json"])
+        assert code == 2 and (len(out.encode()) > 1 << 16) == over
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "ndslab.cli", "check", path, "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=20), err) == (code, b"")
+        finally:
+            proc.kill()
+            proc.wait()
+
+    def test_pair_masks_are_kept_for_one_command(self, ndsl_file, capsys):
+        first = ndsl_file(SIGMA + "check F transitive horizon 40;\n", "first.ndsl")
+        second = ndsl_file(FINITE_SWAP + "check F transitive horizon 8;\n", "second.ndsl")
+        ck._MASK_CACHE.clear()
+        run(capsys, ["check", second])
+        alone = set(ck._MASK_CACHE)
+        run(capsys, ["check", first])
+        assert ck._MASK_CACHE and set(ck._MASK_CACHE).isdisjoint(alone)
+        run(capsys, ["check", second])
+        assert set(ck._MASK_CACHE) == alone
+        run(capsys, ["corpus", "--filter", "example-3.3"])
+        assert set(ck._MASK_CACHE).isdisjoint(alone)
+        ck._MASK_CACHE.clear()
+
+
 # strings with the characters an encoder must escape, and any others
 JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé≡\u2028'), st.characters()))
 JSON_SCALARS = st.one_of(

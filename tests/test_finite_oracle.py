@@ -7,6 +7,8 @@ follows the checkers' definitions: the basis opens at resolution 1 are the
 singletons, hits count from n = 1, and `minimal` counts the point itself
 (n = 0).  It shares no code with the checkers but the step maps."""
 
+import random
+import sys
 from itertools import product
 
 from ndslab import checkers as ck
@@ -14,19 +16,22 @@ from ndslab import maps as mp
 from ndslab import ndsl
 from ndslab import spaces as sp
 
-SPACE = sp.FiniteSpace(2)
-TABLES = [mp.FiniteFnTerm(t) for t in product((1, 2), repeat=2)]
-
 # past index LEAD every shape repeats with a period dividing PERIOD
 LEAD, PERIOD = 3, 6
 
+# finite(3) systems graded on every Tier-1 run; the full sweep runs as
+# `python tests/test_finite_oracle.py 3`
+SAMPLE, SAMPLE_SEED = 120, 27
 
-def shapes():
+
+def shapes(space: sp.FiniteSpace) -> list:
     """Every system of the four shapes `else: A;`, `at ap(1,2): A; else: B;`,
-    `at 1: A; else: B;` and `at ap(2,3): A; else: B;` on finite(2)."""
-    systems = [mp.NdsSpec(SPACE, (mp.Rule(mp.ElsePattern(), a),)) for a in TABLES]
+    `at 1: A; else: B;` and `at ap(2,3): A; else: B;` on `space`."""
+    n = space.point_count
+    tables = [mp.FiniteFnTerm(t) for t in product(range(1, n + 1), repeat=n)]
+    systems = [mp.NdsSpec(space, (mp.Rule(mp.ElsePattern(), a),)) for a in tables]
     for pattern in (mp.ArithProgPattern(1, 2), mp.EqualsPattern(1), mp.ArithProgPattern(2, 3)):
-        systems += [mp.NdsSpec(SPACE, (mp.Rule(pattern, a),), b) for a in TABLES for b in TABLES]
+        systems += [mp.NdsSpec(space, (mp.Rule(pattern, a),), b) for a in tables for b in tables]
     return systems
 
 
@@ -38,7 +43,7 @@ def phase(i: int) -> int:
 def prefix_walk(spec) -> tuple:
     """(tables, n0, p): tables[n] is T(n) for n < n0 + p, and T(n) =
     T(n0 + (n - n0) % p) from n0 on."""
-    T = mp.identity_map(SPACE)
+    T = mp.identity_map(spec.space)
     tables, seen = [], {}
     while (T, phase(len(tables) + 1)) not in seen:
         seen[T, phase(len(tables) + 1)] = len(tables)
@@ -55,7 +60,7 @@ def decide(spec) -> dict:
     def at(n: int, i: int) -> int:
         return tables[n if n < n0 + p else n0 + (n - n0) % p].table[i - 1]
 
-    points = range(1, SPACE.point_count + 1)
+    points = range(1, spec.space.point_count + 1)
     pairs = list(product(points, repeat=2))
     # past n0 every T(s*n), s = 1 or 2, repeats with period p
     times = range(1, n0 + p + 1)
@@ -85,9 +90,9 @@ def decide(spec) -> dict:
     }
 
 
-def test_no_verdict_contradicts_the_exhaustive_decider():
-    systems = shapes()
-    assert len(systems) == 52
+def grade(label: str, systems: list) -> list:
+    """The verdicts on `systems` that contradict the decider; prints the
+    share of verdicts decided."""
     wrong, decided, total = [], 0, 0
     for spec in systems:
         truth = decide(spec)
@@ -97,5 +102,28 @@ def test_no_verdict_contradicts_the_exhaustive_decider():
             decided += verdict.status != ck.INCONCLUSIVE
             if (verdict.witnessed and not holds) or (verdict.refuted and holds):
                 wrong.append((spec, rendered, verdict.status))
-    print(f"finite(2) oracle: {decided} of {total} verdicts decided ({decided / total:.1%})")
-    assert wrong == []
+    print(f"{label} oracle: {decided} of {total} verdicts decided ({decided / total:.1%}), "
+          f"{len(wrong)} wrong")
+    return wrong
+
+
+def test_no_verdict_contradicts_the_exhaustive_decider():
+    systems = shapes(sp.FiniteSpace(2))
+    assert len(systems) == 52
+    assert grade("finite(2)", systems) == []
+
+
+def test_no_verdict_on_a_finite3_sample_contradicts_the_exhaustive_decider():
+    systems = shapes(sp.FiniteSpace(3))
+    assert len(systems) == 2214
+    sample = random.Random(SAMPLE_SEED).sample(systems, SAMPLE)
+    assert grade(f"finite(3) sample of {SAMPLE}", sample) == []
+
+
+if __name__ == "__main__":
+    # python tests/test_finite_oracle.py N: grade every system on finite(N)
+    n = int(sys.argv[1])
+    wrong = grade(f"finite({n})", shapes(sp.FiniteSpace(n)))
+    for spec, rendered, status in wrong:
+        print(f"wrong: {rendered} {status} on {spec!r}")
+    sys.exit(1 if wrong else 0)

@@ -37,6 +37,7 @@ from ndslab.spaces import (
     enumerate_basis,
     intersects,
     shift_distance,
+    shift_distance_extremes,
     value_cmp,
 )
 
@@ -263,6 +264,32 @@ class TestShiftMetric:
         far = BiWord.from_window(0, (1,)).shifted(10**40)
         with pytest.raises(ValueError, match="too many digits for an integer"):
             shift_distance(all_zeros(), far)
+
+
+@st.composite
+def pairs_and_exponents(draw):
+    """Near or far pairs and an ascending set of exponents, near the
+    origin or far past the windows."""
+    x, y = draw(st.one_of(st.tuples(biwords, biwords), far_pairs()))
+    exponents = st.lists(st.one_of(st.integers(-40, 40), st.integers(-700, 700)),
+                         min_size=1, max_size=6, unique=True)
+    return x, y, sorted(draw(exponents))
+
+
+class TestShiftDistanceExtremes:
+    """The one exact shift metric kernel, against the per-coordinate
+    oracle applied to each shifted pair."""
+
+    @given(pairs_and_exponents())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_exact_oracle_at_every_exponent(self, case):
+        x, y, exponents = case
+        dists = [exact_distance(x.shifted(e), y.shifted(e)) for e in exponents]
+        assert shift_distance_extremes(x, y, exponents) == (min(dists), max(dists))
+
+    def test_a_point_of_another_space_is_a_mismatch(self):
+        with pytest.raises(SpaceMismatch):
+            shift_distance_extremes(all_zeros(), FiniteId(1), [0])
 
 
 class TestFiniteMetric:
