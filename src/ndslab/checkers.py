@@ -271,6 +271,22 @@ def _refute_pair(spec, laws, prop, cfg, basis, i, j, reason=None, **extra) -> Op
     return Verdict(prop.render(), REFUTED, cfg, evidence)
 
 
+def _refute_unhit(spec, laws, prop, cfg, basis, pairs) -> Optional[Verdict]:
+    """Refuted, citing the first of the unhit `pairs` that _never_hits has
+    a reason for; None when it has none.  Pairs of one signature (see
+    _pair_signature) share their reason, so each signature is asked once."""
+    unrefuted = set()
+    for i, j in pairs:
+        signature = _pair_signature(spec, laws, basis[i], basis[j])
+        if signature in unrefuted:
+            continue
+        refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j)
+        if refuted:
+            return refuted
+        unrefuted.add(signature)
+    return None
+
+
 def _refute_open(prop, cfg, basis, idx, reason) -> Verdict:
     """Refuted, citing the basis open B_idx and the structural reason."""
     return Verdict(
@@ -363,16 +379,7 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             },
             (_quantifier_note(r, H),),
         )
-    unrefuted = set()  # signatures (see _pair_signature) _never_hits has no reason for
-    for i, j in empty:
-        signature = _pair_signature(spec, laws, basis[i], basis[j])
-        if signature in unrefuted:
-            continue
-        refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j)
-        if refuted:
-            return refuted
-        unrefuted.add(signature)
-    return Verdict(
+    return _refute_unhit(spec, laws, prop, cfg, basis, empty) or Verdict(
         prop.render(), INCONCLUSIVE, cfg,
         {"unhit_pairs": [f"{i}->{j}" for i, j in empty[:8]], "unhit_count": len(empty)},
         ("horizon exhausted without a structural refutation",),
@@ -445,7 +452,10 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
                     f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
                     "disjoint sets: infinitely many misses; " + law.describe()
                 )
-            return _refute_pair(spec, laws, prop, cfg, basis, i, j, reason) or Verdict(
+            # mixing implies transitivity: a pair no time hits refutes both
+            unhit = [pair for pair, m in masks.items() if m == 0]
+            refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j, reason)
+            return refuted or _refute_unhit(spec, laws, prop, cfg, basis, unhit) or Verdict(
                 prop.render(), INCONCLUSIVE, cfg,
                 {"pair_without_tail": f"{i}->{j}"},
                 ("no cofinite tail within the horizon",),
@@ -703,6 +713,8 @@ def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
 
 
 def _representatives(space) -> list:
+    """The points whose orbits `minimal` reads: on a product, every
+    combination of the parts' (every point of a product of finite spaces)."""
     if isinstance(space, sp.FiniteSpace):
         return [sp.FiniteId(i) for i in range(1, space.point_count + 1)]
     if isinstance(space, sp.ShiftSpace):
@@ -710,8 +722,7 @@ def _representatives(space) -> list:
     if isinstance(space, sp.CircleSpace):
         return [sp.AffineAngle(Fraction(0), 0)]
     if isinstance(space, sp.ProductSpace):
-        parts = [_representatives(p) for p in space.parts]
-        return [sp.ProductPoint(tuple(p[0] for p in parts))]
+        return [sp.ProductPoint(point) for point in product(*map(_representatives, space.parts))]
     raise sp.SpaceMismatch(f"no representatives for {space!r}")
 
 

@@ -4,7 +4,8 @@ scenario corpus, with human-readable tables or machine-readable JSON reports.
 Exit codes: 0 all witnessed / all expectations met, 1 a check came back
 refuted, 2 a check stayed inconclusive (widen the horizon), 3 input errors
 (unreadable or invalid files, flags argparse rejects, sizes out of range),
-4 an internal error (a fault in ndslab, never a verdict).
+4 an internal error (a fault in ndslab, never a verdict).  A reader that
+closes stdout or stderr early changes no exit code.
 The JSON report is byte-identical across runs for identical inputs and
 configuration, apart from the timing fields; its configuration lists the
 flags in force (empty for the corpus, whose scenarios pin their own).
@@ -50,15 +51,16 @@ PAIR_MASK_PROPERTIES = frozenset({
 })
 
 
-class _UsageError(Exception):
-    pass
+class _InputError(Exception):
+    """An input ndslab does not check: main writes its args, the lines of
+    the message, to stderr and exits 3."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a rejected flag is an input error (exit 3), not argparse's exit 2,
         # which would read as "inconclusive"
-        raise _UsageError(message)
+        raise _InputError(f"ndslab: {message}")
 
 
 def _check_arguments(chk: argparse.ArgumentParser) -> None:
@@ -169,18 +171,26 @@ def report_text(obj, depth: int = 0) -> str:
     return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
 
 
-def _write_report(lines: list) -> None:
-    """Write the report's lines to stdout.  A reader that closes the pipe
-    early (`| head`) ends the writing, not the command: the exit code is
-    already computed, and stdout goes to os.devnull from then on, so the
-    flush at exit cannot fail either."""
+def _write(stream, lines) -> None:
+    """Write `lines` to `stream`, stdout or stderr.  A reader that closes
+    the pipe early (`| head`, `2>&1 | true`) ends the writing, not the
+    command: the stream goes to os.devnull from then on, so neither a later
+    write nor the flush at exit can fail and change the exit code.  A
+    descriptor closed before start-up (`2>&-`) leaves the stream None, and
+    nothing is written."""
+    if stream is None:
+        return
     try:
-        sys.stdout.write("".join(line + "\n" for line in lines))
-        sys.stdout.flush()
+        stream.write("".join(line + "\n" for line in lines))
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
+
+
+# the exit code of each verdict status; a check run exits with its worst
+_EXIT = {ck.WITNESSED: 0, ck.REFUTED: 1, ck.INCONCLUSIVE: 2}
 
 
 def cmd_check(args) -> int:
@@ -188,53 +198,36 @@ def cmd_check(args) -> int:
         with open(args.file, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        print(f"ndslab: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
-        return 3
+        raise _InputError(f"ndslab: cannot read {args.file}: {exc.strerror}") from None
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = ndsl.parse(raw.decode("utf-8", errors="replace"))
     except ndsl.NdslParseError as exc:
-        for diag in exc.diagnostics:
-            if args.diagnostics_json:
-                print(json.dumps(diag.to_json(), sort_keys=True), file=sys.stderr)
-            else:
-                print(f"{args.file}:{diag.render()}", file=sys.stderr)
-        return 3
-    requests = []
+        raise _InputError(*(
+            json.dumps(diag.to_json(), sort_keys=True) if args.diagnostics_json
+            else f"{args.file}:{diag.render()}"
+            for diag in exc.diagnostics
+        )) from None
     if args.property:
         if not (args.system or doc.names):
-            print(f"ndslab: {args.file} defines no system to check", file=sys.stderr)
-            return 3
+            raise _InputError(f"ndslab: {args.file} defines no system to check")
         name = args.system or doc.names[0]
+        if name not in doc.names:
+            raise _InputError(f"ndslab: no system named {name!r} in {args.file}")
         try:
-            system = doc.system(name)
-        except KeyError:
-            print(f"ndslab: no system named {name!r} in {args.file}", file=sys.stderr)
-            return 3
-        for rendered in args.property:
-            try:
-                prop = ndsl.read_property(rendered)
-            except ValueError as exc:
-                print(f"ndslab: {exc}", file=sys.stderr)
-                return 3
-            requests.append((name, prop, args.horizon, args.basis))
+            requests = [(name, ndsl.read_property(rendered), args.horizon, args.basis)
+                        for rendered in args.property]
+        except ValueError as exc:
+            raise _InputError(f"ndslab: {exc}") from None
+    elif doc.checks:
+        requests = [(chk.system, chk.prop, args.horizon if chk.horizon is None else chk.horizon,
+                     args.basis if chk.basis is None else chk.basis) for chk in doc.checks]
     else:
-        if not doc.checks:
-            print(f"ndslab: {args.file} has no check directives and no --property given",
-                  file=sys.stderr)
-            return 3
-        for chk in doc.checks:
-            requests.append((
-                chk.system, chk.prop,
-                args.horizon if chk.horizon is None else chk.horizon,
-                args.basis if chk.basis is None else chk.basis,
-            ))
+        raise _InputError(f"ndslab: {args.file} has no check directives and no --property given")
     problem = _size_problem(args, doc, requests)
     if problem:
-        print(f"ndslab: {problem}", file=sys.stderr)
-        return 3
+        raise _InputError(f"ndslab: {problem}")
     checks = []
-    worst = 0
     laws = {}  # each named system's laws, derived at its first check
     for name, prop, horizon, basis in requests:
         t0 = time.perf_counter()
@@ -258,10 +251,6 @@ def cmd_check(args) -> int:
                 "timing_ms": round(ms, 3),
             }
         )
-        if verdict.status == ck.REFUTED:
-            worst = max(worst, 1)
-        elif verdict.status == ck.INCONCLUSIVE:
-            worst = max(worst, 2)
     report = _report_envelope(
         "check", digest,
         {
@@ -273,15 +262,15 @@ def cmd_check(args) -> int:
     report["checks"] = checks
     if args.format == "json":
         # evidence keys are all str; Fractions and other exact values print as str
-        _write_report([report_text(report)])
+        _write(sys.stdout, [report_text(report)])
     else:
         lines = []
         for c in checks:
             lines.append(f"{c['status']:<13} {c['system']:<10} {c['property']:<28} "
                          f"basis={c['basis']} horizon={c['horizon']}")
             lines += [f"              note: {caveat}" for caveat in c["caveats"]]
-        _write_report(lines)
-    return worst
+        _write(sys.stdout, lines)
+    return max(_EXIT[c["status"]] for c in checks)
 
 
 def _size_problem(args, doc, requests):
@@ -387,7 +376,7 @@ def cmd_corpus(args) -> int:
     reports = corpus_mod.run_corpus(args.filter)
     ms = (time.perf_counter() - t0) * 1000
     if args.filter and not reports:
-        print(f"ndslab: no scenario matches {args.filter!r}", file=sys.stderr)
+        _write(sys.stderr, [f"ndslab: no scenario matches {args.filter!r}"])
     scenarios = [
         {
             "name": rep.name,
@@ -410,34 +399,31 @@ def cmd_corpus(args) -> int:
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":
-        _write_report([report_text(report)])
+        _write(sys.stdout, [report_text(report)])
     else:
         width = max((len(r.description) for rep in reports for r in rep.results), default=20)
-        _write_report([f"{'PASS' if r.passed else 'FAIL'} {rep.name:<28} "
-                       f"{r.description:<{width}} -> {r.actual}"
-                       for rep in reports for r in rep.results])
+        _write(sys.stdout, [f"{'PASS' if r.passed else 'FAIL'} {rep.name:<28} "
+                            f"{r.description:<{width}} -> {r.actual}"
+                            for rep in reports for r in rep.results])
     return 0 if all(rep.passed for rep in reports) else 1
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-    except _UsageError as exc:
-        print(f"ndslab: {exc}", file=sys.stderr)
+        # pair masks live for one command, however many run in this process
+        ck._MASK_CACHE.clear()
+        return cmd_check(args) if args.command == "check" else cmd_corpus(args)
+    except _InputError as exc:
+        _write(sys.stderr, exc.args)
         return 3
-    # pair masks live for one command, however many run in this process
-    ck._MASK_CACHE.clear()
-    try:
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_corpus(args)
     except Exception as exc:  # any escape is a fault in ndslab, never a verdict
         import traceback  # only on this path: keeps it off every start-up
 
         where = traceback.extract_tb(exc.__traceback__)[-1]
         detail = " ".join(str(exc).split())
-        print(f"ndslab: internal error: {type(exc).__name__}: {detail} "
-              f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        _write(sys.stderr, [f"ndslab: internal error: {type(exc).__name__}: {detail} "
+                            f"(at {os.path.basename(where.filename)}:{where.lineno})"])
         return 4
 
 

@@ -373,8 +373,6 @@ class _Parser:
                     self.diags.append(
                         Diagnostic("semantic", t.line, t.column, "duplicate else rule")
                     )
-                if isinstance(term, mp.FamilyTerm):
-                    self.error("the else rule cannot bind an ordinal", kind="semantic")
                 default = term
             else:
                 self.error(f"found {t.text!r}", expected=("at", "else", "}"))
@@ -390,7 +388,10 @@ class _Parser:
     def pattern(self):
         t = self.peek()
         if t.kind == "int":
-            return mp.EqualsPattern(self.take_int("index")), None
+            index = self.take_int("index")
+            if index < 1:
+                self.error("index pattern needs index >= 1", kind="semantic", at=t)
+            return mp.EqualsPattern(index), None
         if t.kind != "ident":
             self.error(f"found {t.text!r}", expected=("ap", "pow", "odd", "even", "index"))
         word = t.text

@@ -222,6 +222,32 @@ class TestMinimal:
         )
         assert ck.recheck_verdict(spec, v)
 
+    def test_every_product_point_is_a_representative(self):
+        # the orbit of (1,2) never reaches a point (x,1); the point (1,1)
+        # alone reaches every point
+        spec = ndsl.parse(
+            "space finite(2);\nsystem A { else: table{1->2,2->1}; }\n"
+            "system B { at ap(1,2): table{1->1,2->2}; else: table{1->2,2->2}; }\n"
+            "system P = product(A, B);\n"
+        ).system("P")
+        assert len(ck._representatives(spec.space)) == 4
+        v = ck.check_property(spec, ck.PropertyKind("minimal"), 1, 64)
+        assert not v.witnessed
+        assert v.evidence == {
+            "point": "ProductPoint(parts=(FiniteId(index=1), FiniteId(index=2)))",
+            "missed_open": "B0:{1}x{1}",
+        }
+
+
+def cycles_permutation(*lengths) -> mp.NdsSpec:
+    """The permutation of finite(sum of lengths) that turns each block of
+    consecutive points round one cycle of that length."""
+    table, start = [], 1
+    for length in lengths:
+        table += [start + (k + 1) % length for k in range(length)]
+        start += length
+    return mp.NdsSpec(sp.FiniteSpace(len(table)), (), mp.FiniteFnTerm(tuple(table)))
+
 
 class TestMixingFamily:
     def test_constant_shift_mixing(self):
@@ -233,6 +259,15 @@ class TestMixingFamily:
         v = ck.check_property(ex36(), ck.PropertyKind("mixing"), 1, 64)
         assert v.refuted
         assert "mod 2" in v.evidence["structural"]
+
+    @pytest.mark.parametrize("name", ["mixing", "mildly-mixing"])
+    def test_a_pair_without_a_tail_falls_back_on_the_unhit_pairs(self, name):
+        # order 27720: no pair gets a tail by horizon 64, and the first such
+        # pair, 0->0, has no reason; 0->5 joins two cycles, so no time hits it
+        spec = cycles_permutation(5, 7, 8, 9, 11)
+        v = ck.check_property(spec, ck.PropertyKind(name), 1, 64)
+        assert v.refuted and v.evidence["refuting_pair"] == ["B0:{1}", "B5:{6}"]
+        assert ck.recheck_verdict(spec, v)
 
     def test_mildly_mixing_tracks_mixing_without_isolated_points(self):
         v = ck.check_property(CONST_SIGMA, ck.PropertyKind("mildly-mixing"), 1, 32)

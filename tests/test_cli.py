@@ -646,6 +646,43 @@ class TestPropertyParameters:
         assert code == 3 and out == "" and "semantic" in err
 
 
+FINITE_DECL = "space finite(2);\n"
+SYSTEM_A = FINITE_DECL + "system A { else: id; }\n"
+
+
+class TestParserDiagnostics:
+    # each input and the first diagnostic `ndslab check` prints for it
+    @pytest.mark.parametrize("source, diagnostic", [
+        (FINITE_DECL + "space finite(3);\n", "3:1: semantic: a document declares exactly one space"),
+        (SYSTEM_A + "system P = product(A);\n", "3:22: semantic: a product needs at least two systems"),
+        (SYSTEM_A + "system T = tail(A, 0);\n", "3:22: semantic: derivation order must be at least 1"),
+        (FINITE_DECL + "system A { else: id; else: id; }\n", "2:22: semantic: duplicate else rule"),
+        (FINITE_DECL + "system A { at ap(0,2): id; }\n",
+         "2:22: semantic: progression needs start >= 1 and step >= 1"),
+        (FINITE_DECL + "system A { at 0: id; }\n", "2:15: semantic: index pattern needs index >= 1"),
+        ("space shift(2);\nsystem A { at pow(1,0,k): sigma^k; }\n",
+         "2:25: semantic: power pattern needs base >= 2 and offset >= 0"),
+        (FINITE_DECL + "system A { else: table{1->2,1->1}; }\n",
+         "2:33: semantic: duplicate table entry for 1"),
+        (FINITE_DECL + "system A { else: table{1->2,3->1}; }\n",
+         "2:34: semantic: table must map exactly the ids 1..n"),
+        (FINITE_DECL + "system A { else: table{1->3,2->1}; }\n",
+         "2:34: semantic: table targets must stay within 1..n"),
+        ("space circle(alpha(1/0 +- 1/8));\n", "1:24: semantic: zero denominator"),
+        (FINITE_DECL + "system table { else: id; }\n", "2:14: semantic: 'table' is a keyword"),
+        (FINITE_DECL + "system A { else: id;\n", "3:1: syntax: unterminated system body (expected })"),
+    ], ids=[
+        "second-space", "product-of-one", "tail-zero", "duplicate-else", "progression-from-zero",
+        "index-zero", "power-base-one", "duplicate-entry", "ids-not-1-to-n", "target-out-of-range",
+        "zero-denominator", "keyword-name", "unterminated-body",
+    ])
+    def test_each_diagnostic_exits_three(self, ndsl_file, capsys, source, diagnostic):
+        path = ndsl_file(source)
+        code, out, err = run(capsys, ["check", path])
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == f"{path}:{diagnostic}"
+
+
 class TestCorpusCommand:
     def test_filtered_corpus_json_validates(self, capsys):
         code, out, _ = run(capsys, [
@@ -688,6 +725,41 @@ class TestOneCommandInAProcess:
         finally:
             proc.kill()
             proc.wait()
+
+    @pytest.mark.parametrize("closed", ["reader-gone", "descriptor-closed"])
+    @pytest.mark.parametrize("source, argv", [
+        ("space shift(2); system H { at 1: }", []),
+        (EX36, []),
+        (None, []),
+        (EX36, ["--property", "bogus"]),
+        (EX36, None),
+    ], ids=["syntax-error", "no-check-directives", "missing-file", "bad-property", "unknown-command"])
+    def test_a_closed_stderr_keeps_exit_three(self, tmp_path, source, argv, closed):
+        path = tmp_path / "input.ndsl"
+        if source is not None:
+            path.write_text(source)
+        command = ["frobnicate", str(path)] if argv is None else ["check", str(path), *argv]
+        # either a pipe whose reader is gone before the command starts, so
+        # every write to stderr fails, or no descriptor 2 at all (`2>&-`)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        process = [sys.executable, "-m", "ndslab.cli", *command]
+        if closed == "descriptor-closed":
+            process = ["sh", "-c", 'exec "$@" 2>&-', "sh", *process]
+        try:
+            done = subprocess.run(process, stdout=subprocess.PIPE, stderr=write_end, timeout=20, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stdout) == (3, b"")
+
+    def test_a_closed_stdout_keeps_the_verdict_code(self, ndsl_file, capsys):
+        path = ndsl_file(FINITE_SWAP + "check F mixing horizon 8;\n")
+        code, _, _ = run(capsys, ["check", path])
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ndslab.cli",
+                               "check", path], capture_output=True, timeout=20, env=env)
+        assert (done.returncode, done.stderr) == (code, b"") and code == 2
 
     def test_pair_masks_are_kept_for_one_command(self, ndsl_file, capsys):
         first = ndsl_file(SIGMA + "check F transitive horizon 40;\n", "first.ndsl")

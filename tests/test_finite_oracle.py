@@ -1,11 +1,13 @@
-"""An exhaustive decider for small finite systems, grading the checkers.
+"""An exhaustive decider for small finite systems and their products,
+grading the checkers.
 
-On a finite space with eventually periodic rules the prefix maps T(n) =
-f_n o ... o f_1 form an eventually periodic sequence, so a walk to the first
-repeated (map, phase) state decides every property exactly.  The decider
-follows the checkers' definitions: the basis opens at resolution 1 are the
-singletons, hits count from n = 1, and `minimal` counts the point itself
-(n = 0).  It shares no code with the checkers but the step maps."""
+On a finite space, or a product of finite spaces, with eventually periodic
+rules the prefix maps T(n) = f_n o ... o f_1 form an eventually periodic
+sequence, so a walk to the first repeated (map, phase) state decides every
+property exactly.  The decider follows the checkers' definitions: the basis
+opens at resolution 1 are the singletons, hits count from n = 1, and
+`minimal` counts the point itself (n = 0).  It shares no code with the
+checkers but the step maps and their application (maps.apply)."""
 
 import random
 import sys
@@ -23,6 +25,10 @@ LEAD, PERIOD = 3, 6
 # `python tests/test_finite_oracle.py 3`
 SAMPLE, SAMPLE_SEED = 120, 27
 
+# products of two finite(2) systems graded on every Tier-1 run; the full
+# sweep runs as `python tests/test_finite_oracle.py 2x2`
+PRODUCT_SAMPLE, PRODUCT_SEED = 300, 28
+
 
 def shapes(space: sp.FiniteSpace) -> list:
     """Every system of the four shapes `else: A;`, `at ap(1,2): A; else: B;`,
@@ -33,6 +39,18 @@ def shapes(space: sp.FiniteSpace) -> list:
     for pattern in (mp.ArithProgPattern(1, 2), mp.EqualsPattern(1), mp.ArithProgPattern(2, 3)):
         systems += [mp.NdsSpec(space, (mp.Rule(pattern, a),), b) for a in tables for b in tables]
     return systems
+
+
+def products(left: sp.FiniteSpace, right: sp.FiniteSpace) -> list:
+    """product(A, B) for every shape A on `left` and every shape B on `right`."""
+    return [mp.ProductSpec((a, b)) for a in shapes(left) for b in shapes(right)]
+
+
+def points(space) -> list:
+    """Every point of a finite space or of a product of finite spaces."""
+    if isinstance(space, sp.FiniteSpace):
+        return [sp.FiniteId(i) for i in range(1, space.point_count + 1)]
+    return [sp.ProductPoint(parts) for parts in product(*map(points, space.parts))]
 
 
 def phase(i: int) -> int:
@@ -56,12 +74,14 @@ def prefix_walk(spec) -> tuple:
 def decide(spec) -> dict:
     """The exact answer of every graded property."""
     tables, n0, p = prefix_walk(spec)
+    # points by position: images[n][i] is the position of T(n) of point i
+    position = {x: i for i, x in enumerate(points(spec.space))}
+    images = [[position[mp.apply(T, x)] for x in position] for T in tables]
 
     def at(n: int, i: int) -> int:
-        return tables[n if n < n0 + p else n0 + (n - n0) % p].table[i - 1]
+        return images[n if n < n0 + p else n0 + (n - n0) % p][i]
 
-    points = range(1, spec.space.point_count + 1)
-    pairs = list(product(points, repeat=2))
+    pairs = list(product(range(len(position)), repeat=2))
     # past n0 every T(s*n), s = 1 or 2, repeats with period p
     times = range(1, n0 + p + 1)
     cycle = range(n0 + p, n0 + 2 * p)
@@ -120,10 +140,22 @@ def test_no_verdict_on_a_finite3_sample_contradicts_the_exhaustive_decider():
     assert grade(f"finite(3) sample of {SAMPLE}", sample) == []
 
 
+def test_no_verdict_on_a_product_sample_contradicts_the_exhaustive_decider():
+    systems = products(sp.FiniteSpace(2), sp.FiniteSpace(2))
+    assert len(systems) == 2704
+    sample = random.Random(PRODUCT_SEED).sample(systems, PRODUCT_SAMPLE)
+    assert grade(f"finite(2) x finite(2) sample of {PRODUCT_SAMPLE}", sample) == []
+
+
 if __name__ == "__main__":
-    # python tests/test_finite_oracle.py N: grade every system on finite(N)
-    n = int(sys.argv[1])
-    wrong = grade(f"finite({n})", shapes(sp.FiniteSpace(n)))
+    # python tests/test_finite_oracle.py N: grade every system on finite(N);
+    # python tests/test_finite_oracle.py NxM: every product of a system on
+    # finite(N) and one on finite(M)
+    n, _, m = sys.argv[1].partition("x")
+    if m:
+        wrong = grade(f"finite({n}) x finite({m})", products(sp.FiniteSpace(int(n)), sp.FiniteSpace(int(m))))
+    else:
+        wrong = grade(f"finite({n})", shapes(sp.FiniteSpace(int(n))))
     for spec, rendered, status in wrong:
         print(f"wrong: {rendered} {status} on {spec!r}")
     sys.exit(1 if wrong else 0)

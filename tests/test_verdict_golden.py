@@ -483,9 +483,9 @@ PINNED = {
     "SQUASH almost-periodic-point": "06c5da286580dfdc",
     "SQUASH dense-periodic-points": "2799561d8816ef5b",
     "SQUASH feeble-open": "f9906499cc6671d2",
-    "SQUASH mildly-mixing": "615bdbfed478dc1d",
+    "SQUASH mildly-mixing": "6ec6aac79b2ad3a3",
     "SQUASH minimal": "bd857bc39b3e869a",
-    "SQUASH mixing": "80ff3f5ba33b2c49",
+    "SQUASH mixing": "9866fcc00d1c1b85",
     "SQUASH multi-sensitive:1/16": "37f43a19f3f18864",
     "SQUASH multi-sensitive:1/2,2": "37f43a19f3f18864",
     "SQUASH multi-sensitive:1/4,2": "37f43a19f3f18864",
