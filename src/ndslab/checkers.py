@@ -12,11 +12,12 @@ inconclusive with its exhausted bounds.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
-from operator import and_, eq, getitem
+from operator import and_, getitem
 from typing import NamedTuple, Optional
 
 from . import hitting as ht
@@ -229,61 +230,57 @@ def _label(basis, i: int) -> str:
     return f"B{i}:{ht._describe_open(basis[i])}"
 
 
-def _never_hits(spec, laws: mp.SystemLaws, U, V) -> Optional[str]:
-    """Structural argument that N(U, V) is empty for every n, or None, for
-    basis opens U and V: they partition the space, so they are disjoint
-    exactly when they differ."""
-    if U == V:
-        return None
-    law = laws.exponent
-    if law is not None and law.is_identity():
-        return (
-            "every prefix is the identity and the sets are disjoint: " + law.describe()
-        )
-    if laws.table is not None and not laws.table.reach(U.ids) & V.ids:
-        return "no reachable prefix table moves U onto V: " + laws.table.describe()
-    if isinstance(spec, mp.ProductSpec):
-        claim = ht.product_structural_miss(spec, laws, U, V)
-        if claim is not None:
-            return "parity coverage: " + claim
-    return None
+def _reason_keys(spec, laws: mp.SystemLaws, r: int) -> tuple:
+    """(key, reps): key(i, j) is what hitting.pair_reason reads of the basis
+    pair (B_i, B_j), from the indices alone (None: it gives no reason), and
+    reps maps each key to a pair that has it, or is None under a table law,
+    which reads the pair itself.  An exponent law reads whether the opens
+    differ (are disjoint), a product its factors' pairs (by index tuple)."""
+    if laws.table is not None:
+        return (lambda i, j: (i, j)), None
+    if laws.exponent is not None:
+        return (lambda i, j: i != j or None), {None: (0, 0), True: (0, 1)}
+    if not laws.components:
+        return (lambda i, j: None), {None: (0, 0)}
+    keys, reps = zip(*(_reason_keys(p, p_laws, r) for p, p_laws in zip(spec.parts, laws.components)))
+    index = list(product(*(range(len(sp.enumerate_basis(p.space, r))) for p in spec.parts)))
+    place = {sides: i for i, sides in enumerate(index)}
+
+    def key(i, j):
+        sides = tuple(k(a, b) for k, a, b in zip(keys, index[i], index[j]))
+        return sides if sides.count(None) < len(sides) else None
+
+    if None in reps:
+        return key, None
+    pairs = (map(place.get, zip(*combo)) for combo in product(*(rep.values() for rep in reps)))
+    return key, {key(i, j): (i, j) for i, j in pairs}
 
 
-def _pair_signature(spec, laws: mp.SystemLaws, U, V):
-    """What _never_hits(spec, laws, U, V) reads of the basis pair.  Without
-    a table law, a product pair is read only through whether each pair of
-    sides meets, which for basis sides is whether they are the same open,
-    so pairs that agree there share one reason.  Any other pair is its own
-    signature."""
-    if not isinstance(spec, mp.ProductSpec) or laws.table is not None:
-        return U, V
-    return tuple(map(eq, U.parts, V.parts))
-
-
-def _refute_pair(spec, laws, prop, cfg, basis, i, j, reason=None, **extra) -> Optional[Verdict]:
-    """Refuted, citing the pair (B_i, B_j) and `reason` (by default the
-    _never_hits argument that no time ever hits it); None without a reason."""
-    if reason is None:
-        reason = _never_hits(spec, laws, basis[i], basis[j])
-        if reason is None:
-            return None
+def _refute_pair(prop, cfg, basis, i, j, reason, **extra) -> Verdict:
+    """Refuted, citing the pair (B_i, B_j) and the structural `reason`."""
     evidence = {**extra, "refuting_pair": [_label(basis, i), _label(basis, j)], "structural": reason}
     return Verdict(prop.render(), REFUTED, cfg, evidence)
 
 
-def _refute_unhit(spec, laws, prop, cfg, basis, pairs) -> Optional[Verdict]:
-    """Refuted, citing the first of the unhit `pairs` that _never_hits has
-    a reason for; None when it has none.  Pairs of one signature (see
-    _pair_signature) share their reason, so each signature is asked once."""
-    unrefuted = set()
+def _refute_unhit(spec, laws, prop, cfg, basis, pairs, grades=("never",)) -> Optional[Verdict]:
+    """Refuted, citing the first of `pairs` that hitting.pair_reason has a
+    reason of `grades` for; None when it has none.  Pairs of one key (see
+    _reason_keys) share their reason, so each key is asked once; listed keys
+    are asked first, and the walk is skipped when none has a reason."""
+    key, reps = _reason_keys(spec, laws, cfg["basis"])
+    if reps is not None:
+        reasoned = {k for k, (i, j) in reps.items()
+                    if k is not None and ht.pair_reason(spec, laws, basis[i], basis[j], i != j, grades)}
+        pairs = (pair for pair in pairs if key(*pair) in reasoned) if reasoned else ()
+    asked = set()
     for i, j in pairs:
-        signature = _pair_signature(spec, laws, basis[i], basis[j])
-        if signature in unrefuted:
+        k = key(i, j)
+        if k is None or k in asked:
             continue
-        refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j)
-        if refuted:
-            return refuted
-        unrefuted.add(signature)
+        reason = ht.pair_reason(spec, laws, basis[i], basis[j], i != j, grades)
+        if reason is not None:
+            return _refute_pair(prop, cfg, basis, i, j, reason[1])
+        asked.add(k)
     return None
 
 
@@ -389,13 +386,13 @@ def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
 def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
     items = list(masks.items())
-    for (i, j), mask in items:
-        if mask == 0:
-            return _refute_pair(spec, laws, prop, cfg, basis, i, j) or Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"unhit_pair": f"{i}->{j}"},
-                ("a single pair already fails transitivity at this horizon",),
-            )
+    unhit = [pair for pair, mask in items if mask == 0]
+    if unhit:
+        return _refute_unhit(spec, laws, prop, cfg, basis, unhit) or Verdict(
+            prop.render(), INCONCLUSIVE, cfg,
+            {"unhit_pair": "%d->%d" % unhit[0]},
+            ("a single pair already fails transitivity at this horizon",),
+        )
     pair_masks = [mask for _, mask in items]
     common = reduce(and_, pair_masks, -1)
     if common:
@@ -439,28 +436,17 @@ def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
     # the tail start depends on the mask alone, and pairs share masks
     tail_of = {mask: ht._frequency(mask, H)[3] for mask in set(masks.values())}
-    tails = {}
-    for (i, j), mask in masks.items():
-        tail_start = tail_of[mask]
-        if tail_start is None:
-            law = laws.exponent
-            zero = law.first_zero_residue() if law is not None else None
-            reason = None
-            if zero is not None and i != j:  # distinct basis opens are disjoint
-                modulus, residue = zero
-                reason = (
-                    f"prefix exponent 0 on n≡{residue} (mod {modulus}) with "
-                    "disjoint sets: infinitely many misses; " + law.describe()
-                )
-            # mixing implies transitivity: a pair no time hits refutes both
-            unhit = [pair for pair, m in masks.items() if m == 0]
-            refuted = _refute_pair(spec, laws, prop, cfg, basis, i, j, reason)
-            return refuted or _refute_unhit(spec, laws, prop, cfg, basis, unhit) or Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"pair_without_tail": f"{i}->{j}"},
-                ("no cofinite tail within the horizon",),
-            )
-        tails[f"{i}->{j}"] = tail_start
+    tailless = [pair for pair, mask in masks.items() if tail_of[mask] is None]
+    # a law's claim on any pair refutes, whatever the tails seen within the
+    # horizon: every pair is asked, the tail-less ones first
+    refuted = _refute_unhit(spec, laws, prop, cfg, basis, chain(tailless, masks), ht.GRADES)
+    if refuted or tailless:
+        return refuted or Verdict(
+            prop.render(), INCONCLUSIVE, cfg,
+            {"pair_without_tail": "%d->%d" % tailless[0]},
+            ("no cofinite tail within the horizon",),
+        )
+    tails = {f"{i}->{j}": tail_of[mask] for (i, j), mask in masks.items()}
     return Verdict(
         prop.render(), WITNESSED, cfg,
         {"tail_start_per_pair": tails, "latest_tail_start": max(tails.values())},
@@ -641,12 +627,15 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 f"prefix exponent is 0 at every multiple of {m}, so slot {m} "
                 "never connects disjoint sets: " + law.describe()
             )
-            return _refute_pair(spec, laws, prop, cfg, basis, *pair, reason, order=m, slot=m)
+            return _refute_pair(prop, cfg, basis, *pair, reason, order=m, slot=m)
         universal &= _slot(common, m, H)
         if universal:
             per_m[str(m)] = _first_bit(universal)
             continue
-        return Verdict(
+        # multi-transitivity implies transitivity: a pair that slot 1 never
+        # hits refutes both
+        unhit = [pair for pair, mask in masks.items() if not mask & ((2 << H) - 2)]
+        return _refute_unhit(spec, laws, prop, cfg, basis, unhit) or Verdict(
             prop.render(), INCONCLUSIVE, cfg,
             {"order": m, "note": "no universal common l within the horizon"},
             ("per-tuple search not exhausted; widen the horizon",),
@@ -676,24 +665,15 @@ def _universal_l(masks, m: int, H: int) -> int:
 
 def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     basis, masks = _pair_masks(spec, r, H)
-    # without a table law the tag reads the pair only through disjointness,
-    # and distinct basis opens are disjoint
-    tags = {}
-    for (i, j), mask in masks.items():
-        key = (i, j) if laws.table is not None else laws.exponent is not None and i != j
-        if key not in tags:
-            tags[key] = ht._structural_tag(
-                "hitting", spec, laws, basis[i], basis[j], disjoint=i != j
-            )
-        tag, detail = tags[key]
-        if tag in ("sparse-support", "finite-support"):
-            return _refute_pair(spec, laws, prop, cfg, basis, i, j, detail)
-        if mask == 0:
-            return _refute_pair(spec, laws, prop, cfg, basis, i, j) or Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"unhit_pair": f"{i}->{j}"},
-                ("a pair never hit within the horizon",),
-            )
+    # a set that is empty, finite or sparse has unbounded gaps
+    refuted = _refute_unhit(spec, laws, prop, cfg, basis, masks, ht.GRADES[:3])
+    unhit = next((pair for pair, mask in masks.items() if mask == 0), None)
+    if refuted or unhit:
+        return refuted or Verdict(
+            prop.render(), INCONCLUSIVE, cfg,
+            {"unhit_pair": "%d->%d" % unhit},
+            ("a pair never hit within the horizon",),
+        )
     # the gap statistics depend on the mask alone, and pairs share masks
     freq = {mask: ht._frequency(mask, H)[:2] for mask in set(masks.values())}
     gaps, eventuals = zip(*freq.values())
@@ -958,9 +938,9 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
             () if multi else ("trivial refutation: no pair can ever separate that far",),
         )
     basis, mask = _sep_masks(spec, r, H, delta)
-    never = _never_separates(spec, laws, basis[0], delta)
-    if never is not None:
-        return _refute_open(prop, cfg, basis, 0, never)
+    grade, detail = ht.separation_reason(spec, laws, basis[0], delta) or (None, "")
+    if grade == "never":
+        return _refute_open(prop, cfg, basis, 0, detail)
     if mask == 0:
         return Verdict(
             prop.render(), INCONCLUSIVE, cfg,
@@ -983,8 +963,7 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
         max_gap, eventual, _, _ = ht._frequency(mask, H)
         entry = {"max_gap": max_gap, "eventual_max_gap": eventual}
     else:
-        tag, detail = ht._structural_tag("separation", spec, laws, basis[0], delta=delta)
-        if tag == "excluded-residue":
+        if grade == "excluded-residue":
             return _refute_open(prop, cfg, basis, 0, (
                 "separation times avoid a whole residue class, so runs never "
                 "reach length 2: " + detail
@@ -1005,23 +984,6 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
         },
         (_quantifier_note(r, H),),
     )
-
-
-def _never_separates(spec, laws, U, delta) -> Optional[str]:
-    space = spec.space
-    diam = sp.diameter(space, U)
-    if isinstance(space, sp.CircleSpace):
-        # rotations are isometries: the image diameter never changes
-        if sp.value_cmp(diam, delta) <= 0:
-            return "rotations preserve the arc diameter, which does not exceed delta"
-        return None
-    if isinstance(space, sp.FiniteSpace) and len(U.ids) == 1:
-        return "singleton opens have singleton images: separation is impossible"
-    law = laws.exponent
-    if law is not None and law.is_identity():
-        if sp.value_cmp(diam, delta) <= 0:
-            return "every prefix is the identity and diam(U) <= delta: " + law.describe()
-    return None
 
 
 def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:
@@ -1175,10 +1137,11 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     """Independently re-check a verdict's evidence: re-run the exact
     membership test behind each witness entry, re-validate cited laws (the
     derivation itself re-validates index by index), and re-check cited
-    open-set conflicts.  A transitive or weakly-mixing refutation must cite
-    a disjoint pair that the step fold never hits within the horizon, and a
-    minimal one a representative point whose folded orbit misses (see
-    _orbit_misses).  Returns False on the first discrepancy."""
+    open-set conflicts.  A cited pair must bear out its reason up to the
+    horizon (see _pair_claim_holds), and a transitive or weakly-mixing
+    refutation must cite one; a minimal refutation must cite a
+    representative point whose folded orbit misses (see _orbit_misses).
+    Returns False on the first discrepancy."""
     r = verdict.config["basis"]
     H = verdict.config["horizon"]
     basis = sp.enumerate_basis(spec.space, r)
@@ -1213,22 +1176,41 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
             if mp.derive_exponent_law(spec, verdict.config["law_horizon"]) is None:
                 return False
         pair = ev.get("refuting_pair")
-        unhit_pair = kind in ("transitive", "weakly-mixing")
-        if unhit_pair and not pair:
+        if kind in ("transitive", "weakly-mixing") and not pair:
             return False
-        if pair:
-            i, j = map(_label_index, pair)
-            try:
-                if sp.intersects(spec.space, basis[i], basis[j]):
-                    return False
-            except sp.EnclosureUndecided:
-                return False
-            if unhit_pair and ht.brute_force_hitting(spec, basis[i], basis[j], H):
-                return False
+        if pair and not _pair_claim_holds(spec, basis, kind, pair, ev.get("structural", ""), H):
+            return False
         if kind == "minimal":
             return _orbit_misses(spec, basis, ev, H)
         return True
     return True  # inconclusive verdicts claim nothing to re-check
+
+
+# the openings of hitting.pair_reason's "never" reasons
+_NEVER = ("every prefix is the identity", "no reachable prefix table", "parity coverage")
+
+
+def _pair_claim_holds(spec, basis, kind: str, pair, reason: str, H: int) -> bool:
+    """Does the cited pair (U, V) bear out `reason` up to the horizon?  U and
+    V must be disjoint where the reason says so, and the step fold may hit
+    them only where the reason allows: never for a "never" reason or a
+    transitive or weakly-mixing refutation, only at the listed indices of a
+    finite support, and not on an excluded residue or slot multiple."""
+    U, V = (basis[_label_index(label)] for label in pair)
+    if not reason or "disjoint" in reason and ht._meets(spec.space, U, V) is not False:
+        return False
+    hits = ht.brute_force_hitting(spec, U, V, H)
+    if kind in ("transitive", "weakly-mixing") or any(phrase in reason for phrase in _NEVER):
+        return not hits
+    listed = re.search(r"only prefix indices \[([\d, ]*)\]", reason)
+    if listed:
+        return set(hits) <= set(map(int, re.findall(r"\d+", listed[1])))
+    residue = re.search(r"n≡(\d+) \(mod (\d+)\)", reason)
+    if residue:
+        r, m = map(int, residue.groups())
+        return all(n % m != r for n in hits)
+    multiple = re.search(r"every multiple of (\d+)", reason)
+    return not multiple or all(n % int(multiple[1]) for n in hits)
 
 
 def _label_index(label: str) -> int:

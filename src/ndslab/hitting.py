@@ -56,7 +56,7 @@ class FrequencyEvidence:
     tail_start: Optional[int]
     first_member: Optional[int]
     censored_final_gap: bool
-    structural: Optional[str] = None  # machine-readable reason tag
+    structural: Optional[str] = None  # the grade (see GRADES) of the law's claim
     structural_detail: str = ""
 
 
@@ -251,73 +251,98 @@ def _frequency(mask: int, H: int) -> tuple:
 
 
 def classify_frequency(hs: HittingSet, laws: Optional[mp.SystemLaws] = None) -> FrequencyEvidence:
-    """Gap and run statistics under the {0, H+1} boundary convention, with a
-    structural tag when a validated law pins behaviour beyond the horizon."""
+    """Gap and run statistics under the {0, H+1} boundary convention, with the
+    grade and detail of the strongest claim a validated law makes about the
+    set beyond the horizon (pair_reason, separation_reason)."""
     members = hs.members
     max_gap, eventual, longest, tail_start = _frequency(sum(1 << n for n in members), hs.horizon)
-    structural, detail = _structural_tag(hs.kind, hs.spec, laws, hs.u, hs.v, hs.delta)
+    reason = None
+    if laws is not None and hs.kind == "hitting":
+        reason = pair_reason(hs.spec, laws, hs.u, hs.v, _meets(hs.spec.space, hs.u, hs.v) is False)
+    elif laws is not None:
+        reason = separation_reason(hs.spec, laws, hs.u, hs.delta)
+    # the gap ending at the H+1 boundary is only a lower bound: censored
+    # exactly when there is no tail
     return FrequencyEvidence(
-        max_gap=max_gap,
-        eventual_max_gap=eventual,
-        longest_run=longest,
-        tail_start=tail_start,
-        first_member=members[0] if members else None,
-        # the gap ending at the H+1 boundary is only a lower bound
-        censored_final_gap=tail_start is None,
-        structural=structural,
-        structural_detail=detail,
+        max_gap, eventual, longest, tail_start, members[0] if members else None,
+        tail_start is None, *(reason or (None, "")),
     )
 
 
-def _structural_tag(
-    kind: str, spec, laws, u, v=None, delta=None, disjoint: Optional[bool] = None
-) -> tuple[Optional[str], str]:
-    """(tag, detail) when a validated law pins the hitting set N(u, v) or the
-    separation set N(u, delta) beyond the horizon; (None, "") otherwise.
-    `disjoint` says whether u and v are disjoint when the caller knows it
-    (basis opens are disjoint exactly when they differ); None tests it."""
-    if laws is None:
-        return None, ""
-    space = spec.space
-    if kind == "hitting":
-        law = laws.exponent
-        if law is not None and disjoint is None:
-            disjoint = _meets(space, u, v) is False
-        if law is not None and disjoint:
-            if law.sparse_support():
-                return (
-                    "sparse-support",
-                    "nonzero exponents only on power/one-shot indices; with "
-                    "disjoint sets the members inherit unbounded gaps: " + law.describe(),
-                )
-            zero = law.first_zero_residue()
-            if zero is not None:
-                modulus, residue = zero
-                return (
-                    "excluded-residue",
-                    f"exponent 0 on n≡{residue} (mod {modulus}) and the sets are "
-                    "disjoint, so that class never hits: " + law.describe(),
-                )
-        tab = laws.table
-        if tab is not None and not any(y in v.ids for i in u.ids for y in tab.orbit(i)[1]):
-            pre_hits = [n + 1 for n, t in enumerate(tab.lead) if mp.image(t, u).ids & v.ids]
-            return (
-                "finite-support",
-                f"only prefix indices {pre_hits} can ever hit; " + tab.describe(),
+# what a law can claim of N(U, V) or N(U, delta) for every n, strongest first:
+# empty, within listed prefix indices, within the indices of power and
+# one-shot rules (so with unbounded gaps), or clear of a residue class
+GRADES = ("never", "finite-support", "sparse-support", "excluded-residue")
+
+
+def pair_reason(spec, laws: mp.SystemLaws, U, V, disjoint: bool, grades=GRADES) -> Optional[tuple]:
+    """(grade, detail) of the strongest claim among `grades` that a
+    validated law makes about N(U, V) for every n, or None; an exponent law
+    claims nothing unless U and V are `disjoint`.  It is never hit when
+    every prefix is the identity, sparse when only power and one-shot rules
+    move, and excludes the first residue (mod 2, then 3) it forces to 0.  A
+    table law is never hit when no reachable table moves U onto V, and
+    finite when the loops of U's points miss V.  A product pair is never hit
+    under the parity cover, and takes the strongest of its factor pairs'
+    claims (the first factor on a tie): N(U1 x U2, V1 x V2) is in N(Uk, Vk)."""
+    law, tab = laws.exponent, laws.table
+    if law is not None and disjoint:
+        if "never" in grades and law.is_identity():
+            return "never", "every prefix is the identity and the sets are disjoint: " + law.describe()
+        if "sparse-support" in grades and law.sparse_support():
+            return "sparse-support", (
+                "nonzero exponents only on power/one-shot indices; with disjoint sets "
+                "the members inherit unbounded gaps: " + law.describe()
             )
-    if kind == "separation":
-        law = laws.exponent
-        if law is not None and isinstance(space, sp.ShiftSpace):
-            diam_u = sp.diameter(space, u)
-            zero = law.first_zero_residue() if sp.value_cmp(diam_u, delta) <= 0 else None
-            if zero is not None:
-                modulus, residue = zero
-                return (
-                    "excluded-residue",
-                    f"exponent 0 on n≡{residue} (mod {modulus}) and diam(U) <= delta, "
-                    "so that class never separates: " + law.describe(),
-                )
-    return None, ""
+        zero = law.first_zero_residue() if "excluded-residue" in grades else None
+        if zero is not None:
+            return "excluded-residue", (
+                f"prefix exponent 0 on n≡{zero[1]} (mod {zero[0]}) with disjoint sets: "
+                "infinitely many misses; " + law.describe()
+            )
+    if tab is not None:
+        if "never" in grades and not tab.reach(U.ids) & V.ids:
+            return "never", "no reachable prefix table moves U onto V: " + tab.describe()
+        if "finite-support" in grades and not any(y in V.ids for i in U.ids for y in tab.orbit(i)[1]):
+            pre_hits = [n + 1 for n, t in enumerate(tab.lead) if mp.image(t, U).ids & V.ids]
+            return "finite-support", f"only prefix indices {pre_hits} can ever hit; " + tab.describe()
+    if not laws.components:
+        return None
+    claim = product_structural_miss(spec, laws, U, V) if "never" in grades else None
+    if claim is not None:
+        return "never", "parity coverage: " + claim
+    reasons = (
+        pair_reason(part, part_laws, A, B, _meets(part.space, A, B) is False, grades)
+        for part, part_laws, A, B in zip(spec.parts, laws.components, U.parts, V.parts)
+    )
+    found = min(((GRADES.index(r[0]), k, r) for k, r in enumerate(reasons) if r), default=None)
+    if found is None:
+        return None
+    _, k, (grade, detail) = found
+    return grade, f"the hitting set lies in factor {k + 1}'s: {detail}"
+
+
+def separation_reason(spec, laws: mp.SystemLaws, U, delta: Fraction) -> Optional[tuple]:
+    """(grade, detail) of the strongest claim about N(U, delta) for every
+    n, or None: a singleton's images are singletons;
+    with diam(U) <= delta rotations (isometries) and identity prefixes
+    never separate, and a shift law that is 0 on a residue excludes it."""
+    space, law = spec.space, laws.exponent
+    if isinstance(space, sp.FiniteSpace) and len(U.ids) == 1:
+        return "never", "singleton opens have singleton images: separation is impossible"
+    if sp.value_cmp(sp.diameter(space, U), delta) > 0:
+        return None
+    if isinstance(space, sp.CircleSpace):
+        return "never", "rotations preserve the arc diameter, which does not exceed delta"
+    if law is not None and law.is_identity():
+        return "never", "every prefix is the identity and diam(U) <= delta: " + law.describe()
+    zero = law.first_zero_residue() if law is not None and isinstance(space, sp.ShiftSpace) else None
+    if zero is None:
+        return None
+    return "excluded-residue", (
+        f"exponent 0 on n≡{zero[1]} (mod {zero[0]}) and diam(U) <= delta, "
+        "so that class never separates: " + law.describe()
+    )
 
 
 def product_structural_miss(spec: mp.ProductSpec, laws: mp.SystemLaws, U, V) -> Optional[str]:
@@ -326,24 +351,16 @@ def product_structural_miss(spec: mp.ProductSpec, laws: mp.SystemLaws, U, V) -> 
     killed by some component whose law is zero there."""
     if not isinstance(spec, mp.ProductSpec) or not isinstance(U, sp.ProductOpen):
         return None
-    claims = []
-    for residue in (1, 0):
-        found = None
-        for j, (part, part_laws) in enumerate(zip(spec.parts, laws.components)):
-            law = part_laws.exponent
-            if law is None:
-                continue
-            disjoint = _meets(part.space, U.parts[j], V.parts[j]) is False
-            if disjoint and law.zero_on_residue(2, residue):
-                found = (
-                    f"n≡{residue} (mod 2): component {j + 1} has exponent 0 there "
-                    f"and disjoint factors ({law.describe()})"
-                )
-                break
-        if found is None:
-            return None
-        claims.append(found)
-    return "; ".join(claims)
+    # the components with a law whose sides are disjoint, in order
+    disjoint = [(j, part_laws.exponent) for j, part_laws in enumerate(laws.components)
+                if part_laws.exponent is not None
+                and _meets(spec.parts[j].space, U.parts[j], V.parts[j]) is False]
+    claims = [next((
+        f"n≡{residue} (mod 2): component {j + 1} has exponent 0 there "
+        f"and disjoint factors ({law.describe()})"
+        for j, law in disjoint if law.zero_on_residue(2, residue)
+    ), None) for residue in (1, 0)]
+    return None if None in claims else "; ".join(claims)
 
 
 def brute_force_hitting(spec: mp.SystemSpec, U, V, horizon: int) -> tuple:

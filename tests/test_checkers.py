@@ -3,7 +3,7 @@ the hierarchy coherence between properties."""
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import and_, or_
 from typing import Optional
 
@@ -154,6 +154,28 @@ class TestRecheckVerdict:
         assert not ck.recheck_verdict(CYCLE, forged)
         assert not ck.recheck_verdict(CYCLE, with_evidence(forged, refuting_pair=None))
 
+    def test_a_finite_support_may_cite_one_open_twice_and_holds_every_hit(self):
+        # {1} x {1} is hit at n = 1 only: the finite(2) factor's table law
+        # proves it, and the product's hitting set lies in the factor's
+        one = mp.NdsSpec(sp.FiniteSpace(1), (), mp.FiniteFnTerm((1,)))
+        two = mp.NdsSpec(sp.FiniteSpace(2), (mp.Rule(mp.EqualsPattern(1), mp.FiniteFnTerm((1, 1))),),
+                         mp.FiniteFnTerm((2, 2)))
+        spec = mp.ProductSpec((one, two))
+        true = ck.check_property(spec, ck.PropertyKind("syndetically-transitive"), 1, 64)
+        assert true.refuted and true.evidence["refuting_pair"] == ["B0:{1}x{1}", "B0:{1}x{1}"]
+        assert "only prefix indices [1] can ever hit" in true.evidence["structural"]
+        assert ck.recheck_verdict(spec, true)
+        forged = true.evidence["structural"].replace("[1]", "[2]")
+        assert not ck.recheck_verdict(spec, with_evidence(true, structural=forged))
+
+    def test_an_excluded_residue_a_time_hits_fails(self):
+        # example 3.6 moves only at odd n, so its pairs miss every even n
+        true = ck.check_property(ex36(), ck.PropertyKind("mixing"), 1, 64)
+        assert true.refuted and "n≡0 (mod 2)" in true.evidence["structural"]
+        assert ck.recheck_verdict(ex36(), true)
+        forged = true.evidence["structural"].replace("n≡0", "n≡1")
+        assert not ck.recheck_verdict(ex36(), with_evidence(true, structural=forged))
+
     def test_a_minimal_refutation_needs_a_point_whose_orbit_misses(self):
         true = ck.check_property(CONST_ID_FINITE, ck.PropertyKind("minimal"), 1, 16)
         assert true.refuted and "missed_open" not in true.evidence
@@ -275,9 +297,12 @@ class TestMixingFamily:
         assert any("equivalence" in c for c in v.caveats)
 
     def test_mildly_mixing_on_finite_space_inconclusive_or_refuted(self):
+        # mixing is refuted by a finite support, and mildly mixing implies it
         v = ck.check_property(ex35(), ck.PropertyKind("mildly-mixing"), 1, 16)
-        assert v.status in (ck.REFUTED, ck.INCONCLUSIVE)
-        assert any("isolated" in c for c in v.caveats)
+        assert v.refuted and v.evidence["refuting_pair"] == ["B0:{1}", "B1:{2}"]
+        assert v.evidence["structural"].startswith("only prefix indices [1] can ever hit")
+        assert any("implies mixing" in c for c in v.caveats)
+        assert ck.recheck_verdict(ex35(), v)
 
 
 class TestSensitivity:
@@ -560,8 +585,15 @@ def ap_shifts(draw):
 
 circles = st.integers(-2, 2).map(lambda c: mp.NdsSpec(sp.CircleSpace(), (), mp.RotPowTerm(c)))
 
+# table laws on finite(2): a lead at n = 1, then one settled table
+finite_tables = st.tuples(*[st.sampled_from(list(product((1, 2), repeat=2)))] * 2).map(
+    lambda ab: mp.NdsSpec(sp.FiniteSpace(2), (mp.Rule(mp.EqualsPattern(1), mp.FiniteFnTerm(ab[0])),),
+                          mp.FiniteFnTerm(ab[1]))
+)
+
 products = st.one_of(
     st.tuples(ap_shifts(), ap_shifts()).map(mp.ProductSpec),
+    st.tuples(finite_tables, ap_shifts()).map(mp.ProductSpec),
     st.tuples(ap_shifts(), circles).map(mp.ProductSpec),
     st.tuples(ap_shifts(), st.just(mp.NdsSpec(SHIFT, (), mp.IDENTITY))).map(mp.ProductSpec),
 )
@@ -572,13 +604,19 @@ class TestGroupedReasons:
     @settings(max_examples=25, deadline=None)
     def test_product_pairs_with_one_signature_share_one_reason(self, spec):
         laws = mp.derive_laws(spec, 256)
-        basis = sp.enumerate_basis(spec.space, sp.min_resolution(spec.space))
+        r = sp.min_resolution(spec.space)
+        basis = sp.enumerate_basis(spec.space, r)
+        key, reps = ck._reason_keys(spec, laws, r)
         reasons = {}
-        for U in basis[::3]:
-            for V in basis:
-                signature = ck._pair_signature(spec, laws, U, V)
-                reasons.setdefault(signature, set()).add(ck._never_hits(spec, laws, U, V))
+        for i in range(0, len(basis), 3):
+            for j in range(len(basis)):
+                reason = ht.pair_reason(spec, laws, basis[i], basis[j], i != j)
+                reasons.setdefault(key(i, j), set()).add(reason)
+        assert reasons.pop(None, {None}) == {None}
         assert all(len(found) == 1 for found in reasons.values())
+        if reps is not None:  # every key is listed, with a pair that has it
+            assert set(reasons) <= set(reps)
+            assert all(key(i, j) == k for k, (i, j) in reps.items())
 
     @given(products, st.integers(1, 12))
     @settings(max_examples=25, deadline=None)
@@ -589,26 +627,28 @@ class TestGroupedReasons:
         v = ck.check_property(spec, prop, r, H, laws=laws)
         basis, masks = ck._pair_masks(spec, r, H)
         walk = (
-            ck._refute_pair(spec, laws, prop, v.config, basis, i, j)
+            (i, j, ht.pair_reason(spec, laws, basis[i], basis[j], i != j, ("never",)))
             for (i, j), mask in sorted(masks.items()) if mask == 0
         )
-        first = next((refuted for refuted in walk if refuted), None)
+        first = next(((i, j, reason) for i, j, reason in walk if reason), None)
         if first is None:
             assert v.status != ck.REFUTED
         else:
-            assert v == first
+            i, j, (grade, reason) = first
+            assert grade == "never" and v == ck._refute_pair(prop, v.config, basis, i, j, reason)
 
     @given(st.one_of(ap_shifts(), circles), st.integers(1, 2))
     @settings(max_examples=25, deadline=None)
     def test_without_a_table_law_tags_read_only_disjointness(self, spec, r):
         laws = mp.derive_laws(spec, 256)
         basis = sp.enumerate_basis(spec.space, max(r, sp.min_resolution(spec.space)))
-        tags = {}
+        reasons = {}
         for U in basis:
             for V in basis:
                 disjoint = ht._meets(spec.space, U, V) is False
-                tags.setdefault(disjoint, set()).add(ht._structural_tag("hitting", spec, laws, U, V))
-        assert all(len(found) == 1 for found in tags.values())
+                reasons.setdefault(disjoint, set()).add(ht.pair_reason(spec, laws, U, V, disjoint))
+        assert reasons.get(False, {None}) == {None}
+        assert all(len(found) == 1 for found in reasons.values())
 
 
 # ---------------------------------------------------------------------------

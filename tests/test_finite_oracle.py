@@ -111,8 +111,9 @@ def decide(spec) -> dict:
 
 
 def grade(label: str, systems: list) -> list:
-    """The verdicts on `systems` that contradict the decider; prints the
-    share of verdicts decided."""
+    """The verdicts on `systems` that contradict the decider, or that are
+    decided but fail checkers.recheck_verdict; prints the share of verdicts
+    decided."""
     wrong, decided, total = [], 0, 0
     for spec in systems:
         truth = decide(spec)
@@ -122,6 +123,8 @@ def grade(label: str, systems: list) -> list:
             decided += verdict.status != ck.INCONCLUSIVE
             if (verdict.witnessed and not holds) or (verdict.refuted and holds):
                 wrong.append((spec, rendered, verdict.status))
+            elif verdict.status != ck.INCONCLUSIVE and not ck.recheck_verdict(spec, verdict):
+                wrong.append((spec, rendered, verdict.status + ", failing its re-check"))
     print(f"{label} oracle: {decided} of {total} verdicts decided ({decided / total:.1%}), "
           f"{len(wrong)} wrong")
     return wrong
@@ -138,6 +141,15 @@ def test_no_verdict_on_a_finite3_sample_contradicts_the_exhaustive_decider():
     assert len(systems) == 2214
     sample = random.Random(SAMPLE_SEED).sample(systems, SAMPLE)
     assert grade(f"finite(3) sample of {SAMPLE}", sample) == []
+
+
+def test_no_verdict_on_a_one_point_product_contradicts_the_exhaustive_decider():
+    # products of a one-point system and a finite(2) system: a one-point
+    # factor changes no property, so each product answers as its finite(2)
+    # factor does, which only the factor's laws can prove
+    systems = products(sp.FiniteSpace(1), sp.FiniteSpace(2))
+    assert len(systems) == 208
+    assert grade("finite(1) x finite(2)", systems) == []
 
 
 def test_no_verdict_on_a_product_sample_contradicts_the_exhaustive_decider():

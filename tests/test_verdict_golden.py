@@ -17,7 +17,9 @@ import json
 import pytest
 
 from ndslab import checkers as ck
+from ndslab import maps as mp
 from ndslab import ndsl
+from ndslab import spaces as sp
 
 SOURCE = """space shift(2);
 system AP {
@@ -251,14 +253,16 @@ PINNED = {
     "FID multi-sensitive:1/16": "37f43a19f3f18864",
     "FID multi-sensitive:1/2,2": "37f43a19f3f18864",
     "FID multi-sensitive:1/4,2": "37f43a19f3f18864",
-    "FID multi-transitive:2": "777010c680026e93",
+    # inconclusive -> refuted: a pair no prefix table reaches fails slot 1 (multi-transitive implies transitive)
+    "FID multi-transitive:2": "ce4dded802e0dc1d",
     "FID sensitive:1/2": "37f43a19f3f18864",
     "FID sensitive:1/3": "37f43a19f3f18864",
     "FID sensitive:1/8": "37f43a19f3f18864",
     "FID strongly-transitive": "4e48f015d341858b",
     "FID surjective-sequence": "ae8b86e1f0d2bf66",
     "FID syndetically-sensitive:1/4": "37f43a19f3f18864",
-    "FID syndetically-transitive": "da21b498bdbff859",
+    # reason text: the never-hit pair now cites table reach, the strongest grade
+    "FID syndetically-transitive": "ce4dded802e0dc1d",
     "FID thickly-sensitive:1/2": "37f43a19f3f18864",
     "FID thickly-sensitive:1/4,2": "37f43a19f3f18864",
     "FID thickly-sensitive:1/4,40": "37f43a19f3f18864",
@@ -269,32 +273,42 @@ PINNED = {
     "FPROD almost-periodic-point": "06c5da286580dfdc",
     "FPROD dense-periodic-points": "a65d7b0d38306157",
     "FPROD feeble-open": "c5e9804943640e6b",
-    "FPROD mildly-mixing": "615bdbfed478dc1d",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD mildly-mixing": "33aa55d19d662ccf",
     "FPROD minimal": "ac96868e37f7c8bf",
-    "FPROD mixing": "80ff3f5ba33b2c49",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD mixing": "952896341bf52f8e",
     "FPROD multi-sensitive:1/16": "09c62f0b9cad0259",
     "FPROD multi-sensitive:1/2,2": "09c62f0b9cad0259",
     "FPROD multi-sensitive:1/4,2": "09c62f0b9cad0259",
-    "FPROD multi-transitive:2": "777010c680026e93",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD multi-transitive:2": "952896341bf52f8e",
     "FPROD sensitive:1/2": "153385fc26d1e559",
     "FPROD sensitive:1/3": "153385fc26d1e559",
     "FPROD sensitive:1/8": "153385fc26d1e559",
     "FPROD surjective-sequence": "e0e53dbde24b162f",
     "FPROD syndetically-sensitive:1/4": "153385fc26d1e559",
-    "FPROD syndetically-transitive": "d5e41a21f00c3abd",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD syndetically-transitive": "952896341bf52f8e",
     "FPROD thickly-sensitive:1/2": "153385fc26d1e559",
     "FPROD thickly-sensitive:1/4,2": "153385fc26d1e559",
     "FPROD thickly-sensitive:1/4,40": "153385fc26d1e559",
-    "FPROD totally-transitive:2": "86f24558ad2accc0",
-    "FPROD transitive": "24f08544696d2393",
-    "FPROD weakly-mixing:2": "0e6a45fafce83044",
-    "FPROD weakly-mixing:3": "0e6a45fafce83044",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD totally-transitive:2": "296a9faac00bdfd2",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD transitive": "952896341bf52f8e",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD weakly-mixing:2": "952896341bf52f8e",
+    # inconclusive -> refuted: the SQUASH factor's never-hit pair (factor rule)
+    "FPROD weakly-mixing:3": "952896341bf52f8e",
     "ID almost-periodic-point": "f708032b5b4b3e58",
     "ID dense-periodic-points": "e03187d0f7b35bc2",
     "ID feeble-open": "a96f3eb460d239f6",
-    "ID mildly-mixing": "9707ff9b9e9d2b1a",
+    # reason text: the identity law's never-hit claim, the strongest grade
+    "ID mildly-mixing": "da9308d7d374715f",
     "ID minimal": "e4dad6533613dba6",
-    "ID mixing": "218c6ceeba8a8eef",
+    # reason text: the identity law's never-hit claim, the strongest grade
+    "ID mixing": "960a56dc19995bc4",
     "ID multi-sensitive:1/16": "5e29bff7d5a9671b",
     "ID multi-sensitive:1/2,2": "0bd84b6e06fd0574",
     "ID multi-sensitive:1/4,2": "251a57d42b410c0d",
@@ -305,7 +319,8 @@ PINNED = {
     "ID strongly-transitive": "4610ec0f74fe9013",
     "ID surjective-sequence": "ae8b86e1f0d2bf66",
     "ID syndetically-sensitive:1/4": "91df46de8ed0b049",
-    "ID syndetically-transitive": "3b72fd988fa6f008",
+    # reason text: the identity law's never-hit claim, the strongest grade
+    "ID syndetically-transitive": "960a56dc19995bc4",
     "ID thickly-sensitive:1/2": "0bd84b6e06fd0574",
     "ID thickly-sensitive:1/4,2": "e1fd51600eb2fe9e",
     "ID thickly-sensitive:1/4,40": "57879d3b6015385c",
@@ -370,14 +385,16 @@ PINNED = {
     "LATESQ multi-sensitive:1/16": "37f43a19f3f18864",
     "LATESQ multi-sensitive:1/2,2": "37f43a19f3f18864",
     "LATESQ multi-sensitive:1/4,2": "37f43a19f3f18864",
-    "LATESQ multi-transitive:2": "777010c680026e93",
+    # inconclusive -> refuted: a pair no prefix table reaches fails slot 1
+    "LATESQ multi-transitive:2": "d6f73cf46ef24df7",
     "LATESQ sensitive:1/2": "37f43a19f3f18864",
     "LATESQ sensitive:1/3": "37f43a19f3f18864",
     "LATESQ sensitive:1/8": "37f43a19f3f18864",
     "LATESQ strongly-transitive": "d3d069608940b039",
     "LATESQ surjective-sequence": "3e88d3dbad6b60b4",
     "LATESQ syndetically-sensitive:1/4": "37f43a19f3f18864",
-    "LATESQ syndetically-transitive": "77e45682eec1c409",
+    # reason text: the never-hit pair now cites table reach, the strongest grade
+    "LATESQ syndetically-transitive": "d6f73cf46ef24df7",
     "LATESQ thickly-sensitive:1/2": "37f43a19f3f18864",
     "LATESQ thickly-sensitive:1/4,2": "37f43a19f3f18864",
     "LATESQ thickly-sensitive:1/4,40": "37f43a19f3f18864",
@@ -412,9 +429,11 @@ PINNED = {
     "POW almost-periodic-point": "4559716471734926",
     "POW dense-periodic-points": "5f1320f2176e98cb",
     "POW feeble-open": "a96f3eb460d239f6",
-    "POW mildly-mixing": "0a8cba394dcc537d",
+    # witnessed -> refuted: the sparse-support law beats tails cut off at the horizon
+    "POW mildly-mixing": "d4d79454639b1446",
     "POW minimal": "b49f1c47840cab83",
-    "POW mixing": "742a81f341a80081",
+    # witnessed -> refuted: the sparse-support law beats tails cut off at the horizon
+    "POW mixing": "784c2fd97004ac4d",
     "POW multi-sensitive:1/16": "677522e9b4a7efe4",
     "POW multi-sensitive:1/2,2": "6d1fbe2475c40b25",
     "POW multi-sensitive:1/4,2": "6d1fbe2475c40b25",
@@ -436,9 +455,11 @@ PINNED = {
     "PROD almost-periodic-point": "d96c54f411833fc2",
     "PROD dense-periodic-points": "a65d7b0d38306157",
     "PROD feeble-open": "c5e9804943640e6b",
-    "PROD mildly-mixing": "29c976a6ae6b94b1",
+    # inconclusive -> refuted: the ALT factor's excluded residue (factor rule)
+    "PROD mildly-mixing": "7b81ca2d48f5b2d1",
     "PROD minimal": "964914b8234e12c3",
-    "PROD mixing": "45039dbe9810f602",
+    # inconclusive -> refuted: the ALT factor's excluded residue (factor rule)
+    "PROD mixing": "dc8fb4707db03e8e",
     "PROD multi-sensitive:1/16": "0c00cb635c6aba59",
     "PROD multi-sensitive:1/2,2": "9ae387533b94db0d",
     "PROD multi-sensitive:1/4,2": "9ae387533b94db0d",
@@ -459,9 +480,11 @@ PINNED = {
     "ROT almost-periodic-point": "a91e38281ac78782",
     "ROT dense-periodic-points": "ed8d25946ef7b88c",
     "ROT feeble-open": "a96f3eb460d239f6",
-    "ROT mildly-mixing": "8301a2748dceee80",
+    # reason text: sparse support, graded above the excluded residue
+    "ROT mildly-mixing": "4732307e8edc9b59",
     "ROT minimal": "b1083df492b43699",
-    "ROT mixing": "88cc74c4f6c250ed",
+    # reason text: sparse support, graded above the excluded residue
+    "ROT mixing": "f5a2c6d49bb46def",
     "ROT multi-sensitive:1/16": "e87bf0cbebadfe61",
     "ROT multi-sensitive:1/2,2": "1bb1b0d1c1770b3e",
     "ROT multi-sensitive:1/4,2": "25c43115fb4cfc1a",
@@ -483,33 +506,43 @@ PINNED = {
     "SQUASH almost-periodic-point": "06c5da286580dfdc",
     "SQUASH dense-periodic-points": "2799561d8816ef5b",
     "SQUASH feeble-open": "f9906499cc6671d2",
-    "SQUASH mildly-mixing": "6ec6aac79b2ad3a3",
+    # cited pair: B0 is never hit from itself, the first pair with a reason
+    "SQUASH mildly-mixing": "724df099bab20674",
     "SQUASH minimal": "bd857bc39b3e869a",
-    "SQUASH mixing": "9866fcc00d1c1b85",
+    # cited pair: B0 is never hit from itself, the first pair with a reason
+    "SQUASH mixing": "f1338ab7f5ed9966",
     "SQUASH multi-sensitive:1/16": "37f43a19f3f18864",
     "SQUASH multi-sensitive:1/2,2": "37f43a19f3f18864",
     "SQUASH multi-sensitive:1/4,2": "37f43a19f3f18864",
-    "SQUASH multi-transitive:2": "777010c680026e93",
+    # inconclusive -> refuted: B0 is never hit from itself, so slot 1 fails
+    "SQUASH multi-transitive:2": "f1338ab7f5ed9966",
     "SQUASH sensitive:1/2": "37f43a19f3f18864",
     "SQUASH sensitive:1/3": "37f43a19f3f18864",
     "SQUASH sensitive:1/8": "37f43a19f3f18864",
     "SQUASH strongly-transitive": "625c42ae2856c0dd",
     "SQUASH surjective-sequence": "4a7570e37e5c0887",
     "SQUASH syndetically-sensitive:1/4": "37f43a19f3f18864",
-    "SQUASH syndetically-transitive": "98d61aba08337a45",
+    # reason text: B0 -> B0 now cites table reach, the strongest grade
+    "SQUASH syndetically-transitive": "f1338ab7f5ed9966",
     "SQUASH thickly-sensitive:1/2": "37f43a19f3f18864",
     "SQUASH thickly-sensitive:1/4,2": "37f43a19f3f18864",
     "SQUASH thickly-sensitive:1/4,40": "37f43a19f3f18864",
-    "SQUASH totally-transitive:2": "25b43212d4a8cf4e",
-    "SQUASH transitive": "9866fcc00d1c1b85",
-    "SQUASH weakly-mixing:2": "0e6a45fafce83044",
-    "SQUASH weakly-mixing:3": "0e6a45fafce83044",
+    # cited pair: B0 is never hit from itself, the first pair with a reason
+    "SQUASH totally-transitive:2": "39a730e4ddc1fe37",
+    # cited pair: B0 is never hit from itself, the first pair with a reason
+    "SQUASH transitive": "f1338ab7f5ed9966",
+    # inconclusive -> refuted: every unhit pair is walked, and B0 -> B0 is never hit
+    "SQUASH weakly-mixing:2": "f1338ab7f5ed9966",
+    # inconclusive -> refuted: every unhit pair is walked, and B0 -> B0 is never hit
+    "SQUASH weakly-mixing:3": "f1338ab7f5ed9966",
     "TAIL almost-periodic-point": "4559716471734926",
     "TAIL dense-periodic-points": "7b0d40fd47cec18c",
     "TAIL feeble-open": "a96f3eb460d239f6",
-    "TAIL mildly-mixing": "60108f68b844ce1d",
+    # witnessed -> refuted: the excluded residue beats tails cut off at the horizon
+    "TAIL mildly-mixing": "b90f7617f59c7a7b",
     "TAIL minimal": "e4dad6533613dba6",
-    "TAIL mixing": "101f4426a3d197ce",
+    # witnessed -> refuted: the excluded residue beats tails cut off at the horizon
+    "TAIL mixing": "7ca0318d9d3f13cb",
     "TAIL multi-sensitive:1/16": "b355dacabf07baeb",
     "TAIL multi-sensitive:1/2,2": "ce498f3d25eb67af",
     "TAIL multi-sensitive:1/4,2": "93a8ce283fdf1a23",
@@ -549,6 +582,52 @@ def test_verdict_digest_is_pinned(system, source, basis, horizon, prop):
 @pytest.mark.parametrize("case", CONSISTENCY, ids=[" ".join(map(str, c)) for c in CONSISTENCY])
 def test_consistency_digest_is_pinned(case):
     assert _consistency_digest(*case) == PINNED["consistency " + " ".join(map(str, case))]
+
+
+# A => B for every non-autonomous system by definition (mildly mixing is
+# read as implying mixing, as the checker reads it), closed under chaining
+IMPLIES = {
+    "mildly-mixing": ("mixing", "weakly-mixing:2", "syndetically-transitive", "transitive"),
+    "mixing": ("weakly-mixing:2", "syndetically-transitive", "transitive"),
+    "weakly-mixing:2": ("transitive",),
+    "syndetically-transitive": ("transitive",),
+    "multi-transitive:2": ("transitive",),
+    "totally-transitive:2": ("transitive",),
+    "strongly-transitive": ("transitive",),
+}
+
+
+def implication_breaks(spec, basis: int, horizon: int) -> list:
+    """The (A, B) with A => B that one system has witnessed for A and
+    refuted for B at one basis and horizon."""
+    basis = max(basis, sp.min_resolution(spec.space))
+    laws = mp.derive_laws(spec, ck.DEFAULT_LAW_HORIZON)
+    status = {
+        rendered: ck.check_property(spec, ndsl.read_property(rendered), basis, horizon, laws=laws).status
+        for rendered in [*IMPLIES, "transitive"]
+    }
+    return [
+        (a, b) for a, implied in IMPLIES.items() for b in implied
+        if status[a] == ck.WITNESSED and status[b] == ck.REFUTED
+    ]
+
+
+# PROD at basis 2 has 2^20 basis pairs, half a gigabyte of pair masks
+@pytest.mark.parametrize("system,basis,horizon", [
+    (system, basis, horizon)
+    for system in SYSTEMS for basis, horizon in [(1, 64), (2, 64), (1, 100)]
+    if (system, basis) != ("PROD", 2)
+])
+def test_no_golden_system_is_witnessed_for_a_and_refuted_for_what_a_implies(system, basis, horizon):
+    spec = ndsl.parse(SYSTEMS[system][0]).system(system)
+    assert implication_breaks(spec, basis, horizon) == []
+
+
+def test_no_finite2_oracle_shape_is_witnessed_for_a_and_refuted_for_what_a_implies():
+    from test_finite_oracle import shapes
+
+    broken = [(spec, implication_breaks(spec, 1, 64)) for spec in shapes(sp.FiniteSpace(2))]
+    assert [(spec, pairs) for spec, pairs in broken if pairs] == []
 
 
 def test_every_pinned_case_runs():
