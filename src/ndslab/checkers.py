@@ -622,7 +622,7 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         # structural refutation: slot m has identically-zero exponents on the
         # multiples of m, and a disjoint pair can sit in that slot; a lower
         # order already tested every smaller slot
-        if pair is not None and law.zero_on_multiples(m):
+        if pair is not None and law.zero_on_residue(m, 0):
             reason = (
                 f"prefix exponent is 0 at every multiple of {m}, so slot {m} "
                 "never connects disjoint sets: " + law.describe()
@@ -815,7 +815,7 @@ def _check_dense_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
     law = laws.exponent
     if law is not None:
         for k in (2, 3, 4):
-            if law.zero_on_multiples(k):
+            if law.zero_on_residue(k, 0):
                 return Verdict(
                     prop.render(), WITNESSED, cfg,
                     {
@@ -1135,8 +1135,9 @@ def _nth_bit(mask: int, n: int) -> int:
 
 def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     """Independently re-check a verdict's evidence: re-run the exact
-    membership test behind each witness entry, re-validate cited laws (the
-    derivation itself re-validates index by index), and re-check cited
+    membership test behind each witness entry, re-derive cited laws (the
+    derivation re-validates index by index; a decided verdict must cite the
+    describe() of a law of the system or of a factor), and re-check cited
     open-set conflicts.  A cited pair must bear out its reason up to the
     horizon (see _pair_claim_holds), and a transitive or weakly-mixing
     refutation must cite one; a minimal refutation must cite a
@@ -1146,6 +1147,11 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     H = verdict.config["horizon"]
     basis = sp.enumerate_basis(spec.space, r)
     ev = verdict.evidence
+    text = str(ev)
+    if verdict.status != INCONCLUSIVE and "validated to" in text:
+        laws = mp.derive_laws(spec, verdict.config["law_horizon"]).exponent_laws()
+        if not any(law.describe() in text for law in laws):
+            return False
     if verdict.status == WITNESSED:
         for key, n in ev.get("witness_times", {}).items():
             i, j = (int(p) for p in key.split("->"))
@@ -1169,12 +1175,6 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
         return True
     if verdict.status == REFUTED:
         kind = verdict.property.split(":")[0]
-        text = str(ev)
-        if "validated to" in text and not isinstance(spec, mp.ProductSpec):
-            # re-derivation re-validates the law index by index and raises on
-            # any mismatch
-            if mp.derive_exponent_law(spec, verdict.config["law_horizon"]) is None:
-                return False
         pair = ev.get("refuting_pair")
         if kind in ("transitive", "weakly-mixing") and not pair:
             return False

@@ -695,33 +695,25 @@ class ExponentLaw:
         """True when E(n) = 0 for every n: every prefix map is the identity."""
         return all(p.is_zero() for p in self.pieces)
 
-    def nonzero_pieces(self) -> tuple:
-        return tuple(p for p in self.pieces if not p.is_zero())
-
     def zero_on_residue(self, mod: int, residue: int) -> bool:
-        """True when the law forces E(n) = 0 on every n ≡ residue (mod mod)."""
-        return all(
-            _piece_zero_on_class(piece, mod, residue) for piece in self.pieces
-        )
-
-    def zero_on_multiples(self, j: int) -> bool:
-        return self.zero_on_residue(j, 0)
+        """True when the law forces E(n) = 0 on every n ≡ residue (mod mod):
+        every piece is 0 or shares no index with the class, conservatively,
+        since a power walk the overlap check cannot finish counts as one."""
+        members = ArithProgPattern((residue - 1) % mod + 1, mod)
+        try:
+            return all(p.is_zero() or _patterns_overlap(p.pattern, members) is None for p in self.pieces)
+        except OverlappingRules:
+            return False
 
     def first_zero_residue(self) -> Optional[tuple]:
         """The first (modulus, residue), moduli 2 then 3 and residues in
         increasing order, whose class the law forces to E(n) = 0; or None."""
-        for modulus in (2, 3):
-            for residue in range(modulus):
-                if self.zero_on_residue(modulus, residue):
-                    return modulus, residue
-        return None
+        return next(((m, r) for m in (2, 3) for r in range(m) if self.zero_on_residue(m, r)), None)
 
     def sparse_support(self) -> bool:
         """True when every index with nonzero exponent lies in a power
         pattern or a finite list, which forces unbounded gaps."""
-        return all(
-            isinstance(p.pattern, (PowerPattern, EqualsPattern)) for p in self.nonzero_pieces()
-        )
+        return all(p.is_zero() or isinstance(p.pattern, (PowerPattern, EqualsPattern)) for p in self.pieces)
 
     def describe(self) -> str:
         bits = []
@@ -740,55 +732,74 @@ class ExponentLaw:
         return "; ".join(bits) + f" [validated to {self.validated_up_to}]"
 
 
-def _piece_zero_on_class(piece: LawPiece, mod: int, residue: int) -> bool:
-    """Conservatively: does this piece provably never place a nonzero value
-    on the class n ≡ residue (mod mod)?  A piece whose pattern shares no
-    index with the class does not; a power walk the overlap check cannot
-    finish counts as a shared index."""
-    if piece.is_zero():
-        return True
-    try:
-        return _patterns_overlap(piece.pattern, ArithProgPattern((residue - 1) % mod + 1, mod)) is None
-    except OverlappingRules:
-        return False
+# the most pieces law_candidate reads: a check walks them all, a refutation cites them all
+MAX_LAW_PIECES = 4096
 
 
-def _family_rules(spec: NdsSpec):
-    return [r for r in spec.rules if isinstance(r.term, FamilyTerm)]
-
-
-def _constant_rules(spec: NdsSpec):
-    return [r for r in spec.rules if not isinstance(r.term, FamilyTerm)]
-
-
-def _all_zero_terms(rules, default) -> bool:
-    for r in rules:
-        if isinstance(r.term, FamilyTerm):
-            return False
-        if term_exponent(r.term) != 0:
-            return False
-    return term_exponent(default) == 0
-
-
-def law_candidate(spec: SystemSpec) -> Optional[list]:
-    """The pieces of the exponent law the rules of a shift / circle system
-    or of a tail of one give, not yet validated; None when no supported
-    structure is present (iterates of order past 1, products and finite
-    spaces included)."""
+def law_candidate(spec: SystemSpec, horizon: int) -> Optional[list]:
+    """The pieces of the exponent law of a shift or circle rule system or of
+    a tail of one, read off its prefix exponents E, not yet validated.  Past
+    M, the index after the last literal and progression start, E on each
+    class mod L, the lcm of the steps, is a polynomial of degree at most 2
+    in the class ordinal (design notes, "One law reader"), so a line that
+    is not all 0 is a progression piece and any other nonzero E(n) a
+    literal piece.  None on a class of degree 2, when M or L is past
+    `horizon` or past MAX_LAW_PIECES pieces, and for iterates of order past
+    1, products, finite spaces and power rules but the telescoping pair."""
     F, a, s = reading(spec)
     if s > 1 or not isinstance(F.space, (ShiftSpace, CircleSpace)):
         return None
-    source = _shift_rules(F, a)
-    return None if source is None else _law_candidate(source)
+    idle = rule_map(F.space, F.default)  # a power rule emitting the default's map changes nothing
+    if any(isinstance(r.pattern, PowerPattern) and rule_map(F.space, r.term) != idle for r in F.rules):
+        return None if a else _power_pair(F)
+    L = lcm(*(r.pattern.step for r in F.rules if isinstance(r.pattern, ArithProgPattern)))
+    M = 1 + max([0] + [r.pattern.first_match() - a for r in F.rules
+                       if isinstance(r.pattern, (EqualsPattern, ArithProgPattern))])
+    if M > horizon or L > horizon:
+        return None
+    E = list(accumulate(_step_exponents(F, a + 1, a + M + 3 * L - 1), initial=0))
+    starts = {}  # the first index of each class piece, by class
+    for n in range(M, M + L):
+        d = E[n + L] - E[n]
+        if E[n + 2 * L] - E[n + L] != d or len(starts) == MAX_LAW_PIECES:
+            return None
+        if d or E[n]:
+            while n > L and E[n - L] == E[n] - d and E[n - L]:
+                n -= L
+            starts[n % L] = n
+    heads = [n for n in range(1, M) if E[n] and n < starts.get(n % L, M)]
+    if len(starts) + len(heads) >= MAX_LAW_PIECES:
+        return None
+    # a class piece from n steps by d = E[n + L] - E[n], from E[n] - d at ordinal 0
+    pieces = [LawPiece(ArithProgPattern(n, L), E[n + L] - E[n], 2 * E[n] - E[n + L]) for n in starts.values()]
+    pieces += [LawPiece(EqualsPattern(n), 0, E[n]) for n in heads]
+    pieces.sort(key=lambda p: p.pattern.first_match())
+    if [p.pattern for p in pieces] == [ArithProgPattern(1, 1)]:
+        return [LawPiece(ElsePattern(), pieces[0].per_ordinal, pieces[0].constant)]
+    return pieces + [LawPiece(ElsePattern(), 0, 0)]
+
+
+def _power_pair(spec: NdsSpec) -> Optional[list]:
+    """The law of sigma^(c*k+d) at base^k + o undone at base^k + o + 1, every
+    other step the identity: c*k+d on the first pattern, 0 elsewhere."""
+    zero = identity_map(spec.space)
+    moving = [(r.pattern, r.term) for r in spec.rules if rule_map(spec.space, r.term) != zero]
+    if len(moving) != 2 or rule_map(spec.space, spec.default) != zero or not all(
+        isinstance(p, PowerPattern) and isinstance(t, FamilyTerm) for p, t in moving
+    ):
+        return None
+    (p, f), (q, g) = sorted(moving, key=lambda rule: rule[0].offset)
+    if p.base != q.base or q.offset - p.offset != 1 or (f.coeff, f.add) != (-g.coeff, -g.add):
+        return None
+    return [LawPiece(p, f.coeff, f.add), LawPiece(ElsePattern(), 0, 0)]
 
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
-    """Telescoping detection for the cumulative exponent of shift / circle
-    systems.  The law_candidate is validated at every index up to `horizon`
-    against `prefix_exponents`; a validation failure is a hard error.
-    Returns None when no supported structure is present (callers fall back
-    to enumeration-only checks)."""
-    candidate = law_candidate(spec)
+    """The law_candidate of a shift or circle system, validated at every
+    index up to `horizon` against `prefix_exponents`; a validation failure is
+    a hard error.  Returns None when no law is read (callers fall back to
+    enumeration-only checks)."""
+    candidate = law_candidate(spec, horizon)
     if candidate is None:
         return None
     kind = "shift" if isinstance(spec.space, ShiftSpace) else "rotation"
@@ -806,106 +817,6 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]
                     f"{law.value(n)} vs {actual[n]}"
                 )
     return law
-
-
-def _shift_rules(spec: NdsSpec, offset: int) -> Optional[NdsSpec]:
-    """Rewrite a rule system's rules for the tail starting `offset` indices
-    in; None when a pattern does not survive the reindexing."""
-    if offset == 0:
-        return spec
-    rules = []
-    for r in spec.rules:
-        pat, term = r.pattern, r.term
-        if isinstance(pat, EqualsPattern):
-            v = pat.value - offset
-            if v >= 1:
-                rules.append(Rule(EqualsPattern(v), term))
-            continue  # dropped rules only shorten the preamble
-        if isinstance(pat, ArithProgPattern):
-            first = pat.first - offset
-            bumps = 0
-            while first < 1:
-                first += pat.step
-                bumps += 1
-            if isinstance(term, FamilyTerm) and bumps:
-                term = FamilyTerm(term.kind, term.coeff, term.add + term.coeff * bumps)
-            rules.append(Rule(ArithProgPattern(first, pat.step), term))
-            continue
-        return None  # power patterns do not reindex into a supported form
-    return NdsSpec(spec.space, tuple(rules), spec.default)
-
-
-def _law_candidate(spec: NdsSpec) -> Optional[list]:
-    zero_piece = LawPiece(ElsePattern(), 0, 0)
-    if _all_zero_terms(spec.rules, spec.default):
-        return [zero_piece]
-    fams = _family_rules(spec)
-    consts = _constant_rules(spec)
-    # constant sequence: a single always-on exponent e gives E(n) = e*n
-    if not fams and not consts and term_exponent(spec.default) != 0:
-        return [LawPiece(ElsePattern(), term_exponent(spec.default), 0)]
-    if len(consts) == 1 and not fams and isinstance(consts[0].pattern, ElsePattern):
-        return [LawPiece(ElsePattern(), term_exponent(consts[0].term), 0)]
-    if not _all_zero_terms(consts, spec.default):
-        return _equals_pair_candidate(spec)
-    if len(fams) != 2:
-        return None
-    a, b = fams
-    fa, fb = a.term, b.term
-    if fa.coeff != -fb.coeff or fa.add != -fb.add:
-        return None
-    pa, pb = a.pattern, b.pattern
-    if isinstance(pa, ArithProgPattern) and isinstance(pb, ArithProgPattern):
-        if pa.step != pb.step:
-            return None
-        if pb.first < pa.first:
-            pa, pb, fa, fb = pb, pa, fb, fa
-        delta = pb.first - pa.first
-        if not (0 < delta < pa.step):
-            return None
-        # the k-th positive block is in flight on [pa.first+(k-1)step, +delta)
-        pieces = [
-            LawPiece(ArithProgPattern(pa.first + j, pa.step), fa.coeff, fa.add)
-            for j in range(delta)
-        ]
-        pieces.append(zero_piece)
-        return pieces
-    if isinstance(pa, PowerPattern) and isinstance(pb, PowerPattern):
-        if pa.base != pb.base:
-            return None
-        if pb.offset < pa.offset:
-            pa, pb, fa, fb = pb, pa, fb, fa
-        if pb.offset - pa.offset != 1:
-            return None
-        return [LawPiece(pa, fa.coeff, fa.add), zero_piece]
-    return None
-
-
-def _equals_pair_candidate(spec: NdsSpec) -> Optional[list]:
-    """Paired one-shot rules sigma^e at v, sigma^-e at v+1, identity
-    elsewhere (the gap-adversary shape)."""
-    if _family_rules(spec) or term_exponent(spec.default) != 0:
-        return None
-    by_value = {}
-    for r in spec.rules:
-        if not isinstance(r.pattern, EqualsPattern):
-            return None
-        by_value[r.pattern.value] = term_exponent(r.term)
-    pieces = []
-    seen = set()
-    for v in sorted(by_value):
-        if v in seen:
-            continue
-        e = by_value[v]
-        if e == 0:
-            seen.add(v)
-            continue
-        if by_value.get(v + 1) != -e:
-            return None
-        seen.update({v, v + 1})
-        pieces.append(LawPiece(EqualsPattern(v), 0, e))
-    pieces.append(LawPiece(ElsePattern(), 0, 0))
-    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -1052,6 +963,11 @@ class SystemLaws:
     exponent: Optional[ExponentLaw] = None
     table: Optional[TableLaw] = None
     components: tuple = ()  # per-part laws for product systems
+
+    def exponent_laws(self) -> list:
+        """The exponent laws of the system and of its factors, nested ones too."""
+        own = [self.exponent] if self.exponent is not None else []
+        return own + [law for part in self.components for law in part.exponent_laws()]
 
 
 def derive_laws(spec: SystemSpec, horizon: int) -> SystemLaws:

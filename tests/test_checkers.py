@@ -145,6 +145,17 @@ class TestRecheckVerdict:
         assert mp.derive_exponent_law(lawless, v.config["law_horizon"]) is None
         assert not ck.recheck_verdict(lawless, v)
 
+    @pytest.mark.parametrize("spec", [ex36(), mp.ProductSpec((ex36(), CONST_SIGMA))], ids=["F", "product"])
+    def test_a_made_up_law_fails(self, spec):
+        # the same pair and residue, cited with a law no derivation gives
+        true = ck.check_property(spec, ck.PropertyKind("mixing"), 1, 32)
+        law = mp.derive_exponent_law(ex36(), true.config["law_horizon"]).describe()
+        assert true.refuted and law in true.evidence["structural"]
+        assert ck.recheck_verdict(spec, true)
+        forged = true.evidence["structural"].replace(law, law.replace("1*k+0", "7*k+0"))
+        assert forged != true.evidence["structural"]
+        assert not ck.recheck_verdict(spec, with_evidence(true, structural=forged))
+
     @pytest.mark.parametrize("prop", ["transitive", "weakly-mixing"])
     def test_a_refuting_pair_that_a_time_hits_fails(self, prop):
         # the cycle moves {1} onto {2} at time 1, so no argument refutes that pair

@@ -82,14 +82,28 @@ class TestCheckCommand:
         assert code == 1 and "refuted" in out
 
     def test_inconclusive_exit_two(self, ndsl_file, capsys):
-        # unpaired one-shot powers admit no law; after they cancel the tail is
-        # silent and nothing can refute within the horizon
-        source = "space shift(2);\nsystem F { at 1: sigma^2; at 4: sigma^-2; }\n"
+        # a power rule outside a telescoping pair admits no law, and no
+        # cofinite tail shows within the horizon
+        source = "space shift(2);\nsystem F { at 1: sigma^2; at pow(2,3,k): sigma^-2; }\n"
         code, out, _ = run(capsys, [
             "check", ndsl_file(source), "--property", "mixing", "--horizon", "8",
             "--basis", "1",
         ])
         assert code == 2
+
+    def test_unpaired_one_shots_get_a_law_that_refutes(self, ndsl_file, capsys):
+        # E is 2 on 1..3 and 0 from 4 on: three literal pieces, so every
+        # disjoint pair is hit at most there
+        source = "space shift(2);\nsystem F { at 1: sigma^2; at 4: sigma^-2; }\n"
+        code, out, _ = run(capsys, [
+            "check", ndsl_file(source), "--property", "mixing", "--horizon", "8",
+            "--basis", "1", "--format", "json",
+        ])
+        (check,) = json.loads(out)["checks"]
+        assert code == 1 and check["status"] == "refuted"
+        assert check["evidence"]["structural"].endswith(
+            "E(n=1)=2; E(n=2)=2; E(n=3)=2; E(otherwise)=0 [validated to 2048]"
+        )
 
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run(capsys, ["check", "does-not-exist.ndsl"])
@@ -480,6 +494,34 @@ class TestExitCodes:
             else:
                 assert problem is None
         assert cli._size_problem(args, doc, [("A", ndsl.read_property("transitive"), 4096, 2)]) is None
+
+    PROD = """space shift(2);
+system CS { else: sigma^1; }
+system ALT { at ap(1,2,k): sigma^k; at ap(2,2,k): sigma^-k; }
+system PROD = product(CS, ALT);
+"""
+
+    def test_the_cached_masks_of_one_command_share_the_budget(self, ndsl_file, capsys, no_masks):
+        # estimated only: 1024 rectangles at basis 2, so 2^20 pair masks over
+        # 64 times for transitive and weakly-mixing (one set) and over 128
+        # for multi-transitive:2, each set under the budget alone
+        doc = ndsl.parse(self.PROD)
+        args = cli._parse_args(["check", "x.ndsl"])
+        one_set, other_set = (1024**2 * (span // 8 + cli.MASK_PAIR_BYTES) for span in (64, 128))
+        assert (one_set, other_set) == (159_383_552, 167_772_160)
+        checks = {name: ("PROD", ndsl.read_property(name), 64, 2)
+                  for name in ("transitive", "weakly-mixing", "multi-transitive:2")}
+        for request in checks.values():
+            assert cli._size_problem(args, doc, [request]) is None
+        assert cli._size_problem(args, doc, [checks["transitive"], checks["weakly-mixing"]]) is None
+        directives = "".join(f"check PROD {name} horizon 64 basis 2;\n"
+                             for name in ("transitive", "multi-transitive:2"))
+        code, out, err = run(capsys, ["check", ndsl_file(self.PROD + directives)])
+        need = one_set + other_set
+        assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
+        assert err == (f"ndslab: the 2 sets of pair masks the checks keep until the command ends "
+                       f"need an estimated {need} bytes together, over the budget of "
+                       f"MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
 
     @pytest.mark.parametrize("space", [
         sp.ShiftSpace(), sp.ShiftSpace(3), sp.FiniteSpace(5), sp.CircleSpace(),

@@ -458,7 +458,7 @@ class TestExponentLaws:
             if t >= 1:
                 assert law.value(2 * t + 1) == t
         assert law.value(1) == 0
-        assert law.zero_on_multiples(2)
+        assert law.zero_on_residue(2, 0)
         assert not law.sparse_support()
 
     def test_example_36_law(self):
@@ -476,7 +476,7 @@ class TestExponentLaws:
             if all(n != 3**k for k in range(1, 8)):
                 assert law.value(n) == 0
         assert law.sparse_support()
-        assert law.zero_on_multiples(2)
+        assert law.zero_on_residue(2, 0)
 
     def test_constant_sequence_law(self):
         law = derive_exponent_law(CONST_SIGMA, 512)
@@ -490,11 +490,19 @@ class TestExponentLaws:
             assert law.value(2 * k - 1) == 0
 
     def test_no_law_for_unsupported_shape(self):
+        # sigma^k at every index: E(n) = n(n+1)/2 grows quadratically
+        spec = NdsSpec(SHIFT, (Rule(ElsePattern(), FamilyTerm("shift", 1)),))
+        assert derive_exponent_law(spec, 100) is None
+
+    def test_one_shots_that_do_not_cancel_get_a_law(self):
         spec = NdsSpec(SHIFT, (
             Rule(EqualsPattern(1), ShiftPowTerm(5)),
             Rule(EqualsPattern(4), ShiftPowTerm(-3)),
         ))
-        assert derive_exponent_law(spec, 100) is None
+        law = derive_exponent_law(spec, 100)
+        assert law.describe() == (
+            "E(n=1)=5; E(n=2)=5; E(n=3)=5; E(n=4+1(k-1))=2; E(otherwise)=0 [validated to 100]"
+        )
 
     def test_validation_is_hard_error(self):
         # same-sign families telescope nothing; the candidate generator must
@@ -864,9 +872,8 @@ def assert_law_matches_prefix_exponents(spec, law, horizon: int):
 
 
 class TestLawRecogniserShapes:
-    """Shapes the law recogniser takes or refuses.  A refused shape gets no
-    law although its prefix exponent has a closed form; ROADMAP item 3 (one
-    closed form for every rule set) is expected to give each of them one."""
+    """Laws the reader gives for literal, progression and else shapes, and
+    for tails of them: literal pieces for head values no class covers."""
 
     ADVERSARY = ck.build_gap_adversary([4, 8, 12])[0]
 
@@ -877,10 +884,16 @@ class TestLawRecogniserShapes:
         assert law.describe() == "E(n=3)=8; E(n=7)=12; E(otherwise)=0 [validated to 64]"
         assert_law_matches_prefix_exponents(tail, law, 64)
 
-    def test_a_tail_cut_inside_a_literal_pair_gets_no_law(self):
+    def test_a_tail_cut_inside_a_literal_pair_gets_a_law(self):
         # offset 4 keeps only the undoing half of the first pair, at index 1,
-        # so E is -4 from there to the next pair: no paired one-shot shape
-        assert derive_exponent_law(TailSpec(self.ADVERSARY, 5), 64) is None
+        # so E is -4 from there on, apart from the two pairs still ahead
+        tail = TailSpec(self.ADVERSARY, 5)
+        law = derive_exponent_law(tail, 64)
+        assert law.describe() == (
+            "E(n=1)=-4; E(n=2)=-4; E(n=3)=-4; E(n=4)=4; E(n=5)=-4; E(n=6)=-4; E(n=7)=-4; "
+            "E(n=8)=8; E(n=9+1(k-1))=-4; E(otherwise)=0 [validated to 64]"
+        )
+        assert_law_matches_prefix_exponents(tail, law, 64)
 
     def test_a_single_else_rule_is_a_constant_sequence(self):
         spec = NdsSpec(SHIFT, (Rule(ElsePattern(), ShiftPowTerm(2)),), ShiftPowTerm(5))
@@ -898,12 +911,18 @@ class TestLawRecogniserShapes:
         assert law.describe() == "E(n=5)=2; E(otherwise)=0 [validated to 64]"
         assert_law_matches_prefix_exponents(spec, law, 64)
 
-    def test_a_constant_rule_on_a_progression_gets_no_law(self):
+    def test_a_constant_rule_on_a_progression_gets_a_law(self):
+        # E falls by one every even index; the even class starts at 4, as
+        # its value 0 at 2 ends the walk back
         spec = NdsSpec(SHIFT, (
             Rule(EqualsPattern(1), ShiftPowTerm(1)),
             Rule(ArithProgPattern(2, 2), ShiftPowTerm(-1)),
         ))
-        assert derive_exponent_law(spec, 64) is None
+        law = derive_exponent_law(spec, 64)
+        assert law.describe() == (
+            "E(n=1+2(k-1))=-1*k+2; E(n=4+2(k-1))=-1*k+0; E(otherwise)=0 [validated to 64]"
+        )
+        assert_law_matches_prefix_exponents(spec, law, 64)
 
     @pytest.mark.parametrize("patterns", [
         (ArithProgPattern(1, 2), ArithProgPattern(2, 4)),  # unequal steps
@@ -920,3 +939,55 @@ class TestLawRecogniserShapes:
             Rule(patterns[0], FamilyTerm(kind, 1)), Rule(patterns[1], FamilyTerm(kind, -1)),
         ))
         assert derive_exponent_law(spec, 64) is None
+
+
+@st.composite
+def law_rule_sets(draw):
+    """Shift or circle rule systems of ap, literal and else rules with
+    family and constant terms (each rule kept only when it shares no index
+    with an earlier one), and their tails from 1 to 8."""
+    space = draw(st.sampled_from([SHIFT, CircleSpace()]))
+    kind, power = ("shift", ShiftPowTerm) if space == SHIFT else ("rot", RotPowTerm)
+    amount = st.integers(-3, 3)
+    term = st.one_of(st.builds(FamilyTerm, st.just(kind), amount, amount), amount.map(power))
+    pattern = st.one_of(
+        st.builds(ArithProgPattern, st.integers(1, 12), st.integers(1, 6)),
+        st.integers(1, 30).map(EqualsPattern),
+        st.just(ElsePattern()),
+    )
+    rules = []
+    for p, t in draw(st.lists(st.tuples(pattern, term), max_size=5)):
+        if all(maps_mod._patterns_overlap(p, r.pattern) is None for r in rules):
+            rules.append(Rule(p, t))
+    spec = NdsSpec(space, tuple(rules), draw(amount.map(power)))
+    return TailSpec(spec, draw(st.integers(1, 8))), spec
+
+
+class TestLawReader:
+    @given(law_rule_sets(), st.integers(1, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_a_law_holds_past_its_horizon_and_is_missed_only_where_a_class_is_quadratic(
+        self, systems, H
+    ):
+        tail, spec = systems
+        exponents = maps_mod.prefix_exponents(tail, 4 * H)
+        law = derive_exponent_law(tail, H)
+        if law is not None:
+            assert [law.value(n) for n in range(1, 4 * H + 1)] == exponents[1:]
+            return
+        # no law: M or L is past H, or some class mod L bends past M
+        L = lcm(*(r.pattern.step for r in spec.rules if isinstance(r.pattern, ArithProgPattern)))
+        M = 1 + max([0] + [r.pattern.first_match() - tail.k + 1 for r in spec.rules
+                           if not isinstance(r.pattern, ElsePattern)])
+        if M <= H and L <= H:
+            E = maps_mod.prefix_exponents(tail, M + 3 * L)
+            assert any(E[n + 2 * L] - 2 * E[n + L] + E[n] for n in range(M, M + L))
+
+    @pytest.mark.parametrize("last, pieces", [(4096, 4096), (4097, None)])
+    def test_a_law_takes_at_most_max_law_pieces(self, last, pieces):
+        # E is 1 on 1..last-1: one literal piece each, and the else piece
+        spec = NdsSpec(SHIFT, (Rule(EqualsPattern(1), ShiftPowTerm(1)),
+                               Rule(EqualsPattern(last), ShiftPowTerm(-1))))
+        law = derive_exponent_law(spec, 5000)
+        assert maps_mod.MAX_LAW_PIECES == 4096
+        assert (None if law is None else len(law.pieces)) == pieces
