@@ -8,6 +8,7 @@ the tail convention (n >= H/2) and the thresholds are configuration.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product as iter_product, repeat
 from operator import attrgetter, eq, itemgetter
@@ -167,7 +168,10 @@ def lemma21_construct(
     # every witness starts inside the level-1 cylinder of a; its window is a
     # claimed block that no later target may overwrite
     base = level_sets[0][0]
-    blocks = [(base.start, base.end - 1)]
+    # the claimed blocks [starts[j], ends[j]], sorted: they are disjoint and
+    # apart, so the ends are sorted too, and a candidate is clear of every
+    # block once it is clear of the last block starting at or before hi + 1
+    starts, ends = [base.start], [base.end - 1]
     times, shifts = [], []
     exps = [0]  # E(0..len-1), read in chunks that double as the search goes on
     for i, (A_i, _B_i) in enumerate(level_sets, start=1):
@@ -177,18 +181,20 @@ def lemma21_construct(
                 exps = mp.prefix_exponents(spec, min(horizon, 2 * p))
             e = exps[p]
             lo, hi = A_i.start + e, A_i.end - 1 + e
-            if all(hi < blo - 1 or lo > bhi + 1 for blo, bhi in blocks):
-                chosen = (p, e, lo, hi)
+            j = bisect_right(starts, hi + 1)
+            if j == 0 or ends[j - 1] < lo - 1:
+                chosen = (p, e, lo, hi, j)
                 break
         if chosen is None:
             return ItineraryFailure(
                 i, "", f"no time <= {horizon} moves the level-{i} targets clear of earlier blocks"
             )
-        times.append(chosen[0])
-        shifts.append(chosen[1])
-        blocks.append(chosen[2:])
-    lo = min(b0 for b0, _ in blocks)
-    hi = max(b1 for _, b1 in blocks)
+        p, e, lo, hi, j = chosen
+        times.append(p)
+        shifts.append(e)
+        starts.insert(j, lo)
+        ends.insert(j, hi)
+    lo, hi = starts[0], ends[-1]
     # a level's two targets share the window [-w, w] and constrain every cell
     # of it, so each plants as one slice at its prefix exponent and replaces
     # the other.  In product order witness k differs from witness k - 1 in

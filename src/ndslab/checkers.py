@@ -18,7 +18,6 @@ from functools import partial, reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, prod
 from operator import and_, getitem
-from typing import NamedTuple, Optional
 
 from . import hitting as ht
 from . import maps as mp
@@ -30,13 +29,14 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-class Param(NamedTuple):
+@record
+class Param:
     """One property parameter: the PropertyKind field it sets, its default
     (None: the parameter is required) and its kind: an integer of at least
     `least`, or (integer False) a positive fraction."""
 
     field: str
-    default: Optional[int] = None
+    default: int | None = None
     least: int = 1
     integer: bool = True
 
@@ -52,10 +52,10 @@ class PropertyKind:
     default there; a bad name or parameter raises ValueError."""
 
     name: str
-    order: Optional[int] = None
-    delta: Optional[Fraction] = None
-    run_length: Optional[int] = None
-    point: Optional[object] = None
+    order: int | None = None
+    delta: Fraction | None = None
+    run_length: int | None = None
+    point: object | None = None
 
     def __post_init__(self):
         if self.name not in PROPERTIES:
@@ -220,7 +220,7 @@ def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fracti
     return basis, ht.separation_mask(spec, basis[0], delta, horizon)
 
 
-def _first_bit(mask: int) -> Optional[int]:
+def _first_bit(mask: int) -> int | None:
     if mask == 0:
         return None
     return (mask & -mask).bit_length() - 1
@@ -262,7 +262,7 @@ def _refute_pair(prop, cfg, basis, i, j, reason, **extra) -> Verdict:
     return Verdict(prop.render(), REFUTED, cfg, evidence)
 
 
-def _refute_unhit(spec, laws, prop, cfg, basis, pairs, grades=("never",)) -> Optional[Verdict]:
+def _refute_unhit(spec, laws, prop, cfg, basis, pairs, grades=("never",)) -> Verdict | None:
     """Refuted, citing the first of `pairs` that hitting.pair_reason has a
     reason of `grades` for; None when it has none.  Pairs of one key (see
     _reason_keys) share their reason, so each key is asked once; listed keys
@@ -344,7 +344,7 @@ def check_property(
     basis_resolution: int = DEFAULT_BASIS,
     horizon: int = DEFAULT_HORIZON,
     law_horizon: int = DEFAULT_LAW_HORIZON,
-    laws: Optional[mp.SystemLaws] = None,
+    laws: mp.SystemLaws | None = None,
 ) -> Verdict:
     """Machine-checked verdict for one property of one system.  `laws` are
     the system's laws at `law_horizon` when the caller derived them already
@@ -787,7 +787,7 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
     )
 
 
-def _is_prefix_invariant(spec, laws, x) -> Optional[str]:
+def _is_prefix_invariant(spec, laws, x) -> str | None:
     space = spec.space
     if isinstance(space, sp.ShiftSpace) and isinstance(x, sp.BiWord):
         if x.shifted(1) == x:
@@ -877,7 +877,7 @@ def _certify_periodicity(law) -> bool:
     )
 
 
-def _finite_period(tab: mp.TableLaw, x: int) -> Optional[int]:
+def _finite_period(tab: mp.TableLaw, x: int) -> int | None:
     """The least k with T(k)(x) = T(2k)(x) = ... = x, or None.  Past the P
     lead tables x runs round a loop of length p, so k must be a multiple of
     p and x must sit where the multiples of p land; then the least multiple
@@ -1070,7 +1070,7 @@ class ConsistencyReport:
     ok: bool
     property: str
     members_required: int
-    kth_common_time: Optional[int]
+    kth_common_time: int | None
     detail: str
 
 

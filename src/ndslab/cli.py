@@ -353,12 +353,15 @@ def _base_fill(spec, span: int, a: int = 0, s: int = 1) -> int:
 
 
 def _law_fill(spec, law_horizon: int) -> int:
-    """The base indices derive_laws fills validating an exponent law of
-    `spec` to `law_horizon` (0 where no law is validated); a product
-    derives each part's laws."""
+    """The base indices derive_laws fills for an exponent law of `spec` at
+    `law_horizon`: the law reader's own read (maps.law_reach) and the
+    validation to `law_horizon`, counted wherever the reader reads, since
+    whether it finds a law is known only once it has read (0 where it reads
+    nothing); a product derives each part's laws.  Nothing is filled here."""
     if isinstance(spec, mp.ProductSpec):
         return max(_law_fill(part, law_horizon) for part in spec.parts)
-    return _base_fill(spec, law_horizon) if mp.law_candidate(spec, law_horizon) is not None else 0
+    reach = mp.law_reach(spec, law_horizon)
+    return 0 if reach is None else max(reach, _base_fill(spec, law_horizon))
 
 
 def _work_problem(system, prop, horizon: int, basis: int, law_fill: int):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import sub
-from typing import Optional
 
 from . import maps as mp
 from . import spaces as sp
@@ -26,8 +25,8 @@ from .record import record
 class ConvergenceVerdict:
     status: str  # "witnessed" | "refuted" | "inconclusive"
     mode: str  # "uniform" | "collective"
-    stabilization_index: Optional[int] = None
-    refuting_pair: Optional[tuple] = None  # (r, k, distance lower bound)
+    stabilization_index: int | None = None
+    refuting_pair: tuple | None = None  # (r, k, distance lower bound)
     detail: str = ""
 
     @property
@@ -62,7 +61,7 @@ def sup_distance(space: sp.SpaceDesc, a: mp.NormalMap, b: mp.NormalMap):
     raise sp.SpaceMismatch(f"unknown space {space!r}")
 
 
-def _infinite_non_limit_rule(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> Optional[str]:
+def _infinite_non_limit_rule(spec: mp.SystemSpec, limit_map: mp.NormalMap) -> str | None:
     """A structural reason why infinitely many step terms differ from the
     limit (family exponents grow without bound, a constant non-limit term
     fires on an infinite pattern, or the default does)."""
@@ -146,7 +145,7 @@ def check_collective_convergence(
 
 def equicontinuity_modulus(
     spec: mp.SystemSpec, epsilon: Fraction, k: int, horizon: int
-) -> tuple[Optional[Fraction], str]:
+) -> tuple[Fraction | None, str]:
     """A xi > 0 with d(x, y) < xi forcing d(f_n^j x, f_n^j y) < epsilon/2 for
     every n <= horizon and j <= k.
 

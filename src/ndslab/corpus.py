@@ -15,7 +15,7 @@ import json
 import os
 import random
 from fractions import Fraction
-from typing import Optional
+from functools import cache
 
 from . import chaos
 from . import checkers as ck
@@ -375,7 +375,10 @@ def _prop(target, rendered, expected, citation, **params):
     return Expectation("property", target, expected, params, citation)
 
 
-def _scenarios() -> list:
+@cache
+def scenarios() -> tuple:
+    """Every scenario, built from the shipped sources the first time it is
+    asked for: `ndslab check` never reads them."""
     src = scenario_sources()
     out = []
 
@@ -646,7 +649,7 @@ def _scenarios() -> list:
         "witnesses plus scan evidence for proximal-yet-separated pairs",
     ))
 
-    return out
+    return tuple(out)
 
 
 def scenario_sources() -> dict:
@@ -663,14 +666,11 @@ def scenario_sources() -> dict:
     return sources
 
 
-SCENARIOS = tuple(_scenarios())
-
-
-def run_corpus(name_filter: Optional[str] = None) -> list:
+def run_corpus(name_filter: str | None = None) -> list:
     """Execute scenarios (optionally filtered by a substring/glob prefix on
     the name); deterministic report order by scenario name."""
     reports = []
-    for scenario in sorted(SCENARIOS, key=lambda s: s.name):
+    for scenario in sorted(scenarios(), key=lambda s: s.name):
         if name_filter and not _matches(scenario.name, name_filter):
             continue
         doc = _ScenarioDoc(ndsl.parse(scenario.source))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Optional
 
 from . import maps as mp
 from . import spaces as sp
@@ -36,9 +35,9 @@ class HittingSet:
     horizon: int
     members: tuple
     inconclusive: tuple = ()
-    u: Optional[sp.BasicOpen] = None
-    v: Optional[sp.BasicOpen] = None
-    delta: Optional[Fraction] = None
+    u: sp.BasicOpen | None = None
+    v: sp.BasicOpen | None = None
+    delta: Fraction | None = None
 
 
 @record
@@ -53,14 +52,14 @@ class FrequencyEvidence:
     max_gap: int
     eventual_max_gap: int
     longest_run: int
-    tail_start: Optional[int]
-    first_member: Optional[int]
+    tail_start: int | None
+    first_member: int | None
     censored_final_gap: bool
-    structural: Optional[str] = None  # the grade (see GRADES) of the law's claim
+    structural: str | None = None  # the grade (see GRADES) of the law's claim
     structural_detail: str = ""
 
 
-def _meets(space, A, B) -> Optional[bool]:
+def _meets(space, A, B) -> bool | None:
     """Does A meet B?  None when the enclosure cannot decide."""
     try:
         return sp.intersects(space, A, B)
@@ -250,7 +249,7 @@ def _frequency(mask: int, H: int) -> tuple:
     return max_gap, eventual, longest_run, head + 1 if head < H else None
 
 
-def classify_frequency(hs: HittingSet, laws: Optional[mp.SystemLaws] = None) -> FrequencyEvidence:
+def classify_frequency(hs: HittingSet, laws: mp.SystemLaws | None = None) -> FrequencyEvidence:
     """Gap and run statistics under the {0, H+1} boundary convention, with the
     grade and detail of the strongest claim a validated law makes about the
     set beyond the horizon (pair_reason, separation_reason)."""
@@ -275,7 +274,7 @@ def classify_frequency(hs: HittingSet, laws: Optional[mp.SystemLaws] = None) -> 
 GRADES = ("never", "finite-support", "sparse-support", "excluded-residue")
 
 
-def pair_reason(spec, laws: mp.SystemLaws, U, V, disjoint: bool, grades=GRADES) -> Optional[tuple]:
+def pair_reason(spec, laws: mp.SystemLaws, U, V, disjoint: bool, grades=GRADES) -> tuple | None:
     """(grade, detail) of the strongest claim among `grades` that a
     validated law makes about N(U, V) for every n, or None; an exponent law
     claims nothing unless U and V are `disjoint`.  It is never hit when
@@ -322,7 +321,7 @@ def pair_reason(spec, laws: mp.SystemLaws, U, V, disjoint: bool, grades=GRADES) 
     return grade, f"the hitting set lies in factor {k + 1}'s: {detail}"
 
 
-def separation_reason(spec, laws: mp.SystemLaws, U, delta: Fraction) -> Optional[tuple]:
+def separation_reason(spec, laws: mp.SystemLaws, U, delta: Fraction) -> tuple | None:
     """(grade, detail) of the strongest claim about N(U, delta) for every
     n, or None: a singleton's images are singletons;
     with diam(U) <= delta rotations (isometries) and identity prefixes
@@ -345,7 +344,7 @@ def separation_reason(spec, laws: mp.SystemLaws, U, delta: Fraction) -> Optional
     )
 
 
-def product_structural_miss(spec: mp.ProductSpec, laws: mp.SystemLaws, U, V) -> Optional[str]:
+def product_structural_miss(spec: mp.ProductSpec, laws: mp.SystemLaws, U, V) -> str | None:
     """For a product system with disjoint rectangle components, certify that
     every index misses by covering the parities: each residue class mod 2 is
     killed by some component whose law is zero there."""

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Optional, Union
 
 from .record import record
 from .spaces import (
@@ -120,7 +119,7 @@ class ElsePattern:
         return 1
 
 
-IndexPattern = Union[EqualsPattern, ArithProgPattern, PowerPattern, ElsePattern]
+IndexPattern = EqualsPattern | ArithProgPattern | PowerPattern | ElsePattern
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +167,8 @@ class FamilyTerm:
         return ShiftPowTerm(e) if self.kind == "shift" else RotPowTerm(e)
 
 
-MapTerm = Union[IdentityTerm, ShiftPowTerm, RotPowTerm, FiniteFnTerm]
-RuleTerm = Union[MapTerm, FamilyTerm]
+MapTerm = IdentityTerm | ShiftPowTerm | RotPowTerm | FiniteFnTerm
+RuleTerm = MapTerm | FamilyTerm
 
 IDENTITY = IdentityTerm()
 
@@ -396,7 +395,7 @@ class ProductSpec:
         object.__setattr__(self, "space", ProductSpace(tuple(p.space for p in self.parts)))
 
 
-SystemSpec = Union[NdsSpec, TailSpec, IterateSpec, ProductSpec]
+SystemSpec = NdsSpec | TailSpec | IterateSpec | ProductSpec
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ class ProductMap:
     parts: tuple
 
 
-NormalMap = Union[ShiftPowTerm, RotPowTerm, FiniteFnTerm, ProductMap]
+NormalMap = ShiftPowTerm | RotPowTerm | FiniteFnTerm | ProductMap
 
 
 def identity_map(space: SpaceDesc) -> NormalMap:
@@ -473,7 +472,7 @@ def apply(m: NormalMap, p: Point) -> Point:
     raise SpaceMismatch(f"unknown normal map {m!r}")
 
 
-def image(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
+def image(m: NormalMap, A: BasicOpen) -> BasicOpen | None:
     """Forward image; nonempty input gives nonempty output."""
     if isinstance(m, ShiftPowTerm):
         if not isinstance(A, Cylinder):
@@ -495,7 +494,7 @@ def image(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
     raise SpaceMismatch(f"unknown normal map {m!r}")
 
 
-def preimage(m: NormalMap, A: BasicOpen) -> Optional[BasicOpen]:
+def preimage(m: NormalMap, A: BasicOpen) -> BasicOpen | None:
     """Full inverse image; None when empty (possible for finite tables)."""
     if isinstance(m, ShiftPowTerm):
         if not isinstance(A, Cylinder):
@@ -705,7 +704,7 @@ class ExponentLaw:
         except OverlappingRules:
             return False
 
-    def first_zero_residue(self) -> Optional[tuple]:
+    def first_zero_residue(self) -> tuple | None:
         """The first (modulus, residue), moduli 2 then 3 and residues in
         increasing order, whose class the law forces to E(n) = 0; or None."""
         return next(((m, r) for m in (2, 3) for r in range(m) if self.zero_on_residue(m, r)), None)
@@ -736,7 +735,7 @@ class ExponentLaw:
 MAX_LAW_PIECES = 4096
 
 
-def law_candidate(spec: SystemSpec, horizon: int) -> Optional[list]:
+def law_candidate(spec: SystemSpec, horizon: int) -> list | None:
     """The pieces of the exponent law of a shift or circle rule system or of
     a tail of one, read off its prefix exponents E, not yet validated.  Past
     M, the index after the last literal and progression start, E on each
@@ -746,17 +745,12 @@ def law_candidate(spec: SystemSpec, horizon: int) -> Optional[list]:
     literal piece.  None on a class of degree 2, when M or L is past
     `horizon` or past MAX_LAW_PIECES pieces, and for iterates of order past
     1, products, finite spaces and power rules but the telescoping pair."""
-    F, a, s = reading(spec)
-    if s > 1 or not isinstance(F.space, (ShiftSpace, CircleSpace)):
+    read = _law_read(spec, horizon)
+    if read is None:
         return None
-    idle = rule_map(F.space, F.default)  # a power rule emitting the default's map changes nothing
-    if any(isinstance(r.pattern, PowerPattern) and rule_map(F.space, r.term) != idle for r in F.rules):
-        return None if a else _power_pair(F)
-    L = lcm(*(r.pattern.step for r in F.rules if isinstance(r.pattern, ArithProgPattern)))
-    M = 1 + max([0] + [r.pattern.first_match() - a for r in F.rules
-                       if isinstance(r.pattern, (EqualsPattern, ArithProgPattern))])
-    if M > horizon or L > horizon:
-        return None
+    F, a, M, L = read
+    if not L:
+        return _power_pair(F)
     E = list(accumulate(_step_exponents(F, a + 1, a + M + 3 * L - 1), initial=0))
     starts = {}  # the first index of each class piece, by class
     for n in range(M, M + L):
@@ -779,7 +773,39 @@ def law_candidate(spec: SystemSpec, horizon: int) -> Optional[list]:
     return pieces + [LawPiece(ElsePattern(), 0, 0)]
 
 
-def _power_pair(spec: NdsSpec) -> Optional[list]:
+def law_reach(spec: SystemSpec, horizon: int) -> int | None:
+    """The last index of the rule system read by law_candidate(spec,
+    horizon) (see reading): a + M + 3L - 1, 0 where only the telescoping
+    pair is read, off the rules, and None where nothing is read.  Known from
+    the rules before anything is filled."""
+    read = _law_read(spec, horizon)
+    if read is None:
+        return None
+    _F, a, M, L = read
+    return a + M + 3 * L - 1 if L else 0
+
+
+def _law_read(spec: SystemSpec, horizon: int) -> tuple | None:
+    """(F, a, M, L) of the read law_candidate makes, F the rule system
+    `spec` reads from index a on: M the index after the last literal and
+    progression start, L the lcm of the steps, and L = 0 where power rules
+    leave only the telescoping pair to read off the rules; None where it
+    reads nothing."""
+    F, a, s = reading(spec)
+    if s > 1 or not isinstance(F.space, (ShiftSpace, CircleSpace)):
+        return None
+    idle = rule_map(F.space, F.default)  # a power rule emitting the default's map changes nothing
+    if any(isinstance(r.pattern, PowerPattern) and rule_map(F.space, r.term) != idle for r in F.rules):
+        return None if a else (F, 0, 0, 0)
+    L = lcm(*(r.pattern.step for r in F.rules if isinstance(r.pattern, ArithProgPattern)))
+    M = 1 + max([0] + [r.pattern.first_match() - a for r in F.rules
+                       if isinstance(r.pattern, (EqualsPattern, ArithProgPattern))])
+    if M > horizon or L > horizon:
+        return None
+    return F, a, M, L
+
+
+def _power_pair(spec: NdsSpec) -> list | None:
     """The law of sigma^(c*k+d) at base^k + o undone at base^k + o + 1, every
     other step the identity: c*k+d on the first pattern, 0 elsewhere."""
     zero = identity_map(spec.space)
@@ -794,7 +820,7 @@ def _power_pair(spec: NdsSpec) -> Optional[list]:
     return [LawPiece(p, f.coeff, f.add), LawPiece(ElsePattern(), 0, 0)]
 
 
-def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]:
+def derive_exponent_law(spec: SystemSpec, horizon: int) -> ExponentLaw | None:
     """The law_candidate of a shift or circle system, validated at every
     index up to `horizon` against `prefix_exponents`; a validation failure is
     a hard error.  Returns None when no law is read (callers fall back to
@@ -823,7 +849,7 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> Optional[ExponentLaw]
 # where the steps settle
 
 
-def rule_map(space: SpaceDesc, term: RuleTerm) -> Optional[NormalMap]:
+def rule_map(space: SpaceDesc, term: RuleTerm) -> NormalMap | None:
     """The one normal map `term` emits every time its rule fires; None for a
     family whose exponent changes with the match ordinal."""
     if isinstance(term, FamilyTerm):
@@ -833,7 +859,7 @@ def rule_map(space: SpaceDesc, term: RuleTerm) -> Optional[NormalMap]:
     return term_to_normal(space, term)
 
 
-def covered_from(spec: NdsSpec) -> Optional[int]:
+def covered_from(spec: NdsSpec) -> int | None:
     """The least index from which every index matches a rule, so the default
     never fires again: 1 under an else rule, None when the default fires
     infinitely often.  Disjoint progressions hold disjoint residue classes
@@ -857,7 +883,7 @@ def covered_from(spec: NdsSpec) -> Optional[int]:
     return last_gap + 1
 
 
-def eventual_step(spec: SystemSpec) -> Optional[tuple]:
+def eventual_step(spec: SystemSpec) -> tuple | None:
     """(r0, g) when the rules prove that every step from index r0 on is the
     normal map g; None when they do not settle on one map.  Every rule on an
     infinite pattern must emit g, and so must the default unless the rules
@@ -922,7 +948,7 @@ class TableLaw:
 LEAD_WALK_BOUND = 10_000
 
 
-def derive_table_law(spec: SystemSpec) -> Optional[TableLaw]:
+def derive_table_law(spec: SystemSpec) -> TableLaw | None:
     """The prefix tables of a finite-space system whose steps settle on one
     table g from r0 on (eventual_step); None otherwise, and None when the
     lead would take more than LEAD_WALK_BOUND steps.  Only the r0 - 1
@@ -960,8 +986,8 @@ def derive_table_law(spec: SystemSpec) -> Optional[TableLaw]:
 
 @record
 class SystemLaws:
-    exponent: Optional[ExponentLaw] = None
-    table: Optional[TableLaw] = None
+    exponent: ExponentLaw | None = None
+    table: TableLaw | None = None
     components: tuple = ()  # per-part laws for product systems
 
     def exponent_laws(self) -> list:

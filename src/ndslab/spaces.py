@@ -17,7 +17,6 @@ from functools import cmp_to_key
 from itertools import product
 from math import isqrt, lcm
 from operator import ne
-from typing import Optional, Union
 
 from .record import record
 
@@ -41,8 +40,8 @@ class AlphaEnclosure:
     interval."""
 
     kind: str = "sqrt2m1"
-    center: Optional[Fraction] = None
-    halfwidth: Optional[Fraction] = None
+    center: Fraction | None = None
+    halfwidth: Fraction | None = None
 
     @staticmethod
     def sqrt2_minus_1() -> "AlphaEnclosure":
@@ -110,7 +109,7 @@ class AlphaLinear:
             return AlphaLinear(self.q - other.q, self.m - other.m, self.alpha)
         return AlphaLinear(self.q - Fraction(other), self.m, self.alpha)
 
-    def cmp(self, other: Union["AlphaLinear", Fraction, int]) -> int:
+    def cmp(self, other: AlphaLinear | Fraction | int) -> int:
         """-1, 0, +1 against another value; raises EnclosureUndecided only
         over a declared angle whose interval is too wide."""
         if isinstance(other, AlphaLinear):
@@ -152,10 +151,10 @@ class AlphaLinear:
         return self - Fraction(self.floor())
 
 
-RationalOrEnclosure = Union[Fraction, AlphaLinear]
+RationalOrEnclosure = Fraction | AlphaLinear
 
 
-def value_cmp(a: RationalOrEnclosure, b: Union[RationalOrEnclosure, int]) -> int:
+def value_cmp(a: RationalOrEnclosure, b: RationalOrEnclosure | int) -> int:
     """Order two exact-or-enclosure values."""
     if isinstance(a, AlphaLinear):
         return a.cmp(b)
@@ -211,7 +210,7 @@ class ProductSpace:
             raise ValueError("a product space needs at least two components")
 
 
-SpaceDesc = Union[ShiftSpace, FiniteSpace, CircleSpace, ProductSpace]
+SpaceDesc = ShiftSpace | FiniteSpace | CircleSpace | ProductSpace
 
 
 def has_isolated_points(space: SpaceDesc) -> bool:
@@ -363,7 +362,7 @@ class ProductPoint:
     parts: tuple
 
 
-Point = Union[FiniteId, BiWord, AffineAngle, ProductPoint]
+Point = FiniteId | BiWord | AffineAngle | ProductPoint
 
 
 def circle_separation(space: CircleSpace, a: AffineAngle, b: AffineAngle) -> AlphaLinear:
@@ -452,7 +451,7 @@ class ProductOpen:
     parts: tuple
 
 
-BasicOpen = Union[Cylinder, FiniteSet, Arc, ProductOpen]
+BasicOpen = Cylinder | FiniteSet | Arc | ProductOpen
 
 
 def _check_space_point(space: SpaceDesc, p: Point) -> None:
@@ -488,7 +487,7 @@ def _mask(x: BiWord, y: BiWord, a: int, b: int, leftward: bool) -> int:
     return int((bits[::-1] if leftward else bits).translate(_BITS) or b"0", 2)
 
 
-def _mode_period(p: BiWord, a: int, b: int) -> Optional[int]:
+def _mode_period(p: BiWord, a: int, b: int) -> int | None:
     """p's mode on a stretch [a, b) between window edges: the period of the
     tail it runs, or None inside the window."""
     if b <= p.window_start:
@@ -756,21 +755,6 @@ def diameter_exceeds(space: SpaceDesc, A: BasicOpen, delta: Fraction) -> bool:
     return value_cmp(diameter(space, A), delta) > 0
 
 
-def diameter_witness_pair(space: SpaceDesc, A: BasicOpen) -> tuple[Point, Point]:
-    """A pair of points of cylinder A attaining its diameter: one fills
-    every free cell with 0, the other with 1."""
-    if not isinstance(A, Cylinder):
-        raise SpaceMismatch(f"no witness pair for {A!r}")
-    lo = min(A.start, 0) - 1
-    hi = max(A.end, 0) + 1
-
-    def build(fill):
-        window = tuple(A.at(i) if A.at(i) is not None else fill for i in range(lo, hi))
-        return BiWord(lo, window, (fill,), (fill,))
-
-    return build(0), build(1)
-
-
 def min_resolution(space: SpaceDesc) -> int:
     """The least basis resolution the space admits: circle arcs at
     resolution r have radius 1/(2r) and an open arc needs a radius below
@@ -835,7 +819,7 @@ def basis_reader(space: SpaceDesc, basis: list):
     bases = [list(dict.fromkeys(B.parts[k] for B in basis)) for k in range(len(space.parts))]
     readers = [basis_reader(part, sides) for part, sides in zip(space.parts, bases)]
 
-    def read(p: ProductPoint) -> Optional[int]:
+    def read(p: ProductPoint) -> int | None:
         index = 0
         for reader, sides, x in zip(readers, bases, p.parts):
             i = reader(x)

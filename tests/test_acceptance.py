@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from ndsl_printer import print_document, random_document
 
 from ndslab import chaos
 from ndslab import checkers as ck
@@ -217,7 +218,7 @@ class TestAcceptance:
         ok = True
         # prefix composition equals the stepwise fold on every corpus system
         systems = []
-        for scenario in corpus.SCENARIOS:
+        for scenario in corpus.scenarios():
             doc = ndsl.parse(scenario.source)
             systems.extend(spec for _, spec in doc.systems)
         seen = []
@@ -242,8 +243,8 @@ class TestAcceptance:
         # round-trip identity on 10^4 random documents
         rng = random.Random(424242)
         for _ in range(10_000):
-            doc = ndsl.random_document(rng)
-            if ndsl.parse(ndsl.print_document(doc)) != doc:
+            doc = random_document(rng)
+            if ndsl.parse(print_document(doc)) != doc:
                 ok = False
                 break
         # hierarchy coherence across the shift corpus systems

@@ -139,6 +139,22 @@ class TestItineraryConstruction:
                 target = res.levels[i][0] if label[i] == "A" else res.levels[i][1]
                 assert contains(SHIFT, target, point)
 
+    @pytest.mark.parametrize("spec", ITINERARY_SYSTEMS)
+    def test_each_time_is_the_first_whose_block_clears_every_earlier_one(self, spec):
+        """Oracle: scan every candidate time against every claimed block, the
+        base window included, each at least one cell apart."""
+        res = lemma21_construct(spec, all_zeros(), all_ones(), 8, 512)
+        assert isinstance(res, ItineraryConstruction)
+        E = maps.prefix_exponents(spec, 512)
+        base = res.levels[0][0]
+        blocks, p = [(base.start, base.end - 1)], 0
+        for (A, _B), time in zip(res.levels, res.times):
+            p += 1
+            while not all(A.end - 1 + E[p] < lo - 1 or A.start + E[p] > hi + 1 for lo, hi in blocks):
+                p += 1
+            assert time == p
+            blocks.append((A.start + E[p], A.end - 1 + E[p]))
+
     @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_segment_fold_agrees_with_point_fold(self, spec, levels, data):

@@ -425,6 +425,35 @@ class TestExitCodes:
         request = (system, ndsl.read_property("transitive"), 512, 2)
         assert (cli._size_problem(args, ndsl.parse(source), [request]) is None) is accepted
 
+    @pytest.mark.parametrize("rules, fill", [
+        # a telescoping pair on a prime step: M = 3, L = 999983
+        ("at ap(1,999983,k): sigma^k; at ap(2,999983,k): sigma^-k;", 2999951),
+        # a literal at the law horizon: M = 10^6, L = 1
+        ("at 999999: sigma^1;", 1000002),
+    ])
+    def test_the_law_readers_read_is_estimated_before_it_runs(self, ndsl_file, capsys, no_work,
+                                                              monkeypatch, rules, fill):
+        monkeypatch.setattr(cli.mp, "_step_exponents", None)  # nothing may be filled
+        source = f"space shift(2);\nsystem F {{ {rules} }}\ncheck F transitive;\n"
+        code, out, err = run(capsys, ["check", ndsl_file(source), "--law-horizon", "1000000"])
+        assert code == 3 and out == ""
+        assert err == (f"ndslab: check F transitive: fills {fill} indices of its base "
+                       f"system, over the budget of MAX_HORIZON = {cli.MAX_HORIZON}\n")
+
+    def test_each_system_is_read_once(self, ndsl_file, capsys, monkeypatch):
+        read, real = [], cli.mp.law_candidate
+
+        def recorded(spec, horizon):
+            read.append(spec)
+            return real(spec, horizon)
+
+        monkeypatch.setattr(cli.mp, "law_candidate", recorded)
+        source = (EX36 + "system T = tail(F, 3);\ncheck F transitive;\ncheck F mixing;\n"
+                  "check T transitive;\n")
+        assert run(capsys, ["check", ndsl_file(source), "--horizon", "16"])[0] < 3
+        doc = ndsl.parse(source)
+        assert read == [doc.system("F"), doc.system("T")]
+
     @pytest.mark.parametrize("source, system", [
         (SIGMA + "system T = tail(F, 40);\n", "T"),
         (EX36 + "system T = tail(F, 40);\n", "T"),

@@ -1,5 +1,8 @@
 """Corpus completeness, reproducibility, and verdict soundness."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,21 +35,41 @@ REQUIRED_SCENARIOS = {
 
 class TestCompleteness:
     def test_checklist(self):
-        names = {s.name for s in corpus.SCENARIOS}
+        names = {s.name for s in corpus.scenarios()}
         missing = REQUIRED_SCENARIOS - names
         assert not missing, f"missing scenarios: {sorted(missing)}"
 
     def test_every_expectation_has_citation_and_notes(self):
-        for scenario in corpus.SCENARIOS:
+        for scenario in corpus.scenarios():
             assert scenario.hypothesis_notes
             for exp in scenario.expectations:
                 assert exp.citation
 
 
+class TestFirstUse:
+    def test_check_reads_no_scenario_file(self, tmp_path):
+        """The scenario table is built on first use: `ndslab check` in a
+        fresh process opens its input and none of the shipped sources."""
+        source = tmp_path / "one.ndsl"
+        source.write_text("space shift(2);\nsystem F { else: sigma^1; }\ncheck F transitive;\n")
+        code = (
+            "import sys\nopened = []\n"
+            "sys.addaudithook(lambda event, args: opened.append(str(args[0])) "
+            "if event == 'open' and str(args[0]).endswith('.ndsl') else None)\n"
+            "from ndslab import cli, corpus\n"
+            "rc = cli.main(['check', sys.argv[1]])\n"
+            "print(rc, opened, corpus.scenarios.cache_info().currsize, file=sys.stderr)"
+        )
+        src = os.path.dirname(os.path.dirname(corpus.__file__))
+        done = subprocess.run([sys.executable, "-c", code, str(source)], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.stderr.strip() == f"0 {[str(source)]} 0"
+
+
 class TestExecution:
     def test_full_corpus_reproduces_every_expectation(self):
         reports = corpus.run_corpus()
-        assert {r.name for r in reports} == {s.name for s in corpus.SCENARIOS}
+        assert {r.name for r in reports} == {s.name for s in corpus.scenarios()}
         failures = [
             f"{rep.name}: {r.description} -> {r.actual}"
             for rep in reports
@@ -73,7 +96,7 @@ class TestExecution:
 
 
 class TestNameFilter:
-    NAMES = [s.name for s in corpus.SCENARIOS]
+    NAMES = [s.name for s in corpus.scenarios()]
 
     def selected(self, pattern):
         return {name for name in self.NAMES if corpus._matches(name, pattern)}
@@ -93,7 +116,7 @@ class TestNameFilter:
 
 class TestVerdictSoundness:
     def test_every_corpus_property_verdict_rechecks(self):
-        for scenario in corpus.SCENARIOS:
+        for scenario in corpus.scenarios():
             doc = ndsl.parse(scenario.source)
             for exp in scenario.expectations:
                 if exp.kind != "property":

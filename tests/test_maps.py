@@ -7,6 +7,7 @@ the closed-form window compositions.
 
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -982,6 +983,28 @@ class TestLawReader:
         if M <= H and L <= H:
             E = maps_mod.prefix_exponents(tail, M + 3 * L)
             assert any(E[n + 2 * L] - 2 * E[n + L] + E[n] for n in range(M, M + L))
+
+    @given(law_rule_sets(), st.integers(1, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_law_reach_is_the_last_index_the_reader_reads(self, systems, H):
+        for spec in systems:
+            read, real = [], maps_mod._step_exponents
+
+            def recorded(F, lo, hi):
+                read.append(hi)
+                return real(F, lo, hi)
+
+            with mock.patch.object(maps_mod, "_step_exponents", recorded):
+                maps_mod.law_candidate(spec, H)
+            assert maps_mod.law_reach(spec, H) == (max(read) if read else None)
+
+    def test_the_telescoping_pair_is_read_off_its_rules(self):
+        spec = NdsSpec(CircleSpace(), (Rule(PowerPattern(3, 0), FamilyTerm("rot", 1)),
+                                       Rule(PowerPattern(3, 1), FamilyTerm("rot", -1))))
+        with mock.patch.object(maps_mod, "_step_exponents", None):
+            assert maps_mod.law_candidate(spec, 64) is not None
+        assert maps_mod.law_reach(spec, 64) == 0
+        assert maps_mod.law_reach(TailSpec(spec, 2), 64) is None
 
     @pytest.mark.parametrize("last, pieces", [(4096, 4096), (4097, None)])
     def test_a_law_takes_at_most_max_law_pieces(self, last, pieces):

