@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, chain, combinations, islice, product
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import and_, getitem
 
 from . import hitting as ht
@@ -849,20 +849,14 @@ def _check_dense_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
             (_quantifier_note(r, H),),
         )
     if isinstance(space, sp.FiniteSpace) and laws.table is not None:
-        tab = laws.table
-        witnesses = {}
-        for idx, U in enumerate(basis):
-            k_found = _finite_period(tab, min(U.ids))
-            if k_found is None:
-                return Verdict(
-                    prop.render(), INCONCLUSIVE, cfg,
-                    {"open_without_witness": _label(basis, idx)},
-                )
-            witnesses[str(idx)] = k_found
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {"period_per_open": witnesses, "structural": "exact table-law periodicity"},
-        )
+        periods = [_finite_period(laws.table, min(U.ids)) for U in basis]
+        if None in periods:
+            missing = _label(basis, periods.index(None))
+            return Verdict(prop.render(), INCONCLUSIVE, cfg, {"open_without_witness": missing})
+        return Verdict(prop.render(), WITNESSED, cfg, {
+            "period_per_open": dict(zip(map(str, range(len(basis))), periods)),
+            "structural": "exact table-law periodicity",
+        })
     return Verdict(prop.render(), INCONCLUSIVE, cfg, {}, ("no periodicity argument available",))
 
 
@@ -878,15 +872,15 @@ def _certify_periodicity(law) -> bool:
 
 
 def _finite_period(tab: mp.TableLaw, x: int) -> int | None:
-    """The least k with T(k)(x) = T(2k)(x) = ... = x, or None.  Past the P
-    lead tables x runs round a loop of length p, so k must be a multiple of
-    p and x must sit where the multiples of p land; then the least multiple
-    of p past P works, and the search stops there."""
-    lead, loop = tab.orbit(x)
-    P, p = len(lead), len(loop)
-    if loop[-(P + 1) % p] != x:
-        return None
-    return next(k for k in range(p, P + p + 1, p) if all(lead[n - 1] == x for n in range(k, P + 1, k)))
+    """The least k with T(k)(x) = T(2k)(x) = ... = x, or None.  Past its
+    pre-loop values x runs round a loop of length l, where the multiples of
+    k fall on every position a multiple of gcd(k, l) apart; so if any k
+    works, the least multiple of l past them does, and the search ends there."""
+    pre, loop = tab.orbit(x)
+    P, l = len(pre), len(loop)
+    on_loop = cache(lambda g: all(loop[(n - P - 1) % l] == x for n in range(g, l + 1, g)))
+    return next((k for k in range(1, P + l + 1)
+                 if on_loop(gcd(k, l)) and all(pre[n - 1] == x for n in range(k, P + 1, k))), None)
 
 
 def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:

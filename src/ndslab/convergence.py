@@ -5,10 +5,10 @@ gap-bound arguments.
 On the shift and on finite spaces the sup metric between distinct normal
 maps is bounded below by a fixed constant (3 between distinct shift powers,
 1 between distinct tables), so convergence verdicts reduce to eventual
-equality of steps: `maps.eventual_step` proves from the rules that every
-step from some index on is one map, and that map must be the limit.  No
-silent extrapolation: without that structural argument a verdict stays
-inconclusive.
+equality of steps: `maps.eventual_step` proves from the rules that the
+steps repeat a block from some index on, and a block of one map, the limit,
+witnesses.  No silent extrapolation: without that structural argument a
+verdict stays inconclusive.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def check_uniform_convergence(spec: mp.SystemSpec, limit: mp.MapTerm, horizon: i
     """Does D(f_n, f) -> 0?  On these discrete-valued sup metrics uniform
     convergence is eventual equality of terms: the windows of length 1."""
     limit_map = mp.term_to_normal(spec.space, limit)
-    r0, g = mp.eventual_step(spec) or (None, None)
-    if g == limit_map:
+    r0, block = mp.eventual_step(spec) or (None, ())
+    if block == (limit_map,):
         if next(_divergent_windows(spec, limit_map, range(r0, min(horizon, r0 + 8) + 1), 1), None):
             raise mp.LawValidationError("stabilization argument disagrees with terms")
         return ConvergenceVerdict(
@@ -124,8 +124,8 @@ def check_collective_convergence(
     rules (windows beyond r0 are then limit iterates for every k); refuted
     exhibits a concrete (r, k) separation recurring structurally."""
     limit_map = mp.term_to_normal(spec.space, limit)
-    r0, g = mp.eventual_step(spec) or (None, None)
-    if g == limit_map:
+    r0, block = mp.eventual_step(spec) or (None, ())
+    if block == (limit_map,):
         if next(_divergent_windows(spec, limit_map, range(r0, min(horizon, r0 + 8) + 1), max_window), None):
             raise mp.LawValidationError("stabilization argument disagrees with windows")
         return ConvergenceVerdict(

@@ -109,6 +109,8 @@ class PowerPattern:
 
 @record
 class ElsePattern:
+    first, step = 1, 1  # it matches every index: covered_from and eventual_step read ap(1,1)
+
     def matches(self, n: int) -> bool:
         return True
 
@@ -868,9 +870,7 @@ def covered_from(spec: NdsSpec) -> int | None:
     to fill a class).  The indices they then leave open are each
     progression's own class below its first term, so the last gap is found
     stepping down those classes past the finitely many other matches."""
-    if any(isinstance(r.pattern, ElsePattern) for r in spec.rules):
-        return 1
-    progs = [r.pattern for r in spec.rules if isinstance(r.pattern, ArithProgPattern)]
+    progs = [r.pattern for r in spec.rules if isinstance(r.pattern, (ArithProgPattern, ElsePattern))]
     period = lcm(*(p.step for p in progs))
     if sum(period // p.step for p in progs) != period:
         return None
@@ -883,101 +883,104 @@ def covered_from(spec: NdsSpec) -> int | None:
     return last_gap + 1
 
 
+# the most steps derive_table_law composes to reach r0, and the longest
+# block eventual_step builds
+LEAD_WALK_BOUND = 10_000
+
+
 def eventual_step(spec: SystemSpec) -> tuple | None:
-    """(r0, g) when the rules prove that every step from index r0 on is the
-    normal map g; None when they do not settle on one map.  Every rule on an
-    infinite pattern must emit g, and so must the default unless the rules
-    cover every index from some point on (covered_from); r0 is the later of
-    that cover index and one past each equals rule emitting another map.  A
-    system that reads a rule system from index a on (see reading) moves r0
-    back by a; iterates of order past 1 and products are not read."""
-    spec, a, s = reading(spec)
-    if s > 1 or not isinstance(spec, NdsSpec):
+    """(r0, block) when the rules prove that step r0 + k is block[k % p]
+    for every k >= 0, else None.  From its first term on, a progression
+    (else reads as ap(1,1)) holds its classes mod L, the lcm of the steps;
+    the default holds the other classes, unless the progressions cover
+    every index from some point on (covered_from), and every power rule
+    must emit its map.  A progression emitting that map is left out of L.
+    r0 is the latest of the cover index, first - step + 1 of each
+    progression left in while the default fires, and one past each equals
+    rule emitting another map than its class; the block is cut to its least
+    period, so one settled map is p = 1.  None for a family term growing on
+    a progression, and when L passes LEAD_WALK_BOUND, checked before the
+    block is built.  Reading from index a on (see reading) moves r0 back by a."""
+    F, a, s = reading(spec)
+    if s > 1 or not isinstance(F, NdsSpec):
         return None
-    space, cover = spec.space, covered_from(spec)
-    infinite = {rule_map(space, r.term) for r in spec.rules if not isinstance(r.pattern, EqualsPattern)}
-    if cover is None:
-        infinite.add(rule_map(space, spec.default))
-    if len(infinite) != 1 or None in infinite:
+    space, cover = F.space, covered_from(F)
+    progs = [(r.pattern, rule_map(space, r.term))
+             for r in F.rules if isinstance(r.pattern, (ArithProgPattern, ElsePattern))]
+    rest = rule_map(space, F.default) if cover is None else progs[0][1]
+    progs = [(p, g) for p, g in progs if g != rest]
+    L = lcm(*(p.step for p, _ in progs))
+    if L > LEAD_WALK_BOUND or None in (rest, *(g for _, g in progs)) or any(
+        isinstance(r.pattern, PowerPattern) and rule_map(space, r.term) != rest for r in F.rules
+    ):
         return None
-    (g,) = infinite
-    r0 = max([cover or 1] + [
-        r.pattern.value + 1 for r in spec.rules
-        if isinstance(r.pattern, EqualsPattern) and rule_map(space, r.term) != g
+    classes = [next((g for p, g in progs if (c - p.first) % p.step == 0), rest) for c in range(L)]
+    r0 = max([cover or 1] + [p.first - p.step + 1 for p, _ in progs if cover is None] + [
+        r.pattern.value + 1 for r in F.rules
+        if isinstance(r.pattern, EqualsPattern) and rule_map(space, r.term) != classes[r.pattern.value % L]
     ])
-    return max(1, r0 - a), g
+    r0 = max(1, r0 - a)
+    block = [classes[(a + r0 + k) % L] for k in range(L)]
+    p = next(d for d in range(1, L + 1) if L % d == 0 and block[d:] == block[:-d])
+    return r0, tuple(block[:p])
 
 
 # ---------------------------------------------------------------------------
-# finite-space analogue: a lead of prefix tables, then one settled step
+# finite-space analogue: a lead of prefix tables, then a repeating block
 
 
 @record
 class TableLaw:
-    """Exact description of every prefix table T(n) of a finite-space system
-    whose steps are one table `step` (g) from `stabilized_from` on: T(1) ..
-    T(P) are `lead`, `entry` is T(P+1) and T(n+1) = g o T(n) from there on,
-    so each point runs round a loop of g.  T(P+1+cycle) is the first repeat
-    of a table at or past `stabilized_from`."""
+    """Every prefix table T(n) of a finite-space system whose steps repeat a
+    block from `stabilized_from` (r0) on: T(1) .. T(r0 - 1) are `lead`, and
+    step r0 + k is block[k % p].  Past the lead each point walks at most
+    |X|·p (point, phase) states, whatever the order of the tables."""
 
     stabilized_from: int
-    lead: tuple  # T(1) .. T(P)
-    entry: FiniteFnTerm
-    step: FiniteFnTerm
-    cycle: int
+    lead: tuple  # T(1) .. T(r0 - 1)
+    block: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_orbits", {})  # orbit(i) by i, walked once
 
     def orbit(self, i: int) -> tuple:
-        """((T(1)(i), .., T(P)(i)), loop) with T(P+1+j)(i) = loop[j % len(loop)]."""
-        loop = [self.entry.table[i - 1]]
-        while (y := self.step.table[loop[-1] - 1]) != loop[0]:
-            loop.append(y)
-        return tuple(t.table[i - 1] for t in self.lead), tuple(loop)
+        """(pre, loop): T(n)(i) is pre[n - 1], and past pre loop[(n - len(pre) - 1)
+        % len(loop)]; the states (T(n)(i), phase of step n + 1) walked from
+        n = r0 - 1 to their first repeat, the loop read from n = 1 on."""
+        if i not in self._orbits:
+            p, values, seen = len(self.block), [i] + [t.table[i - 1] for t in self.lead], {}
+            while (state := (values[-1], (len(values) - self.stabilized_from) % p)) not in seen:
+                seen[state] = len(values) - 1
+                values.append(self.block[state[1]].table[values[-1] - 1])
+            s = max(1, n0 := seen[state])
+            self._orbits[i] = tuple(values[1:s]), tuple(values[s:-1] + values[n0:s])
+        return self._orbits[i]
 
     def reach(self, ids) -> set:
         """Every T(n)(i) over n >= 1 and i in ids."""
         return {y for i in ids for part in self.orbit(i) for y in part}
 
     def describe(self) -> str:
+        """r0, and T(n + c) = T(n) for every n > P, read off every point's
+        orbit: at p = 1, the first repeat of a table at or past r0."""
+        orbits = [self.orbit(i) for i in range(1, len(self.block[0].table) + 1)]
+        P = max(self.stabilized_from - 1, *(len(pre) for pre, _ in orbits))
         return (
             f"prefix tables stabilize at index {self.stabilized_from}; "
-            f"{len(self.lead)} leading tables then a cycle of {self.cycle}"
+            f"{P} leading tables then a cycle of {lcm(*(len(loop) for _, loop in orbits))}"
         )
 
 
-# the most steps derive_table_law composes to reach the settled step
-LEAD_WALK_BOUND = 10_000
-
-
 def derive_table_law(spec: SystemSpec) -> TableLaw | None:
-    """The prefix tables of a finite-space system whose steps settle on one
-    table g from r0 on (eventual_step); None otherwise, and None when the
-    lead would take more than LEAD_WALK_BOUND steps.  Only the r0 - 1
-    tables before r0 are composed from the steps, a walk the literal indices
-    of the rules bound before it starts.  Past them T(r0 - 1 + j) is
-    g^j o T(r0 - 1), so it repeats exactly when every point y of the image
-    of T(r0 - 1) is past its tail t_y under g and has gone a multiple of its
-    loop length p_y round: the first repeat starts at j = max(1, max t_y)
-    and closes lcm p_y later.  Each rho takes at most |X| steps of g."""
+    """The TableLaw of a finite-space system whose steps repeat a block from
+    r0 on (eventual_step), else None; None, too, for a lead longer than
+    LEAD_WALK_BOUND steps, known before its r0 - 1 tables are composed."""
     settled = eventual_step(spec) if isinstance(spec.space, FiniteSpace) else None
-    if settled is None:
+    if settled is None or settled[0] > LEAD_WALK_BOUND + 1:  # no law: the checks stay within their horizon
         return None
-    r0, g = settled
-    if r0 > LEAD_WALK_BOUND + 1:  # no law: the checks stay within their horizon
-        return None
-    lead = list(accumulate((step_normal(spec, n) for n in range(1, r0)), lambda t, s: compose(s, t)))
-    prefix = lead[-1] if lead else identity_map(spec.space)
-    tails, loops = [1], []
-    for y in set(prefix.table):
-        seen = {}
-        while y not in seen:
-            seen[y] = len(seen)
-            y = g.table[y - 1]
-        tails.append(seen[y])
-        loops.append(len(seen) - seen[y])
-    for _ in range(max(tails) - 1):
-        prefix = compose(g, prefix)
-        lead.append(prefix)
-    return TableLaw(r0, tuple(lead), compose(g, prefix), g, lcm(*loops))
+    r0, block = settled
+    lead = accumulate((step_normal(spec, n) for n in range(1, r0)), lambda t, s: compose(s, t))
+    return TableLaw(r0, tuple(lead), block)
 
 
 # ---------------------------------------------------------------------------

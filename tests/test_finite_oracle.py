@@ -107,6 +107,14 @@ def decide(spec) -> dict:
             any(at(n, i) == j and at(2 * n, k) == l for n in times)
             for (i, j), (k, l) in product(pairs, repeat=2)
         ),
+        # {i} holds a periodic point when T(kn)(i) = i for some k and every
+        # n >= 1; the multiples of k past n0 repeat with period p, so m up to
+        # n0 + p reads every one, and if any k works, the least multiple of
+        # p past n0 does, so k up to n0 + p decides
+        "dense-periodic-points": all(
+            any(all(at(k * m, i) == i for m in range(1, n0 + p + 1)) for k in range(1, n0 + p + 1))
+            for i in range(len(position))
+        ),
     }
 
 

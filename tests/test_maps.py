@@ -5,6 +5,7 @@ one at a time (or applying them one at a time to points) instead of using
 the closed-form window compositions.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -518,10 +519,16 @@ class TestExponentLaws:
 def law_table(law, n: int) -> FiniteFnTerm:
     """T(n) read off every point's orbit under the table law."""
     def at(i):
-        lead, loop = law.orbit(i)
-        return lead[n - 1] if n <= len(lead) else loop[(n - len(lead) - 1) % len(loop)]
+        pre, loop = law.orbit(i)
+        return pre[n - 1] if n <= len(pre) else loop[(n - len(pre) - 1) % len(loop)]
 
-    return FiniteFnTerm(tuple(at(i) for i in range(1, len(law.step.table) + 1)))
+    return FiniteFnTerm(tuple(at(i) for i in range(1, len(law.block[0].table) + 1)))
+
+
+def law_shape(law) -> tuple:
+    """(P, cycle) as describe() states them: T(n + cycle) = T(n) past P."""
+    P, cycle = re.search(r"(\d+) leading tables then a cycle of (\d+)", law.describe()).groups()
+    return int(P), int(cycle)
 
 
 def table_fold(spec, upto: int) -> list:
@@ -533,14 +540,18 @@ def table_fold(spec, upto: int) -> list:
     return tables
 
 
+def finite_tables(size: int):
+    return st.one_of(
+        st.permutations(range(1, size + 1)), st.lists(st.integers(1, size), min_size=size, max_size=size),
+    ).map(lambda t: FiniteFnTerm(tuple(t)))
+
+
 @st.composite
 def settled_finite_systems(draw):
     """Random finite(1..6) systems that settle on one table: equals rules
     over a constant default, or a single else rule, and tails of these."""
     size = draw(st.integers(1, 6))
-    tables = st.one_of(
-        st.permutations(range(1, size + 1)), st.lists(st.integers(1, size), min_size=size, max_size=size),
-    ).map(lambda t: FiniteFnTerm(tuple(t)))
+    tables = finite_tables(size)
     if draw(st.integers(0, 4)) == 0:
         spec = NdsSpec(FiniteSpace(size), (Rule(ElsePattern(), draw(tables)),), draw(tables))
     else:
@@ -550,11 +561,60 @@ def settled_finite_systems(draw):
     return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
 
 
+@st.composite
+def periodic_finite_systems(draw):
+    """Random finite(1..6) systems whose steps repeat a block: progressions
+    of steps 2 and 3 emitting fixed tables, equals rules, power rules
+    emitting the default's map, and tails of these (a rule that overlaps
+    the ones kept is dropped)."""
+    size = draw(st.integers(1, 6))
+    tables = finite_tables(size)
+    default = draw(tables)
+    patterns = [ArithProgPattern(draw(st.integers(1, 6)), draw(st.integers(2, 3)))
+                for _ in range(draw(st.integers(1, 3)))]
+    patterns += [EqualsPattern(v) for v in draw(st.sets(st.integers(1, 12), max_size=3))]
+    patterns += [PowerPattern(draw(st.integers(2, 3)), draw(st.integers(0, 3)))
+                 for _ in range(draw(st.integers(0, 1)))]
+    rules = []
+    for pattern in draw(st.permutations(patterns)):
+        rule = Rule(pattern, default if isinstance(pattern, PowerPattern) else draw(tables))
+        try:
+            NdsSpec(FiniteSpace(size), (*rules, rule), default)
+        except OverlappingRules:
+            continue
+        rules.append(rule)
+    spec = NdsSpec(FiniteSpace(size), tuple(rules), default)
+    return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
+
+
 def brute_period(tables: list, x: int, top: int):
     """The least k <= top with T(n)(x) = x at every multiple n of k in
     `tables`, which must reach past top * (top + 1); None when there is none."""
     return next((k for k in range(1, top + 1)
                  if all(t.table[x - 1] == x for t in tables[k - 1 :: k])), None)
+
+
+def assert_law_matches_the_fold(spec, data):
+    law = derive_table_law(spec)
+    assert law is not None
+    P, cycle = law_shape(law)
+    points = range(1, spec.space.point_count + 1)
+    # every point's least period is at most its pre-loop and loop lengths
+    top = P + max(len(law.orbit(x)[1]) for x in points) + 1
+    tables = table_fold(spec, max(P + 2 * cycle + 8, top * (top + 1)))
+    for n in range(1, P + 2 * cycle + 9):
+        assert law_table(law, n) == tables[n - 1]
+    # T(n + cycle) = T(n) past P, and at p = 1 T(P + 1 + cycle) is the first
+    # repeat of a table at or past r0
+    r0 = law.stabilized_from
+    assert tables[P : P + cycle + 8] == tables[P + cycle : P + 2 * cycle + 8]
+    assert r0 <= P + 1
+    if len(law.block) == 1:
+        assert len(set(tables[r0 - 1 : P + cycle])) == P + cycle - r0 + 1
+    ids = data.draw(st.sets(st.sampled_from(points), min_size=1))
+    assert law.reach(ids) == {t.table[i - 1] for t in tables[: P + cycle] for i in ids}
+    for x in points:
+        assert ck._finite_period(law, x) == brute_period(tables, x, top)
 
 
 class TestTableLaw:
@@ -584,22 +644,21 @@ class TestTableLaw:
     @given(settled_finite_systems(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_orbits_match_the_fold(self, spec, data):
-        law = derive_table_law(spec)
-        assert law is not None
-        P, cycle = len(law.lead), law.cycle
-        top = P + cycle + 1
-        tables = table_fold(spec, max(P + 2 * cycle + 8, top * (top + 1)))
-        for n in range(1, P + 2 * cycle + 9):
-            assert law_table(law, n) == tables[n - 1]
-        # the first repeat at or past r0 is T(P + 1 + cycle) = T(P + 1)
-        assert law.entry == tables[P] == tables[P + cycle]
-        r0 = law.stabilized_from
-        assert r0 <= P + 1 and len(set(tables[r0 - 1 : P + cycle])) == P + cycle - r0 + 1
-        points = range(1, spec.space.point_count + 1)
-        ids = data.draw(st.sets(st.sampled_from(points), min_size=1))
-        assert law.reach(ids) == {t.table[i - 1] for t in tables[:top] for i in ids}
-        for x in points:
-            assert ck._finite_period(law, x) == brute_period(tables, x, top)
+        assert_law_matches_the_fold(spec, data)
+
+    @given(periodic_finite_systems(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_orbits_of_periodic_blocks_match_the_fold(self, spec, data):
+        assert_law_matches_the_fold(spec, data)
+
+    def test_a_period_need_not_be_a_multiple_of_the_loop(self):
+        # every step swaps 1 and 2, and the fourth also sends 3 to 1: the
+        # states of 1 loop over 4 steps while T(n)(1) repeats every 2
+        A, B = FiniteFnTerm((2, 1, 3)), FiniteFnTerm((2, 1, 1))
+        law = derive_table_law(NdsSpec(FiniteSpace(3), (Rule(ArithProgPattern(4, 4), B),), A))
+        assert (law.stabilized_from, law.block) == (1, (A, A, A, B))
+        assert len(law.orbit(1)[1]) == 4
+        assert [ck._finite_period(law, x) for x in (1, 2, 3)] == [2, 2, None]
 
     def test_long_permutation_composes_no_cycle(self, monkeypatch):
         # cycles 5, 7, 8, 9 and 11 on finite(40): order 27720
@@ -612,16 +671,25 @@ class TestTableLaw:
         real = maps_mod.compose
         monkeypatch.setattr(maps_mod, "compose", lambda a, b: calls.append(1) or real(a, b))
         law = derive_table_law(spec)
+        shape = law_shape(law)
+        assert law_table(law, 27721) == FiniteFnTerm(tuple(table))
         monkeypatch.undo()
         assert len(calls) <= 41
-        assert (law.cycle, len(law.lead)) == (27720, 0)
-        assert law_table(law, 27721) == law.entry == FiniteFnTerm(tuple(table))
+        assert shape == (0, 27720)
 
     def test_lead_walk_bound_is_checked_before_walking(self, monkeypatch):
         # the steps settle at index 20001: past the bound there is no law
         spec = NdsSpec(FiniteSpace(2), (Rule(EqualsPattern(20_000), SWAP),), IDENTITY)
         monkeypatch.setattr(maps_mod, "step_normal", lambda *args: pytest.fail("the lead was walked"))
         assert derive_table_law(spec) is None
+
+    def test_a_block_past_the_lead_walk_bound_is_not_built(self):
+        # odd and even indices on 30-digit steps with gcd 2, so the two never
+        # meet: L has 59 digits, so no block and no law
+        spec = NdsSpec(FiniteSpace(2), (
+            Rule(ArithProgPattern(1, 2 * 10**29 + 2), SWAP), Rule(ArithProgPattern(2, 2 * 10**29 + 14), SWAP),
+        ), IDENTITY)
+        assert eventual_step(spec) is None and derive_table_law(spec) is None
 
 
 class TestDerivedLaws:
@@ -639,6 +707,7 @@ class TestDerivedLaws:
 
 SWAP = FiniteFnTerm((2, 1))
 CYCLE3 = FiniteFnTerm((2, 3, 1))
+SWAP3 = FiniteFnTerm((2, 1, 3))
 
 
 @st.composite
@@ -689,10 +758,14 @@ class TestWhereTheStepsSettle:
     def test_every_step_from_r0_is_g(self, spec):
         settled = eventual_step(spec)
         if settled is not None:
-            r0, g = settled
-            period = progression_period(spec.base if isinstance(spec, TailSpec) else spec)
-            for n in range(r0, r0 + 2 * period + 9):
-                assert step_normal(spec, n) == g
+            r0, block = settled
+            base = spec.base if isinstance(spec, TailSpec) else spec
+            period = progression_period(base)
+            top = max([r.pattern.first_match() for r in base.rules], default=1) + 2 * period + 9
+            for k in range(top):
+                assert step_normal(spec, r0 + k) == block[k % len(block)]
+            # the block is its least period: no shorter rotation repeats it
+            assert all(block[d:] + block[:d] != block for d in range(1, len(block)))
 
     @given(rule_systems())
     @settings(max_examples=300, deadline=None)
@@ -714,10 +787,25 @@ class TestWhereTheStepsSettle:
 
     def test_equals_rule_emitting_g_does_not_delay_the_law(self):
         spec = NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(5), CYCLE3),), CYCLE3)
-        assert eventual_step(spec) == (1, FiniteFnTerm(CYCLE3.table))
+        assert eventual_step(spec) == (1, (FiniteFnTerm(CYCLE3.table),))
         assert derive_table_law(spec).stabilized_from == 1
         verdict = convergence.check_uniform_convergence(spec, CYCLE3, 64)
         assert verdict.witnessed and verdict.stabilization_index == 1
+
+    def test_equals_rule_emitting_its_class_map_does_not_delay_the_block(self):
+        alternating = (Rule(ArithProgPattern(1, 2), CYCLE3),)
+        ident = FiniteFnTerm((1, 2, 3))
+        # index 4 is in the default's class: the identity there is no break
+        for term, r0 in ((IDENTITY, 1), (CYCLE3, 5)):
+            spec = NdsSpec(FiniteSpace(3), (*alternating, Rule(EqualsPattern(4), term)), IDENTITY)
+            assert eventual_step(spec) == (r0, (CYCLE3, ident))
+        # below ap(5,2)'s first term the default fires in its class, last at 3
+        spec = NdsSpec(FiniteSpace(3), (Rule(ArithProgPattern(5, 2), CYCLE3),), IDENTITY)
+        assert eventual_step(spec) == (4, (ident, CYCLE3))
+        # a tail at 2 reads the block one phase on
+        tail = TailSpec(NdsSpec(FiniteSpace(3), alternating, IDENTITY), 2)
+        assert eventual_step(tail) == (1, (ident, CYCLE3))
+        assert not convergence.check_uniform_convergence(tail, CYCLE3, 64).witnessed
 
     def test_power_rule_meeting_a_progression_past_4096_overlaps(self):
         # pow(2,0) meets ap(5000,1) first at 8192, past VALIDATION_HORIZON
@@ -730,7 +818,7 @@ class TestWhereTheStepsSettle:
         spec = NdsSpec(FiniteSpace(2), (
             Rule(ArithProgPattern(1, 2), SWAP), Rule(ArithProgPattern(2, 2), SWAP),
         ), IDENTITY)
-        assert covered_from(spec) == 1 and eventual_step(spec) == (1, FiniteFnTerm((2, 1)))
+        assert covered_from(spec) == 1 and eventual_step(spec) == (1, (FiniteFnTerm((2, 1)),))
         law = derive_table_law(spec)
         for n, table in enumerate(table_fold(spec, 39), 1):
             assert law_table(law, n) == table
@@ -738,7 +826,9 @@ class TestWhereTheStepsSettle:
         assert convergence.check_collective_convergence(spec, SWAP, 64, 4).witnessed
 
     def test_tail_law_walks_only_the_tail(self, monkeypatch):
-        base = NdsSpec(FiniteSpace(3), (), CYCLE3, name="C3")
+        # the base settles at index 6; its tail at 2 composes only its own
+        # four lead steps, each read off the base's rules, not its steps
+        base = NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(5), SWAP3),), CYCLE3, name="C3")
         tail = TailSpec(base, 2)
         calls = {base: 0, tail: 0}
         real = maps_mod.step_normal
@@ -750,8 +840,8 @@ class TestWhereTheStepsSettle:
         monkeypatch.setattr(maps_mod, "step_normal", counting)
         law = derive_table_law(tail)
         monkeypatch.undo()
-        # every base step read goes through a tail step: no base law is walked
-        assert calls[base] == calls[tail]
+        assert law.stabilized_from == 5
+        assert calls == {base: 0, tail: 4}
         for n, table in enumerate(table_fold(tail, 19), 1):
             assert law_table(law, n) == table
 

@@ -4,8 +4,8 @@ verdict engine cannot change a verdict, an evidence entry or a caveat.
 
 The systems cover each law shape the checkers branch on: a shift family on
 arithmetic progressions and one on powers, a tail and an iterate, a circle
-rotation family, a finite permutation, a non-surjective finite table and
-products of shifts and of finite tables, plus identities and late-acting
+rotation family, a finite permutation, a non-surjective finite table, two
+finite tables in alternation and products of shifts and of finite tables, plus identities and late-acting
 rules that leave the horizon silent.  Strongly-transitive on products is
 left out: its verdict is covered by tests/test_checkers.py.
 
@@ -72,6 +72,15 @@ system LATESQ {
 system FPROD = product(SQUASH, PERM);
 """
 
+# the steps alternate two tables that generate the symmetric group on
+# {1, 2, 3} and fix 4: a period-2 block, not one settled table
+BLOCK = """space finite(4);
+system SWAPS {
+  at ap(1,2): table{1->2,2->1,3->3,4->4};
+  else: table{1->1,2->3,3->2,4->4};
+}
+"""
+
 # system -> (document, basis, horizon)
 SYSTEMS = {
     "AP": (SOURCE, 2, 64),
@@ -89,6 +98,7 @@ SYSTEMS = {
     "FID": (FINITE, 1, 16),
     "LATESQ": (FINITE, 1, 32),
     "FPROD": (FINITE, 1, 16),
+    "SWAPS": (BLOCK, 1, 32),
 }
 
 PROPERTIES = (
@@ -535,6 +545,36 @@ PINNED = {
     "SQUASH weakly-mixing:2": "f1338ab7f5ed9966",
     # inconclusive -> refuted: every unhit pair is walked, and B0 -> B0 is never hit
     "SQUASH weakly-mixing:3": "f1338ab7f5ed9966",
+    "SWAPS almost-periodic-point": "4a2e16765b499017",
+    # witnessed: periods 6, 3, 6 and 1, read off the (point, phase) loops
+    "SWAPS dense-periodic-points": "95957acfd443f7a7",
+    "SWAPS feeble-open": "f9906499cc6671d2",
+    "SWAPS mildly-mixing": "303e53ad4570257c",
+    # refuted: the exact orbit of 1 is {1, 2, 3}
+    "SWAPS minimal": "4684ee1fa8a48871",
+    # refuted: no reachable prefix table moves {1} onto {4}
+    "SWAPS mixing": "bcb8f8587b37c39e",
+    "SWAPS multi-sensitive:1/16": "37f43a19f3f18864",
+    "SWAPS multi-sensitive:1/2,2": "37f43a19f3f18864",
+    "SWAPS multi-sensitive:1/4,2": "37f43a19f3f18864",
+    "SWAPS multi-transitive:2": "bcb8f8587b37c39e",
+    "SWAPS sensitive:1/2": "37f43a19f3f18864",
+    "SWAPS sensitive:1/3": "37f43a19f3f18864",
+    "SWAPS sensitive:1/8": "37f43a19f3f18864",
+    # refuted: the images of {1} reach only {1, 2, 3}
+    "SWAPS strongly-transitive": "d56d1a523c3acb1d",
+    "SWAPS surjective-sequence": "ae8b86e1f0d2bf66",
+    "SWAPS syndetically-sensitive:1/4": "37f43a19f3f18864",
+    "SWAPS syndetically-transitive": "bcb8f8587b37c39e",
+    "SWAPS thickly-sensitive:1/2": "37f43a19f3f18864",
+    "SWAPS thickly-sensitive:1/4,2": "37f43a19f3f18864",
+    "SWAPS thickly-sensitive:1/4,40": "37f43a19f3f18864",
+    "SWAPS totally-transitive:2": "9f299d4dddb302db",
+    # refuted: no reachable prefix table moves {1} onto {4}
+    "SWAPS transitive": "bcb8f8587b37c39e",
+    # refuted: no reachable prefix table moves {1} onto {4}
+    "SWAPS weakly-mixing:2": "bcb8f8587b37c39e",
+    "SWAPS weakly-mixing:3": "bcb8f8587b37c39e",
     "TAIL almost-periodic-point": "4559716471734926",
     "TAIL dense-periodic-points": "7b0d40fd47cec18c",
     "TAIL feeble-open": "a96f3eb460d239f6",
