@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, combinations, islice, product
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 from operator import and_, getitem
 
 from . import hitting as ht
@@ -849,14 +849,20 @@ def _check_dense_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
             (_quantifier_note(r, H),),
         )
     if isinstance(space, sp.FiniteSpace) and laws.table is not None:
-        periods = [_finite_period(laws.table, min(U.ids)) for U in basis]
-        if None in periods:
-            missing = _label(basis, periods.index(None))
-            return Verdict(prop.render(), INCONCLUSIVE, cfg, {"open_without_witness": missing})
-        return Verdict(prop.render(), WITNESSED, cfg, {
-            "period_per_open": dict(zip(map(str, range(len(basis))), periods)),
-            "structural": "exact table-law periodicity",
-        })
+        tab = laws.table
+        witnesses = {}
+        for idx, U in enumerate(basis):
+            k_found = _finite_period(tab, min(U.ids))
+            if k_found is None:
+                return Verdict(
+                    prop.render(), INCONCLUSIVE, cfg,
+                    {"open_without_witness": _label(basis, idx)},
+                )
+            witnesses[str(idx)] = k_found
+        return Verdict(
+            prop.render(), WITNESSED, cfg,
+            {"period_per_open": witnesses, "structural": "exact table-law periodicity"},
+        )
     return Verdict(prop.render(), INCONCLUSIVE, cfg, {}, ("no periodicity argument available",))
 
 
@@ -872,15 +878,25 @@ def _certify_periodicity(law) -> bool:
 
 
 def _finite_period(tab: mp.TableLaw, x: int) -> int | None:
-    """The least k with T(k)(x) = T(2k)(x) = ... = x, or None.  Past its
-    pre-loop values x runs round a loop of length l, where the multiples of
-    k fall on every position a multiple of gcd(k, l) apart; so if any k
-    works, the least multiple of l past them does, and the search ends there."""
-    pre, loop = tab.orbit(x)
-    P, l = len(pre), len(loop)
-    on_loop = cache(lambda g: all(loop[(n - P - 1) % l] == x for n in range(g, l + 1, g)))
-    return next((k for k in range(1, P + l + 1)
-                 if on_loop(gcd(k, l)) and all(pre[n - 1] == x for n in range(k, P + 1, k))), None)
+    """The least k with T(k)(x) = T(2k)(x) = ... = x, or None.  Past `start`
+    the visits of x repeat with a period l, and the multiples of k past it
+    fall on every residue mod l that is a multiple of g = gcd(k, l), so
+    whether they all visit x depends on g alone.  A k up to start must be a
+    visit whose multiples up to start are visits too; past start the least
+    k is the least multiple of a divisor g of l that works."""
+    pre, start, loop, l = tab.visits(x, {x})
+    hits, works = set(pre), {}
+
+    def on_loop(g):  # every multiple of g past start visits x
+        if g not in works:
+            works[g] = all((r - start) % l in loop for r in range(0, l, g))
+        return works[g]
+
+    for k in pre:
+        if on_loop(gcd(k, l)) and all(n in hits for n in range(k, start + 1, k)):
+            return k
+    divisors = [g for d in range(1, isqrt(l) + 1) if l % d == 0 for g in (d, l // d)]
+    return min(((start // g + 1) * g for g in divisors if on_loop(g)), default=None)
 
 
 def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:

@@ -281,10 +281,10 @@ def pair_reason(spec, laws: mp.SystemLaws, U, V, disjoint: bool, grades=GRADES) 
     every prefix is the identity, sparse when only power and one-shot rules
     move, and excludes the first residue (mod 2, then 3) it forces to 0.  A
     table law is never hit when no reachable table moves U onto V, and
-    finite, at the indices of pre-loop values, when the loops of U's points
-    miss V.  A product pair is never hit under the parity cover, and takes
-    the strongest of its factor pairs' claims (the first factor on a tie):
-    N(U1 x U2, V1 x V2) is in N(Uk, Vk)."""
+    finite, at the indices U's points visit V before their loops, when the
+    loops miss V.  A product pair is never hit under the parity cover, and
+    takes the strongest of its factor pairs' claims (the first factor on a
+    tie): N(U1 x U2, V1 x V2) is in N(Uk, Vk)."""
     law, tab = laws.exponent, laws.table
     if law is not None and disjoint:
         if "never" in grades and law.is_identity():
@@ -303,9 +303,8 @@ def pair_reason(spec, laws: mp.SystemLaws, U, V, disjoint: bool, grades=GRADES) 
     if tab is not None:
         if "never" in grades and not tab.reach(U.ids) & V.ids:
             return "never", "no reachable prefix table moves U onto V: " + tab.describe()
-        orbits = [tab.orbit(i) for i in U.ids]
-        if "finite-support" in grades and not any(y in V.ids for _, loop in orbits for y in loop):
-            pre_hits = sorted({n for pre, _ in orbits for n, y in enumerate(pre, 1) if y in V.ids})
+        if "finite-support" in grades and not tab.recurrent(U.ids) & V.ids:
+            pre_hits = sorted({n for i in U.ids for n in tab.visits(i, V.ids)[0]})
             return "finite-support", f"only prefix indices {pre_hits} can ever hit; " + tab.describe()
     if not laws.components:
         return None

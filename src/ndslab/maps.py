@@ -933,42 +933,96 @@ def eventual_step(spec: SystemSpec) -> tuple | None:
 class TableLaw:
     """Every prefix table T(n) of a finite-space system whose steps repeat a
     block from `stabilized_from` (r0) on: T(1) .. T(r0 - 1) are `lead`, and
-    step r0 + k is block[k % p].  Past the lead each point walks at most
-    |X|·p (point, phase) states, whatever the order of the tables."""
+    step r0 + k is block[k % p].  With C_j the first j steps of the block
+    composed and B = C_p, T(r0 - 1 + mp + j) is C_j o B^m o T(r0 - 1), so
+    each point's orbit is its rho under B at the block boundaries, at most
+    |X| points, and every phase is read off the C_j: p - 1 composes and
+    |X|·p reads in all, whatever the order of the tables."""
 
     stabilized_from: int
     lead: tuple  # T(1) .. T(r0 - 1)
     block: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_orbits", {})  # orbit(i) by i, walked once
+        steps = accumulate(self.block[1:], lambda t, s: compose(s, t), initial=self.block[0])
+        object.__setattr__(self, "_steps", tuple(steps))  # C_1 .. C_p
+        object.__setattr__(self, "_phases", {})  # _phase(y) by y
+        object.__setattr__(self, "_loops", {})  # point on a loop of B -> (loop, place, values)
+        object.__setattr__(self, "_description", [])
 
-    def orbit(self, i: int) -> tuple:
-        """(pre, loop): T(n)(i) is pre[n - 1], and past pre loop[(n - len(pre) - 1)
-        % len(loop)]; the states (T(n)(i), phase of step n + 1) walked from
-        n = r0 - 1 to their first repeat, the loop read from n = 1 on."""
-        if i not in self._orbits:
-            p, values, seen = len(self.block), [i] + [t.table[i - 1] for t in self.lead], {}
-            while (state := (values[-1], (len(values) - self.stabilized_from) % p)) not in seen:
-                seen[state] = len(values) - 1
-                values.append(self.block[state[1]].table[values[-1] - 1])
-            s = max(1, n0 := seen[state])
-            self._orbits[i] = tuple(values[1:s]), tuple(values[s:-1] + values[n0:s])
-        return self._orbits[i]
+    def _orbit(self, i: int) -> tuple:
+        """(tail, loop, e, values): the points T(r0 - 1 + mp)(i), m = 0, 1,
+        .., before B's loop, the loop, the place e where i enters it, and
+        every value C_j takes on it; each loop is found once."""
+        y, seen = self.lead[-1].table[i - 1] if self.lead else i, {}
+        while y not in seen and y not in self._loops:
+            seen[y] = len(seen)
+            y = self._steps[-1].table[y - 1]
+        tail = list(seen)
+        if y not in self._loops:
+            loop, tail = tuple(tail[seen[y] :]), tail[: seen[y]]
+            values = set().union(*map(self._phase, loop))
+            for m, z in enumerate(loop):
+                self._loops[z] = loop, m, values
+        return (tail, *self._loops[y])
+
+    def _phase(self, y: int) -> dict:
+        """{C_j(y): [j, ..]} over j = 1 .. p, built once per point."""
+        if y not in self._phases:
+            self._phases[y] = {}
+            for j, C in enumerate(self._steps, 1):
+                self._phases[y].setdefault(C.table[y - 1], []).append(j)
+        return self._phases[y]
+
+    def visits(self, i: int, values) -> tuple:
+        """(pre, start, loop, period): the n >= 1 with T(n)(i) in `values`
+        are pre up to start, and past it the n with (n - start) % period in
+        loop.  Past start = r0 - 1 + tp, t the tail of i under B, the
+        (point, phase) states of i run round a loop of p times B's."""
+        r0, p = self.stabilized_from, len(self.block)
+        tail, loop, e, _ = self._orbit(i)
+
+        def at(points):  # mp + j where C_j(points[m]) is in values
+            return [m * p + j for m, y in enumerate(points)
+                    for v in self._phase(y).keys() & values for j in self._phase(y)[v]]
+
+        period = p * len(loop)
+        pre = [n for n, t in enumerate(self.lead, 1) if t.table[i - 1] in values]
+        pre += sorted(r0 - 1 + q for q in at(tail))
+        return pre, r0 - 1 + len(tail) * p, {q % period for q in at(loop[e:] + loop[:e])}, period
 
     def reach(self, ids) -> set:
         """Every T(n)(i) over n >= 1 and i in ids."""
-        return {y for i in ids for part in self.orbit(i) for y in part}
+        out = {t.table[i - 1] for t in self.lead for i in ids} | self.recurrent(ids)
+        return out.union(*(self._phase(y) for i in ids for y in self._orbit(i)[0]))
+
+    def recurrent(self, ids) -> set:
+        """Every T(n)(i) taken for infinitely many n, i in ids: the values
+        round their loops."""
+        return set().union(*(self._orbit(i)[3] for i in ids))
 
     def describe(self) -> str:
-        """r0, and T(n + c) = T(n) for every n > P, read off every point's
-        orbit: at p = 1, the first repeat of a table at or past r0."""
-        orbits = [self.orbit(i) for i in range(1, len(self.block[0].table) + 1)]
-        P = max(self.stabilized_from - 1, *(len(pre) for pre, _ in orbits))
-        return (
-            f"prefix tables stabilize at index {self.stabilized_from}; "
-            f"{P} leading tables then a cycle of {lcm(*(len(loop) for _, loop in orbits))}"
-        )
+        """r0, and T(n + c) = T(n) for every n > P: c is p times the lcm of
+        the points' loops under B, and P is the last index before some
+        point's (point, phase) state reaches its loop.  For a point with a
+        tail of t under B, that state is at r0 - 1 + (t - 1)p + j, the least
+        j with C_j mapping the tail's last point and the loop point before
+        its entry together.  At p = 1, T(P + 1 + c) is the first repeat of a
+        table at or past r0."""
+        if not self._description:
+            r0, p = self.stabilized_from, len(self.block)
+            P, c = r0 - 1, 1
+            for i in range(1, len(self.block[0].table) + 1):
+                tail, loop, e, _ = self._orbit(i)
+                c = lcm(c, p * len(loop))
+                if tail:
+                    j = next(j for j, C in enumerate(self._steps, 1)
+                             if C.table[tail[-1] - 1] == C.table[loop[e - 1] - 1])
+                    P = max(P, r0 - 2 + (len(tail) - 1) * p + j)
+            self._description.append(
+                f"prefix tables stabilize at index {r0}; {P} leading tables then a cycle of {c}"
+            )
+        return self._description[0]
 
 
 def derive_table_law(spec: SystemSpec) -> TableLaw | None:

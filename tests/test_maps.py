@@ -516,13 +516,24 @@ class TestExponentLaws:
         assert derive_exponent_law(spec, 64) is None
 
 
-def law_table(law, n: int) -> FiniteFnTerm:
-    """T(n) read off every point's orbit under the table law."""
-    def at(i):
-        pre, loop = law.orbit(i)
-        return pre[n - 1] if n <= len(pre) else loop[(n - len(pre) - 1) % len(loop)]
+def law_tables(law, ns) -> list:
+    """[T(n) for n in ns] read off the law's visits: T(n)(i) is the one
+    point that i visits at n."""
+    points = range(1, len(law.block[0].table) + 1)
+    visits = {(i, v): law.visits(i, {v}) for i in points for v in points}
 
-    return FiniteFnTerm(tuple(at(i) for i in range(1, len(law.block[0].table) + 1)))
+    def visited(n, pre, start, loop, period):
+        return n in pre if n <= start else (n - start) % period in loop
+
+    def at(n, i):
+        (v,) = [v for v in points if visited(n, *visits[i, v])]
+        return v
+
+    return [FiniteFnTerm(tuple(at(n, i) for i in points)) for n in ns]
+
+
+def law_table(law, n: int) -> FiniteFnTerm:
+    return law_tables(law, [n])[0]
 
 
 def law_shape(law) -> tuple:
@@ -599,11 +610,10 @@ def assert_law_matches_the_fold(spec, data):
     assert law is not None
     P, cycle = law_shape(law)
     points = range(1, spec.space.point_count + 1)
-    # every point's least period is at most its pre-loop and loop lengths
-    top = P + max(len(law.orbit(x)[1]) for x in points) + 1
+    # every point's least period is at most the start and period of its visits
+    top = max(start + period for _, start, _, period in (law.visits(x, set()) for x in points)) + 1
     tables = table_fold(spec, max(P + 2 * cycle + 8, top * (top + 1)))
-    for n in range(1, P + 2 * cycle + 9):
-        assert law_table(law, n) == tables[n - 1]
+    assert law_tables(law, range(1, P + 2 * cycle + 9)) == tables[: P + 2 * cycle + 8]
     # T(n + cycle) = T(n) past P, and at p = 1 T(P + 1 + cycle) is the first
     # repeat of a table at or past r0
     r0 = law.stabilized_from
@@ -657,8 +667,26 @@ class TestTableLaw:
         A, B = FiniteFnTerm((2, 1, 3)), FiniteFnTerm((2, 1, 1))
         law = derive_table_law(NdsSpec(FiniteSpace(3), (Rule(ArithProgPattern(4, 4), B),), A))
         assert (law.stabilized_from, law.block) == (1, (A, A, A, B))
-        assert len(law.orbit(1)[1]) == 4
+        assert law.visits(1, set())[3] == 4
         assert [ck._finite_period(law, x) for x in (1, 2, 3)] == [2, 2, None]
+
+    def test_a_long_block_is_read_at_its_boundaries(self, monkeypatch):
+        # a 60-cycle at every 999th index and the identity elsewhere: each
+        # point's (point, phase) states loop over 60 * 999 steps, and the law
+        # composes the block once and walks 60 block boundaries
+        ring = FiniteFnTerm(tuple(k % 60 + 1 for k in range(1, 61)))
+        spec = NdsSpec(FiniteSpace(60), (Rule(ArithProgPattern(1, 999), ring),), identity_map(FiniteSpace(60)))
+        calls = []
+        real = maps_mod.compose
+        monkeypatch.setattr(maps_mod, "compose", lambda a, b: calls.append(1) or real(a, b))
+        law = derive_table_law(spec)
+        monkeypatch.undo()
+        assert len(law.block) == 999 and len(calls) == 998
+        assert law.describe() == "prefix tables stabilize at index 1; 0 leading tables then a cycle of 59940"
+        # T(n) is the ring to the power of the number of m <= n with m = 1 mod 999
+        assert law.visits(1, {2}) == ([], 0, set(range(1, 1000)), 59940)
+        assert all(law.reach({x}) == set(range(1, 61)) for x in range(1, 61))
+        assert [ck._finite_period(law, x) for x in range(1, 61)] == [59940] * 60
 
     def test_long_permutation_composes_no_cycle(self, monkeypatch):
         # cycles 5, 7, 8, 9 and 11 on finite(40): order 27720
