@@ -480,7 +480,7 @@ def _check_totally_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         return Verdict(prop.render(), v.status, cfg, {"iterate_order": 1, "inner": v.evidence})
     # iterate s at time n is the base at time s*n, so its mask is the
     # stride-s slice of the base's (see _slot), read over max(1, H // s)
-    # times; an iterate has no law, so an unhit pair leaves it inconclusive
+    # times; no law is read for the iterate, so an unhit pair leaves it inconclusive
     _, masks = _pair_masks(spec, r, max(H, prop.order))
     digits = {mask: bin(mask)[:1:-1] for mask in set(masks.values())}
     for s in range(2, prop.order + 1):

@@ -34,7 +34,7 @@ SCHEMA_VERSION = 1
 
 # the largest horizon or law horizon a check accepts: the prefix-exponent
 # array and every hit mask are filled eagerly up to it.  It also bounds the
-# base indices a tail or an iterate fills (_base_fill)
+# base indices past the cut a check and its laws fill (_base_fill, _law_fill)
 MAX_HORIZON = 10**6
 
 # the work a check may take on, estimated before it runs: the opens of its
@@ -338,30 +338,24 @@ def _basis_size(space, r: int) -> int:
     return min(n, MAX_BASIS_OPENS + 1)
 
 
-def _base_fill(spec, span: int, a: int = 0, s: int = 1) -> int:
+def _base_fill(spec, span: int, s: int = 1) -> int:
     """The base indices a check over `span` times of `spec` fills or steps
-    through, where time n reads indices a + s(n-1) + 1 .. a + sn of `spec`:
-    each tail and iterate composes its reading (maps.reading) into (a, s)
-    down to the leaves, a shift or circle leaf fills its prefix exponents to
-    s*span + a, a finite leaf steps through s*span indices, and a product
-    fills as much as its widest part."""
-    F, at, stride = mp.reading(spec)
-    a, s = at + stride * a, stride * s
+    through: time n reads s indices of each leaf past its cut, each tail and
+    iterate composing its stride (maps.reading) into s down to the leaves,
+    so a leaf fills s*span, whatever its cut, and a product as much as its
+    widest part."""
+    F, _, stride = mp.reading(spec)
     if isinstance(F, mp.ProductSpec):
-        return max(_base_fill(part, span, a, s) for part in F.parts)
-    return s * span + (0 if isinstance(F.space, sp.FiniteSpace) else a)
+        return max(_base_fill(part, span, s * stride) for part in F.parts)
+    return s * stride * span
 
 
 def _law_fill(spec, law_horizon: int) -> int:
-    """The base indices derive_laws fills for an exponent law of `spec` at
-    `law_horizon`: the law reader's own read (maps.law_reach) and the
-    validation to `law_horizon`, counted wherever the reader reads, since
-    whether it finds a law is known only once it has read (0 where it reads
-    nothing); a product derives each part's laws.  Nothing is filled here."""
+    """The base indices derive_laws fills for `spec`'s exponent laws, a
+    product's part by part (maps.law_reach, 0 where nothing is read)."""
     if isinstance(spec, mp.ProductSpec):
         return max(_law_fill(part, law_horizon) for part in spec.parts)
-    reach = mp.law_reach(spec, law_horizon)
-    return 0 if reach is None else max(reach, _base_fill(spec, law_horizon))
+    return mp.law_reach(spec, law_horizon) or 0
 
 
 def _work_problem(system, prop, horizon: int, basis: int, law_fill: int):
@@ -369,8 +363,8 @@ def _work_problem(system, prop, horizon: int, basis: int, law_fill: int):
     None: its basis has more than MAX_BASIS_OPENS opens, the estimated
     bytes of its pair masks (over order times the horizon for
     multi-transitive, one set per iterate for totally-transitive) pass
-    MAX_MASK_BYTES, or the base indices it fills through a tail or an
-    iterate (the system's law fill too, see _law_fill, and the order where
+    MAX_MASK_BYTES, or the base indices it fills (_base_fill, the
+    system's law fill too, see _law_fill, and the order where
     totally-transitive's last iterate reads past the horizon) pass
     MAX_HORIZON."""
     n = _basis_size(system.space, basis)

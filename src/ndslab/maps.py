@@ -643,17 +643,14 @@ def prefix_compose(spec: SystemSpec, n: int) -> NormalMap:
 
 def prefix_exponents(spec: SystemSpec, upto: int) -> list:
     """[E(0), ..., E(upto)]: the exponent (shift) or rotation coefficient
-    (circle) of every prefix map f_1^n, n <= upto: the running sums E of the
-    step exponents of the rule system F that `spec` reads (see reading),
-    filled afresh on every call to a + s*upto and read from index a on,
-    every s-th entry, re-based at E[a]."""
+    (circle) of every prefix map f_1^n, n <= upto: every s-th running sum of
+    the step exponents of the rule system F that `spec` reads (see reading),
+    filled afresh on every call over indices a + 1 .. a + s*upto, so no
+    index before the cut is filled."""
     F, a, s = reading(spec)
     if not isinstance(F, NdsSpec) or not isinstance(F.space, (ShiftSpace, CircleSpace)):
         raise SpaceMismatch("prefix exponents need a shift or circle system")
-    E = list(accumulate(_step_exponents(F, 1, a + s * upto), initial=0))
-    if a == 0 and s == 1:
-        return E
-    return [e - E[a] for e in E[a::s]]
+    return list(accumulate(_step_exponents(F, a + 1, a + s * upto), initial=0))[::s]
 
 
 # ---------------------------------------------------------------------------
@@ -739,21 +736,20 @@ MAX_LAW_PIECES = 4096
 
 def law_candidate(spec: SystemSpec, horizon: int) -> list | None:
     """The pieces of the exponent law of a shift or circle rule system or of
-    a tail of one, read off its prefix exponents E, not yet validated.  Past
-    M, the index after the last literal and progression start, E on each
-    class mod L, the lcm of the steps, is a polynomial of degree at most 2
-    in the class ordinal (design notes, "One law reader"), so a line that
-    is not all 0 is a progression piece and any other nonzero E(n) a
-    literal piece.  None on a class of degree 2, when M or L is past
-    `horizon` or past MAX_LAW_PIECES pieces, and for iterates of order past
-    1, products, finite spaces and power rules but the telescoping pair."""
+    a tail or iterate of one, read off its prefix exponents E, not yet
+    validated.  Past M, E on each class mod L is a polynomial of degree at
+    most 2 in the class ordinal (_law_read; design notes, "One law
+    reader"), so a line that is not all 0 is a progression piece and any
+    other nonzero E(n) a literal piece.  None on a class of degree 2, when
+    M or L is past `horizon` or past MAX_LAW_PIECES pieces, and where
+    _law_read reads nothing; power rules give only _power_pair's law."""
     read = _law_read(spec, horizon)
     if read is None:
         return None
-    F, a, M, L = read
+    F, _, M, L = read
     if not L:
         return _power_pair(F)
-    E = list(accumulate(_step_exponents(F, a + 1, a + M + 3 * L - 1), initial=0))
+    E = prefix_exponents(spec, M + 3 * L - 1)
     starts = {}  # the first index of each class piece, by class
     for n in range(M, M + L):
         d = E[n + L] - E[n]
@@ -776,35 +772,36 @@ def law_candidate(spec: SystemSpec, horizon: int) -> list | None:
 
 
 def law_reach(spec: SystemSpec, horizon: int) -> int | None:
-    """The last index of the rule system read by law_candidate(spec,
-    horizon) (see reading): a + M + 3L - 1, 0 where only the telescoping
-    pair is read, off the rules, and None where nothing is read.  Known from
-    the rules before anything is filled."""
+    """The base entries derive_laws(spec, horizon) fills past the cut for an
+    exponent law (see reading), off the rules before anything is filled:
+    the reader's s(M + 3L - 1) and the validation's s*(horizon // s), read
+    as if a law is found; None where nothing is read."""
     read = _law_read(spec, horizon)
     if read is None:
         return None
-    _F, a, M, L = read
-    return a + M + 3 * L - 1 if L else 0
+    _F, s, M, L = read
+    return s * max(M + 3 * L - 1, horizon // s)
 
 
 def _law_read(spec: SystemSpec, horizon: int) -> tuple | None:
-    """(F, a, M, L) of the read law_candidate makes, F the rule system
-    `spec` reads from index a on: M the index after the last literal and
-    progression start, L the lcm of the steps, and L = 0 where power rules
-    leave only the telescoping pair to read off the rules; None where it
-    reads nothing."""
+    """(F, s, M, L) of the read law_candidate makes, F the rule system
+    `spec` reads with stride s (see reading): M the step after the last
+    literal and progression start and L the lcm of the steps over gcd(L, s),
+    in the reading's steps; M = L = 0 where only a plain system's
+    telescoping pair is read off the rules; None where it reads nothing."""
     F, a, s = reading(spec)
-    if s > 1 or not isinstance(F.space, (ShiftSpace, CircleSpace)):
+    if not isinstance(F.space, (ShiftSpace, CircleSpace)):
         return None
     idle = rule_map(F.space, F.default)  # a power rule emitting the default's map changes nothing
     if any(isinstance(r.pattern, PowerPattern) and rule_map(F.space, r.term) != idle for r in F.rules):
-        return None if a else (F, 0, 0, 0)
+        return None if a or s > 1 else (F, 1, 0, 0)
     L = lcm(*(r.pattern.step for r in F.rules if isinstance(r.pattern, ArithProgPattern)))
     M = 1 + max([0] + [r.pattern.first_match() - a for r in F.rules
                        if isinstance(r.pattern, (EqualsPattern, ArithProgPattern))])
+    M, L = -(-M // s), L // gcd(L, s)
     if M > horizon or L > horizon:
         return None
-    return F, a, M, L
+    return F, s, M, L
 
 
 def _power_pair(spec: NdsSpec) -> list | None:
@@ -823,22 +820,23 @@ def _power_pair(spec: NdsSpec) -> list | None:
 
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> ExponentLaw | None:
-    """The law_candidate of a shift or circle system, validated at every
-    index up to `horizon` against `prefix_exponents`; a validation failure is
-    a hard error.  Returns None when no law is read (callers fall back to
-    enumeration-only checks)."""
+    """The law_candidate of a shift or circle system, validated against
+    `prefix_exponents` over `horizon` base entries past the cut, horizon // s
+    steps at stride s (see reading); a validation failure is a hard error.
+    None when no law is read (callers fall back to enumeration-only checks)."""
     candidate = law_candidate(spec, horizon)
     if candidate is None:
         return None
     kind = "shift" if isinstance(spec.space, ShiftSpace) else "rotation"
-    law = ExponentLaw(kind, tuple(candidate), horizon)
+    steps = horizon // reading(spec)[2]
+    law = ExponentLaw(kind, tuple(candidate), steps)
     # validate against the prefix exponents every verdict path reads: the
     # law's values fill one array like the rules do, and only a mismatch is
     # walked index by index to report the first n it fails at
-    actual = prefix_exponents(spec, horizon)
+    actual = prefix_exponents(spec, steps)
     pieces = [(p.pattern, p.per_ordinal, p.constant) for p in law.pieces]
-    if _closed_fill(pieces, 1, horizon, None) != actual[1:]:
-        for n in range(1, horizon + 1):
+    if _closed_fill(pieces, 1, steps, None) != actual[1:]:
+        for n in range(1, steps + 1):
             if law.value(n) != actual[n]:
                 raise LawValidationError(
                     f"derived law disagrees with composition at n={n}: "
@@ -948,6 +946,7 @@ class TableLaw:
         object.__setattr__(self, "_steps", tuple(steps))  # C_1 .. C_p
         object.__setattr__(self, "_phases", {})  # _phase(y) by y
         object.__setattr__(self, "_loops", {})  # point on a loop of B -> (loop, place, values)
+        object.__setattr__(self, "_points", {})  # _point(i) by i
         object.__setattr__(self, "_description", [])
 
     def _orbit(self, i: int) -> tuple:
@@ -966,6 +965,14 @@ class TableLaw:
                 self._loops[z] = loop, m, values
         return (tail, *self._loops[y])
 
+    def _point(self, i: int) -> tuple:
+        """_orbit(i) and every T(n)(i) over n >= 1, built once per point."""
+        if i not in self._points:
+            tail, *_, values = orbit = self._orbit(i)
+            reached = {t.table[i - 1] for t in self.lead} | values
+            self._points[i] = *orbit, reached.union(*map(self._phase, tail))
+        return self._points[i]
+
     def _phase(self, y: int) -> dict:
         """{C_j(y): [j, ..]} over j = 1 .. p, built once per point."""
         if y not in self._phases:
@@ -980,7 +987,7 @@ class TableLaw:
         loop.  Past start = r0 - 1 + tp, t the tail of i under B, the
         (point, phase) states of i run round a loop of p times B's."""
         r0, p = self.stabilized_from, len(self.block)
-        tail, loop, e, _ = self._orbit(i)
+        tail, loop, e, *_ = self._point(i)
 
         def at(points):  # mp + j where C_j(points[m]) is in values
             return [m * p + j for m, y in enumerate(points)
@@ -993,13 +1000,12 @@ class TableLaw:
 
     def reach(self, ids) -> set:
         """Every T(n)(i) over n >= 1 and i in ids."""
-        out = {t.table[i - 1] for t in self.lead for i in ids} | self.recurrent(ids)
-        return out.union(*(self._phase(y) for i in ids for y in self._orbit(i)[0]))
+        return set().union(*(self._point(i)[4] for i in ids))
 
     def recurrent(self, ids) -> set:
         """Every T(n)(i) taken for infinitely many n, i in ids: the values
         round their loops."""
-        return set().union(*(self._orbit(i)[3] for i in ids))
+        return set().union(*(self._point(i)[3] for i in ids))
 
     def describe(self) -> str:
         """r0, and T(n + c) = T(n) for every n > P: c is p times the lcm of
@@ -1013,7 +1019,7 @@ class TableLaw:
             r0, p = self.stabilized_from, len(self.block)
             P, c = r0 - 1, 1
             for i in range(1, len(self.block[0].table) + 1):
-                tail, loop, e, _ = self._orbit(i)
+                tail, loop, e, *_ = self._point(i)
                 c = lcm(c, p * len(loop))
                 if tail:
                     j = next(j for j, C in enumerate(self._steps, 1)

@@ -141,7 +141,8 @@ class TestRecheckVerdict:
     def test_a_law_cited_for_a_system_without_one_fails(self):
         v = ck.check_property(ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
         assert "validated to" in v.evidence["structural"]
-        lawless = mp.IterateSpec(ex31(), 2)
+        # sigma^k at the k-th odd index: E is quadratic on the odd class
+        lawless = mp.NdsSpec(sp.ShiftSpace(), (mp.Rule(mp.ArithProgPattern(1, 2), mp.FamilyTerm("shift", 1)),))
         assert mp.derive_exponent_law(lawless, v.config["law_horizon"]) is None
         assert not ck.recheck_verdict(lawless, v)
 
@@ -231,6 +232,13 @@ class TestWeaklyMixing:
         v = ck.check_property(swap, ck.PropertyKind("weakly-mixing", order=5), 1, 16)
         assert v.status == ck.INCONCLUSIVE
         assert v.evidence["failing_tuple"] == ["(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)"]
+
+    def test_too_many_tuples_without_a_common_time_stay_inconclusive(self):
+        # a 20-cycle hits all 400 pairs, never at one time: C(400, 3) triples
+        ring = mp.NdsSpec(sp.FiniteSpace(20), (), mp.FiniteFnTerm(tuple(k % 20 + 1 for k in range(1, 21))))
+        v = ck.check_property(ring, ck.PropertyKind("weakly-mixing", order=3), 1, 64)
+        assert v.status == ck.INCONCLUSIVE
+        assert v.evidence == {"note": "tuple space too large without a universal common time"}
 
 
 class TestMinimal:
@@ -549,6 +557,11 @@ class TestParameterValidation:
     def test_unknown_property(self):
         with pytest.raises(ValueError):
             ck.check_property(CONST_SIGMA, ck.PropertyKind("nonsense"), 1, 8)
+
+    @pytest.mark.parametrize("basis, horizon", [(0, 8), (1, 0), (-1, -1)])
+    def test_basis_and_horizon_below_one_rejected(self, basis, horizon):
+        with pytest.raises(ValueError, match="must be positive"):
+            ck.check_property(CONST_SIGMA, ck.PropertyKind("transitive"), basis, horizon)
 
 
 TAIL_OF_PRODUCT = """space shift(2);

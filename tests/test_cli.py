@@ -391,13 +391,15 @@ class TestExitCodes:
         assert check["evidence"]["iterates_checked"] == 4000
 
     @pytest.mark.parametrize("source, system, fill", [
-        (SIGMA + "system T = tail(F, 1000000000);\n", "T", 10**9 - 1 + 2048),
+        # a reading fills s indices a time past its cut, wherever the cut is
+        (SIGMA + "system I = iterate(F, 2000);\nsystem T = tail(I, 1000000000);\n", "T", 2000 * 512),
         (SIGMA + "system I = iterate(F, 1000000);\n", "I", 512 * 10**6),
         (FINITE_SWAP + "system I = iterate(F, 1000000);\n", "I", 512 * 10**6),
-        (SIGMA + "system T = tail(F, 1000000000);\nsystem P = product(T, F);\n", "P",
-         10**9 - 1 + 2048),
-        (SHIFT_SQUARE + "system T = tail(P, 1000000000);\n", "T", 10**9 - 1 + 512),
-        (SIGMA + "system I = iterate(F, 1000);\nsystem T = tail(I, 1000);\n", "T", 1000 * 1511),
+        (SIGMA + "system I = iterate(F, 2000);\nsystem T = tail(I, 1000000000);\n"
+         "system P = product(T, F);\n", "P", 2000 * 512),
+        (SHIFT_SQUARE + "system I = iterate(P, 2000);\nsystem T = tail(I, 1000000000);\n", "T",
+         2000 * 512),
+        (SIGMA + "system T = tail(F, 1000000000);\nsystem I = iterate(T, 2000);\n", "I", 2000 * 512),
     ])
     def test_derived_fill_past_the_bound_exits_three(self, ndsl_file, capsys, no_work, source, system, fill):
         code, out, err = run(capsys, [
@@ -408,14 +410,15 @@ class TestExitCodes:
                        f"system, over the budget of MAX_HORIZON = {cli.MAX_HORIZON}\n")
 
     @pytest.mark.parametrize("source, system, accepted", [
-        # no law is validated on an iterate, so 600 * 2048 is not counted
+        # an iterate's law is validated over 2048 base entries, 3 of its steps
         (SIGMA + "system I = iterate(F, 600);\n", "I", True),
-        # the law horizon counts through a tail whose rules give a law
-        (SIGMA + "system T = tail(F, 997953);\n", "T", True),
-        (SIGMA + "system T = tail(F, 997954);\n", "T", False),
+        # an iterate of order s fills s * 512 base indices: past the bound from s = 1954
+        (SIGMA + "system I = iterate(F, 1953);\n", "I", True),
+        (SIGMA + "system I = iterate(F, 1954);\n", "I", False),
+        # a tail fills past its cut only, the law's validation too
+        (SIGMA + "system T = tail(F, 1000000000);\n", "T", True),
         # power rules that do not re-index give no law: only the horizon counts
-        (EX38_WITH_PRODUCT + "system T = tail(F, 999489);\n", "T", True),
-        (EX38_WITH_PRODUCT + "system T = tail(F, 999490);\n", "T", False),
+        (EX38_WITH_PRODUCT + "system T = tail(F, 1000000000);\n", "T", True),
         # a finite tail steps once per time
         (FINITE_SWAP + "system T = tail(F, 1000000000);\n", "T", True),
     ])
@@ -467,7 +470,7 @@ class TestExitCodes:
         filled, real = [], cli.mp._step_exponents
 
         def recorded(spec, lo, hi):
-            filled.append(hi)
+            filled.append(hi - lo + 1)
             return real(spec, lo, hi)
 
         monkeypatch.setattr(cli.mp, "_step_exponents", recorded)
@@ -699,7 +702,7 @@ class TestCircleAngles:
 class TestPropertyParameters:
     @pytest.mark.parametrize("prop", [
         "sensitive:1/2,7", "weakly-mixing:2,9", "thickly-sensitive:1/4,5/2",
-        "multi-sensitive:1/2,3/2", "thickly-sensitive:1/4,0",
+        "multi-sensitive:1/2,3/2", "thickly-sensitive:1/4,0", "sensitive",
     ])
     def test_bad_property_flag_exits_three(self, ndsl_file, capsys, prop):
         code, out, err = run(capsys, ["check", ndsl_file(EX36), "--property", prop])
@@ -709,6 +712,7 @@ class TestPropertyParameters:
     @pytest.mark.parametrize("directive", [
         "check F thickly-sensitive:1/4,0;",
         "check F sensitive:1/2,7;",
+        "check F sensitive;",
         "check F transitive horizon 5 horizon 9 basis 1;",
         "check F transitive basis 1 horizon 5 basis 2;",
     ])

@@ -688,6 +688,25 @@ class TestTableLaw:
         assert all(law.reach({x}) == set(range(1, 61)) for x in range(1, 61))
         assert [ck._finite_period(law, x) for x in range(1, 61)] == [59940] * 60
 
+    def test_each_points_tail_is_walked_once_per_law(self, monkeypatch):
+        # a path k -> min(k + 1, 12) at every 7th index and a 12-cycle
+        # elsewhere; reach and recurrent asked once per pair, as a checker
+        # asks for every unhit pair, walk each point's tail only once
+        path = FiniteFnTerm(tuple(min(k + 1, 12) for k in range(1, 13)))
+        ring = FiniteFnTerm(tuple(k % 12 + 1 for k in range(1, 13)))
+        spec = NdsSpec(FiniteSpace(12), (Rule(ArithProgPattern(1, 7), path),), ring)
+        walked = []
+        real = maps_mod.TableLaw._orbit
+        monkeypatch.setattr(maps_mod.TableLaw, "_orbit", lambda law, i: walked.append(i) or real(law, i))
+        law = derive_table_law(spec)
+        points = range(1, 13)
+        sets = [(law.reach({x}), law.recurrent({x}), law.visits(x, {y})) for x in points for y in points]
+        law.describe()
+        assert sorted(walked) == list(points)
+        monkeypatch.undo()
+        fresh = derive_table_law(spec)
+        assert sets == [(fresh.reach({x}), fresh.recurrent({x}), fresh.visits(x, {y})) for x in points for y in points]
+
     def test_long_permutation_composes_no_cycle(self, monkeypatch):
         # cycles 5, 7, 8, 9 and 11 on finite(40): order 27720
         table, first = [], 1
@@ -903,12 +922,23 @@ class TestTermsAreNormalMaps:
             NdsSpec(space, (Rule(EqualsPattern(2), FiniteFnTerm(table)),))
 
 
-class TestIteratesHaveNoLaw:
+class TestIterateLaws:
     @given(rule_systems(), rule_systems(), st.booleans(), st.integers(2, 4), st.integers(1, 128))
     @settings(max_examples=100, deadline=None)
-    def test_derive_laws_gives_an_iterate_no_law(self, a, b, product, k, horizon):
+    def test_shift_and_circle_iterates_get_a_law_finite_ones_none(self, a, b, product, k, horizon):
         base = ProductSpec((a, b)) if product else a
-        assert derive_laws(IterateSpec(base, k), horizon) == maps_mod.SystemLaws()
+        iterate = IterateSpec(base, k)
+        laws = derive_laws(iterate, horizon)
+        if product or isinstance(base.space, FiniteSpace):
+            assert laws == maps_mod.SystemLaws()
+            return
+        # a class of the iterate lies in one class of the base: a base law
+        # read off its classes gives one, the telescoping pair none
+        base_law = derive_exponent_law(base, horizon)
+        if laws.exponent is None:
+            assert base_law is None or any(isinstance(p.pattern, PowerPattern) for p in base_law.pieces)
+        else:
+            assert_law_matches_prefix_exponents(iterate, laws.exponent, 4 * horizon)
 
 
 def unfolded_step(spec, i: int):
@@ -1062,9 +1092,10 @@ class TestLawRecogniserShapes:
 
 @st.composite
 def law_rule_sets(draw):
-    """Shift or circle rule systems of ap, literal and else rules with
-    family and constant terms (each rule kept only when it shares no index
-    with an earlier one), and their tails from 1 to 8."""
+    """(reading, spec, a, s): a shift or circle rule system of ap, literal
+    and else rules with family and constant terms (each rule kept only when
+    it shares no index with an earlier one), read through a tail at
+    a + 1 from 1 to 8 and then an iterate of order s from 1 to 4."""
     space = draw(st.sampled_from([SHIFT, CircleSpace()]))
     kind, power = ("shift", ShiftPowTerm) if space == SHIFT else ("rot", RotPowTerm)
     amount = st.integers(-3, 3)
@@ -1079,7 +1110,9 @@ def law_rule_sets(draw):
         if all(maps_mod._patterns_overlap(p, r.pattern) is None for r in rules):
             rules.append(Rule(p, t))
     spec = NdsSpec(space, tuple(rules), draw(amount.map(power)))
-    return TailSpec(spec, draw(st.integers(1, 8))), spec
+    a, s = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    reading = TailSpec(spec, a + 1)
+    return (IterateSpec(reading, s) if s > 1 else reading), spec, a, s
 
 
 class TestLawReader:
@@ -1088,41 +1121,49 @@ class TestLawReader:
     def test_a_law_holds_past_its_horizon_and_is_missed_only_where_a_class_is_quadratic(
         self, systems, H
     ):
-        tail, spec = systems
-        exponents = maps_mod.prefix_exponents(tail, 4 * H)
-        law = derive_exponent_law(tail, H)
+        reading, spec, a, s = systems
+        exponents = maps_mod.prefix_exponents(reading, 4 * H)
+        law = derive_exponent_law(reading, H)
         if law is not None:
             assert [law.value(n) for n in range(1, 4 * H + 1)] == exponents[1:]
             return
-        # no law: M or L is past H, or some class mod L bends past M
+        # no law: M or L is past H, or some class mod L bends past M, in the
+        # reading's own steps: a class mod L/gcd(L, s) from step ceil(M/s) on
         L = lcm(*(r.pattern.step for r in spec.rules if isinstance(r.pattern, ArithProgPattern)))
-        M = 1 + max([0] + [r.pattern.first_match() - tail.k + 1 for r in spec.rules
+        M = 1 + max([0] + [r.pattern.first_match() - a for r in spec.rules
                            if not isinstance(r.pattern, ElsePattern)])
+        M, L = -(-M // s), L // gcd(L, s)
         if M <= H and L <= H:
-            E = maps_mod.prefix_exponents(tail, M + 3 * L)
+            E = maps_mod.prefix_exponents(reading, M + 3 * L)
             assert any(E[n + 2 * L] - 2 * E[n + L] + E[n] for n in range(M, M + L))
 
     @given(law_rule_sets(), st.integers(1, 80))
     @settings(max_examples=200, deadline=None)
-    def test_law_reach_is_the_last_index_the_reader_reads(self, systems, H):
-        for spec in systems:
-            read, real = [], maps_mod._step_exponents
+    def test_law_reach_is_every_entry_derive_laws_fills(self, systems, H):
+        for spec in systems[:2]:
+            filled, real = [], maps_mod._step_exponents
 
             def recorded(F, lo, hi):
-                read.append(hi)
+                filled.append(hi - lo + 1)
                 return real(F, lo, hi)
 
             with mock.patch.object(maps_mod, "_step_exponents", recorded):
-                maps_mod.law_candidate(spec, H)
-            assert maps_mod.law_reach(spec, H) == (max(read) if read else None)
+                law = derive_laws(spec, H).exponent
+            # the reader's read and, once it finds a law, the validation's
+            reach = maps_mod.law_reach(spec, H)
+            if law is not None:
+                assert reach == max(filled)
+            else:
+                assert reach is None if not filled else reach >= max(filled)
 
     def test_the_telescoping_pair_is_read_off_its_rules(self):
         spec = NdsSpec(CircleSpace(), (Rule(PowerPattern(3, 0), FamilyTerm("rot", 1)),
                                        Rule(PowerPattern(3, 1), FamilyTerm("rot", -1))))
         with mock.patch.object(maps_mod, "_step_exponents", None):
             assert maps_mod.law_candidate(spec, 64) is not None
-        assert maps_mod.law_reach(spec, 64) == 0
+        assert maps_mod.law_reach(spec, 64) == 64  # the validation's fill alone
         assert maps_mod.law_reach(TailSpec(spec, 2), 64) is None
+        assert maps_mod.law_reach(IterateSpec(spec, 2), 64) is None
 
     @pytest.mark.parametrize("last, pieces", [(4096, 4096), (4097, None)])
     def test_a_law_takes_at_most_max_law_pieces(self, last, pieces):

@@ -339,29 +339,38 @@ PINNED = {
     "ID weakly-mixing:2": "960a56dc19995bc4",
     "ID weakly-mixing:3": "960a56dc19995bc4",
     "ITER almost-periodic-point": "bac25ee7449ddde8",
-    "ITER dense-periodic-points": "03d9e0f749e1d4a2",
+    # inconclusive -> witnessed: ITER's law vanishes on every multiple of 2, so every point is 2-periodic
+    "ITER dense-periodic-points": "9fb0f111fdaf1374",
     "ITER feeble-open": "a96f3eb460d239f6",
-    "ITER mildly-mixing": "29c976a6ae6b94b1",
+    # inconclusive -> refuted: not mixing by ITER's identity law, and mildly mixing implies mixing
+    "ITER mildly-mixing": "a57415a44eb402b7",
     "ITER minimal": "b49f1c47840cab83",
-    "ITER mixing": "45039dbe9810f602",
+    # inconclusive -> refuted: ITER's law, E = 0 at every step, proves the disjoint pair never hit
+    "ITER mixing": "bcb2233b3aef3800",
     "ITER multi-sensitive:1/16": "038763cf7c41abd1",
     "ITER multi-sensitive:1/2,2": "a3120959f5296603",
     "ITER multi-sensitive:1/4,2": "a3120959f5296603",
-    "ITER multi-transitive:2": "777010c680026e93",
+    # inconclusive -> refuted: ITER's law is 0 at every multiple of 1, so slot 1 never connects the disjoint pair
+    "ITER multi-transitive:2": "ee0d20ff7d076e5c",
     "ITER sensitive:1/2": "907865227aa34af3",
     "ITER sensitive:1/3": "907865227aa34af3",
     "ITER sensitive:1/8": "907865227aa34af3",
     "ITER strongly-transitive": "51daf0a7b03e2cfe",
     "ITER surjective-sequence": "ae8b86e1f0d2bf66",
     "ITER syndetically-sensitive:1/4": "faa898eb1661427a",
-    "ITER syndetically-transitive": "bafa4a312ac7f875",
+    # inconclusive -> refuted: ITER's law, E = 0 at every step, proves the disjoint pair never hit
+    "ITER syndetically-transitive": "bcb2233b3aef3800",
     "ITER thickly-sensitive:1/2": "7869765e6aca9775",
     "ITER thickly-sensitive:1/4,2": "7064d0d0cefbb9fb",
     "ITER thickly-sensitive:1/4,40": "f38ee0924b001a98",
-    "ITER totally-transitive:2": "1384833182aee07c",
-    "ITER transitive": "7794827685c8afd6",
-    "ITER weakly-mixing:2": "90c31dbc4ff919e1",
-    "ITER weakly-mixing:3": "90c31dbc4ff919e1",
+    # inconclusive -> refuted: iterate 1 is ITER itself, refuted transitive by its identity law
+    "ITER totally-transitive:2": "d6c43d1ea3a47d96",
+    # inconclusive -> refuted: ITER's law, E = 0 at every step, proves the disjoint pair never hit
+    "ITER transitive": "bcb2233b3aef3800",
+    # inconclusive -> refuted: ITER's law, E = 0 at every step, proves the disjoint pair never hit
+    "ITER weakly-mixing:2": "bcb2233b3aef3800",
+    # inconclusive -> refuted: ITER's law, E = 0 at every step, proves the disjoint pair never hit
+    "ITER weakly-mixing:3": "bcb2233b3aef3800",
     "LATE almost-periodic-point": "4559716471734926",
     "LATE dense-periodic-points": "03d9e0f749e1d4a2",
     "LATE feeble-open": "a96f3eb460d239f6",
