@@ -147,17 +147,15 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
         rows = (reduce(partial(map, and_), map(getitem, spread, u)) for u in index)
         masks = dict(zip(product(range(len(index)), repeat=2), chain.from_iterable(rows)))
     else:
-        masks = dict.fromkeys(product(range(len(basis)), repeat=2), 0)
+        groups = ht.prefix_groups(spec, horizon)
         saturated = 0
-        for m, times in ht.prefix_classes(spec, horizon).items():
-            if isinstance(m, mp.ShiftPowTerm) and abs(m.exponent) > 2 * resolution:
-                saturated |= times
-                continue
-            for pair in _class_pairs(space, m, basis):
+        if isinstance(space, sp.ShiftSpace):
+            for e in [e for e in groups if abs(e) > 2 * resolution]:
+                saturated |= groups.pop(e)
+        masks = dict.fromkeys(product(range(len(basis)), repeat=2), saturated)
+        for k, times in groups.items():
+            for pair in _class_pairs(space, ht.key_map(space, k), basis):
                 masks[pair] |= times
-        if saturated:
-            for pair in masks:
-                masks[pair] |= saturated
     _MASK_CACHE[key] = (basis, masks)
     return basis, masks
 
@@ -188,11 +186,12 @@ def _circle_offsets(c: int, r: int) -> list:
     the builtin angle.  The arcs have radius 1/(2r), so they meet exactly
     when y = d + r*c*alpha lies within 1 of a multiple of r.  For c != 0, y
     is irrational, so that holds exactly when floor(y) = d + k is 0 or -1
-    mod r, with k = floor(r*c*alpha) mod r; for c = 0 only d = 0 meets, the
-    arcs at d = +-1 touching at one endpoint."""
+    mod r, with k = floor(r*c*alpha) mod r, which is floor(r*c*sqrt2) - r*c
+    in integers (spaces.floor_sqrt2); for c = 0 only d = 0 meets, the arcs
+    at d = +-1 touching at one endpoint."""
     if c == 0:
         return [0]
-    k = sp.AlphaLinear(Fraction(0), Fraction(r * c)).floor() % r
+    k = (sp.floor_sqrt2(r * c) - r * c) % r
     return sorted({-k % r, (-k - 1) % r})
 
 

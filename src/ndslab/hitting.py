@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import or_
 
 from . import maps as mp
@@ -72,36 +73,49 @@ def _mask_members(mask: int) -> tuple:
     return tuple(n for n, digit in enumerate(bin(mask)[:1:-1]) if digit == "1")
 
 
-def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
-    """The times 1..horizon grouped by their prefix map: {f_1^n: bitmask of
-    those n}, in order of first occurrence.  Whether f_1^n(U) meets V or
-    separates past delta depends on n only through f_1^n, so every mask
-    kernel decides each class once instead of each time.
+def prefix_groups(spec: mp.SystemSpec, horizon: int) -> dict:
+    """The times 1..horizon grouped by the key of their prefix map f_1^n:
+    {key: bitmask of those n}, in order of first occurrence.  Whether
+    f_1^n(U) meets V or separates past delta depends on n only through
+    f_1^n, so every mask kernel decides each class once instead of each
+    time, and builds its map (key_map) only for a class it tests.
 
-    Shift and circle prefix maps are powers, so their classes group the one
-    prefix-exponent array; products and finite spaces compose each map."""
+    The key is the prefix exponent or coefficient on the shift and the
+    circle (maps.prefix_exponents), the prefix table on a finite space
+    (maps.prefix_tables), and the tuple of the parts' keys on a product or
+    a tail or iterate of one (see _components)."""
+    groups = {}
+    for n, key in enumerate(islice(_prefix_keys(spec, horizon), 1, None), 1):
+        groups[key] = groups.get(key, 0) | 1 << n
+    return groups
+
+
+def _prefix_keys(spec: mp.SystemSpec, horizon: int):
+    """The prefix_groups key of f_1^n for n = 0 .. horizon, in order."""
     space = spec.space
-    if not isinstance(space, (sp.ShiftSpace, sp.CircleSpace)):
-        return _composed_classes(spec, horizon)
-    by_exponent = {}
-    exponents = mp.prefix_exponents(spec, horizon)
-    for n in range(1, horizon + 1):
-        e = exponents[n]
-        by_exponent[e] = by_exponent.get(e, 0) | 1 << n
-    power = mp.ShiftPowTerm if isinstance(space, sp.ShiftSpace) else mp.RotPowTerm
-    return {power(e): times for e, times in by_exponent.items()}
+    if isinstance(space, sp.ProductSpace):
+        return zip(*(_prefix_keys(part, horizon) for part in _components(spec)))
+    if isinstance(space, sp.FiniteSpace):
+        return mp.prefix_tables(spec, horizon)
+    return mp.prefix_exponents(spec, horizon)
 
 
-def _composed_classes(spec: mp.SystemSpec, horizon: int) -> dict:
-    """prefix_classes by folding one step per time, f_1^n = f_n o f_1^(n-1),
-    so each time costs a step and one compose (recomposing f_1^n from the
-    start would cost n on a tail of a finite system)."""
-    classes = {}
-    m = mp.prefix_compose(spec, 0)
-    for n in range(1, horizon + 1):
-        m = mp.compose(mp.window_compose(spec, n, 1), m)
-        classes[m] = classes.get(m, 0) | 1 << n
-    return classes
+def key_map(space: sp.SpaceDesc, key) -> mp.NormalMap:
+    """The prefix map on `space` that a prefix_groups key stands for."""
+    if isinstance(space, sp.ShiftSpace):
+        return mp.ShiftPowTerm(key)
+    if isinstance(space, sp.CircleSpace):
+        return mp.RotPowTerm(key)
+    if isinstance(space, sp.FiniteSpace):
+        return mp.FiniteFnTerm(key)
+    return mp.ProductMap(tuple(map(key_map, space.parts, key)))
+
+
+def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
+    """prefix_groups keyed by the prefix maps themselves: {f_1^n: bitmask
+    of those n}, in order of first occurrence."""
+    space = spec.space
+    return {key_map(space, key): times for key, times in prefix_groups(spec, horizon).items()}
 
 
 def _class_masks(classes: dict, opens, test) -> list:
@@ -168,14 +182,15 @@ def hitting_masks(spec: mp.SystemSpec, opens, V, horizon: int) -> list:
             masks.append([alive, undecided])
         return masks
 
-    classes = prefix_classes(spec, horizon)
+    groups = prefix_groups(spec, horizon)
     clear = 0
     if isinstance(space, sp.ShiftSpace) and opens and all(
         isinstance(A, sp.Cylinder) for A in (V, *opens)
     ):
         lo, hi = min(U.start for U in opens), max(U.end for U in opens)
-        for m in [m for m in classes if lo - m.exponent >= V.end or hi - m.exponent <= V.start]:
-            clear |= classes.pop(m)
+        for e in [e for e in groups if lo - e >= V.end or hi - e <= V.start]:
+            clear |= groups.pop(e)
+    classes = {key_map(space, key): times for key, times in groups.items()}
     masks = _class_masks(classes, opens, lambda m, U: _meets(space, mp.image(m, U), V))
     for mask in masks:
         mask[0] |= clear
@@ -212,15 +227,15 @@ def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> in
         return (1 << horizon + 1) - 2 if sp.diameter_exceeds(space, U, delta) else 0
     if delta >= sp.TOTAL_WEIGHT:
         return 0
-    classes = prefix_classes(spec, horizon)
+    groups = prefix_groups(spec, horizon)
     if isinstance(U, sp.Cylinder) and U.start == 1 - U.end and None not in U.word:
-        top = max(abs(m.exponent) for m in classes)
+        top = max(map(abs, groups))
         t = 0
         while t <= top and not sp.diameter_exceeds(space, sp.Cylinder(U.start - t, U.word), delta):
             t += 1
-        return reduce(or_, (times for m, times in classes.items() if abs(m.exponent) >= t), 0)
-    return reduce(or_, (times for m, times in classes.items()
-                        if sp.diameter_exceeds(space, mp.image(m, U), delta)), 0)
+        return reduce(or_, (times for e, times in groups.items() if abs(e) >= t), 0)
+    return reduce(or_, (times for key, times in groups.items()
+                        if sp.diameter_exceeds(space, mp.image(key_map(space, key), U), delta)), 0)
 
 
 def separation_set(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> HittingSet:

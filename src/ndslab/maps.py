@@ -6,7 +6,7 @@ exponents / rotation coefficients (and their finite-space analogue).
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, lcm
 
 from .record import record
@@ -448,7 +448,7 @@ def compose(after: NormalMap, before: NormalMap) -> NormalMap:
     if isinstance(after, RotPowTerm) and isinstance(before, RotPowTerm):
         return RotPowTerm(after.coefficient + before.coefficient)
     if isinstance(after, FiniteFnTerm) and isinstance(before, FiniteFnTerm):
-        return FiniteFnTerm(tuple(after.table[v - 1] for v in before.table))
+        return FiniteFnTerm(tuple([after.table[v - 1] for v in before.table]))
     if isinstance(after, ProductMap) and isinstance(before, ProductMap):
         return ProductMap(tuple(compose(a, b) for a, b in zip(after.parts, before.parts)))
     raise SpaceMismatch(f"cannot compose {type(after).__name__} with {type(before).__name__}")
@@ -578,6 +578,15 @@ def _step_exponents(spec: NdsSpec, lo: int, hi: int) -> list:
     return _closed_fill(pieces, lo, hi, term_exponent(spec.default))
 
 
+def step_tables(spec: NdsSpec, lo: int, hi: int) -> list:
+    """[table of f_i for lo <= i <= hi] of a finite-space rule system: one
+    _closed_fill of rule numbers (the default numbered last) read through
+    the rules' tables, so no index is dispatched through eval_term."""
+    tables = [term_to_normal(spec.space, t).table for t in (*(r.term for r in spec.rules), spec.default)]
+    numbers = _closed_fill([(r.pattern, 0, k) for k, r in enumerate(spec.rules)], lo, hi, len(spec.rules))
+    return list(map(tables.__getitem__, numbers))
+
+
 def _closed_fill(pieces, lo: int, hi: int, default) -> list:
     """[v(n) for lo <= n <= hi]: v(n) = per_ordinal*k + constant from the
     first piece (pattern, per_ordinal, constant) whose pattern matches n,
@@ -651,6 +660,21 @@ def prefix_exponents(spec: SystemSpec, upto: int) -> list:
     if not isinstance(F, NdsSpec) or not isinstance(F.space, (ShiftSpace, CircleSpace)):
         raise SpaceMismatch("prefix exponents need a shift or circle system")
     return list(accumulate(_step_exponents(F, a + 1, a + s * upto), initial=0))[::s]
+
+
+def prefix_tables(spec: SystemSpec, upto: int):
+    """T(0), ..., T(upto) as an iterator: the table of every prefix map
+    f_1^n, n <= upto, of a finite-space system or a tail or iterate of one,
+    the finite analogue of prefix_exponents.  The step_tables of indices
+    a + 1 .. a + s*upto are folded one tuple compose a step, T(n)[i-1] =
+    f_n(T(n-1)(i)), and every s-th prefix is kept (see reading)."""
+    F, a, s = reading(spec)
+    if not isinstance(F, NdsSpec) or not isinstance(F.space, FiniteSpace):
+        raise SpaceMismatch("prefix tables need a finite-space system")
+    identity = tuple(range(1, F.space.point_count + 1))
+    folded = accumulate(step_tables(F, a + 1, a + s * upto),
+                        lambda prefix, step: tuple([step[v - 1] for v in prefix]), initial=identity)
+    return islice(folded, 0, None, s)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +798,8 @@ def law_candidate(spec: SystemSpec, horizon: int) -> list | None:
 def law_reach(spec: SystemSpec, horizon: int) -> int | None:
     """The base entries derive_laws(spec, horizon) fills past the cut for an
     exponent law (see reading), off the rules before anything is filled:
-    the reader's s(M + 3L - 1) and the validation's s*(horizon // s), read
-    as if a law is found; None where nothing is read."""
+    s*max(M + 3L - 1, horizon // s), the reader's fill and the steps the
+    validation re-reads, as if a law is found; None where nothing is read."""
     read = _law_read(spec, horizon)
     if read is None:
         return None
@@ -821,14 +845,18 @@ def _power_pair(spec: NdsSpec) -> list | None:
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> ExponentLaw | None:
     """The law_candidate of a shift or circle system, validated against
-    `prefix_exponents` over `horizon` base entries past the cut, horizon // s
-    steps at stride s (see reading); a validation failure is a hard error.
-    None when no law is read (callers fall back to enumeration-only checks)."""
+    `prefix_exponents` over `horizon` base entries past the cut (see
+    reading); a validation failure is a hard error.  An iterate of order s
+    is validated over the larger of horizon // s steps and the M + 3L - 1
+    steps its reader read (_law_read), as law_reach counts, so an order past
+    the horizon is not validated to 0.  None when no law is read (callers
+    fall back to enumeration-only checks)."""
     candidate = law_candidate(spec, horizon)
     if candidate is None:
         return None
     kind = "shift" if isinstance(spec.space, ShiftSpace) else "rotation"
-    steps = horizon // reading(spec)[2]
+    _F, s, M, L = _law_read(spec, horizon)
+    steps = max(horizon // s, M + 3 * L - 1) if s > 1 else horizon
     law = ExponentLaw(kind, tuple(candidate), steps)
     # validate against the prefix exponents every verdict path reads: the
     # law's values fill one array like the rules do, and only a mismatch is
@@ -945,6 +973,7 @@ class TableLaw:
         steps = accumulate(self.block[1:], lambda t, s: compose(s, t), initial=self.block[0])
         object.__setattr__(self, "_steps", tuple(steps))  # C_1 .. C_p
         object.__setattr__(self, "_phases", {})  # _phase(y) by y
+        object.__setattr__(self, "_value_sets", {})  # _values(y) by y
         object.__setattr__(self, "_loops", {})  # point on a loop of B -> (loop, place, values)
         object.__setattr__(self, "_points", {})  # _point(i) by i
         object.__setattr__(self, "_description", [])
@@ -960,7 +989,7 @@ class TableLaw:
         tail = list(seen)
         if y not in self._loops:
             loop, tail = tuple(tail[seen[y] :]), tail[: seen[y]]
-            values = set().union(*map(self._phase, loop))
+            values = set().union(*map(self._values, loop))
             for m, z in enumerate(loop):
                 self._loops[z] = loop, m, values
         return (tail, *self._loops[y])
@@ -970,8 +999,15 @@ class TableLaw:
         if i not in self._points:
             tail, *_, values = orbit = self._orbit(i)
             reached = {t.table[i - 1] for t in self.lead} | values
-            self._points[i] = *orbit, reached.union(*map(self._phase, tail))
+            self._points[i] = *orbit, reached.union(*map(self._values, tail))
         return self._points[i]
+
+    def _values(self, y: int) -> set:
+        """{C_j(y)} over j = 1 .. p, built once per point: what reach and
+        recurrent read, without the phases that only visits needs."""
+        if y not in self._value_sets:
+            self._value_sets[y] = {C.table[y - 1] for C in self._steps}
+        return self._value_sets[y]
 
     def _phase(self, y: int) -> dict:
         """{C_j(y): [j, ..]} over j = 1 .. p, built once per point."""

@@ -69,6 +69,13 @@ class AlphaEnclosure:
 DEFAULT_ALPHA = AlphaEnclosure.sqrt2_minus_1()
 
 
+def floor_sqrt2(n: int) -> int:
+    """floor(n*sqrt2) for an integer n != 0: n*sqrt2 is irrational, so the
+    floor is isqrt(2n^2) for n > 0 and -isqrt(2n^2) - 1 for n < 0."""
+    root = isqrt(2 * n * n)
+    return root if n > 0 else -root - 1
+
+
 @record
 class AlphaLinear:
     """The real number q + m*alpha, carried exactly.
@@ -138,8 +145,7 @@ class AlphaLinear:
             d = q.denominator * m.denominator
             n = m.numerator * q.denominator
             p = q.numerator * m.denominator - n
-            root = isqrt(2 * n * n)  # n*sqrt2 is irrational: floor is root or -root-1
-            return (p + (root if n > 0 else -root - 1)) // d
+            return (p + floor_sqrt2(n)) // d
         lo, hi = self.enclosure()
         flo = lo.numerator // lo.denominator
         if hi < flo + 1:

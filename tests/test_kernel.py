@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ndslab import chaos
 from ndslab import checkers as ck
@@ -398,8 +398,7 @@ class TestPrefixExponentArray:
     def test_array_classes_match_the_composition_walk(self, shape, rules, a, b, H):
         # the same maps, the same times and the same order of first occurrence
         spec = SHAPES[shape](rules, a, b)
-        classes = ht.prefix_classes(spec, H)
-        assert list(classes.items()) == list(ht._composed_classes(spec, H).items())
+        assert list(ht.prefix_classes(spec, H).items()) == composition_walk(spec, H)
 
 
 def composition_walk(spec, H) -> list:
@@ -412,7 +411,44 @@ def composition_walk(spec, H) -> list:
     return list(classes.items())
 
 
-# every shape whose prefix classes are composed, not read off an array
+@st.composite
+def finite_rule_systems(draw):
+    """Finite systems with literal, progression and power rules, and the
+    identity or a table by default."""
+    size = draw(st.integers(1, 4))
+    table = st.lists(st.integers(1, size), min_size=size, max_size=size).map(mp.FiniteFnTerm)
+    patterns = draw(st.lists(st.one_of(
+        st.builds(mp.EqualsPattern, st.integers(1, 12)),
+        st.integers(1, 4).flatmap(
+            lambda step: st.builds(mp.ArithProgPattern, st.integers(1, step + 2), st.just(step))),
+        st.builds(mp.PowerPattern, st.integers(2, 3), st.integers(0, 2)),
+    ), max_size=3))
+    rules = tuple(mp.Rule(pattern, draw(table)) for pattern in patterns)
+    default = draw(st.one_of(table, st.just(mp.IDENTITY)))
+    try:
+        return mp.NdsSpec(sp.FiniteSpace(size), rules, default)
+    except mp.OverlappingRules:
+        assume(False)
+
+
+class TestStepTables:
+    @given(finite_rule_systems(), st.integers(1, 40), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_step_tables_match_eval_term(self, spec, lo, width):
+        tables = [mp.term_to_normal(spec.space, mp.eval_term(spec, i)).table
+                  for i in range(lo, lo + width)]
+        assert mp.step_tables(spec, lo, lo + width - 1) == tables
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @given(finite_rule_systems(), st.integers(2, 5), st.integers(2, 3), st.integers(0, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_tables_match_the_composition_walk(self, shape, spec, a, b, H):
+        spec = SHAPES[shape](spec, a, b)
+        walk = [mp.prefix_compose(spec, n).table for n in range(H + 1)]
+        assert list(mp.prefix_tables(spec, H)) == walk
+
+
+# every shape whose prefix classes are keyed by tables or by the parts' keys
 composed_systems = st.one_of(
     st.builds(mp.TailSpec, finite_systems(), st.integers(2, 5)),
     st.builds(mp.IterateSpec, finite_systems(), st.integers(2, 3)),
@@ -423,12 +459,54 @@ composed_systems = st.one_of(
 )
 
 
+# finite, shift and circle systems, their products and the products' tails
+keyed_systems = st.one_of(
+    finite_rule_systems(), shift_systems, circle_systems(),
+    product_parts(("finite", "shift")), product_parts(("shift", "circle")),
+    product_parts(("finite", "circle", "finite")),
+    st.builds(mp.TailSpec, product_parts(("finite", "circle")), st.integers(2, 5)),
+    st.builds(mp.TailSpec, product_parts(("shift", "finite")), st.integers(2, 5)),
+)
+
+
 class TestFoldedClasses:
     @given(composed_systems, st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_folded_classes_match_the_composition_walk(self, spec, H):
         # the same maps, the same times and the same order of first occurrence
         assert list(ht.prefix_classes(spec, H).items()) == composition_walk(spec, H)
+
+    @given(keyed_systems, st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_group_keys_name_the_walked_maps(self, spec, H):
+        """Each prefix_groups key stands for its walked map (key_map), with
+        its times in order; prefix_classes holds those maps and masks."""
+        walk = composition_walk(spec, H)
+        groups = ht.prefix_groups(spec, H)
+        assert [(ht.key_map(spec.space, key), times) for key, times in groups.items()] == walk
+        assert list(ht.prefix_classes(spec, H).items()) == walk
+
+    @pytest.mark.parametrize("spec", [
+        mp.TailSpec(mp.IterateSpec(mp.NdsSpec(sp.FiniteSpace(4), (
+            mp.Rule(mp.ArithProgPattern(3, 3), mp.FiniteFnTerm((2, 3, 1, 1))),
+            mp.Rule(mp.PowerPattern(2, 0), mp.FiniteFnTerm((4, 4, 1, 2))),
+        ), mp.FiniteFnTerm((2, 1, 4, 3))), 3), 4),
+        mp.ProductSpec((
+            mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 1))),
+            mp.TailSpec(mp.NdsSpec(sp.FiniteSpace(3), (
+                mp.Rule(mp.EqualsPattern(7), mp.FiniteFnTerm((1, 1, 2))),
+            ), mp.FiniteFnTerm((2, 3, 1))), 5),
+        )),
+    ], ids=["tail-of-iterate", "product"])
+    def test_finite_classes_compose_no_maps(self, spec):
+        """Finite tables are filled and folded as tuples: no time reaches
+        eval_term, window_compose or compose."""
+        with (mock.patch.object(mp, "eval_term", wraps=mp.eval_term) as eval_term,
+              mock.patch.object(mp, "window_compose", wraps=mp.window_compose) as window,
+              mock.patch.object(mp, "compose", wraps=mp.compose) as compose):
+            classes = ht.prefix_classes(spec, 300)
+        assert eval_term.call_count == window.call_count == compose.call_count == 0
+        assert list(classes.items()) == composition_walk(spec, 300)
 
     def test_a_finite_tail_composes_a_bounded_number_of_times_per_time(self):
         """Recomposing f_1^n from the start for every n costs about H^2 / 2
@@ -871,12 +949,13 @@ STEP_FOLDS = {
 }
 
 
-# the functions that compose f_1^n one time at a time: the walk behind the
-# product and finite prefix classes and the evidence re-check; laws, shift
-# and circle classes, equicontinuity, the shift Li-Yorke tail and the
-# lemma-2.1 time search read prefix_exponents, and the Li-Yorke tail off the
-# shift and the corpus interleave check read prefix_classes
-PREFIX_WALKS = {"_composed_classes", "recheck_verdict", "_all_pairs_meet"}
+# the functions that compose f_1^n one time at a time: the table fold behind
+# the finite prefix classes (off step_tables) and the evidence re-check
+# (off prefix_compose); laws, shift and circle classes, equicontinuity, the
+# shift Li-Yorke tail and the lemma-2.1 time search read prefix_exponents,
+# products zip their parts' keys, and the Li-Yorke tail off the shift and
+# the corpus interleave check read prefix_classes
+PREFIX_WALKS = {"prefix_tables", "recheck_verdict", "_all_pairs_meet"}
 
 
 def readers_of(name: str) -> set:
@@ -907,6 +986,6 @@ def test_only_the_oracles_and_per_step_questions_read_step_maps():
 
 def test_only_the_named_walks_compose_prefix_maps():
     """derive_exponent_law and the shift and circle prefix classes read the
-    one prefix-exponent array; a function that calls prefix_compose is one of
-    the named walks."""
-    assert readers_of("prefix_compose") == PREFIX_WALKS
+    one prefix-exponent array; a function that calls prefix_compose or folds
+    step_tables is one of the named walks."""
+    assert readers_of("prefix_compose") | readers_of("step_tables") == PREFIX_WALKS

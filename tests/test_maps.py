@@ -707,6 +707,21 @@ class TestTableLaw:
         fresh = derive_table_law(spec)
         assert sets == [(fresh.reach({x}), fresh.recurrent({x}), fresh.visits(x, {y})) for x in points for y in points]
 
+    def test_reach_and_recurrent_build_no_phase_index(self, monkeypatch):
+        # the {value: [phases]} index serves visits only: reach and
+        # recurrent read one value set per point, however many tails share it
+        path = FiniteFnTerm(tuple(min(k + 1, 12) for k in range(1, 13)))
+        ring = FiniteFnTerm(tuple(k % 12 + 1 for k in range(1, 13)))
+        spec = NdsSpec(FiniteSpace(12), (Rule(ArithProgPattern(1, 7), path),), ring)
+        law = derive_table_law(spec)
+        monkeypatch.setattr(maps_mod.TableLaw, "_phase", None)
+        points = range(1, 13)
+        reach = [law.reach({x}) for x in points]
+        assert [law.recurrent({x}) for x in points] == [set(points)] * 12
+        assert len(law._value_sets) == 12 and not law._phases
+        tables = table_fold(spec, sum(law_shape(law)))
+        assert reach == [{t.table[x - 1] for t in tables} for x in points]
+
     def test_long_permutation_composes_no_cycle(self, monkeypatch):
         # cycles 5, 7, 8, 9 and 11 on finite(40): order 27720
         table, first = [], 1
@@ -1155,6 +1170,15 @@ class TestLawReader:
                 assert reach == max(filled)
             else:
                 assert reach is None if not filled else reach >= max(filled)
+
+    def test_an_iterate_past_the_law_horizon_is_validated_over_its_read(self):
+        # H // s is 0 at order 3000; the reader reads M_s + 3L_s - 1 = 3 steps
+        spec = NdsSpec(SHIFT, (Rule(ArithProgPattern(1, 2), FamilyTerm("shift", 1)),
+                               Rule(ArithProgPattern(2, 2), FamilyTerm("shift", -1))))
+        iterate = IterateSpec(spec, 3000)
+        law = derive_exponent_law(iterate, 2048)
+        assert law.validated_up_to == 3 == maps_mod.law_reach(iterate, 2048) // 3000
+        assert law.describe() == "E(otherwise)=0 [validated to 3]"
 
     def test_the_telescoping_pair_is_read_off_its_rules(self):
         spec = NdsSpec(CircleSpace(), (Rule(PowerPattern(3, 0), FamilyTerm("rot", 1)),
