@@ -113,6 +113,15 @@ class Verdict:
 
 
 _MASK_CACHE: dict = {}
+_LAW_CACHE: dict = {}
+
+
+def system_laws(spec: mp.SystemSpec, law_horizon: int) -> mp.SystemLaws:
+    """The laws of `spec` at `law_horizon`, derived once and shared by every
+    check; cli.main clears them with _MASK_CACHE, so they live for one command."""
+    if (spec, law_horizon) not in _LAW_CACHE:
+        _LAW_CACHE[spec, law_horizon] = mp.derive_laws(spec, law_horizon)
+    return _LAW_CACHE[spec, law_horizon]
 
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
@@ -343,11 +352,9 @@ def check_property(
     basis_resolution: int = DEFAULT_BASIS,
     horizon: int = DEFAULT_HORIZON,
     law_horizon: int = DEFAULT_LAW_HORIZON,
-    laws: mp.SystemLaws | None = None,
 ) -> Verdict:
-    """Machine-checked verdict for one property of one system.  `laws` are
-    the system's laws at `law_horizon` when the caller derived them already
-    (one derivation serves every check of a system); None derives them."""
+    """Machine-checked verdict for one property of one system, reading the
+    system's laws at `law_horizon` (system_laws)."""
     if basis_resolution < 1 or horizon < 1:
         raise ValueError("basis resolution and horizon must be positive")
     cfg = {
@@ -356,8 +363,7 @@ def check_property(
         "law_horizon": law_horizon,
         "property": prop.render(),
     }
-    if laws is None:
-        laws = mp.derive_laws(spec, law_horizon)
+    laws = system_laws(spec, law_horizon)
     return PROPERTIES[prop.name][0](spec, prop, basis_resolution, horizon, laws, cfg)
 
 
@@ -477,9 +483,9 @@ def _check_totally_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
     v = _check_transitive(spec, PropertyKind("transitive"), r, H, laws, cfg)
     if v.status != WITNESSED:
         return Verdict(prop.render(), v.status, cfg, {"iterate_order": 1, "inner": v.evidence})
-    # iterate s at time n is the base at time s*n, so its mask is the
-    # stride-s slice of the base's (see _slot), read over max(1, H // s)
-    # times; no law is read for the iterate, so an unhit pair leaves it inconclusive
+    # iterate s at time n is the base at time s*n, so its mask is the stride-s slice of the
+    # base's (see _slot), read over max(1, H // s) times; no law is read for the iterate
+    # (a shift or circle iterate has one), so an unhit pair leaves it inconclusive
     _, masks = _pair_masks(spec, r, max(H, prop.order))
     digits = {mask: bin(mask)[:1:-1] for mask in set(masks.values())}
     for s in range(2, prop.order + 1):
@@ -1144,9 +1150,9 @@ def _nth_bit(mask: int, n: int) -> int:
 
 def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     """Independently re-check a verdict's evidence: re-run the exact
-    membership test behind each witness entry, re-derive cited laws (the
-    derivation re-validates index by index; a decided verdict must cite the
-    describe() of a law of the system or of a factor), and re-check cited
+    membership test behind each witness entry, re-derive cited laws (afresh,
+    never from system_laws, validating index by index; a decided verdict must
+    cite the describe() of a law of the system or a factor), and re-check cited
     open-set conflicts.  A cited pair must bear out its reason up to the
     horizon (see _pair_claim_holds), and a transitive or weakly-mixing
     refutation must cite one; a minimal refutation must cite a

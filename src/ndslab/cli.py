@@ -228,16 +228,10 @@ def cmd_check(args) -> int:
     if problem:
         raise _InputError(f"ndslab: {problem}")
     checks = []
-    laws = {}  # each named system's laws, derived at its first check
     for name, prop, horizon, basis in requests:
         t0 = time.perf_counter()
-        system = doc.system(name)
-        if name not in laws:
-            laws[name] = mp.derive_laws(system, args.law_horizon)
-        verdict = ck.check_property(
-            system, prop, basis_resolution=basis, horizon=horizon,
-            law_horizon=args.law_horizon, laws=laws[name],
-        )
+        verdict = ck.check_property(doc.system(name), prop, basis_resolution=basis, horizon=horizon,
+                                    law_horizon=args.law_horizon)
         ms = (time.perf_counter() - t0) * 1000
         checks.append(
             {
@@ -425,8 +419,9 @@ def cmd_corpus(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        # pair masks live for one command, however many run in this process
+        # pair masks and laws live for one command, however many run in this process
         ck._MASK_CACHE.clear()
+        ck._LAW_CACHE.clear()
         return cmd_check(args) if args.command == "check" else cmd_corpus(args)
     except _InputError as exc:
         _write(sys.stderr, exc.args)

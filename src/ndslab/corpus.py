@@ -101,33 +101,15 @@ def _term_from(params):
 # expectation executors
 
 
-class _ScenarioDoc:
-    """One scenario's parsed document, with the laws of each (system, law
-    horizon) derived once and shared by the scenario's expectations, as
-    `ndslab check` shares them within a file."""
-
-    def __init__(self, doc):
-        self.system = doc.system
-        self._laws = {}
-
-    def laws(self, system, law_horizon):
-        key = (system, law_horizon)
-        if key not in self._laws:
-            self._laws[key] = mp.derive_laws(system, law_horizon)
-        return self._laws[key]
-
-
 def _run_property(doc, exp):
     system = doc.system(exp.target)
     prop = ndsl.read_property(exp.params["property"])
-    law_horizon = exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON)
     v = ck.check_property(
         system,
         prop,
         basis_resolution=exp.params.get("basis", ck.DEFAULT_BASIS),
         horizon=exp.params.get("horizon", ck.DEFAULT_HORIZON),
-        law_horizon=law_horizon,
-        laws=doc.laws(system, law_horizon),
+        law_horizon=exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON),
     )
     return v.status, {"evidence": v.evidence, "caveats": list(v.caveats)}, v
 
@@ -158,7 +140,7 @@ def _run_hitting(doc, exp):
     V = _mk_open(space, exp.params["v"])
     hs = ht.hitting_set(system, U, V, exp.params.get("horizon", 100))
     want = tuple(exp.params["members"])
-    laws = doc.laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
+    laws = ck.system_laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
     fe = ht.classify_frequency(hs, laws)
     ok = hs.members == want
     if exp.params.get("structural_tag") is not None:
@@ -192,7 +174,7 @@ def _run_adversary(doc, exp):
     V = _mk_open(product.space, exp.params["v"])
     hs = ht.hitting_set(product, U, V, horizon)
     # the adversary's law is the one build_gap_adversary validated
-    laws = mp.SystemLaws(components=(doc.laws(base, horizon + 2), mp.SystemLaws(exponent=law)))
+    laws = mp.SystemLaws(components=(ck.system_laws(base, horizon + 2), mp.SystemLaws(exponent=law)))
     claim = ht.product_structural_miss(product, laws, U, V)
     ok = hs.members == () and claim is not None
     return (
@@ -279,8 +261,7 @@ def _run_strong_agreement(doc, exp):
     rows = []
     strong = ck.PropertyKind("strongly-transitive")
     for system in systems:
-        base_v = ck.check_property(system, strong, 1, exp.params.get("horizon", 64),
-                                   laws=doc.laws(system, ck.DEFAULT_LAW_HORIZON))
+        base_v = ck.check_property(system, strong, 1, exp.params.get("horizon", 64))
         for k in range(1, exp.params.get("max_tail", 4) + 1):
             tail_v = ck.check_property(
                 mp.TailSpec(system, k + 1), strong, 1,
@@ -673,7 +654,7 @@ def run_corpus(name_filter: str | None = None) -> list:
     for scenario in sorted(scenarios(), key=lambda s: s.name):
         if name_filter and not _matches(scenario.name, name_filter):
             continue
-        doc = _ScenarioDoc(ndsl.parse(scenario.source))
+        doc = ndsl.parse(scenario.source)
         results = []
         for exp in scenario.expectations:
             runner = _EXECUTORS[exp.kind]

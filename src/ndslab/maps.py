@@ -662,19 +662,22 @@ def prefix_exponents(spec: SystemSpec, upto: int) -> list:
     return list(accumulate(_step_exponents(F, a + 1, a + s * upto), initial=0))[::s]
 
 
+def table_step(prefix: tuple, step: tuple) -> tuple:
+    """step o prefix as a table, one step of the table folds: i goes to step(prefix(i))."""
+    return tuple([step[v - 1] for v in prefix])
+
+
 def prefix_tables(spec: SystemSpec, upto: int):
     """T(0), ..., T(upto) as an iterator: the table of every prefix map
     f_1^n, n <= upto, of a finite-space system or a tail or iterate of one,
     the finite analogue of prefix_exponents.  The step_tables of indices
-    a + 1 .. a + s*upto are folded one tuple compose a step, T(n)[i-1] =
+    a + 1 .. a + s*upto are folded one table_step a step, T(n)[i-1] =
     f_n(T(n-1)(i)), and every s-th prefix is kept (see reading)."""
     F, a, s = reading(spec)
     if not isinstance(F, NdsSpec) or not isinstance(F.space, FiniteSpace):
         raise SpaceMismatch("prefix tables need a finite-space system")
     identity = tuple(range(1, F.space.point_count + 1))
-    folded = accumulate(step_tables(F, a + 1, a + s * upto),
-                        lambda prefix, step: tuple([step[v - 1] for v in prefix]), initial=identity)
-    return islice(folded, 0, None, s)
+    return islice(accumulate(step_tables(F, a + 1, a + s * upto), table_step, initial=identity), 0, None, s)
 
 
 # ---------------------------------------------------------------------------
@@ -962,16 +965,16 @@ class TableLaw:
     step r0 + k is block[k % p].  With C_j the first j steps of the block
     composed and B = C_p, T(r0 - 1 + mp + j) is C_j o B^m o T(r0 - 1), so
     each point's orbit is its rho under B at the block boundaries, at most
-    |X| points, and every phase is read off the C_j: p - 1 composes and
-    |X|·p reads in all, whatever the order of the tables."""
+    |X| points, and every phase is read off the C_j: p - 1 folds and |X|·p
+    reads in all, whatever the order of the tables."""
 
     stabilized_from: int
-    lead: tuple  # T(1) .. T(r0 - 1)
+    lead: tuple  # the tables of T(1) .. T(r0 - 1)
     block: tuple
 
     def __post_init__(self):
-        steps = accumulate(self.block[1:], lambda t, s: compose(s, t), initial=self.block[0])
-        object.__setattr__(self, "_steps", tuple(steps))  # C_1 .. C_p
+        first, *rest = (m.table for m in self.block)  # folded into C_1 .. C_p
+        object.__setattr__(self, "_steps", tuple(accumulate(rest, table_step, initial=first)))
         object.__setattr__(self, "_phases", {})  # _phase(y) by y
         object.__setattr__(self, "_value_sets", {})  # _values(y) by y
         object.__setattr__(self, "_loops", {})  # point on a loop of B -> (loop, place, values)
@@ -982,10 +985,10 @@ class TableLaw:
         """(tail, loop, e, values): the points T(r0 - 1 + mp)(i), m = 0, 1,
         .., before B's loop, the loop, the place e where i enters it, and
         every value C_j takes on it; each loop is found once."""
-        y, seen = self.lead[-1].table[i - 1] if self.lead else i, {}
+        y, seen = self.lead[-1][i - 1] if self.lead else i, {}
         while y not in seen and y not in self._loops:
             seen[y] = len(seen)
-            y = self._steps[-1].table[y - 1]
+            y = self._steps[-1][y - 1]
         tail = list(seen)
         if y not in self._loops:
             loop, tail = tuple(tail[seen[y] :]), tail[: seen[y]]
@@ -998,7 +1001,7 @@ class TableLaw:
         """_orbit(i) and every T(n)(i) over n >= 1, built once per point."""
         if i not in self._points:
             tail, *_, values = orbit = self._orbit(i)
-            reached = {t.table[i - 1] for t in self.lead} | values
+            reached = {t[i - 1] for t in self.lead} | values
             self._points[i] = *orbit, reached.union(*map(self._values, tail))
         return self._points[i]
 
@@ -1006,7 +1009,7 @@ class TableLaw:
         """{C_j(y)} over j = 1 .. p, built once per point: what reach and
         recurrent read, without the phases that only visits needs."""
         if y not in self._value_sets:
-            self._value_sets[y] = {C.table[y - 1] for C in self._steps}
+            self._value_sets[y] = {C[y - 1] for C in self._steps}
         return self._value_sets[y]
 
     def _phase(self, y: int) -> dict:
@@ -1014,7 +1017,7 @@ class TableLaw:
         if y not in self._phases:
             self._phases[y] = {}
             for j, C in enumerate(self._steps, 1):
-                self._phases[y].setdefault(C.table[y - 1], []).append(j)
+                self._phases[y].setdefault(C[y - 1], []).append(j)
         return self._phases[y]
 
     def visits(self, i: int, values) -> tuple:
@@ -1030,7 +1033,7 @@ class TableLaw:
                     for v in self._phase(y).keys() & values for j in self._phase(y)[v]]
 
         period = p * len(loop)
-        pre = [n for n, t in enumerate(self.lead, 1) if t.table[i - 1] in values]
+        pre = [n for n, t in enumerate(self.lead, 1) if t[i - 1] in values]
         pre += sorted(r0 - 1 + q for q in at(tail))
         return pre, r0 - 1 + len(tail) * p, {q % period for q in at(loop[e:] + loop[:e])}, period
 
@@ -1054,12 +1057,12 @@ class TableLaw:
         if not self._description:
             r0, p = self.stabilized_from, len(self.block)
             P, c = r0 - 1, 1
-            for i in range(1, len(self.block[0].table) + 1):
+            for i in range(1, len(self._steps[0]) + 1):
                 tail, loop, e, *_ = self._point(i)
                 c = lcm(c, p * len(loop))
                 if tail:
                     j = next(j for j, C in enumerate(self._steps, 1)
-                             if C.table[tail[-1] - 1] == C.table[loop[e - 1] - 1])
+                             if C[tail[-1] - 1] == C[loop[e - 1] - 1])
                     P = max(P, r0 - 2 + (len(tail) - 1) * p + j)
             self._description.append(
                 f"prefix tables stabilize at index {r0}; {P} leading tables then a cycle of {c}"
@@ -1070,13 +1073,12 @@ class TableLaw:
 def derive_table_law(spec: SystemSpec) -> TableLaw | None:
     """The TableLaw of a finite-space system whose steps repeat a block from
     r0 on (eventual_step), else None; None, too, for a lead longer than
-    LEAD_WALK_BOUND steps, known before its r0 - 1 tables are composed."""
+    LEAD_WALK_BOUND steps, known before prefix_tables folds its r0 - 1 tables."""
     settled = eventual_step(spec) if isinstance(spec.space, FiniteSpace) else None
     if settled is None or settled[0] > LEAD_WALK_BOUND + 1:  # no law: the checks stay within their horizon
         return None
     r0, block = settled
-    lead = accumulate((step_normal(spec, n) for n in range(1, r0)), lambda t, s: compose(s, t))
-    return TableLaw(r0, tuple(lead), block)
+    return TableLaw(r0, tuple(islice(prefix_tables(spec, r0 - 1), 1, None)), block)
 
 
 # ---------------------------------------------------------------------------

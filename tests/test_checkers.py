@@ -132,6 +132,16 @@ class TestRecheckVerdict:
         assert field in v.evidence
         assert not ck.recheck_verdict(CONST_SIGMA, with_evidence(v, **{field: value}))
 
+    @pytest.mark.parametrize("law_horizon", [256, 2048])
+    def test_a_refutation_cites_the_law_at_its_own_law_horizon(self, law_horizon):
+        # one law horizon reaches the law and the config: the refutation
+        # cites the law validated to it, and the re-check derives that law
+        F = ndsl.parse("space shift(2);\nsystem F { at 3: sigma^1; at 4: sigma^-1; }\n").system("F")
+        v = ck.check_property(F, ck.PropertyKind("mixing"), 1, 64, law_horizon=law_horizon)
+        assert v.refuted and v.config["law_horizon"] == law_horizon
+        assert f"[validated to {law_horizon}]" in v.evidence["structural"]
+        assert ck.recheck_verdict(F, v)
+
     def test_a_refuting_pair_of_one_open_fails(self):
         v = ck.check_property(ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
         assert v.refuted and ck.recheck_verdict(ex31(), v)
@@ -648,7 +658,7 @@ class TestGroupedReasons:
         laws = mp.derive_laws(spec, 256)
         prop = ck.PropertyKind("transitive")
         r = sp.min_resolution(spec.space)
-        v = ck.check_property(spec, prop, r, H, laws=laws)
+        v = ck.check_property(spec, prop, r, H, law_horizon=256)
         basis, masks = ck._pair_masks(spec, r, H)
         walk = (
             (i, j, ht.pair_reason(spec, laws, basis[i], basis[j], i != j, ("never",)))
@@ -871,7 +881,7 @@ class TestCountedCalls:
         laws = mp.derive_laws(spec, 256)
         assert laws.exponent is not None
         count_calls(monkeypatch, "intersects", limit=0)
-        ck.check_property(spec, ck.PropertyKind("syndetically-transitive"), r, 100, laws=laws)
+        ck.check_property(spec, ck.PropertyKind("syndetically-transitive"), r, 100, law_horizon=256)
 
 
 # ---------------------------------------------------------------------------

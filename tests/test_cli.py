@@ -850,6 +850,21 @@ class TestOneCommandInAProcess:
         assert set(ck._MASK_CACHE).isdisjoint(alone)
         ck._MASK_CACHE.clear()
 
+    def test_laws_are_derived_once_per_system_in_a_command(self, ndsl_file, capsys, monkeypatch):
+        checks = ["F transitive", "G mixing", "F mixing", "G transitive", "F syndetically-transitive"]
+        text = EX36 + "system G { else: sigma^1; }\n" + "".join(f"check {c} horizon 8 basis 1;\n" for c in checks)
+        F, G = map(ndsl.parse(text).system, "FG")
+        derived = []
+        real = cli.mp.derive_laws
+        monkeypatch.setattr(cli.mp, "derive_laws", lambda spec, H: derived.append((spec, H)) or real(spec, H))
+        run(capsys, ["check", ndsl_file(text)])
+        assert derived == [(F, 2048), (G, 2048)]
+        # a second command in the same process derives them again
+        run(capsys, ["check", ndsl_file(text)])
+        assert derived[2:] == [(F, 2048), (G, 2048)]
+        run(capsys, ["check", ndsl_file(text), "--law-horizon", "256"])
+        assert derived[4:] == [(F, 256), (G, 256)]
+
 
 # strings with the characters an encoder must escape, and any others
 JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé≡\u2028'), st.characters()))

@@ -945,7 +945,7 @@ class TestOrbitQuestions:
 # step_normal itself
 STEP_FOLDS = {
     "orbit_distance_trace", "_verify_itineraries", "brute_force_hitting", "_check_surjective",
-    "_orbit_misses", "step_normal", "derive_table_law",
+    "_orbit_misses", "step_normal",
 }
 
 

@@ -673,12 +673,12 @@ class TestTableLaw:
     def test_a_long_block_is_read_at_its_boundaries(self, monkeypatch):
         # a 60-cycle at every 999th index and the identity elsewhere: each
         # point's (point, phase) states loop over 60 * 999 steps, and the law
-        # composes the block once and walks 60 block boundaries
+        # folds the block's tables once (p - 1 steps) and walks 60 block boundaries
         ring = FiniteFnTerm(tuple(k % 60 + 1 for k in range(1, 61)))
         spec = NdsSpec(FiniteSpace(60), (Rule(ArithProgPattern(1, 999), ring),), identity_map(FiniteSpace(60)))
         calls = []
-        real = maps_mod.compose
-        monkeypatch.setattr(maps_mod, "compose", lambda a, b: calls.append(1) or real(a, b))
+        real = maps_mod.table_step
+        monkeypatch.setattr(maps_mod, "table_step", lambda a, b: calls.append(1) or real(a, b))
         law = derive_table_law(spec)
         monkeypatch.undo()
         assert len(law.block) == 999 and len(calls) == 998
@@ -888,22 +888,22 @@ class TestWhereTheStepsSettle:
         assert convergence.check_collective_convergence(spec, SWAP, 64, 4).witnessed
 
     def test_tail_law_walks_only_the_tail(self, monkeypatch):
-        # the base settles at index 6; its tail at 2 composes only its own
-        # four lead steps, each read off the base's rules, not its steps
+        # the base settles at index 6; its tail at 2 fills only its own four
+        # lead steps, base indices 2 .. 5 past its cut, off the base's rules
         base = NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(5), SWAP3),), CYCLE3, name="C3")
         tail = TailSpec(base, 2)
-        calls = {base: 0, tail: 0}
-        real = maps_mod.step_normal
+        filled = []
+        real = maps_mod.step_tables
 
-        def counting(spec, i):
-            calls[spec] += 1
-            return real(spec, i)
+        def counting(spec, lo, hi):
+            filled.extend((spec, i) for i in range(lo, hi + 1))
+            return real(spec, lo, hi)
 
-        monkeypatch.setattr(maps_mod, "step_normal", counting)
+        monkeypatch.setattr(maps_mod, "step_tables", counting)
         law = derive_table_law(tail)
         monkeypatch.undo()
         assert law.stabilized_from == 5
-        assert calls == {base: 0, tail: 4}
+        assert filled == [(base, i) for i in range(2, 6)]
         for n, table in enumerate(table_fold(tail, 19), 1):
             assert law_table(law, n) == table
 

@@ -17,7 +17,6 @@ import json
 import pytest
 
 from ndslab import checkers as ck
-from ndslab import maps as mp
 from ndslab import ndsl
 from ndslab import spaces as sp
 
@@ -650,9 +649,8 @@ def implication_breaks(spec, basis: int, horizon: int) -> list:
     """The (A, B) with A => B that one system has witnessed for A and
     refuted for B at one basis and horizon."""
     basis = max(basis, sp.min_resolution(spec.space))
-    laws = mp.derive_laws(spec, ck.DEFAULT_LAW_HORIZON)
     status = {
-        rendered: ck.check_property(spec, ndsl.read_property(rendered), basis, horizon, laws=laws).status
+        rendered: ck.check_property(spec, ndsl.read_property(rendered), basis, horizon).status
         for rendered in [*IMPLIES, "transitive"]
     }
     return [
