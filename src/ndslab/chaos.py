@@ -198,12 +198,19 @@ def lemma21_construct(
     # a level's two targets share the window [-w, w] and constrain every cell
     # of it, so each plants as one slice at its prefix exponent and replaces
     # the other.  In product order witness k differs from witness k - 1 in
-    # its last z + 1 levels, z the trailing zeros of k, so one cell list is
-    # rewritten there and copied once per witness: 2^(L+1) - 2 slice writes
-    cells = [0] * (hi - lo + 1)
-    cells[base.start - lo : base.end - lo] = base.word
-    spans = [slice(A.start + e - lo, A.end + e - lo) for (A, _B), e in zip(level_sets, shifts)]
+    # its last z + 1 levels, z the trailing zeros of k, so one cell buffer is
+    # rewritten there and copied once per witness: 2^(L+1) - 2 slice writes.
+    # The buffer is a bytearray frozen to bytes, one byte a cell, unless a
+    # symbol of a or b past 255 needs a list frozen to tuples
     words = [(A.word, B.word) for A, B in level_sets]
+    try:
+        words = [(bytes(u), bytes(v)) for u, v in words]
+    except ValueError:
+        cells, freeze = [0] * (hi - lo + 1), tuple
+    else:
+        cells, freeze = bytearray(hi - lo + 1), bytes
+    cells[base.start - lo : base.end - lo] = words[0][0]
+    spans = [slice(A.start + e - lo, A.end + e - lo) for (A, _B), e in zip(level_sets, shifts)]
     for span, (word, _) in zip(spans, words):
         cells[span] = word
     witnesses, zero = {}, (0,)
@@ -211,7 +218,7 @@ def lemma21_construct(
     for k, label in enumerate(labels):
         for i in range(levels - (k & -k).bit_length(), levels):
             cells[spans[i]] = words[i][k >> (levels - 1 - i) & 1]
-        witnesses[label] = sp.BiWord(lo, tuple(cells), zero, zero)
+        witnesses[label] = sp.BiWord(lo, freeze(cells), zero, zero)
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "", "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
@@ -225,13 +232,14 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     moves a point.
 
     When the labels are exactly the A/B words of the levels' length in
-    product order and the witnesses share one window, a level is tested for
-    all of them at once: where its two pulled-back words span one stretch
-    inside that window and constrain every cell of it, membership is
-    equality of the stretch's slice with the label's word, and in product
-    order those words are the A word and the B word in alternating blocks of
-    2^(L-1-i).  Every other witness dict and level goes through
-    `spaces.contains`."""
+    product order and the witnesses share one window of one type (all tuples
+    or all bytes), a level is tested for all of them at once: where its two
+    pulled-back words span one stretch inside that window and constrain
+    every cell of it, membership is equality of the stretch's slice with the
+    label's word converted to the windows' type, and in product order those
+    words are the A word and the B word in alternating blocks of 2^(L-1-i).
+    A word with a symbol no byte holds matches no bytes window.  Every other
+    witness dict and level goes through `spaces.contains`."""
     space = spec.space
     pulled, m, n = [], mp.identity_map(space), 0
     for p, targets in zip(times, level_sets):
@@ -250,14 +258,20 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
         )
     windows = list(map(attrgetter("window"), points))
     lo, width = points[0].window_start, len(windows[0])
-    shared = set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
+    kind = type(windows[0])
+    shared = (set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
+              and set(map(type, windows)) == {kind})
     for i, level in enumerate(pulled):
         a, b = level["A"], level["B"]
         if (shared and isinstance(a, sp.Cylinder) and isinstance(b, sp.Cylinder)
                 and (a.start, a.end) == (b.start, b.end) and None not in a.word + b.word
                 and lo <= a.start and a.end <= lo + width):
+            try:
+                a_word, b_word = kind(a.word), kind(b.word)
+            except ValueError:  # a symbol no byte holds, so no bytes window has it
+                return False
             block = 1 << (levels - 1 - i)
-            expected = ([a.word] * block + [b.word] * block) * (1 << i)
+            expected = ([a_word] * block + [b_word] * block) * (1 << i)
             cut = itemgetter(slice(a.start - lo, a.end - lo))
             held = all(map(eq, map(cut, windows), expected))
         else:

@@ -116,9 +116,23 @@ _MASK_CACHE: dict = {}
 _LAW_CACHE: dict = {}
 
 
+class scoped_caches:
+    """`with scoped_caches():` scopes the pair masks and laws checks share to
+    the block: it empties _MASK_CACHE and _LAW_CACHE on entry and on exit,
+    so a process keeps none of them between blocks.  cli.main runs each
+    command in one."""
+
+    def __enter__(self):
+        _MASK_CACHE.clear()
+        _LAW_CACHE.clear()
+
+    def __exit__(self, *exc_info):
+        self.__enter__()
+
+
 def system_laws(spec: mp.SystemSpec, law_horizon: int) -> mp.SystemLaws:
     """The laws of `spec` at `law_horizon`, derived once and shared by every
-    check; cli.main clears them with _MASK_CACHE, so they live for one command."""
+    check in a `scoped_caches` block."""
     if (spec, law_horizon) not in _LAW_CACHE:
         _LAW_CACHE[spec, law_horizon] = mp.derive_laws(spec, law_horizon)
     return _LAW_CACHE[spec, law_horizon]

@@ -420,9 +420,8 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         # pair masks and laws live for one command, however many run in this process
-        ck._MASK_CACHE.clear()
-        ck._LAW_CACHE.clear()
-        return cmd_check(args) if args.command == "check" else cmd_corpus(args)
+        with ck.scoped_caches():
+            return cmd_check(args) if args.command == "check" else cmd_corpus(args)
     except _InputError as exc:
         _write(sys.stderr, exc.args)
         return 3

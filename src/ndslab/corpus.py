@@ -72,11 +72,6 @@ class ScenarioReport:
         return all(r.passed for r in self.results)
 
 
-def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _mk_open(space, spec):
     kind = spec[0]
     if kind == "cyl":
@@ -659,6 +654,8 @@ def run_corpus(name_filter: str | None = None) -> list:
         for exp in scenario.expectations:
             runner = _EXECUTORS[exp.kind]
             actual, payload, _obj = runner(doc, exp)
+            # one encoding of the evidence: its digest and its shown detail
+            text = json.dumps(payload, sort_keys=True, default=str)
             results.append(
                 ExpectationResult(
                     scenario=scenario.name,
@@ -667,8 +664,8 @@ def run_corpus(name_filter: str | None = None) -> list:
                     actual=actual,
                     passed=(actual == exp.expected),
                     citation=exp.citation,
-                    evidence_digest=_digest(payload),
-                    detail=json.dumps(payload, sort_keys=True, default=str)[:400],
+                    evidence_digest=hashlib.sha256(text.encode()).hexdigest()[:16],
+                    detail=text[:400],
                 )
             )
         reports.append(ScenarioReport(scenario.name, tuple(results)))

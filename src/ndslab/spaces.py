@@ -268,12 +268,14 @@ class BiWord:
     repeating leftward; for i >= window_start + len(window) from `right`
     repeating rightward.
 
-    Equality is semantic (same coordinate at every index), independent of the
-    chosen representation.
+    The window is a tuple, or `bytes` kept as given (one byte a cell, as
+    `chaos.lemma21_construct` stores its witnesses); any other sequence is
+    stored as a tuple.  Equality is semantic (same coordinate at every
+    index), independent of the chosen representation.
     """
 
     window_start: int
-    window: tuple
+    window: tuple | bytes
     left: tuple
     right: tuple
 
@@ -281,13 +283,13 @@ class BiWord:
         left, right, window = self.left, self.right, self.window
         if not left or not right:
             raise ValueError("periodic tails must be nonempty")
-        # a one-symbol tuple tail is primitive and a tuple window is normal:
-        # only other fields are normalised and stored again
+        # a one-symbol tuple tail is primitive and a tuple or bytes window is
+        # normal: only other fields are normalised and stored again
         if type(left) is not tuple or len(left) > 1:
             object.__setattr__(self, "left", _primitive(tuple(left)))
         if type(right) is not tuple or len(right) > 1:
             object.__setattr__(self, "right", _primitive(tuple(right)))
-        if type(window) is not tuple:
+        if type(window) not in (tuple, bytes):
             object.__setattr__(self, "window", tuple(window))
 
     @property
@@ -475,7 +477,7 @@ def _check_space_point(space: SpaceDesc, p: Point) -> None:
 # metric
 
 
-def _stretch(p: BiWord, a: int, b: int) -> tuple:
+def _stretch(p: BiWord, a: int, b: int) -> tuple | bytes:
     """p's coordinates a..b-1 on a stretch in one of p's modes, sliced."""
     if a >= p.window_start and b <= p.window_end:
         return p.window[a - p.window_start : b - p.window_start]

@@ -227,6 +227,12 @@ class TestItineraryConstruction:
         other = BiWord(x.window_start + d, x.window, x.left, x.right)
         assert chaos._verify_itineraries(spec, res.times, res.levels, {**res.witnesses, label: other}) \
             == all(folded_memberships(spec, res, label, other))
+        # the same point with its window rebuilt as a tuple: windows of two types
+        rebuilt = BiWord(x.window_start, tuple(x.window), x.left, x.right)
+        assert type(rebuilt.window) is not type(x.window) and rebuilt == x
+        mixed = {**res.witnesses, label: rebuilt}
+        assert chaos._verify_itineraries(spec, res.times, res.levels, mixed) \
+            == folded_verdict(spec, res, mixed)
 
     @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -286,6 +292,43 @@ class TestItineraryConstruction:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError, match="levels must be at least 0"):
             lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), -1, 64)
+
+
+WIDE_SHIFT = ShiftSpace(300)
+
+
+class TestWindowTypes:
+    @pytest.mark.parametrize("symbol, kind", [(255, bytes), (256, tuple), (299, tuple)])
+    @pytest.mark.parametrize("spec", [NdsSpec(WIDE_SHIFT, (), ShiftPowTerm(1)),
+                                      NdsSpec(WIDE_SHIFT, AP12.rules)], ids=["sigma", "ap12"])
+    def test_a_symbol_past_a_byte_keeps_tuple_windows(self, spec, symbol, kind):
+        a = BiWord(-1, (symbol, 0, symbol), (0,), (symbol,))
+        b = BiWord(0, (1, symbol), (symbol, 2), (2,))
+        res = lemma21_construct(spec, a, b, 5, 512)
+        assert isinstance(res, ItineraryConstruction) and res.verified
+        assert {type(x.window) for x in res.witnesses.values()} == {kind}
+        assert folded_verdict(spec, res, res.witnesses)
+        oracle = planted_cell_by_cell(spec, res)
+        assert list(res.witnesses) == list(oracle)
+        assert [repr(x) for x in res.witnesses.values()] == [repr(x) for x in oracle.values()]
+        assert all(res.witnesses[label] == x for label, x in oracle.items())
+
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_target_symbol_past_a_byte_meets_no_byte_window(self, spec, levels, data):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        assert all(type(x.window) is bytes for x in res.witnesses.values())
+        i, k = data.draw(st.integers(0, levels - 1)), data.draw(st.integers(0, 1))
+        target = res.levels[i][k]
+        j = data.draw(st.integers(0, len(target.word) - 1))
+        wide = Cylinder(target.start, target.word[:j] + (256,) + target.word[j + 1 :])
+        levels_ = tuple(
+            tuple(wide if (n, c) == (i, k) else t for c, t in enumerate(pair))
+            for n, pair in enumerate(res.levels)
+        )
+        widened = ItineraryConstruction(res.times, levels_, res.witnesses, True)
+        assert not folded_verdict(spec, widened, res.witnesses)
+        assert not chaos._verify_itineraries(spec, res.times, levels_, res.witnesses)
 
 
 def fraction_radius(level):

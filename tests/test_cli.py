@@ -836,19 +836,47 @@ class TestOneCommandInAProcess:
                                "check", path], capture_output=True, timeout=20, env=env)
         assert (done.returncode, done.stderr) == (code, b"") and code == 2
 
-    def test_pair_masks_are_kept_for_one_command(self, ndsl_file, capsys):
+    def test_pair_masks_are_kept_for_one_command(self, ndsl_file, capsys, monkeypatch):
         first = ndsl_file(SIGMA + "check F transitive horizon 40;\n", "first.ndsl")
         second = ndsl_file(FINITE_SWAP + "check F transitive horizon 8;\n", "second.ndsl")
-        ck._MASK_CACHE.clear()
+        held = []  # the mask keys as each command returns, inside its scope
+
+        def keeping_keys(command):
+            def run_command(args):
+                code = command(args)
+                held.append(set(ck._MASK_CACHE))
+                return code
+            return run_command
+
+        for name in ("cmd_check", "cmd_corpus"):
+            monkeypatch.setattr(cli, name, keeping_keys(getattr(cli, name)))
         run(capsys, ["check", second])
-        alone = set(ck._MASK_CACHE)
+        alone = held[-1]
         run(capsys, ["check", first])
-        assert ck._MASK_CACHE and set(ck._MASK_CACHE).isdisjoint(alone)
+        assert held[-1] and held[-1].isdisjoint(alone)
         run(capsys, ["check", second])
-        assert set(ck._MASK_CACHE) == alone
+        assert held[-1] == alone
         run(capsys, ["corpus", "--filter", "example-3.3"])
-        assert set(ck._MASK_CACHE).isdisjoint(alone)
-        ck._MASK_CACHE.clear()
+        assert held[-1].isdisjoint(alone)
+        assert not ck._MASK_CACHE
+
+    def test_a_scope_leaves_both_caches_empty(self, ndsl_file, capsys):
+        doc = ndsl.parse(EX36)
+        stale = (object(), 0)
+        ck._MASK_CACHE[stale] = ck._LAW_CACHE[stale] = None
+        # a library check inside a scope: stale entries go on entry, its own on exit
+        with ck.scoped_caches():
+            assert not ck._MASK_CACHE and not ck._LAW_CACHE
+            ck.check_property(doc.system("F"), ck.PropertyKind("transitive"), 1, 8)
+            assert ck._MASK_CACHE and ck._LAW_CACHE
+        assert not ck._MASK_CACHE and not ck._LAW_CACHE
+        # so does a command, and a scope that ends in an exception
+        run(capsys, ["check", ndsl_file(EX36 + "check F mixing horizon 8 basis 1;\n")])
+        assert not ck._MASK_CACHE and not ck._LAW_CACHE
+        with pytest.raises(KeyError), ck.scoped_caches():
+            ck.system_laws(doc.system("F"), 256)
+            raise KeyError
+        assert not ck._MASK_CACHE and not ck._LAW_CACHE
 
     def test_laws_are_derived_once_per_system_in_a_command(self, ndsl_file, capsys, monkeypatch):
         checks = ["F transitive", "G mixing", "F mixing", "G transitive", "F syndetically-transitive"]

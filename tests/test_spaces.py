@@ -206,6 +206,22 @@ class TestBiWordConstruction:
             with pytest.raises(TypeError):
                 hash(x)
 
+    @given(cylinders_and_points(), biwords, st.lists(st.integers(0, 255), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_a_bytes_window_is_kept_and_reads_as_its_tuple(self, case, z, extra):
+        cyl, p = case
+        cells = p.window + tuple(extra)
+        window = bytes(cells)
+        x = BiWord(p.window_start, window, p.left, p.right)
+        t = BiWord(p.window_start, cells, p.left, p.right)
+        assert x.window is window and type(t.window) is tuple
+        assert x == t and t == x and repr(x) == repr(t)
+        span = range(x.window_start - 9, x.window_end + 9)
+        assert list(map(x.coord, span)) == list(map(t.coord, span))
+        for y in (z, p, t):
+            assert shift_distance(x, y) == shift_distance(t, y) == shift_distance(y, x)
+        assert contains(SHIFT, cyl, x) == contains(SHIFT, cyl, t)
+
 
 class TestShiftMetric:
     def test_identical_points(self):
