@@ -148,8 +148,7 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     exponent |e| > 2r moves the basis window clear of [-r, r], so all those
     classes form one saturated class that hits every pair.  A product pair
     meets exactly when every component pair does, so product masks are the
-    AND of the component masks, a tail or iterate of a product included
-    (see hitting._components)."""
+    AND of the component masks."""
     key = (spec, resolution, horizon)
     hit = _MASK_CACHE.get(key)
     if hit is not None:
@@ -157,7 +156,7 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     space = spec.space
     basis = sp.enumerate_basis(space, resolution)
     if isinstance(space, sp.ProductSpace):
-        parts = [_pair_masks(p, resolution, horizon) for p in ht._components(spec)]
+        parts = [_pair_masks(p, resolution, horizon) for p in spec.parts]
         # enumerate_basis orders rectangles like product() orders index tuples
         index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
         # spread[k][a][j] is part k's mask for (a, side k of rectangle j):

@@ -40,11 +40,12 @@ MAX_HORIZON = 10**6
 # the work a check may take on, estimated before it runs: the opens of its
 # basis, and the bytes of the pair masks of the properties that build them
 # (N^2 pairs of N opens, each an H-bit mask plus MASK_PAIR_BYTES of dict
-# entry, key and int header, as tracemalloc measured on shift and product
-# masks)
+# entry, key and int header) and of the table laws' leads (LEAD_ENTRY_BYTES
+# an entry, a pointer in a table tuple), as tracemalloc measured
 MAX_BASIS_OPENS = 1 << 16
 MAX_MASK_BYTES = 1 << 28
 MASK_PAIR_BYTES = 144
+LEAD_ENTRY_BYTES = 8
 PAIR_MASK_PROPERTIES = frozenset({
     "transitive", "weakly-mixing", "mixing", "mildly-mixing", "totally-transitive",
     "multi-transitive", "syndetically-transitive",
@@ -274,7 +275,8 @@ def _size_problem(args, doc, requests):
     and the pair masks of multi-transitive:m span m times the horizon, so
     that product may not pass MAX_HORIZON either.  Then the first request
     whose estimated work is over its budget (_work_problem), and then the
-    pair masks of all the checks together against MAX_MASK_BYTES."""
+    pair masks of all the checks and the leads of their systems' table laws
+    (_lead_entries) together against MAX_MASK_BYTES."""
     sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
              ("--law-horizon", args.law_horizon, 1, MAX_HORIZON)]
     for name, prop, horizon, basis in requests:
@@ -298,9 +300,14 @@ def _size_problem(args, doc, requests):
         span, _, need = _mask_set(doc.system(name).space, prop, horizon, basis)
         if need:
             held[name, basis, span] = max(held.get((name, basis, span), 0), need)
-    if sum(held.values()) > MAX_MASK_BYTES:
-        return (f"the {len(held)} sets of pair masks the checks keep until the command ends "
-                f"need an estimated {sum(held.values())} bytes together, over the budget of "
+    # checkers._LAW_CACHE keeps each system's laws, so its leads too, to the end
+    entries = sum(map(_lead_entries, {doc.system(name) for name, *_ in requests}))
+    need = sum(held.values()) + LEAD_ENTRY_BYTES * entries
+    if need > MAX_MASK_BYTES:
+        kept = [f"the table laws' leads of {entries} prefix-table entries"] if entries else []
+        kept += [f"the {len(held)} set{'s' * (len(held) > 1)} of pair masks"] if held else []
+        return (f"{' and '.join(kept)} the checks keep until the command ends "
+                f"need an estimated {need} bytes together, over the budget of "
                 f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
     return None
 
@@ -332,24 +339,34 @@ def _basis_size(space, r: int) -> int:
     return min(n, MAX_BASIS_OPENS + 1)
 
 
-def _base_fill(spec, span: int, s: int = 1) -> int:
+def _leaves(spec) -> list:
+    """The rule systems and tails and iterates of one that `spec` is made
+    of: itself, or a product's parts' leaves."""
+    if isinstance(spec, mp.ProductSpec):
+        return [leaf for part in spec.parts for leaf in _leaves(part)]
+    return [spec]
+
+
+def _base_fill(spec, span: int) -> int:
     """The base indices a check over `span` times of `spec` fills or steps
-    through: time n reads s indices of each leaf past its cut, each tail and
-    iterate composing its stride (maps.reading) into s down to the leaves,
-    so a leaf fills s*span, whatever its cut, and a product as much as its
-    widest part."""
-    F, _, stride = mp.reading(spec)
-    if isinstance(F, mp.ProductSpec):
-        return max(_base_fill(part, span, s * stride) for part in F.parts)
-    return s * stride * span
+    through: time n reads s indices of a leaf past its cut, s the stride it
+    is read at (maps.reading), so s*span whatever its cut, for the leaf of
+    widest stride."""
+    return span * max(mp.reading(leaf)[2] for leaf in _leaves(spec))
 
 
 def _law_fill(spec, law_horizon: int) -> int:
-    """The base indices derive_laws fills for `spec`'s exponent laws, a
-    product's part by part (maps.law_reach, 0 where nothing is read)."""
-    if isinstance(spec, mp.ProductSpec):
-        return max(_law_fill(part, law_horizon) for part in spec.parts)
-    return mp.law_reach(spec, law_horizon) or 0
+    """The base indices derive_laws fills for `spec`'s exponent laws, the
+    most any leaf's (maps.law_reach, 0 where nothing is read)."""
+    return max(mp.law_reach(leaf, law_horizon) or 0 for leaf in _leaves(spec))
+
+
+def _lead_entries(spec) -> int:
+    """The prefix-table entries derive_laws keeps as the leads of `spec`'s
+    table laws, (r0 - 1)|X| a leaf with r0 read off its rules before any
+    table is folded (maps.table_settling)."""
+    leads = ((mp.table_settling(leaf), leaf.space) for leaf in _leaves(spec))
+    return sum((settled[0] - 1) * space.point_count for settled, space in leads if settled)
 
 
 def _work_problem(system, prop, horizon: int, basis: int, law_fill: int):

@@ -84,7 +84,7 @@ def _mk_open(space, spec):
 
 
 def _term_from(params):
-    kind = params.get("limit")
+    kind = params["limit"]
     if kind == "id":
         return mp.IDENTITY
     if isinstance(kind, tuple) and kind[0] == "table":
@@ -111,10 +111,9 @@ def _run_property(doc, exp):
 
 def _run_uniform(doc, exp):
     system = doc.system(exp.target)
-    v = cv.check_uniform_convergence(system, _term_from(exp.params), exp.params.get("horizon", 64))
+    v = cv.check_uniform_convergence(system, _term_from(exp.params), exp.params["horizon"])
     detail = {"stabilization_index": v.stabilization_index, "detail": v.detail}
-    want_r0 = exp.params.get("stabilization_index")
-    if want_r0 is not None and v.stabilization_index != want_r0:
+    if v.stabilization_index != exp.params["stabilization_index"]:
         return "wrong-index", detail, v
     return v.status, detail, v
 
@@ -122,8 +121,7 @@ def _run_uniform(doc, exp):
 def _run_collective(doc, exp):
     system = doc.system(exp.target)
     v = cv.check_collective_convergence(
-        system, _term_from(exp.params), exp.params.get("horizon", 64),
-        exp.params.get("max_window", 6),
+        system, _term_from(exp.params), exp.params["horizon"], exp.params["max_window"]
     )
     return v.status, {"detail": v.detail, "refuting_pair": v.refuting_pair}, v
 
@@ -133,13 +131,10 @@ def _run_hitting(doc, exp):
     space = system.space
     U = _mk_open(space, exp.params["u"])
     V = _mk_open(space, exp.params["v"])
-    hs = ht.hitting_set(system, U, V, exp.params.get("horizon", 100))
-    want = tuple(exp.params["members"])
+    hs = ht.hitting_set(system, U, V, exp.params["horizon"])
     laws = ck.system_laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
     fe = ht.classify_frequency(hs, laws)
-    ok = hs.members == want
-    if exp.params.get("structural_tag") is not None:
-        ok = ok and fe.structural == exp.params["structural_tag"]
+    ok = hs.members == tuple(exp.params["members"]) and fe.structural == exp.params["structural_tag"]
     return (
         "pass" if ok else "fail",
         {"members": list(hs.members), "structural": fe.structural, "detail": fe.structural_detail},
@@ -150,7 +145,7 @@ def _run_hitting(doc, exp):
 def _run_separation(doc, exp):
     system = doc.system(exp.target)
     U = _mk_open(system.space, exp.params["u"])
-    ss = ht.separation_set(system, U, Fraction(exp.params["delta"]), exp.params.get("horizon", 64))
+    ss = ht.separation_set(system, U, Fraction(exp.params["delta"]), exp.params["horizon"])
     want = tuple(exp.params["members"])
     ok = ss.members == want
     return "pass" if ok else "fail", {"members": list(ss.members)}, ss
@@ -159,9 +154,9 @@ def _run_separation(doc, exp):
 def _run_adversary(doc, exp):
     base = doc.system(exp.target)
     miss = list(exp.params["miss_times"])
-    horizon = exp.params.get("horizon", 512)
+    horizon = exp.params["horizon"]
     adv, law = ck.build_gap_adversary(miss, law_horizon=horizon + 2)
-    v = ck.check_property(adv, ck.PropertyKind("transitive"), exp.params.get("basis", 1), horizon)
+    v = ck.check_property(adv, ck.PropertyKind("transitive"), exp.params["basis"], horizon)
     if v.status != ck.WITNESSED:
         return "fail", {"adversary_transitive": v.status}, v
     product = mp.ProductSpec((base, adv))
@@ -187,10 +182,7 @@ def _run_consistency(doc, exp):
     system = doc.system(exp.target)
     prop = ndsl.read_property(exp.params["property"])
     report = ck.hitting_infinity_consistency(
-        system, prop,
-        exp.params.get("basis", 1),
-        exp.params.get("horizon", 2048),
-        exp.params.get("members_required", 10),
+        system, prop, exp.params["basis"], exp.params["horizon"], exp.params["members_required"]
     )
     return (
         "pass" if report.ok else "fail",
@@ -204,8 +196,8 @@ def _run_gap_bound(doc, exp):
     system, observed sensitivity gaps stay within the sum of the two
     transitivity gap bounds from the separation construction."""
     system = doc.system(exp.target)
-    r = exp.params.get("basis", 2)
-    H = exp.params.get("horizon", 200)
+    r = exp.params["basis"]
+    H = exp.params["horizon"]
     delta = Fraction(exp.params["delta"])
     # fixed reference orbit (all-zeros is invariant) and a far point: V is the
     # all-ones basis open, so its column of the pair masks holds every N(U, V)
@@ -244,7 +236,7 @@ def _run_gap_bound(doc, exp):
 def _run_strong_agreement(doc, exp):
     """Strong-transitivity transfer on constant surjective finite systems:
     verdicts agree between the system and its tails, cover bounds within k."""
-    rng = random.Random(exp.params.get("seed", 20240811))
+    rng = random.Random(exp.params["seed"])
     systems = [doc.system(exp.target)]
     for count in (5, 6):
         perm = list(range(1, count + 1))
@@ -254,14 +246,11 @@ def _run_strong_agreement(doc, exp):
                        name=f"random-perm-{count}")
         )
     rows = []
-    strong = ck.PropertyKind("strongly-transitive")
+    strong, H = ck.PropertyKind("strongly-transitive"), exp.params["horizon"]
     for system in systems:
-        base_v = ck.check_property(system, strong, 1, exp.params.get("horizon", 64))
-        for k in range(1, exp.params.get("max_tail", 4) + 1):
-            tail_v = ck.check_property(
-                mp.TailSpec(system, k + 1), strong, 1,
-                exp.params.get("horizon", 64),
-            )
+        base_v = ck.check_property(system, strong, 1, H)
+        for k in range(1, exp.params["max_tail"] + 1):
+            tail_v = ck.check_property(mp.tail(system, k + 1), strong, 1, H)
             agree = base_v.status == tail_v.status
             bound_ok = True
             if base_v.status == ck.WITNESSED and tail_v.status == ck.WITNESSED:
@@ -277,10 +266,8 @@ def _run_strong_agreement(doc, exp):
 
 def _run_lemma21(doc, exp):
     system = doc.system(exp.target)
-    levels = exp.params.get("levels", 4)
-    res = chaos.lemma21_construct(
-        system, sp.all_zeros(), sp.all_ones(), levels, exp.params.get("horizon", 256)
-    )
+    levels = exp.params["levels"]
+    res = chaos.lemma21_construct(system, sp.all_zeros(), sp.all_ones(), levels, exp.params["horizon"])
     if not isinstance(res, chaos.ItineraryConstruction):
         return "fail", {"failure": repr(res)}, res
     ok = res.verified and len(res.witnesses) == 2**levels
@@ -293,16 +280,11 @@ def _run_lemma21(doc, exp):
 
 def _run_li_yorke(doc, exp):
     system = doc.system(exp.target)
-    pairs = chaos.proximal_scrambled_candidates(
-        sp.all_zeros(), sp.all_ones(), exp.params.get("candidates", 6)
-    )
-    reports = chaos.li_yorke_scan(
-        system, pairs, exp.params.get("horizon", 4096),
-        Fraction(exp.params.get("eps_low", Fraction(1, 1024))),
-        Fraction(exp.params.get("delta_high", Fraction(1, 2))),
-    )
+    pairs = chaos.proximal_scrambled_candidates(sp.all_zeros(), sp.all_ones(), exp.params["candidates"])
+    eps, delta = Fraction(exp.params["eps_low"]), Fraction(exp.params["delta_high"])
+    reports = chaos.li_yorke_scan(system, pairs, exp.params["horizon"], eps, delta)
     qualifying = sum(1 for r in reports if r.qualifies)
-    ok = qualifying >= exp.params.get("required", 4)
+    ok = qualifying >= exp.params["required"]
     return "pass" if ok else "fail", {"qualifying": qualifying, "scanned": len(reports)}, reports
 
 
@@ -311,7 +293,7 @@ def _run_interleave(doc, exp):
     (f at the triangular indices): between consecutive f-firings the prefix
     map is constant, making long identity runs; this holds whatever f is."""
     system = doc.system(exp.target)
-    H = exp.params.get("horizon", 128)
+    H = exp.params["horizon"]
     firings = exp.params["firings"]
     # the times a..min(b, H)-1 share one prefix map when one class holds them
     classes = ht.prefix_classes(system, H).values()

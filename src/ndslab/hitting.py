@@ -82,8 +82,7 @@ def prefix_groups(spec: mp.SystemSpec, horizon: int) -> dict:
 
     The key is the prefix exponent or coefficient on the shift and the
     circle (maps.prefix_exponents), the prefix table on a finite space
-    (maps.prefix_tables), and the tuple of the parts' keys on a product or
-    a tail or iterate of one (see _components)."""
+    (maps.prefix_tables), and the tuple of the parts' keys on a product."""
     groups = {}
     for n, key in enumerate(islice(_prefix_keys(spec, horizon), 1, None), 1):
         groups[key] = groups.get(key, 0) | 1 << n
@@ -94,7 +93,7 @@ def _prefix_keys(spec: mp.SystemSpec, horizon: int):
     """The prefix_groups key of f_1^n for n = 0 .. horizon, in order."""
     space = spec.space
     if isinstance(space, sp.ProductSpace):
-        return zip(*(_prefix_keys(part, horizon) for part in _components(spec)))
+        return zip(*(_prefix_keys(part, horizon) for part in spec.parts))
     if isinstance(space, sp.FiniteSpace):
         return mp.prefix_tables(spec, horizon)
     return mp.prefix_exponents(spec, horizon)
@@ -133,15 +132,6 @@ def _class_masks(classes: dict, opens, test) -> list:
     return masks
 
 
-def _components(spec: mp.SystemSpec) -> tuple:
-    """The component systems of a product system or of a tail or iterate of
-    one.  A product steps every part at once, so its tail (or iterate) is
-    the product of the parts' tails (or iterates)."""
-    if isinstance(spec, mp.ProductSpec):
-        return spec.parts
-    return tuple(type(spec)(part, spec.k) for part in _components(spec.base))
-
-
 def _describe_open(A) -> str:
     if isinstance(A, sp.Cylinder):
         word = "".join("." if s is None else str(s) for s in A.word)
@@ -171,7 +161,7 @@ def hitting_masks(spec: mp.SystemSpec, opens, V, horizon: int) -> list:
     ):
         parts = [
             hitting_masks(part, [U.parts[k] for U in opens], V.parts[k], horizon)
-            for k, part in enumerate(_components(spec))
+            for k, part in enumerate(spec.parts)
         ]
         masks = []
         for sides in zip(*parts):
@@ -221,7 +211,7 @@ def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> in
     far-window bound.  Any other open decides each prefix class once."""
     space = spec.space
     if isinstance(space, sp.ProductSpace):
-        parts = zip(_components(spec), U.parts)
+        parts = zip(spec.parts, U.parts)
         return reduce(or_, (separation_mask(p, side, delta, horizon) for p, side in parts))
     if isinstance(U, sp.Arc) or isinstance(U, sp.FiniteSet) and len(U.ids) == 1:
         return (1 << horizon + 1) - 2 if sp.diameter_exceeds(space, U, delta) else 0

@@ -354,32 +354,14 @@ class NdsSpec:
 
 
 @record
-class TailSpec:
-    """f_{k,infinity}: the sequence starting at index k of the base system."""
+class DerivedSpec:
+    """A tail or iterate of a rule system: step n is the composed window of
+    `base` over indices offset + stride(n-1) + 1 .. offset + stride*n.
+    Built by tail and iterate only."""
 
-    base: "SystemSpec"
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("tail index must be >= 1")
-
-    @property
-    def space(self):
-        return self.base.space
-
-
-@record
-class IterateSpec:
-    """The k-th iterate system: step n is the window f over indices
-    k(n-1)+1 .. kn of the base."""
-
-    base: "SystemSpec"
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("iterate order must be >= 1")
+    base: NdsSpec
+    offset: int
+    stride: int
 
     @property
     def space(self):
@@ -397,7 +379,40 @@ class ProductSpec:
         object.__setattr__(self, "space", ProductSpace(tuple(p.space for p in self.parts)))
 
 
-SystemSpec = NdsSpec | TailSpec | IterateSpec | ProductSpec
+SystemSpec = NdsSpec | DerivedSpec | ProductSpec
+
+
+def reading(spec: SystemSpec) -> tuple:
+    """(F, a, s): step n of `spec` is the composed window of F over indices
+    a + s(n-1) + 1 .. a + sn; F is the rule system of a tail or iterate,
+    and any other system itself, at (0, 1)."""
+    if isinstance(spec, DerivedSpec):
+        return spec.base, spec.offset, spec.stride
+    return spec, 0, 1
+
+
+def tail(spec: SystemSpec, k: int) -> SystemSpec:
+    """f_{k,infinity}, the system from step k of `spec` on: (a, s) goes to
+    (a + s(k - 1), s).  A product steps every part at once, so its tail is
+    the product of its parts' tails."""
+    if k < 1:
+        raise ValueError("tail index must be >= 1")
+    if isinstance(spec, ProductSpec):
+        return ProductSpec(tuple(tail(p, k) for p in spec.parts))
+    F, a, s = reading(spec)
+    return DerivedSpec(F, a + s * (k - 1), s)
+
+
+def iterate(spec: SystemSpec, k: int) -> SystemSpec:
+    """The k-th iterate of `spec`, step n the window of its steps k(n-1)+1
+    .. kn: (a, s) goes to (a, ks), and a product's is the product of its
+    parts' iterates."""
+    if k < 1:
+        raise ValueError("iterate order must be >= 1")
+    if isinstance(spec, ProductSpec):
+        return ProductSpec(tuple(iterate(p, k) for p in spec.parts))
+    F, a, s = reading(spec)
+    return DerivedSpec(F, a, k * s)
 
 
 # ---------------------------------------------------------------------------
@@ -541,28 +556,13 @@ def eval_term(spec: NdsSpec, i: int) -> MapTerm:
     return spec.default
 
 
-def reading(spec: SystemSpec) -> tuple:
-    """(F, a, s): step n of `spec` is the composed window of F over indices
-    a + s(n-1) + 1 .. a + sn, with F a rule system or a product.  Walking
-    the tower from the outside in, a tail at k maps (a, s) to (a + k - 1, s)
-    and an iterate of order j maps it to (j*a, j*s)."""
-    a, s = 0, 1
-    while isinstance(spec, (TailSpec, IterateSpec)):
-        if isinstance(spec, TailSpec):
-            a += spec.k - 1
-        else:
-            a, s = spec.k * a, spec.k * s
-        spec = spec.base
-    return spec, a, s
-
-
 def step_normal(spec: SystemSpec, i: int) -> NormalMap:
     """The i-th step map as a normal map; total on every system kind."""
+    if isinstance(spec, ProductSpec):
+        return ProductMap(tuple(step_normal(p, i) for p in spec.parts))
     F, a, s = reading(spec)
     if s > 1:
         return window_compose(F, a + s * (i - 1) + 1, s)
-    if isinstance(F, ProductSpec):
-        return ProductMap(tuple(step_normal(p, a + i) for p in F.parts))
     return term_to_normal(F.space, eval_term(F, a + i))
 
 
@@ -629,10 +629,10 @@ def window_compose(spec: SystemSpec, i: int, k: int) -> NormalMap:
     exponent sums the window's step exponents (_step_exponents)."""
     if i < 1 or k < 0:
         raise ValueError("need i >= 1 and k >= 0")
-    spec, a, s = reading(spec)
-    i, k = a + s * (i - 1) + 1, s * k
     if isinstance(spec, ProductSpec):
         return ProductMap(tuple(window_compose(p, i, k) for p in spec.parts))
+    spec, a, s = reading(spec)
+    i, k = a + s * (i - 1) + 1, s * k
     space = spec.space
     if k == 0:
         return identity_map(space)
@@ -998,11 +998,12 @@ class TableLaw:
         return (tail, *self._loops[y])
 
     def _point(self, i: int) -> tuple:
-        """_orbit(i) and every T(n)(i) over n >= 1, built once per point."""
+        """_orbit(i) and every T(n)(i) the lead and the tail add to the values
+        round the loop, built once per point; the loop's values are one set,
+        shared by its points."""
         if i not in self._points:
             tail, *_, values = orbit = self._orbit(i)
-            reached = {t[i - 1] for t in self.lead} | values
-            self._points[i] = *orbit, reached.union(*map(self._values, tail))
+            self._points[i] = *orbit, {t[i - 1] for t in self.lead}.union(*map(self._values, tail)) - values
         return self._points[i]
 
     def _values(self, y: int) -> set:
@@ -1038,8 +1039,8 @@ class TableLaw:
         return pre, r0 - 1 + len(tail) * p, {q % period for q in at(loop[e:] + loop[:e])}, period
 
     def reach(self, ids) -> set:
-        """Every T(n)(i) over n >= 1 and i in ids."""
-        return set().union(*(self._point(i)[4] for i in ids))
+        """Every T(n)(i) over n >= 1 and i in ids: before the loop and round it."""
+        return set().union(*(values for i in ids for values in self._point(i)[3:]))
 
     def recurrent(self, ids) -> set:
         """Every T(n)(i) taken for infinitely many n, i in ids: the values
@@ -1070,12 +1071,20 @@ class TableLaw:
         return self._description[0]
 
 
+def table_settling(spec: SystemSpec) -> tuple | None:
+    """(r0, block) of the TableLaw of a finite-space system, read off the
+    rules (eventual_step) before prefix_tables folds its r0 - 1 tables; None
+    for any other system and for a lead longer than LEAD_WALK_BOUND steps,
+    which gets no law: the checks stay within their horizon."""
+    settled = eventual_step(spec) if isinstance(spec.space, FiniteSpace) else None
+    return None if settled is None or settled[0] > LEAD_WALK_BOUND + 1 else settled
+
+
 def derive_table_law(spec: SystemSpec) -> TableLaw | None:
     """The TableLaw of a finite-space system whose steps repeat a block from
-    r0 on (eventual_step), else None; None, too, for a lead longer than
-    LEAD_WALK_BOUND steps, known before prefix_tables folds its r0 - 1 tables."""
-    settled = eventual_step(spec) if isinstance(spec.space, FiniteSpace) else None
-    if settled is None or settled[0] > LEAD_WALK_BOUND + 1:  # no law: the checks stay within their horizon
+    r0 on (table_settling), else None."""
+    settled = table_settling(spec)
+    if settled is None:
         return None
     r0, block = settled
     return TableLaw(r0, tuple(islice(prefix_tables(spec, r0 - 1), 1, None)), block)
@@ -1112,8 +1121,8 @@ def spec_is_surjective_structurally(spec: SystemSpec) -> bool:
     """True when the rule set alone makes every step map surjective: every
     rule term does, and so does the default unless the rules cover every
     index (covered_from)."""
-    spec = reading(spec)[0]
     if isinstance(spec, ProductSpec):
         return all(spec_is_surjective_structurally(p) for p in spec.parts)
+    spec = reading(spec)[0]
     terms = [r.term for r in spec.rules] + ([] if covered_from(spec) == 1 else [spec.default])
     return all(isinstance(t, FamilyTerm) or term_is_surjective(t) for t in terms)

@@ -338,7 +338,7 @@ class _Parser:
         self.expect(")", "derived system")
         if k < 1:
             self.error("derivation order must be at least 1", kind="semantic")
-        return mp.TailSpec(refs[0], k) if kind == "tail" else mp.IterateSpec(refs[0], k)
+        return mp.tail(refs[0], k) if kind == "tail" else mp.iterate(refs[0], k)
 
     def system_ref(self) -> mp.SystemSpec:
         t = self.expect("ident", "system reference")

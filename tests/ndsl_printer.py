@@ -15,10 +15,9 @@ from ndslab import spaces as sp
 
 def print_document(doc: ndsl.NdslDocument) -> str:
     out = [_print_space(doc.space)]
-    named = {id(s): n for n, s in doc.systems}
-    for name, spec in doc.systems:
+    for at, (name, spec) in enumerate(doc.systems):
         out.append("")
-        out.append(_print_system(name, spec, named))
+        out.append(_print_system(name, spec, doc.systems[:at]))
     for chk in doc.checks:
         out.append("")
         line = f"check {chk.system} {chk.prop.render()}"
@@ -43,14 +42,9 @@ def _print_space(space: sp.SpaceDesc) -> str:
     raise sp.SpaceMismatch("product spaces are declared through product systems")
 
 
-def _print_system(name: str, spec: mp.SystemSpec, named: dict) -> str:
-    if isinstance(spec, mp.TailSpec):
-        return f"system {name} = tail({named[id(spec.base)]}, {spec.k});"
-    if isinstance(spec, mp.IterateSpec):
-        return f"system {name} = iterate({named[id(spec.base)]}, {spec.k});"
-    if isinstance(spec, mp.ProductSpec):
-        parts = ", ".join(named[id(p)] for p in spec.parts)
-        return f"system {name} = product({parts});"
+def _print_system(name: str, spec: mp.SystemSpec, earlier: list) -> str:
+    if isinstance(spec, (mp.DerivedSpec, mp.ProductSpec)):
+        return f"system {name} = {_derivation(spec, earlier)};"
     lines = [f"system {name} {{"]
     for rule in spec.rules:
         binds = isinstance(rule.term, mp.FamilyTerm)
@@ -59,6 +53,31 @@ def _print_system(name: str, spec: mp.SystemSpec, named: dict) -> str:
         lines.append(f"  else: {_print_term(spec.default)};")
     lines.append("}")
     return "\n".join(lines)
+
+
+def _derivation(spec: mp.SystemSpec, earlier: list) -> str:
+    """A tail, iterate or product through the (name, system) pairs printed
+    before it: product(A, B, ..) of named parts, or tail(N, k) or
+    iterate(N, k) of the named N it equals, k read off the first leaf's
+    offset and stride (maps.reading)."""
+    names = {id(s): n for n, s in earlier}
+    if isinstance(spec, mp.ProductSpec) and all(id(p) in names for p in spec.parts):
+        return f"product({', '.join(names[id(p)] for p in spec.parts)})"
+    _, a, s = _first_reading(spec)
+    for n, named in earlier:
+        _, b, t = _first_reading(named)
+        orders = (("tail", (a - b) // t + 1 if s == t else 0), ("iterate", s // t if a == b else 0))
+        for kind, k in orders:
+            if k >= 1 and getattr(mp, kind)(named, k) == spec:
+                return f"{kind}({n}, {k})"
+    raise ValueError(f"{spec!r} is no tail, iterate or product of a system named before it")
+
+
+def _first_reading(spec: mp.SystemSpec) -> tuple:
+    """maps.reading of a system's first rule-system leaf."""
+    while isinstance(spec, mp.ProductSpec):
+        spec = spec.parts[0]
+    return mp.reading(spec)
 
 
 def _print_pattern(pat: mp.IndexPattern, binds: bool = False) -> str:
@@ -110,9 +129,9 @@ def random_document(rng) -> ndsl.NdslDocument:
         base_name, base = systems[rng.randrange(len(systems))]
         kind = rng.randrange(3)
         if kind == 0:
-            systems.append((f"D{len(systems)}", mp.TailSpec(base, rng.randint(1, 4))))
+            systems.append((f"D{len(systems)}", mp.tail(base, rng.randint(1, 4))))
         elif kind == 1:
-            systems.append((f"D{len(systems)}", mp.IterateSpec(base, rng.randint(1, 3))))
+            systems.append((f"D{len(systems)}", mp.iterate(base, rng.randint(1, 3))))
         elif len(systems) >= 1:
             other = systems[rng.randrange(len(systems))][1]
             systems.append((f"D{len(systems)}", mp.ProductSpec((base, other))))

@@ -167,7 +167,7 @@ class TestAcceptance:
             (doc.system("F36"), ck.PropertyKind("weakly-mixing", order=2)),
             (doc.system("CS"), ck.PropertyKind("weakly-mixing", order=2)),
             (doc.system("F32"), ck.PropertyKind("multi-transitive", order=2)),
-            (mp.TailSpec(_scenario_doc("example-3.1").system("F"), 2),
+            (mp.tail(_scenario_doc("example-3.1").system("F"), 2),
              ck.PropertyKind("multi-transitive", order=2)),
         ]
         ok = True
@@ -208,7 +208,7 @@ class TestAcceptance:
         v = ck.check_property(cyc, ck.PropertyKind("strongly-transitive"), 1, 64)
         ok = ok and v.witnessed and v.evidence["cover_bound"] == 3
         for k in range(1, 5):
-            vt = ck.check_property(mp.TailSpec(cyc, k + 1), ck.PropertyKind("strongly-transitive"),
+            vt = ck.check_property(mp.tail(cyc, k + 1), ck.PropertyKind("strongly-transitive"),
                                    1, 64)
             ok = ok and vt.witnessed
             ok = ok and abs(vt.evidence["cover_bound"] - v.evidence["cover_bound"]) <= k

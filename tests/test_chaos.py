@@ -25,13 +25,11 @@ from ndslab.maps import (
     FamilyTerm,
     FiniteFnTerm,
     IdentityTerm,
-    IterateSpec,
     NdsSpec,
     ProductSpec,
     RotPowTerm,
     Rule,
     ShiftPowTerm,
-    TailSpec,
     apply,
     prefix_compose,
     step_normal,
@@ -65,7 +63,7 @@ AP12 = NdsSpec(SHIFT, (
     Rule(ArithProgPattern(2, 2), FamilyTerm("shift", -1)),
 ))
 ITINERARY_SYSTEMS = [CONST_SIGMA, NdsSpec(SHIFT, (), ShiftPowTerm(-2)), AP12,
-                     TailSpec(CONST_SIGMA, 3), IterateSpec(CONST_SIGMA, 2)]
+                     maps.tail(CONST_SIGMA, 3), maps.iterate(CONST_SIGMA, 2)]
 
 
 def folded_memberships(spec, res, label, x):
@@ -581,9 +579,9 @@ def shift_systems(draw):
         ), ShiftPowTerm(draw(st.integers(-1, 1))))
     wrap = draw(st.sampled_from(("plain", "tail", "iterate")))
     if wrap == "tail":
-        return TailSpec(spec, draw(st.integers(2, 5)))
+        return maps.tail(spec, draw(st.integers(2, 5)))
     if wrap == "iterate":
-        return IterateSpec(spec, draw(st.integers(2, 3)))
+        return maps.iterate(spec, draw(st.integers(2, 3)))
     return spec
 
 
@@ -725,7 +723,7 @@ class TestLiYorkeFastPath:
 
     def test_candidates_on_the_benchmark_systems(self):
         pairs = proximal_scrambled_candidates(all_zeros(), all_ones(), 3)
-        for spec in (CONST_SIGMA, AP12, TailSpec(AP12, 2), IterateSpec(CONST_SIGMA, 3)):
+        for spec in (CONST_SIGMA, AP12, maps.tail(AP12, 2), maps.iterate(CONST_SIGMA, 3)):
             reports = li_yorke_scan(spec, pairs, 301)
             for (x, y), rep in zip(pairs, reports):
                 assert (rep.liminf_estimate, rep.limsup_estimate) == traced_extremes(spec, x, y, 301)

@@ -225,7 +225,7 @@ class TestMultiTransitive:
         recheck_refutation(ex31(), v)
 
     def test_tail_witnessed_at_low_resolution(self):
-        v = ck.check_property(mp.TailSpec(ex31(), 2), ck.PropertyKind("multi-transitive", order=3),
+        v = ck.check_property(mp.tail(ex31(), 2), ck.PropertyKind("multi-transitive", order=3),
                               1, 512)
         assert v.witnessed
 
@@ -456,7 +456,7 @@ class TestGapAdversary:
 class TestConsistency:
     def test_tail_31_multi_transitive(self):
         rep = ck.hitting_infinity_consistency(
-            mp.TailSpec(ex31(), 2), ck.PropertyKind("multi-transitive", order=2), 1, 256, 5
+            mp.tail(ex31(), 2), ck.PropertyKind("multi-transitive", order=2), 1, 256, 5
         )
         assert rep.ok and rep.kth_common_time is not None
 
@@ -507,7 +507,7 @@ class TestHierarchyCoherence:
     SYSTEMS = None
 
     def _systems(self):
-        return [CONST_SIGMA, ex36(), ex31(), mp.TailSpec(ex31(), 2)]
+        return [CONST_SIGMA, ex36(), ex31(), mp.tail(ex31(), 2)]
 
     def test_mixing_implies_weak_mixing_not_refuted(self):
         for spec in self._systems():
@@ -533,7 +533,7 @@ class TestHierarchyCoherence:
         base_refuted = ck.check_property(
             ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64).refuted
         tail_witnessed = ck.check_property(
-            mp.TailSpec(ex31(), 2), ck.PropertyKind("multi-transitive", order=2), 1, 256
+            mp.tail(ex31(), 2), ck.PropertyKind("multi-transitive", order=2), 1, 256
         ).witnessed
         assert base_refuted and tail_witnessed
 
@@ -737,7 +737,7 @@ def sep_mask_per_class(spec, r, H, delta) -> int:
     """The separation mask one prefix class at a time: the image diameter of
     B0 under each class, the fold the threshold walk replaces."""
     if isinstance(spec.space, sp.ProductSpace):
-        return reduce(or_, (sep_mask_per_class(p, r, H, delta) for p in ht._components(spec)))
+        return reduce(or_, (sep_mask_per_class(p, r, H, delta) for p in spec.parts))
     B0 = sp.enumerate_basis(spec.space, r)[0]
     wide = 0
     for m, times in ht.prefix_classes(spec, H).items():
@@ -806,7 +806,7 @@ class TestBasisPartition:
     @given(st.integers(1, 2), st.integers(1, 24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_threshold_walk_matches_the_per_class_fold(self, r, H, data):
-        spec = data.draw(st.one_of(shift_families(), shift_families().map(lambda s: mp.TailSpec(s, 3))))
+        spec = data.draw(st.one_of(shift_families(), shift_families().map(lambda s: mp.tail(s, 3))))
         delta = data.draw(boundary_deltas(r))
         assert ck._sep_masks(spec, r, H, delta)[1] == sep_mask_per_class(spec, r, H, delta)
 
@@ -897,7 +897,7 @@ def totally_transitive_per_iterate(spec, prop, r, H) -> ck.Verdict:
     cfg = {"basis": r, "horizon": H, "law_horizon": law_horizon, "property": prop.render()}
     per = {}
     for s in range(1, prop.order + 1):
-        derived = mp.IterateSpec(spec, s) if s > 1 else spec
+        derived = mp.iterate(spec, s) if s > 1 else spec
         sub_laws = mp.SystemLaws() if s > 1 else laws
         v = ck._check_transitive(derived, ck.PropertyKind("transitive"), r, max(1, H // s), sub_laws, cfg)
         per[s] = v.status
@@ -956,6 +956,62 @@ class TestTotallyTransitive:
         r = sp.min_resolution(spec.space)
         ck.check_property(spec, ck.PropertyKind("totally-transitive", order=9), r, 4)
         keys = list(ck._MASK_CACHE)
-        assert not any(isinstance(key[0], mp.IterateSpec) for key in keys)
+        # no iterate system is built: every set belongs to the system or one of its parts
+        assert all(key[0] == spec or key[0] in getattr(spec, "parts", ()) for key in keys)
         assert {key[2] for key in keys} <= {4, 9}
         assert sum(key[0] == spec for key in keys) <= 2
+
+
+class TestDerivedProducts:
+    """A tail or iterate of a product is the product of its parts' tails or
+    iterates, so it reads its parts' laws as the product does."""
+
+    SOURCE = """space shift(2);
+system I { else: id; }
+system S { else: sigma^1; }
+system P = product(I, S);
+system T = tail(P, 2);
+system J = iterate(P, 2);
+"""
+
+    @pytest.mark.parametrize("system, rendered", [
+        ("P", "transitive"), ("T", "transitive"), ("J", "transitive"), ("T", "syndetically-transitive"),
+    ])
+    def test_the_identity_factor_refutes_and_the_refutation_rechecks(self, system, rendered):
+        spec = ndsl.parse(self.SOURCE).system(system)
+        v = ck.check_property(spec, ndsl.read_property(rendered), 1, 64)
+        assert v.status == ck.REFUTED and "structural" in v.evidence
+        assert ck.recheck_verdict(spec, v)
+
+    def test_the_derived_parts_carry_their_own_laws(self):
+        doc = ndsl.parse(self.SOURCE)
+        for name, derive in (("T", mp.tail), ("J", mp.iterate)):
+            spec = doc.system(name)
+            assert spec == mp.ProductSpec((derive(doc.system("I"), 2), derive(doc.system("S"), 2)))
+            laws = mp.derive_laws(spec, 64)
+            assert [part.exponent is not None for part in laws.components] == [True, True]
+
+
+def held_by_a_minimal_check(n: int) -> int:
+    """The bytes a `minimal` check of one n-cycle on finite(n) leaves held
+    with its law until its cache scope ends, by tracemalloc."""
+    import tracemalloc
+
+    ring = ",".join(f"{k}->{k % n + 1}" for k in range(1, n + 1))
+    spec = ndsl.parse(f"space finite({n}); system F {{ else: table{{{ring}}}; }}").system("F")
+    with ck.scoped_caches():
+        tracemalloc.start()
+        try:
+            v = ck.check_property(spec, ck.PropertyKind("minimal"), 1, 8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert v.status == ck.WITNESSED
+    return held
+
+
+def test_a_minimal_check_holds_bytes_linear_in_the_cycle_length():
+    # the reach sets of a cycle's points share its one value set: a set per
+    # point held n^2 entries, 16 times the bytes for 4 times the length
+    small, large = held_by_a_minimal_check(300), held_by_a_minimal_check(1200)
+    assert large < 6 * small

@@ -555,6 +555,58 @@ system PROD = product(CS, ALT);
                        f"need an estimated {need} bytes together, over the budget of "
                        f"MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
 
+    @staticmethod
+    def late_lead(n: int, checks: str) -> str:
+        """finite(n) with a path k -> min(k+1, n) at index 10000 and an
+        n-cycle elsewhere: the table law settles at r0 = 10001, so its lead
+        keeps 10000 tables of n entries."""
+        ring = ",".join(f"{k}->{k % n + 1}" for k in range(1, n + 1))
+        path = ",".join(f"{k}->{min(k + 1, n)}" for k in range(1, n + 1))
+        return f"space finite({n});\nsystem F {{ at 10000: table{{{path}}}; else: table{{{ring}}}; }}\n{checks}"
+
+    def test_a_table_law_lead_over_the_budget_exits_three_before_any_fold(self, ndsl_file, capsys,
+                                                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-budget lead was folded")
+
+        monkeypatch.setattr(cli.mp, "prefix_tables", refuse)
+        code, out, err = run(capsys, ["check", ndsl_file(self.late_lead(4000, "check F minimal horizon 8;\n"))])
+        need = 10000 * 4000 * cli.LEAD_ENTRY_BYTES
+        assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
+        assert err == (f"ndslab: the table laws' leads of 40000000 prefix-table entries the checks keep "
+                       f"until the command ends need an estimated {need} bytes together, over the "
+                       f"budget of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
+
+    def test_the_leads_share_the_budget_with_the_pair_masks(self):
+        # estimated only: 10^7 lead entries (80 MB) and 10^6 pair masks over
+        # 512 times (208 MB), each under the budget alone
+        args = cli._parse_args(["check", "x.ndsl"])
+        doc = ndsl.parse(self.late_lead(1000, ""))
+        minimal, transitive = (("F", ndsl.read_property(name), 512, 1) for name in ("minimal", "transitive"))
+        assert cli._size_problem(args, doc, [minimal]) is None
+        masks = 1000**2 * (512 // 8 + cli.MASK_PAIR_BYTES)
+        need = masks + 10000 * 1000 * cli.LEAD_ENTRY_BYTES
+        assert masks < cli.MAX_MASK_BYTES < need
+        assert cli._size_problem(args, doc, [minimal, transitive]) == (
+            f"the table laws' leads of 10000000 prefix-table entries and the 1 set of pair masks "
+            f"the checks keep until the command ends need an estimated {need} bytes together, "
+            f"over the budget of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes")
+        # the lead of finite(300) at r0 = 10001 is 24 MB: it gets its verdict
+        doc = ndsl.parse(self.late_lead(300, ""))
+        assert cli._size_problem(args, doc, [minimal, transitive]) is None
+
+    def test_the_lead_bytes_per_entry_cover_the_measured_ones(self):
+        spec = ndsl.parse(self.late_lead(200, "")).system("F")
+        tracemalloc.start()
+        try:
+            law = cli.mp.derive_table_law(spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = cli._lead_entries(spec)
+        assert entries == (law.stabilized_from - 1) * 200 == 10000 * 200
+        assert entries * cli.LEAD_ENTRY_BYTES <= held <= 1.1 * entries * cli.LEAD_ENTRY_BYTES
+
     @pytest.mark.parametrize("space", [
         sp.ShiftSpace(), sp.ShiftSpace(3), sp.FiniteSpace(5), sp.CircleSpace(),
         sp.ProductSpace((sp.ShiftSpace(), sp.FiniteSpace(3))),

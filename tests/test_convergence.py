@@ -18,13 +18,13 @@ from ndslab.maps import (
     FamilyTerm,
     FiniteFnTerm,
     IdentityTerm,
-    IterateSpec,
     NdsSpec,
     PowerPattern,
     RotPowTerm,
     Rule,
     ShiftPowTerm,
     apply,
+    iterate,
     step_normal,
 )
 from ndslab.spaces import (
@@ -155,7 +155,7 @@ class TestInconclusiveConvergence:
 
     @pytest.mark.parametrize("check", CHECKS, ids=["uniform", "collective"])
     def test_an_iterate_has_no_structural_reason(self, check):
-        v = check(IterateSpec(CONST_SIGMA, 2))
+        v = check(iterate(CONST_SIGMA, 2))
         assert (v.status, v.detail) == ("inconclusive", "no structural argument either way")
 
     @pytest.mark.parametrize("check", CHECKS, ids=["uniform", "collective"])

@@ -109,9 +109,9 @@ def derived(draw, base):
     spec = draw(base)
     kind = draw(st.sampled_from(("plain", "tail", "iterate")))
     if kind == "tail":
-        return mp.TailSpec(spec, draw(st.integers(2, 5)))
+        return mp.tail(spec, draw(st.integers(2, 5)))
     if kind == "iterate":
-        return mp.IterateSpec(spec, draw(st.integers(2, 3)))
+        return mp.iterate(spec, draw(st.integers(2, 3)))
     return spec
 
 
@@ -312,14 +312,14 @@ def product_parts(kinds):
     (("shift", "shift"), 1), (("shift", "circle"), 2), (("finite", "shift"), 1),
 ])
 class TestDerivedProductMasks:
-    """A tail or iterate of a product is not a ProductSpec, but its prefix
-    maps are still product maps: its masks must equal the per-time test."""
+    """A tail or iterate of a product is the product of its parts' tails or
+    iterates: its masks must equal the per-time test."""
 
     @given(st.data(), st.sampled_from(["tail", "iterate"]), st.integers(2, 4), st.integers(1, 6))
     @settings(max_examples=12, deadline=None)
     def test_pair_masks_match_the_per_time_oracle(self, kinds, r, data, shape, k, H):
         product = data.draw(product_parts(kinds))
-        spec = mp.TailSpec(product, k) if shape == "tail" else mp.IterateSpec(product, k)
+        spec = mp.tail(product, k) if shape == "tail" else mp.iterate(product, k)
         basis, masks = ck._pair_masks(spec, r, H)
         assert len(masks) == len(basis) ** 2
         # every third row: its images folded once, then tested on every column
@@ -334,7 +334,7 @@ class TestDerivedProductMasks:
     @settings(max_examples=12, deadline=None)
     def test_separation_masks_match_the_per_time_fold(self, kinds, r, data, shape, k, H, delta):
         product = data.draw(product_parts(kinds))
-        spec = mp.TailSpec(product, k) if shape == "tail" else mp.IterateSpec(product, k)
+        spec = mp.tail(product, k) if shape == "tail" else mp.iterate(product, k)
         basis, mask = ck._sep_masks(spec, r, H, delta)
         assert mask == separation_fold(spec, basis[0], delta, H)
 
@@ -342,7 +342,7 @@ class TestDerivedProductMasks:
 def masks_by_rectangle(spec, r, H) -> dict:
     """A product's pair masks one rectangle pair at a time: the AND of the
     component masks at each pair of sides, in (i, j) order."""
-    parts = [ck._pair_masks(p, r, H) for p in ht._components(spec)]
+    parts = [ck._pair_masks(p, r, H) for p in spec.parts]
     index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
     return {
         (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))
@@ -362,7 +362,7 @@ def test_product_rows_match_the_per_rectangle_and(kinds, r, data, shape, k, H):
     """The spread rows of _pair_masks give the per-rectangle AND, in the
     same (i, j) order, for products, their tails and their iterates."""
     parts = data.draw(product_parts(kinds))
-    spec = {"product": parts, "tail": mp.TailSpec(parts, k), "iterate": mp.IterateSpec(parts, k)}[shape]
+    spec = {"product": parts, "tail": mp.tail(parts, k), "iterate": mp.iterate(parts, k)}[shape]
     _, masks = ck._pair_masks(spec, r, H)
     oracle = masks_by_rectangle(spec, r, H)
     assert list(masks) == list(oracle) and masks == oracle
@@ -372,9 +372,9 @@ def test_product_rows_match_the_per_rectangle_and(kinds, r, data, shape, k, H):
 # iterate order b) -> system
 SHAPES = {
     "rules": lambda spec, a, b: spec,
-    "nested-tail": lambda spec, a, b: mp.TailSpec(mp.TailSpec(spec, a), b),
-    "iterate": lambda spec, a, b: mp.IterateSpec(spec, b),
-    "iterate-of-tail": lambda spec, a, b: mp.IterateSpec(mp.TailSpec(spec, a), b),
+    "nested-tail": lambda spec, a, b: mp.tail(mp.tail(spec, a), b),
+    "iterate": lambda spec, a, b: mp.iterate(spec, b),
+    "iterate-of-tail": lambda spec, a, b: mp.iterate(mp.tail(spec, a), b),
 }
 
 power_rules = st.one_of(shift_ap(), shift_pow(), circle_systems())
@@ -450,12 +450,12 @@ class TestStepTables:
 
 # every shape whose prefix classes are keyed by tables or by the parts' keys
 composed_systems = st.one_of(
-    st.builds(mp.TailSpec, finite_systems(), st.integers(2, 5)),
-    st.builds(mp.IterateSpec, finite_systems(), st.integers(2, 3)),
+    st.builds(mp.tail, finite_systems(), st.integers(2, 5)),
+    st.builds(mp.iterate, finite_systems(), st.integers(2, 3)),
     product_parts(("finite", "shift")),
     product_parts(("shift", "circle")),
-    st.builds(mp.TailSpec, product_parts(("finite", "shift")), st.integers(2, 5)),
-    st.builds(mp.TailSpec, product_parts(("shift", "shift")), st.integers(2, 5)),
+    st.builds(mp.tail, product_parts(("finite", "shift")), st.integers(2, 5)),
+    st.builds(mp.tail, product_parts(("shift", "shift")), st.integers(2, 5)),
 )
 
 
@@ -464,8 +464,8 @@ keyed_systems = st.one_of(
     finite_rule_systems(), shift_systems, circle_systems(),
     product_parts(("finite", "shift")), product_parts(("shift", "circle")),
     product_parts(("finite", "circle", "finite")),
-    st.builds(mp.TailSpec, product_parts(("finite", "circle")), st.integers(2, 5)),
-    st.builds(mp.TailSpec, product_parts(("shift", "finite")), st.integers(2, 5)),
+    st.builds(mp.tail, product_parts(("finite", "circle")), st.integers(2, 5)),
+    st.builds(mp.tail, product_parts(("shift", "finite")), st.integers(2, 5)),
 )
 
 
@@ -487,13 +487,13 @@ class TestFoldedClasses:
         assert list(ht.prefix_classes(spec, H).items()) == walk
 
     @pytest.mark.parametrize("spec", [
-        mp.TailSpec(mp.IterateSpec(mp.NdsSpec(sp.FiniteSpace(4), (
+        mp.tail(mp.iterate(mp.NdsSpec(sp.FiniteSpace(4), (
             mp.Rule(mp.ArithProgPattern(3, 3), mp.FiniteFnTerm((2, 3, 1, 1))),
             mp.Rule(mp.PowerPattern(2, 0), mp.FiniteFnTerm((4, 4, 1, 2))),
         ), mp.FiniteFnTerm((2, 1, 4, 3))), 3), 4),
         mp.ProductSpec((
             mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 1))),
-            mp.TailSpec(mp.NdsSpec(sp.FiniteSpace(3), (
+            mp.tail(mp.NdsSpec(sp.FiniteSpace(3), (
                 mp.Rule(mp.EqualsPattern(7), mp.FiniteFnTerm((1, 1, 2))),
             ), mp.FiniteFnTerm((2, 3, 1))), 5),
         )),
@@ -513,7 +513,7 @@ class TestFoldedClasses:
         composes on a tail of a finite system; the fold costs a few per time."""
         H = 2000
         cycle = mp.NdsSpec(sp.FiniteSpace(5), (), mp.FiniteFnTerm((2, 3, 4, 5, 1)))
-        spec = mp.TailSpec(cycle, 3)
+        spec = mp.tail(cycle, 3)
         with mock.patch.object(mp, "compose", wraps=mp.compose) as compose:
             classes = ht.prefix_classes(spec, H)
         assert compose.call_count <= 3 * H
@@ -530,7 +530,7 @@ def constant_power(space):
 lawful_systems = st.one_of(
     shift_pow(),
     st.builds(
-        lambda spec, a, b: mp.TailSpec(mp.TailSpec(spec, a), b),
+        lambda spec, a, b: mp.tail(mp.tail(spec, a), b),
         st.one_of(shift_ap().map(lambda spec: mp.NdsSpec(SHIFT, spec.rules)),
                   constant_power(SHIFT), constant_power(sp.CircleSpace())),
         st.integers(1, 5), st.integers(1, 5),
@@ -600,8 +600,8 @@ class TestExponentFill:
         spec = with_overlaps(sp.CircleSpace(), (mp.Rule(p, t) for p, t in rot), mp.RotPowTerm(default))
         base = stepwise_exponents(spec, 3 * H + 4)
         assert mp.prefix_exponents(spec, H) == base[: H + 1]
-        assert mp.prefix_exponents(mp.TailSpec(spec, 4), H) == [e - base[3] for e in base[3: H + 4]]
-        assert mp.prefix_exponents(mp.IterateSpec(spec, 3), H) == base[: 3 * H + 1: 3]
+        assert mp.prefix_exponents(mp.tail(spec, 4), H) == [e - base[3] for e in base[3: H + 4]]
+        assert mp.prefix_exponents(mp.iterate(spec, 3), H) == base[: 3 * H + 1: 3]
 
     def test_a_law_missing_an_index_raises_the_uncovered_text(self):
         spec = mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(0))
@@ -624,8 +624,8 @@ def test_arrays_and_laws_need_no_index_dispatch(monkeypatch):
         mp.Rule(mp.PowerPattern(3, 1), mp.FamilyTerm("rot", -1)),
     ), name="pinned-power")
     constant = mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(3), name="pinned-constant")
-    systems = [ap, power, constant, mp.TailSpec(ap, 3), mp.TailSpec(mp.TailSpec(constant, 2), 3),
-               mp.IterateSpec(power, 2), mp.IterateSpec(mp.TailSpec(ap, 2), 3)]
+    systems = [ap, power, constant, mp.tail(ap, 3), mp.tail(mp.tail(constant, 2), 3),
+               mp.iterate(power, 2), mp.iterate(mp.tail(ap, 2), 3)]
     expected = [mp.prefix_exponents(spec, 300) for spec in systems]
 
     def dispatch(*args):
@@ -641,7 +641,7 @@ def test_arrays_and_laws_need_no_index_dispatch(monkeypatch):
 def test_prefix_exponents_need_a_power_system():
     finite = mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 1)))
     product = mp.ProductSpec((mp.NdsSpec(SHIFT), mp.NdsSpec(SHIFT)))
-    for spec in (finite, product, mp.TailSpec(product, 2)):
+    for spec in (finite, product, mp.tail(product, 2)):
         with pytest.raises(sp.SpaceMismatch):
             mp.prefix_exponents(spec, 4)
 
@@ -706,8 +706,8 @@ mixed_products = st.tuples(shift_systems, finite_systems()).map(mp.ProductSpec)
 derived_products = st.one_of(product_systems, mixed_products).flatmap(
     lambda spec: st.one_of(
         st.just(spec),
-        st.integers(2, 5).map(lambda k: mp.TailSpec(spec, k)),
-        st.integers(2, 3).map(lambda k: mp.IterateSpec(spec, k)),
+        st.integers(2, 5).map(lambda k: mp.tail(spec, k)),
+        st.integers(2, 3).map(lambda k: mp.iterate(spec, k)),
     )
 )
 

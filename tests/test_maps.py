@@ -22,7 +22,6 @@ from ndslab.maps import (
     FamilyTerm,
     FiniteFnTerm,
     IDENTITY,
-    IterateSpec,
     NdsSpec,
     OverlappingRules,
     PowerPattern,
@@ -31,7 +30,6 @@ from ndslab.maps import (
     RotPowTerm,
     Rule,
     ShiftPowTerm,
-    TailSpec,
     apply,
     compose,
     covered_from,
@@ -334,7 +332,7 @@ class TestWindowCompose:
             assert prefix_compose(spec, 2 * m - 1) == ShiftPowTerm(m)
 
     def test_matches_step_fold_oracle(self):
-        for spec in (ex31(), ex36(), ex38(), ex35(), CONST_SIGMA, TailSpec(ex31(), 2)):
+        for spec in (ex31(), ex36(), ex38(), ex35(), CONST_SIGMA, maps_mod.tail(ex31(), 2)):
             acc = identity_map(spec.space)
             for n in range(1, 200):
                 acc = compose(step_normal(spec, n), acc)
@@ -351,13 +349,13 @@ class TestWindowCompose:
     def test_iterate_consistency(self):
         spec = ex36()
         for k in (1, 2, 3):
-            it = IterateSpec(spec, k)
+            it = maps_mod.iterate(spec, k)
             for n in range(1, 40):
                 assert prefix_compose(it, n) == prefix_compose(spec, k * n)
 
     def test_tail_window(self):
         spec = ex31()
-        tail = TailSpec(spec, 2)
+        tail = maps_mod.tail(spec, 2)
         for n in range(1, 60):
             assert prefix_compose(tail, n) == window_compose(spec, 2, n)
 
@@ -486,7 +484,7 @@ class TestExponentLaws:
             assert law.value(n) == n
 
     def test_tail_law(self):
-        law = derive_exponent_law(TailSpec(ex31(), 2), 1024)
+        law = derive_exponent_law(maps_mod.tail(ex31(), 2), 1024)
         for k in range(1, 200):
             assert law.value(2 * k) == k
             assert law.value(2 * k - 1) == 0
@@ -569,7 +567,7 @@ def settled_finite_systems(draw):
         values = draw(st.sets(st.integers(1, 12), max_size=4))
         spec = NdsSpec(FiniteSpace(size), tuple(Rule(EqualsPattern(v), draw(tables)) for v in sorted(values)),
                        draw(tables))
-    return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
+    return maps_mod.tail(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
 
 
 @st.composite
@@ -595,7 +593,7 @@ def periodic_finite_systems(draw):
             continue
         rules.append(rule)
     spec = NdsSpec(FiniteSpace(size), tuple(rules), default)
-    return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
+    return maps_mod.tail(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
 
 
 def brute_period(tables: list, x: int, top: int):
@@ -643,7 +641,7 @@ class TestTableLaw:
             assert law_table(law, n) == table
 
     def test_tail_table_law(self):
-        tail = TailSpec(ex35(), 2)
+        tail = maps_mod.tail(ex35(), 2)
         law = derive_table_law(tail)
         for n, table in enumerate(table_fold(tail, 31), 1):
             assert law_table(law, n) == table
@@ -807,7 +805,7 @@ def rule_systems(draw):
                 continue
             rules.append(Rule(pattern, term))
         spec = NdsSpec(space, tuple(rules), default)
-    return TailSpec(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
+    return maps_mod.tail(spec, draw(st.integers(2, 6))) if draw(st.booleans()) else spec
 
 
 def progression_period(spec) -> int:
@@ -821,7 +819,7 @@ class TestWhereTheStepsSettle:
         settled = eventual_step(spec)
         if settled is not None:
             r0, block = settled
-            base = spec.base if isinstance(spec, TailSpec) else spec
+            base = spec.base if isinstance(spec, maps_mod.DerivedSpec) else spec
             period = progression_period(base)
             top = max([r.pattern.first_match() for r in base.rules], default=1) + 2 * period + 9
             for k in range(top):
@@ -832,7 +830,7 @@ class TestWhereTheStepsSettle:
     @given(rule_systems())
     @settings(max_examples=300, deadline=None)
     def test_cover_index_matches_a_scan(self, spec):
-        spec = spec.base if isinstance(spec, TailSpec) else spec
+        spec = spec.base if isinstance(spec, maps_mod.DerivedSpec) else spec
 
         def matched(n):
             return any(r.pattern.matches(n) for r in spec.rules)
@@ -865,7 +863,7 @@ class TestWhereTheStepsSettle:
         spec = NdsSpec(FiniteSpace(3), (Rule(ArithProgPattern(5, 2), CYCLE3),), IDENTITY)
         assert eventual_step(spec) == (4, (ident, CYCLE3))
         # a tail at 2 reads the block one phase on
-        tail = TailSpec(NdsSpec(FiniteSpace(3), alternating, IDENTITY), 2)
+        tail = maps_mod.tail(NdsSpec(FiniteSpace(3), alternating, IDENTITY), 2)
         assert eventual_step(tail) == (1, (ident, CYCLE3))
         assert not convergence.check_uniform_convergence(tail, CYCLE3, 64).witnessed
 
@@ -891,7 +889,7 @@ class TestWhereTheStepsSettle:
         # the base settles at index 6; its tail at 2 fills only its own four
         # lead steps, base indices 2 .. 5 past its cut, off the base's rules
         base = NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(5), SWAP3),), CYCLE3, name="C3")
-        tail = TailSpec(base, 2)
+        tail = maps_mod.tail(base, 2)
         filled = []
         real = maps_mod.step_tables
 
@@ -942,9 +940,13 @@ class TestIterateLaws:
     @settings(max_examples=100, deadline=None)
     def test_shift_and_circle_iterates_get_a_law_finite_ones_none(self, a, b, product, k, horizon):
         base = ProductSpec((a, b)) if product else a
-        iterate = IterateSpec(base, k)
+        iterate = maps_mod.iterate(base, k)
         laws = derive_laws(iterate, horizon)
-        if product or isinstance(base.space, FiniteSpace):
+        if product:  # the product of its parts' iterates, each with its own laws
+            parts = (maps_mod.iterate(a, k), maps_mod.iterate(b, k))
+            assert laws == maps_mod.SystemLaws(components=tuple(derive_laws(p, horizon) for p in parts))
+            return
+        if isinstance(base.space, FiniteSpace):
             assert laws == maps_mod.SystemLaws()
             return
         # a class of the iterate lies in one class of the base: a base law
@@ -956,23 +958,39 @@ class TestIterateLaws:
             assert_law_matches_prefix_exponents(iterate, laws.exponent, 4 * horizon)
 
 
-def unfolded_step(spec, i: int):
-    """f_i of `spec`, unfolding one tail or iterate at a time: the oracle
-    maps.reading replaces."""
-    if isinstance(spec, TailSpec):
-        return unfolded_step(spec.base, spec.k + i - 1)
-    if isinstance(spec, IterateSpec):
-        return unfolded_window(spec.base, spec.k * (i - 1) + 1, spec.k)
-    if isinstance(spec, ProductSpec):
-        return ProductMap(tuple(unfolded_step(p, i) for p in spec.parts))
-    return term_to_normal(spec.space, eval_term(spec, i))
+def built(tower):
+    """The system a tower of tuples stands for: ("tail" | "iterate", inner,
+    k) or ("product", inners, None) around rule systems, built through
+    maps.tail, maps.iterate and ProductSpec."""
+    if not isinstance(tower, tuple):
+        return tower
+    kind, inner, k = tower
+    if kind == "product":
+        return ProductSpec(tuple(map(built, inner)))
+    return getattr(maps_mod, kind)(built(inner), k)
 
 
-def unfolded_window(spec, i: int, k: int):
+def unfolded_step(tower, i: int):
+    """f_i of a tower, unfolding one tail or iterate at a time from the
+    outside in: the walk maps.tail and maps.iterate replace."""
+    if isinstance(tower, maps_mod.DerivedSpec):  # a drawn tail of a rule system
+        assert tower.stride == 1
+        return unfolded_step(tower.base, tower.offset + i)
+    if not isinstance(tower, tuple):
+        return term_to_normal(tower.space, eval_term(tower, i))
+    kind, inner, k = tower
+    if kind == "tail":
+        return unfolded_step(inner, k + i - 1)
+    if kind == "iterate":
+        return unfolded_window(inner, k * (i - 1) + 1, k)
+    return ProductMap(tuple(unfolded_step(p, i) for p in inner))
+
+
+def unfolded_window(tower, i: int, k: int):
     """f_{i+k-1} o ... o f_i, folding unfolded_step one index at a time."""
-    m = identity_map(spec.space)
+    m = identity_map(built(tower).space)
     for j in range(i, i + k):
-        m = compose(unfolded_step(spec, j), m)
+        m = compose(unfolded_step(tower, j), m)
     return m
 
 
@@ -982,37 +1000,58 @@ def towers(draw, products: int = 2):
     on the shift, the circle or finite(2), or around a product of two such
     towers, which may hold a product themselves."""
     if products and draw(st.integers(0, 2)) == 0:
-        spec = ProductSpec((draw(towers(products - 1)), draw(towers(products - 1))))
+        tower = ("product", (draw(towers(products - 1)), draw(towers(products - 1))), None)
     else:
-        spec = draw(rule_systems())
+        tower = draw(rule_systems())
     for _ in range(draw(st.integers(0, 3))):
-        spec = draw(st.sampled_from((TailSpec, IterateSpec)))(spec, draw(st.integers(1, 3)))
-    return spec
+        tower = (draw(st.sampled_from(("tail", "iterate"))), tower, draw(st.integers(1, 3)))
+    return tower
 
 
 class TestReading:
     @given(towers(), st.integers(1, 10), st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
-    def test_steps_windows_and_exponents_match_the_unfolded_tower(self, spec, i, k):
-        assert step_normal(spec, i) == unfolded_step(spec, i)
-        assert window_compose(spec, i, k) == unfolded_window(spec, i, k)
+    def test_steps_windows_and_exponents_match_the_unfolded_tower(self, tower, i, k):
+        spec = built(tower)
+        assert step_normal(spec, i) == unfolded_step(tower, i)
+        assert window_compose(spec, i, k) == unfolded_window(tower, i, k)
         F = maps_mod.reading(spec)[0]
         if isinstance(F, NdsSpec) and not isinstance(F.space, FiniteSpace):
-            expected = [maps_mod.term_exponent(unfolded_window(spec, 1, n)) for n in range(i + k + 1)]
+            expected = [maps_mod.term_exponent(unfolded_window(tower, 1, n)) for n in range(i + k + 1)]
             assert maps_mod.prefix_exponents(spec, i + k) == expected
         else:
             with pytest.raises(SpaceMismatch):
                 maps_mod.prefix_exponents(spec, i + k)
 
-    def test_a_tower_composes_its_offsets_and_strides_from_the_outside_in(self):
-        spec = TailSpec(IterateSpec(TailSpec(IterateSpec(ex36(), 2), 4), 3), 5)
-        # tail 5: (4, 1); iterate 3: (12, 3); tail 4: (15, 3); iterate 2: (30, 6)
+    def test_the_constructors_compose_offsets_and_strides_from_the_inside_out(self):
+        spec = maps_mod.tail(maps_mod.iterate(maps_mod.tail(maps_mod.iterate(ex36(), 2), 4), 3), 5)
+        # iterate 2: (0, 2); tail 4: (6, 2); iterate 3: (6, 6); tail 5: (30, 6)
         assert maps_mod.reading(spec) == (ex36(), 30, 6)
+
+    @given(rule_systems(), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_tails_of_tails_add_and_iterates_of_iterates_multiply(self, spec, j, k):
+        tail, iterate = maps_mod.tail, maps_mod.iterate
+        assert tail(tail(spec, j), k) == tail(spec, j + k - 1)
+        assert iterate(iterate(spec, j), k) == iterate(spec, j * k)
+        assert tail(tail(ex36(), 2), 3) == tail(ex36(), 4)
+
+    @given(towers(), st.sampled_from(("tail", "iterate")), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_derived_product_is_the_product_of_its_parts_derived(self, tower, kind, k):
+        spec = built(tower)
+        derived = getattr(maps_mod, kind)(spec, k)
+        if isinstance(spec, ProductSpec):
+            assert derived == ProductSpec(tuple(getattr(maps_mod, kind)(p, k) for p in spec.parts))
+            laws = derive_laws(derived, 64)
+            assert len(laws.components) == len(spec.parts) and laws.exponent is laws.table is None
+        else:
+            assert isinstance(derived, maps_mod.DerivedSpec)
 
     @given(rule_systems(), st.integers(1, 96))
     @settings(max_examples=100, deadline=None)
     def test_an_order_one_iterate_reads_as_its_base(self, spec, horizon):
-        it = IterateSpec(spec, 1)
+        it = maps_mod.iterate(spec, 1)
         assert maps_mod.reading(it) == maps_mod.reading(spec)
         assert derive_laws(it, horizon) == derive_laws(spec, horizon)
         assert eventual_step(it) == eventual_step(spec)
@@ -1025,7 +1064,7 @@ class TestReading:
     def test_an_order_one_iterate_gets_its_bases_verdict(self, prop, status):
         # without its base's law, iterate(F, 1) of example 3.6 stayed inconclusive on these
         base = ck.check_property(ex36(), prop, 1, 64)
-        derived = ck.check_property(IterateSpec(ex36(), 1), prop, 1, 64)
+        derived = ck.check_property(maps_mod.iterate(ex36(), 1), prop, 1, 64)
         assert base.status == derived.status == status
         assert derived == base
 
@@ -1043,7 +1082,7 @@ class TestLawRecogniserShapes:
 
     def test_a_tail_cut_past_a_literal_pair_reindexes_the_literals(self):
         # offset 5 drops the pair at 4 and 5; the pairs at 8 and 12 move to 3 and 7
-        tail = TailSpec(self.ADVERSARY, 6)
+        tail = maps_mod.tail(self.ADVERSARY, 6)
         law = derive_exponent_law(tail, 64)
         assert law.describe() == "E(n=3)=8; E(n=7)=12; E(otherwise)=0 [validated to 64]"
         assert_law_matches_prefix_exponents(tail, law, 64)
@@ -1051,7 +1090,7 @@ class TestLawRecogniserShapes:
     def test_a_tail_cut_inside_a_literal_pair_gets_a_law(self):
         # offset 4 keeps only the undoing half of the first pair, at index 1,
         # so E is -4 from there on, apart from the two pairs still ahead
-        tail = TailSpec(self.ADVERSARY, 5)
+        tail = maps_mod.tail(self.ADVERSARY, 5)
         law = derive_exponent_law(tail, 64)
         assert law.describe() == (
             "E(n=1)=-4; E(n=2)=-4; E(n=3)=-4; E(n=4)=4; E(n=5)=-4; E(n=6)=-4; E(n=7)=-4; "
@@ -1126,8 +1165,8 @@ def law_rule_sets(draw):
             rules.append(Rule(p, t))
     spec = NdsSpec(space, tuple(rules), draw(amount.map(power)))
     a, s = draw(st.integers(0, 7)), draw(st.integers(1, 4))
-    reading = TailSpec(spec, a + 1)
-    return (IterateSpec(reading, s) if s > 1 else reading), spec, a, s
+    reading = maps_mod.tail(spec, a + 1)
+    return (maps_mod.iterate(reading, s) if s > 1 else reading), spec, a, s
 
 
 class TestLawReader:
@@ -1175,7 +1214,7 @@ class TestLawReader:
         # H // s is 0 at order 3000; the reader reads M_s + 3L_s - 1 = 3 steps
         spec = NdsSpec(SHIFT, (Rule(ArithProgPattern(1, 2), FamilyTerm("shift", 1)),
                                Rule(ArithProgPattern(2, 2), FamilyTerm("shift", -1))))
-        iterate = IterateSpec(spec, 3000)
+        iterate = maps_mod.iterate(spec, 3000)
         law = derive_exponent_law(iterate, 2048)
         assert law.validated_up_to == 3 == maps_mod.law_reach(iterate, 2048) // 3000
         assert law.describe() == "E(otherwise)=0 [validated to 3]"
@@ -1186,8 +1225,8 @@ class TestLawReader:
         with mock.patch.object(maps_mod, "_step_exponents", None):
             assert maps_mod.law_candidate(spec, 64) is not None
         assert maps_mod.law_reach(spec, 64) == 64  # the validation's fill alone
-        assert maps_mod.law_reach(TailSpec(spec, 2), 64) is None
-        assert maps_mod.law_reach(IterateSpec(spec, 2), 64) is None
+        assert maps_mod.law_reach(maps_mod.tail(spec, 2), 64) is None
+        assert maps_mod.law_reach(maps_mod.iterate(spec, 2), 64) is None
 
     @pytest.mark.parametrize("last, pieces", [(4096, 4096), (4097, None)])
     def test_a_law_takes_at_most_max_law_pieces(self, last, pieces):

@@ -14,12 +14,12 @@ from ndslab import corpus, ndsl
 from ndslab.maps import (
     ArithProgPattern,
     FamilyTerm,
-    IterateSpec,
     NdsSpec,
     PowerPattern,
     ProductSpec,
     Rule,
-    TailSpec,
+    iterate,
+    tail,
 )
 from ndslab.spaces import AlphaEnclosure, CircleSpace, ShiftSpace
 
@@ -52,8 +52,8 @@ class TestParsing:
             "system T = tail(F, 2); system I = iterate(F, 3); "
             "system P = product(F, T);"
         )
-        assert doc.system("T") == TailSpec(doc.system("F"), 2)
-        assert doc.system("I") == IterateSpec(doc.system("F"), 3)
+        assert doc.system("T") == tail(doc.system("F"), 2)
+        assert doc.system("I") == iterate(doc.system("F"), 3)
         assert doc.system("P") == ProductSpec((doc.system("F"), doc.system("T")))
 
     def test_custom_alpha(self):

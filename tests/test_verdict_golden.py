@@ -5,8 +5,9 @@ verdict engine cannot change a verdict, an evidence entry or a caveat.
 The systems cover each law shape the checkers branch on: a shift family on
 arithmetic progressions and one on powers, a tail and an iterate, a circle
 rotation family, a finite permutation, a non-surjective finite table, two
-finite tables in alternation and products of shifts and of finite tables, plus identities and late-acting
-rules that leave the horizon silent.  Strongly-transitive on products is
+finite tables in alternation, products of shifts and of finite tables and
+a tail and an iterate of a product, plus identities and late-acting rules
+that leave the horizon silent.  Strongly-transitive on products is
 left out: its verdict is covered by tests/test_checkers.py.
 
 To re-pin after a deliberate change of evidence, print `_digests()`."""
@@ -45,6 +46,7 @@ system LATE {
 system TAIL = tail(AP, 2);
 system ITER = iterate(ALT, 2);
 system PROD = product(CS, ALT);
+system TPROD = tail(PROD, 2);
 """
 
 CIRCLE = """space circle(sqrt2m1);
@@ -69,6 +71,7 @@ system LATESQ {
   at 40: table{1->1,2->1,3->1};
 }
 system FPROD = product(SQUASH, PERM);
+system IFPROD = iterate(FPROD, 2);
 """
 
 # the steps alternate two tables that generate the symmetric group on
@@ -91,12 +94,14 @@ SYSTEMS = {
     "TAIL": (SOURCE, 2, 64),
     "ITER": (SOURCE, 1, 48),
     "PROD": (SOURCE, 1, 16),
+    "TPROD": (SOURCE, 1, 16),
     "ROT": (CIRCLE, 3, 32),
     "PERM": (FINITE, 1, 32),
     "SQUASH": (FINITE, 1, 32),
     "FID": (FINITE, 1, 16),
     "LATESQ": (FINITE, 1, 32),
     "FPROD": (FINITE, 1, 16),
+    "IFPROD": (FINITE, 1, 16),
     "SWAPS": (BLOCK, 1, 32),
 }
 
@@ -127,7 +132,7 @@ PROPERTIES = (
     ("surjective-sequence", []),
 )
 
-SKIPPED = {("PROD", "strongly-transitive"), ("FPROD", "strongly-transitive")}
+SKIPPED = {(system, "strongly-transitive") for system in ("PROD", "TPROD", "FPROD", "IFPROD")}
 
 
 def _digest(payload) -> str:
@@ -337,6 +342,29 @@ PINNED = {
     "ID transitive": "960a56dc19995bc4",
     "ID weakly-mixing:2": "960a56dc19995bc4",
     "ID weakly-mixing:3": "960a56dc19995bc4",
+    "IFPROD almost-periodic-point": "06c5da286580dfdc",
+    "IFPROD dense-periodic-points": "a65d7b0d38306157",
+    "IFPROD feeble-open": "c5e9804943640e6b",
+    "IFPROD mildly-mixing": "615bdbfed478dc1d",
+    "IFPROD minimal": "ac96868e37f7c8bf",
+    "IFPROD mixing": "80ff3f5ba33b2c49",
+    "IFPROD multi-sensitive:1/16": "09c62f0b9cad0259",
+    "IFPROD multi-sensitive:1/2,2": "09c62f0b9cad0259",
+    "IFPROD multi-sensitive:1/4,2": "09c62f0b9cad0259",
+    "IFPROD multi-transitive:2": "777010c680026e93",
+    "IFPROD sensitive:1/2": "153385fc26d1e559",
+    "IFPROD sensitive:1/3": "153385fc26d1e559",
+    "IFPROD sensitive:1/8": "153385fc26d1e559",
+    "IFPROD surjective-sequence": "d5aff44a357f96ef",
+    "IFPROD syndetically-sensitive:1/4": "153385fc26d1e559",
+    "IFPROD syndetically-transitive": "d5e41a21f00c3abd",
+    "IFPROD thickly-sensitive:1/2": "153385fc26d1e559",
+    "IFPROD thickly-sensitive:1/4,2": "153385fc26d1e559",
+    "IFPROD thickly-sensitive:1/4,40": "153385fc26d1e559",
+    "IFPROD totally-transitive:2": "ebe4523df602acf5",
+    "IFPROD transitive": "a73f1eb5f6015b28",
+    "IFPROD weakly-mixing:2": "0e6a45fafce83044",
+    "IFPROD weakly-mixing:3": "0e6a45fafce83044",
     "ITER almost-periodic-point": "bac25ee7449ddde8",
     # inconclusive -> witnessed: ITER's law vanishes on every multiple of 2, so every point is 2-periodic
     "ITER dense-periodic-points": "9fb0f111fdaf1374",
@@ -609,6 +637,29 @@ PINNED = {
     "TAIL transitive": "d94dd55cc768e17a",
     "TAIL weakly-mixing:2": "16d887a5dd70a163",
     "TAIL weakly-mixing:3": "16d887a5dd70a163",
+    "TPROD almost-periodic-point": "d96c54f411833fc2",
+    "TPROD dense-periodic-points": "a65d7b0d38306157",
+    "TPROD feeble-open": "c5e9804943640e6b",
+    "TPROD mildly-mixing": "0a48ef833b777844",
+    "TPROD minimal": "964914b8234e12c3",
+    "TPROD mixing": "2cdbfcebdfd271f2",
+    "TPROD multi-sensitive:1/16": "0c00cb635c6aba59",
+    "TPROD multi-sensitive:1/2,2": "9ae387533b94db0d",
+    "TPROD multi-sensitive:1/4,2": "9ae387533b94db0d",
+    "TPROD multi-transitive:2": "a95f824de0406acc",
+    "TPROD sensitive:1/2": "9ba0c8a13b106339",
+    "TPROD sensitive:1/3": "9ba0c8a13b106339",
+    "TPROD sensitive:1/8": "9ba0c8a13b106339",
+    "TPROD surjective-sequence": "ae8b86e1f0d2bf66",
+    "TPROD syndetically-sensitive:1/4": "6a5191d556f351bd",
+    "TPROD syndetically-transitive": "1cff7fa979145600",
+    "TPROD thickly-sensitive:1/2": "248910889a79c1f9",
+    "TPROD thickly-sensitive:1/4,2": "c046b3dc5686e810",
+    "TPROD thickly-sensitive:1/4,40": "bb07fb30ef0ad9df",
+    "TPROD totally-transitive:2": "00cf76cf9c4d1b49",
+    "TPROD transitive": "a5537d1fad2fd32a",
+    "TPROD weakly-mixing:2": "dd6aea61f559b0be",
+    "TPROD weakly-mixing:3": "dd6aea61f559b0be",
     "consistency ALT weakly-mixing 3 1 32 2": "298e07d30e20f46e",
     "consistency CS multi-transitive 2 1 32 3": "97002a5a735fa5ec",
     "consistency CS multi-transitive 2 1 32 40": "502bd08953ba3f5c",
@@ -659,11 +710,11 @@ def implication_breaks(spec, basis: int, horizon: int) -> list:
     ]
 
 
-# PROD at basis 2 has 2^20 basis pairs, half a gigabyte of pair masks
+# PROD and its tail at basis 2 have 2^20 basis pairs, half a gigabyte of pair masks
 @pytest.mark.parametrize("system,basis,horizon", [
     (system, basis, horizon)
     for system in SYSTEMS for basis, horizon in [(1, 64), (2, 64), (1, 100)]
-    if (system, basis) != ("PROD", 2)
+    if (system, basis) not in {("PROD", 2), ("TPROD", 2)}
 ])
 def test_no_golden_system_is_witnessed_for_a_and_refuted_for_what_a_implies(system, basis, horizon):
     spec = ndsl.parse(SYSTEMS[system][0]).system(system)
