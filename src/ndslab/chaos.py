@@ -195,11 +195,11 @@ def lemma21_construct(
         starts.insert(j, lo)
         ends.insert(j, hi)
     lo, hi = starts[0], ends[-1]
-    # a level's two targets share the window [-w, w] and constrain every cell
-    # of it, so each plants as one slice at its prefix exponent and replaces
-    # the other.  In product order witness k differs from witness k - 1 in
-    # its last z + 1 levels, z the trailing zeros of k, so one cell buffer is
-    # rewritten there and copied once per witness: 2^(L+1) - 2 slice writes.
+    # a level's two targets share the window [-w, w], so each plants as one
+    # slice at its prefix exponent and replaces the other.  In product order
+    # witness k differs from witness k - 1 in its last z + 1 levels, z the
+    # trailing zeros of k, so one cell buffer is rewritten there and copied
+    # once per witness: 2^(L+1) - 2 slice writes.
     # The buffer is a bytearray frozen to bytes, one byte a cell, unless a
     # symbol of a or b past 255 needs a list frozen to tuples
     words = [(A.word, B.word) for A, B in level_sets]
@@ -234,10 +234,10 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     When the labels are exactly the A/B words of the levels' length in
     product order and the witnesses share one window of one type (all tuples
     or all bytes), a level is tested for all of them at once: where its two
-    pulled-back words span one stretch inside that window and constrain
-    every cell of it, membership is equality of the stretch's slice with the
-    label's word converted to the windows' type, and in product order those
-    words are the A word and the B word in alternating blocks of 2^(L-1-i).
+    pulled-back words span one stretch inside that window, membership is
+    equality of the stretch's slice with the label's word converted to the
+    windows' type, and in product order those words are the A word and the
+    B word in alternating blocks of 2^(L-1-i).
     A word with a symbol no byte holds matches no bytes window.  Every other
     witness dict and level goes through `spaces.contains`."""
     space = spec.space
@@ -264,7 +264,7 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     for i, level in enumerate(pulled):
         a, b = level["A"], level["B"]
         if (shared and isinstance(a, sp.Cylinder) and isinstance(b, sp.Cylinder)
-                and (a.start, a.end) == (b.start, b.end) and None not in a.word + b.word
+                and (a.start, a.end) == (b.start, b.end)
                 and lo <= a.start and a.end <= lo + width):
             try:
                 a_word, b_word = kind(a.word), kind(b.word)

@@ -578,7 +578,7 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         U = basis[0]
         witness_fill = next(
             fill for fill in range(space.alphabet_size)
-            if any(s != fill for _, s in U.constrained())
+            if any(s != fill for s in U.word)
         )
         return _refute_open(prop, cfg, basis, 0, (
             "prefix maps are shift powers, so every image is the same word "
@@ -762,18 +762,21 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
     for idx, x in enumerate(reps):
         if exact:
             tab = laws.table
-            orbit = {x.index} | tab.reach({x.index})
-            if len(orbit) < space.point_count:
-                return Verdict(
-                    prop.render(), REFUTED, cfg,
-                    {
-                        "point": repr(x),
-                        "structural": (
-                            f"exact orbit {sorted(orbit)} over every prefix table misses "
-                            f"part of the space; " + tab.describe()
-                        ),
-                    },
-                )
+            # a loop whose values fill the space makes each orbit through it
+            # dense: only a point on a shorter loop needs its own orbit
+            if tab.loop_size(x.index) < space.point_count:
+                orbit = {x.index} | tab.reach({x.index})
+                if len(orbit) < space.point_count:
+                    return Verdict(
+                        prop.render(), REFUTED, cfg,
+                        {
+                            "point": repr(x),
+                            "structural": (
+                                f"exact orbit {sorted(orbit)} over every prefix table misses "
+                                f"part of the space; " + tab.describe()
+                            ),
+                        },
+                    )
             per_rep[f"point-{idx}"] = "dense (exact)"
             continue
         hit_at = _first_visits(spec, x, basis, classes)

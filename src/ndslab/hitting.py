@@ -134,8 +134,7 @@ def _class_masks(classes: dict, opens, test) -> list:
 
 def _describe_open(A) -> str:
     if isinstance(A, sp.Cylinder):
-        word = "".join("." if s is None else str(s) for s in A.word)
-        return f"cyl@{A.start}:{word}"
+        return f"cyl@{A.start}:{''.join(map(str, A.word))}"
     if isinstance(A, sp.FiniteSet):
         return "{" + ",".join(str(i) for i in sorted(A.ids)) + "}"
     if isinstance(A, sp.Arc):
@@ -204,7 +203,7 @@ def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> in
     A rectangle separates exactly when one of its sides does: a product
     mask is the OR of its parts' masks.  A rotated arc keeps its radius and
     a singleton's image is a singleton: every time or none.  No cylinder is
-    3 wide.  For a full word centred on the origin diam sigma^e(U) depends
+    3 wide.  For a cylinder centred on the origin diam sigma^e(U) depends
     on |e| only and strictly grows with it, so the wide classes are those
     with |e| >= t, the first wide |e|; the walk to t ends by r + 2 +
     bitlen(den(3 - delta)), where diameter_exceeds answers from its
@@ -218,7 +217,7 @@ def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> in
     if delta >= sp.TOTAL_WEIGHT:
         return 0
     groups = prefix_groups(spec, horizon)
-    if isinstance(U, sp.Cylinder) and U.start == 1 - U.end and None not in U.word:
+    if isinstance(U, sp.Cylinder) and U.start == 1 - U.end:
         top = max(map(abs, groups))
         t = 0
         while t <= top and not sp.diameter_exceeds(space, sp.Cylinder(U.start - t, U.word), delta):

@@ -1047,6 +1047,11 @@ class TableLaw:
         round their loops."""
         return set().union(*(self._point(i)[3] for i in ids))
 
+    def loop_size(self, i: int) -> int:
+        """len(recurrent({i})), read off the value set that i's loop shares
+        with its other points, without a copy."""
+        return len(self._point(i)[3])
+
     def describe(self) -> str:
         """r0, and T(n + c) = T(n) for every n > P: c is p times the lcm of
         the points' loops under B, and P is the last index before some

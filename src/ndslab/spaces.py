@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 from math import isqrt, lcm
-from operator import ne
+from operator import eq, ne
 
 from .record import record
 
@@ -392,41 +392,21 @@ def circle_separation(space: CircleSpace, a: AffineAngle, b: AffineAngle) -> Alp
 
 @record
 class Cylinder:
-    """Points agreeing with `word` on the window starting at `start`.
-
-    A None entry leaves that coordinate unconstrained.
-    """
+    """Points agreeing with `word` on the window starting at `start`: a
+    symbol in every cell of the window."""
 
     start: int
     word: tuple
 
     def __post_init__(self):
         word = tuple(self.word)
-        if not word or all(s is None for s in word):
-            raise ValueError("cylinder word must constrain at least one coordinate")
-        # canonical form: no unconstrained padding at either end
-        lo = 0
-        while word[lo] is None:
-            lo += 1
-        hi = len(word)
-        while word[hi - 1] is None:
-            hi -= 1
-        object.__setattr__(self, "start", self.start + lo)
-        object.__setattr__(self, "word", word[lo:hi])
+        if not word or None in word:
+            raise ValueError("a cylinder word needs a symbol in every cell of its window")
+        object.__setattr__(self, "word", word)
 
     @property
     def end(self) -> int:
         return self.start + len(self.word)
-
-    def constrained(self):
-        for off, s in enumerate(self.word):
-            if s is not None:
-                yield self.start + off, s
-
-    def at(self, i: int):
-        if self.start <= i < self.end:
-            return self.word[i - self.start]
-        return None
 
 
 @record
@@ -677,8 +657,7 @@ def distance(space: SpaceDesc, p: Point, q: Point) -> RationalOrEnclosure:
 def contains(space: SpaceDesc, A: BasicOpen, p: Point) -> bool:
     _check_space_point(space, p)
     if isinstance(A, Cylinder):
-        cells = map(p.coord, range(A.start, A.end))
-        return all(s is None or c == s for c, s in zip(cells, A.word))
+        return all(map(eq, map(p.coord, range(A.start, A.end)), A.word))
     if isinstance(A, FiniteSet):
         return p.index in A.ids
     if isinstance(A, Arc):
@@ -703,13 +682,8 @@ def intersects(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> bool:
     """Nonemptiness of A intersect B, decided on A and B themselves: no
     verdict needs the intersection as an open set."""
     if isinstance(A, Cylinder) and isinstance(B, Cylinder):
-        lo = max(A.start, B.start)
-        hi = min(A.end, B.end)
-        for i in range(lo, hi):
-            sa, sb = A.at(i), B.at(i)
-            if sa is not None and sb is not None and sa != sb:
-                return False
-        return True
+        lo, hi = max(A.start, B.start), min(A.end, B.end)
+        return lo >= hi or A.word[lo - A.start:hi - A.start] == B.word[lo - B.start:hi - B.start]
     if isinstance(A, FiniteSet) and isinstance(B, FiniteSet):
         return bool(A.ids & B.ids)
     if isinstance(A, Arc) and isinstance(B, Arc) and isinstance(space, CircleSpace):
@@ -727,13 +701,12 @@ def intersects(space: SpaceDesc, A: BasicOpen, B: BasicOpen) -> bool:
 def diameter(space: SpaceDesc, A: BasicOpen) -> RationalOrEnclosure:
     """Exact supremum of pairwise distances within A.
 
-    On cylinders the supremum is attained (all unconstrained coordinates can
-    disagree).  Arc diameters use the arc length 2*radius, which matches the
-    metric supremum for radius <= 1/4; corpus arcs stay below that.
+    On cylinders the supremum is attained (all coordinates off the window
+    can disagree).  Arc diameters use the arc length 2*radius, which matches
+    the metric supremum for radius <= 1/4; corpus arcs stay below that.
     """
     if isinstance(A, Cylinder):
-        constrained = sum(Fraction(1, 1 << abs(i)) for i, _ in A.constrained())
-        return TOTAL_WEIGHT - constrained
+        return TOTAL_WEIGHT - sum(Fraction(1, 1 << abs(i)) for i in range(A.start, A.end))
     if isinstance(A, FiniteSet):
         return Fraction(0) if len(A.ids) == 1 else Fraction(1)
     if isinstance(A, Arc):
@@ -746,7 +719,7 @@ def diameter(space: SpaceDesc, A: BasicOpen) -> RationalOrEnclosure:
 def diameter_exceeds(space: SpaceDesc, A: BasicOpen, delta: Fraction) -> bool:
     """Exactly: is diam A > delta?
 
-    A cylinder whose cells all lie at least D from the origin has constrained
+    A cylinder whose cells all lie at least D from the origin has cell
     weights summing below 2^(2-D), so its diameter exceeds 3 - 2^(2-D).  Once
     2^(D-2) passes the denominator of 3 - delta that bound decides the
     comparison, with no 2^-|i| term built for a window moved far out.  A
@@ -754,7 +727,7 @@ def diameter_exceeds(space: SpaceDesc, A: BasicOpen, delta: Fraction) -> bool:
     if isinstance(A, Cylinder):
         gap = TOTAL_WEIGHT - Fraction(delta)
         if gap <= 0:
-            return False  # some cell is constrained, so diam A < 3
+            return False  # the window holds a cell, so diam A < 3
         near = max(A.start, 1 - A.end, 0)  # the least |i| over the window
         if near - 2 >= gap.denominator.bit_length():
             return True

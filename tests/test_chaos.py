@@ -79,7 +79,7 @@ def folded_memberships(spec, res, label, x):
 
 
 def planted_cell_by_cell(spec, res):
-    """The witnesses of a construction, planted one constrained cell at a time
+    """The witnesses of a construction, planted one cell at a time
     over the window spanning the level-1 block of the first reference point
     and every level's block at its prefix exponent."""
     if not res.times:
@@ -91,12 +91,12 @@ def planted_cell_by_cell(spec, res):
     ]
     lo, hi = min(b0 for b0, _ in blocks), max(b1 for _, b1 in blocks)
     planted = [
-        {choice: [(j + e - lo, s) for j, s in target.constrained()]
+        {choice: [(j + e - lo, s) for j, s in enumerate(target.word, target.start)]
          for choice, target in zip("AB", pair)}
         for pair, e in zip(res.levels, shifts)
     ]
     start = [0] * (hi - lo + 1)
-    for j, s in base.constrained():
+    for j, s in enumerate(base.word, base.start):
         start[j - lo] = s
     witnesses = {}
     for word in iter_product("AB", repeat=len(res.times)):
@@ -165,7 +165,7 @@ class TestItineraryConstruction:
         label = data.draw(st.sampled_from(sorted(res.witnesses)))
         i = data.draw(st.integers(0, levels - 1))
         target = res.levels[i][0] if label[i] == "A" else res.levels[i][1]
-        j, s = data.draw(st.sampled_from(list(target.constrained())))
+        j, s = data.draw(st.sampled_from(list(enumerate(target.word, target.start))))
         x = res.witnesses[label]
         cell = j + prefix_compose(spec, res.times[i]).exponent
         assert x.coord(cell) == s
@@ -236,15 +236,11 @@ class TestItineraryConstruction:
     @settings(max_examples=60, deadline=None)
     def test_targets_off_the_shared_window_are_decided_exactly(self, spec, levels, data):
         res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
-        # loosen one target: a free cell inside its word, or a shorter window
-        # than its partner's
+        # loosen one target: a shorter window than its partner's
         i, k = data.draw(st.integers(0, levels - 1)), data.draw(st.integers(0, 1))
         target = res.levels[i][k]
         j = data.draw(st.integers(0, len(target.word) - 1))
-        if data.draw(st.booleans()):
-            loose = Cylinder(target.start, target.word[:j] + (None,) + target.word[j + 1 :])
-        else:
-            loose = Cylinder(target.start + j, target.word[j:])
+        loose = Cylinder(target.start + j, target.word[j:])
         levels_ = tuple(
             tuple(loose if (n, c) == (i, k) else t for c, t in enumerate(pair))
             for n, pair in enumerate(res.levels)

@@ -289,6 +289,17 @@ class TestMinimal:
             "missed_open": "B0:{1}x{1}",
         }
 
+    def test_only_a_point_on_a_short_loop_builds_its_orbit(self, monkeypatch):
+        # one 50-cycle's loop holds every point: no point's orbit is unioned;
+        # a 49-cycle beside a fixed point builds the orbit of point 1 only
+        calls, reach = [], mp.TableLaw.reach
+        monkeypatch.setattr(mp.TableLaw, "reach", lambda law, ids: calls.append(ids) or reach(law, ids))
+        assert ck.check_property(cycles_permutation(50), ck.PropertyKind("minimal"), 1, 8).witnessed
+        assert calls == []
+        v = ck.check_property(cycles_permutation(49, 1), ck.PropertyKind("minimal"), 1, 8)
+        assert v.refuted and v.evidence["structural"].startswith(f"exact orbit {list(range(1, 50))} ")
+        assert calls == [{1}]
+
 
 def cycles_permutation(*lengths) -> mp.NdsSpec:
     """The permutation of finite(sum of lengths) that turns each block of

@@ -46,12 +46,12 @@ CIRCLE = CircleSpace()
 
 def diameter_witness_pair(A: Cylinder) -> tuple:
     """A pair of points of cylinder A attaining its diameter: one fills
-    every free cell with 0, the other with 1."""
+    every cell off A's window with 0, the other with 1."""
     lo = min(A.start, 0) - 1
     hi = max(A.end, 0) + 1
 
     def build(fill):
-        window = tuple(A.at(i) if A.at(i) is not None else fill for i in range(lo, hi))
+        window = tuple(A.word[i - A.start] if A.start <= i < A.end else fill for i in range(lo, hi))
         return BiWord(lo, window, (fill,), (fill,))
 
     return build(0), build(1)
@@ -125,10 +125,10 @@ def far_pairs(draw):
 
 @st.composite
 def cylinders_and_points(draw):
-    """A cylinder with unconstrained inner cells and a point whose window
-    either covers it or stops inside it; the point mostly follows the
-    cylinder's word, so both answers occur."""
-    inner = draw(st.lists(st.one_of(st.none(), bits), max_size=6))
+    """A cylinder and a point whose window either covers it or stops inside
+    it; the point mostly follows the cylinder's word, so both answers
+    occur."""
+    inner = draw(st.lists(bits, max_size=6))
     cyl = Cylinder(draw(st.integers(-6, 6)), (draw(bits), *inner, draw(bits)))
     pad = st.integers(0, 3)
     if draw(st.booleans()):
@@ -137,7 +137,8 @@ def cylinders_and_points(draw):
         cut = draw(st.integers(cyl.start + 1, cyl.end - 1))
         lo, hi = (cut, cyl.end + draw(pad)) if draw(st.booleans()) else (cyl.start - draw(pad), cut)
     window = tuple(
-        draw(bits) if cyl.at(i) is None or draw(st.integers(0, 7)) == 0 else cyl.at(i)
+        draw(bits) if not cyl.start <= i < cyl.end or draw(st.integers(0, 7)) == 0
+        else cyl.word[i - cyl.start]
         for i in range(lo, hi)
     )
     tail = st.lists(bits, min_size=1, max_size=3).map(tuple)
@@ -149,7 +150,7 @@ class TestMembership:
     @settings(max_examples=300)
     def test_cylinder_membership_is_the_per_cell_rule(self, case):
         cyl, x = case
-        expected = all(s is None or x.coord(cyl.start + k) == s for k, s in enumerate(cyl.word))
+        expected = all(x.coord(cyl.start + k) == s for k, s in enumerate(cyl.word))
         assert contains(SHIFT, cyl, x) == expected
 
 
@@ -366,6 +367,20 @@ class TestCircle:
 
 
 class TestIntersection:
+    @pytest.mark.parametrize("word", [(0, None, 1), (None,), ()])
+    def test_a_cylinder_has_a_symbol_in_every_cell(self, word):
+        with pytest.raises(ValueError, match="a symbol in every cell"):
+            Cylinder(0, word)
+
+    @pytest.mark.parametrize("a, b", [
+        (Cylinder(1, (0, 0, 0)), Cylinder(-1, (1,))),
+        (Cylinder(4, (1,) * 6), Cylinder(-2, (0, 0))),
+    ])
+    def test_windows_apart_always_meet(self, a, b):
+        # the later word is longer than the gap: a slice read past the
+        # earlier window's end would compare part of it with nothing
+        assert intersects(SHIFT, a, b) and intersects(SHIFT, b, a)
+
     def test_same_cylinder(self):
         c = Cylinder(0, (1,))
         assert intersects(SHIFT, c, c)
@@ -406,8 +421,8 @@ class TestIntersection:
         in_both = [
             w
             for w in iproduct((0, 1), repeat=hi - lo)
-            if all(w[i - lo] == s for i, s in a.constrained())
-            and all(w[i - lo] == s for i, s in b.constrained())
+            if all(w[i - lo] == s for i, s in enumerate(a.word, a.start))
+            and all(w[i - lo] == s for i, s in enumerate(b.word, b.start))
         ]
         assert intersects(SHIFT, a, b) == bool(in_both)
         assert intersects(SHIFT, b, a) == bool(in_both)
@@ -500,8 +515,7 @@ class TestDiameter:
 
     @given(
         st.integers(-60, 60),
-        st.lists(st.sampled_from([0, 1, None]), min_size=1, max_size=6).filter(
-            lambda w: any(s is not None for s in w)),
+        st.lists(bits, min_size=1, max_size=6),
         st.one_of(st.fractions(0, 4, max_denominator=1 << 12),
                   st.integers(1, 40).map(lambda k: 3 - Fraction(1, 1 << k))),
     )
