@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate, chain, combinations, islice, product
 from math import comb, gcd, isqrt, prod
-from operator import and_, getitem
+from operator import and_
 
 from . import hitting as ht
 from . import maps as mp
@@ -139,98 +139,14 @@ def system_laws(spec: mp.SystemSpec, law_horizon: int) -> mp.SystemLaws:
 
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
-    """(basis, masks): masks[(i, j)] is the bitmask of N(B_i, B_j) members
-    within [1, horizon] (bit n set for member n); undecided circle indices are
-    dropped from the masks, mirroring the hitting module.  masks lists its
-    pairs in (i, j) order, so the checkers read them in that order unsorted.
-
-    Each prefix class is decided once (see _class_pairs); on the shift every
-    exponent |e| > 2r moves the basis window clear of [-r, r], so all those
-    classes form one saturated class that hits every pair.  A product pair
-    meets exactly when every component pair does, so product masks are the
-    AND of the component masks."""
+    """(basis, masks): masks[(i, j)] is the bitmask of N(B_i, B_j) within
+    [1, horizon] (bit n for member n), in (i, j) order, from hitting.pair_masks
+    without its undecided times, kept for the checks of a scoped_caches block."""
     key = (spec, resolution, horizon)
-    hit = _MASK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    space = spec.space
-    basis = sp.enumerate_basis(space, resolution)
-    if isinstance(space, sp.ProductSpace):
-        parts = [_pair_masks(p, resolution, horizon) for p in spec.parts]
-        # enumerate_basis orders rectangles like product() orders index tuples
-        index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
-        # spread[k][a][j] is part k's mask for (a, side k of rectangle j):
-        # part k has one such row per open a, and the row of rectangle u is
-        # the AND of its sides' rows, spread[k][u[k]] over k
-        spread = [
-            [[part[a, u[k]] for u in index] for a in range(len(part_basis))]
-            for k, (part_basis, part) in enumerate(parts)
-        ]
-        rows = (reduce(partial(map, and_), map(getitem, spread, u)) for u in index)
-        masks = dict(zip(product(range(len(index)), repeat=2), chain.from_iterable(rows)))
-    else:
-        groups = ht.prefix_groups(spec, horizon)
-        saturated = 0
-        if isinstance(space, sp.ShiftSpace):
-            for e in [e for e in groups if abs(e) > 2 * resolution]:
-                saturated |= groups.pop(e)
-        masks = dict.fromkeys(product(range(len(basis)), repeat=2), saturated)
-        for k, times in groups.items():
-            for pair in _class_pairs(space, ht.key_map(space, k), basis):
-                masks[pair] |= times
-    _MASK_CACHE[key] = (basis, masks)
-    return basis, masks
-
-
-def _class_pairs(space, m: mp.NormalMap, basis) -> list:
-    """The pairs (i, j) with m(B_i) meeting B_j, in order; undecided pairs
-    are left out.  Shift pairs are an overlap join on the basis words (see
-    _shift_pairs).  The finite basis is the singletons, so {i} goes to
-    {table[i-1]} and meets that singleton only.  The circle basis is r equal
-    arcs centred at k/r, so whether a rotation carries B_i onto B_j depends
-    on the offset (i - j) mod r only (see _circle_offsets)."""
-    if isinstance(m, mp.ShiftPowTerm):
-        return _shift_pairs(m.exponent, [b.word for b in basis])
-    if isinstance(m, mp.FiniteFnTerm):
-        return [(i, t - 1) for i, t in enumerate(m.table)]
-    if not isinstance(m, mp.RotPowTerm):
-        raise sp.SpaceMismatch(f"no basis pairs for a {type(m).__name__} class")
-    r = len(basis)
-    if space.alpha.kind == "sqrt2m1":
-        offsets = _circle_offsets(m.coefficient, r)
-    else:  # a declared angle may leave an offset undecided: test each one
-        offsets = [d for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])]
-    return [(i, (i - d) % r) for d in offsets for i in range(r)]
-
-
-def _circle_offsets(c: int, r: int) -> list:
-    """The offsets d in [0, r), ascending, with rot^c(B_d) meeting B_0 on
-    the builtin angle.  The arcs have radius 1/(2r), so they meet exactly
-    when y = d + r*c*alpha lies within 1 of a multiple of r.  For c != 0, y
-    is irrational, so that holds exactly when floor(y) = d + k is 0 or -1
-    mod r, with k = floor(r*c*alpha) mod r, which is floor(r*c*sqrt2) - r*c
-    in integers (spaces.floor_sqrt2); for c = 0 only d = 0 meets, the arcs
-    at d = +-1 touching at one endpoint."""
-    if c == 0:
-        return [0]
-    k = (sp.floor_sqrt2(r * c) - r * c) % r
-    return sorted({-k % r, (-k - 1) % r})
-
-
-def _shift_pairs(e: int, words: list) -> list:
-    """The pairs (i, j) with sigma^e(B_i) meeting B_j, in order, for the
-    cylinders B_i carrying the full words `words[i]` on one window of width
-    w.  The image moves the window e cells left, so the two overlap in
-    w - |e| cells (none once |e| >= w) and meet exactly when they agree
-    there: w_i[e:] == w_j[:w-e] for e >= 0, w_i[:w+e] == w_j[-e:] for
-    e < 0.  Grouping the j by their slice joins each i with its matches."""
-    w = len(words[0])
-    k = min(abs(e), w)
-    own, other = (slice(k, w), slice(0, w - k)) if e >= 0 else (slice(0, w - k), slice(k, w))
-    targets = {}
-    for j, word in enumerate(words):
-        targets.setdefault(word[other], []).append(j)
-    return [(i, j) for i, word in enumerate(words) for j in targets.get(word[own], ())]
+    if key not in _MASK_CACHE:
+        basis = sp.enumerate_basis(spec.space, resolution)
+        _MASK_CACHE[key] = basis, ht.pair_masks(spec, basis, basis, horizon)[0]
+    return _MASK_CACHE[key]
 
 
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):

@@ -98,23 +98,7 @@ def _divergent_windows(spec, limit_map, starts, max_window: int):
 def check_uniform_convergence(spec: mp.SystemSpec, limit: mp.MapTerm, horizon: int) -> ConvergenceVerdict:
     """Does D(f_n, f) -> 0?  On these discrete-valued sup metrics uniform
     convergence is eventual equality of terms: the windows of length 1."""
-    limit_map = mp.term_to_normal(spec.space, limit)
-    r0, block = mp.eventual_step(spec) or (None, ())
-    if block == (limit_map,):
-        if next(_divergent_windows(spec, limit_map, range(r0, min(horizon, r0 + 8) + 1), 1), None):
-            raise mp.LawValidationError("stabilization argument disagrees with terms")
-        return ConvergenceVerdict(
-            "witnessed", "uniform", stabilization_index=r0,
-            detail=f"every rule firing at n >= {r0} emits the limit term",
-        )
-    reason = _infinite_non_limit_rule(spec, limit_map)
-    if reason is not None:
-        for n, k, d in _divergent_windows(spec, limit_map, range(1, horizon + 1), 1):
-            return ConvergenceVerdict(
-                "refuted", "uniform", refuting_pair=(n, k, d),
-                detail=f"{reason}; D(f_{n}, f) = {d}",
-            )
-    return ConvergenceVerdict("inconclusive", "uniform", detail="no structural argument either way")
+    return _convergence(spec, limit, horizon, 1, "uniform")
 
 
 def check_collective_convergence(
@@ -123,24 +107,32 @@ def check_collective_convergence(
     """Does D(f_r^k, f^k) -> 0 uniformly in k?  Witnessed needs stabilized
     rules (windows beyond r0 are then limit iterates for every k); refuted
     exhibits a concrete (r, k) separation recurring structurally."""
+    return _convergence(spec, limit, horizon, max_window, "collective")
+
+
+def _convergence(spec, limit, horizon: int, max_window: int, mode: str) -> ConvergenceVerdict:
+    """The verdict in `mode` read off the windows of length 1..max_window."""
+    uniform = mode == "uniform"
     limit_map = mp.term_to_normal(spec.space, limit)
     r0, block = mp.eventual_step(spec) or (None, ())
     if block == (limit_map,):
         if next(_divergent_windows(spec, limit_map, range(r0, min(horizon, r0 + 8) + 1), max_window), None):
-            raise mp.LawValidationError("stabilization argument disagrees with windows")
+            raise mp.LawValidationError(
+                "stabilization argument disagrees with " + ("terms" if uniform else "windows"))
         return ConvergenceVerdict(
-            "witnessed", "collective", stabilization_index=r0,
-            detail=f"windows starting at r >= {r0} equal limit iterates for all k <= {max_window}, "
+            "witnessed", mode, stabilization_index=r0,
+            detail=f"every rule firing at n >= {r0} emits the limit term" if uniform else
+            f"windows starting at r >= {r0} equal limit iterates for all k <= {max_window}, "
             "and rules beyond emit only the limit term",
         )
     reason = _infinite_non_limit_rule(spec, limit_map)
     if reason is not None:
         for r, k, d in _divergent_windows(spec, limit_map, range(1, horizon + 1), max_window):
             return ConvergenceVerdict(
-                "refuted", "collective", refuting_pair=(r, k, d),
-                detail=f"{reason}; D(f_{r}^{k}, f^{k}) = {d}",
+                "refuted", mode, refuting_pair=(r, k, d),
+                detail=f"{reason}; " + (f"D(f_{r}, f) = {d}" if uniform else f"D(f_{r}^{k}, f^{k}) = {d}"),
             )
-    return ConvergenceVerdict("inconclusive", "collective", detail="no structural argument either way")
+    return ConvergenceVerdict("inconclusive", mode, detail="no structural argument either way")
 
 
 def equicontinuity_modulus(

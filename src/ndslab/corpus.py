@@ -199,16 +199,16 @@ def _run_gap_bound(doc, exp):
     r = exp.params["basis"]
     H = exp.params["horizon"]
     delta = Fraction(exp.params["delta"])
-    # fixed reference orbit (all-zeros is invariant) and a far point: V is the
-    # all-ones basis open, so its column of the pair masks holds every N(U, V)
-    basis, masks = ck._pair_masks(system, r, H)
-    v = basis.index(sp.Cylinder(-r, (1,) * (2 * r + 1)))
-    m1 = 0
-    for u in range(len(basis)):
-        mask = masks[(u, v)]
-        if not mask:
-            return "fail", {"reason": "reference target never hit"}, None
-        m1 = max(m1, ht._frequency(mask, H)[0])
+    basis = sp.enumerate_basis(system.space, r)
+
+    def max_gap(target):  # the largest gap of N(U, target) over U, None when one is empty
+        column = ht.pair_masks(system, basis, (target,), H)[0].values()
+        return max(ht._frequency(hits, H)[0] for hits in column) if all(column) else None
+
+    # fixed reference orbit (all-zeros is invariant) and a far point in the all-ones open
+    m1 = max_gap(sp.Cylinder(-r, (1,) * (2 * r + 1)))
+    if m1 is None:
+        return "fail", {"reason": "reference target never hit"}, None
     # tracking neighborhood of the reference point, sized by the modulus
     xi, note = cv.equicontinuity_modulus(system, delta, max(1, m1), H)
     if xi is None:
@@ -216,13 +216,9 @@ def _run_gap_bound(doc, exp):
     w = 1
     while Fraction(2, 1 << w) > xi:
         w += 1
-    # W is no basis open, so its column N(U, W) is one walk of the classes
-    W = sp.Cylinder(-w, tuple([0] * (2 * w + 1)))
-    m2 = 0
-    for hits, _undecided in ht.hitting_masks(system, basis, W, H):
-        if not hits:
-            return "fail", {"reason": "tracking neighborhood never hit"}, None
-        m2 = max(m2, ht._frequency(hits, H)[0])
+    m2 = max_gap(sp.Cylinder(-w, tuple([0] * (2 * w + 1))))
+    if m2 is None:
+        return "fail", {"reason": "tracking neighborhood never hit"}, None
     # every basis open shares one separation mask
     sens_gap = ht._frequency(ck._sep_masks(system, r, H, delta)[1], H)[0]
     ok = sens_gap <= m1 + m2

@@ -17,9 +17,9 @@ horizon edge is reported as censored (a lower bound, never an exact gap).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import islice
-from operator import or_
+from functools import partial, reduce
+from itertools import chain, islice, product
+from operator import and_, or_
 
 from . import maps as mp
 from . import spaces as sp
@@ -117,21 +117,6 @@ def prefix_classes(spec: mp.SystemSpec, horizon: int) -> dict:
     return {key_map(space, key): times for key, times in prefix_groups(spec, horizon).items()}
 
 
-def _class_masks(classes: dict, opens, test) -> list:
-    """[hits, undecided] masks for each open U of `opens`: `test(m, U)`
-    (True, False, or None when undecided) is decided once per prefix class
-    m of `classes` and spread over the class's times, in one walk."""
-    masks = [[0, 0] for _ in opens]
-    for m, times in classes.items():
-        for mask, U in zip(masks, opens):
-            verdict = test(m, U)
-            if verdict is None:
-                mask[1] |= times
-            elif verdict:
-                mask[0] |= times
-    return masks
-
-
 def _describe_open(A) -> str:
     if isinstance(A, sp.Cylinder):
         return f"cyl@{A.start}:{''.join(map(str, A.word))}"
@@ -144,56 +129,136 @@ def _describe_open(A) -> str:
     return repr(A)
 
 
-def hitting_masks(spec: mp.SystemSpec, opens, V, horizon: int) -> list:
-    """[hits, undecided] masks of N(U, V) within [1, horizon] (bit n for
-    time n) for every U of `opens`, from one walk of the prefix classes.
-
-    Two cylinders on disjoint windows always meet, so a shift class that
-    moves every open's window clear of V's hits every open without a test.
-    A rectangle pair on a product is folded from its parts' masks in
-    part order, as `spaces.intersects` reads the sides: a time stays alive
-    while every side so far meets, and turns undecided at the first side
-    that cannot decide while it is alive."""
+def pair_masks(spec: mp.SystemSpec, opens, targets, horizon: int) -> tuple:
+    """(hits, undecided): hits[i, j] is the mask of N(opens[i], targets[j])
+    within [1, horizon] (bit n for time n), in (i, j) order; undecided
+    holds the nonzero masks of the times a declared angle cannot decide.
+    One walk of the prefix classes decides every pair, a class in one join
+    (_class_join).  Cylinders on disjoint windows always meet, so the shift
+    classes that move the opens' window clear of the targets' hit every pair."""
     space = spec.space
-    if isinstance(space, sp.ProductSpace) and all(
-        isinstance(A, sp.ProductOpen) for A in (V, *opens)
-    ):
-        parts = [
-            hitting_masks(part, [U.parts[k] for U in opens], V.parts[k], horizon)
-            for k, part in enumerate(spec.parts)
-        ]
-        masks = []
-        for sides in zip(*parts):
-            alive, undecided = (1 << horizon + 1) - 2, 0
-            for members_k, undecided_k in sides:
-                undecided |= alive & undecided_k
-                alive &= members_k
-            masks.append([alive, undecided])
-        return masks
-
-    groups = prefix_groups(spec, horizon)
-    clear = 0
-    if isinstance(space, sp.ShiftSpace) and opens and all(
-        isinstance(A, sp.Cylinder) for A in (V, *opens)
-    ):
+    if isinstance(space, sp.ProductSpace):
+        return _product_masks(spec, opens, targets, horizon)
+    groups, clear = prefix_groups(spec, horizon), 0
+    if isinstance(space, sp.ShiftSpace) and opens and targets:
         lo, hi = min(U.start for U in opens), max(U.end for U in opens)
-        for e in [e for e in groups if lo - e >= V.end or hi - e <= V.start]:
+        start, end = min(V.start for V in targets), max(V.end for V in targets)
+        for e in [e for e in groups if lo - e >= end or hi - e <= start]:
             clear |= groups.pop(e)
-    classes = {key_map(space, key): times for key, times in groups.items()}
-    masks = _class_masks(classes, opens, lambda m, U: _meets(space, mp.image(m, U), V))
-    for mask in masks:
-        mask[0] |= clear
-    return masks
+    hits, undecided = dict.fromkeys(product(range(len(opens)), range(len(targets))), clear), {}
+    join = _class_join(space, opens, targets)
+    for key, times in groups.items():
+        met, unknown = join(key_map(space, key))
+        for pair in met:
+            hits[pair] |= times
+        for pair in unknown:
+            undecided[pair] = undecided.get(pair, 0) | times
+    return hits, undecided
+
+
+def _class_join(space: sp.SpaceDesc, opens, targets):
+    """m -> (met, unknown), the pairs (i, j) where m(opens[i]) meets
+    targets[j] and where a declared angle cannot decide.  Finite image
+    points are looked up among the targets holding them.  Cylinders on one
+    window each meet where their words agree on the overlap of the image
+    window with the targets' (not empty once pair_masks has popped the
+    clear classes).  On the basis arcs rot^c(B_i) meets B_j by the offset
+    (i - j) mod r alone: closed-form on the builtin angle, one meet per
+    offset on a declared one.  Other opens are tested pair by pair."""
+    if isinstance(space, sp.FiniteSpace):
+        holders = {}
+        for j, V in enumerate(targets):
+            for p in V.ids:
+                holders.setdefault(p, []).append(j)
+        points = [(i, p - 1) for i, U in enumerate(opens) for p in U.ids]  # (open, table index)
+        # a pair met at several image points is listed once for each
+        return lambda m: ([(i, j) for i, p in points for j in holders.get(m.table[p], ())], ())
+    if isinstance(space, sp.ShiftSpace) and all(
+        len({(A.start, A.end) for A in side}) == 1 for side in (opens, targets)
+    ):
+        return partial(_overlap_join, opens, targets)
+    if isinstance(space, sp.CircleSpace) and len(opens) > 1 and (
+        [*opens] == [*targets] == sp.enumerate_basis(space, len(opens))
+    ):
+        return partial(_offset_join, space, opens)
+    return partial(_tested_join, space, opens, targets)
+
+
+def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
+    start, end = opens[0].start - m.exponent, opens[0].end - m.exponent  # the image window
+    lo, hi = max(start, targets[0].start), min(end, targets[0].end)
+    own, other = slice(lo - start, hi - start), slice(lo - targets[0].start, hi - targets[0].start)
+    groups = {}
+    for j, V in enumerate(targets):
+        groups.setdefault(V.word[other], []).append(j)
+    return [(i, j) for i, U in enumerate(opens) for j in groups.get(U.word[own], ())], ()
+
+
+def _offset_join(space: sp.CircleSpace, basis, m: mp.RotPowTerm) -> tuple:
+    r = len(basis)
+    if space.alpha.kind == "sqrt2m1":
+        found = [(d, 0) for d in _circle_offsets(m.coefficient, r)], ()
+    else:
+        found = _tested_join(space, basis, basis[:1], m)
+    return tuple([(i, (i - d) % r) for d, _ in pairs for i in range(r)] for pairs in found)
+
+
+def _circle_offsets(c: int, r: int) -> list:
+    """The offsets d in [0, r), ascending, with rot^c(B_d) meeting B_0 on
+    the builtin angle.  The arcs have radius 1/(2r), so they meet exactly
+    when y = d + r*c*alpha lies within 1 of a multiple of r.  For c != 0, y
+    is irrational, so that holds exactly when floor(y) = d + k is 0 or -1
+    mod r, with k = floor(r*c*alpha) mod r, which is floor(r*c*sqrt2) - r*c
+    in integers (spaces.floor_sqrt2); for c = 0 only d = 0 meets, the arcs
+    at d = +-1 touching at one endpoint."""
+    if c == 0:
+        return [0]
+    k = (sp.floor_sqrt2(r * c) - r * c) % r
+    return sorted({-k % r, (-k - 1) % r})
+
+
+def _tested_join(space: sp.SpaceDesc, opens, targets, m: mp.NormalMap) -> tuple:
+    images = [mp.image(m, U) for U in opens]
+    meets = {(i, j): _meets(space, A, V) for i, A in enumerate(images) for j, V in enumerate(targets)}
+    return [pair for pair, met in meets.items() if met], [pair for pair, met in meets.items() if met is None]
+
+
+def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
+    """pair_masks on a product.  A rectangle meets where all its sides do,
+    so each part answers for its distinct sides and the row of open i is
+    map(and_, ...) over its sides' rows, spread over the targets.  Where a
+    part has undecided times they are folded in part order, as
+    spaces.intersects reads the sides: a time stays alive while every side
+    so far meets, and an undecided side leaves its alive times undecided."""
+    parts = []
+    for k, part in enumerate(spec.parts):
+        sides, ends = {}, {}  # each distinct side: its index among them
+        side_of = [sides.setdefault(U.parts[k], len(sides)) for U in opens]
+        end_of = [ends.setdefault(V.parts[k], len(ends)) for V in targets]
+        hits, undecided = pair_masks(part, [*sides], [*ends], horizon)
+        spread = [[hits[a, b] for b in end_of] for a in range(len(sides))]
+        parts.append((side_of, end_of, spread, hits, undecided))
+    rows = (reduce(partial(map, and_), (spread[side_of[i]] for side_of, _, spread, *_ in parts))
+            for i in range(len(opens)))
+    hits = dict(zip(product(range(len(opens)), range(len(targets))), chain.from_iterable(rows)))
+    undecided = {}
+    if any(part_undecided for *_, part_undecided in parts):
+        for i, j in hits:
+            alive, unknown = (1 << horizon + 1) - 2, 0
+            for side_of, end_of, _, part_hits, part_undecided in parts:
+                unknown |= alive & part_undecided.get((side_of[i], end_of[j]), 0)
+                alive &= part_hits[side_of[i], end_of[j]]
+            if unknown:
+                undecided[i, j] = unknown
+    return hits, undecided
 
 
 def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:
     """N(U, V) restricted to [1, horizon]: times n with f_1^n(U) meeting V."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    [(hits, undecided)] = hitting_masks(spec, (U,), V, horizon)
-    return HittingSet(
-        "hitting", spec, horizon, _mask_members(hits), _mask_members(undecided), u=U, v=V,
-    )
+    hits, undecided = (masks.get((0, 0), 0) for masks in pair_masks(spec, (U,), (V,), horizon))
+    return HittingSet("hitting", spec, horizon, _mask_members(hits), _mask_members(undecided), u=U, v=V)
 
 
 def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> int:

@@ -116,19 +116,22 @@ class TestHittingSet:
         basis = enumerate_basis(SHIFT, 2)
         W = Cylinder(-3, (0,) * 7)
         for spec in (ex36(), CONST_SIGMA):
-            masks = ht.hitting_masks(spec, basis, W, 100)
-            for U, (hits, undecided) in zip(basis, masks):
-                assert ht._mask_members(hits) == brute_force_hitting(spec, U, W, 100)
-                assert undecided == 0
+            hits, undecided = ht.pair_masks(spec, basis, (W,), 100)
+            assert list(hits) == [(i, 0) for i in range(len(basis))] and not undecided
+            for U, mask in zip(basis, hits.values()):
+                assert ht._mask_members(mask) == brute_force_hitting(spec, U, W, 100)
 
 
 def class_walk(spec, U, V, H) -> tuple:
     """(members, inconclusive) of N(U, V) from the rectangle's own class
     walk: every product prefix map composed, its image of U tested once."""
-    space = spec.space
-    [(hits, undecided)] = ht._class_masks(
-        ht.prefix_classes(spec, H), (U,), lambda m, A: ht._meets(space, image(m, A), V)
-    )
+    hits = undecided = 0
+    for m, times in ht.prefix_classes(spec, H).items():
+        meets = ht._meets(spec.space, image(m, U), V)
+        if meets is None:
+            undecided |= times
+        elif meets:
+            hits |= times
     return ht._mask_members(hits), ht._mask_members(undecided)
 
 

@@ -208,13 +208,21 @@ class TestSeparationMasks:
             assert mask == separation_fold(spec, U, delta, H)
 
 
-def meets_pairs(space, m, basis, rows=None) -> list:
-    """The pairs (i, j), i in `rows` (default all), with m(B_i) meeting B_j,
-    one intersection test each."""
-    return [
-        (i, j) for i in (range(len(basis)) if rows is None else rows)
-        for j, b in enumerate(basis) if ht._meets(space, mp.image(m, basis[i]), b)
-    ]
+def meets_pairs(space, m, opens, targets=None) -> set:
+    """The pairs (i, j) with m(opens[i]) meeting targets[j] (default: the
+    opens), one intersection test each."""
+    targets = opens if targets is None else targets
+    return {
+        (i, j) for i, U in enumerate(opens)
+        for j, V in enumerate(targets) if ht._meets(space, mp.image(m, U), V)
+    }
+
+
+def class_pairs(spec, opens, targets, n=1) -> tuple:
+    """(met, undecided): the sets of pairs pair_masks reports at time n."""
+    hits, undecided = ht.pair_masks(spec, opens, targets, n)
+    return ({pair for pair, mask in hits.items() if mask >> n & 1},
+            {pair for pair, mask in undecided.items() if mask >> n & 1})
 
 
 class TestClassPairs:
@@ -224,18 +232,22 @@ class TestClassPairs:
         space = sp.ShiftSpace(alphabet)
         basis = sp.enumerate_basis(space, r)
         # evenly spaced rows, about 10^5 intersection tests per basis
-        rows = range(0, len(basis), max(1, len(basis) ** 2 * (4 * r + 1) // 100_000))
-        for e in range(-2 * r, 2 * r + 1):
-            m = mp.ShiftPowTerm(e)
-            got = [(i, j) for i, j in ck._class_pairs(space, m, basis) if i in rows]
-            assert got == meets_pairs(space, m, basis, rows), e
+        rows = basis[::max(1, len(basis) ** 2 * (4 * r + 1) // 100_000)]
+        # E(n) = n - 1 - 2r: times 1 .. 4r+1 run through every exponent
+        # whose image window still overlaps [-r, r]
+        spec = mp.NdsSpec(space, (mp.Rule(mp.EqualsPattern(1), mp.ShiftPowTerm(-2 * r)),),
+                          mp.ShiftPowTerm(1))
+        for n in range(1, 4 * r + 2):
+            m = mp.ShiftPowTerm(n - 1 - 2 * r)
+            assert class_pairs(spec, rows, basis, n) == (meets_pairs(space, m, rows, basis), set()), n
 
     @given(st.integers(2, 3), st.integers(1, 2), st.integers(-12, 12))
     @settings(max_examples=60, deadline=None)
     def test_shift_pairs_clear_of_the_window_are_every_pair(self, alphabet, r, e):
-        words = [b.word for b in sp.enumerate_basis(sp.ShiftSpace(alphabet), r)]
-        pairs = ck._shift_pairs(e, words)
-        assert (len(pairs) == len(words) ** 2) == (abs(e) > 2 * r)
+        space = sp.ShiftSpace(alphabet)
+        basis = sp.enumerate_basis(space, r)
+        met, _ = class_pairs(mp.NdsSpec(space, (), mp.ShiftPowTerm(e)), basis, basis)
+        assert (len(met) == len(basis) ** 2) == (abs(e) > 2 * r)
 
     @given(st.integers(1, 7).flatmap(
         lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)))
@@ -244,25 +256,33 @@ class TestClassPairs:
         space = sp.FiniteSpace(len(table))
         basis = sp.enumerate_basis(space, 1)
         m = mp.FiniteFnTerm(table)
-        assert ck._class_pairs(space, m, basis) == meets_pairs(space, m, basis)
+        assert class_pairs(mp.NdsSpec(space, (), m), basis, basis) == (meets_pairs(space, m, basis), set())
 
-    def test_classes_of_no_basis_kind_are_refused(self):
-        space = sp.ProductSpace((SHIFT, SHIFT))
-        m = mp.ProductMap((mp.ShiftPowTerm(1), mp.ShiftPowTerm(0)))
-        with pytest.raises(sp.SpaceMismatch):
-            ck._class_pairs(space, m, sp.enumerate_basis(space, 1))
+    def test_a_product_class_is_read_off_its_parts(self, monkeypatch):
+        # no class is ever decided as one product map
+        keyed = []
+        key_map = ht.key_map
+        monkeypatch.setattr(ht, "key_map", lambda space, key: keyed.append(space) or key_map(space, key))
+        spec = mp.ProductSpec((mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(1)), mp.NdsSpec(SHIFT, ())))
+        basis = sp.enumerate_basis(spec.space, 1)
+        ht.pair_masks(spec, basis, basis, 8)
+        assert keyed and SHIFT in keyed and spec.space not in keyed
 
 
-def offset_pairs(space, m, basis) -> list:
-    """The circle class pairs from one intersection test per offset d,
-    rot^c(B_d) against B_0, spread over every i; undecided offsets are
-    left out."""
+def offset_pairs(space, m, basis) -> tuple:
+    """(met, undecided) of the circle class from one intersection test per
+    offset d, rot^c(B_d) against B_0, spread over every i."""
     r = len(basis)
-    return [
-        (i, (i - d) % r)
-        for d in range(r) if ht._meets(space, mp.image(m, basis[d]), basis[0])
-        for i in range(r)
-    ]
+    outcome = [ht._meets(space, mp.image(m, basis[d]), basis[0]) for d in range(r)]
+    return tuple(
+        {(i, (i - d) % r) for d in range(r) if outcome[d] is verdict for i in range(r)}
+        for verdict in (True, None)
+    )
+
+
+def rotation(space, c):
+    """A system whose first prefix map is rot^c."""
+    return mp.NdsSpec(space, (), mp.RotPowTerm(c))
 
 
 CIRCLE_COEFFICIENTS = [0, 10**40, -10**40] + [s * c for c in range(1, 301) for s in (1, -1)]
@@ -275,7 +295,7 @@ class TestCircleClassPairs:
         basis = sp.enumerate_basis(space, r)
         for c in CIRCLE_COEFFICIENTS:
             m = mp.RotPowTerm(c)
-            assert ck._class_pairs(space, m, basis) == offset_pairs(space, m, basis), c
+            assert class_pairs(rotation(space, c), basis, basis) == offset_pairs(space, m, basis), c
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_builtin_angle_offsets_match_every_pair(self, r):
@@ -283,7 +303,7 @@ class TestCircleClassPairs:
         basis = sp.enumerate_basis(space, r)
         for c in [0, 10**40, -10**40] + list(range(-20, 21)):
             m = mp.RotPowTerm(c)
-            assert sorted(ck._class_pairs(space, m, basis)) == meets_pairs(space, m, basis), c
+            assert class_pairs(rotation(space, c), basis, basis) == (meets_pairs(space, m, basis), set()), c
 
     @pytest.mark.parametrize("alpha", CUSTOM_ALPHAS, ids=lambda a: str(a.center))
     def test_a_declared_angle_drops_exactly_the_undecided_offsets(self, alpha):
@@ -292,11 +312,9 @@ class TestCircleClassPairs:
         for r in range(2, 9):
             basis = sp.enumerate_basis(space, r)
             for c in range(-24, 25):
-                m = mp.RotPowTerm(c)
-                outcome = [ht._meets(space, mp.image(m, basis[d]), basis[0]) for d in range(r)]
-                dropped += outcome.count(None)
-                kept = [(i, (i - d) % r) for d in range(r) if outcome[d] for i in range(r)]
-                assert ck._class_pairs(space, m, basis) == kept, (r, c)
+                met, undecided = offset_pairs(space, mp.RotPowTerm(c), basis)
+                dropped += len(undecided)
+                assert class_pairs(rotation(space, c), basis, basis) == (met, undecided), (r, c)
         assert dropped  # the angle really leaves offsets undecided
 
 
@@ -359,8 +377,8 @@ def masks_by_rectangle(spec, r, H) -> dict:
        k=st.integers(2, 4), H=st.integers(1, 12))
 @settings(max_examples=10, deadline=None)
 def test_product_rows_match_the_per_rectangle_and(kinds, r, data, shape, k, H):
-    """The spread rows of _pair_masks give the per-rectangle AND, in the
-    same (i, j) order, for products, their tails and their iterates."""
+    """The spread rows of the product kernel give the per-rectangle AND, in
+    the same (i, j) order, for products, their tails and their iterates."""
     parts = data.draw(product_parts(kinds))
     spec = {"product": parts, "tail": mp.tail(parts, k), "iterate": mp.iterate(parts, k)}[shape]
     _, masks = ck._pair_masks(spec, r, H)
@@ -701,6 +719,18 @@ def open_sets(space):
     return st.tuples(*(open_sets(part) for part in space.parts)).map(sp.ProductOpen)
 
 
+def open_lists(space):
+    """One to three opens beyond the basis (open_sets); on the shift half
+    the draws put them all on one window, which the overlap join reads."""
+    anywhere = st.lists(open_sets(space), min_size=1, max_size=3)
+    if not isinstance(space, sp.ShiftSpace):
+        return anywhere
+    words = st.integers(1, 4).flatmap(lambda w: st.lists(
+        st.lists(st.integers(0, 1), min_size=w, max_size=w), min_size=1, max_size=3))
+    shared = st.builds(lambda start, ws: [sp.Cylinder(start, w) for w in ws], st.integers(-4, 4), words)
+    return st.one_of(anywhere, shared)
+
+
 mixed_products = st.tuples(shift_systems, finite_systems()).map(mp.ProductSpec)
 derived_products = st.one_of(product_systems, mixed_products).flatmap(
     lambda spec: st.one_of(
@@ -740,6 +770,26 @@ class TestHittingSets:
         U = data.draw(open_sets(spec.space))
         got = ht.separation_set(spec, U, delta, H)
         assert got == reference_set("separation", spec, U, H, delta=delta)
+
+    @given(st.data(), st.one_of(
+        st.tuples(shift_systems, st.integers(1, 16)),
+        st.tuples(circle_systems(), st.integers(1, 16)),
+        st.tuples(finite_systems(), st.integers(1, 12)),
+        st.tuples(derived_products, st.integers(1, 5)),
+        st.tuples(product_parts(("circle", "finite")), st.integers(1, 5)),
+        st.tuples(product_parts(("shift", "circle")), st.integers(1, 5)),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_many_opens_by_many_targets_match_the_per_time_reference(self, data, case):
+        spec, H = case
+        us, vs = data.draw(open_lists(spec.space)), data.draw(open_lists(spec.space))
+        hits, undecided = ht.pair_masks(spec, us, vs, H)
+        assert list(hits) == list(product(range(len(us)), range(len(vs))))
+        assert all(undecided.values())
+        for (i, j), mask in hits.items():
+            reference = reference_set("hitting", spec, us[i], H, V=vs[j])
+            assert mask == bits(reference.members) == bits(ht.brute_force_hitting(spec, us[i], vs[j], H))
+            assert undecided.get((i, j), 0) == bits(reference.inconclusive), (i, j)
 
     def test_one_class_per_time_matches_the_fold(self):
         """Example 3.6 moves to a new exponent at every odd time, so nearly
@@ -972,3 +1022,10 @@ def test_only_the_named_walks_compose_prefix_maps():
     one prefix-exponent array; a function that calls prefix_compose or folds
     step_tables is one of the named walks."""
     assert readers_of("prefix_compose") | readers_of("step_tables") == PREFIX_WALKS
+
+
+def test_only_the_named_kernels_walk_prefix_groups():
+    """Every hit question reads pair_masks: a function that walks the
+    prefix groups is the hit kernel, the separation kernel or the orbit
+    readers' prefix_classes."""
+    assert readers_of("prefix_groups") == {"pair_masks", "separation_mask", "prefix_classes"}
