@@ -248,8 +248,7 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
         n = p
         pulled.append(dict(zip("AB", (mp.preimage(m, t) for t in targets))))
     levels, points = len(pulled), list(witnesses.values())
-    if not (isinstance(space, sp.ShiftSpace) and len(points) == 1 << levels
-            and all(map(isinstance, points, repeat(sp.BiWord)))
+    if not (len(points) == 1 << levels and all(map(isinstance, points, repeat(sp.BiWord)))
             and all(map(eq, witnesses, map("".join, iter_product("AB", repeat=levels))))):
         return all(
             sp.contains(space, level[choice], x)
@@ -263,9 +262,7 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
               and set(map(type, windows)) == {kind})
     for i, level in enumerate(pulled):
         a, b = level["A"], level["B"]
-        if (shared and isinstance(a, sp.Cylinder) and isinstance(b, sp.Cylinder)
-                and (a.start, a.end) == (b.start, b.end)
-                and lo <= a.start and a.end <= lo + width):
+        if shared and (a.start, a.end) == (b.start, b.end) and lo <= a.start and a.end <= lo + width:
             try:
                 a_word, b_word = kind(a.word), kind(b.word)
             except ValueError:  # a symbol no byte holds, so no bytes window has it

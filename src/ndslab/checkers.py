@@ -809,7 +809,7 @@ def _certify_periodicity(law) -> bool:
     k-periodic point: every piece is zero or the constant-sequence
     catch-all E(n) = a*n, whose E(kn) = a*k*n."""
     return law is not None and all(
-        piece.is_zero() or isinstance(piece.pattern, mp.ElsePattern) and piece.constant == 0
+        piece.is_zero() or piece.pattern == mp.ArithProgPattern(1, 1) and piece.constant == 0
         for piece in law.pieces
     )
 

@@ -106,7 +106,7 @@ def _run_property(doc, exp):
         horizon=exp.params.get("horizon", ck.DEFAULT_HORIZON),
         law_horizon=exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON),
     )
-    return v.status, {"evidence": v.evidence, "caveats": list(v.caveats)}, v
+    return v.status, {"evidence": v.evidence, "caveats": list(v.caveats)}
 
 
 def _run_uniform(doc, exp):
@@ -114,8 +114,8 @@ def _run_uniform(doc, exp):
     v = cv.check_uniform_convergence(system, _term_from(exp.params), exp.params["horizon"])
     detail = {"stabilization_index": v.stabilization_index, "detail": v.detail}
     if v.stabilization_index != exp.params["stabilization_index"]:
-        return "wrong-index", detail, v
-    return v.status, detail, v
+        return "wrong-index", detail
+    return v.status, detail
 
 
 def _run_collective(doc, exp):
@@ -123,7 +123,7 @@ def _run_collective(doc, exp):
     v = cv.check_collective_convergence(
         system, _term_from(exp.params), exp.params["horizon"], exp.params["max_window"]
     )
-    return v.status, {"detail": v.detail, "refuting_pair": v.refuting_pair}, v
+    return v.status, {"detail": v.detail, "refuting_pair": v.refuting_pair}
 
 
 def _run_hitting(doc, exp):
@@ -135,11 +135,9 @@ def _run_hitting(doc, exp):
     laws = ck.system_laws(system, exp.params.get("law_horizon", ck.DEFAULT_LAW_HORIZON))
     fe = ht.classify_frequency(hs, laws)
     ok = hs.members == tuple(exp.params["members"]) and fe.structural == exp.params["structural_tag"]
-    return (
-        "pass" if ok else "fail",
-        {"members": list(hs.members), "structural": fe.structural, "detail": fe.structural_detail},
-        hs,
-    )
+    return "pass" if ok else "fail", {
+        "members": list(hs.members), "structural": fe.structural, "detail": fe.structural_detail
+    }
 
 
 def _run_separation(doc, exp):
@@ -148,7 +146,7 @@ def _run_separation(doc, exp):
     ss = ht.separation_set(system, U, Fraction(exp.params["delta"]), exp.params["horizon"])
     want = tuple(exp.params["members"])
     ok = ss.members == want
-    return "pass" if ok else "fail", {"members": list(ss.members)}, ss
+    return "pass" if ok else "fail", {"members": list(ss.members)}
 
 
 def _run_adversary(doc, exp):
@@ -158,7 +156,7 @@ def _run_adversary(doc, exp):
     adv, law = ck.build_gap_adversary(miss, law_horizon=horizon + 2)
     v = ck.check_property(adv, ck.PropertyKind("transitive"), exp.params["basis"], horizon)
     if v.status != ck.WITNESSED:
-        return "fail", {"adversary_transitive": v.status}, v
+        return "fail", {"adversary_transitive": v.status}
     product = mp.ProductSpec((base, adv))
     U = _mk_open(product.space, exp.params["u"])
     V = _mk_open(product.space, exp.params["v"])
@@ -167,15 +165,11 @@ def _run_adversary(doc, exp):
     laws = mp.SystemLaws(components=(ck.system_laws(base, horizon + 2), mp.SystemLaws(exponent=law)))
     claim = ht.product_structural_miss(product, laws, U, V)
     ok = hs.members == () and claim is not None
-    return (
-        "pass" if ok else "fail",
-        {
-            "adversary_law": law.describe()[:120],
-            "product_members": list(hs.members),
-            "parity_claim": claim,
-        },
-        hs,
-    )
+    return "pass" if ok else "fail", {
+        "adversary_law": law.describe()[:120],
+        "product_members": list(hs.members),
+        "parity_claim": claim,
+    }
 
 
 def _run_consistency(doc, exp):
@@ -184,11 +178,8 @@ def _run_consistency(doc, exp):
     report = ck.hitting_infinity_consistency(
         system, prop, exp.params["basis"], exp.params["horizon"], exp.params["members_required"]
     )
-    return (
-        "pass" if report.ok else "fail",
-        {"kth_common_time": report.kth_common_time, "detail": report.detail},
-        report,
-    )
+    detail = {"kth_common_time": report.kth_common_time, "detail": report.detail}
+    return "pass" if report.ok else "fail", detail
 
 
 def _run_gap_bound(doc, exp):
@@ -208,25 +199,22 @@ def _run_gap_bound(doc, exp):
     # fixed reference orbit (all-zeros is invariant) and a far point in the all-ones open
     m1 = max_gap(sp.Cylinder(-r, (1,) * (2 * r + 1)))
     if m1 is None:
-        return "fail", {"reason": "reference target never hit"}, None
+        return "fail", {"reason": "reference target never hit"}
     # tracking neighborhood of the reference point, sized by the modulus
     xi, note = cv.equicontinuity_modulus(system, delta, max(1, m1), H)
     if xi is None:
-        return "fail", {"reason": "no modulus: " + note}, None
+        return "fail", {"reason": "no modulus: " + note}
     w = 1
     while Fraction(2, 1 << w) > xi:
         w += 1
     m2 = max_gap(sp.Cylinder(-w, tuple([0] * (2 * w + 1))))
     if m2 is None:
-        return "fail", {"reason": "tracking neighborhood never hit"}, None
+        return "fail", {"reason": "tracking neighborhood never hit"}
     # every basis open shares one separation mask
     sens_gap = ht._frequency(ck._sep_masks(system, r, H, delta)[1], H)[0]
     ok = sens_gap <= m1 + m2
-    return (
-        "pass" if ok else "fail",
-        {"sensitivity_max_gap": sens_gap, "m1": m1, "m2": m2, "modulus_note": note},
-        None,
-    )
+    detail = {"sensitivity_max_gap": sens_gap, "m1": m1, "m2": m2, "modulus_note": note}
+    return "pass" if ok else "fail", detail
 
 
 def _run_strong_agreement(doc, exp):
@@ -256,8 +244,8 @@ def _run_strong_agreement(doc, exp):
                 rows.append({"system": system.name, "k": k, "M": mb, "M_tail": mt})
             if not (agree and bound_ok):
                 return "fail", {"system": system.name, "k": k,
-                                "base": base_v.status, "tail": tail_v.status}, None
-    return "pass", {"bounds": rows[:8], "systems": [s.name for s in systems]}, None
+                                "base": base_v.status, "tail": tail_v.status}
+    return "pass", {"bounds": rows[:8], "systems": [s.name for s in systems]}
 
 
 def _run_lemma21(doc, exp):
@@ -265,13 +253,9 @@ def _run_lemma21(doc, exp):
     levels = exp.params["levels"]
     res = chaos.lemma21_construct(system, sp.all_zeros(), sp.all_ones(), levels, exp.params["horizon"])
     if not isinstance(res, chaos.ItineraryConstruction):
-        return "fail", {"failure": repr(res)}, res
+        return "fail", {"failure": repr(res)}
     ok = res.verified and len(res.witnesses) == 2**levels
-    return (
-        "pass" if ok else "fail",
-        {"times": list(res.times), "witnesses": len(res.witnesses)},
-        res,
-    )
+    return "pass" if ok else "fail", {"times": list(res.times), "witnesses": len(res.witnesses)}
 
 
 def _run_li_yorke(doc, exp):
@@ -281,7 +265,7 @@ def _run_li_yorke(doc, exp):
     reports = chaos.li_yorke_scan(system, pairs, exp.params["horizon"], eps, delta)
     qualifying = sum(1 for r in reports if r.qualifies)
     ok = qualifying >= exp.params["required"]
-    return "pass" if ok else "fail", {"qualifying": qualifying, "scanned": len(reports)}, reports
+    return "pass" if ok else "fail", {"qualifying": qualifying, "scanned": len(reports)}
 
 
 def _run_interleave(doc, exp):
@@ -301,7 +285,7 @@ def _run_interleave(doc, exp):
     # identity runs grow without bound between firings
     growth = all(b - a < c - b for a, b, c in zip(firings, firings[1:], firings[2:]))
     ok = runs_ok and growth
-    return "pass" if ok else "fail", {"runs_constant": runs_ok, "gap_growth": growth}, None
+    return "pass" if ok else "fail", {"runs_constant": runs_ok, "gap_growth": growth}
 
 
 _EXECUTORS = {
@@ -631,7 +615,7 @@ def run_corpus(name_filter: str | None = None) -> list:
         results = []
         for exp in scenario.expectations:
             runner = _EXECUTORS[exp.kind]
-            actual, payload, _obj = runner(doc, exp)
+            actual, payload = runner(doc, exp)
             # one encoding of the evidence: its digest and its shown detail
             text = json.dumps(payload, sort_keys=True, default=str)
             results.append(

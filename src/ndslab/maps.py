@@ -107,21 +107,8 @@ class PowerPattern:
         return self.base + self.offset
 
 
-@record
-class ElsePattern:
-    first, step = 1, 1  # it matches every index: covered_from and eventual_step read ap(1,1)
-
-    def matches(self, n: int) -> bool:
-        return True
-
-    def ordinal(self, n: int) -> int:
-        return n
-
-    def first_match(self) -> int:
-        return 1
-
-
-IndexPattern = EqualsPattern | ArithProgPattern | PowerPattern | ElsePattern
+# ap(1,1) matches every index: a law's catch-all piece
+IndexPattern = EqualsPattern | ArithProgPattern | PowerPattern
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +249,6 @@ def _powers_meet(p: PowerPattern, q: PowerPattern):
 def _patterns_overlap(p: IndexPattern, q: IndexPattern):
     """First index matched by both patterns, or None.  Exact, except two
     power patterns with unequal offsets, walked up to VALIDATION_HORIZON."""
-    if isinstance(p, ElsePattern) or isinstance(q, ElsePattern):
-        return 1
     if isinstance(p, EqualsPattern):
         return p.value if q.matches(p.value) else None
     if isinstance(q, EqualsPattern):
@@ -511,32 +496,13 @@ def image(m: NormalMap, A: BasicOpen) -> BasicOpen | None:
     raise SpaceMismatch(f"unknown normal map {m!r}")
 
 
-def preimage(m: NormalMap, A: BasicOpen) -> BasicOpen | None:
-    """Full inverse image; None when empty (possible for finite tables)."""
-    if isinstance(m, ShiftPowTerm):
-        if not isinstance(A, Cylinder):
-            raise SpaceMismatch("shift power preimages apply to cylinders")
-        return Cylinder(A.start + m.exponent, A.word)
-    if isinstance(m, RotPowTerm):
-        if not isinstance(A, Arc):
-            raise SpaceMismatch("rotation preimages apply to arcs")
-        return Arc(A.center.rotated(-m.coefficient), A.radius)
-    if isinstance(m, FiniteFnTerm):
-        if not isinstance(A, FiniteSet):
-            raise SpaceMismatch("finite table preimages apply to id sets")
-        ids = frozenset(i for i in range(1, len(m.table) + 1) if m.table[i - 1] in A.ids)
-        return FiniteSet(ids) if ids else None
-    if isinstance(m, ProductMap):
-        if not isinstance(A, ProductOpen):
-            raise SpaceMismatch("product map preimages apply to rectangles")
-        parts = []
-        for c, a in zip(m.parts, A.parts):
-            r = preimage(c, a)
-            if r is None:
-                return None
-            parts.append(r)
-        return ProductOpen(tuple(parts))
-    raise SpaceMismatch(f"unknown normal map {m!r}")
+def preimage(m: NormalMap, A: BasicOpen) -> Cylinder:
+    """The inverse image of a cylinder under a shift power, the one pullback
+    the lemma-2.1 itinerary check reads; SpaceMismatch for any other map or
+    open."""
+    if not (isinstance(m, ShiftPowTerm) and isinstance(A, Cylinder)):
+        raise SpaceMismatch("preimages pull cylinders back through shift powers")
+    return Cylinder(A.start + m.exponent, A.word)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +572,6 @@ def _runs(pattern: IndexPattern, lo: int, hi: int) -> list:
     """The matches of `pattern` within [lo, hi] as runs (first index,
     stride, count, ordinal of the first); the ordinal rises by one per step
     of a run."""
-    if isinstance(pattern, ElsePattern):
-        return [(lo, 1, hi - lo + 1, lo)] if lo <= hi else []
     if isinstance(pattern, EqualsPattern):
         return [(pattern.value, 1, 1, 1)] if lo <= pattern.value <= hi else []
     if isinstance(pattern, ArithProgPattern):
@@ -704,9 +668,8 @@ class LawPiece:
 class ExponentLaw:
     """Piecewise closed form for the prefix exponent E(n) (shift) or rotation
     coefficient C(n) (circle); first matching piece wins, the final piece is
-    a catch-all."""
+    a catch-all on ap(1,1), which describe() prints as "otherwise"."""
 
-    kind: str  # "shift" | "rotation"
     pieces: tuple
     validated_up_to: int
 
@@ -744,14 +707,14 @@ class ExponentLaw:
         bits = []
         for p in self.pieces:
             pat = p.pattern
-            if isinstance(pat, EqualsPattern):
+            if pat == ArithProgPattern(1, 1):
+                where = "otherwise"
+            elif isinstance(pat, EqualsPattern):
                 where = f"n={pat.value}"
             elif isinstance(pat, ArithProgPattern):
                 where = f"n={pat.first}+{pat.step}(k-1)"
-            elif isinstance(pat, PowerPattern):
-                where = f"n={pat.base}^k+{pat.offset}"
             else:
-                where = "otherwise"
+                where = f"n={pat.base}^k+{pat.offset}"
             form = f"{p.per_ordinal}*k+{p.constant}" if p.per_ordinal else str(p.constant)
             bits.append(f"E({where})={form}")
         return "; ".join(bits) + f" [validated to {self.validated_up_to}]"
@@ -794,8 +757,8 @@ def law_candidate(spec: SystemSpec, horizon: int) -> list | None:
     pieces += [LawPiece(EqualsPattern(n), 0, E[n]) for n in heads]
     pieces.sort(key=lambda p: p.pattern.first_match())
     if [p.pattern for p in pieces] == [ArithProgPattern(1, 1)]:
-        return [LawPiece(ElsePattern(), pieces[0].per_ordinal, pieces[0].constant)]
-    return pieces + [LawPiece(ElsePattern(), 0, 0)]
+        return pieces
+    return pieces + [LawPiece(ArithProgPattern(1, 1), 0, 0)]
 
 
 def law_reach(spec: SystemSpec, horizon: int) -> int | None:
@@ -843,7 +806,7 @@ def _power_pair(spec: NdsSpec) -> list | None:
     (p, f), (q, g) = sorted(moving, key=lambda rule: rule[0].offset)
     if p.base != q.base or q.offset - p.offset != 1 or (f.coeff, f.add) != (-g.coeff, -g.add):
         return None
-    return [LawPiece(p, f.coeff, f.add), LawPiece(ElsePattern(), 0, 0)]
+    return [LawPiece(p, f.coeff, f.add), LawPiece(ArithProgPattern(1, 1), 0, 0)]
 
 
 def derive_exponent_law(spec: SystemSpec, horizon: int) -> ExponentLaw | None:
@@ -857,10 +820,9 @@ def derive_exponent_law(spec: SystemSpec, horizon: int) -> ExponentLaw | None:
     candidate = law_candidate(spec, horizon)
     if candidate is None:
         return None
-    kind = "shift" if isinstance(spec.space, ShiftSpace) else "rotation"
     _F, s, M, L = _law_read(spec, horizon)
     steps = max(horizon // s, M + 3 * L - 1) if s > 1 else horizon
-    law = ExponentLaw(kind, tuple(candidate), steps)
+    law = ExponentLaw(tuple(candidate), steps)
     # validate against the prefix exponents every verdict path reads: the
     # law's values fill one array like the rules do, and only a mismatch is
     # walked index by index to report the first n it fails at
@@ -892,14 +854,14 @@ def rule_map(space: SpaceDesc, term: RuleTerm) -> NormalMap | None:
 
 def covered_from(spec: NdsSpec) -> int | None:
     """The least index from which every index matches a rule, so the default
-    never fires again: 1 under an else rule, None when the default fires
+    never fires again: 1 under an ap(1,1) rule, None when the default fires
     infinitely often.  Disjoint progressions hold disjoint residue classes
     modulo the lcm of their steps, and they hold all of them exactly when
     their shares 1/step sum to 1 (equals and power matches are too sparse
     to fill a class).  The indices they then leave open are each
     progression's own class below its first term, so the last gap is found
     stepping down those classes past the finitely many other matches."""
-    progs = [r.pattern for r in spec.rules if isinstance(r.pattern, (ArithProgPattern, ElsePattern))]
+    progs = [r.pattern for r in spec.rules if isinstance(r.pattern, ArithProgPattern)]
     period = lcm(*(p.step for p in progs))
     if sum(period // p.step for p in progs) != period:
         return None
@@ -920,22 +882,22 @@ LEAD_WALK_BOUND = 10_000
 def eventual_step(spec: SystemSpec) -> tuple | None:
     """(r0, block) when the rules prove that step r0 + k is block[k % p]
     for every k >= 0, else None.  From its first term on, a progression
-    (else reads as ap(1,1)) holds its classes mod L, the lcm of the steps;
-    the default holds the other classes, unless the progressions cover
-    every index from some point on (covered_from), and every power rule
-    must emit its map.  A progression emitting that map is left out of L.
-    r0 is the latest of the cover index, first - step + 1 of each
-    progression left in while the default fires, and one past each equals
-    rule emitting another map than its class; the block is cut to its least
-    period, so one settled map is p = 1.  None for a family term growing on
-    a progression, and when L passes LEAD_WALK_BOUND, checked before the
-    block is built.  Reading from index a on (see reading) moves r0 back by a."""
+    holds its classes mod L, the lcm of the steps; the default holds the
+    other classes, unless the progressions cover every index from some
+    point on (covered_from), and every power rule must emit its map.  A
+    progression emitting that map is left out of L.  r0 is the latest of
+    the cover index, first - step + 1 of each progression left in while the
+    default fires, and one past each equals rule emitting another map than
+    its class; the block is cut to its least period, so one settled map is
+    p = 1.  None for a family term growing on a progression, and when L
+    passes LEAD_WALK_BOUND, checked before the block is built.  Reading
+    from index a on (see reading) moves r0 back by a."""
     F, a, s = reading(spec)
     if s > 1 or not isinstance(F, NdsSpec):
         return None
     space, cover = F.space, covered_from(F)
     progs = [(r.pattern, rule_map(space, r.term))
-             for r in F.rules if isinstance(r.pattern, (ArithProgPattern, ElsePattern))]
+             for r in F.rules if isinstance(r.pattern, ArithProgPattern)]
     rest = rule_map(space, F.default) if cover is None else progs[0][1]
     progs = [(p, g) for p, g in progs if g != rest]
     L = lcm(*(p.step for p, _ in progs))

@@ -334,10 +334,6 @@ class BiWord:
     def constant(symbol: int) -> "BiWord":
         return BiWord(0, (), (symbol,), (symbol,))
 
-    @staticmethod
-    def from_window(window_start: int, window, fill: int = 0) -> "BiWord":
-        return BiWord(window_start, tuple(window), (fill,), (fill,))
-
 
 def all_zeros() -> BiWord:
     return BiWord.constant(0)

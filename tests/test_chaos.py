@@ -456,7 +456,7 @@ class TestLiYorkeScan:
         assert not reports[0].qualifies
 
     def test_single_disagreement_drifts_away(self):
-        y = BiWord.from_window(0, (1,), 0)
+        y = BiWord(0, (1,), (0,), (0,))
         reports = li_yorke_scan(
             CONST_SIGMA, [(all_zeros(), y)], 64,
             eps_low=Fraction(1, 1024), delta_high=Fraction(1, 2),
@@ -497,7 +497,7 @@ class TestLiYorkeScan:
         # a product with a circle factor: the shift side drifts, the circle stays
         (ProductSpec((NdsSpec(CircleSpace(), (), RotPowTerm(-1)), CONST_SIGMA)),
          ProductPoint((AffineAngle(0), all_zeros())),
-         ProductPoint((AffineAngle(Fraction(1, 8), 1), BiWord.from_window(0, (1, 0, 1))))),
+         ProductPoint((AffineAngle(Fraction(1, 8), 1), BiWord(0, (1, 0, 1), (0,), (0,))))),
         # a finite pair merged at time 1, then swapped apart from time 3 on
         (NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(1), FiniteFnTerm((1, 1, 3))),),
                  FiniteFnTerm((3, 2, 1))), FiniteId(2), FiniteId(3)),
@@ -526,7 +526,7 @@ class TestLiYorkeScan:
 
     def test_denominator_too_large_for_an_integer_is_a_value_error(self):
         spec = parse(f"space shift(2); system S {{ at 5: sigma^{10**40}; }}").system("S")
-        pair = (all_zeros(), BiWord.from_window(0, (1,)))
+        pair = (all_zeros(), BiWord(0, (1,), (0,), (0,)))
         with pytest.raises(ValueError, match="too many digits for an integer"):
             li_yorke_scan(spec, [pair], 10)
 

@@ -559,7 +559,7 @@ class TestAlmostPeriodic:
         assert "per_epsilon" in v.evidence
 
     def test_escaping_orbit_inconclusive(self):
-        x = sp.BiWord.from_window(0, (1,), 0)
+        x = sp.BiWord(0, (1,), (0,), (0,))
         v = ck.check_property(CONST_SIGMA, ck.PropertyKind("almost-periodic-point", point=x), 1, 64)
         assert v.status in (ck.WITNESSED, ck.INCONCLUSIVE)
 
@@ -776,7 +776,7 @@ def shift_families(draw):
     step = draw(st.integers(2, 3))
     c, a = draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
     if draw(st.booleans()):
-        return mp.NdsSpec(SHIFT, (mp.Rule(mp.ElsePattern(), mp.FamilyTerm("shift", c, a)),))
+        return mp.NdsSpec(SHIFT, (mp.Rule(mp.ArithProgPattern(1, 1), mp.FamilyTerm("shift", c, a)),))
     return mp.NdsSpec(SHIFT, (
         mp.Rule(mp.ArithProgPattern(1, step), mp.FamilyTerm("shift", c, a)),
         mp.Rule(mp.ArithProgPattern(2, step), mp.FamilyTerm("shift", -c, draw(st.integers(-2, 2)))),
@@ -838,7 +838,7 @@ class TestBasisPartition:
     def test_delta_of_at_least_three_separates_nothing_without_a_walk(self, monkeypatch, delta):
         # no cylinder is that wide: a walk towards |e| = 10^40 would never end
         count_calls(monkeypatch, "diameter_exceeds", limit=0)
-        growing = mp.NdsSpec(SHIFT, (mp.Rule(mp.ElsePattern(), mp.FamilyTerm("shift", 10**40)),))
+        growing = mp.NdsSpec(SHIFT, (mp.Rule(mp.ArithProgPattern(1, 1), mp.FamilyTerm("shift", 10**40)),))
         assert ck._sep_masks(growing, 2, 2000, delta)[1] == 0
 
 
@@ -860,7 +860,7 @@ class TestCountedCalls:
     @pytest.mark.parametrize("delta", [Fraction(1, 8), Fraction(1), Fraction(5, 2),
                                        3 - window_weight(2, 1), Fraction(3) - Fraction(1, 2**20)])
     @pytest.mark.parametrize("spec", [ex36(), mp.NdsSpec(SHIFT, (
-        mp.Rule(mp.ElsePattern(), mp.FamilyTerm("shift", 1)),))], ids=["example-3.6", "sigma^k"])
+        mp.Rule(mp.ArithProgPattern(1, 1), mp.FamilyTerm("shift", 1)),))], ids=["example-3.6", "sigma^k"])
     def test_separation_walk_is_bounded(self, monkeypatch, spec, delta):
         r = 2
         count_calls(monkeypatch, "diameter_exceeds", limit=r + 3 + (3 - delta).denominator.bit_length())

@@ -147,11 +147,11 @@ def gap_bound_per_open(system, r, H, delta):
     for U in basis:
         fe = ht.classify_frequency(ht.hitting_set(system, U, V, H), laws)
         if fe.first_member is None:
-            return "fail", {"reason": "reference target never hit"}, None
+            return "fail", {"reason": "reference target never hit"}
         m1 = max(m1, fe.max_gap)
     xi, note = cv.equicontinuity_modulus(system, delta, max(1, m1), H)
     if xi is None:
-        return "fail", {"reason": "no modulus: " + note}, None
+        return "fail", {"reason": "no modulus: " + note}
     w = 1
     while Fraction(2, 1 << w) > xi:
         w += 1
@@ -160,17 +160,14 @@ def gap_bound_per_open(system, r, H, delta):
     for U in basis:
         fe = ht.classify_frequency(ht.hitting_set(system, U, W, H), laws)
         if fe.first_member is None:
-            return "fail", {"reason": "tracking neighborhood never hit"}, None
+            return "fail", {"reason": "tracking neighborhood never hit"}
         m2 = max(m2, fe.max_gap)
     sens_gap = 0
     for U in basis:
         fe = ht.classify_frequency(ht.separation_set(system, U, delta, H), laws)
         sens_gap = max(sens_gap, fe.max_gap)
-    return (
-        "pass" if sens_gap <= m1 + m2 else "fail",
-        {"sensitivity_max_gap": sens_gap, "m1": m1, "m2": m2, "modulus_note": note},
-        None,
-    )
+    detail = {"sensitivity_max_gap": sens_gap, "m1": m1, "m2": m2, "modulus_note": note}
+    return "pass" if sens_gap <= m1 + m2 else "fail", detail
 
 
 class OneSystem:
@@ -227,7 +224,7 @@ class TestGapBound:
         assert gap_bound(system, r, H, delta) == gap_bound_per_open(system, r, H, delta)
 
     def test_the_pinned_demonstration_passes(self):
-        status, payload, _ = gap_bound(CS, 2, 200, Fraction(1, 4))
+        status, payload = gap_bound(CS, 2, 200, Fraction(1, 4))
         assert status == "pass" and payload["sensitivity_max_gap"] <= payload["m1"] + payload["m2"]
 
 

@@ -31,11 +31,11 @@ PRODUCT_SAMPLE, PRODUCT_SEED = 300, 28
 
 
 def shapes(space: sp.FiniteSpace) -> list:
-    """Every system of the four shapes `else: A;`, `at ap(1,2): A; else: B;`,
+    """Every system of the four shapes `at ap(1,1): A;`, `at ap(1,2): A; else: B;`,
     `at 1: A; else: B;` and `at ap(2,3): A; else: B;` on `space`."""
     n = space.point_count
     tables = [mp.FiniteFnTerm(t) for t in product(range(1, n + 1), repeat=n)]
-    systems = [mp.NdsSpec(space, (mp.Rule(mp.ElsePattern(), a),)) for a in tables]
+    systems = [mp.NdsSpec(space, (mp.Rule(mp.ArithProgPattern(1, 1), a),)) for a in tables]
     for pattern in (mp.ArithProgPattern(1, 2), mp.EqualsPattern(1), mp.ArithProgPattern(2, 3)):
         systems += [mp.NdsSpec(space, (mp.Rule(pattern, a),), b) for a in tables for b in tables]
     return systems

@@ -584,7 +584,7 @@ patterns = st.one_of(
     st.integers(1, 80).map(mp.EqualsPattern),
     st.builds(mp.ArithProgPattern, st.integers(1, 12), st.integers(1, 9)),
     st.builds(mp.PowerPattern, st.integers(2, 4), st.integers(0, 6)),
-    st.just(mp.ElsePattern()),
+    st.just(mp.ArithProgPattern(1, 1)),
 )
 # coefficients and constants: zero, negative and 40-digit ones
 amounts = st.one_of(st.integers(-3, 3), st.sampled_from([10**40, -(10**40) + 1]))

@@ -4,6 +4,7 @@ import pathlib
 import random
 import re
 import string
+import typing
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ndslab import corpus, ndsl
 from ndslab.maps import (
     ArithProgPattern,
     FamilyTerm,
+    IndexPattern,
     NdsSpec,
     PowerPattern,
     ProductSpec,
@@ -45,6 +47,17 @@ class TestParsing:
             Rule(PowerPattern(3, 0), FamilyTerm("rot", 1)),
             Rule(PowerPattern(3, 1), FamilyTerm("rot", -1)),
         )
+
+    def test_the_parser_builds_every_index_pattern_and_no_other(self):
+        # one system per pattern form; `else:` sets the default, not a rule
+        doc = ndsl.parse(
+            "space shift(2); system A { at 3: sigma^1; else: sigma^2; } "
+            "system B { at ap(4,5): sigma^1; } system C { at pow(2,0,k): sigma^k; } "
+            "system D { at odd(k): sigma^k; } system G { at even(k): sigma^-k; }"
+        )
+        assert len(doc.system("A").rules) == 1
+        built = {type(r.pattern) for name in "ABCDG" for r in doc.system(name).rules}
+        assert built == set(typing.get_args(IndexPattern))
 
     def test_derived_systems(self):
         doc = ndsl.parse(

@@ -290,7 +290,7 @@ class TestShiftMetric:
         assert shift_distance(y, x.shifted(big)) == shift_distance(y, near)
 
     def test_denominator_too_large_for_an_integer_is_a_value_error(self):
-        far = BiWord.from_window(0, (1,)).shifted(10**40)
+        far = BiWord(0, (1,), (0,), (0,)).shifted(10**40)
         with pytest.raises(ValueError, match="too many digits for an integer"):
             shift_distance(all_zeros(), far)
 
@@ -406,7 +406,7 @@ class TestIntersection:
         b = Cylinder(2, (0,))
         assert intersects(SHIFT, a, b)
         for fill in (0, 1):
-            p = BiWord.from_window(-3, (1, fill, fill, fill, fill, 0), fill)
+            p = BiWord(-3, (1, fill, fill, fill, fill, 0), (fill,), (fill,))
             assert contains(SHIFT, a, p) and contains(SHIFT, b, p)
 
     @given(
@@ -573,7 +573,7 @@ class TestBasis:
     def test_points_within_diameter(self):
         basis = enumerate_basis(SHIFT, 2)
         A = basis[17]
-        p = BiWord.from_window(A.start, A.word)
+        p = BiWord(A.start, A.word, (0,), (0,))
         x, y = diameter_witness_pair(A)
         for q in (x, y):
             assert shift_distance(p, q) <= diameter(SHIFT, A)
