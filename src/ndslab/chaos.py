@@ -21,13 +21,9 @@ from .record import record
 
 @record
 class LiYorkeReport:
-    pair_label: str
     liminf_estimate: Fraction  # min over the tail of the orbit distances
     limsup_estimate: Fraction  # max over the tail
     qualifies: bool
-    horizon: int
-    eps_low: Fraction
-    delta_high: Fraction
 
 
 def orbit_distance_trace(spec: mp.SystemSpec, x: sp.Point, y: sp.Point, horizon: int) -> list:
@@ -80,17 +76,8 @@ def li_yorke_scan(
         else:
             dists = [sp.distance(space, mp.apply(m, x), mp.apply(m, y)) for m in tail]
             lo, hi = sp.value_min(dists), sp.value_max(dists)
-        reports.append(
-            LiYorkeReport(
-                pair_label=f"pair-{idx}",
-                liminf_estimate=lo,
-                limsup_estimate=hi,
-                qualifies=sp.value_cmp(lo, eps_low) < 0 and sp.value_cmp(hi, delta_high) > 0,
-                horizon=horizon,
-                eps_low=eps_low,
-                delta_high=delta_high,
-            )
-        )
+        qualifies = sp.value_cmp(lo, eps_low) < 0 and sp.value_cmp(hi, delta_high) > 0
+        reports.append(LiYorkeReport(lo, hi, qualifies))
     return reports
 
 
@@ -131,7 +118,6 @@ class ItineraryConstruction:
 @record
 class ItineraryFailure:
     level: int
-    itinerary: str
     reason: str
 
 
@@ -187,7 +173,7 @@ def lemma21_construct(
                 break
         if chosen is None:
             return ItineraryFailure(
-                i, "", f"no time <= {horizon} moves the level-{i} targets clear of earlier blocks"
+                i, f"no time <= {horizon} moves the level-{i} targets clear of earlier blocks"
             )
         p, e, lo, hi, j = chosen
         times.append(p)
@@ -220,7 +206,7 @@ def lemma21_construct(
             cells[spans[i]] = words[i][k >> (levels - 1 - i) & 1]
         witnesses[label] = sp.BiWord(lo, freeze(cells), zero, zero)
     if not _verify_itineraries(spec, times, level_sets, witnesses):
-        return ItineraryFailure(levels, "", "stepwise verification failed")
+        return ItineraryFailure(levels, "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
 
 

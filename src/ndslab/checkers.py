@@ -290,7 +290,6 @@ def check_property(
         "basis": basis_resolution,
         "horizon": horizon,
         "law_horizon": law_horizon,
-        "property": prop.render(),
     }
     laws = system_laws(spec, law_horizon)
     return PROPERTIES[prop.name][0](spec, prop, basis_resolution, horizon, laws, cfg)
@@ -488,19 +487,14 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             prop.render(), INCONCLUSIVE, cfg, {},
             ("no exact cover check for products with a shift or circle factor",),
         )
-    basis = sp.enumerate_basis(space, r)
     if isinstance(space, sp.ShiftSpace):
-        # shifted copies of a fixed word always miss a constant point
-        U = basis[0]
-        witness_fill = next(
-            fill for fill in range(space.alphabet_size)
-            if any(s != fill for s in U.word)
-        )
-        return _refute_open(prop, cfg, basis, 0, (
+        # shifted copies of B0's all-0 word miss the constant-1 point (every alphabet has a 1);
+        # B0 is the one open cited, so the other a^(2r+1) - 1 are not built
+        return _refute_open(prop, cfg, [sp.Cylinder(-r, (0,) * (2 * r + 1))], 0, (
             "prefix maps are shift powers, so every image is the same word "
-            f"re-anchored; the constant-{witness_fill} point avoids each image, "
-            "whatever the cover length"
+            "re-anchored; the constant-1 point avoids each image, whatever the cover length"
         ))
+    basis = sp.enumerate_basis(space, r)
     classes = ht.prefix_classes(spec, H)
     covers = {}
     for idx, U in enumerate(basis):
@@ -1015,7 +1009,6 @@ def build_gap_adversary(miss_times, law_horizon: int = 1024):
 @record
 class ConsistencyReport:
     ok: bool
-    property: str
     members_required: int
     kth_common_time: int | None
     detail: str
@@ -1034,7 +1027,7 @@ def hitting_infinity_consistency(
     verdict = check_property(spec, prop, basis_resolution, horizon)
     if verdict.status != WITNESSED:
         return ConsistencyReport(
-            False, prop.render(), members_required, None,
+            False, members_required, None,
             f"precondition failed: property is {verdict.status} at this configuration",
         )
     if prop.name == "weakly-mixing":
@@ -1045,11 +1038,11 @@ def hitting_infinity_consistency(
             a, b = failing
             count = (items[a][1] & items[b][1]).bit_count()
             return ConsistencyReport(
-                False, prop.render(), members_required, None,
+                False, members_required, None,
                 f"tuple ({items[a][0]}, {items[b][0]}) has only {count} common times",
             )
         return ConsistencyReport(
-            True, prop.render(), members_required, worst and worst[0],
+            True, members_required, worst and worst[0],
             "every pair tuple reaches the required count; worst k-th common time reported",
         )
     if prop.name == "multi-transitive":
@@ -1058,11 +1051,11 @@ def hitting_infinity_consistency(
         count = universal.bit_count()
         if count < members_required:
             return ConsistencyReport(
-                False, prop.render(), members_required, None,
+                False, members_required, None,
                 f"universal common-l set has only {count} members within the horizon",
             )
         return ConsistencyReport(
-            True, prop.render(), members_required, _nth_bit(universal, members_required),
+            True, members_required, _nth_bit(universal, members_required),
             "the universal common-l set lower-bounds every tuple's set",
         )
     raise ValueError("consistency checks cover weakly-mixing and multi-transitive")

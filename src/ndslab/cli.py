@@ -274,9 +274,14 @@ def _size_problem(args, doc, requests):
     needs at least the resolution its space admits (spaces.min_resolution),
     and the pair masks of multi-transitive:m span m times the horizon, so
     that product may not pass MAX_HORIZON either.  Then the first request
-    whose estimated work is over its budget (_work_problem), and then the
-    pair masks of all the checks and the leads of their systems' table laws
-    (_lead_entries) together against MAX_MASK_BYTES."""
+    whose estimated work is over its budget: its basis has more than
+    MAX_BASIS_OPENS opens, the bytes of its pair masks (N^2 masks a set for
+    N opens, one set per iterate for totally-transitive) pass
+    MAX_MASK_BYTES, or the base indices it fills (_base_fill, the order
+    where totally-transitive's last iterate reads past the horizon, and the
+    system's _law_fill) pass MAX_HORIZON.  Last, the pair masks of all the
+    checks and the leads of their systems' table laws (_lead_entries)
+    together against MAX_MASK_BYTES."""
     sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
              ("--law-horizon", args.law_horizon, 1, MAX_HORIZON)]
     for name, prop, horizon, basis in requests:
@@ -291,15 +296,29 @@ def _size_problem(args, doc, requests):
             return f"{label} must be at least {least}, got {value}"
         if most is not None and value > most:
             return f"{label} must be at most {most}, got {value}"
-    law_fills = {name: _law_fill(doc.system(name), args.law_horizon) for name, *_ in requests}
     held = {}  # checkers._MASK_CACHE keeps each (system, basis, span) set to the end
     for name, prop, horizon, basis in requests:
-        problem = _work_problem(doc.system(name), prop, horizon, basis, law_fills[name])
-        if problem:
-            return f"check {name} {prop.render()}: {problem}"
-        span, _, need = _mask_set(doc.system(name).space, prop, horizon, basis)
+        system, where = doc.system(name), f"check {name} {prop.render()}:"
+        n = _basis_size(system.space, basis)
+        if n > MAX_BASIS_OPENS:
+            return (f"{where} basis {basis} gives more than the budget of "
+                    f"MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens")
+        span = prop.order * horizon if prop.name == "multi-transitive" else horizon
+        sets = prop.order if prop.name == "totally-transitive" else int(prop.name in PAIR_MASK_PROPERTIES)
+        need = sets * n * n * (span // 8 + MASK_PAIR_BYTES)
+        if need > MAX_MASK_BYTES:
+            per_iterate = f", one set for each of {sets} iterates," if sets > 1 else ""
+            return (f"{where} basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times"
+                    f"{per_iterate} need an estimated {need} bytes, over the budget of "
+                    f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
         if need:
             held[name, basis, span] = max(held.get((name, basis, span), 0), need)
+        if prop.name == "totally-transitive":  # iterate m reads base time m
+            span = max(span, prop.order)
+        fill = max(_base_fill(system, span), _law_fill(system, args.law_horizon))
+        if fill > MAX_HORIZON:
+            return (f"{where} fills {fill} indices of its base system, over the budget of "
+                    f"MAX_HORIZON = {MAX_HORIZON}")
     # checkers._LAW_CACHE keeps each system's laws, so its leads too, to the end
     entries = sum(map(_lead_entries, {doc.system(name) for name, *_ in requests}))
     need = sum(held.values()) + LEAD_ENTRY_BYTES * entries
@@ -310,16 +329,6 @@ def _size_problem(args, doc, requests):
                 f"need an estimated {need} bytes together, over the budget of "
                 f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
     return None
-
-
-def _mask_set(space, prop, horizon: int, basis: int) -> tuple:
-    """(span, sets, bytes) of a check's pair masks: N^2 masks a set for N
-    opens, over order times the horizon for multi-transitive, one set per
-    iterate of totally-transitive, none where `prop` builds no masks."""
-    n = _basis_size(space, basis)
-    span = prop.order * horizon if prop.name == "multi-transitive" else horizon
-    sets = prop.order if prop.name == "totally-transitive" else int(prop.name in PAIR_MASK_PROPERTIES)
-    return span, sets, sets * n * n * (span // 8 + MASK_PAIR_BYTES)
 
 
 def _basis_size(space, r: int) -> int:
@@ -367,33 +376,6 @@ def _lead_entries(spec) -> int:
     table is folded (maps.table_settling)."""
     leads = ((mp.table_settling(leaf), leaf.space) for leaf in _leaves(spec))
     return sum((settled[0] - 1) * space.point_count for settled, space in leads if settled)
-
-
-def _work_problem(system, prop, horizon: int, basis: int, law_fill: int):
-    """Why a check of `prop` at this horizon and basis is over budget, or
-    None: its basis has more than MAX_BASIS_OPENS opens, the estimated
-    bytes of its pair masks (over order times the horizon for
-    multi-transitive, one set per iterate for totally-transitive) pass
-    MAX_MASK_BYTES, or the base indices it fills (_base_fill, the
-    system's law fill too, see _law_fill, and the order where
-    totally-transitive's last iterate reads past the horizon) pass
-    MAX_HORIZON."""
-    n = _basis_size(system.space, basis)
-    if n > MAX_BASIS_OPENS:
-        return f"basis {basis} gives more than the budget of MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens"
-    span, sets, need = _mask_set(system.space, prop, horizon, basis)
-    if need > MAX_MASK_BYTES:
-        per_iterate = f", one set for each of {sets} iterates," if sets > 1 else ""
-        return (f"basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times"
-                f"{per_iterate} need an estimated {need} bytes, over the budget of "
-                f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
-    if prop.name == "totally-transitive":  # iterate m reads base time m
-        span = max(span, prop.order)
-    fill = max(_base_fill(system, span), law_fill)
-    if fill > MAX_HORIZON:
-        return (f"fills {fill} indices of its base system, over the budget of "
-                f"MAX_HORIZON = {MAX_HORIZON}")
-    return None
 
 
 def cmd_corpus(args) -> int:

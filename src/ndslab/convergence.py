@@ -24,7 +24,6 @@ from .record import record
 @record
 class ConvergenceVerdict:
     status: str  # "witnessed" | "refuted" | "inconclusive"
-    mode: str  # "uniform" | "collective"
     stabilization_index: int | None = None
     refuting_pair: tuple | None = None  # (r, k, distance lower bound)
     detail: str = ""
@@ -120,7 +119,7 @@ def _convergence(spec, limit, horizon: int, max_window: int, mode: str) -> Conve
             raise mp.LawValidationError(
                 "stabilization argument disagrees with " + ("terms" if uniform else "windows"))
         return ConvergenceVerdict(
-            "witnessed", mode, stabilization_index=r0,
+            "witnessed", stabilization_index=r0,
             detail=f"every rule firing at n >= {r0} emits the limit term" if uniform else
             f"windows starting at r >= {r0} equal limit iterates for all k <= {max_window}, "
             "and rules beyond emit only the limit term",
@@ -129,10 +128,10 @@ def _convergence(spec, limit, horizon: int, max_window: int, mode: str) -> Conve
     if reason is not None:
         for r, k, d in _divergent_windows(spec, limit_map, range(1, horizon + 1), max_window):
             return ConvergenceVerdict(
-                "refuted", mode, refuting_pair=(r, k, d),
+                "refuted", refuting_pair=(r, k, d),
                 detail=f"{reason}; " + (f"D(f_{r}, f) = {d}" if uniform else f"D(f_{r}^{k}, f^{k}) = {d}"),
             )
-    return ConvergenceVerdict("inconclusive", mode, detail="no structural argument either way")
+    return ConvergenceVerdict("inconclusive", detail="no structural argument either way")
 
 
 def equicontinuity_modulus(

@@ -52,7 +52,6 @@ class Scenario:
 
 @record
 class ExpectationResult:
-    scenario: str
     description: str
     expected: str
     actual: str
@@ -620,7 +619,6 @@ def run_corpus(name_filter: str | None = None) -> list:
             text = json.dumps(payload, sort_keys=True, default=str)
             results.append(
                 ExpectationResult(
-                    scenario=scenario.name,
                     description=exp.describe(),
                     expected=exp.expected,
                     actual=actual,

@@ -118,12 +118,8 @@ def _lex(text: str):
         kind = m.lastgroup
         chunk = m.group()
         if kind not in ("ws", "comment"):
-            if kind == "sym":
-                tokens.append(Token(chunk, chunk, line, col))
-            elif kind in ("arrow", "pm"):
-                tokens.append(Token(chunk if kind != "arrow" else "->", chunk, line, col))
-            else:
-                tokens.append(Token(kind, chunk, line, col))
+            # a symbol, -> or +- is its own kind
+            tokens.append(Token(kind if kind in ("int", "ident") else chunk, chunk, line, col))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines

@@ -389,10 +389,19 @@ class TestStronglyTransitive:
         v = ck.check_property(spec, ck.PropertyKind("strongly-transitive"), 1, 32)
         assert v.refuted
 
-    def test_shift_refuted_by_constant_point(self):
-        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("strongly-transitive"), 1, 32)
-        assert v.refuted
-        assert "constant" in v.evidence["structural"]
+    @pytest.mark.parametrize("alphabet, r", [(2, 1), (3, 2), (2, 7)])
+    def test_shift_refuted_by_constant_point(self, monkeypatch, alphabet, r):
+        # the refutation cites B0 and builds no other open of the basis
+        spec = mp.NdsSpec(sp.ShiftSpace(alphabet), (), mp.ShiftPowTerm(1))
+        first = ck._label(sp.enumerate_basis(spec.space, r), 0)
+
+        def refuse(*args):
+            raise AssertionError("the shift refutation enumerated the basis")
+
+        monkeypatch.setattr(ck.sp, "enumerate_basis", refuse)
+        v = ck.check_property(spec, ck.PropertyKind("strongly-transitive"), r, 32)
+        assert v.refuted and v.evidence["refuting_open"] == first
+        assert "the constant-1 point avoids each image" in v.evidence["structural"]
 
     def test_finite_product_cover_witnessed(self):
         # prefixes are (swap^(n-1), cycle^n): by n = 6 every id pair is reached
@@ -905,7 +914,7 @@ def totally_transitive_per_iterate(spec, prop, r, H) -> ck.Verdict:
     slices of the base masks replace."""
     law_horizon = ck.DEFAULT_LAW_HORIZON
     laws = mp.derive_laws(spec, law_horizon)
-    cfg = {"basis": r, "horizon": H, "law_horizon": law_horizon, "property": prop.render()}
+    cfg = {"basis": r, "horizon": H, "law_horizon": law_horizon}
     per = {}
     for s in range(1, prop.order + 1):
         derived = mp.iterate(spec, s) if s > 1 else spec

@@ -595,6 +595,37 @@ system PROD = product(CS, ALT);
         doc = ndsl.parse(self.late_lead(300, ""))
         assert cli._size_problem(args, doc, [minimal, transitive]) is None
 
+    def test_the_budget_reports_ranges_then_each_check_in_order_then_the_held_total(
+        self, ndsl_file, capsys, no_masks
+    ):
+        def error(source):
+            code, out, err = run(capsys, ["check", ndsl_file(source)])
+            assert code == 3 and out == ""
+            return err
+
+        opens = (f"basis 9 gives more than the budget of MAX_BASIS_OPENS = {cli.MAX_BASIS_OPENS} "
+                 "opens\n")
+        # every flag's and directive's range comes before the work of any check:
+        # basis 9 (2^19 opens) is over its budget, the later horizon out of its range
+        over = cli.MAX_HORIZON + 1
+        assert error(SIGMA + f"check F transitive basis 9;\ncheck F transitive horizon {over};\n") == (
+            f"ndslab: check F transitive: horizon must be at most {cli.MAX_HORIZON}, got {over}\n")
+        # among work problems the first check in order is named, whatever its kind
+        deep = SIGMA + "system I = iterate(F, 1000000);\n"
+        fills = (f"fills {512 * 10**6} indices of its base system, over the budget of "
+                 f"MAX_HORIZON = {cli.MAX_HORIZON}\n")
+        assert error(deep + "check I transitive;\ncheck F transitive basis 9;\n") == (
+            f"ndslab: check I transitive: {fills}")
+        assert error(deep + "check F transitive basis 9;\ncheck I transitive;\n") == (
+            f"ndslab: check F transitive: {opens}")
+        # the pair masks the checks hold together come last: the two PROD
+        # checks pass the budget together, yet the later basis is named
+        held = "".join(f"check PROD {name} horizon 64 basis 2;\n"
+                       for name in ("transitive", "multi-transitive:2"))
+        assert error(self.PROD + held + "check CS transitive basis 9;\n") == (
+            f"ndslab: check CS transitive: {opens}")
+        assert error(self.PROD + held).startswith("ndslab: the 2 sets of pair masks")
+
     def test_the_lead_bytes_per_entry_cover_the_measured_ones(self):
         spec = ndsl.parse(self.late_lead(200, "")).system("F")
         tracemalloc.start()
