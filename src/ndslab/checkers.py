@@ -193,39 +193,37 @@ def _reason_keys(spec, laws: mp.SystemLaws, r: int) -> tuple:
     return key, {key(i, j): (i, j) for i, j in pairs}
 
 
-def _refute_pair(prop, cfg, basis, i, j, reason, **extra) -> Verdict:
+def _refute_pair(basis, i, j, reason, **extra) -> tuple:
     """Refuted, citing the pair (B_i, B_j) and the structural `reason`."""
-    evidence = {**extra, "refuting_pair": [_label(basis, i), _label(basis, j)], "structural": reason}
-    return Verdict(prop.render(), REFUTED, cfg, evidence)
+    pair = [_label(basis, i), _label(basis, j)]
+    return REFUTED, {**extra, "refuting_pair": pair, "structural": reason}, ()
 
 
-def _refute_unhit(spec, laws, prop, cfg, basis, pairs, grades=("never",)) -> Verdict | None:
+def _refute_unhit(spec, laws, r, basis, pairs, grades=("never",)) -> tuple | None:
     """Refuted, citing the first of `pairs` that hitting.pair_reason has a
     reason of `grades` for; None when it has none.  Pairs of one key (see
-    _reason_keys) share their reason, so each key is asked once; listed keys
-    are asked first, and the walk is skipped when none has a reason."""
-    key, reps = _reason_keys(spec, laws, cfg["basis"])
+    _reason_keys) share their reason, so each key is asked once: every
+    listed key before the walk, which is skipped when none has a reason,
+    or else each key the first time the walk meets it."""
+    key, reps = _reason_keys(spec, laws, r)
+    reasons = {}
     if reps is not None:
-        reasoned = {k for k, (i, j) in reps.items()
-                    if k is not None and ht.pair_reason(spec, laws, basis[i], basis[j], i != j, grades)}
-        pairs = (pair for pair in pairs if key(*pair) in reasoned) if reasoned else ()
-    asked = set()
+        reasons = {k: ht.pair_reason(spec, laws, basis[i], basis[j], i != j, grades)
+                   for k, (i, j) in reps.items() if k is not None}
+        if not any(reasons.values()):
+            return None
     for i, j in pairs:
         k = key(i, j)
-        if k is None or k in asked:
-            continue
-        reason = ht.pair_reason(spec, laws, basis[i], basis[j], i != j, grades)
-        if reason is not None:
-            return _refute_pair(prop, cfg, basis, i, j, reason[1])
-        asked.add(k)
+        if reps is None and k is not None and k not in reasons:
+            reasons[k] = ht.pair_reason(spec, laws, basis[i], basis[j], i != j, grades)
+        if reasons.get(k):
+            return _refute_pair(basis, i, j, reasons[k][1])
     return None
 
 
-def _refute_open(prop, cfg, basis, idx, reason) -> Verdict:
+def _refute_open(basis, idx, reason) -> tuple:
     """Refuted, citing the basis open B_idx and the structural reason."""
-    return Verdict(
-        prop.render(), REFUTED, cfg, {"refuting_open": _label(basis, idx), "structural": reason}
-    )
+    return REFUTED, {"refuting_open": _label(basis, idx), "structural": reason}, ()
 
 
 def _subset_search(masks, m: int, k: int = 1) -> tuple:
@@ -283,134 +281,115 @@ def check_property(
     law_horizon: int = DEFAULT_LAW_HORIZON,
 ) -> Verdict:
     """Machine-checked verdict for one property of one system, reading the
-    system's laws at `law_horizon` (system_laws)."""
+    system's laws at `law_horizon` (system_laws).  The checker of the
+    property (PROPERTIES) returns (status, evidence, caveats); the verdict
+    adds the property's rendering and the configuration."""
     if basis_resolution < 1 or horizon < 1:
         raise ValueError("basis resolution and horizon must be positive")
-    cfg = {
-        "basis": basis_resolution,
-        "horizon": horizon,
-        "law_horizon": law_horizon,
-    }
     laws = system_laws(spec, law_horizon)
-    return PROPERTIES[prop.name][0](spec, prop, basis_resolution, horizon, laws, cfg)
+    status, evidence, caveats = PROPERTIES[prop.name][0](spec, prop, basis_resolution, horizon, laws)
+    cfg = {"basis": basis_resolution, "horizon": horizon, "law_horizon": law_horizon}
+    return Verdict(prop.render(), status, cfg, evidence, caveats)
 
 
-def _check_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
     empty = [pair for pair, mask in masks.items() if mask == 0]
     if not empty:
         entries = _witness_entries(basis, masks)
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {
-                "witness_times": entries,
-                "latest_first_hit": max(entries.values()),
-                "pairs_checked": len(masks),
-            },
-            (_quantifier_note(r, H),),
-        )
-    return _refute_unhit(spec, laws, prop, cfg, basis, empty) or Verdict(
-        prop.render(), INCONCLUSIVE, cfg,
+        return WITNESSED, {
+            "witness_times": entries,
+            "latest_first_hit": max(entries.values()),
+            "pairs_checked": len(masks),
+        }, (_quantifier_note(r, H),)
+    return _refute_unhit(spec, laws, r, basis, empty) or (
+        INCONCLUSIVE,
         {"unhit_pairs": [f"{i}->{j}" for i, j in empty[:8]], "unhit_count": len(empty)},
         ("horizon exhausted without a structural refutation",),
     )
 
 
-def _check_weakly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_weakly_mixing(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
     items = list(masks.items())
     unhit = [pair for pair, mask in items if mask == 0]
     if unhit:
-        return _refute_unhit(spec, laws, prop, cfg, basis, unhit) or Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
+        return _refute_unhit(spec, laws, r, basis, unhit) or (
+            INCONCLUSIVE,
             {"unhit_pair": "%d->%d" % unhit[0]},
             ("a single pair already fails transitivity at this horizon",),
         )
     pair_masks = [mask for _, mask in items]
     common = reduce(and_, pair_masks, -1)
     if common:
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {
-                "common_time_all_pairs": _first_bit(common),
-                "pairs_checked": len(items),
-                "per_pair_first_hit": _witness_entries(basis, masks),
-            },
-            (_quantifier_note(r, H),),
-        )
+        return WITNESSED, {
+            "common_time_all_pairs": _first_bit(common),
+            "pairs_checked": len(items),
+            "per_pair_first_hit": _witness_entries(basis, masks),
+        }, (_quantifier_note(r, H),)
     # no single universal time: every m-subset of pairs must share one (with
     # fewer than m pairs, the m-tuples repeat pairs: the largest is them all)
     m = min(prop.order, len(items))
     if comb(len(items), m) > 2_000_000:
-        return Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
+        return (
+            INCONCLUSIVE,
             {"note": "tuple space too large without a universal common time"},
             ("lower the basis resolution or widen the horizon",),
         )
     failing, worst = _subset_search(pair_masks, m)
     if failing:
-        return Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
+        return (
+            INCONCLUSIVE,
             {"failing_tuple": [f"{items[idx][0]}" for idx in failing]},
             ("no common time within the horizon; no structural refutation found",),
         )
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
-        {
-            "latest_common_time": worst[0],
-            "worst_tuple": [f"{items[idx][0]}" for idx in worst[1]],
-            "tuples_checked": "all size-%d pair subsets" % m,
-        },
-        (_quantifier_note(r, H),),
-    )
+    return WITNESSED, {
+        "latest_common_time": worst[0],
+        "worst_tuple": [f"{items[idx][0]}" for idx in worst[1]],
+        "tuples_checked": "all size-%d pair subsets" % m,
+    }, (_quantifier_note(r, H),)
 
 
-def _check_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_mixing(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
     # the tail start depends on the mask alone, and pairs share masks
     tail_of = {mask: ht._frequency(mask, H)[3] for mask in set(masks.values())}
     tailless = [pair for pair, mask in masks.items() if tail_of[mask] is None]
     # a law's claim on any pair refutes, whatever the tails seen within the
     # horizon: every pair is asked, the tail-less ones first
-    refuted = _refute_unhit(spec, laws, prop, cfg, basis, chain(tailless, masks), ht.GRADES)
+    refuted = _refute_unhit(spec, laws, r, basis, chain(tailless, masks), ht.GRADES)
     if refuted or tailless:
-        return refuted or Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
+        return refuted or (
+            INCONCLUSIVE,
             {"pair_without_tail": "%d->%d" % tailless[0]},
             ("no cofinite tail within the horizon",),
         )
     tails = {f"{i}->{j}": tail_of[mask] for (i, j), mask in masks.items()}
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
+    return (
+        WITNESSED,
         {"tail_start_per_pair": tails, "latest_tail_start": max(tails.values())},
-        (
-            _quantifier_note(r, H),
-            "cofinite tails are horizon-censored evidence, not proofs",
-        ),
+        (_quantifier_note(r, H), "cofinite tails are horizon-censored evidence, not proofs"),
     )
 
 
-def _check_mildly_mixing(spec, prop, r, H, laws, cfg) -> Verdict:
-    inner = _check_mixing(spec, PropertyKind("mixing"), r, H, laws, cfg)
+def _check_mildly_mixing(spec, prop, r, H, laws) -> tuple:
+    status, evidence, caveats = _check_mixing(spec, prop, r, H, laws)
     if not sp.has_isolated_points(spec.space):
-        note = (
-            "decided via the equivalence with mixing on spaces without isolated points"
-        )
-        return Verdict(prop.render(), inner.status, cfg, inner.evidence, inner.caveats + (note,))
-    if inner.status == REFUTED:
-        note = "not mixing, and mildly mixing always implies mixing"
-        return Verdict(prop.render(), REFUTED, cfg, inner.evidence, inner.caveats + (note,))
-    return Verdict(
-        prop.render(), INCONCLUSIVE, cfg,
-        {"mixing_status": inner.status},
+        note = "decided via the equivalence with mixing on spaces without isolated points"
+        return status, evidence, caveats + (note,)
+    if status == REFUTED:
+        return REFUTED, evidence, caveats + ("not mixing, and mildly mixing always implies mixing",)
+    return (
+        INCONCLUSIVE,
+        {"mixing_status": status},
         ("space has isolated points: only the necessity direction applies",),
     )
 
 
-def _check_totally_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
-    v = _check_transitive(spec, PropertyKind("transitive"), r, H, laws, cfg)
-    if v.status != WITNESSED:
-        return Verdict(prop.render(), v.status, cfg, {"iterate_order": 1, "inner": v.evidence})
+def _check_totally_transitive(spec, prop, r, H, laws) -> tuple:
+    status, evidence, _ = _check_transitive(spec, prop, r, H, laws)
+    if status != WITNESSED:
+        return status, {"iterate_order": 1, "inner": evidence}, ()
     # iterate s at time n is the base at time s*n, so its mask is the stride-s slice of the
     # base's (see _slot), read over max(1, H // s) times; no law is read for the iterate
     # (a shift or circle iterate has one), so an unhit pair leaves it inconclusive
@@ -421,15 +400,10 @@ def _check_totally_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         unhit = {mask for mask, bits in digits.items() if "1" not in bits[s:stop:s]}
         if unhit:
             empty = [f"{i}->{j}" for (i, j), mask in masks.items() if mask in unhit]
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"iterate_order": s, "inner": {"unhit_pairs": empty[:8], "unhit_count": len(empty)}},
-            )
+            inner = {"unhit_pairs": empty[:8], "unhit_count": len(empty)}
+            return INCONCLUSIVE, {"iterate_order": s, "inner": inner}, ()
     statuses = dict.fromkeys(map(str, range(1, prop.order + 1)), WITNESSED)
-    return Verdict(
-        prop.render(), WITNESSED, cfg, {"iterates_checked": prop.order, "statuses": statuses},
-        (_quantifier_note(r, H),),
-    )
+    return WITNESSED, {"iterates_checked": prop.order, "statuses": statuses}, (_quantifier_note(r, H),)
 
 
 def _cover_space(space, opens) -> bool:
@@ -480,17 +454,14 @@ def _cover_circle(space, arcs) -> bool:
     return sp.value_cmp(covered_to, 1) >= 0
 
 
-def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_strongly_transitive(spec, prop, r, H, laws) -> tuple:
     space = spec.space
     if isinstance(space, sp.ProductSpace) and not _finite_product(space):
-        return Verdict(
-            prop.render(), INCONCLUSIVE, cfg, {},
-            ("no exact cover check for products with a shift or circle factor",),
-        )
+        return INCONCLUSIVE, {}, ("no exact cover check for products with a shift or circle factor",)
     if isinstance(space, sp.ShiftSpace):
         # shifted copies of B0's all-0 word miss the constant-1 point (every alphabet has a 1);
         # B0 is the one open cited, so the other a^(2r+1) - 1 are not built
-        return _refute_open(prop, cfg, [sp.Cylinder(-r, (0,) * (2 * r + 1))], 0, (
+        return _refute_open([sp.Cylinder(-r, (0,) * (2 * r + 1))], 0, (
             "prefix maps are shift powers, so every image is the same word "
             "re-anchored; the constant-1 point avoids each image, whatever the cover length"
         ))
@@ -508,8 +479,8 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 covered = _cover_space(space, images)
             except sp.EnclosureUndecided:
                 alpha = space.alpha
-                return Verdict(
-                    prop.render(), INCONCLUSIVE, cfg,
+                return (
+                    INCONCLUSIVE,
                     {"undecided_open": _label(basis, idx), "undecided_time": _first_bit(times)},
                     (f"the declared angle enclosure alpha({alpha.center} +- {alpha.halfwidth}) "
                      "is too wide to decide whether the images cover the circle",),
@@ -521,24 +492,24 @@ def _check_strongly_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
             if laws.table is not None:
                 all_img = laws.table.reach(U.ids)
                 if len(all_img) < space.point_count:
-                    return _refute_open(prop, cfg, basis, idx, (
+                    return _refute_open(basis, idx, (
                         f"union over every reachable prefix table only reaches "
                         f"{sorted(all_img)}; " + laws.table.describe()
                     ))
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
+            return (
+                INCONCLUSIVE,
                 {"uncovered_open": _label(basis, idx)},
                 ("no cover bound within the horizon",),
             )
         covers[str(idx)] = found
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
+    return (
+        WITNESSED,
         {"cover_bound_per_open": covers, "cover_bound": max(covers.values())},
         (_quantifier_note(r, H),),
     )
 
 
-def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_multi_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, prop.order * H)
     common = reduce(and_, masks.values())
     law = laws.exponent
@@ -555,7 +526,7 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
                 f"prefix exponent is 0 at every multiple of {m}, so slot {m} "
                 "never connects disjoint sets: " + law.describe()
             )
-            return _refute_pair(prop, cfg, basis, *pair, reason, order=m, slot=m)
+            return _refute_pair(basis, *pair, reason, order=m, slot=m)
         universal &= _slot(common, m, H)
         if universal:
             per_m[str(m)] = _first_bit(universal)
@@ -563,13 +534,13 @@ def _check_multi_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
         # multi-transitivity implies transitivity: a pair that slot 1 never
         # hits refutes both
         unhit = [pair for pair, mask in masks.items() if not mask & ((2 << H) - 2)]
-        return _refute_unhit(spec, laws, prop, cfg, basis, unhit) or Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
+        return _refute_unhit(spec, laws, r, basis, unhit) or (
+            INCONCLUSIVE,
             {"order": m, "note": "no universal common l within the horizon"},
             ("per-tuple search not exhausted; widen the horizon",),
         )
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
+    return (
+        WITNESSED,
         {"witness_l_per_order": per_m, "largest_witness_l": max(per_m.values())},
         (_quantifier_note(r, H), "witness l is simultaneously valid for every basis tuple"),
     )
@@ -591,33 +562,26 @@ def _universal_l(masks, m: int, H: int) -> int:
     return reduce(and_, (_slot(common, j, H) for j in range(1, m + 1)))
 
 
-def _check_syndetically_transitive(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_syndetically_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
     # a set that is empty, finite or sparse has unbounded gaps
-    refuted = _refute_unhit(spec, laws, prop, cfg, basis, masks, ht.GRADES[:3])
+    refuted = _refute_unhit(spec, laws, r, basis, masks, ht.GRADES[:3])
     unhit = next((pair for pair, mask in masks.items() if mask == 0), None)
     if refuted or unhit:
-        return refuted or Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
-            {"unhit_pair": "%d->%d" % unhit},
-            ("a pair never hit within the horizon",),
-        )
+        note = "a pair never hit within the horizon"
+        return refuted or (INCONCLUSIVE, {"unhit_pair": "%d->%d" % unhit}, (note,))
     # the gap statistics depend on the mask alone, and pairs share masks
     freq = {mask: ht._frequency(mask, H)[:2] for mask in set(masks.values())}
     gaps, eventuals = zip(*freq.values())
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
-        {
-            "max_gap": max(gaps),
-            "eventual_max_gap": max(eventuals),
-            "pairs_checked": len(masks),
-            "per_pair": {
-                f"{i}->{j}": {"max_gap": freq[mask][0], "eventual_max_gap": freq[mask][1]}
-                for (i, j), mask in islice(masks.items(), 16)
-            },
+    return WITNESSED, {
+        "max_gap": max(gaps),
+        "eventual_max_gap": max(eventuals),
+        "pairs_checked": len(masks),
+        "per_pair": {
+            f"{i}->{j}": {"max_gap": freq[mask][0], "eventual_max_gap": freq[mask][1]}
+            for (i, j), mask in islice(masks.items(), 16)
         },
-        (_quantifier_note(r, H), "gaps at the horizon edge are censored lower bounds"),
-    )
+    }, (_quantifier_note(r, H), "gaps at the horizon edge are censored lower bounds")
 
 
 def _representatives(space) -> list:
@@ -661,7 +625,7 @@ def _first_visits(spec, x, basis, classes: dict) -> dict:
     return hit_at
 
 
-def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_minimal(spec, prop, r, H, laws) -> tuple:
     space = spec.space
     basis = sp.enumerate_basis(space, r)
     reps = _representatives(space)
@@ -677,16 +641,13 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
             if tab.loop_size(x.index) < space.point_count:
                 orbit = {x.index} | tab.reach({x.index})
                 if len(orbit) < space.point_count:
-                    return Verdict(
-                        prop.render(), REFUTED, cfg,
-                        {
-                            "point": repr(x),
-                            "structural": (
-                                f"exact orbit {sorted(orbit)} over every prefix table misses "
-                                f"part of the space; " + tab.describe()
-                            ),
-                        },
-                    )
+                    return REFUTED, {
+                        "point": repr(x),
+                        "structural": (
+                            f"exact orbit {sorted(orbit)} over every prefix table misses "
+                            f"part of the space; " + tab.describe()
+                        ),
+                    }, ()
             per_rep[f"point-{idx}"] = "dense (exact)"
             continue
         hit_at = _first_visits(spec, x, basis, classes)
@@ -696,23 +657,13 @@ def _check_minimal(spec, prop, r, H, laws, cfg) -> Verdict:
         missed = next(i for i in range(len(basis)) if i not in hit_at)
         # a fixed point of every prefix has a one-point orbit, exactly
         fixed = _is_prefix_invariant(spec, laws, x)
+        evidence = {"point": repr(x), "missed_open": _label(basis, missed)}
         if fixed and not sp.contains(space, basis[missed], x):
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {
-                    "point": repr(x),
-                    "missed_open": _label(basis, missed),
-                    "structural": fixed,
-                },
-            )
-        return Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
-            {"point": repr(x), "missed_open": _label(basis, missed)},
-            ("orbit did not reach every basis element within the horizon",),
-        )
+            return REFUTED, {**evidence, "structural": fixed}, ()
+        return INCONCLUSIVE, evidence, ("orbit did not reach every basis element within the horizon",)
     caveat = () if exact else ("minimality checked on representative points only",)
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
+    return (
+        WITNESSED,
         {"per_representative": per_rep, "representatives": len(reps)},
         (_quantifier_note(r, H),) + caveat,
     )
@@ -729,7 +680,7 @@ def _is_prefix_invariant(spec, laws, x) -> str | None:
     return None
 
 
-def _check_feeble_open(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_feeble_open(spec, prop, r, H, laws) -> tuple:
     space = spec.space
     if isinstance(space, (sp.ShiftSpace, sp.CircleSpace)):
         detail = "shift powers and rotations are homeomorphisms"
@@ -737,64 +688,51 @@ def _check_feeble_open(spec, prop, r, H, laws, cfg) -> Verdict:
         detail = "finite spaces are discrete: nonempty images are open"
     else:
         detail = "componentwise: each factor map is feeble open"
-    return Verdict(prop.render(), WITNESSED, cfg, {"structural": detail})
+    return WITNESSED, {"structural": detail}, ()
 
 
-def _check_dense_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_dense_periodic(spec, prop, r, H, laws) -> tuple:
     space = spec.space
     basis = sp.enumerate_basis(space, r)
     law = laws.exponent
     if law is not None:
         for k in (2, 3, 4):
             if law.zero_on_residue(k, 0):
-                return Verdict(
-                    prop.render(), WITNESSED, cfg,
-                    {
-                        "period": k,
-                        "structural": (
-                            f"the prefix exponent vanishes on every multiple of {k}, "
-                            f"so every point is {k}-periodic; any interior point "
-                            "witnesses each basis element: " + law.describe()
-                        ),
-                    },
-                )
+                return WITNESSED, {
+                    "period": k,
+                    "structural": (
+                        f"the prefix exponent vanishes on every multiple of {k}, "
+                        f"so every point is {k}-periodic; any interior point "
+                        "witnesses each basis element: " + law.describe()
+                    ),
+                }, ()
     if isinstance(space, sp.ShiftSpace):
         # every basis word has length k = 2r + 1, so one certificate serves
         # every open: the periodic extension of its word is k-periodic
         if not _certify_periodicity(law):
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
+            return (
+                INCONCLUSIVE,
                 {"open_without_witness": _label(basis, 0)},
                 ("no periodic witness certified inside this basis element",),
             )
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {
-                "period_per_open": dict.fromkeys(map(str, range(len(basis))), 2 * r + 1),
-                "structural": (
-                    "the periodic extension of each basis word is fixed by every prefix "
-                    "whose net exponent is a multiple of the word length: "
-                    + (law.describe() if law else "")
-                ),
-            },
-            (_quantifier_note(r, H),),
-        )
+        return WITNESSED, {
+            "period_per_open": dict.fromkeys(map(str, range(len(basis))), 2 * r + 1),
+            "structural": (
+                "the periodic extension of each basis word is fixed by every prefix "
+                "whose net exponent is a multiple of the word length: "
+                + (law.describe() if law else "")
+            ),
+        }, (_quantifier_note(r, H),)
     if isinstance(space, sp.FiniteSpace) and laws.table is not None:
         tab = laws.table
         witnesses = {}
         for idx, U in enumerate(basis):
             k_found = _finite_period(tab, min(U.ids))
             if k_found is None:
-                return Verdict(
-                    prop.render(), INCONCLUSIVE, cfg,
-                    {"open_without_witness": _label(basis, idx)},
-                )
+                return INCONCLUSIVE, {"open_without_witness": _label(basis, idx)}, ()
             witnesses[str(idx)] = k_found
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {"period_per_open": witnesses, "structural": "exact table-law periodicity"},
-        )
-    return Verdict(prop.render(), INCONCLUSIVE, cfg, {}, ("no periodicity argument available",))
+        return WITNESSED, {"period_per_open": witnesses, "structural": "exact table-law periodicity"}, ()
+    return INCONCLUSIVE, {}, ("no periodicity argument available",)
 
 
 def _certify_periodicity(law) -> bool:
@@ -830,7 +768,7 @@ def _finite_period(tab: mp.TableLaw, x: int) -> int | None:
     return min(((start // g + 1) * g for g in divisors if on_loop(g)), default=None)
 
 
-def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_almost_periodic(spec, prop, r, H, laws) -> tuple:
     x = prop.point if prop.point is not None else _representatives(spec.space)[0]
     space = spec.space
     images = [(mp.apply(m, x), times) for m, times in ht.prefix_classes(spec, H).items()]
@@ -844,17 +782,9 @@ def _check_almost_periodic(spec, prop, r, H, laws, cfg) -> Verdict:
             except sp.EnclosureUndecided:
                 pass  # an undecided return test counts as no return at n
         if not returns:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
-                {"epsilon": str(eps)},
-                ("no return times within the horizon",),
-            )
+            return INCONCLUSIVE, {"epsilon": str(eps)}, ("no return times within the horizon",)
         out[str(eps)] = {"max_gap": ht._frequency(returns, H)[0], "returns": returns.bit_count()}
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
-        {"per_epsilon": out},
-        ("finite-horizon return-gap evidence only",),
-    )
+    return WITNESSED, {"per_epsilon": out}, ("finite-horizon return-gap evidence only",)
 
 
 _SENSITIVE_NOTES = {
@@ -864,7 +794,7 @@ _SENSITIVE_NOTES = {
 }
 
 
-def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_sensitive(spec, prop, r, H, laws) -> tuple:
     """Sensitive, syndetically, thickly and multi-sensitive: every basis
     open must separate past delta.  The opens share one separation mask and
     one diameter (see _sep_masks), so B0 decides for the whole basis: the
@@ -873,31 +803,27 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
     delta = Fraction(prop.delta)
     multi = prop.name == "multi-sensitive"
     if delta >= sp.space_diameter(spec.space):
-        return Verdict(
-            prop.render(), REFUTED, cfg,
+        return (
+            REFUTED,
             {"structural": f"delta {delta} is at least the space diameter"},
             () if multi else ("trivial refutation: no pair can ever separate that far",),
         )
     basis, mask = _sep_masks(spec, r, H, delta)
     grade, detail = ht.separation_reason(spec, laws, basis[0], delta) or (None, "")
     if grade == "never":
-        return _refute_open(prop, cfg, basis, 0, detail)
+        return _refute_open(basis, 0, detail)
     if mask == 0:
-        return Verdict(
-            prop.render(), INCONCLUSIVE, cfg,
+        return (
+            INCONCLUSIVE,
             {"silent_open": _label(basis, 0)},
             () if multi else ("no separation witnessed within the horizon",),
         )
     if multi:
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {
-                "common_separation_time": _first_bit(mask),
-                "orders_checked": prop.order,
-                "note": "one time separates every basis open past delta",
-            },
-            (_quantifier_note(r, H),),
-        )
+        return WITNESSED, {
+            "common_separation_time": _first_bit(mask),
+            "orders_checked": prop.order,
+            "note": "one time separates every basis open past delta",
+        }, (_quantifier_note(r, H),)
     if prop.name == "sensitive":
         entry = {"first": _first_bit(mask)}
     elif prop.name == "syndetically-sensitive":
@@ -905,50 +831,37 @@ def _check_sensitive(spec, prop, r, H, laws, cfg) -> Verdict:
         entry = {"max_gap": max_gap, "eventual_max_gap": eventual}
     else:
         if grade == "excluded-residue":
-            return _refute_open(prop, cfg, basis, 0, (
+            return _refute_open(basis, 0, (
                 "separation times avoid a whole residue class, so runs never "
                 "reach length 2: " + detail
             ))
         longest_run = ht._frequency(mask, H)[2]
         if longest_run < prop.run_length:
-            return Verdict(
-                prop.render(), INCONCLUSIVE, cfg,
+            return (
+                INCONCLUSIVE,
                 {"open": _label(basis, 0), "longest_run": longest_run},
                 (f"no run of length {prop.run_length} within the horizon",),
             )
         entry = {"longest_run": longest_run}
-    return Verdict(
-        prop.render(), WITNESSED, cfg,
-        {
-            "per_open": dict.fromkeys(map(str, range(len(basis))), entry),
-            "note": _SENSITIVE_NOTES[prop.name].format(prop.run_length),
-        },
-        (_quantifier_note(r, H),),
-    )
+    return WITNESSED, {
+        "per_open": dict.fromkeys(map(str, range(len(basis))), entry),
+        "note": _SENSITIVE_NOTES[prop.name].format(prop.run_length),
+    }, (_quantifier_note(r, H),)
 
 
-def _check_surjective(spec, prop, r, H, laws, cfg) -> Verdict:
+def _check_surjective(spec, prop, r, H, laws) -> tuple:
     if mp.spec_is_surjective_structurally(spec):
-        return Verdict(
-            prop.render(), WITNESSED, cfg,
-            {"structural": "every rule term is surjective (shift powers, rotations, bijective tables)"},
-        )
+        detail = "every rule term is surjective (shift powers, rotations, bijective tables)"
+        return WITNESSED, {"structural": detail}, ()
     for i in range(1, H + 1):
         m = mp.step_normal(spec, i)
         if isinstance(m, mp.FiniteFnTerm) and not m.surjective:
-            return Verdict(
-                prop.render(), REFUTED, cfg,
-                {"index": i, "table": list(m.table)},
-            )
+            return REFUTED, {"index": i, "table": list(m.table)}, ()
         if isinstance(m, mp.ProductMap) and any(
             isinstance(p, mp.FiniteFnTerm) and not p.surjective for p in m.parts
         ):
-            return Verdict(prop.render(), REFUTED, cfg, {"index": i})
-    return Verdict(
-        prop.render(), INCONCLUSIVE, cfg,
-        {},
-        ("all step maps surjective up to the horizon, but no structural argument",),
-    )
+            return REFUTED, {"index": i}, ()
+    return INCONCLUSIVE, {}, ("all step maps surjective up to the horizon, but no structural argument",)
 
 
 _DELTA = Param("delta", integer=False)

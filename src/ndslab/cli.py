@@ -209,22 +209,24 @@ def cmd_check(args) -> int:
             else f"{args.file}:{diag.render()}"
             for diag in exc.diagnostics
         )) from None
+    if args.system is not None and args.system not in doc.names:
+        raise _InputError(f"ndslab: no system named {args.system!r} in {args.file}")
     if args.property:
-        if not (args.system or doc.names):
+        if not doc.names:
             raise _InputError(f"ndslab: {args.file} defines no system to check")
         name = args.system or doc.names[0]
-        if name not in doc.names:
-            raise _InputError(f"ndslab: no system named {name!r} in {args.file}")
         try:
             requests = [(name, ndsl.read_property(rendered), args.horizon, args.basis)
                         for rendered in args.property]
         except ValueError as exc:
             raise _InputError(f"ndslab: {exc}") from None
-    elif doc.checks:
+    else:  # the file's directives, those on --system alone when it is given
         requests = [(chk.system, chk.prop, args.horizon if chk.horizon is None else chk.horizon,
-                     args.basis if chk.basis is None else chk.basis) for chk in doc.checks]
-    else:
-        raise _InputError(f"ndslab: {args.file} has no check directives and no --property given")
+                     args.basis if chk.basis is None else chk.basis)
+                    for chk in doc.checks if chk.system == (args.system or chk.system)]
+        if not requests:
+            on = f" on {args.system!r}" if args.system else ""
+            raise _InputError(f"ndslab: {args.file} has no check directives{on} and no --property given")
     problem = _size_problem(args, doc, requests)
     if problem:
         raise _InputError(f"ndslab: {problem}")

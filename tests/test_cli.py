@@ -140,6 +140,27 @@ class TestCheckCommand:
         ])
         assert code == 3 and "no system named" in err
 
+    TWO_SYSTEMS = (
+        "space shift(2);\nsystem A { else: sigma^1; }\nsystem B { else: sigma^1; }\n"
+        "check A transitive horizon 16 basis 1;\n"
+    )
+
+    @pytest.mark.parametrize("name", ["Nope", ""])
+    def test_unknown_system_exits_three_when_directives_run(self, ndsl_file, capsys, name):
+        path = ndsl_file(self.TWO_SYSTEMS)
+        code, out, err = run(capsys, ["check", path, "--system", name])
+        assert (code, out) == (3, "")
+        assert err == f"ndslab: no system named {name!r} in {path}\n"
+
+    def test_system_flag_runs_the_directives_on_that_system(self, ndsl_file, capsys):
+        both = ndsl_file(self.TWO_SYSTEMS + "check B mixing horizon 16 basis 1;\n", "both.ndsl")
+        code, out, _ = run(capsys, ["check", both, "--system", "B", "--format", "json"])
+        assert [(c["system"], c["property"]) for c in json.loads(out)["checks"]] == [("B", "mixing")]
+        path = ndsl_file(self.TWO_SYSTEMS)
+        code, out, err = run(capsys, ["check", path, "--system", "B"])
+        assert (code, out) == (3, "")
+        assert err == f"ndslab: {path} has no check directives on 'B' and no --property given\n"
+
     def test_document_without_a_system_exits_three(self, ndsl_file, capsys):
         path = ndsl_file("space shift(2);\n")
         code, out, err = run(capsys, ["check", path, "--property", "transitive"])

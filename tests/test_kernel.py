@@ -991,24 +991,39 @@ STEP_FOLDS = {
 PREFIX_WALKS = {"prefix_tables", "recheck_verdict", "_all_pairs_meet"}
 
 
-def readers_of(name: str) -> set:
-    """The functions of the package (or "<file> (module level)") whose body
-    names `name`, as a call or a reference."""
-    readers = set()
+def owned_nodes():
+    """(owner, node) for every AST node of the package: owner is the
+    innermost function around the node, or "<file> (module level)"."""
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Attribute) and node.attr == name or (
-            isinstance(node, ast.Name) and node.id == name
-        ):
-            readers.add(owner)
+        yield owner, node
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            yield from visit(child, owner)
 
     for path in sorted(Path(mp.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), f"{path.name} (module level)")
-    return readers
+        yield from visit(ast.parse(path.read_text()), f"{path.name} (module level)")
+
+
+def names(node, name: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == name or (
+        isinstance(node, ast.Name) and node.id == name
+    )
+
+
+def readers_of(name: str) -> set:
+    """The functions of the package (or "<file> (module level)") whose body
+    names `name`, as a call or a reference."""
+    return {owner for owner, node in owned_nodes() if names(node, name)}
+
+
+def callers_of(name: str) -> set:
+    """The functions of the package (or "<file> (module level)") whose body
+    calls `name`."""
+    return {
+        owner for owner, node in owned_nodes() if isinstance(node, ast.Call) and names(node.func, name)
+    }
 
 
 def test_only_the_oracles_and_per_step_questions_read_step_maps():
@@ -1022,6 +1037,19 @@ def test_only_the_named_walks_compose_prefix_maps():
     one prefix-exponent array; a function that calls prefix_compose or folds
     step_tables is one of the named walks."""
     assert readers_of("prefix_compose") | readers_of("step_tables") == PREFIX_WALKS
+
+
+def test_only_check_property_makes_a_verdict():
+    """A checker returns (status, evidence, caveats) and takes no
+    configuration; check_property adds the property's rendering and the
+    configuration in the one Verdict call.  A checker that defers to another
+    passes its own property, and builds none."""
+    assert callers_of("Verdict") == {"check_property"}
+    assert not {owner for owner in callers_of("PropertyKind") if owner.startswith("_check_")}
+    checkers = [node for _, node in owned_nodes() if isinstance(node, ast.FunctionDef)
+                and node.name.startswith(("_check_", "_refute_"))]
+    assert checkers
+    assert not [node.name for node in checkers if "cfg" in (arg.arg for arg in node.args.args)]
 
 
 def test_only_the_named_kernels_walk_prefix_groups():

@@ -151,8 +151,12 @@ def _key(system, prop) -> str:
     return f"{system} {prop.render()}"
 
 
-def _verdict_digest(source, system, basis, horizon, prop) -> str:
-    v = ck.check_property(ndsl.parse(source).system(system), prop, basis, horizon)
+def _verdict(source, system, basis, horizon, prop) -> ck.Verdict:
+    return ck.check_property(ndsl.parse(source).system(system), prop, basis, horizon)
+
+
+def _verdict_digest(v: ck.Verdict) -> str:
+    """The digest of what the checker found: status, evidence and caveats."""
     return _digest([v.status, v.evidence, list(v.caveats)])
 
 
@@ -177,7 +181,7 @@ def _consistency_digest(system, name, order, basis, horizon, members) -> str:
 
 def _digests() -> dict:
     out = {
-        _key(system, prop): _verdict_digest(source, system, basis, horizon, prop)
+        _key(system, prop): _verdict_digest(_verdict(source, system, basis, horizon, prop))
         for system, source, basis, horizon, prop in _cases()
     }
     for case in CONSISTENCY:
@@ -675,7 +679,11 @@ PINNED = {
     ids=[_key(c[0], c[4]) for c in _cases()],
 )
 def test_verdict_digest_is_pinned(system, source, basis, horizon, prop):
-    assert _verdict_digest(source, system, basis, horizon, prop) == PINNED[_key(system, prop)]
+    v = _verdict(source, system, basis, horizon, prop)
+    assert _verdict_digest(v) == PINNED[_key(system, prop)]
+    # the digest leaves out the two fields check_property adds to what the checker found
+    assert v.property == prop.render()
+    assert v.config == {"basis": basis, "horizon": horizon, "law_horizon": ck.DEFAULT_LAW_HORIZON}
 
 
 @pytest.mark.parametrize("case", CONSISTENCY, ids=[" ".join(map(str, c)) for c in CONSISTENCY])
