@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product as iter_product, repeat
-from operator import attrgetter, eq, itemgetter
+from itertools import chain, islice, product as iter_product, repeat
+from operator import attrgetter, eq
 
 from . import hitting as ht
 from . import maps as mp
@@ -105,6 +105,9 @@ def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int) -> lis
 
 # a construction of L levels builds 2^L witnesses
 MAX_ITINERARY_LEVELS = 16
+# the witnesses are planted, and checked, this many rows of the product order
+# at a time, so neither holds a buffer of all 2^L windows
+_CHUNK_ROWS = 1 << 8
 
 
 @record
@@ -141,6 +144,12 @@ def lemma21_construct(
     disjoint and clear of each other."""
     if not isinstance(spec.space, sp.ShiftSpace):
         raise sp.SpaceMismatch("the itinerary construction runs on shift systems")
+    size = spec.space.alphabet_size
+    for name, point in (("a", a), ("b", b)):
+        bad = next((s for s in chain(point.window, point.left, point.right) if not 0 <= s < size), None)
+        if bad is not None:
+            raise ValueError(f"reference point {name} has the symbol {bad}, "
+                             f"which is not in the alphabet 0..{size - 1}")
     if a == b:
         raise ValueError("the two reference points must differ")
     if levels < 0:
@@ -180,50 +189,70 @@ def lemma21_construct(
         shifts.append(e)
         starts.insert(j, lo)
         ends.insert(j, hi)
-    lo, hi = starts[0], ends[-1]
-    # a level's two targets share the window [-w, w], so each plants as one
-    # slice at its prefix exponent and replaces the other.  In product order
-    # witness k differs from witness k - 1 in its last z + 1 levels, z the
-    # trailing zeros of k, so one cell buffer is rewritten there and copied
-    # once per witness: 2^(L+1) - 2 slice writes.
-    # The buffer is a bytearray frozen to bytes, one byte a cell, unless a
-    # symbol of a or b past 255 needs a list frozen to tuples
+    lo, width = starts[0], ends[-1] - starts[0] + 1
+    # one byte a cell, unless a symbol of a or b past 255 needs a list of
+    # cells frozen to tuples
     words = [(A.word, B.word) for A, B in level_sets]
     try:
         words = [(bytes(u), bytes(v)) for u, v in words]
     except ValueError:
-        cells, freeze = [0] * (hi - lo + 1), tuple
+        row, freeze = [0] * width, tuple
     else:
-        cells, freeze = bytearray(hi - lo + 1), bytes
-    cells[base.start - lo : base.end - lo] = words[0][0]
-    spans = [slice(A.start + e - lo, A.end + e - lo) for (A, _B), e in zip(level_sets, shifts)]
-    for span, (word, _) in zip(spans, words):
-        cells[span] = word
-    witnesses, zero = {}, (0,)
+        row, freeze = bytearray(width), bytes
+    row[base.start - lo : base.end - lo] = words[0][0]
+    # a level's two targets share the window [-w, w], so either word covers
+    # the same cells: its span starts at the level's prefix exponent
+    spans = [A.start + e - lo for (A, _B), e in zip(level_sets, shifts)]
+    rows = min(_CHUNK_ROWS, 1 << levels)
+    cuts = list(map(slice, range(0, rows * width, width), range(width, rows * width + 1, width)))
     labels = map("".join, iter_product("AB", repeat=levels))
-    for k, label in enumerate(labels):
-        for i in range(levels - (k & -k).bit_length(), levels):
-            cells[spans[i]] = words[i][k >> (levels - 1 - i) & 1]
-        witnesses[label] = sp.BiWord(lo, freeze(cells), zero, zero)
+    witnesses, zero = {}, (0,)
+    for first in range(0, 1 << levels, rows):
+        chunk = freeze(_plant_chunk(row, rows, first, spans, words))
+        points = map(sp.BiWord, repeat(lo), map(chunk.__getitem__, cuts), repeat(zero), repeat(zero))
+        witnesses.update(zip(islice(labels, rows), points))
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
+
+
+def _plant_chunk(row, rows, first, spans, words):
+    """Witnesses first .. first + rows - 1 of the product order as one buffer
+    of `rows` rows, `rows` a power of two dividing `first`: `row` repeated,
+    then each cell of level i's span (at `spans[i]` in the row) written for
+    the whole chunk as one strided slice.  In product order that cell's
+    column holds the A and the B word's symbol in blocks of 2^(L-1-i)."""
+    width, levels = len(row), len(spans)
+    chunk = row * rows
+    for i, (start, (u, v)) in enumerate(zip(spans, words)):
+        block = 1 << (levels - 1 - i)
+        for c in range(len(u)):
+            if block < rows:
+                column = (u[c : c + 1] * block + v[c : c + 1] * block) * (rows // (2 * block))
+            else:  # the chunk lies inside one block
+                column = (u, v)[first // block & 1][c : c + 1] * rows
+            chunk[start + c :: width] = column
+    return chunk
 
 
 def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     """Independent check: compose the step maps up to each p_i, one segment
     (p_(i-1), p_i] after another, pull both level-i targets back through
     that map once, and test every witness against the pulled-back cylinders
-    at every level.  It never reads prefix exponents or laws, and never
-    moves a point.
+    at every level.  It never reads prefix exponents or laws, never moves a
+    point, and calls nothing the construction plants with: each expected
+    column comes from the product order and the pulled-back cylinders alone,
+    never from the construction's spans or words.
 
     When the labels are exactly the A/B words of the levels' length in
     product order and the witnesses share one window of one type (all tuples
     or all bytes), a level is tested for all of them at once: where its two
     pulled-back words span one stretch inside that window, membership is
-    equality of the stretch's slice with the label's word converted to the
-    windows' type, and in product order those words are the A word and the
-    B word in alternating blocks of 2^(L-1-i).
+    equality of the stretch with the label's word converted to the windows'
+    type, and in product order a cell of the stretch reads the A word's and
+    the B word's symbol in alternating blocks of 2^(L-1-i) down the
+    witnesses.  The windows are joined a chunk of rows at a time and each
+    cell is compared as one strided slice of that buffer.
     A word with a symbol no byte holds matches no bytes window.  Every other
     witness dict and level goes through `spaces.contains`."""
     space = spec.space
@@ -246,6 +275,11 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     kind = type(windows[0])
     shared = (set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
               and set(map(type, windows)) == {kind})
+    rows = min(_CHUNK_ROWS, len(points))
+    # (cell of the window, level block, column of a chunk whose rows read A
+    # at that level, column of one whose rows read B) of each level cell read
+    # by slices: a chunk covers whole blocks, or lies inside one block
+    cells = []
     for i, level in enumerate(pulled):
         a, b = level["A"], level["B"]
         if shared and (a.start, a.end) == (b.start, b.end) and lo <= a.start and a.end <= lo + width:
@@ -254,11 +288,22 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
             except ValueError:  # a symbol no byte holds, so no bytes window has it
                 return False
             block = 1 << (levels - 1 - i)
-            expected = ([a_word] * block + [b_word] * block) * (1 << i)
-            cut = itemgetter(slice(a.start - lo, a.end - lo))
-            held = all(map(eq, map(cut, windows), expected))
-        else:
-            held = all(sp.contains(space, level[label[i]], x) for label, x in witnesses.items())
-        if not held:
+            for c in range(len(a_word)):
+                a_col, b_col = a_word[c : c + 1], b_word[c : c + 1]
+                if block < rows:
+                    a_col = b_col = (a_col * block + b_col * block) * (rows // block // 2)
+                else:
+                    a_col, b_col = a_col * rows, b_col * rows
+                cells.append((a.start - lo + c, block, a_col, b_col))
+        elif not all(sp.contains(space, level[label[i]], x) for label, x in witnesses.items()):
             return False
+    if not cells:  # nothing read by slices, and windows of two types do not join
+        return True
+    join = b"".join if kind is bytes else lambda part: tuple(chain.from_iterable(part))
+    for first in range(0, len(points), rows):
+        buf = join(windows[first : first + rows])
+        for cell, block, a_col, b_col in cells:
+            # `first & block` is set only for a chunk that lies inside a B block
+            if buf[cell::width] != (b_col if first & block else a_col):
+                return False
     return True

@@ -25,7 +25,6 @@ from math import prod
 
 from . import __version__
 from . import checkers as ck
-from . import corpus as corpus_mod
 from . import maps as mp
 from . import ndsl
 from . import spaces as sp
@@ -381,8 +380,10 @@ def _lead_entries(spec) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus  # only this command runs the corpus
+
     t0 = time.perf_counter()
-    reports = corpus_mod.run_corpus(args.filter)
+    reports = corpus.run_corpus(args.filter)
     ms = (time.perf_counter() - t0) * 1000
     if args.filter and not reports:
         _write(sys.stderr, [f"ndslab: no scenario matches {args.filter!r}"])

@@ -287,6 +287,27 @@ class TestItineraryConstruction:
         with pytest.raises(ValueError, match="levels must be at least 0"):
             lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), -1, 64)
 
+    @pytest.mark.parametrize("symbol", [7, 2, -1])
+    @pytest.mark.parametrize("point", [
+        lambda s: BiWord.constant(s),
+        lambda s: BiWord(-1, (0, s, 1), (1,), (0,)),
+        lambda s: BiWord(0, (1, 0), (0, s), (1,)),
+        lambda s: BiWord(0, (1,), (0,), (1, 1, s)),
+    ], ids=["constant", "window", "left", "right"])
+    def test_a_symbol_outside_the_alphabet_is_refused_before_any_work(self, monkeypatch, symbol, point):
+        def refuse(spec, upto):
+            raise AssertionError("the time search started")
+
+        monkeypatch.setattr(maps, "prefix_exponents", refuse)
+        spec = parse("space shift(2); system S { else: sigma^1; }").system("S")
+        bad = point(symbol)
+        for a, b, name in ((all_zeros(), bad, "b"), (bad, all_ones(), "a")):
+            with pytest.raises(ValueError, match=f"reference point {name} has the symbol {symbol},"):
+                lemma21_construct(spec, a, b, 2, 64)
+        # refused even where the two points are equal
+        with pytest.raises(ValueError, match=f"the symbol {symbol},"):
+            lemma21_construct(spec, bad, bad, 2, 64)
+
 
 WIDE_SHIFT = ShiftSpace(300)
 
@@ -409,6 +430,20 @@ class TestProductOrderCheck:
             assert chaos._verify_itineraries(spec, res.times, res.levels, res.witnesses)
         assert not calls
 
+    @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_the_check_calls_nothing_the_construction_plants_with(self, spec, levels):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+
+        def refuse(*args):
+            raise AssertionError("the check called a helper of the construction")
+
+        with pytest.MonkeyPatch.context() as mp_:
+            for owner, name in ((chaos, "_plant_chunk"), (chaos, "_target_cylinder"),
+                                (maps, "prefix_exponents"), (maps, "prefix_compose")):
+                mp_.setattr(owner, name, refuse)
+            assert chaos._verify_itineraries(spec, res.times, res.levels, res.witnesses)
+
     @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 5), st.data())
     @settings(max_examples=30, deadline=None)
     def test_another_order_goes_through_contains(self, spec, levels, data):
@@ -445,6 +480,96 @@ class TestProductOrderCheck:
             witnesses[other] = res.witnesses[gone]
         assert chaos._verify_itineraries(spec, res.times, res.levels, witnesses) \
             == folded_verdict(spec, res, witnesses)
+
+
+def level_cells(spec, res):
+    """The cells of each level's targets at its prefix exponent, read off
+    `prefix_compose`: the only cells of a witness the check reads."""
+    return [range(A.start + e, A.end + e)
+            for (A, _B), e in ((pair, prefix_compose(spec, p).exponent)
+                               for pair, p in zip(res.levels, res.times))]
+
+
+def flipped(x, cell):
+    """x with one window cell flipped, its window of the same type."""
+    window = list(x.window)
+    window[cell - x.window_start] ^= 1
+    return BiWord(x.window_start, type(x.window)(window), x.left, x.right)
+
+
+class TestColumnCheck:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", ITINERARY_SYSTEMS)
+    def test_every_level_cell_is_read_and_no_other(self, spec, levels):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 512)
+        read = set().union(*level_cells(spec, res))
+        outside = 0
+        with pytest.MonkeyPatch.context() as mp_:
+            calls = counting_contains(mp_)
+            for label, x in res.witnesses.items():
+                assert read <= set(range(x.window_start, x.window_end))
+                for cell in range(x.window_start, x.window_end):
+                    witnesses = {**res.witnesses, label: flipped(x, cell)}
+                    held = chaos._verify_itineraries(spec, res.times, res.levels, witnesses)
+                    assert held == (cell not in read), (label, cell)
+                    outside += held
+        assert not calls
+        # the base block, at least, lies outside every level's cells
+        assert outside
+
+    def test_a_flip_in_the_first_and_in_the_last_chunk_is_refused(self):
+        levels = chaos._CHUNK_ROWS.bit_length()  # two chunks of rows
+        res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), levels, 4096)
+        assert isinstance(res, ItineraryConstruction) and len(res.witnesses) == 2 * chaos._CHUNK_ROWS
+        labels, cells = list(res.witnesses), level_cells(CONST_SIGMA, res)
+        with pytest.MonkeyPatch.context() as mp_:
+            calls = counting_contains(mp_)
+            # level 0's block is the whole chunk, the last level's a single row
+            for label in (labels[0], labels[chaos._CHUNK_ROWS - 1], labels[chaos._CHUNK_ROWS], labels[-1]):
+                for i in (0, 1, levels - 1):
+                    for cell in (cells[i][0], cells[i][-1]):
+                        witnesses = {**res.witnesses, label: flipped(res.witnesses[label], cell)}
+                        assert not chaos._verify_itineraries(CONST_SIGMA, res.times, res.levels, witnesses)
+        assert not calls
+
+    @pytest.mark.parametrize("spec, levels", [(spec, 4) for spec in ITINERARY_SYSTEMS]
+                             + [(CONST_SIGMA, chaos._CHUNK_ROWS.bit_length())])
+    def test_a_level_with_its_a_and_b_blocks_swapped_is_refused(self, spec, levels):
+        res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 4096)
+        points = list(res.witnesses.values())
+        for i in range(levels):
+            block = 1 << (levels - 1 - i)
+            swapped = {label: points[k ^ block] for k, label in enumerate(res.witnesses)}
+            if levels <= 4:
+                assert not folded_verdict(spec, res, swapped)
+            with pytest.MonkeyPatch.context() as mp_:
+                calls = counting_contains(mp_)
+                assert not chaos._verify_itineraries(spec, res.times, res.levels, swapped)
+            assert not calls
+
+    def test_no_levels_and_a_single_witness_keep_their_answers(self):
+        assert chaos._verify_itineraries(CONST_SIGMA, (), (), {})
+        assert chaos._verify_itineraries(CONST_SIGMA, (), (), {"": all_ones()})
+        assert chaos._verify_itineraries(CONST_SIGMA, (), (), {"": BiWord(-3, b"\x01\x00", (0,), (1,))})
+        res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), 1, 64)
+        x_a, x_b = res.witnesses["A"], res.witnesses["B"]
+        for witnesses, held in (({"A": x_a}, True), ({"B": x_b}, True), ({"A": x_b}, False),
+                                ({"B": x_a}, False), ({"A": x_a, "B": x_b}, True)):
+            assert chaos._verify_itineraries(CONST_SIGMA, res.times, res.levels, witnesses) == held
+            assert folded_verdict(CONST_SIGMA, res, witnesses) == held
+
+    @pytest.mark.parametrize("spec", ITINERARY_SYSTEMS)
+    def test_a_wrong_plant_is_caught(self, spec, monkeypatch):
+        """The construction with its last level's A and B words exchanged
+        plants witnesses its own check refuses."""
+        plant = chaos._plant_chunk
+
+        def crossed(row, rows, first, spans, words):
+            return plant(row, rows, first, spans, words[:-1] + [words[-1][::-1]])
+
+        monkeypatch.setattr(chaos, "_plant_chunk", crossed)
+        res = lemma21_construct(spec, all_zeros(), all_ones(), 3, 512)
+        assert res == ItineraryFailure(3, "stepwise verification failed")
 
 
 class TestLiYorkeScan:

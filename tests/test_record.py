@@ -251,6 +251,16 @@ class TestImportGuard:
                 "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
         assert _run("-S", "-c", code) == "[]"
 
+    def test_the_command_line_loads_no_chaos_convergence_or_corpus(self):
+        code = ("import sys; import ndslab.cli; "
+                "print(sorted({'ndslab.chaos', 'ndslab.convergence', 'ndslab.corpus'} & set(sys.modules)))")
+        assert _run("-c", code) == "[]"
+
+    def test_chaos_convergence_and_corpus_load_on_first_access(self):
+        code = ("import ndslab; print(ndslab.chaos.__name__, ndslab.convergence.__name__, "
+                "ndslab.corpus.run_corpus.__module__, hasattr(ndslab, 'no_such_module'))")
+        assert _run("-c", code) == "ndslab.chaos ndslab.convergence ndslab.corpus False"
+
     def test_import_compiles_one_init_per_record_shape(self):
         """Count the sources compiled from strings while ndslab.cli is
         imported, after every standard library module it imports is loaded,
