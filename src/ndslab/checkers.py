@@ -139,9 +139,10 @@ def system_laws(spec: mp.SystemSpec, law_horizon: int) -> mp.SystemLaws:
 
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
-    """(basis, masks): masks[(i, j)] is the bitmask of N(B_i, B_j) within
-    [1, horizon] (bit n for member n), in (i, j) order, from hitting.pair_masks
-    without its undecided times, kept for the checks of a scoped_caches block."""
+    """(basis, masks): masks[i * len(basis) + j] is the bitmask of N(B_i, B_j)
+    within [1, horizon] (bit n for member n), the row-major list of
+    hitting.pair_masks without its undecided times, kept for the checks of a
+    scoped_caches block.  A verdict names index k as the pair divmod(k, len(basis))."""
     key = (spec, resolution, horizon)
     if key not in _MASK_CACHE:
         basis = sp.enumerate_basis(spec.space, resolution)
@@ -254,11 +255,22 @@ def _subset_search(masks, m: int, k: int = 1) -> tuple:
     return None, worst
 
 
-def _witness_entries(basis, masks) -> dict:
-    """The first member of every hit pair, keyed "i->j" in pair order; pairs
-    share masks, so each distinct mask's first bit is read once."""
-    first = {mask: _first_bit(mask) for mask in set(masks.values())}
-    return {f"{i}->{j}": first[mask] for (i, j), mask in masks.items() if mask}
+def _pair_labels(n: int):
+    """The labels "i->j" of the pairs of n basis opens, in row-major order,
+    lazily: each row puts its "i->" before the one column of "j"s."""
+    column = [*map(str, range(n))]
+    return chain.from_iterable(map(f"{i}->".__add__, column) for i in range(n))
+
+
+def _pair_table(n: int, masks, value: dict) -> dict:
+    """{"i->j": value[mask]} over masks, the row-major pair masks of n basis
+    opens; value holds one entry per distinct mask, since pairs share masks."""
+    return dict(zip(_pair_labels(n), map(value.__getitem__, masks)))
+
+
+def _witness_entries(n: int, masks) -> dict:
+    """The first member of every pair, which must be hit, keyed "i->j"."""
+    return _pair_table(n, masks, {mask: _first_bit(mask) for mask in set(masks)})
 
 
 def _quantifier_note(resolution: int, horizon: int) -> str:
@@ -294,14 +306,14 @@ def check_property(
 
 def _check_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
-    empty = [pair for pair, mask in masks.items() if mask == 0]
-    if not empty:
-        entries = _witness_entries(basis, masks)
+    if 0 not in masks:
+        entries = _witness_entries(len(basis), masks)
         return WITNESSED, {
             "witness_times": entries,
             "latest_first_hit": max(entries.values()),
             "pairs_checked": len(masks),
         }, (_quantifier_note(r, H),)
+    empty = [divmod(k, len(basis)) for k, mask in enumerate(masks) if not mask]
     return _refute_unhit(spec, laws, r, basis, empty) or (
         INCONCLUSIVE,
         {"unhit_pairs": [f"{i}->{j}" for i, j in empty[:8]], "unhit_count": len(empty)},
@@ -311,60 +323,60 @@ def _check_transitive(spec, prop, r, H, laws) -> tuple:
 
 def _check_weakly_mixing(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
-    items = list(masks.items())
-    unhit = [pair for pair, mask in items if mask == 0]
-    if unhit:
+    n = len(basis)
+    if 0 in masks:
+        unhit = [divmod(k, n) for k, mask in enumerate(masks) if not mask]
         return _refute_unhit(spec, laws, r, basis, unhit) or (
             INCONCLUSIVE,
             {"unhit_pair": "%d->%d" % unhit[0]},
             ("a single pair already fails transitivity at this horizon",),
         )
-    pair_masks = [mask for _, mask in items]
-    common = reduce(and_, pair_masks, -1)
+    common = reduce(and_, masks)
     if common:
         return WITNESSED, {
             "common_time_all_pairs": _first_bit(common),
-            "pairs_checked": len(items),
-            "per_pair_first_hit": _witness_entries(basis, masks),
+            "pairs_checked": len(masks),
+            "per_pair_first_hit": _witness_entries(n, masks),
         }, (_quantifier_note(r, H),)
     # no single universal time: every m-subset of pairs must share one (with
     # fewer than m pairs, the m-tuples repeat pairs: the largest is them all)
-    m = min(prop.order, len(items))
-    if comb(len(items), m) > 2_000_000:
+    m = min(prop.order, len(masks))
+    if comb(len(masks), m) > 2_000_000:
         return (
             INCONCLUSIVE,
             {"note": "tuple space too large without a universal common time"},
             ("lower the basis resolution or widen the horizon",),
         )
-    failing, worst = _subset_search(pair_masks, m)
+    failing, worst = _subset_search(masks, m)
     if failing:
         return (
             INCONCLUSIVE,
-            {"failing_tuple": [f"{items[idx][0]}" for idx in failing]},
+            {"failing_tuple": [str(divmod(idx, n)) for idx in failing]},
             ("no common time within the horizon; no structural refutation found",),
         )
     return WITNESSED, {
         "latest_common_time": worst[0],
-        "worst_tuple": [f"{items[idx][0]}" for idx in worst[1]],
+        "worst_tuple": [str(divmod(idx, n)) for idx in worst[1]],
         "tuples_checked": "all size-%d pair subsets" % m,
     }, (_quantifier_note(r, H),)
 
 
 def _check_mixing(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
+    n = len(basis)
     # the tail start depends on the mask alone, and pairs share masks
-    tail_of = {mask: ht._frequency(mask, H)[3] for mask in set(masks.values())}
-    tailless = [pair for pair, mask in masks.items() if tail_of[mask] is None]
+    tail_of = {mask: ht._tail_start(mask, H) for mask in set(masks)}
+    tailless = [divmod(k, n) for k, mask in enumerate(masks) if tail_of[mask] is None]
     # a law's claim on any pair refutes, whatever the tails seen within the
     # horizon: every pair is asked, the tail-less ones first
-    refuted = _refute_unhit(spec, laws, r, basis, chain(tailless, masks), ht.GRADES)
+    refuted = _refute_unhit(spec, laws, r, basis, chain(tailless, product(range(n), range(n))), ht.GRADES)
     if refuted or tailless:
         return refuted or (
             INCONCLUSIVE,
             {"pair_without_tail": "%d->%d" % tailless[0]},
             ("no cofinite tail within the horizon",),
         )
-    tails = {f"{i}->{j}": tail_of[mask] for (i, j), mask in masks.items()}
+    tails = _pair_table(n, masks, tail_of)
     return (
         WITNESSED,
         {"tail_start_per_pair": tails, "latest_tail_start": max(tails.values())},
@@ -393,13 +405,13 @@ def _check_totally_transitive(spec, prop, r, H, laws) -> tuple:
     # iterate s at time n is the base at time s*n, so its mask is the stride-s slice of the
     # base's (see _slot), read over max(1, H // s) times; no law is read for the iterate
     # (a shift or circle iterate has one), so an unhit pair leaves it inconclusive
-    _, masks = _pair_masks(spec, r, max(H, prop.order))
-    digits = {mask: bin(mask)[:1:-1] for mask in set(masks.values())}
+    basis, masks = _pair_masks(spec, r, max(H, prop.order))
+    digits = {mask: bin(mask)[:1:-1] for mask in set(masks)}
     for s in range(2, prop.order + 1):
         stop = s * max(1, H // s) + 1
         unhit = {mask for mask, bits in digits.items() if "1" not in bits[s:stop:s]}
         if unhit:
-            empty = [f"{i}->{j}" for (i, j), mask in masks.items() if mask in unhit]
+            empty = [label for label, mask in zip(_pair_labels(len(basis)), masks) if mask in unhit]
             inner = {"unhit_pairs": empty[:8], "unhit_count": len(empty)}
             return INCONCLUSIVE, {"iterate_order": s, "inner": inner}, ()
     statuses = dict.fromkeys(map(str, range(1, prop.order + 1)), WITNESSED)
@@ -511,7 +523,7 @@ def _check_strongly_transitive(spec, prop, r, H, laws) -> tuple:
 
 def _check_multi_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, prop.order * H)
-    common = reduce(and_, masks.values())
+    common = reduce(and_, masks)
     law = laws.exponent
     # distinct basis opens are disjoint
     pair = (0, 1) if law is not None and len(basis) > 1 else None
@@ -533,7 +545,7 @@ def _check_multi_transitive(spec, prop, r, H, laws) -> tuple:
             continue
         # multi-transitivity implies transitivity: a pair that slot 1 never
         # hits refutes both
-        unhit = [pair for pair, mask in masks.items() if not mask & ((2 << H) - 2)]
+        unhit = [divmod(k, len(basis)) for k, mask in enumerate(masks) if not mask & ((2 << H) - 2)]
         return _refute_unhit(spec, laws, r, basis, unhit) or (
             INCONCLUSIVE,
             {"order": m, "note": "no universal common l within the horizon"},
@@ -564,22 +576,22 @@ def _universal_l(masks, m: int, H: int) -> int:
 
 def _check_syndetically_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
+    n = len(basis)
     # a set that is empty, finite or sparse has unbounded gaps
-    refuted = _refute_unhit(spec, laws, r, basis, masks, ht.GRADES[:3])
-    unhit = next((pair for pair, mask in masks.items() if mask == 0), None)
-    if refuted or unhit:
+    refuted = _refute_unhit(spec, laws, r, basis, product(range(n), range(n)), ht.GRADES[:3])
+    if refuted or 0 in masks:
         note = "a pair never hit within the horizon"
-        return refuted or (INCONCLUSIVE, {"unhit_pair": "%d->%d" % unhit}, (note,))
+        return refuted or (INCONCLUSIVE, {"unhit_pair": "%d->%d" % divmod(masks.index(0), n)}, (note,))
     # the gap statistics depend on the mask alone, and pairs share masks
-    freq = {mask: ht._frequency(mask, H)[:2] for mask in set(masks.values())}
+    freq = {mask: ht._frequency(mask, H)[:2] for mask in set(masks)}
     gaps, eventuals = zip(*freq.values())
     return WITNESSED, {
         "max_gap": max(gaps),
         "eventual_max_gap": max(eventuals),
         "pairs_checked": len(masks),
         "per_pair": {
-            f"{i}->{j}": {"max_gap": freq[mask][0], "eventual_max_gap": freq[mask][1]}
-            for (i, j), mask in islice(masks.items(), 16)
+            label: {"max_gap": freq[mask][0], "eventual_max_gap": freq[mask][1]}
+            for label, mask in islice(zip(_pair_labels(n), masks), 16)
         },
     }, (_quantifier_note(r, H), "gaps at the horizon edge are censored lower bounds")
 
@@ -944,15 +956,15 @@ def hitting_infinity_consistency(
             f"precondition failed: property is {verdict.status} at this configuration",
         )
     if prop.name == "weakly-mixing":
-        _, masks = _pair_masks(spec, basis_resolution, horizon)
-        items = list(masks.items())
-        failing, worst = _subset_search([mask for _, mask in items], 2, members_required)
+        basis, masks = _pair_masks(spec, basis_resolution, horizon)
+        failing, worst = _subset_search(masks, 2, members_required)
         if failing:
             a, b = failing
-            count = (items[a][1] & items[b][1]).bit_count()
+            count = (masks[a] & masks[b]).bit_count()
+            n = len(basis)
             return ConsistencyReport(
                 False, members_required, None,
-                f"tuple ({items[a][0]}, {items[b][0]}) has only {count} common times",
+                f"tuple ({divmod(a, n)}, {divmod(b, n)}) has only {count} common times",
             )
         return ConsistencyReport(
             True, members_required, worst and worst[0],
@@ -960,7 +972,7 @@ def hitting_infinity_consistency(
         )
     if prop.name == "multi-transitive":
         _, masks = _pair_masks(spec, basis_resolution, prop.order * horizon)
-        universal = _universal_l(masks.values(), prop.order, horizon)
+        universal = _universal_l(masks, prop.order, horizon)
         count = universal.bit_count()
         if count < members_required:
             return ConsistencyReport(

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from functools import lru_cache
-from itertools import repeat
 from math import prod
 
 from . import __version__
@@ -153,12 +152,13 @@ def report_text(obj, depth: int = 0) -> str:
     for dict keys that are str.  That call runs the pure-Python encoder (the
     C encoder does not indent), so this frames each level itself and hands
     every container of scalars, such as a table of per-pair times, to the C
-    encoder whole."""
+    encoder whole; whether one holds a container is asked once per type of
+    its values."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _encoder(depth)(obj)
     values = obj.values() if isinstance(obj, dict) else obj
     inner = "\n" + "  " * (depth + 1)
-    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
         body = _encoder(depth + 1)(obj)[1:-1]
     elif isinstance(obj, dict):
         body = ("," + inner).join(

@@ -192,7 +192,7 @@ def _run_gap_bound(doc, exp):
     basis = sp.enumerate_basis(system.space, r)
 
     def max_gap(target):  # the largest gap of N(U, target) over U, None when one is empty
-        column = ht.pair_masks(system, basis, (target,), H)[0].values()
+        column = ht.pair_masks(system, basis, (target,), H)[0]
         return max(ht._frequency(hits, H)[0] for hits in column) if all(column) else None
 
     # fixed reference orbit (all-zeros is invariant) and a far point in the all-ones open

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, islice, product
+from itertools import chain, islice
 from operator import and_, or_
 
 from . import maps as mp
@@ -130,12 +130,15 @@ def _describe_open(A) -> str:
 
 
 def pair_masks(spec: mp.SystemSpec, opens, targets, horizon: int) -> tuple:
-    """(hits, undecided): hits[i, j] is the mask of N(opens[i], targets[j])
-    within [1, horizon] (bit n for time n), in (i, j) order; undecided
-    holds the nonzero masks of the times a declared angle cannot decide.
-    One walk of the prefix classes decides every pair, a class in one join
-    (_class_join).  Cylinders on disjoint windows always meet, so the shift
-    classes that move the opens' window clear of the targets' hit every pair."""
+    """(hits, undecided): hits[i * len(targets) + j] is the mask of
+    N(opens[i], targets[j]) within [1, horizon] (bit n for time n), a list
+    in row-major pair order; undecided maps the same index to the nonzero
+    mask of the times a declared angle cannot decide.  One walk of the
+    prefix classes decides every pair, a class in one join (_class_join),
+    which ORs the class's times into the cells it meets: a pair each, or an
+    offset each on the circle grid, spread to the pairs once at the end.
+    Cylinders on disjoint windows always meet, so the shift classes that
+    move the opens' window clear of the targets' hit every pair."""
     space = spec.space
     if isinstance(space, sp.ProductSpace):
         return _product_masks(spec, opens, targets, horizon)
@@ -145,43 +148,47 @@ def pair_masks(spec: mp.SystemSpec, opens, targets, horizon: int) -> tuple:
         start, end = min(V.start for V in targets), max(V.end for V in targets)
         for e in [e for e in groups if lo - e >= end or hi - e <= start]:
             clear |= groups.pop(e)
-    hits, undecided = dict.fromkeys(product(range(len(opens)), range(len(targets))), clear), {}
-    join = _class_join(space, opens, targets)
+    join, spread = _class_join(space, opens, targets)
+    cells = len(opens) * len(targets) if spread is None else len(opens)  # the grid's cells: r offsets
+    hits, undecided = [clear] * cells, {}
     for key, times in groups.items():
         met, unknown = join(key_map(space, key))
-        for pair in met:
-            hits[pair] |= times
-        for pair in unknown:
-            undecided[pair] = undecided.get(pair, 0) | times
-    return hits, undecided
+        for cell in met:
+            hits[cell] |= times
+        for cell in unknown:
+            undecided[cell] = undecided.get(cell, 0) | times
+    if spread is None:
+        return hits, undecided
+    return [hits[d] for d in spread], {k: undecided[d] for k, d in enumerate(spread) if d in undecided}
 
 
-def _class_join(space: sp.SpaceDesc, opens, targets):
-    """m -> (met, unknown), the pairs (i, j) where m(opens[i]) meets
-    targets[j] and where a declared angle cannot decide.  Finite image
-    points are looked up among the targets holding them.  Cylinders on one
-    window each meet where their words agree on the overlap of the image
-    window with the targets' (not empty once pair_masks has popped the
-    clear classes).  On the basis arcs rot^c(B_i) meets B_j by the offset
-    (i - j) mod r alone: closed-form on the builtin angle, one meet per
-    offset on a declared one.  Other opens are tested pair by pair."""
+def _class_join(space: sp.SpaceDesc, opens, targets) -> tuple:
+    """(join, spread): join(m) is (met, unknown), the cells where m(opens[i])
+    meets targets[j] and where a declared angle cannot decide, and spread
+    maps each pair index to its cell, or is None when the cells are the pair
+    indices.  Finite image points are looked up among the targets holding
+    them.  Cylinders on one window each meet where their words agree on the
+    overlap of the image window with the targets' (not empty once
+    pair_masks has popped the clear classes).  On the basis arcs rot^c(B_i)
+    meets B_j by the offset (i - j) mod r alone, so the cells are the r
+    offsets: closed-form on the builtin angle, one meet per offset on a
+    declared one.  Other opens are tested pair by pair."""
     if isinstance(space, sp.FiniteSpace):
         holders = {}
         for j, V in enumerate(targets):
             for p in V.ids:
                 holders.setdefault(p, []).append(j)
-        points = [(i, p - 1) for i, U in enumerate(opens) for p in U.ids]  # (open, table index)
+        points = [(i * len(targets), p - 1) for i, U in enumerate(opens) for p in U.ids]  # (row, table index)
         # a pair met at several image points is listed once for each
-        return lambda m: ([(i, j) for i, p in points for j in holders.get(m.table[p], ())], ())
+        return lambda m: ([row + j for row, p in points for j in holders.get(m.table[p], ())], ()), None
     if isinstance(space, sp.ShiftSpace) and all(
         len({(A.start, A.end) for A in side}) == 1 for side in (opens, targets)
     ):
-        return partial(_overlap_join, opens, targets)
-    if isinstance(space, sp.CircleSpace) and len(opens) > 1 and (
-        [*opens] == [*targets] == sp.enumerate_basis(space, len(opens))
-    ):
-        return partial(_offset_join, space, opens)
-    return partial(_tested_join, space, opens, targets)
+        return partial(_overlap_join, opens, targets), None
+    r = len(opens)
+    if isinstance(space, sp.CircleSpace) and r > 1 and [*opens] == [*targets] == sp.enumerate_basis(space, r):
+        return partial(_offset_join, space, opens), [(i - j) % r for i in range(r) for j in range(r)]
+    return partial(_tested_join, space, opens, targets), None
 
 
 def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
@@ -191,16 +198,15 @@ def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
     groups = {}
     for j, V in enumerate(targets):
         groups.setdefault(V.word[other], []).append(j)
-    return [(i, j) for i, U in enumerate(opens) for j in groups.get(U.word[own], ())], ()
+    width = len(targets)
+    return [i * width + j for i, U in enumerate(opens) for j in groups.get(U.word[own], ())], ()
 
 
 def _offset_join(space: sp.CircleSpace, basis, m: mp.RotPowTerm) -> tuple:
-    r = len(basis)
+    """The offsets d where rot^c(B_d) meets B_0, and where it is undecided."""
     if space.alpha.kind == "sqrt2m1":
-        found = [(d, 0) for d in _circle_offsets(m.coefficient, r)], ()
-    else:
-        found = _tested_join(space, basis, basis[:1], m)
-    return tuple([(i, (i - d) % r) for d, _ in pairs for i in range(r)] for pairs in found)
+        return _circle_offsets(m.coefficient, len(basis)), ()
+    return _tested_join(space, basis, basis[:1], m)
 
 
 def _circle_offsets(c: int, r: int) -> list:
@@ -219,8 +225,8 @@ def _circle_offsets(c: int, r: int) -> list:
 
 def _tested_join(space: sp.SpaceDesc, opens, targets, m: mp.NormalMap) -> tuple:
     images = [mp.image(m, U) for U in opens]
-    meets = {(i, j): _meets(space, A, V) for i, A in enumerate(images) for j, V in enumerate(targets)}
-    return [pair for pair, met in meets.items() if met], [pair for pair, met in meets.items() if met is None]
+    meets = [_meets(space, A, V) for A in images for V in targets]
+    return [k for k, met in enumerate(meets) if met], [k for k, met in enumerate(meets) if met is None]
 
 
 def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
@@ -236,20 +242,20 @@ def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
         side_of = [sides.setdefault(U.parts[k], len(sides)) for U in opens]
         end_of = [ends.setdefault(V.parts[k], len(ends)) for V in targets]
         hits, undecided = pair_masks(part, [*sides], [*ends], horizon)
-        spread = [[hits[a, b] for b in end_of] for a in range(len(sides))]
-        parts.append((side_of, end_of, spread, hits, undecided))
-    rows = (reduce(partial(map, and_), (spread[side_of[i]] for side_of, _, spread, *_ in parts))
+        spread = [[hits[a * len(ends) + b] for b in end_of] for a in range(len(sides))]
+        parts.append((side_of, end_of, len(ends), spread, undecided))
+    rows = (reduce(partial(map, and_), (spread[side_of[i]] for side_of, _, _, spread, _ in parts))
             for i in range(len(opens)))
-    hits = dict(zip(product(range(len(opens)), range(len(targets))), chain.from_iterable(rows)))
-    undecided = {}
+    hits, undecided = [*chain.from_iterable(rows)], {}
     if any(part_undecided for *_, part_undecided in parts):
-        for i, j in hits:
+        for k in range(len(hits)):
+            i, j = divmod(k, len(targets))
             alive, unknown = (1 << horizon + 1) - 2, 0
-            for side_of, end_of, _, part_hits, part_undecided in parts:
-                unknown |= alive & part_undecided.get((side_of[i], end_of[j]), 0)
-                alive &= part_hits[side_of[i], end_of[j]]
+            for side_of, end_of, width, spread, part_undecided in parts:
+                unknown |= alive & part_undecided.get(side_of[i] * width + end_of[j], 0)
+                alive &= spread[side_of[i]][j]
             if unknown:
-                undecided[i, j] = unknown
+                undecided[k] = unknown
     return hits, undecided
 
 
@@ -257,8 +263,9 @@ def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:
     """N(U, V) restricted to [1, horizon]: times n with f_1^n(U) meeting V."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    hits, undecided = (masks.get((0, 0), 0) for masks in pair_masks(spec, (U,), (V,), horizon))
-    return HittingSet("hitting", spec, horizon, _mask_members(hits), _mask_members(undecided), u=U, v=V)
+    hits, undecided = pair_masks(spec, (U,), (V,), horizon)
+    members, inconclusive = _mask_members(hits[0]), _mask_members(undecided.get(0, 0))
+    return HittingSet("hitting", spec, horizon, members, inconclusive, u=U, v=V)
 
 
 def separation_mask(spec: mp.SystemSpec, U, delta: Fraction, horizon: int) -> int:
@@ -314,8 +321,15 @@ def _frequency(mask: int, H: int) -> tuple:
     late = bits[(H + 1) // 2 - 1:].strip("0")
     eventual = max(map(len, late.split("1"))) + 1 if late.count("1") > 1 else 0
     longest_run = max(map(len, bits.split("0")))
-    head = len(bits.rstrip("1"))  # [head + 1, H] is the longest all-member tail
-    return max_gap, eventual, longest_run, head + 1 if head < H else None
+    return max_gap, eventual, longest_run, _tail_start(mask, H)
+
+
+def _tail_start(mask: int, H: int) -> int | None:
+    """The least t with every n in [t, H] a member of `mask` (bit n for
+    member n), None when H is not one: one past the highest time in [1, H]
+    that is not a member, that is, the highest set bit of ~mask there."""
+    t = (~mask & ((2 << H) - 2)).bit_length() or 1
+    return t if t <= H else None
 
 
 def classify_frequency(hs: HittingSet, laws: mp.SystemLaws | None = None) -> FrequencyEvidence:

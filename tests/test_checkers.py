@@ -9,6 +9,7 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from pairs import by_pair
 
 from ndslab import checkers as ck
 from ndslab import corpus
@@ -486,6 +487,18 @@ class TestConsistency:
             CONST_SIGMA, ck.PropertyKind("weakly-mixing", order=2), 1, 128, 10)
         assert rep.ok
 
+    def test_a_short_tuple_is_named_by_its_pairs(self):
+        """The detail names each pair of the first failing tuple as its
+        (i, j) tuple prints."""
+        rep = ck.hitting_infinity_consistency(
+            CONST_SIGMA, ck.PropertyKind("weakly-mixing", order=2), 1, 128, 200)
+        basis, masks = ck._pair_masks(CONST_SIGMA, 1, 128)
+        pairs = by_pair(masks, len(basis))
+        keys, values = list(pairs), list(pairs.values())
+        (a, b), _ = plain_subset_search(values, 2, 200)
+        count = (values[a] & values[b]).bit_count()
+        assert not rep.ok and rep.detail == f"tuple ({keys[a]}, {keys[b]}) has only {count} common times"
+
     def test_precondition_failure_reported(self):
         two_id = mp.NdsSpec(sp.FiniteSpace(2), (), mp.IDENTITY)
         rep = ck.hitting_infinity_consistency(
@@ -507,6 +520,11 @@ def plain_subset_search(masks, m, k=1):
     return None, worst
 
 
+def test_pair_labels_are_the_pairs_in_row_major_order():
+    for n in range(1, 71):
+        assert list(ck._pair_labels(n)) == [f"{i}->{j}" for i in range(n) for j in range(n)]
+
+
 class TestSubsetSearch:
     @given(st.lists(st.integers(0, 2**24 - 1), min_size=1, max_size=5), st.data(),
            st.integers(1, 3), st.integers(1, 4))
@@ -518,7 +536,7 @@ class TestSubsetSearch:
 
     def test_constant_shift_pair_masks(self):
         _, masks = ck._pair_masks(CONST_SIGMA, 1, 128)
-        pair_masks = list(masks.values())
+        pair_masks = list(masks)
         assert len(set(pair_masks)) < len(pair_masks)
         for k in (1, 10, 200):
             assert ck._subset_search(pair_masks, 2, k) == plain_subset_search(pair_masks, 2, k)
@@ -613,7 +631,7 @@ def test_derived_products_get_verdicts_that_recheck(name):
     v = ck.check_property(spec, ck.PropertyKind("transitive"), 1, 16)
     assert ck.recheck_verdict(spec, v)
     basis, masks = ck._pair_masks(spec, 1, 16)
-    for (i, j), mask in sorted(masks.items())[::17]:  # 241 of the 4096 pairs
+    for (i, j), mask in sorted(by_pair(masks, len(basis)).items())[::17]:  # 241 of the 4096 pairs
         hits = sum(
             1 << n for n in range(1, 17)
             if sp.intersects(spec.space, mp.image(mp.prefix_compose(spec, n), basis[i]), basis[j])
@@ -683,7 +701,7 @@ class TestGroupedReasons:
         basis, masks = ck._pair_masks(spec, r, H)
         walk = (
             (i, j, ht.pair_reason(spec, laws, basis[i], basis[j], i != j, ("never",)))
-            for (i, j), mask in sorted(masks.items()) if mask == 0
+            for (i, j), mask in sorted(by_pair(masks, len(basis)).items()) if mask == 0
         )
         first = next(((i, j, reason) for i, j, reason in walk if reason), None)
         if first is None:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
 from fractions import Fraction
 
 import jsonschema
@@ -1014,6 +1015,10 @@ JSON_VALUES = st.recursive(
 )
 
 
+class Row(list):
+    """A list subclass, which both encoders write as a list."""
+
+
 class TestReportText:
     @given(JSON_VALUES)
     @settings(max_examples=150, deadline=None)
@@ -1026,3 +1031,15 @@ class TestReportText:
         assert cli.report_text(report) == json.dumps(report, sort_keys=True, indent=2, default=str)
         assert '\n        "witness_times": {\n          "0->0": 1,\n          "0->1": 2\n' in (
             cli.report_text(report))
+
+    @pytest.mark.parametrize("value", [
+        {"witness_times": {f"{i}->{j}": i * 64 + j for i in range(64) for j in range(64)}},
+        {"outer": {"empty": {}, "none": [], "rows": [[1, [2, {}]], (), [[]]]}, "last": {"a": {}}},
+        {"pair": (1, 2), "pairs": [(1, 2), (3, (4,))], "row": (Fraction(1, 3), None)},
+        {"ordered": OrderedDict([("b", 1), ("a", 2)]), "listed": Row([1, 2, Row([3])])},
+        [OrderedDict(), Row(), OrderedDict(a=OrderedDict(b=1)), Row([OrderedDict(c=2)])],
+    ], ids=["4096-entry-table", "nested-and-empty", "tuples", "subclasses", "subclasses-in-a-list"])
+    def test_report_shapes_match_the_indented_encoder(self, value):
+        """A container holds containers exactly when one of its value types
+        is a subclass of dict, list or tuple."""
+        assert cli.report_text(value) == json.dumps(value, sort_keys=True, indent=2, default=str)

@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from pairs import by_pair
 
 from ndslab import hitting as ht
 from ndslab.hitting import (
@@ -117,9 +118,36 @@ class TestHittingSet:
         W = Cylinder(-3, (0,) * 7)
         for spec in (ex36(), CONST_SIGMA):
             hits, undecided = ht.pair_masks(spec, basis, (W,), 100)
-            assert list(hits) == [(i, 0) for i in range(len(basis))] and not undecided
-            for U, mask in zip(basis, hits.values()):
+            assert list(by_pair(hits, len(basis), 1)) == [(i, 0) for i in range(len(basis))] and not undecided
+            for U, mask in zip(basis, hits):
                 assert ht._mask_members(mask) == brute_force_hitting(spec, U, W, 100)
+
+
+def tail_start_from_bits(mask: int, H: int):
+    """The tail start read off the bit string of `mask`, one character per
+    time: one past the last time that is not a member."""
+    bits = format(mask >> 1, f"0{H}b")[::-1]
+    head = len(bits.rstrip("1"))
+    return head + 1 if head < H else None
+
+
+masks_within = st.integers(1, 200).flatmap(lambda H: st.tuples(st.just(H), st.one_of(
+    st.sampled_from([0, (2 << H) - 2, 1 << H]),  # empty, full, H alone
+    st.integers(0, (1 << H) - 1).map(lambda m: m << 1),
+    # any members, then every time from t to H
+    st.tuples(st.integers(0, (1 << H) - 1), st.integers(1, H)).map(
+        lambda mt: mt[0] << 1 | (2 << H) - (1 << mt[1])),
+)))
+
+
+@given(masks_within)
+@example((1, 0))
+@example((1, 2))
+@settings(max_examples=300, deadline=None)
+def test_tail_start_reads_what_the_bit_string_does(case):
+    H, mask = case
+    assert ht._tail_start(mask, H) == tail_start_from_bits(mask, H)
+    assert ht._frequency(mask, H)[3] == ht._tail_start(mask, H)
 
 
 def class_walk(spec, U, V, H) -> tuple:

@@ -16,6 +16,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from pairs import by_pair
 
 from ndslab import chaos
 from ndslab import checkers as ck
@@ -165,7 +166,7 @@ class TestPairMasks:
         spec, r, H = case
         basis, masks = ck._pair_masks(spec, r, H)
         assert len(masks) == len(basis) ** 2
-        for (i, j), mask in masks.items():
+        for (i, j), mask in by_pair(masks, len(basis)).items():
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], H)), (i, j)
 
     @pytest.mark.parametrize("r", [1, 2])
@@ -182,9 +183,9 @@ class TestPairMasks:
         assert [mp.prefix_compose(spec, n).exponent for n in (1, 2, 3)] == [
             sign * w, sign * 4 * r, sign * 2 * r]
         basis, masks = ck._pair_masks(spec, r, 3)
-        assert all(mask & 0b110 == 0b110 for mask in masks.values())
-        assert not all(mask & 0b1000 for mask in masks.values())
-        for (i, j), mask in masks.items():
+        assert all(mask & 0b110 == 0b110 for mask in masks)
+        assert not all(mask & 0b1000 for mask in masks)
+        for (i, j), mask in by_pair(masks, len(basis)).items():
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 3))
 
     def test_undecided_circle_indices_are_dropped(self):
@@ -193,7 +194,7 @@ class TestPairMasks:
         basis, masks = ck._pair_masks(spec, 2, 8)
         undecided = ht.hitting_set(spec, basis[0], basis[0], 8).inconclusive
         assert undecided  # the oracle below really meets undecided times
-        for (i, j), mask in masks.items():
+        for (i, j), mask in by_pair(masks, len(basis)).items():
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 8))
             assert not mask & bits(ht.hitting_set(spec, basis[i], basis[j], 8).inconclusive)
 
@@ -221,8 +222,8 @@ def meets_pairs(space, m, opens, targets=None) -> set:
 def class_pairs(spec, opens, targets, n=1) -> tuple:
     """(met, undecided): the sets of pairs pair_masks reports at time n."""
     hits, undecided = ht.pair_masks(spec, opens, targets, n)
-    return ({pair for pair, mask in hits.items() if mask >> n & 1},
-            {pair for pair, mask in undecided.items() if mask >> n & 1})
+    return tuple({pair for pair, mask in by_pair(masks, len(opens), len(targets)).items() if mask >> n & 1}
+                 for masks in (hits, undecided))
 
 
 class TestClassPairs:
@@ -340,6 +341,7 @@ class TestDerivedProductMasks:
         spec = mp.tail(product, k) if shape == "tail" else mp.iterate(product, k)
         basis, masks = ck._pair_masks(spec, r, H)
         assert len(masks) == len(basis) ** 2
+        masks = by_pair(masks, len(basis))
         # every third row: its images folded once, then tested on every column
         for i in range(0, len(basis), 3):
             images = list(folded_images(spec, basis[i], H))
@@ -360,8 +362,9 @@ class TestDerivedProductMasks:
 def masks_by_rectangle(spec, r, H) -> dict:
     """A product's pair masks one rectangle pair at a time: the AND of the
     component masks at each pair of sides, in (i, j) order."""
-    parts = [ck._pair_masks(p, r, H) for p in spec.parts]
-    index = list(product(*(range(len(part_basis)) for part_basis, _ in parts)))
+    parts = [(len(part_basis), by_pair(part, len(part_basis)))
+             for part_basis, part in (ck._pair_masks(p, r, H) for p in spec.parts)]
+    index = list(product(*(range(size) for size, _ in parts)))
     return {
         (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))
         for i, u in enumerate(index)
@@ -381,8 +384,8 @@ def test_product_rows_match_the_per_rectangle_and(kinds, r, data, shape, k, H):
     the same (i, j) order, for products, their tails and their iterates."""
     parts = data.draw(product_parts(kinds))
     spec = {"product": parts, "tail": mp.tail(parts, k), "iterate": mp.iterate(parts, k)}[shape]
-    _, masks = ck._pair_masks(spec, r, H)
-    oracle = masks_by_rectangle(spec, r, H)
+    basis, masks = ck._pair_masks(spec, r, H)
+    masks, oracle = by_pair(masks, len(basis)), masks_by_rectangle(spec, r, H)
     assert list(masks) == list(oracle) and masks == oracle
 
 
@@ -784,12 +787,48 @@ class TestHittingSets:
         spec, H = case
         us, vs = data.draw(open_lists(spec.space)), data.draw(open_lists(spec.space))
         hits, undecided = ht.pair_masks(spec, us, vs, H)
-        assert list(hits) == list(product(range(len(us)), range(len(vs))))
+        assert len(hits) == len(us) * len(vs) and set(undecided) <= set(range(len(hits)))
         assert all(undecided.values())
+        hits, undecided = (by_pair(masks, len(us), len(vs)) for masks in (hits, undecided))
+        assert list(hits) == list(product(range(len(us)), range(len(vs))))
         for (i, j), mask in hits.items():
             reference = reference_set("hitting", spec, us[i], H, V=vs[j])
             assert mask == bits(reference.members) == bits(ht.brute_force_hitting(spec, us[i], vs[j], H))
             assert undecided.get((i, j), 0) == bits(reference.inconclusive), (i, j)
+
+    @given(st.data(), system_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_a_basis_against_one_target_matches_the_per_time_reference(self, data, case):
+        """The corpus gap bound's shape: the basis against one target, a
+        column of one mask per open."""
+        spec, r, H = case
+        basis = sp.enumerate_basis(spec.space, r)
+        target = data.draw(st.one_of(opens(spec.space, r), open_sets(spec.space)))
+        hits, undecided = ht.pair_masks(spec, basis, (target,), H)
+        assert len(hits) == len(basis) and set(undecided) <= set(range(len(basis)))
+        undecided = by_pair(undecided, len(basis), 1)
+        for (i, _), mask in by_pair(hits, len(basis), 1).items():
+            reference = reference_set("hitting", spec, basis[i], H, V=target)
+            assert mask == bits(reference.members)
+            assert undecided.get((i, 0), 0) == bits(reference.inconclusive), i
+
+    @pytest.mark.parametrize("alpha", CUSTOM_ALPHAS, ids=lambda a: str(a.center))
+    def test_a_declared_angle_part_folds_its_undecided_times_by_index(self, alpha):
+        """A product's undecided times come from its declared-angle part,
+        folded pair index by pair index in part order."""
+        circle = mp.NdsSpec(sp.CircleSpace(alpha), (), mp.RotPowTerm(1))
+        finite = mp.NdsSpec(sp.FiniteSpace(2), (mp.Rule(mp.EqualsPattern(3), mp.FiniteFnTerm((1, 1))),),
+                            mp.FiniteFnTerm((2, 1)))
+        H = 12
+        for spec in (mp.ProductSpec((circle, finite)), mp.ProductSpec((finite, circle))):
+            basis = sp.enumerate_basis(spec.space, 2)
+            hits, undecided = ht.pair_masks(spec, basis, basis, H)
+            assert undecided  # the fold really meets undecided times
+            undecided = by_pair(undecided, len(basis))
+            for (i, j), mask in by_pair(hits, len(basis)).items():
+                reference = reference_set("hitting", spec, basis[i], H, V=basis[j])
+                assert mask == bits(reference.members), (i, j)
+                assert undecided.get((i, j), 0) == bits(reference.inconclusive), (i, j)
 
     def test_one_class_per_time_matches_the_fold(self):
         """Example 3.6 moves to a new exponent at every odd time, so nearly
@@ -927,10 +966,10 @@ class TestOrbitQuestions:
     def test_slots_of_the_pair_masks_match_the_per_bit_walk(self, case, m):
         spec, r, H = case
         _, masks = ck._pair_masks(spec, r, m * H)
-        common = reduce(and_, masks.values())
+        common = reduce(and_, masks)
         for j in range(1, m + 1):
             assert ck._slot(common, j, H) == slot_walk(common, j, H)
-        assert ck._universal_l(masks.values(), m, H) == universal_walk(masks.values(), m, H)
+        assert ck._universal_l(masks, m, H) == universal_walk(masks, m, H)
 
     @given(st.lists(st.integers(0, 2**200), min_size=1, max_size=4), st.integers(1, 6),
            st.integers(1, 40))
