@@ -84,13 +84,14 @@ class NdslDocument:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<pm>\+-)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*)
-  | (?P<sym>[{}();:,^/=\-])
+    \s*(?:\#[^\n]*\s*)*  # the whitespace and comments before the token
+    (?:
+        (?P<int>\d+)
+      | (?P<ident>[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*)
+      | (?P<sym>->|\+-|[{}();:,^/=\-])
+      | (?P<bad>.)  # an unexpected character
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
@@ -100,35 +101,27 @@ _TOKEN_RE = re.compile(
 class Token:
     kind: str  # "int" | "ident" | literal symbol | "eof"
     text: str
-    line: int
-    column: int
+    at: int  # offset in the text
 
 
 def _lex(text: str):
-    tokens, diags = [], []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(Diagnostic("lexical", line, col, f"unexpected character {text[pos]!r}"))
-            pos += 1
-            col += 1
-            continue
+    """The tokens, ending in one "eof" token, and the offset of each
+    unexpected character.  Every match skips to one token and reads it, so
+    the first attempt at each position succeeds and nothing backtracks; the
+    end-of-text alternative ends the scan, so no search resumes inside a
+    trailing comment."""
+    tokens, bad = [], []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            # a symbol, -> or +- is its own kind
-            tokens.append(Token(kind if kind in ("int", "ident") else chunk, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens, diags
+        if kind is None:
+            tokens.append(Token("eof", "", m.end()))
+            return tokens, bad
+        at = m.start(kind)
+        if kind == "bad":
+            bad.append(at)
+        else:  # a symbol, -> or +- is its own kind
+            chunk = m.group(kind)
+            tokens.append(Token(chunk if kind == "sym" else kind, chunk, at))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +143,10 @@ def _power_exceeds(base: int, exp: int, bits: int) -> bool:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens, lex_diags = _lex(text)
-        self.diags = list(lex_diags)
+        self.text = text
+        self.tokens, bad = _lex(text)
+        self.diags = [self.diagnostic("lexical", at, f"unexpected character {text[at]!r}")
+                      for at in bad]
         self.pos = 0
         self.space: sp.SpaceDesc | None = None
         self.space_declared = False
@@ -168,9 +163,14 @@ class _Parser:
             self.pos += 1
         return t
 
+    def diagnostic(self, kind: str, at: int, message: str, expected=()) -> Diagnostic:
+        """The diagnostic at offset `at`, the one place a line and column are
+        counted."""
+        line = self.text.count("\n", 0, at) + 1
+        return Diagnostic(kind, line, at - self.text.rfind("\n", 0, at), message, tuple(expected))
+
     def error(self, message: str, expected=(), kind="syntax", at: Token | None = None):
-        t = at or self.peek()
-        self.diags.append(Diagnostic(kind, t.line, t.column, message, tuple(expected)))
+        self.diags.append(self.diagnostic(kind, (at or self.peek()).at, message, expected))
         raise _Recover()
 
     def expect(self, kind: str, what: str) -> Token:
@@ -179,11 +179,13 @@ class _Parser:
             self.error(f"found {t.text!r} while parsing {what}", expected=(kind,))
         return self.advance()
 
-    def expect_word(self, word: str) -> Token:
+    def choose(self, *words, also=()) -> str:
+        """The next word, consumed, when it is one of `words`; otherwise a
+        syntax error expecting `words` and `also`."""
         t = self.peek()
-        if t.kind != "ident" or t.text != word:
-            self.error(f"found {t.text!r}", expected=(word,))
-        return self.advance()
+        if t.kind != "ident" or t.text not in words:
+            self.error(f"found {t.text!r}", expected=(*words, *also))
+        return self.advance().text
 
     def take_int(self, what: str) -> int:
         t = self.peek()
@@ -202,7 +204,7 @@ class _Parser:
             except _Recover:
                 self.skip_to_sync()
         if self.space is None and not self.diags:
-            self.diags.append(Diagnostic("semantic", 1, 1, "document declares no space"))
+            self.diags.append(self.diagnostic("semantic", 0, "document declares no space"))
         if self.diags:
             raise NdslParseError(self.diags)
         return NdslDocument(self.space, tuple(self.systems), tuple(self.checks))
@@ -227,22 +229,12 @@ class _Parser:
         t = self.peek()
         if self.space is None and self.space_declared and t.text in ("system", "check"):
             raise _Recover()  # the failed space declaration is the one diagnostic
-        if t.kind == "ident" and t.text == "space":
-            self.space_decl()
-        elif t.kind == "ident" and t.text == "system":
-            self.system_def()
-        elif t.kind == "ident" and t.text == "check":
-            self.check_decl()
-        else:
-            self.error(f"found {t.text!r}", expected=("space", "system", "check"))
+        word = self.choose("space", "system", "check")
+        {"space": self.space_decl, "system": self.system_def, "check": self.check_decl}[word]()
 
     def space_decl(self):
-        self.expect_word("space")
         self.space_declared = True
-        t = self.peek()
-        if t.kind != "ident" or t.text not in ("shift", "finite", "circle"):
-            self.error(f"found {t.text!r}", expected=("shift", "finite", "circle"))
-        kind = self.advance().text
+        kind = self.choose("shift", "finite", "circle")
         self.expect("(", "space declaration")
         if kind in ("shift", "finite"):
             size = self.peek()
@@ -260,22 +252,17 @@ class _Parser:
         self.space = space
 
     def alpha_expr(self) -> sp.AlphaEnclosure:
-        t = self.peek()
-        if t.kind == "ident" and t.text == "sqrt2m1":
-            self.advance()
+        if self.choose("sqrt2m1", "alpha") == "sqrt2m1":
             return sp.AlphaEnclosure.sqrt2_minus_1()
-        if t.kind == "ident" and t.text == "alpha":
-            self.advance()
-            self.expect("(", "alpha enclosure")
-            center = self.fraction("enclosure center")
-            self.expect("+-", "alpha enclosure")
-            halfwidth = self.fraction("enclosure halfwidth")
-            self.expect(")", "alpha enclosure")
-            try:
-                return sp.AlphaEnclosure.custom(center, halfwidth)
-            except ValueError as exc:
-                self.error(str(exc), kind="semantic")
-        self.error(f"found {t.text!r}", expected=("sqrt2m1", "alpha"))
+        self.expect("(", "alpha enclosure")
+        center = self.fraction("enclosure center")
+        self.expect("+-", "alpha enclosure")
+        halfwidth = self.fraction("enclosure halfwidth")
+        self.expect(")", "alpha enclosure")
+        try:
+            return sp.AlphaEnclosure.custom(center, halfwidth)
+        except ValueError as exc:
+            self.error(str(exc), kind="semantic")
 
     def fraction(self, what: str) -> Fraction:
         num = self.take_int(what)
@@ -294,15 +281,12 @@ class _Parser:
         return Fraction(num, den)
 
     def system_def(self):
-        self.expect_word("system")
         name_tok = self.expect("ident", "system name")
         name = name_tok.text
         if name in KEYWORDS:
             self.error(f"{name!r} is a keyword", kind="semantic")
         if any(n == name for n, _ in self.systems):
-            self.diags.append(
-                Diagnostic("semantic", name_tok.line, name_tok.column, f"duplicate system name {name!r}")
-            )
+            self.diags.append(self.diagnostic("semantic", name_tok.at, f"duplicate system name {name!r}"))
         t = self.peek()
         if t.kind == "=":
             self.advance()
@@ -315,10 +299,7 @@ class _Parser:
         self.systems.append((name, spec))
 
     def derived_expr(self) -> mp.SystemSpec:
-        t = self.peek()
-        if t.kind != "ident" or t.text not in ("tail", "iterate", "product"):
-            self.error(f"found {t.text!r}", expected=("tail", "iterate", "product"))
-        kind = self.advance().text
+        kind = self.choose("tail", "iterate", "product")
         self.expect("(", "derived system")
         refs = [self.system_ref()]
         if kind == "product":
@@ -353,25 +334,19 @@ class _Parser:
             if self.peek().kind == "eof":
                 self.error("unterminated system body", expected=("}",))
             t = self.peek()
-            if t.kind == "ident" and t.text == "at":
-                self.advance()
+            if self.choose("at", "else", also=("}",)) == "at":
                 pattern, bound = self.pattern()
                 self.expect(":", "rule")
                 term = self.map_expr(bound)
                 self.expect(";", "rule")
                 rules.append(mp.Rule(pattern, term))
-            elif t.kind == "ident" and t.text == "else":
-                self.advance()
+            else:
                 self.expect(":", "rule")
                 term = self.map_expr(None)
                 self.expect(";", "rule")
                 if default is not None:
-                    self.diags.append(
-                        Diagnostic("semantic", t.line, t.column, "duplicate else rule")
-                    )
+                    self.diags.append(self.diagnostic("semantic", t.at, "duplicate else rule"))
                 default = term
-            else:
-                self.error(f"found {t.text!r}", expected=("at", "else", "}"))
         self.advance()  # closing brace
         rules.sort(key=lambda r: (r.pattern.first_match(), repr(r.pattern)))
         try:
@@ -388,11 +363,8 @@ class _Parser:
             if index < 1:
                 self.error("index pattern needs index >= 1", kind="semantic", at=t)
             return mp.EqualsPattern(index), None
-        if t.kind != "ident":
-            self.error(f"found {t.text!r}", expected=("ap", "pow", "odd", "even", "index"))
-        word = t.text
+        word = self.choose("ap", "pow", "odd", "even", also=("index",))
         if word == "ap":
-            self.advance()
             self.expect("(", "pattern")
             first = self.take_int("progression start")
             self.expect(",", "pattern")
@@ -406,7 +378,6 @@ class _Parser:
                 self.error("progression needs start >= 1 and step >= 1", kind="semantic")
             return mp.ArithProgPattern(first, step), bound
         if word == "pow":
-            self.advance()
             self.expect("(", "pattern")
             base = self.take_int("power base")
             self.expect(",", "pattern")
@@ -417,25 +388,16 @@ class _Parser:
             if base < 2 or offset < 0:
                 self.error("power pattern needs base >= 2 and offset >= 0", kind="semantic")
             return mp.PowerPattern(base, offset), bound
-        if word in ("odd", "even"):
-            self.advance()
-            self.expect("(", "pattern")
-            bound = self.expect("ident", "bound ordinal").text
-            self.expect(")", "pattern")
-            first = 1 if word == "odd" else 2
-            return mp.ArithProgPattern(first, 2), bound
-        self.error(f"found {word!r}", expected=("ap", "pow", "odd", "even", "index"))
+        self.expect("(", "pattern")  # odd or even
+        bound = self.expect("ident", "bound ordinal").text
+        self.expect(")", "pattern")
+        return mp.ArithProgPattern(1 if word == "odd" else 2, 2), bound
 
     def map_expr(self, bound: str | None):
-        t = self.peek()
-        if t.kind != "ident":
-            self.error(f"found {t.text!r}", expected=("id", "sigma", "rot", "table"))
-        word = t.text
+        word = self.choose("id", "sigma", "rot", "table")
         if word == "id":
-            self.advance()
             return mp.IDENTITY
         if word in ("sigma", "rot"):
-            self.advance()
             self.expect("^", "map power")
             sign = 1
             if self.peek().kind == "-":
@@ -455,41 +417,30 @@ class _Parser:
                 self.advance()
                 return mp.FamilyTerm(kind, sign)
             self.error(f"found {t2.text!r}", expected=("integer", "bound ordinal"))
-        if word == "table":
-            self.advance()
-            self.expect("{", "table")
-            entries = {}
-            while True:
-                src = self.take_int("table source")
-                self.expect("->", "table")
-                dst = self.take_int("table target")
-                if src in entries:
-                    self.error(f"duplicate table entry for {src}", kind="semantic")
-                entries[src] = dst
-                if self.peek().kind == ",":
-                    self.advance()
-                    continue
+        self.expect("{", "table")  # the word is "table"
+        entries = {}
+        while True:
+            src = self.take_int("table source")
+            self.expect("->", "table")
+            dst = self.take_int("table target")
+            if src in entries:
+                self.error(f"duplicate table entry for {src}", kind="semantic")
+            entries[src] = dst
+            if self.peek().kind != ",":
                 break
-            self.expect("}", "table")
-            n = len(entries)
-            if sorted(entries) != list(range(1, n + 1)):
-                self.error("table must map exactly the ids 1..n", kind="semantic")
-            if any(not (1 <= v <= n) for v in entries.values()):
-                self.error("table targets must stay within 1..n", kind="semantic")
-            return mp.FiniteFnTerm(tuple(entries[i] for i in range(1, n + 1)))
-        self.error(f"found {word!r}", expected=("id", "sigma", "rot", "table"))
+            self.advance()
+        self.expect("}", "table")
+        n = len(entries)
+        if sorted(entries) != list(range(1, n + 1)):
+            self.error("table must map exactly the ids 1..n", kind="semantic")
+        if any(not (1 <= v <= n) for v in entries.values()):
+            self.error("table targets must stay within 1..n", kind="semantic")
+        return mp.FiniteFnTerm(tuple(entries[i] for i in range(1, n + 1)))
 
     def check_decl(self):
-        self.expect_word("check")
         ref = self.system_ref()
         name_tok = self.expect("ident", "property name")
-        params = []
-        if self.peek().kind == ":":
-            self.advance()
-            params.append(self.fraction("property parameter"))
-            while self.peek().kind == ",":
-                self.advance()
-                params.append(self.fraction("property parameter"))
+        params = self.parameters()
         sizes = {}  # horizon and basis, in either order, each at most once
         while self.peek().kind == "ident" and self.peek().text in ("horizon", "basis"):
             if self.peek().text in sizes:
@@ -505,6 +456,16 @@ class _Parser:
         sysname = next(n for n, s in self.systems if s is ref)
         horizon, basis = sizes.get("horizon"), sizes.get("basis")
         self.checks.append(CheckDirective(sysname, prop, horizon, basis))
+
+    def parameters(self) -> list:
+        """The fractions after a property name: a colon, then one or more
+        separated by commas; none without the colon."""
+        params, sep = [], ":"
+        while self.peek().kind == sep:
+            self.advance()
+            params.append(self.fraction("property parameter"))
+            sep = ","
+        return params
 
 
 class _Recover(Exception):
@@ -522,13 +483,18 @@ def parse(text: str) -> NdslDocument:
 
 def read_property(text: str) -> ck.PropertyKind:
     """The property a rendering `name[:p1[,p2]]` (PropertyKind.render, the
-    --property flag, corpus expectations) names; ValueError when it is bad."""
-    head, _, tail = text.partition(":")
+    --property flag, corpus expectations) names, read by the grammar of a
+    check directive; ValueError naming the first diagnostic when it is bad."""
+    parser = _Parser(text)
     try:
-        params = [Fraction(p) for p in tail.split(",")] if tail else []
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    return parse_property(head, params)
+        name = parser.expect("ident", "property name").text
+        params = parser.parameters()
+        parser.expect("eof", "property")
+    except _Recover:
+        pass
+    if parser.diags:
+        raise ValueError(f"{parser.diags[0].message} in {text!r}")
+    return parse_property(name, params)
 
 
 def parse_property(name: str, params) -> ck.PropertyKind:

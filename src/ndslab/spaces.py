@@ -308,9 +308,14 @@ class BiWord:
         if e == 0:
             return self
         # periodic tails are anchored at the window and already primitive, so
-        # only the anchor moves and nothing is renormalised
+        # only the anchor moves and nothing is renormalised; the fields are set
+        # in constructor order, so the copy keeps them inline with no instance dict
         moved = object.__new__(BiWord)
-        moved.__dict__.update(vars(self), window_start=self.window_start - e)
+        set_field = object.__setattr__
+        set_field(moved, "window_start", self.window_start - e)
+        set_field(moved, "window", self.window)
+        set_field(moved, "left", self.left)
+        set_field(moved, "right", self.right)
         return moved
 
     def __eq__(self, other) -> bool:

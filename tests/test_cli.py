@@ -808,7 +808,10 @@ class TestPropertyParameters:
     @pytest.mark.parametrize("prop", [
         "sensitive:1/2,7", "weakly-mixing:2,9", "thickly-sensitive:1/4,5/2",
         "multi-sensitive:1/2,3/2", "thickly-sensitive:1/4,0", "sensitive",
-    ])
+        # read by the directive grammar: no decimal or exponent, and the
+        # literal limits hold before any number is built or printed
+        "sensitive:0.5", "sensitive:1e-5000", "multi-transitive:" + "9" * 4299,
+    ], ids=lambda prop: prop if len(prop) < 40 else f"{prop[:20]}...{len(prop)}-chars")
     def test_bad_property_flag_exits_three(self, ndsl_file, capsys, prop):
         code, out, err = run(capsys, ["check", ndsl_file(EX36), "--property", prop])
         assert code == 3 and out == ""

@@ -1091,6 +1091,13 @@ def test_only_check_property_makes_a_verdict():
     assert not [node.name for node in checkers if "cfg" in (arg.arg for arg in node.args.args)]
 
 
+def test_only_the_position_method_makes_a_diagnostic():
+    """A diagnostic's line and column are counted from a token's offset in
+    one place, _Parser.diagnostic; the lexer and every other parse rule pass
+    it an offset ("document declares no space" passes 0, which is 1:1)."""
+    assert callers_of("Diagnostic") == {"diagnostic"}
+
+
 def test_only_the_named_kernels_walk_prefix_groups():
     """Every hit question reads pair_masks: a function that walks the
     prefix groups is the hit kernel, the separation kernel or the orbit

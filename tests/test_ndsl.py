@@ -8,6 +8,7 @@ import typing
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from ndsl_printer import print_document, random_document
 
 from ndslab import checkers as ck
@@ -264,6 +265,95 @@ class TestPropertyRendering:
         names = sorted(ck.PROPERTIES)
         assert sorted(n.split(":")[0] for n in re.findall(r"`([^`]+)`", listed)) == names
         assert sorted(re.findall(r'"([a-z-]+)"', alternatives)) == names
+
+
+# the lexer before it read one token per match: one match a token, whitespace
+# run or comment, and the line and column carried from token to token
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<pm>\+-)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*)
+  | (?P<sym>[{}();:,^/=\-])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_lex(text: str):
+    """(kind, text, line, column) of each token, ending in "eof", and
+    (line, column, message) of each unexpected character."""
+    tokens, diags = [], []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            diags.append((line, col, f"unexpected character {text[pos]!r}"))
+            pos += 1
+            col += 1
+            continue
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind if kind in ("int", "ident") else chunk, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens, diags
+
+
+LEXER_PIECES = st.sampled_from([
+    *"{}();:,^/=-+@#>.x9", "->", "+-", "->-", "sigma", "a-b", "a--b", "12", "\u0663",
+    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "\u2028", "\u00a0", "é",
+    "# comment -> 1\n", "#\n",
+])
+LEXER_ENDS = st.sampled_from(["", "# a comment at the end", "#", "  ", " \n\t", "\r\n", "x"])
+
+
+class TestLexer:
+    @given(st.lists(LEXER_PIECES, max_size=40).map("".join), LEXER_ENDS)
+    @settings(max_examples=2000, deadline=None)
+    def test_tokens_and_positions_match_the_reference_lexer(self, body, end):
+        text = body + end
+        parser = ndsl._Parser(text)
+        tokens = []
+        for t in parser.tokens:
+            place = parser.diagnostic("lexical", t.at, "")
+            tokens.append((t.kind, t.text, place.line, place.column))
+        diags = [(d.line, d.column, d.message) for d in parser.diags]
+        assert (tokens, diags) == reference_lex(text)
+        assert all(d.kind == "lexical" for d in parser.diags)
+
+
+class TestOneGrammar:
+    ACCEPTED = {"thickly-sensitive:1/4,2", "weakly-mixing:3", "mixing"}
+
+    @pytest.mark.parametrize("text", [
+        "sensitive:0.5", "sensitive:1e-5000", "sensitive:-1/2", "sensitive:1/0",
+        "sensitive:1/2^4097", "multi-transitive:" + "7" * (ndsl.MAX_INT_DIGITS + 1),
+        "thickly-sensitive:1/4,2", "weakly-mixing:3", "mixing",
+    ], ids=lambda text: text if len(text) < 40 else f"{text[:20]}...{len(text)}-chars")
+    def test_a_directive_parses_exactly_when_the_flag_reads(self, text):
+        try:
+            flag = ndsl.read_property(text)
+        except ValueError:
+            flag = None
+        try:
+            doc = ndsl.parse(f"space shift(2); system F {{ else: sigma^1; }} check F {text};")
+            directive = doc.checks[0].prop
+        except ndsl.NdslParseError:
+            directive = None
+        assert flag == directive
+        assert (flag is not None) == (text in self.ACCEPTED)
 
 
 class TestRandomRoundTrip:

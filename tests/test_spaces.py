@@ -5,6 +5,7 @@ Derived expectations are computed by independent brute-force oracles
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -266,6 +267,22 @@ class TestShiftMetric:
         fields = ("window_start", "window", "left", "right")
         assert [getattr(moved, f) for f in fields] == [getattr(rebuilt, f) for f in fields]
         assert moved == rebuilt
+
+    def test_a_shifted_point_takes_no_more_memory_than_a_constructed_one(self):
+        # the copy sets the constructor's fields in its order and builds no
+        # instance dict (10,000 points of a 16-cell window, under tracemalloc)
+        x = BiWord(0, bytes(16), (0,), (1,))
+
+        def held(make):
+            tracemalloc.start()
+            try:
+                points = [make(e) for e in range(1, 10_001)]  # noqa: F841
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        constructed = held(lambda e: BiWord(-e, x.window, x.left, x.right))
+        assert held(x.shifted) <= constructed + 8 * 10_000
 
     def test_semantic_equality_across_representations(self):
         a = BiWord(0, (), (0,), (0,))
