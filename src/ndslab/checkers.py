@@ -997,17 +997,23 @@ def _nth_bit(mask: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # evidence re-checking
 
+# the evidence tables of a time per basis pair "i->j" at which the pair meets
+_PAIR_TIMES = ("witness_times", "per_pair_first_hit", "tail_start_per_pair")
+
 
 def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     """Independently re-check a verdict's evidence: re-run the exact
-    membership test behind each witness entry, re-derive cited laws (afresh,
-    never from system_laws, validating index by index; a decided verdict must
-    cite the describe() of a law of the system or a factor), and re-check cited
-    open-set conflicts.  A cited pair must bear out its reason up to the
-    horizon (see _pair_claim_holds), and a transitive or weakly-mixing
-    refutation must cite one; a minimal refutation must cite a
-    representative point whose folded orbit misses (see _orbit_misses).
-    Returns False on the first discrepancy."""
+    membership test behind each cited time (_all_meet), re-derive cited laws
+    (afresh, never from system_laws, validating index by index; a decided
+    verdict must cite the describe() of a law of the system or a factor), and
+    re-check cited open-set conflicts.  A table of per-pair times keys exactly
+    the n^2 pairs "i->j", the witness l of multi-transitive:m exactly the
+    orders 1..m, and a cited open carries its _label.  A cited pair must bear
+    out its reason up to the horizon (see _pair_claim_holds), and a transitive
+    or weakly-mixing refutation must cite one; a minimal refutation must cite
+    a representative point whose folded orbit misses (see _orbit_misses).
+    Returns False on the first discrepancy: a cited time, key or label of any
+    value gives False, not an exception."""
     r = verdict.config["basis"]
     H = verdict.config["horizon"]
     basis = sp.enumerate_basis(spec.space, r)
@@ -1018,26 +1024,30 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
         if not any(law.describe() in text for law in laws):
             return False
     if verdict.status == WITNESSED:
-        for key, n in ev.get("witness_times", {}).items():
-            i, j = (int(p) for p in key.split("->"))
-            m = mp.prefix_compose(spec, n)
-            try:
-                if not sp.intersects(spec.space, mp.image(m, basis[i]), basis[j]):
-                    return False
-            except sp.EnclosureUndecided:
-                return False
-        for key, t in ev.get("tail_start_per_pair", {}).items():
-            i, j = (int(p) for p in key.split("->"))
-            for n in {t, min(t + 1, H), H}:
-                m = mp.prefix_compose(spec, n)
-                if not sp.intersects(spec.space, mp.image(m, basis[i]), basis[j]):
-                    return False
-        for m_str, l in ev.get("witness_l_per_order", {}).items():
-            if not all(_all_pairs_meet(spec, basis, j * l) for j in range(1, int(m_str) + 1)):
-                return False
-        if "common_time_all_pairs" in ev:
-            return _all_pairs_meet(spec, basis, ev["common_time_all_pairs"])
-        return True
+        tables = [ev[key] for key in _PAIR_TIMES if key in ev]
+        per_order = ev.get("witness_l_per_order", {})
+        common = [ev["common_time_all_pairs"]] if "common_time_all_pairs" in ev else []
+        # with no time cited, list no pairs: a basis no pair mask was built on can have too many
+        if not (tables or per_order or common):
+            return True
+        pairs = dict(zip(_pair_labels(len(basis)), product(range(len(basis)), repeat=2)))
+        if not all(isinstance(table, dict) and table.keys() == pairs.keys() for table in tables):
+            return False
+        orders = {str(m): m for m in range(1, len(per_order) + 1)}
+        if per_order and not (isinstance(per_order, dict) and per_order.keys() == orders.keys()
+                              and verdict.property == f"multi-transitive:{len(orders)}"):
+            return False
+        every = list(pairs.values())
+        tails = ev.get("tail_start_per_pair", {}).items()
+        return (
+            _all_meet(spec, basis, [(t, *pairs[k]) for table in tables for k, t in table.items()], H)
+            # a tail runs on to the horizon: past its start, read the next step and the last
+            and _all_meet(spec, basis, [(s, *pairs[k]) for k, t in tails for s in (min(t + 1, H), H)], H)
+            and _all_meet(spec, basis, [(t, *pair) for t in common for pair in every], H)
+            # slot j of multi-transitivity reads time j*l
+            and all(_all_meet(spec, basis, [(l, *pair) for pair in every], H, orders[m])
+                    for m, l in per_order.items())
+        )
     if verdict.status == REFUTED:
         kind = verdict.property.split(":")[0]
         pair = ev.get("refuting_pair")
@@ -1051,6 +1061,25 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
     return True  # inconclusive verdicts claim nothing to re-check
 
 
+def _all_meet(spec, basis, cited, H: int, slots: int = 1) -> bool:
+    """Does f_1^(s*n)(B_i) meet B_j for every (n, i, j) of `cited` and every
+    s from 1 to `slots`, each n an int in [1, H]?  A meet the enclosures
+    leave undecided counts as a miss."""
+    maps = {}
+    try:
+        for n, i, j in cited:
+            if type(n) is not int or not 1 <= n <= H:
+                return False
+            for t in range(n, slots * n + 1, n):
+                if t not in maps:
+                    maps[t] = mp.prefix_compose(spec, t)
+                if not sp.intersects(spec.space, mp.image(maps[t], basis[i]), basis[j]):
+                    return False
+    except sp.EnclosureUndecided:
+        return False
+    return True
+
+
 # the openings of hitting.pair_reason's "never" reasons
 _NEVER = ("every prefix is the identity", "no reachable prefix table", "parity coverage")
 
@@ -1061,7 +1090,10 @@ def _pair_claim_holds(spec, basis, kind: str, pair, reason: str, H: int) -> bool
     them only where the reason allows: never for a "never" reason or a
     transitive or weakly-mixing refutation, only at the listed indices of a
     finite support, and not on an excluded residue or slot multiple."""
-    U, V = (basis[_label_index(label)] for label in pair)
+    cited = [_label_index(basis, label) for label in pair] if isinstance(pair, (list, tuple)) else []
+    if len(cited) != 2 or None in cited or not isinstance(reason, str):
+        return False
+    U, V = (basis[i] for i in cited)
     if not reason or "disjoint" in reason and ht._meets(spec.space, U, V) is not False:
         return False
     hits = ht.brute_force_hitting(spec, U, V, H)
@@ -1078,9 +1110,11 @@ def _pair_claim_holds(spec, basis, kind: str, pair, reason: str, H: int) -> bool
     return not multiple or all(n % int(multiple[1]) for n in hits)
 
 
-def _label_index(label: str) -> int:
-    """i of a basis label B{i}:... (see _label)."""
-    return int(label.split(":")[0][1:])
+def _label_index(basis, label) -> int | None:
+    """The i for which `label` is _label(basis, i), None when there is none."""
+    digits = str(label).partition(":")[0][1:]
+    i = int(digits) if digits.isdecimal() and len(digits) <= len(str(len(basis))) else len(basis)
+    return i if i < len(basis) and label == _label(basis, i) else None
 
 
 def _orbit_misses(spec, basis, ev, H: int) -> bool:
@@ -1094,14 +1128,10 @@ def _orbit_misses(spec, basis, ev, H: int) -> bool:
     orbit = accumulate(range(1, H + 1), lambda y, n: mp.apply(mp.step_normal(spec, n), y), initial=x)
     if "missed_open" not in ev:
         return isinstance(spec.space, sp.FiniteSpace) and len(set(orbit)) < spec.space.point_count
-    missed = basis[_label_index(ev["missed_open"])]
+    i = _label_index(basis, ev["missed_open"])
+    if i is None:
+        return False
     try:
-        return not any(sp.contains(spec.space, missed, y) for y in orbit)
+        return not any(sp.contains(spec.space, basis[i], y) for y in orbit)
     except sp.EnclosureUndecided:
         return False
-
-
-def _all_pairs_meet(spec, basis, n: int) -> bool:
-    """Does f_1^n(U) meet V for every pair of basis opens U, V?"""
-    m = mp.prefix_compose(spec, n)
-    return all(sp.intersects(spec.space, mp.image(m, U), V) for U in basis for V in basis)

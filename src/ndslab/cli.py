@@ -383,39 +383,22 @@ def cmd_corpus(args) -> int:
     from . import corpus  # only this command runs the corpus
 
     t0 = time.perf_counter()
-    reports = corpus.run_corpus(args.filter)
+    scenarios = corpus.run_corpus(args.filter)
     ms = (time.perf_counter() - t0) * 1000
-    if args.filter and not reports:
+    if args.filter and not scenarios:
         _write(sys.stderr, [f"ndslab: no scenario matches {args.filter!r}"])
-    scenarios = [
-        {
-            "name": rep.name,
-            "passed": rep.passed,
-            "results": [
-                {
-                    "description": r.description,
-                    "expected": r.expected,
-                    "actual": r.actual,
-                    "passed": r.passed,
-                    "citation": r.citation,
-                    "evidence_digest": r.evidence_digest,
-                }
-                for r in rep.results
-            ],
-        }
-        for rep in reports
-    ]
     report = _report_envelope("corpus", args.filter or "all", {})
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":
         _write(sys.stdout, [report_text(report)])
     else:
-        width = max((len(r.description) for rep in reports for r in rep.results), default=20)
-        _write(sys.stdout, [f"{'PASS' if r.passed else 'FAIL'} {rep.name:<28} "
-                            f"{r.description:<{width}} -> {r.actual}"
-                            for rep in reports for r in rep.results])
-    return 0 if all(rep.passed for rep in reports) else 1
+        results = [(s["name"], r) for s in scenarios for r in s["results"]]
+        width = max((len(r["description"]) for _, r in results), default=20)
+        _write(sys.stdout, [f"{'PASS' if r['passed'] else 'FAIL'} {name:<28} "
+                            f"{r['description']:<{width}} -> {r['actual']}"
+                            for name, r in results])
+    return 0 if all(s["passed"] for s in scenarios) else 1
 
 
 def main(argv=None) -> int:

@@ -50,27 +50,6 @@ class Scenario:
     hypothesis_notes: str
 
 
-@record
-class ExpectationResult:
-    description: str
-    expected: str
-    actual: str
-    passed: bool
-    citation: str
-    evidence_digest: str
-    detail: str = ""
-
-
-@record
-class ScenarioReport:
-    name: str
-    results: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
 def _mk_open(space, spec):
     kind = spec[0]
     if kind == "cyl":
@@ -82,13 +61,12 @@ def _mk_open(space, spec):
     raise ValueError(f"unknown open spec {spec!r}")
 
 
-def _term_from(params):
-    kind = params["limit"]
-    if kind == "id":
-        return mp.IDENTITY
-    if isinstance(kind, tuple) and kind[0] == "table":
-        return mp.FiniteFnTerm(tuple(kind[1]))
-    raise ValueError(f"unknown limit term {kind!r}")
+def _limit(doc):
+    """The map of the scenario's LIMIT system, which has no rules."""
+    limit = doc.system("LIMIT")
+    if limit.rules:
+        raise ValueError("a LIMIT system states its map as its default alone")
+    return limit.default
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +88,7 @@ def _run_property(doc, exp):
 
 def _run_uniform(doc, exp):
     system = doc.system(exp.target)
-    v = cv.check_uniform_convergence(system, _term_from(exp.params), exp.params["horizon"])
+    v = cv.check_uniform_convergence(system, _limit(doc), exp.params["horizon"])
     detail = {"stabilization_index": v.stabilization_index, "detail": v.detail}
     if v.stabilization_index != exp.params["stabilization_index"]:
         return "wrong-index", detail
@@ -119,9 +97,8 @@ def _run_uniform(doc, exp):
 
 def _run_collective(doc, exp):
     system = doc.system(exp.target)
-    v = cv.check_collective_convergence(
-        system, _term_from(exp.params), exp.params["horizon"], exp.params["max_window"]
-    )
+    v = cv.check_collective_convergence(system, _limit(doc), exp.params["horizon"],
+                                        exp.params["max_window"])
     return v.status, {"detail": v.detail, "refuting_pair": v.refuting_pair}
 
 
@@ -260,8 +237,7 @@ def _run_lemma21(doc, exp):
 def _run_li_yorke(doc, exp):
     system = doc.system(exp.target)
     pairs = chaos.proximal_scrambled_candidates(sp.all_zeros(), sp.all_ones(), exp.params["candidates"])
-    eps, delta = Fraction(exp.params["eps_low"]), Fraction(exp.params["delta_high"])
-    reports = chaos.li_yorke_scan(system, pairs, exp.params["horizon"], eps, delta)
+    reports = chaos.li_yorke_scan(system, pairs, exp.params["horizon"])
     qualifying = sum(1 for r in reports if r.qualifies)
     ok = qualifying >= exp.params["required"]
     return "pass" if ok else "fail", {"qualifying": qualifying, "scanned": len(reports)}
@@ -357,11 +333,9 @@ def scenarios() -> tuple:
             _prop("F", "minimal", "witnessed",
                   "every orbit visits both points", basis=1, horizon=10),
             _prop("F", "feeble-open", "witnessed", "discrete spaces make every map feeble open"),
-            Expectation("uniform-convergence", "F", "witnessed",
-                        {"limit": ("table", (2, 2)), "horizon": 64, "stabilization_index": 2},
+            Expectation("uniform-convergence", "F", "witnessed", {"horizon": 64, "stabilization_index": 2},
                         "all terms from index 2 on equal the limit"),
-            Expectation("collective-convergence", "F", "witnessed",
-                        {"limit": ("table", (2, 2)), "horizon": 64, "max_window": 6},
+            Expectation("collective-convergence", "F", "witnessed", {"horizon": 64, "max_window": 6},
                         "windows beyond the stabilization index are limit iterates"),
             _prop("LIMIT", "minimal", "refuted",
                   "the limit map fixes the point 2, whose orbit is not dense",
@@ -384,11 +358,9 @@ def scenarios() -> tuple:
                         {"u": ("ids", (1,)), "v": ("ids", (2,)), "horizon": 100,
                          "members": (1,), "structural_tag": "finite-support"},
                         "the only time moving 1 onto 2 is the first step; later prefixes are the identity"),
-            Expectation("uniform-convergence", "F", "witnessed",
-                        {"limit": "id", "horizon": 64, "stabilization_index": 4},
+            Expectation("uniform-convergence", "F", "witnessed", {"horizon": 64, "stabilization_index": 4},
                         "terms from index 4 on are the identity"),
-            Expectation("collective-convergence", "F", "witnessed",
-                        {"limit": "id", "horizon": 64, "max_window": 6},
+            Expectation("collective-convergence", "F", "witnessed", {"horizon": 64, "max_window": 6},
                         "windows beyond index 4 are identity iterates"),
             _prop("LIMIT", "transitive", "refuted", "the identity moves nothing",
                   basis=1, horizon=10),
@@ -413,8 +385,7 @@ def scenarios() -> tuple:
             _prop("F", "multi-transitive:2", "refuted",
                   "even prefixes are the identity",
                   basis=2, horizon=64, law_horizon=2048),
-            Expectation("collective-convergence", "F", "refuted",
-                        {"limit": "id", "horizon": 64, "max_window": 4},
+            Expectation("collective-convergence", "F", "refuted", {"horizon": 64, "max_window": 4},
                         "windows keep producing unboundedly large powers"),
         ),
         "syndetically transitive and weakly mixing do not give multi-transitivity "
@@ -576,9 +547,7 @@ def scenarios() -> tuple:
                         {"levels": 4, "horizon": 256},
                         "shifted target blocks land on disjoint coordinates, so "
                         "every itinerary of length 4 is realized and verified"),
-            Expectation("li-yorke-scan", "CS", "pass",
-                        {"horizon": 4096, "candidates": 6, "required": 4,
-                         "eps_low": Fraction(1, 1024), "delta_high": Fraction(1, 2)},
+            Expectation("li-yorke-scan", "CS", "pass", {"horizon": 4096, "candidates": 6, "required": 4},
                         "block candidates oscillate: near the reference on most "
                         "of each period, far apart when the block crosses the origin"),
         ),
@@ -605,31 +574,31 @@ def scenario_sources() -> dict:
 
 def run_corpus(name_filter: str | None = None) -> list:
     """Execute scenarios (optionally filtered by a substring/glob prefix on
-    the name); deterministic report order by scenario name."""
-    reports = []
+    the name) and return the rows `ndslab corpus` reports: one per scenario
+    in name order, with its name, whether it passed, and its results."""
+    rows = []
     for scenario in sorted(scenarios(), key=lambda s: s.name):
         if name_filter and not _matches(scenario.name, name_filter):
             continue
         doc = ndsl.parse(scenario.source)
         results = []
         for exp in scenario.expectations:
-            runner = _EXECUTORS[exp.kind]
-            actual, payload = runner(doc, exp)
-            # one encoding of the evidence: its digest and its shown detail
+            actual, payload = _EXECUTORS[exp.kind](doc, exp)
             text = json.dumps(payload, sort_keys=True, default=str)
-            results.append(
-                ExpectationResult(
-                    description=exp.describe(),
-                    expected=exp.expected,
-                    actual=actual,
-                    passed=(actual == exp.expected),
-                    citation=exp.citation,
-                    evidence_digest=hashlib.sha256(text.encode()).hexdigest()[:16],
-                    detail=text[:400],
-                )
-            )
-        reports.append(ScenarioReport(scenario.name, tuple(results)))
-    return reports
+            results.append({
+                "description": exp.describe(),
+                "expected": exp.expected,
+                "actual": actual,
+                "passed": actual == exp.expected,
+                "citation": exp.citation,
+                "evidence_digest": hashlib.sha256(text.encode()).hexdigest()[:16],
+            })
+        rows.append({
+            "name": scenario.name,
+            "passed": all(r["passed"] for r in results),
+            "results": results,
+        })
+    return rows
 
 
 def _matches(name: str, pattern: str) -> bool:

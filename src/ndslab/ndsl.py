@@ -12,7 +12,10 @@ canonical printer is tests/ndsl_printer.py, which only the tests use).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from . import checkers as ck
 from . import maps as mp
@@ -82,13 +85,17 @@ class NdslDocument:
 # ---------------------------------------------------------------------------
 # lexer
 
+# the characters str.splitlines ends a line at ("\r\n" is one break): a
+# comment runs to the first of them, and a diagnostic counts lines by them
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 _TOKEN_RE = re.compile(
-    r"""
-    \s*(?:\#[^\n]*\s*)*  # the whitespace and comments before the token
+    rf"""
+    \s*(?:\#[^{LINE_BREAKS}]*\s*)*  # the whitespace and comments before the token
     (?:
-        (?P<int>\d+)
+        (?P<int>[0-9]+)
       | (?P<ident>[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*)
-      | (?P<sym>->|\+-|[{}();:,^/=\-])
+      | (?P<sym>->|\+-|[{{}}();:,^/=\-])
       | (?P<bad>.)  # an unexpected character
       | \Z
     )
@@ -163,11 +170,16 @@ class _Parser:
             self.pos += 1
         return t
 
+    @cached_property
+    def line_starts(self) -> list:
+        """The offset where each line starts, lines split by str.splitlines."""
+        return [0, *accumulate(map(len, (self.text + "_").splitlines(True)))][:-1]
+
     def diagnostic(self, kind: str, at: int, message: str, expected=()) -> Diagnostic:
         """The diagnostic at offset `at`, the one place a line and column are
         counted."""
-        line = self.text.count("\n", 0, at) + 1
-        return Diagnostic(kind, line, at - self.text.rfind("\n", 0, at), message, tuple(expected))
+        line = bisect_right(self.line_starts, at)
+        return Diagnostic(kind, line, at - self.line_starts[line - 1] + 1, message, tuple(expected))
 
     def error(self, message: str, expected=(), kind="syntax", at: Token | None = None):
         self.diags.append(self.diagnostic(kind, (at or self.peek()).at, message, expected))

@@ -192,18 +192,16 @@ class TestAcceptance:
                  f"16 witnesses; {qualifying} qualifying pairs")
 
     def test_criterion_10_syndetic_sensitivity_bound(self):
-        reports = corpus.run_corpus("theorem-3.18-constant-shift")
-        ok = bool(reports) and reports[0].passed
-        detail = next(
-            (r.detail for r in reports[0].results if "gap-bound" in r.description
-             or "sensitivity-gap" in r.description),
-            "",
-        )
-        _verdict(ok, "10 syndetic sensitivity gap bound", detail[:80])
+        rows = corpus.run_corpus("theorem-3.18-constant-shift")
+        ok = bool(rows) and rows[0]["passed"]
+        (scenario,) = [s for s in corpus.scenarios() if s.name == "theorem-3.18-constant-shift"]
+        (exp,) = [e for e in scenario.expectations if e.kind == "sensitivity-gap-bound"]
+        _, payload = corpus._run_gap_bound(ndsl.parse(scenario.source), exp)
+        _verdict(ok, "10 syndetic sensitivity gap bound", str(payload)[:80])
 
     def test_criterion_11_strong_transitivity_transfer(self):
-        reports = corpus.run_corpus("theorem-final-strong")
-        ok = bool(reports) and reports[0].passed
+        rows = corpus.run_corpus("theorem-final-strong")
+        ok = bool(rows) and rows[0]["passed"]
         cyc = _scenario_doc("three-cycle").system("C3")
         v = ck.check_property(cyc, ck.PropertyKind("strongly-transitive"), 1, 64)
         ok = ok and v.witnessed and v.evidence["cover_bound"] == 3

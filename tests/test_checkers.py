@@ -132,7 +132,45 @@ class TestRecheckVerdict:
     def test_a_corrupted_witness_fails(self, prop, field, value):
         v = ck.check_property(CONST_SIGMA, ndsl.read_property(prop), 1, 64)
         assert field in v.evidence
-        assert not ck.recheck_verdict(CONST_SIGMA, with_evidence(v, **{field: value}))
+        # one entry changed, the others kept: the meet fails, not the keys
+        corrupted = {**v.evidence[field], **value} if isinstance(value, dict) else value
+        assert not ck.recheck_verdict(CONST_SIGMA, with_evidence(v, **{field: corrupted}))
+
+    @pytest.mark.parametrize("change", [
+        lambda table: dict(list(table.items())[:1]),
+        lambda table: {**table, "0->0": 0},
+        lambda table: {**table, "0->0": 10**6},
+        lambda table: {**table, "0->0": -3},
+        lambda table: {**table, "9->0": 1},
+        lambda table: {**table, "0-0": 1},
+    ], ids=["one-entry", "time-0", "time-past-H", "time-minus-3", "label-9->0", "label-0-0"])
+    def test_a_tampered_witness_table_fails_without_raising(self, change):
+        # a time must be an int in [1, H], and the table must key exactly the 8^2 pairs
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("transitive"), 1, 16)
+        assert v.witnessed and ck.recheck_verdict(CONST_SIGMA, v)
+        tampered = with_evidence(v, witness_times=change(v.evidence["witness_times"]))
+        assert ck.recheck_verdict(CONST_SIGMA, tampered) is False
+
+    def test_an_undecided_meet_is_a_miss(self):
+        # alpha is known to 2^-80 only, and 3*alpha sits on 1: no enclosure
+        # decides whether f_1^3(B_i) meets B_j
+        spec = ndsl.parse("space circle(alpha(1/3 +- 1/2^80));\nsystem F { else: rot^1; }\n").system("F")
+        basis = sp.enumerate_basis(spec.space, 2)
+        with pytest.raises(sp.EnclosureUndecided):
+            sp.intersects(spec.space, mp.image(mp.prefix_compose(spec, 3), basis[0]), basis[0])
+        cited = ck.Verdict("weakly-mixing", ck.WITNESSED, {"basis": 2, "horizon": 16, "law_horizon": 2048},
+                           {"common_time_all_pairs": 3})
+        assert ck.recheck_verdict(spec, cited) is False
+
+    @pytest.mark.parametrize("label", ["B-8:cyl@-1:000", "B-1:cyl@-1:111", "B0:cyl@-1:111", "B99:cyl@-1:000",
+                                       "B00:cyl@-1:000", "B\u0660:cyl@-1:000", "B0", 0])
+    def test_a_refuting_pair_must_cite_a_basis_label(self, label):
+        # B-8 of 8 opens would wrap to B0, and B0 is not the open 111
+        v = ck.check_property(ex31(), ck.PropertyKind("multi-transitive", order=2), 1, 64)
+        assert v.refuted and v.evidence["refuting_pair"][0] == "B0:cyl@-1:000"
+        assert ck.recheck_verdict(ex31(), v)
+        tampered = with_evidence(v, refuting_pair=[label, v.evidence["refuting_pair"][1]])
+        assert ck.recheck_verdict(ex31(), tampered) is False
 
     @pytest.mark.parametrize("law_horizon", [256, 2048])
     def test_a_refutation_cites_the_law_at_its_own_law_horizon(self, law_horizon):

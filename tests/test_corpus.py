@@ -68,26 +68,34 @@ class TestFirstUse:
 
 class TestExecution:
     def test_full_corpus_reproduces_every_expectation(self):
-        reports = corpus.run_corpus()
-        assert {r.name for r in reports} == {s.name for s in corpus.scenarios()}
+        rows = corpus.run_corpus()
+        assert {row["name"] for row in rows} == {s.name for s in corpus.scenarios()}
         failures = [
-            f"{rep.name}: {r.description} -> {r.actual}"
-            for rep in reports
-            for r in rep.results
-            if not r.passed
+            f"{row['name']}: {r['description']} -> {r['actual']}"
+            for row in rows
+            for r in row["results"]
+            if not r["passed"]
         ]
         assert not failures, failures
+        assert all(row["passed"] for row in rows)
 
     def test_filtered_run(self):
-        reports = corpus.run_corpus("example-3.5")
-        assert len(reports) == 1 and reports[0].passed
+        rows = corpus.run_corpus("example-3.5")
+        assert len(rows) == 1 and rows[0]["passed"]
 
     def test_prefix_filter(self):
-        reports = corpus.run_corpus("example-3.*")
-        assert {r.name for r in reports} >= {"example-3.1", "example-3.9"}
+        rows = corpus.run_corpus("example-3.*")
+        assert {row["name"] for row in rows} >= {"example-3.1", "example-3.9"}
 
     def test_no_match_is_empty(self):
         assert corpus.run_corpus("nonexistent") == []
+
+    def test_a_limit_is_the_default_of_a_rule_free_limit_system(self):
+        doc = ndsl.parse(corpus.scenario_sources()["example-3.3"])
+        assert corpus._limit(doc) == mp.FiniteFnTerm((2, 2))
+        ruled = ndsl.parse("space finite(2);\nsystem LIMIT { at 1: id; else: table{1->2,2->2}; }\n")
+        with pytest.raises(ValueError, match="LIMIT"):
+            corpus._limit(ruled)
 
     def test_reports_are_reproducible(self):
         first = corpus.run_corpus("example-3.5")

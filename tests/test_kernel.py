@@ -1027,7 +1027,7 @@ STEP_FOLDS = {
 # shift Li-Yorke tail and the lemma-2.1 time search read prefix_exponents,
 # products zip their parts' keys, and the Li-Yorke tail off the shift and
 # the corpus interleave check read prefix_classes
-PREFIX_WALKS = {"prefix_tables", "recheck_verdict", "_all_pairs_meet"}
+PREFIX_WALKS = {"prefix_tables", "_all_meet"}
 
 
 def owned_nodes():

@@ -268,14 +268,17 @@ class TestPropertyRendering:
 
 
 # the lexer before it read one token per match: one match a token, whitespace
-# run or comment, and the line and column carried from token to token
+# run or comment, and the line and column carried from token to token.  A
+# line ends at each break str.splitlines splits at, "\r\n" counted once;
+# an integer is ASCII digits
+_REFERENCE_BREAK_RE = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 _REFERENCE_TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+  | (?P<comment>\#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*)
   | (?P<arrow>->)
   | (?P<pm>\+-)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<ident>[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z][A-Za-z0-9]*)*)
   | (?P<sym>[{}();:,^/=\-])
     """,
@@ -300,10 +303,10 @@ def reference_lex(text: str):
         chunk = m.group()
         if kind not in ("ws", "comment"):
             tokens.append((kind if kind in ("int", "ident") else chunk, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
+        breaks = list(_REFERENCE_BREAK_RE.finditer(chunk))
+        if breaks:
+            line += len(breaks)
+            col = len(chunk) - breaks[-1].end() + 1
         else:
             col += len(chunk)
         pos = m.end()
@@ -312,9 +315,9 @@ def reference_lex(text: str):
 
 
 LEXER_PIECES = st.sampled_from([
-    *"{}();:,^/=-+@#>.x9", "->", "+-", "->-", "sigma", "a-b", "a--b", "12", "\u0663",
-    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "\u2028", "\u00a0", "é",
-    "# comment -> 1\n", "#\n",
+    *"{}();:,^/=-+@#>.x9", "->", "+-", "->-", "sigma", "a-b", "a--b", "12", "\u0663", "\uff13",
+    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u2029",
+    "\u00a0", "é", "# comment -> 1\n", "#\n", "# c\r", "#\u2028",
 ])
 LEXER_ENDS = st.sampled_from(["", "# a comment at the end", "#", "  ", " \n\t", "\r\n", "x"])
 
@@ -332,6 +335,29 @@ class TestLexer:
         diags = [(d.line, d.column, d.message) for d in parser.diags]
         assert (tokens, diags) == reference_lex(text)
         assert all(d.kind == "lexical" for d in parser.diags)
+
+    def test_line_breaks_are_those_splitlines_splits_at(self):
+        splits = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]
+        assert sorted(ndsl.LINE_BREAKS) == splits
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u0969"], ids=ascii)
+    def test_a_digit_outside_ascii_is_a_lexical_error(self, digit):
+        with pytest.raises(ndsl.NdslParseError) as err:
+            ndsl.parse(f"space shift({digit});")
+        assert err.value.diagnostics[0].kind == "lexical"
+        assert err.value.diagnostics[0].column == 13
+
+    @pytest.mark.parametrize("br", ["\r\n", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"], ids=ascii)
+    def test_a_diagnostic_counts_every_line_break(self, br):
+        with pytest.raises(ndsl.NdslParseError) as err:
+            ndsl.parse(f"space shift(2);{br}system F {{ at 1: }}{br}")
+        assert err.value.diagnostics[0].render().startswith("2:18: syntax:")
+
+    @pytest.mark.parametrize("br", ["\r\n", *"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"], ids=ascii)
+    def test_a_comment_ends_at_every_line_break(self, br):
+        doc = ndsl.parse(br.join(["space shift(2);", "# c", "system F { else: sigma^1; }",
+                                  "check F transitive;", ""]))
+        assert doc.names == ["F"] and len(doc.checks) == 1
 
 
 class TestOneGrammar:

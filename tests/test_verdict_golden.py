@@ -14,6 +14,7 @@ To re-pin after a deliberate change of evidence, print `_digests()`."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -740,3 +741,70 @@ def test_every_pinned_case_runs():
     keys = {_key(c[0], c[4]) for c in _cases()}
     keys |= {"consistency " + " ".join(map(str, c)) for c in CONSISTENCY}
     assert keys == set(PINNED)
+
+
+# the evidence fields recheck_verdict reads: tables of a time per basis pair,
+# single times, and the labels of cited basis opens
+PAIR_TIMES = ("witness_times", "per_pair_first_hit", "tail_start_per_pair")
+LABELS = ("refuting_pair", "missed_open")
+
+
+def _tampered(spec, v: ck.Verdict):
+    """(what, evidence) for each corruption of one field of v's evidence that
+    recheck_verdict reads: a pair key dropped or added, a time set to 0,
+    H + 1, -1 or "x", a label's index set to n or -1 or its description to
+    another open's.  Table entries are sampled, one a table, by a seed of
+    the verdict."""
+    basis = sp.enumerate_basis(spec.space, v.config["basis"])
+    n, H, ev = len(basis), v.config["horizon"], v.evidence
+    rng = random.Random(f"{v.property} {v.config} {ev}")
+    bad_times = (0, H + 1, -1, "x")
+    for key in PAIR_TIMES:
+        if key in ev:
+            table = ev[key]
+            pair = rng.choice(sorted(table))
+            yield f"{key} without {pair}", {**ev, key: {k: t for k, t in table.items() if k != pair}}
+            yield f"{key} with {n}->0", {**ev, key: {**table, f"{n}->0": table[pair]}}
+            for t in bad_times:
+                yield f"{key} {pair} at {t!r}", {**ev, key: {**table, pair: t}}
+    for order, l in ev.get("witness_l_per_order", {}).items():
+        for t in bad_times:
+            yield f"l of order {order} at {t!r}", {**ev, "witness_l_per_order": {
+                **ev["witness_l_per_order"], order: t}}
+    if "common_time_all_pairs" in ev:
+        for t in bad_times:
+            yield f"common time at {t!r}", {**ev, "common_time_all_pairs": t}
+    for key in LABELS:
+        cited = ev.get(key)
+        for place, label in ([(None, cited)] if isinstance(cited, str) else enumerate(cited or ())):
+            index, description = label.split(":", 1)
+            other = ck._label(basis, (int(index[1:]) + 1) % n).split(":", 1)[1]
+            for forged in {f"B{n}:{description}", f"B-1:{description}", f"{index}:{other}"} - {label}:
+                if place is None:
+                    yield f"{key} {forged}", {**ev, key: forged}
+                else:
+                    yield f"{key} {forged}", {**ev, key: [*cited[:place], forged, *cited[place + 1:]]}
+
+
+def test_every_decided_golden_verdict_rechecks_and_no_tampered_one_does():
+    """Every decided verdict of the golden systems passes recheck_verdict,
+    and each corruption of one field it reads (_tampered) fails it: the
+    re-check returns False, and raises nothing."""
+    failures, tampered = [], 0
+    for system, source, basis, horizon, prop in _cases():
+        spec = ndsl.parse(source).system(system)
+        v = ck.check_property(spec, prop, basis, horizon)
+        if v.status == ck.INCONCLUSIVE:
+            continue
+        if not ck.recheck_verdict(spec, v):
+            failures.append(f"{_key(system, prop)}: the true evidence fails")
+        for what, evidence in _tampered(spec, v):
+            tampered += 1
+            try:
+                accepted = ck.recheck_verdict(spec, ck.Verdict(v.property, v.status, v.config, evidence))
+            except Exception as exc:  # noqa: BLE001 - any escape is a failure of the re-check
+                accepted = type(exc).__name__
+            if accepted is not False:
+                failures.append(f"{_key(system, prop)}: {what} -> {accepted}")
+    assert failures == []
+    assert tampered > 600
