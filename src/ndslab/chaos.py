@@ -1,9 +1,9 @@
 """Li-Yorke pair scanning and the desk-scale inductive construction of
 itinerary witnesses: points driven through arbitrary A/B target sequences at
-increasing times.
+increasing times.  Both run on shift systems.
 
 Scan reports are finite evidence for liminf/limsup behaviour, not proofs;
-the tail convention (n >= H/2) and the thresholds are configuration.
+the tail convention (n >= H/2) and the thresholds are fixed.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import chain, islice, product as iter_product, repeat
 from operator import attrgetter, eq
 
-from . import hitting as ht
 from . import maps as mp
 from . import spaces as sp
 from .record import record
@@ -39,45 +38,28 @@ def orbit_distance_trace(spec: mp.SystemSpec, x: sp.Point, y: sp.Point, horizon:
     return out
 
 
-def li_yorke_scan(
-    spec: mp.SystemSpec,
-    candidates: list,
-    horizon: int,
-    eps_low: Fraction = Fraction(1, 1024),
-    delta_high: Fraction = Fraction(1, 2),
-) -> list:
-    """Exact orbit-distance extremes for candidate pairs; a pair qualifies
-    when its tail (n >= horizon/2) dips below eps_low and also exceeds
-    delta_high.  The tail is read off its distinct prefix maps f_1^n: on
-    shift systems through their exponents
-    (`spaces.shift_distance_extremes`), elsewhere as one distance per prefix
-    class with a tail time (`hitting.prefix_classes`), ordered exactly
-    (`spaces.value_cmp`)."""
-    eps_low, delta_high = Fraction(eps_low), Fraction(delta_high)
-    if not eps_low < delta_high:
-        raise ValueError("eps_low must be below delta_high")
+EPS_LOW = Fraction(1, 1024)
+DELTA_HIGH = Fraction(1, 2)
+
+
+def li_yorke_scan(spec: mp.SystemSpec, candidates: list, horizon: int) -> list:
+    """Exact orbit-distance extremes for candidate pairs on a shift system; a
+    pair qualifies when its tail (n >= horizon/2) dips below EPS_LOW and also
+    exceeds DELTA_HIGH.  The tail is read off the exponents of its distinct
+    prefix maps f_1^n (`spaces.shift_distance_extremes`)."""
+    if not isinstance(spec.space, sp.ShiftSpace):
+        raise sp.SpaceMismatch("the Li-Yorke scan runs on shift systems")
     if horizon < 1:
         raise ValueError(f"the Li-Yorke horizon must be at least 1, got {horizon}")
-    space = spec.space
-    start = max(1, horizon // 2)
-    if isinstance(space, sp.ShiftSpace):
-        exponents = sorted(set(mp.prefix_exponents(spec, horizon)[start:]))
-    else:
-        exponents = None
-        tail = [m for m, times in ht.prefix_classes(spec, horizon).items() if times >> start]
+    exponents = sorted(set(mp.prefix_exponents(spec, horizon)[max(1, horizon // 2):]))
     reports = []
     for idx, (x, y) in enumerate(candidates):
-        if exponents is not None:
-            try:
-                lo, hi = sp.shift_distance_extremes(x, y, exponents)
-            except OverflowError:
-                raise ValueError(f"the exact tail distances of pair-{idx} need a denominator "
-                                 "with too many digits for an integer") from None
-        else:
-            dists = [sp.distance(space, mp.apply(m, x), mp.apply(m, y)) for m in tail]
-            lo, hi = sp.value_min(dists), sp.value_max(dists)
-        qualifies = sp.value_cmp(lo, eps_low) < 0 and sp.value_cmp(hi, delta_high) > 0
-        reports.append(LiYorkeReport(lo, hi, qualifies))
+        try:
+            lo, hi = sp.shift_distance_extremes(x, y, exponents)
+        except OverflowError:
+            raise ValueError(f"the exact tail distances of pair-{idx} need a denominator "
+                             "with too many digits for an integer") from None
+        reports.append(LiYorkeReport(lo, hi, lo < EPS_LOW and hi > DELTA_HIGH))
     return reports
 
 
@@ -157,6 +139,9 @@ def lemma21_construct(
     if levels > MAX_ITINERARY_LEVELS:
         raise ValueError(f"the number of itinerary levels must be at most MAX_ITINERARY_LEVELS = "
                          f"{MAX_ITINERARY_LEVELS} ({1 << MAX_ITINERARY_LEVELS} witnesses), got {levels}")
+    if size > 256:
+        raise ValueError(f"the itinerary construction holds a cell in a byte: its alphabet may "
+                         f"have at most 256 symbols, got {size}")
     if levels == 0:
         return ItineraryConstruction((), (), {}, True)
     level_sets = [(_target_cylinder(a, i), _target_cylinder(b, i)) for i in range(1, levels + 1)]
@@ -190,15 +175,9 @@ def lemma21_construct(
         starts.insert(j, lo)
         ends.insert(j, hi)
     lo, width = starts[0], ends[-1] - starts[0] + 1
-    # one byte a cell, unless a symbol of a or b past 255 needs a list of
-    # cells frozen to tuples
-    words = [(A.word, B.word) for A, B in level_sets]
-    try:
-        words = [(bytes(u), bytes(v)) for u, v in words]
-    except ValueError:
-        row, freeze = [0] * width, tuple
-    else:
-        row, freeze = bytearray(width), bytes
+    # one byte a cell
+    words = [(bytes(A.word), bytes(B.word)) for A, B in level_sets]
+    row = bytearray(width)
     row[base.start - lo : base.end - lo] = words[0][0]
     # a level's two targets share the window [-w, w], so either word covers
     # the same cells: its span starts at the level's prefix exponent
@@ -208,7 +187,7 @@ def lemma21_construct(
     labels = map("".join, iter_product("AB", repeat=levels))
     witnesses, zero = {}, (0,)
     for first in range(0, 1 << levels, rows):
-        chunk = freeze(_plant_chunk(row, rows, first, spans, words))
+        chunk = bytes(_plant_chunk(row, rows, first, spans, words))
         points = map(sp.BiWord, repeat(lo), map(chunk.__getitem__, cuts), repeat(zero), repeat(zero))
         witnesses.update(zip(islice(labels, rows), points))
     if not _verify_itineraries(spec, times, level_sets, witnesses):
@@ -245,15 +224,14 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     never from the construction's spans or words.
 
     When the labels are exactly the A/B words of the levels' length in
-    product order and the witnesses share one window of one type (all tuples
-    or all bytes), a level is tested for all of them at once: where its two
-    pulled-back words span one stretch inside that window, membership is
-    equality of the stretch with the label's word converted to the windows'
-    type, and in product order a cell of the stretch reads the A word's and
-    the B word's symbol in alternating blocks of 2^(L-1-i) down the
-    witnesses.  The windows are joined a chunk of rows at a time and each
-    cell is compared as one strided slice of that buffer.
-    A word with a symbol no byte holds matches no bytes window.  Every other
+    product order and the witnesses share one `bytes` window, a level is
+    tested for all of them at once: where its two pulled-back words span one
+    stretch inside that window, membership is equality of the stretch with
+    the label's word as bytes, and in product order a cell of the stretch
+    reads the A word's and the B word's symbol in alternating blocks of
+    2^(L-1-i) down the witnesses.  The windows are joined a chunk of rows at
+    a time and each cell is compared as one strided slice of that buffer.
+    A word with a symbol no byte holds matches no window.  Every other
     witness dict and level goes through `spaces.contains`."""
     space = spec.space
     pulled, m, n = [], mp.identity_map(space), 0
@@ -272,9 +250,8 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
         )
     windows = list(map(attrgetter("window"), points))
     lo, width = points[0].window_start, len(windows[0])
-    kind = type(windows[0])
     shared = (set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
-              and set(map(type, windows)) == {kind})
+              and set(map(type, windows)) == {bytes})
     rows = min(_CHUNK_ROWS, len(points))
     # (cell of the window, level block, column of a chunk whose rows read A
     # at that level, column of one whose rows read B) of each level cell read
@@ -284,7 +261,7 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
         a, b = level["A"], level["B"]
         if shared and (a.start, a.end) == (b.start, b.end) and lo <= a.start and a.end <= lo + width:
             try:
-                a_word, b_word = kind(a.word), kind(b.word)
+                a_word, b_word = bytes(a.word), bytes(b.word)
             except ValueError:  # a symbol no byte holds, so no bytes window has it
                 return False
             block = 1 << (levels - 1 - i)
@@ -297,11 +274,10 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
                 cells.append((a.start - lo + c, block, a_col, b_col))
         elif not all(sp.contains(space, level[label[i]], x) for label, x in witnesses.items()):
             return False
-    if not cells:  # nothing read by slices, and windows of two types do not join
+    if not cells:  # no level read by slices, so the windows need not be bytes
         return True
-    join = b"".join if kind is bytes else lambda part: tuple(chain.from_iterable(part))
     for first in range(0, len(points), rows):
-        buf = join(windows[first : first + rows])
+        buf = b"".join(windows[first : first + rows])
         for cell, block, a_col, b_col in cells:
             # `first & block` is set only for a chunk that lies inside a B block
             if buf[cell::width] != (b_col if first & block else a_col):

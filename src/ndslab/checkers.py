@@ -55,7 +55,6 @@ class PropertyKind:
     order: int | None = None
     delta: Fraction | None = None
     run_length: int | None = None
-    point: object | None = None
 
     def __post_init__(self):
         if self.name not in PROPERTIES:
@@ -114,28 +113,42 @@ class Verdict:
 
 _MASK_CACHE: dict = {}
 _LAW_CACHE: dict = {}
+_open_blocks = 0
 
 
 class scoped_caches:
     """`with scoped_caches():` scopes the pair masks and laws checks share to
-    the block: it empties _MASK_CACHE and _LAW_CACHE on entry and on exit,
-    so a process keeps none of them between blocks.  cli.main runs each
-    command in one."""
+    the block: they are kept only while a block is open, and it empties
+    _MASK_CACHE and _LAW_CACHE on entry and on exit, so a process keeps none
+    of them between blocks.  cli.main runs each command in one, and
+    corpus.run_corpus the corpus."""
 
     def __enter__(self):
+        global _open_blocks
+        _open_blocks += 1
         _MASK_CACHE.clear()
         _LAW_CACHE.clear()
 
     def __exit__(self, *exc_info):
-        self.__enter__()
+        global _open_blocks
+        _open_blocks -= 1
+        _MASK_CACHE.clear()
+        _LAW_CACHE.clear()
+
+
+def _kept(cache: dict, key, make):
+    """cache[key], made by make() if missing and kept only while a
+    scoped_caches block is open."""
+    value = cache[key] if key in cache else make()
+    if _open_blocks:
+        cache[key] = value
+    return value
 
 
 def system_laws(spec: mp.SystemSpec, law_horizon: int) -> mp.SystemLaws:
     """The laws of `spec` at `law_horizon`, derived once and shared by every
     check in a `scoped_caches` block."""
-    if (spec, law_horizon) not in _LAW_CACHE:
-        _LAW_CACHE[spec, law_horizon] = mp.derive_laws(spec, law_horizon)
-    return _LAW_CACHE[spec, law_horizon]
+    return _kept(_LAW_CACHE, (spec, law_horizon), lambda: mp.derive_laws(spec, law_horizon))
 
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
@@ -143,11 +156,12 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     within [1, horizon] (bit n for member n), the row-major list of
     hitting.pair_masks without its undecided times, kept for the checks of a
     scoped_caches block.  A verdict names index k as the pair divmod(k, len(basis))."""
-    key = (spec, resolution, horizon)
-    if key not in _MASK_CACHE:
+
+    def make():
         basis = sp.enumerate_basis(spec.space, resolution)
-        _MASK_CACHE[key] = basis, ht.pair_masks(spec, basis, basis, horizon)[0]
-    return _MASK_CACHE[key]
+        return basis, ht.pair_masks(spec, basis, basis, horizon)[0]
+
+    return _kept(_MASK_CACHE, (spec, resolution, horizon), make)
 
 
 def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
@@ -781,7 +795,7 @@ def _finite_period(tab: mp.TableLaw, x: int) -> int | None:
 
 
 def _check_almost_periodic(spec, prop, r, H, laws) -> tuple:
-    x = prop.point if prop.point is not None else _representatives(spec.space)[0]
+    x = _representatives(spec.space)[0]
     space = spec.space
     images = [(mp.apply(m, x), times) for m, times in ht.prefix_classes(spec, H).items()]
     out = {}

@@ -386,7 +386,7 @@ def cmd_corpus(args) -> int:
     scenarios = corpus.run_corpus(args.filter)
     ms = (time.perf_counter() - t0) * 1000
     if args.filter and not scenarios:
-        _write(sys.stderr, [f"ndslab: no scenario matches {args.filter!r}"])
+        raise _InputError(f"ndslab: no scenario matches {args.filter!r}")
     report = _report_envelope("corpus", args.filter or "all", {})
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)

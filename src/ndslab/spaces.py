@@ -175,11 +175,6 @@ def value_max(values: list) -> RationalOrEnclosure:
     return max(values, key=cmp_to_key(value_cmp))
 
 
-def value_min(values: list) -> RationalOrEnclosure:
-    """The smallest of some exact-or-enclosure values (the first on ties)."""
-    return min(values, key=cmp_to_key(value_cmp))
-
-
 # ---------------------------------------------------------------------------
 # space descriptions
 

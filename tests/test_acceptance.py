@@ -185,7 +185,7 @@ class TestAcceptance:
         ok = isinstance(res, chaos.ItineraryConstruction)
         ok = ok and len(res.witnesses) == 16 and res.verified
         pairs = chaos.proximal_scrambled_candidates(sp.all_zeros(), sp.all_ones(), 6)
-        reports = chaos.li_yorke_scan(cs, pairs, 4096, Fraction(1, 1024), Fraction(1, 2))
+        reports = chaos.li_yorke_scan(cs, pairs, 4096)
         qualifying = sum(1 for r in reports if r.qualifies)
         ok = ok and qualifying >= 4
         _verdict(ok, "09 itinerary construction and scan",

@@ -2,7 +2,6 @@
 
 import gc
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 from itertools import product as iter_product
 
@@ -37,22 +36,19 @@ from ndslab.maps import (
 from ndslab.ndsl import parse
 from ndslab.spaces import (
     AffineAngle,
-    AlphaEnclosure,
     BiWord,
     CircleSpace,
     Cylinder,
-    EnclosureUndecided,
     FiniteId,
     FiniteSpace,
     ProductPoint,
     ShiftSpace,
+    SpaceMismatch,
     all_ones,
     all_zeros,
     contains,
     disagreement_mask,
-    distance,
     shift_distance,
-    value_cmp,
 )
 
 SHIFT = ShiftSpace()
@@ -309,24 +305,18 @@ class TestItineraryConstruction:
             lemma21_construct(spec, bad, bad, 2, 64)
 
 
-WIDE_SHIFT = ShiftSpace(300)
-
-
 class TestWindowTypes:
-    @pytest.mark.parametrize("symbol, kind", [(255, bytes), (256, tuple), (299, tuple)])
-    @pytest.mark.parametrize("spec", [NdsSpec(WIDE_SHIFT, (), ShiftPowTerm(1)),
-                                      NdsSpec(WIDE_SHIFT, AP12.rules)], ids=["sigma", "ap12"])
-    def test_a_symbol_past_a_byte_keeps_tuple_windows(self, spec, symbol, kind):
-        a = BiWord(-1, (symbol, 0, symbol), (0,), (symbol,))
-        b = BiWord(0, (1, symbol), (symbol, 2), (2,))
-        res = lemma21_construct(spec, a, b, 5, 512)
-        assert isinstance(res, ItineraryConstruction) and res.verified
-        assert {type(x.window) for x in res.witnesses.values()} == {kind}
-        assert folded_verdict(spec, res, res.witnesses)
-        oracle = planted_cell_by_cell(spec, res)
-        assert list(res.witnesses) == list(oracle)
-        assert [repr(x) for x in res.witnesses.values()] == [repr(x) for x in oracle.values()]
-        assert all(res.witnesses[label] == x for label, x in oracle.items())
+    def test_an_alphabet_past_a_byte_is_refused_before_any_work(self, monkeypatch):
+        def refuse(spec, upto):
+            raise AssertionError("the time search started")
+
+        monkeypatch.setattr(maps, "prefix_exponents", refuse)
+        for size in (257, 300):
+            with pytest.raises(ValueError, match=f"at most 256 symbols, got {size}"):
+                lemma21_construct(NdsSpec(ShiftSpace(size), (), ShiftPowTerm(1)), all_zeros(), all_ones(), 2, 64)
+        # a byte holds every symbol of shift(256)
+        with pytest.raises(AssertionError, match="the time search started"):
+            lemma21_construct(NdsSpec(ShiftSpace(256), (), ShiftPowTerm(1)), all_zeros(), all_ones(), 2, 64)
 
     @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
     @settings(max_examples=30, deadline=None)
@@ -582,10 +572,7 @@ class TestLiYorkeScan:
 
     def test_single_disagreement_drifts_away(self):
         y = BiWord(0, (1,), (0,), (0,))
-        reports = li_yorke_scan(
-            CONST_SIGMA, [(all_zeros(), y)], 64,
-            eps_low=Fraction(1, 1024), delta_high=Fraction(1, 2),
-        )
+        reports = li_yorke_scan(CONST_SIGMA, [(all_zeros(), y)], 64)
         rep = reports[0]
         # the lone disagreement shifts away: liminf small, limsup small too
         assert rep.liminf_estimate < Fraction(1, 1024)
@@ -607,47 +594,22 @@ class TestLiYorkeScan:
         reports = li_yorke_scan(CONST_SIGMA, pairs, 2048)
         assert sum(1 for r in reports if r.qualifies) >= 3
 
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            li_yorke_scan(CONST_SIGMA, [], 64, Fraction(1, 2), Fraction(1, 4))
-
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_horizon_below_one_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             li_yorke_scan(CONST_SIGMA, [(all_zeros(), all_ones())], horizon)
 
     @pytest.mark.parametrize("spec, x, y", [
-        # a circle pair: rotations keep the distance alpha at every time
         (NdsSpec(CircleSpace(), (), RotPowTerm(1)), AffineAngle(0), AffineAngle(0, 1)),
-        # a product with a circle factor: the shift side drifts, the circle stays
         (ProductSpec((NdsSpec(CircleSpace(), (), RotPowTerm(-1)), CONST_SIGMA)),
-         ProductPoint((AffineAngle(0), all_zeros())),
-         ProductPoint((AffineAngle(Fraction(1, 8), 1), BiWord(0, (1, 0, 1), (0,), (0,))))),
-        # a finite pair merged at time 1, then swapped apart from time 3 on
-        (NdsSpec(FiniteSpace(3), (Rule(EqualsPattern(1), FiniteFnTerm((1, 1, 3))),),
-                 FiniteFnTerm((3, 2, 1))), FiniteId(2), FiniteId(3)),
-    ])
-    def test_tail_extremes_off_the_shift(self, spec, x, y):
-        tail = orbit_distance_trace(spec, x, y, 9)[3:]
-        ordered = sorted(tail, key=cmp_to_key(value_cmp))
-        rep = li_yorke_scan(spec, [(x, y)], 9, Fraction(1, 8), Fraction(1, 4))[0]
-        assert (rep.liminf_estimate, rep.limsup_estimate) == (ordered[0], ordered[-1])
-        assert rep.qualifies == (
-            value_cmp(ordered[0], Fraction(1, 8)) < 0 and value_cmp(ordered[-1], Fraction(1, 4)) > 0
-        )
-
-    def test_circle_pair_keeps_its_distance(self):
-        x, y = AffineAngle(0), AffineAngle(0, 1)
-        rep = li_yorke_scan(NdsSpec(CircleSpace(), (), RotPowTerm(1)), [(x, y)], 8)[0]
-        assert rep.liminf_estimate == rep.limsup_estimate == distance(CircleSpace(), x, y)
-        assert not rep.qualifies
-
-    def test_declared_angle_too_wide_to_decide_is_named(self):
-        # d = alpha = 1/4 +- 2^-70 cannot be ordered against eps_low = 1/4
-        circle = CircleSpace(AlphaEnclosure.custom(Fraction(1, 4), Fraction(1, 2**70)))
-        spec = NdsSpec(circle, (), RotPowTerm(1))
-        with pytest.raises(EnclosureUndecided):
-            li_yorke_scan(spec, [(AffineAngle(0), AffineAngle(0, 1))], 8, Fraction(1, 4), Fraction(1, 2))
+         ProductPoint((AffineAngle(0), all_zeros())), ProductPoint((AffineAngle(0, 1), all_ones()))),
+        (NdsSpec(FiniteSpace(3), (), FiniteFnTerm((3, 2, 1))), FiniteId(2), FiniteId(3)),
+    ], ids=["circle", "product", "finite"])
+    def test_a_system_off_the_shift_is_refused(self, spec, x, y):
+        with pytest.raises(SpaceMismatch, match="runs on shift systems"):
+            li_yorke_scan(spec, [(x, y)], 9)
+        with pytest.raises(SpaceMismatch, match="runs on shift systems"):
+            lemma21_construct(spec, x, y, 2, 9)
 
     def test_denominator_too_large_for_an_integer_is_a_value_error(self):
         spec = parse(f"space shift(2); system S {{ at 5: sigma^{10**40}; }}").system("S")
@@ -840,7 +802,9 @@ class TestLiYorkeFastPath:
     def test_extremes_equal_the_traced_tail(self, spec, pair, horizon):
         x, y = pair
         rep = li_yorke_scan(spec, [pair], horizon)[0]
-        assert (rep.liminf_estimate, rep.limsup_estimate) == traced_extremes(spec, x, y, horizon)
+        lo, hi = traced_extremes(spec, x, y, horizon)
+        assert (rep.liminf_estimate, rep.limsup_estimate) == (lo, hi)
+        assert rep.qualifies == (lo < chaos.EPS_LOW and hi > chaos.DELTA_HIGH)
 
     def test_candidates_on_the_benchmark_systems(self):
         pairs = proximal_scrambled_candidates(all_zeros(), all_ones(), 3)

@@ -618,16 +618,15 @@ class TestHierarchyCoherence:
 class TestAlmostPeriodic:
     def test_rotation_orbit_returns(self):
         spec = mp.NdsSpec(sp.CircleSpace(), (), mp.RotPowTerm(1))
-        v = ck.check_property(
-            spec, ck.PropertyKind("almost-periodic-point", point=sp.AffineAngle(Fraction(0), 0)), 1, 128
-        )
+        v = ck.check_property(spec, ck.PropertyKind("almost-periodic-point"), 1, 128)
         assert v.witnessed
         assert "per_epsilon" in v.evidence
 
     def test_escaping_orbit_inconclusive(self):
-        x = sp.BiWord(0, (1,), (0,), (0,))
-        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("almost-periodic-point", point=x), 1, 64)
-        assert v.status in (ck.WITNESSED, ck.INCONCLUSIVE)
+        # the representative point 1 moves to 2 and stays there
+        spec = mp.NdsSpec(sp.FiniteSpace(2), (), mp.FiniteFnTerm((2, 2)))
+        v = ck.check_property(spec, ck.PropertyKind("almost-periodic-point"), 1, 64)
+        assert (v.status, v.evidence) == (ck.INCONCLUSIVE, {"epsilon": "1/2"})
 
 
 class TestParameterValidation:
@@ -1047,10 +1046,11 @@ class TestTotallyTransitive:
     @pytest.mark.parametrize("spec", [ex36(), CYCLE, mp.ProductSpec((ex36(), CYCLE))],
                              ids=["shift", "finite", "product"])
     def test_one_set_of_base_masks_past_the_first_iterate(self, spec):
-        ck._MASK_CACHE.clear()
         r = sp.min_resolution(spec.space)
-        ck.check_property(spec, ck.PropertyKind("totally-transitive", order=9), r, 4)
-        keys = list(ck._MASK_CACHE)
+        with ck.scoped_caches():
+            ck.check_property(spec, ck.PropertyKind("totally-transitive", order=9), r, 4)
+            keys = list(ck._MASK_CACHE)
+        assert keys
         # no iterate system is built: every set belongs to the system or one of its parts
         assert all(key[0] == spec or key[0] in getattr(spec, "parts", ()) for key in keys)
         assert {key[2] for key in keys} <= {4, 9}

@@ -672,7 +672,6 @@ system PROD = product(CS, ALT);
     def test_the_mask_bytes_per_pair_cover_the_measured_ones(self):
         doc = ndsl.parse(SHIFT_SQUARE)
         for name, r, H in [("A", 2, 64), ("A", 3, 8), ("P", 1, 200)]:
-            ck._MASK_CACHE.clear()
             tracemalloc.start()
             try:
                 _, masks = ck._pair_masks(doc.system(name), r, H)
@@ -680,7 +679,6 @@ system PROD = product(CS, ALT);
             finally:
                 tracemalloc.stop()
             assert held <= len(masks) * (H // 8 + cli.MASK_PAIR_BYTES)
-        ck._MASK_CACHE.clear()
 
     def test_coprime_thirty_digit_steps_exit_three_at_the_crt_index(self, tmp_path):
         a, b = 10**29 + 1, 10**29 + 7
@@ -882,9 +880,9 @@ class TestCorpusCommand:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
-    def test_empty_filter_warns_and_exits_zero(self, capsys):
+    def test_a_filter_matching_nothing_is_an_input_error(self, capsys):
         code, out, err = run(capsys, ["corpus", "--filter", "nonexistent"])
-        assert code == 0 and "no scenario matches" in err
+        assert (code, out, err) == (3, "", "ndslab: no scenario matches 'nonexistent'\n")
 
 
 class TestOneCommandInAProcess:
@@ -984,6 +982,12 @@ class TestOneCommandInAProcess:
         with pytest.raises(KeyError), ck.scoped_caches():
             ck.system_laws(doc.system("F"), 256)
             raise KeyError
+        assert not ck._MASK_CACHE and not ck._LAW_CACHE
+
+    def test_library_checks_outside_a_scope_keep_nothing(self):
+        for k in range(1, 21):
+            spec = ndsl.parse(f"space shift(2);\nsystem F {{ else: sigma^{k}; }}\n").system("F")
+            assert ck.check_property(spec, ck.PropertyKind("transitive"), 2, 64).witnessed
         assert not ck._MASK_CACHE and not ck._LAW_CACHE
 
     def test_laws_are_derived_once_per_system_in_a_command(self, ndsl_file, capsys, monkeypatch):

@@ -125,14 +125,15 @@ def grade(label: str, systems: list) -> list:
     wrong, decided, total = [], 0, 0
     for spec in systems:
         truth = decide(spec)
-        for rendered, holds in truth.items():
-            verdict = ck.check_property(spec, ndsl.read_property(rendered), 1, 64)
-            total += 1
-            decided += verdict.status != ck.INCONCLUSIVE
-            if (verdict.witnessed and not holds) or (verdict.refuted and holds):
-                wrong.append((spec, rendered, verdict.status))
-            elif verdict.status != ck.INCONCLUSIVE and not ck.recheck_verdict(spec, verdict):
-                wrong.append((spec, rendered, verdict.status + ", failing its re-check"))
+        with ck.scoped_caches():  # one system's checks share its laws and masks
+            for rendered, holds in truth.items():
+                verdict = ck.check_property(spec, ndsl.read_property(rendered), 1, 64)
+                total += 1
+                decided += verdict.status != ck.INCONCLUSIVE
+                if (verdict.witnessed and not holds) or (verdict.refuted and holds):
+                    wrong.append((spec, rendered, verdict.status))
+                elif verdict.status != ck.INCONCLUSIVE and not ck.recheck_verdict(spec, verdict):
+                    wrong.append((spec, rendered, verdict.status + ", failing its re-check"))
     print(f"{label} oracle: {decided} of {total} verdicts decided ({decided / total:.1%}), "
           f"{len(wrong)} wrong")
     return wrong
