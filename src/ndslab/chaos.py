@@ -38,6 +38,20 @@ def orbit_distance_trace(spec: mp.SystemSpec, x: sp.Point, y: sp.Point, horizon:
     return out
 
 
+def _check_alphabet(spec: mp.SystemSpec, name: str, point: sp.BiWord) -> None:
+    """Raise SpaceMismatch when `point` is no BiWord, and ValueError naming
+    it (`name`, whose `{point}` reads the point's repr) and the symbol when
+    one of its cells holds a symbol outside the alphabet of spec's shift:
+    such a word is no point of the space, though its orbit could be read."""
+    if not isinstance(point, sp.BiWord):
+        raise sp.SpaceMismatch(f"{type(point).__name__} is not a point of ShiftSpace")
+    size = spec.space.alphabet_size
+    bad = next((s for s in chain(point.window, point.left, point.right) if not 0 <= s < size), None)
+    if bad is not None:
+        raise ValueError(f"{name.format(point=point)} has the symbol {bad}, "
+                         f"which is not in the alphabet 0..{size - 1}")
+
+
 EPS_LOW = Fraction(1, 1024)
 DELTA_HIGH = Fraction(1, 2)
 
@@ -51,6 +65,9 @@ def li_yorke_scan(spec: mp.SystemSpec, candidates: list, horizon: int) -> list:
         raise sp.SpaceMismatch("the Li-Yorke scan runs on shift systems")
     if horizon < 1:
         raise ValueError(f"the Li-Yorke horizon must be at least 1, got {horizon}")
+    for idx, pair in enumerate(candidates):
+        for point in pair:
+            _check_alphabet(spec, f"the point {{point!r}} of pair-{idx}", point)
     exponents = sorted(set(mp.prefix_exponents(spec, horizon)[max(1, horizon // 2):]))
     reports = []
     for idx, (x, y) in enumerate(candidates):
@@ -126,12 +143,8 @@ def lemma21_construct(
     disjoint and clear of each other."""
     if not isinstance(spec.space, sp.ShiftSpace):
         raise sp.SpaceMismatch("the itinerary construction runs on shift systems")
-    size = spec.space.alphabet_size
-    for name, point in (("a", a), ("b", b)):
-        bad = next((s for s in chain(point.window, point.left, point.right) if not 0 <= s < size), None)
-        if bad is not None:
-            raise ValueError(f"reference point {name} has the symbol {bad}, "
-                             f"which is not in the alphabet 0..{size - 1}")
+    _check_alphabet(spec, "reference point a", a)
+    _check_alphabet(spec, "reference point b", b)
     if a == b:
         raise ValueError("the two reference points must differ")
     if levels < 0:
@@ -139,6 +152,7 @@ def lemma21_construct(
     if levels > MAX_ITINERARY_LEVELS:
         raise ValueError(f"the number of itinerary levels must be at most MAX_ITINERARY_LEVELS = "
                          f"{MAX_ITINERARY_LEVELS} ({1 << MAX_ITINERARY_LEVELS} witnesses), got {levels}")
+    size = spec.space.alphabet_size
     if size > 256:
         raise ValueError(f"the itinerary construction holds a cell in a byte: its alphabet may "
                          f"have at most 256 symbols, got {size}")
@@ -188,7 +202,7 @@ def lemma21_construct(
     witnesses, zero = {}, (0,)
     for first in range(0, 1 << levels, rows):
         chunk = bytes(_plant_chunk(row, rows, first, spans, words))
-        points = map(sp.BiWord, repeat(lo), map(chunk.__getitem__, cuts), repeat(zero), repeat(zero))
+        points = map(sp.normal_biword, repeat(lo), map(chunk.__getitem__, cuts), repeat(zero), repeat(zero))
         witnesses.update(zip(islice(labels, rows), points))
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "stepwise verification failed")

@@ -20,10 +20,12 @@ import os
 import sys
 import time
 from functools import lru_cache
+from itertools import islice
 from math import prod
 
 from . import __version__
 from . import checkers as ck
+from . import hitting as ht
 from . import maps as mp
 from . import ndsl
 from . import spaces as sp
@@ -38,11 +40,14 @@ MAX_HORIZON = 10**6
 # the work a check may take on, estimated before it runs: the opens of its
 # basis, and the bytes of the pair masks of the properties that build them
 # (N^2 pairs of N opens, each an H-bit mask plus MASK_PAIR_BYTES of dict
-# entry, key and int header) and of the table laws' leads (LEAD_ENTRY_BYTES
+# entry, key and int header), of the prefix-class masks a check walks
+# (CLASS_MASK_BYTES a class of dict entry, key and int header, and 4 bytes a
+# 30-bit digit of its mask) and of the table laws' leads (LEAD_ENTRY_BYTES
 # an entry, a pointer in a table tuple), as tracemalloc measured
 MAX_BASIS_OPENS = 1 << 16
 MAX_MASK_BYTES = 1 << 28
 MASK_PAIR_BYTES = 144
+CLASS_MASK_BYTES = 96
 LEAD_ENTRY_BYTES = 8
 PAIR_MASK_PROPERTIES = frozenset({
     "transitive", "weakly-mixing", "mixing", "mildly-mixing", "totally-transitive",
@@ -280,9 +285,11 @@ def _size_problem(args, doc, requests):
     N opens, one set per iterate for totally-transitive) pass
     MAX_MASK_BYTES, or the base indices it fills (_base_fill, the order
     where totally-transitive's last iterate reads past the horizon, and the
-    system's _law_fill) pass MAX_HORIZON.  Last, the pair masks of all the
-    checks and the leads of their systems' table laws (_lead_entries)
-    together against MAX_MASK_BYTES."""
+    system's _law_fill) pass MAX_HORIZON, or the prefix-class masks it walks
+    (_class_mask_bytes) pass MAX_MASK_BYTES beside the set of pair masks
+    they are walked for.
+    Last, the pair masks of all the checks and the leads of their systems'
+    table laws (_lead_entries) together against MAX_MASK_BYTES."""
     sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
              ("--law-horizon", args.law_horizon, 1, MAX_HORIZON)]
     for name, prop, horizon, basis in requests:
@@ -306,7 +313,8 @@ def _size_problem(args, doc, requests):
                     f"MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens")
         span = prop.order * horizon if prop.name == "multi-transitive" else horizon
         sets = prop.order if prop.name == "totally-transitive" else int(prop.name in PAIR_MASK_PROPERTIES)
-        need = sets * n * n * (span // 8 + MASK_PAIR_BYTES)
+        built = n * n * (span // 8 + MASK_PAIR_BYTES) if sets else 0  # the set built beside the classes
+        need = sets * built
         if need > MAX_MASK_BYTES:
             per_iterate = f", one set for each of {sets} iterates," if sets > 1 else ""
             return (f"{where} basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times"
@@ -320,6 +328,13 @@ def _size_problem(args, doc, requests):
         if fill > MAX_HORIZON:
             return (f"{where} fills {fill} indices of its base system, over the budget of "
                     f"MAX_HORIZON = {MAX_HORIZON}")
+        if _walks_classes(system, prop):
+            classes = _class_mask_bytes(system, span, MAX_MASK_BYTES - built)
+            if built + classes > MAX_MASK_BYTES:
+                beside = f", beside the {built} bytes of a set of its pair masks" if built else ""
+                return (f"{where} its prefix-class masks over {span} times need an estimated "
+                        f"{classes} bytes or more{beside}, over the budget of "
+                        f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
     # checkers._LAW_CACHE keeps each system's laws, so its leads too, to the end
     entries = sum(map(_lead_entries, {doc.system(name) for name, *_ in requests}))
     need = sum(held.values()) + LEAD_ENTRY_BYTES * entries
@@ -330,6 +345,50 @@ def _size_problem(args, doc, requests):
                 f"need an estimated {need} bytes together, over the budget of "
                 f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
     return None
+
+
+def _walks_classes(spec, prop) -> bool:
+    """Whether the check of `prop` on `spec` walks prefix classes
+    (hitting.prefix_groups): every pair-mask property and
+    almost-periodic-point; minimal unless a table law decides it;
+    strongly-transitive on the circle, a finite space or a product of
+    finite spaces (elsewhere it refutes from B0 or stays inconclusive); the
+    sensitive properties
+    where a leaf is on the shift (basis arcs and singletons separate or not
+    whatever the map)."""
+    name, space = prop.name, spec.space
+    if name in PAIR_MASK_PROPERTIES or name == "almost-periodic-point":
+        return True
+    if name == "minimal":
+        return not (isinstance(space, sp.FiniteSpace) and mp.table_settling(spec))
+    leaf_spaces = [type(leaf.space) for leaf in _leaves(spec)]
+    if name == "strongly-transitive":
+        return isinstance(space, sp.CircleSpace) or set(leaf_spaces) == {sp.FiniteSpace}
+    return name.endswith("sensitive") and sp.ShiftSpace in leaf_spaces
+
+
+def _class_mask_bytes(spec, span: int, limit: int) -> int:
+    """The bytes of the prefix-class masks of `spec` over `span` times,
+    hitting.prefix_groups(spec, span): CLASS_MASK_BYTES a class and 2t/15
+    for its mask (4 bytes a 30-bit digit) up to its last time t.  The
+    classes' last times are distinct, so they sum to at most
+    span(span + 1)/2, and that worst case is returned when it is within
+    `limit`, with no key read.  Otherwise the keys (hitting._prefix_keys)
+    are read in chunks that double, each class's last time so far kept, and
+    the count stops once it passes `limit`: it only grows, so it is a lower
+    bound.  A product's classes refine each part's, so they bound the
+    parts' classes that a pair-mask check walks in their place."""
+    worst = span * (span + 1) // 15 + span * CLASS_MASK_BYTES
+    if worst <= limit:
+        return worst
+    keys, last, n, size = islice(ht._prefix_keys(spec, span), 1, None), {}, 1, 1 << 12
+    while n <= span:
+        last.update(zip(islice(keys, size), range(n, n + size)))
+        n, size = n + size, 2 * size
+        need = sum(last.values()) * 2 // 15 + len(last) * CLASS_MASK_BYTES
+        if need > limit:
+            break
+    return need
 
 
 def _basis_size(space, r: int) -> int:

@@ -153,13 +153,17 @@ def equicontinuity_modulus(
     if not isinstance(space, sp.ShiftSpace):
         return None, "unsupported space"
     # the window f_n^(j+1) is sigma^(E(n+j) - E(n-1)) for the prefix exponents E;
-    # one pass over n per window length j + 1
+    # one list of differences per window length j + 1, whose largest |d| on
+    # each half is the larger of its max and -min there
     E = mp.prefix_exponents(spec, horizon + k - 1)
-    before = E[:horizon]
-    window = [0] * horizon
+    half = horizon // 2
+    before, worst, worst_first_half = E[:horizon], 0, 0
     for j in range(1, k + 1):
-        window = list(map(max, window, map(abs, map(sub, E[j : horizon + j], before))))
-    worst, worst_first_half = max(window, default=0), max(window[: horizon // 2], default=0)
+        d = list(map(sub, E[j : horizon + j], before))
+        first, rest = d[:half], d[half:]
+        worst_first_half = max(worst_first_half, max(first, default=0), -min(first, default=0))
+        worst = max(worst, max(rest, default=0), -min(rest, default=0))
+    worst = max(worst, worst_first_half)
     if worst > worst_first_half:
         return None, f"window exponents still growing at the horizon (max |E| = {worst})"
     try:

@@ -303,15 +303,8 @@ class BiWord:
         if e == 0:
             return self
         # periodic tails are anchored at the window and already primitive, so
-        # only the anchor moves and nothing is renormalised; the fields are set
-        # in constructor order, so the copy keeps them inline with no instance dict
-        moved = object.__new__(BiWord)
-        set_field = object.__setattr__
-        set_field(moved, "window_start", self.window_start - e)
-        set_field(moved, "window", self.window)
-        set_field(moved, "left", self.left)
-        set_field(moved, "right", self.right)
-        return moved
+        # only the anchor moves and nothing is renormalised
+        return normal_biword(self.window_start - e, self.window, self.left, self.right)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiWord):
@@ -333,6 +326,20 @@ class BiWord:
     @staticmethod
     def constant(symbol: int) -> "BiWord":
         return BiWord(0, (), (symbol,), (symbol,))
+
+
+def normal_biword(window_start: int, window, left: tuple, right: tuple) -> BiWord:
+    """The BiWord of fields that are already normal (a tuple or `bytes`
+    window, primitive tuple tails), stored as they are with nothing
+    re-checked.  The fields are set in constructor order, so the point keeps
+    them inline with no instance dict, as a constructed one does."""
+    point = object.__new__(BiWord)
+    set_field = object.__setattr__
+    set_field(point, "window_start", window_start)
+    set_field(point, "window", window)
+    set_field(point, "left", left)
+    set_field(point, "right", right)
+    return point
 
 
 def all_zeros() -> BiWord:
@@ -517,6 +524,28 @@ def _at_phase(p: BiWord) -> BiWord:
     return p.shifted(p.window_start - p.window_start % len(p.left))
 
 
+def _class_ends(run: list, period: int) -> list:
+    """The first and the last exponent of each residue class mod `period`
+    in the ascending `run`.  Every class has its first exponent inside the
+    shortest prefix that holds every class, so the first exponents are read
+    off prefixes of period, 2 period, 4 period, ... exponents until one
+    holds `period` classes or is the whole run, and the last ones off
+    suffixes alike: one prefix of `period` exponents when every class comes
+    early, at most twice one pass over the run when one never comes."""
+    ends = []
+    for first in (True, False):
+        size = period
+        while True:
+            part = run[:size][::-1] if first else run[-size:]
+            # a dict keeps a residue's last exponent in `part`
+            found = dict(zip(map(period.__rmod__, part), part))
+            if len(found) == period or size >= len(run):
+                break
+            size *= 2
+        ends += found.values()
+    return ends
+
+
 def shift_distance_extremes(x: BiWord, y: BiWord, exponents: list) -> tuple:
     """min and max of d(sigma^E x, sigma^E y) over the ascending distinct
     exponents E, exactly.
@@ -538,9 +567,9 @@ def shift_distance_extremes(x: BiWord, y: BiWord, exponents: list) -> tuple:
     on the left) plus the edge's correction, halved once per cell, so it is
     monotone on each residue class and only the class's first and last
     exponent can be its minimum or maximum.  The fold keeps every exponent
-    in [lo, hi] and those class ends, at most w + 1 + 2(lp + rp) of them;
-    picking the ends is two C-level passes, so no fold or exact sum grows
-    with the number of exponents.
+    in [lo, hi] and those class ends (_class_ends), at most
+    w + 1 + 2(lp + rp) of them, so no fold or exact sum grows with the
+    number of exponents.
     """
     for p in (x, y):
         if not isinstance(p, BiWord):
@@ -589,11 +618,7 @@ def shift_distance_extremes(x: BiWord, y: BiWord, exponents: list) -> tuple:
         return inside(e, k)
 
     a, b = bisect_left(exponents, lo), bisect_right(exponents, hi)
-    below, above = exponents[:a], exponents[b:]
-    # dict keeps a residue's last exponent: built forward, its class's
-    # last; built backward, its first
-    ends = [e for side, period in ((below, lp), (above, rp)) for run in (side, side[::-1])
-            for e in dict(zip(map(period.__rmod__, run), run)).values()]
+    ends = _class_ends(exponents[:a], lp) + _class_ends(exponents[b:], rp)
     exponents = sorted({*exponents[a:b], *ends})
 
     extent = w + lp + rp

@@ -1,9 +1,12 @@
 """Itinerary construction and Li-Yorke pair scanning."""
 
 import gc
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 from itertools import product as iter_product
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -303,6 +306,24 @@ class TestItineraryConstruction:
         # refused even where the two points are equal
         with pytest.raises(ValueError, match=f"the symbol {symbol},"):
             lemma21_construct(spec, bad, bad, 2, 64)
+
+
+class TestWitnessRecords:
+    @pytest.mark.parametrize("spec", ITINERARY_SYSTEMS[:3], ids=["sigma", "sigma-2", "ap12"])
+    def test_each_witness_is_the_point_the_constructor_builds(self, spec):
+        fields = attrgetter("window_start", "window", "left", "right")
+        for levels in range(1, 11):
+            res = lemma21_construct(spec, all_zeros(), all_ones(), levels, 4096)
+            assert res.verified and len(res.witnesses) == 1 << levels
+            for w in res.witnesses.values():
+                built = BiWord(w.window_start, w.window, w.left, w.right)
+                assert type(w) is BiWord and type(w.window) is bytes
+                assert fields(w) == fields(built)
+                # the fields are held as a constructed point holds them, which
+                # from Python 3.11 on is inline, with no instance __dict__
+                assert list(map(type, gc.get_referents(w))) == list(map(type, gc.get_referents(built)))
+                if sys.version_info >= (3, 11):
+                    assert not any(isinstance(r, dict) for r in gc.get_referents(w))
 
 
 class TestWindowTypes:
@@ -611,6 +632,25 @@ class TestLiYorkeScan:
         with pytest.raises(SpaceMismatch, match="runs on shift systems"):
             lemma21_construct(spec, x, y, 2, 9)
 
+    @pytest.mark.parametrize("symbol", [7, 2, -1])
+    @pytest.mark.parametrize("point", [
+        lambda s: BiWord.constant(s),
+        lambda s: BiWord(0, (s, s, 1), (0,), (0,)),
+        lambda s: BiWord(0, (1, 0), (0, s), (1,)),
+        lambda s: BiWord(0, (1,), (0,), (1, 1, s)),
+    ], ids=["constant", "window", "left", "right"])
+    def test_a_symbol_outside_the_alphabet_is_refused_before_any_work(self, monkeypatch, symbol, point):
+        def refuse(spec, upto):
+            raise AssertionError("the scan read the prefix exponents")
+
+        monkeypatch.setattr(maps, "prefix_exponents", refuse)
+        bad = point(symbol)
+        for pair in ((bad, all_zeros()), (all_zeros(), bad), (bad, bad)):
+            message = re.escape(f"the point {bad!r} of pair-1 has the symbol {symbol}, which is not "
+                                "in the alphabet 0..1")
+            with pytest.raises(ValueError, match=message):
+                li_yorke_scan(CONST_SIGMA, [(all_zeros(), all_ones()), pair], 64)
+
     def test_denominator_too_large_for_an_integer_is_a_value_error(self):
         spec = parse(f"space shift(2); system S {{ at 5: sigma^{10**40}; }}").system("S")
         pair = (all_zeros(), BiWord(0, (1,), (0,), (0,)))
@@ -770,7 +810,36 @@ def pairs_and_exponents(draw):
     return x, y, sorted(set(exponents))
 
 
+def whole_run_ends(run, period):
+    """The first and the last exponent of each residue class mod `period`,
+    off one dict over the whole run in each direction."""
+    return {e for side in (run, run[::-1]) for e in dict(zip((e % period for e in side), side)).values()}
+
+
+@st.composite
+def runs_and_periods(draw):
+    """An ascending run of exponents, contiguous, strided or sparse, and a
+    period up to 64 or longer than the run."""
+    start, count = draw(st.integers(-3000, 3000)), draw(st.integers(0, 400))
+    shape = draw(st.sampled_from(["contiguous", "strided", "sparse"]))
+    if shape == "contiguous":
+        run = list(range(start, start + count))
+    elif shape == "strided":
+        step = draw(st.integers(2, 9))
+        run = list(range(start, start + step * count, step))
+    else:
+        run = sorted(set(draw(st.lists(st.integers(start, start + 5000), max_size=count))))
+    period = draw(st.one_of(st.integers(1, 64), st.integers(len(run) + 1, len(run) + 50)))
+    return run, period
+
+
 class TestTailPruning:
+    @given(runs_and_periods())
+    @settings(max_examples=300, deadline=None)
+    def test_class_ends_off_doubling_prefixes_equal_the_whole_run_dicts(self, case):
+        run, period = case
+        assert set(spaces._class_ends(run, period)) == whole_run_ends(run, period)
+
     @given(pairs_and_exponents())
     @settings(max_examples=200, deadline=None)
     def test_class_ends_give_the_full_list_extremes(self, case):

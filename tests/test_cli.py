@@ -355,8 +355,9 @@ class TestExitCodes:
 
     def test_multi_transitive_span_at_the_bound_is_accepted(self):
         # estimated only: a span of exactly MAX_HORIZON passes the size check
+        # on a system with one prefix class, whose class mask is one int
         args = cli._parse_args(["check", "x.ndsl"])
-        doc = ndsl.parse(EX36)
+        doc = ndsl.parse("space shift(2);\nsystem F { else: id; }\n")
         requests = [("F", ndsl.read_property("multi-transitive:4"), cli.MAX_HORIZON // 4, 1)]
         assert cli._size_problem(args, doc, requests) is None
         requests = [("F", ndsl.read_property("multi-transitive:4"), cli.MAX_HORIZON // 4 + 1, 1)]
@@ -386,6 +387,97 @@ class TestExitCodes:
         for order, accepted in [(1724, True), (1725, False)]:
             request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 2)
             assert (cli._size_problem(args, doc, [request]) is None) is accepted
+
+    @pytest.mark.parametrize("flags", [
+        ["--property", "transitive", "--horizon", "1000000", "--basis", "1"],
+        ["--property", "weakly-mixing:5", "--horizon", "1000000", "--basis", "1"],
+        ["--property", "multi-transitive:1000000", "--horizon", "1"],
+    ], ids=["transitive", "weakly-mixing", "multi-transitive"])
+    def test_class_masks_over_the_budget_exit_three(self, ndsl_file, capsys, no_work, flags):
+        # estimated only: sigma^1 has one prefix class a time, whose masks
+        # take about span^2/15 bytes, some 62 GB at a span of 10^6
+        code, out, err = run(capsys, ["check", ndsl_file(SIGMA), *flags])
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith("ndslab: check F ") and "prefix-class masks over 1000000 times" in err
+        assert f"over the budget of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes" in err
+
+    def test_class_masks_are_estimated_from_the_worst_case_up_to_thousands_of_times(self, monkeypatch):
+        # no prefix key is read where span(span + 1)/15 fits the budget: the
+        # horizons and orders of every benchmark request
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimate read the prefix classes")
+
+        monkeypatch.setattr(cli.ht, "prefix_groups", refuse)
+        monkeypatch.setattr(cli.ht, "_prefix_keys", refuse)
+        args = cli._parse_args(["check", "x.ndsl"])
+        doc = ndsl.parse(EX36)
+        for prop in ["transitive", "mixing", "multi-transitive:4", "totally-transitive:3", "sensitive:1/2",
+                     "minimal", "almost-periodic-point"]:
+            for horizon in (64, 512, 4096):
+                assert cli._size_problem(args, doc, [("F", ndsl.read_property(prop), horizon, 2)]) is None
+
+    @pytest.mark.parametrize("source", [
+        SIGMA, FINITE_SWAP, SHIFT_SQUARE, EX38_WITH_PRODUCT,
+        "space finite(3);\nsystem F { at 1: table{1->2,2->2,3->1}; else: table{1->2,2->3,3->1}; }\n",
+        "space finite(2);\nsystem A { else: table{1->2,2->1}; }\nsystem P = product(A, A);\n",
+    ], ids=["shift", "finite", "shift-product", "circle", "finite-lead", "finite-product"])
+    def test_every_check_that_walks_the_prefix_classes_is_estimated(self, monkeypatch, source):
+        walked = []
+        groups = cli.ht.prefix_groups
+
+        def recorded(spec, horizon):
+            walked.append(horizon)
+            return groups(spec, horizon)
+
+        monkeypatch.setattr(cli.ht, "prefix_groups", recorded)
+        doc = ndsl.parse(source)
+        for name in doc.names:
+            for prop in ["transitive", "weakly-mixing", "mixing", "mildly-mixing", "totally-transitive",
+                         "strongly-transitive", "multi-transitive", "syndetically-transitive", "minimal",
+                         "feeble-open", "dense-periodic-points", "almost-periodic-point", "sensitive:1/2",
+                         "syndetically-sensitive:1/4", "thickly-sensitive:1/4", "multi-sensitive:1/4",
+                         "surjective-sequence"]:
+                walked.clear()
+                kind = ndsl.read_property(prop)
+                with ck.scoped_caches():
+                    ck.check_property(doc.system(name), kind, basis_resolution=2, horizon=16)
+                assert not walked or cli._walks_classes(doc.system(name), kind), (name, prop)
+
+    @pytest.mark.parametrize("rules, span", [
+        ("else: sigma^1;", 4000), ("at odd(k): sigma^k; at even(k): sigma^-k;", 4000),
+        ("at ap(1,3): sigma^1; else: sigma^-1;", 20000), ("else: id;", 20000),
+    ])
+    def test_the_class_mask_count_is_near_what_tracemalloc_reads(self, rules, span):
+        # with no room left the keys are read, and the count stops after a
+        # chunk; with room for the count, it is within a quarter of the masks'
+        # bytes, and never below them when the worst case is returned
+        spec = ndsl.parse(f"space shift(2);\nsystem F {{ {rules} }}\n").system("F")
+        tracemalloc.start()
+        try:
+            groups = cli.ht.prefix_groups(spec, span)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        worst = cli._class_mask_bytes(spec, span, 1 << 40)
+        counted = cli._class_mask_bytes(spec, span, worst - 1)
+        assert held <= worst and 0.75 * held <= counted <= 1.25 * held
+        assert cli._class_mask_bytes(spec, span, 0) > 0
+        assert len(groups) * cli.CLASS_MASK_BYTES <= counted
+
+    def test_a_class_mask_lower_bound_stops_the_count_early(self, monkeypatch):
+        # the keys of sigma^1 at a span of 10^6 are read only until their count passes the budget
+        read = []
+        keys = cli.ht._prefix_keys
+
+        def counted(spec, horizon):
+            for key in keys(spec, horizon):
+                read.append(key)
+                yield key
+
+        monkeypatch.setattr(cli.ht, "_prefix_keys", counted)
+        spec = ndsl.parse(SIGMA).system("F")
+        assert cli._class_mask_bytes(spec, cli.MAX_HORIZON, cli.MAX_MASK_BYTES) > cli.MAX_MASK_BYTES
+        assert len(read) < cli.MAX_HORIZON // 4
 
     def test_totally_transitive_counts_the_base_times_of_its_last_iterate(
         self, ndsl_file, capsys, no_masks

@@ -23,6 +23,7 @@ from ndslab import checkers as ck
 from ndslab import convergence as cv
 from ndslab import hitting as ht
 from ndslab import maps as mp
+from ndslab import ndsl
 from ndslab import spaces as sp
 
 SHIFT = sp.ShiftSpace()
@@ -989,6 +990,22 @@ class TestOrbitQuestions:
     @settings(max_examples=150, deadline=None)
     def test_equicontinuity_modulus_matches_the_window_double_loop(self, spec, eps, k, H):
         assert cv.equicontinuity_modulus(spec, eps, k, H) == equicontinuity_window_loop(spec, eps, k, H)
+
+    # the scale of the orbit-scan benchmark: horizons 1024 and 2048, windows 1..4
+    @pytest.mark.parametrize("name", ["Shift", "Back2", "Telescoping", "TelescopingTail", "Mod3"])
+    def test_equicontinuity_modulus_matches_the_window_double_loop_at_scale(self, name):
+        doc = ndsl.parse(
+            "space shift(2);\n"
+            "system Shift { else: sigma^1; }\n"
+            "system Back2 { else: sigma^-2; }\n"
+            "system Telescoping { at ap(3,2,k): sigma^k; at ap(4,2,k): sigma^-k; }\n"
+            "system TelescopingTail = tail(Telescoping, 2);\n"
+            "system Mod3 { at ap(1,3): sigma^1; at ap(2,3): sigma^2; else: sigma^-1; }\n"
+        )
+        spec, eps = doc.system(name), Fraction(1, 8)
+        for H in (1024, 2048):
+            for k in range(1, 5):
+                assert cv.equicontinuity_modulus(spec, eps, k, H) == equicontinuity_window_loop(spec, eps, k, H)
 
 
 # the stepwise oracles, the per-step question of surjectivity, the orbit fold
