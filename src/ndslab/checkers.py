@@ -164,14 +164,6 @@ def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
     return _kept(_MASK_CACHE, (spec, resolution, horizon), make)
 
 
-def _sep_masks(spec: mp.SystemSpec, resolution: int, horizon: int, delta: Fraction):
-    """(basis, mask): mask is the bitmask of N(B, delta) within [1, horizon]
-    for every basis open B alike, since they share their image diameter
-    under each prefix map, so hitting.separation_mask reads it off B0."""
-    basis = sp.enumerate_basis(spec.space, resolution)
-    return basis, ht.separation_mask(spec, basis[0], delta, horizon)
-
-
 def _first_bit(mask: int) -> int | None:
     if mask == 0:
         return None
@@ -822,10 +814,11 @@ _SENSITIVE_NOTES = {
 
 def _check_sensitive(spec, prop, r, H, laws) -> tuple:
     """Sensitive, syndetically, thickly and multi-sensitive: every basis
-    open must separate past delta.  The opens share one separation mask and
-    one diameter (see _sep_masks), so B0 decides for the whole basis: the
-    first three read its separation set and cite it for every open,
-    multi-sensitive reports its first time, which separates them all."""
+    open must separate past delta.  The opens share their image diameter
+    under each prefix map, so one separation mask, and B0 decides for the
+    whole basis: the first three read its separation set and cite it for
+    every open, multi-sensitive reports its first time, which separates
+    them all."""
     delta = Fraction(prop.delta)
     multi = prop.name == "multi-sensitive"
     if delta >= sp.space_diameter(spec.space):
@@ -834,7 +827,8 @@ def _check_sensitive(spec, prop, r, H, laws) -> tuple:
             {"structural": f"delta {delta} is at least the space diameter"},
             () if multi else ("trivial refutation: no pair can ever separate that far",),
         )
-    basis, mask = _sep_masks(spec, r, H, delta)
+    basis = sp.enumerate_basis(spec.space, r)
+    mask = ht.separation_mask(spec, basis[0], delta, H)
     grade, detail = ht.separation_reason(spec, laws, basis[0], delta) or (None, "")
     if grade == "never":
         return _refute_open(basis, 0, detail)
@@ -890,28 +884,49 @@ def _check_surjective(spec, prop, r, H, laws) -> tuple:
     return INCONCLUSIVE, {}, ("all step maps surjective up to the horizon, but no structural argument",)
 
 
-_DELTA = Param("delta", integer=False)
+def _leaf_kinds(spec) -> set:
+    """The kinds of space of the leaves (maps.leaves) `spec` is made of."""
+    return {type(leaf.space) for leaf in mp.leaves(spec)}
 
-# every property: its checker and its parameters in the order a rendering
-# (`name:p1,p2`) lists them
+
+_DELTA = Param("delta", integer=False)
+_ONE_SET, _NO_SET = (lambda prop, H: (H,)), (lambda prop, H: ())
+_ALWAYS, _NEVER = (lambda spec: True), (lambda spec: False)
+# elsewhere basis arcs and singletons separate or not whatever the map
+_ON_SHIFT = lambda spec: sp.ShiftSpace in _leaf_kinds(spec)  # noqa: E731
+
+# every property, a row: its checker; its parameters in the order a
+# rendering (`name:p1,p2`) lists them; the spans its check keeps a set of
+# pair masks over in _MASK_CACHE, given the property and the horizon H; and
+# whether its check walks the prefix classes (hitting.prefix_groups) of a
+# system.  cli._size_problem prices each row's sets and walks before a check runs
 PROPERTIES = {
-    "transitive": (_check_transitive, ()),
-    "weakly-mixing": (_check_weakly_mixing, (Param("order", 2, least=2),)),
-    "mixing": (_check_mixing, ()),
-    "mildly-mixing": (_check_mildly_mixing, ()),
-    "totally-transitive": (_check_totally_transitive, (Param("order", 3),)),
-    "strongly-transitive": (_check_strongly_transitive, ()),
-    "multi-transitive": (_check_multi_transitive, (Param("order", 2),)),
-    "syndetically-transitive": (_check_syndetically_transitive, ()),
-    "minimal": (_check_minimal, ()),
-    "feeble-open": (_check_feeble_open, ()),
-    "dense-periodic-points": (_check_dense_periodic, ()),
-    "almost-periodic-point": (_check_almost_periodic, ()),
-    "sensitive": (_check_sensitive, (_DELTA,)),
-    "syndetically-sensitive": (_check_sensitive, (_DELTA,)),
-    "thickly-sensitive": (_check_sensitive, (_DELTA, Param("run_length", 3))),
-    "multi-sensitive": (_check_sensitive, (_DELTA, Param("order", 3))),
-    "surjective-sequence": (_check_surjective, ()),
+    "transitive": (_check_transitive, (), _ONE_SET, _ALWAYS),
+    "weakly-mixing": (_check_weakly_mixing, (Param("order", 2, least=2),), _ONE_SET, _ALWAYS),
+    "mixing": (_check_mixing, (), _ONE_SET, _ALWAYS),
+    "mildly-mixing": (_check_mildly_mixing, (), _ONE_SET, _ALWAYS),
+    # _check_transitive's set over H, then the base masks over max(H, m)
+    "totally-transitive": (_check_totally_transitive, (Param("order", 3),),
+                           lambda prop, H: (H,) if prop.order <= H else (H, prop.order), _ALWAYS),
+    # covers on the circle or finite leaves; elsewhere it refutes from B0 or stays inconclusive
+    "strongly-transitive": (_check_strongly_transitive, (), _NO_SET,
+                            lambda spec: isinstance(spec.space, sp.CircleSpace)
+                            or _leaf_kinds(spec) == {sp.FiniteSpace}),
+    # slot j reads time j*l, so the set spans m*H
+    "multi-transitive": (_check_multi_transitive, (Param("order", 2),),
+                         lambda prop, H: (prop.order * H,), _ALWAYS),
+    "syndetically-transitive": (_check_syndetically_transitive, (), _ONE_SET, _ALWAYS),
+    # a finite system with a table law is decided off the law
+    "minimal": (_check_minimal, (), _NO_SET,
+                lambda spec: not (isinstance(spec.space, sp.FiniteSpace) and mp.table_settling(spec))),
+    "feeble-open": (_check_feeble_open, (), _NO_SET, _NEVER),
+    "dense-periodic-points": (_check_dense_periodic, (), _NO_SET, _NEVER),
+    "almost-periodic-point": (_check_almost_periodic, (), _NO_SET, _ALWAYS),
+    "sensitive": (_check_sensitive, (_DELTA,), _NO_SET, _ON_SHIFT),
+    "syndetically-sensitive": (_check_sensitive, (_DELTA,), _NO_SET, _ON_SHIFT),
+    "thickly-sensitive": (_check_sensitive, (_DELTA, Param("run_length", 3)), _NO_SET, _ON_SHIFT),
+    "multi-sensitive": (_check_sensitive, (_DELTA, Param("order", 3)), _NO_SET, _ON_SHIFT),
+    "surjective-sequence": (_check_surjective, (), _NO_SET, _NEVER),
 }
 
 

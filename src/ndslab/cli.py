@@ -38,21 +38,21 @@ SCHEMA_VERSION = 1
 MAX_HORIZON = 10**6
 
 # the work a check may take on, estimated before it runs: the opens of its
-# basis, and the bytes of the pair masks of the properties that build them
-# (N^2 pairs of N opens, each an H-bit mask plus MASK_PAIR_BYTES of dict
-# entry, key and int header), of the prefix-class masks a check walks
-# (CLASS_MASK_BYTES a class of dict entry, key and int header, and 4 bytes a
-# 30-bit digit of its mask) and of the table laws' leads (LEAD_ENTRY_BYTES
-# an entry, a pointer in a table tuple), as tracemalloc measured
+# basis, and the bytes of the sets of pair masks its property keeps
+# (checkers.PROPERTIES; N^2 pairs of N opens a set, each a mask of a bit a
+# time plus MASK_PAIR_BYTES of dict entry, key and int header), of the
+# prefix-class masks a check walks (CLASS_MASK_BYTES a class of dict entry,
+# key and int header, and 4 bytes a 30-bit digit of its mask) and of the
+# table laws' leads (LEAD_ENTRY_BYTES an entry, a pointer in a table tuple),
+# as tracemalloc measured.  A class of a finite leaf has a prefix table in
+# its key besides: a tuple, TABLE_KEY_BYTES of header and LEAD_ENTRY_BYTES
+# an entry
 MAX_BASIS_OPENS = 1 << 16
 MAX_MASK_BYTES = 1 << 28
 MASK_PAIR_BYTES = 144
 CLASS_MASK_BYTES = 96
 LEAD_ENTRY_BYTES = 8
-PAIR_MASK_PROPERTIES = frozenset({
-    "transitive", "weakly-mixing", "mixing", "mildly-mixing", "totally-transitive",
-    "multi-transitive", "syndetically-transitive",
-})
+TABLE_KEY_BYTES = 40
 
 
 class _InputError(Exception):
@@ -281,13 +281,12 @@ def _size_problem(args, doc, requests):
     and the pair masks of multi-transitive:m span m times the horizon, so
     that product may not pass MAX_HORIZON either.  Then the first request
     whose estimated work is over its budget: its basis has more than
-    MAX_BASIS_OPENS opens, the bytes of its pair masks (N^2 masks a set for
-    N opens, one set per iterate for totally-transitive) pass
-    MAX_MASK_BYTES, or the base indices it fills (_base_fill, the order
-    where totally-transitive's last iterate reads past the horizon, and the
-    system's _law_fill) pass MAX_HORIZON, or the prefix-class masks it walks
-    (_class_mask_bytes) pass MAX_MASK_BYTES beside the set of pair masks
-    they are walked for.
+    MAX_BASIS_OPENS opens, the bytes of the sets of pair masks its row of
+    checkers.PROPERTIES keeps (N^2 masks a set for N opens) pass
+    MAX_MASK_BYTES, or the base indices it fills (_base_fill over its
+    widest span, and the system's _law_fill) pass MAX_HORIZON, or the
+    prefix-class masks its row walks (_class_mask_bytes) pass MAX_MASK_BYTES
+    beside those sets.
     Last, the pair masks of all the checks and the leads of their systems'
     table laws (_lead_entries) together against MAX_MASK_BYTES."""
     sizes = [("--horizon", args.horizon, 1, MAX_HORIZON), ("--basis", args.basis, 1, None),
@@ -307,31 +306,28 @@ def _size_problem(args, doc, requests):
     held = {}  # checkers._MASK_CACHE keeps each (system, basis, span) set to the end
     for name, prop, horizon, basis in requests:
         system, where = doc.system(name), f"check {name} {prop.render()}:"
+        _, _, spans, walks = ck.PROPERTIES[prop.name]
         n = _basis_size(system.space, basis)
         if n > MAX_BASIS_OPENS:
             return (f"{where} basis {basis} gives more than the budget of "
                     f"MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens")
-        span = prop.order * horizon if prop.name == "multi-transitive" else horizon
-        sets = prop.order if prop.name == "totally-transitive" else int(prop.name in PAIR_MASK_PROPERTIES)
-        built = n * n * (span // 8 + MASK_PAIR_BYTES) if sets else 0  # the set built beside the classes
-        need = sets * built
+        sets = {span: n * n * (span // 8 + MASK_PAIR_BYTES) for span in spans(prop, horizon)}
+        need = sum(sets.values())
         if need > MAX_MASK_BYTES:
-            per_iterate = f", one set for each of {sets} iterates," if sets > 1 else ""
-            return (f"{where} basis {basis} gives {n} opens, whose {n * n} pair masks over {span} times"
-                    f"{per_iterate} need an estimated {need} bytes, over the budget of "
-                    f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
-        if need:
-            held[name, basis, span] = max(held.get((name, basis, span), 0), need)
-        if prop.name == "totally-transitive":  # iterate m reads base time m
-            span = max(span, prop.order)
+            masks = " and ".join(f"{n * n} pair masks over {span} times" for span in sets)
+            return (f"{where} basis {basis} gives {n} opens, whose {masks} need an estimated {need} "
+                    f"bytes, over the budget of MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
+        held.update({(name, basis, span): size for span, size in sets.items()})
+        span = max((horizon, *sets))
         fill = max(_base_fill(system, span), _law_fill(system, args.law_horizon))
         if fill > MAX_HORIZON:
             return (f"{where} fills {fill} indices of its base system, over the budget of "
                     f"MAX_HORIZON = {MAX_HORIZON}")
-        if _walks_classes(system, prop):
-            classes = _class_mask_bytes(system, span, MAX_MASK_BYTES - built)
-            if built + classes > MAX_MASK_BYTES:
-                beside = f", beside the {built} bytes of a set of its pair masks" if built else ""
+        if walks(system):
+            classes = _class_mask_bytes(system, span, MAX_MASK_BYTES - need)
+            if need + classes > MAX_MASK_BYTES:
+                kept = "a set" if len(sets) == 1 else f"{len(sets)} sets"
+                beside = f", beside the {need} bytes of {kept} of its pair masks" if need else ""
                 return (f"{where} its prefix-class masks over {span} times need an estimated "
                         f"{classes} bytes or more{beside}, over the budget of "
                         f"MAX_MASK_BYTES = {MAX_MASK_BYTES} bytes")
@@ -347,45 +343,28 @@ def _size_problem(args, doc, requests):
     return None
 
 
-def _walks_classes(spec, prop) -> bool:
-    """Whether the check of `prop` on `spec` walks prefix classes
-    (hitting.prefix_groups): every pair-mask property and
-    almost-periodic-point; minimal unless a table law decides it;
-    strongly-transitive on the circle, a finite space or a product of
-    finite spaces (elsewhere it refutes from B0 or stays inconclusive); the
-    sensitive properties
-    where a leaf is on the shift (basis arcs and singletons separate or not
-    whatever the map)."""
-    name, space = prop.name, spec.space
-    if name in PAIR_MASK_PROPERTIES or name == "almost-periodic-point":
-        return True
-    if name == "minimal":
-        return not (isinstance(space, sp.FiniteSpace) and mp.table_settling(spec))
-    leaf_spaces = [type(leaf.space) for leaf in _leaves(spec)]
-    if name == "strongly-transitive":
-        return isinstance(space, sp.CircleSpace) or set(leaf_spaces) == {sp.FiniteSpace}
-    return name.endswith("sensitive") and sp.ShiftSpace in leaf_spaces
-
-
 def _class_mask_bytes(spec, span: int, limit: int) -> int:
     """The bytes of the prefix-class masks of `spec` over `span` times,
-    hitting.prefix_groups(spec, span): CLASS_MASK_BYTES a class and 2t/15
-    for its mask (4 bytes a 30-bit digit) up to its last time t.  The
-    classes' last times are distinct, so they sum to at most
-    span(span + 1)/2, and that worst case is returned when it is within
-    `limit`, with no key read.  Otherwise the keys (hitting._prefix_keys)
-    are read in chunks that double, each class's last time so far kept, and
-    the count stops once it passes `limit`: it only grows, so it is a lower
-    bound.  A product's classes refine each part's, so they bound the
-    parts' classes that a pair-mask check walks in their place."""
-    worst = span * (span + 1) // 15 + span * CLASS_MASK_BYTES
+    hitting.prefix_groups(spec, span): CLASS_MASK_BYTES a class, the prefix
+    table of each finite leaf in its key, and 2t/15 for its mask (4 bytes a
+    30-bit digit) up to its last time t.  The classes' last times are
+    distinct, so they sum to at most span(span + 1)/2, and that worst case
+    is returned when it is within `limit`, with no key read.  Otherwise the
+    keys (hitting._prefix_keys) are read in chunks that double, each class's
+    last time so far kept, and the count stops once it passes `limit`: it
+    only grows, so it is a lower bound.  A product's classes refine each
+    part's, so they bound the parts' classes that a pair-mask check walks in
+    their place."""
+    per_class = CLASS_MASK_BYTES + sum(TABLE_KEY_BYTES + LEAD_ENTRY_BYTES * leaf.space.point_count
+                                       for leaf in mp.leaves(spec) if isinstance(leaf.space, sp.FiniteSpace))
+    worst = span * (span + 1) // 15 + span * per_class
     if worst <= limit:
         return worst
     keys, last, n, size = islice(ht._prefix_keys(spec, span), 1, None), {}, 1, 1 << 12
     while n <= span:
         last.update(zip(islice(keys, size), range(n, n + size)))
         n, size = n + size, 2 * size
-        need = sum(last.values()) * 2 // 15 + len(last) * CLASS_MASK_BYTES
+        need = sum(last.values()) * 2 // 15 + len(last) * per_class
         if need > limit:
             break
     return need
@@ -408,33 +387,25 @@ def _basis_size(space, r: int) -> int:
     return min(n, MAX_BASIS_OPENS + 1)
 
 
-def _leaves(spec) -> list:
-    """The rule systems and tails and iterates of one that `spec` is made
-    of: itself, or a product's parts' leaves."""
-    if isinstance(spec, mp.ProductSpec):
-        return [leaf for part in spec.parts for leaf in _leaves(part)]
-    return [spec]
-
-
 def _base_fill(spec, span: int) -> int:
     """The base indices a check over `span` times of `spec` fills or steps
     through: time n reads s indices of a leaf past its cut, s the stride it
     is read at (maps.reading), so s*span whatever its cut, for the leaf of
     widest stride."""
-    return span * max(mp.reading(leaf)[2] for leaf in _leaves(spec))
+    return span * max(mp.reading(leaf)[2] for leaf in mp.leaves(spec))
 
 
 def _law_fill(spec, law_horizon: int) -> int:
     """The base indices derive_laws fills for `spec`'s exponent laws, the
     most any leaf's (maps.law_reach, 0 where nothing is read)."""
-    return max(mp.law_reach(leaf, law_horizon) or 0 for leaf in _leaves(spec))
+    return max(mp.law_reach(leaf, law_horizon) or 0 for leaf in mp.leaves(spec))
 
 
 def _lead_entries(spec) -> int:
     """The prefix-table entries derive_laws keeps as the leads of `spec`'s
     table laws, (r0 - 1)|X| a leaf with r0 read off its rules before any
     table is folded (maps.table_settling)."""
-    leads = ((mp.table_settling(leaf), leaf.space) for leaf in _leaves(spec))
+    leads = ((mp.table_settling(leaf), leaf.space) for leaf in mp.leaves(spec))
     return sum((settled[0] - 1) * space.point_count for settled, space in leads if settled)
 
 

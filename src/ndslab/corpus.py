@@ -187,7 +187,7 @@ def _run_gap_bound(doc, exp):
     if m2 is None:
         return "fail", {"reason": "tracking neighborhood never hit"}
     # every basis open shares one separation mask
-    sens_gap = ht._frequency(ck._sep_masks(system, r, H, delta)[1], H)[0]
+    sens_gap = ht._frequency(ht.separation_mask(system, basis[0], delta, H), H)[0]
     ok = sens_gap <= m1 + m2
     detail = {"sensitivity_max_gap": sens_gap, "m1": m1, "m2": m2, "modulus_note": note}
     return "pass" if ok else "fail", detail

@@ -367,6 +367,14 @@ class ProductSpec:
 SystemSpec = NdsSpec | DerivedSpec | ProductSpec
 
 
+def leaves(spec: SystemSpec) -> list:
+    """The rule systems and tails and iterates of one that `spec` is made
+    of: itself, or a product's parts' leaves."""
+    if isinstance(spec, ProductSpec):
+        return [leaf for part in spec.parts for leaf in leaves(part)]
+    return [spec]
+
+
 def reading(spec: SystemSpec) -> tuple:
     """(F, a, s): step n of `spec` is the composed window of F over indices
     a + s(n-1) + 1 .. a + sn; F is the rule system of a tail or iterate,

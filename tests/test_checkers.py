@@ -810,6 +810,12 @@ def contains_walk(space, basis, p):
     return None
 
 
+def separation_mask(spec, r, H, delta) -> int:
+    """hitting.separation_mask of B0 at resolution r, the mask every basis
+    open shares (the one _check_sensitive reads)."""
+    return ht.separation_mask(spec, sp.enumerate_basis(spec.space, r)[0], delta, H)
+
+
 def sep_mask_per_class(spec, r, H, delta) -> int:
     """The separation mask one prefix class at a time: the image diameter of
     B0 under each class, the fold the threshold walk replaces."""
@@ -885,7 +891,7 @@ class TestBasisPartition:
     def test_threshold_walk_matches_the_per_class_fold(self, r, H, data):
         spec = data.draw(st.one_of(shift_families(), shift_families().map(lambda s: mp.tail(s, 3))))
         delta = data.draw(boundary_deltas(r))
-        assert ck._sep_masks(spec, r, H, delta)[1] == sep_mask_per_class(spec, r, H, delta)
+        assert separation_mask(spec, r, H, delta) == sep_mask_per_class(spec, r, H, delta)
 
     @given(st.integers(2, 4), st.integers(1, 16), st.data())
     @settings(max_examples=40, deadline=None)
@@ -898,14 +904,14 @@ class TestBasisPartition:
         shift = data.draw(shift_families())
         for spec, res in ((circle, r), (finite, 1), (mp.ProductSpec((shift, finite)), 1),
                           (mp.ProductSpec((circle, shift)), r)):
-            assert ck._sep_masks(spec, res, H, delta)[1] == sep_mask_per_class(spec, res, H, delta)
+            assert separation_mask(spec, res, H, delta) == sep_mask_per_class(spec, res, H, delta)
 
     @pytest.mark.parametrize("delta", [Fraction(3), Fraction(7, 2), Fraction(10**6)])
     def test_delta_of_at_least_three_separates_nothing_without_a_walk(self, monkeypatch, delta):
         # no cylinder is that wide: a walk towards |e| = 10^40 would never end
         count_calls(monkeypatch, "diameter_exceeds", limit=0)
         growing = mp.NdsSpec(SHIFT, (mp.Rule(mp.ArithProgPattern(1, 1), mp.FamilyTerm("shift", 10**40)),))
-        assert ck._sep_masks(growing, 2, 2000, delta)[1] == 0
+        assert separation_mask(growing, 2, 2000, delta) == 0
 
 
 def count_calls(monkeypatch, name: str, limit: Optional[int] = None) -> list:
@@ -930,7 +936,7 @@ class TestCountedCalls:
     def test_separation_walk_is_bounded(self, monkeypatch, spec, delta):
         r = 2
         count_calls(monkeypatch, "diameter_exceeds", limit=r + 3 + (3 - delta).denominator.bit_length())
-        ck._sep_masks(spec, r, 2000, delta)
+        separation_mask(spec, r, 2000, delta)
 
     def test_first_visits_read_opens_without_membership_tests(self, monkeypatch):
         shift = ex36()
@@ -949,7 +955,7 @@ class TestCountedCalls:
         reads its part of B0 and builds none."""
         spec = mp.ProductSpec((ex36(), CONST_SIGMA))
         calls = count_calls(monkeypatch, "enumerate_basis")
-        ck._sep_masks(spec, 2, 64, Fraction(1, 2))
+        separation_mask(spec, 2, 64, Fraction(1, 2))
         assert [args[0] for args in calls] == [spec.space, *spec.space.parts]
 
     @pytest.mark.parametrize("spec", [ex31(), ex36()], ids=["example-3.1", "example-3.6"])

@@ -367,26 +367,53 @@ class TestExitCodes:
     def test_totally_transitive_iterates_over_the_budget_exit_three(
         self, ndsl_file, capsys, no_masks, via
     ):
-        # totally-transitive:m keeps one set of pair masks for each iterate
-        prop = "totally-transitive:1725"
+        # totally-transitive:m keeps the set of transitive over the horizon and,
+        # for m past it, the base masks over m times: 2^14 pairs at basis 3
+        prop = "totally-transitive:200000"
         if via == "flag":
-            argv = ["check", ndsl_file(SIGMA), "--property", prop, "--horizon", "64"]
+            argv = ["check", ndsl_file(SIGMA), "--property", prop, "--horizon", "64", "--basis", "3"]
         else:
-            argv = ["check", ndsl_file(SIGMA + f"check F {prop} horizon 64;\n")]
+            argv = ["check", ndsl_file(SIGMA + f"check F {prop} horizon 64 basis 3;\n")]
         code, out, err = run(capsys, argv)
-        need = 1725 * 32**2 * (64 // 8 + cli.MASK_PAIR_BYTES)
+        need = 128**2 * (64 // 8 + cli.MASK_PAIR_BYTES) + 128**2 * (200000 // 8 + cli.MASK_PAIR_BYTES)
         assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
-        assert err == (f"ndslab: check F {prop}: basis 2 gives 32 opens, whose 1024 pair masks "
-                       f"over 64 times, one set for each of 1725 iterates, need an estimated "
+        assert err == (f"ndslab: check F {prop}: basis 3 gives 128 opens, whose 16384 pair masks "
+                       f"over 64 times and 16384 pair masks over 200000 times need an estimated "
                        f"{need} bytes, over the budget of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
 
     def test_totally_transitive_iterates_within_the_budget_are_accepted(self):
-        # estimated only: at basis 2 and horizon 64 the budget admits 1724 iterates
+        # estimated only: at basis 3 and horizon 64 the two sets and the
+        # one class mask of id fit up to m = 128695; from m = 128712 the sets
+        # alone pass the budget
         args = cli._parse_args(["check", "x.ndsl"])
-        doc = ndsl.parse(SIGMA)
-        for order, accepted in [(1724, True), (1725, False)]:
-            request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 2)
-            assert (cli._size_problem(args, doc, [request]) is None) is accepted
+        doc = ndsl.parse("space shift(2);\nsystem F { else: id; }\n")
+        for order in (3, 64, 128695):
+            request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 3)
+            assert cli._size_problem(args, doc, [request]) is None
+        request = ("F", ndsl.read_property("totally-transitive:128712"), 64, 3)
+        assert "16384 pair masks over 128712 times need" in cli._size_problem(args, doc, [request])
+
+    def test_totally_transitive_up_to_the_horizon_is_priced_as_the_set_of_transitive(self):
+        # estimated only: 2^20 rectangle pairs over 64 times are one
+        # 159383552-byte set, which transitive and every iterate up to 64 share;
+        # two such sets would pass the budget
+        args = cli._parse_args(["check", "x.ndsl"])
+        doc = ndsl.parse(SHIFT_SQUARE)
+        assert 1024**2 * (64 // 8 + cli.MASK_PAIR_BYTES) == 159_383_552 > cli.MAX_MASK_BYTES // 2
+        requests = [("P", ndsl.read_property(prop), 64, 2)
+                    for prop in ("transitive", "totally-transitive:2", "totally-transitive:3")]
+        for request in requests:
+            assert cli._size_problem(args, doc, [request]) is None
+        assert cli._size_problem(args, doc, requests) is None
+
+    def test_iterates_past_the_horizon_get_a_verdict(self, ndsl_file, capsys):
+        # 1300 iterates at basis 2 and horizon 512: a set over 512 times and one over 1300
+        code, out, _ = run(capsys, [
+            "check", ndsl_file(SIGMA), "--property", "totally-transitive:1300", "--horizon", "512",
+            "--basis", "2", "--format", "json",
+        ])
+        (check,) = json.loads(out)["checks"]
+        assert code < 3 and check["status"] in ("witnessed", "refuted", "inconclusive")
 
     @pytest.mark.parametrize("flags", [
         ["--property", "transitive", "--horizon", "1000000", "--basis", "1"],
@@ -422,26 +449,40 @@ class TestExitCodes:
         "space finite(2);\nsystem A { else: table{1->2,2->1}; }\nsystem P = product(A, A);\n",
     ], ids=["shift", "finite", "shift-product", "circle", "finite-lead", "finite-product"])
     def test_every_check_that_walks_the_prefix_classes_is_estimated(self, monkeypatch, source):
-        walked = []
-        groups = cli.ht.prefix_groups
+        # each row of checkers.PROPERTIES states what its check builds: the
+        # spans of the pair-mask sets it keeps, and whether it walks the classes
+        walked, spans = [], []
+        groups, pair_masks = cli.ht.prefix_groups, ck._pair_masks
 
         def recorded(spec, horizon):
             walked.append(horizon)
             return groups(spec, horizon)
 
+        def kept(spec, resolution, horizon):
+            spans.append(horizon)
+            return pair_masks(spec, resolution, horizon)
+
         monkeypatch.setattr(cli.ht, "prefix_groups", recorded)
+        monkeypatch.setattr(ck, "_pair_masks", kept)
         doc = ndsl.parse(source)
         for name in doc.names:
             for prop in ["transitive", "weakly-mixing", "mixing", "mildly-mixing", "totally-transitive",
-                         "strongly-transitive", "multi-transitive", "syndetically-transitive", "minimal",
+                         "totally-transitive:2", "totally-transitive:40", "strongly-transitive",
+                         "multi-transitive", "multi-transitive:3", "syndetically-transitive", "minimal",
                          "feeble-open", "dense-periodic-points", "almost-periodic-point", "sensitive:1/2",
                          "syndetically-sensitive:1/4", "thickly-sensitive:1/4", "multi-sensitive:1/4",
                          "surjective-sequence"]:
                 walked.clear()
+                spans.clear()
                 kind = ndsl.read_property(prop)
+                _, _, row_spans, walks = ck.PROPERTIES[kind.name]
                 with ck.scoped_caches():
-                    ck.check_property(doc.system(name), kind, basis_resolution=2, horizon=16)
-                assert not walked or cli._walks_classes(doc.system(name), kind), (name, prop)
+                    verdict = ck.check_property(doc.system(name), kind, basis_resolution=2, horizon=16)
+                assert not walked or walks(doc.system(name)), (name, prop)
+                # a check that ends early without a witness keeps the first of its sets only
+                row, sets = row_spans(kind, 16), tuple(dict.fromkeys(spans))
+                assert bool(sets) == bool(row) and sets == row[:len(sets)], (name, prop)
+                assert sets == row or not verdict.witnessed, (name, prop)
 
     @pytest.mark.parametrize("rules, span", [
         ("else: sigma^1;", 4000), ("at odd(k): sigma^k; at even(k): sigma^-k;", 4000),
@@ -463,6 +504,23 @@ class TestExitCodes:
         assert held <= worst and 0.75 * held <= counted <= 1.25 * held
         assert cli._class_mask_bytes(spec, span, 0) > 0
         assert len(groups) * cli.CLASS_MASK_BYTES <= counted
+
+    @pytest.mark.parametrize("span", [300, 3000])
+    def test_the_class_count_prices_the_prefix_tables_of_finite_keys(self, span):
+        # a 300-cycle on finite(300) has 300 classes, each keyed by a prefix
+        # table of 300 entries: the keys hold far more than the masks
+        ring = ",".join(f"{k}->{k % 300 + 1}" for k in range(1, 301))
+        spec = ndsl.parse(f"space finite(300);\nsystem F {{ else: table{{{ring}}}; }}\n").system("F")
+        tracemalloc.start()
+        try:
+            groups = cli.ht.prefix_groups(spec, span)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        worst = cli._class_mask_bytes(spec, span, 1 << 40)
+        counted = cli._class_mask_bytes(spec, span, worst - 1)
+        assert len(groups) == 300 and held <= worst and 0.75 * held <= counted <= 1.25 * held
+        assert len(groups) * (cli.TABLE_KEY_BYTES + 300 * cli.LEAD_ENTRY_BYTES) <= counted
 
     def test_a_class_mask_lower_bound_stops_the_count_early(self, monkeypatch):
         # the keys of sigma^1 at a span of 10^6 are read only until their count passes the budget
@@ -631,11 +689,11 @@ class TestExitCodes:
         # estimated only: 1024 rectangles at basis 2, a million pairs over 2^12 times
         doc = ndsl.parse(SHIFT_SQUARE)
         args = cli._parse_args(["check", "x.ndsl"])
-        for name, (_, params) in ck.PROPERTIES.items():
+        for name, (_, params, spans, _) in ck.PROPERTIES.items():
             needs_delta = any(p.field == "delta" for p in params)
             prop = ck.PropertyKind(name, delta=Fraction(1, 2) if needs_delta else None)
             problem = cli._size_problem(args, doc, [("P", prop, 4096, 2)])
-            if name in cli.PAIR_MASK_PROPERTIES:
+            if spans(prop, 4096):
                 assert "MAX_MASK_BYTES" in problem
             else:
                 assert problem is None

@@ -205,7 +205,8 @@ class TestSeparationMasks:
     @settings(max_examples=60, deadline=None)
     def test_every_separation_mask_matches_the_stepwise_fold(self, case, delta):
         spec, r, H = case
-        basis, mask = ck._sep_masks(spec, r, H, delta)
+        basis = sp.enumerate_basis(spec.space, r)
+        mask = ht.separation_mask(spec, basis[0], delta, H)
         for U in basis:
             assert mask == separation_fold(spec, U, delta, H)
 
@@ -356,7 +357,8 @@ class TestDerivedProductMasks:
     def test_separation_masks_match_the_per_time_fold(self, kinds, r, data, shape, k, H, delta):
         product = data.draw(product_parts(kinds))
         spec = mp.tail(product, k) if shape == "tail" else mp.iterate(product, k)
-        basis, mask = ck._sep_masks(spec, r, H, delta)
+        basis = sp.enumerate_basis(spec.space, r)
+        mask = ht.separation_mask(spec, basis[0], delta, H)
         assert mask == separation_fold(spec, basis[0], delta, H)
 
 

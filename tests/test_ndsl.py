@@ -242,7 +242,7 @@ class TestPrinting:
 
 class TestPropertyRendering:
     @pytest.mark.parametrize("prop", [
-        *(ck.PropertyKind(name) for name, (_, params) in ck.PROPERTIES.items() if not params),
+        *(ck.PropertyKind(name) for name, (_, params, *_) in ck.PROPERTIES.items() if not params),
         *(ck.PropertyKind(name, order=k)
           for name in ("weakly-mixing", "multi-transitive", "totally-transitive")
           for k in (2, 3, 5)),
