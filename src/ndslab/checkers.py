@@ -13,9 +13,10 @@ inconclusive with its exhausted bounds.
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, compress, islice, product, repeat
 from math import comb, gcd, isqrt, prod
 from operator import and_
 
@@ -268,15 +269,79 @@ def _pair_labels(n: int):
     return chain.from_iterable(map(f"{i}->".__add__, column) for i in range(n))
 
 
-def _pair_table(n: int, masks, value: dict) -> dict:
-    """{"i->j": value[mask]} over masks, the row-major pair masks of n basis
-    opens; value holds one entry per distinct mask, since pairs share masks."""
-    return dict(zip(_pair_labels(n), map(value.__getitem__, masks)))
+def _pairs_where(masks, n: int, chosen) -> map:
+    """The pairs (i, j) of n basis opens whose mask (masks row-major) is in
+    `chosen`, lazily, in row-major order."""
+    return map(divmod, compress(range(len(masks)), map(chosen.__contains__, masks)), repeat(n))
 
 
-def _witness_entries(n: int, masks) -> dict:
+class PairTable(Mapping):
+    """The read-only table {"i->j": value[mask]} over masks, the row-major
+    pair masks of n basis opens; value holds one entry per distinct mask.
+
+    It keeps each distinct value once (distinct: the values are times, so
+    there are no more of them than times, however many pairs) and, per
+    pair, the index of its value there (codes, row-major), and no mask: a
+    verdict kept by a caller holds no n^2 masks.  A label, entry or item is built only when
+    read; the keys are the labels of _pair_labels, and any other key raises
+    KeyError.  It equals its dict, which dict(table) copies, and
+    cli.report_text writes it a row at a time."""
+
+    __slots__ = ("n", "distinct", "codes")
+
+    def __init__(self, n: int, masks, value: dict):
+        from array import array  # loads with the first table, not at every start-up
+
+        self.n = n
+        self.distinct = list(dict.fromkeys(value.values()))
+        where = {v: k for k, v in enumerate(self.distinct)}
+        code = {mask: where[v] for mask, v in value.items()}
+        self.codes = array("I", map(code.__getitem__, masks))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return _pair_labels(self.n)
+
+    def __getitem__(self, label):
+        try:
+            i, j = map(int, label.split("->"))
+        except (AttributeError, TypeError, ValueError):
+            raise KeyError(label) from None
+        # int() also reads "01", "+1", " 1", "1_0" and non-ASCII digits
+        if not (0 <= i < self.n and 0 <= j < self.n and f"{i}->{j}" == label):
+            raise KeyError(label)
+        return self.distinct[self.codes[i * self.n + j]]
+
+    def values(self):
+        return _PairValues(self)
+
+    def items(self):
+        return _PairItems(self)
+
+    def __repr__(self) -> str:
+        return f"<PairTable of {self.n}x{self.n} pairs, {len(self.distinct)} distinct values>"
+
+
+class _PairValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        table = self._mapping
+        return map(table.distinct.__getitem__, table.codes)
+
+
+class _PairItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
+def _witness_entries(n: int, masks) -> PairTable:
     """The first member of every pair, which must be hit, keyed "i->j"."""
-    return _pair_table(n, masks, {mask: _first_bit(mask) for mask in set(masks)})
+    return PairTable(n, masks, {mask: _first_bit(mask) for mask in set(masks)})
 
 
 def _quantifier_note(resolution: int, horizon: int) -> str:
@@ -312,17 +377,19 @@ def check_property(
 
 def _check_transitive(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
+    n = len(basis)
     if 0 not in masks:
-        entries = _witness_entries(len(basis), masks)
+        entries = _witness_entries(n, masks)
         return WITNESSED, {
             "witness_times": entries,
-            "latest_first_hit": max(entries.values()),
+            "latest_first_hit": max(entries.distinct),
             "pairs_checked": len(masks),
         }, (_quantifier_note(r, H),)
-    empty = [divmod(k, len(basis)) for k, mask in enumerate(masks) if not mask]
-    return _refute_unhit(spec, laws, r, basis, empty) or (
+    # _refute_unhit consumes its iterator: the head is read off a new one
+    return _refute_unhit(spec, laws, r, basis, _pairs_where(masks, n, {0})) or (
         INCONCLUSIVE,
-        {"unhit_pairs": [f"{i}->{j}" for i, j in empty[:8]], "unhit_count": len(empty)},
+        {"unhit_pairs": ["%d->%d" % pair for pair in islice(_pairs_where(masks, n, {0}), 8)],
+         "unhit_count": masks.count(0)},
         ("horizon exhausted without a structural refutation",),
     )
 
@@ -331,10 +398,9 @@ def _check_weakly_mixing(spec, prop, r, H, laws) -> tuple:
     basis, masks = _pair_masks(spec, r, H)
     n = len(basis)
     if 0 in masks:
-        unhit = [divmod(k, n) for k, mask in enumerate(masks) if not mask]
-        return _refute_unhit(spec, laws, r, basis, unhit) or (
+        return _refute_unhit(spec, laws, r, basis, _pairs_where(masks, n, {0})) or (
             INCONCLUSIVE,
-            {"unhit_pair": "%d->%d" % unhit[0]},
+            {"unhit_pair": "%d->%d" % divmod(masks.index(0), n)},
             ("a single pair already fails transitivity at this horizon",),
         )
     common = reduce(and_, masks)
@@ -372,20 +438,20 @@ def _check_mixing(spec, prop, r, H, laws) -> tuple:
     n = len(basis)
     # the tail start depends on the mask alone, and pairs share masks
     tail_of = {mask: ht._tail_start(mask, H) for mask in set(masks)}
-    tailless = [divmod(k, n) for k, mask in enumerate(masks) if tail_of[mask] is None]
+    tailless = {mask for mask, start in tail_of.items() if start is None}
     # a law's claim on any pair refutes, whatever the tails seen within the
     # horizon: every pair is asked, the tail-less ones first
-    refuted = _refute_unhit(spec, laws, r, basis, chain(tailless, product(range(n), range(n))), ht.GRADES)
+    asked = chain(_pairs_where(masks, n, tailless), product(range(n), range(n)))
+    refuted = _refute_unhit(spec, laws, r, basis, asked, ht.GRADES)
     if refuted or tailless:
         return refuted or (
             INCONCLUSIVE,
-            {"pair_without_tail": "%d->%d" % tailless[0]},
+            {"pair_without_tail": "%d->%d" % next(_pairs_where(masks, n, tailless))},
             ("no cofinite tail within the horizon",),
         )
-    tails = _pair_table(n, masks, tail_of)
     return (
         WITNESSED,
-        {"tail_start_per_pair": tails, "latest_tail_start": max(tails.values())},
+        {"tail_start_per_pair": PairTable(n, masks, tail_of), "latest_tail_start": max(tail_of.values())},
         (_quantifier_note(r, H), "cofinite tails are horizon-censored evidence, not proofs"),
     )
 
@@ -417,8 +483,9 @@ def _check_totally_transitive(spec, prop, r, H, laws) -> tuple:
         stop = s * max(1, H // s) + 1
         unhit = {mask for mask, bits in digits.items() if "1" not in bits[s:stop:s]}
         if unhit:
-            empty = [label for label, mask in zip(_pair_labels(len(basis)), masks) if mask in unhit]
-            inner = {"unhit_pairs": empty[:8], "unhit_count": len(empty)}
+            empty = islice(_pairs_where(masks, len(basis), unhit), 8)
+            inner = {"unhit_pairs": ["%d->%d" % pair for pair in empty],
+                     "unhit_count": sum(map(unhit.__contains__, masks))}
             return INCONCLUSIVE, {"iterate_order": s, "inner": inner}, ()
     statuses = dict.fromkeys(map(str, range(1, prop.order + 1)), WITNESSED)
     return WITNESSED, {"iterates_checked": prop.order, "statuses": statuses}, (_quantifier_note(r, H),)
@@ -1060,7 +1127,7 @@ def recheck_verdict(spec: mp.SystemSpec, verdict: Verdict) -> bool:
         if not (tables or per_order or common):
             return True
         pairs = dict(zip(_pair_labels(len(basis)), product(range(len(basis)), repeat=2)))
-        if not all(isinstance(table, dict) and table.keys() == pairs.keys() for table in tables):
+        if not all(isinstance(table, Mapping) and table.keys() == pairs.keys() for table in tables):
             return False
         orders = {str(m): m for m in range(1, len(per_order) + 1)}
         if per_order and not (isinstance(per_order, dict) and per_order.keys() == orders.keys()

@@ -22,6 +22,7 @@ import time
 from functools import lru_cache
 from itertools import islice
 from math import prod
+from operator import itemgetter
 
 from . import __version__
 from . import checkers as ck
@@ -154,26 +155,64 @@ def _encoder(depth: int):
 
 def report_text(obj, depth: int = 0) -> str:
     """json.dumps(obj, sort_keys=True, indent=2, default=str), byte for byte,
-    for dict keys that are str.  That call runs the pure-Python encoder (the
-    C encoder does not indent), so this frames each level itself and hands
-    every container of scalars, such as a table of per-pair times, to the C
-    encoder whole; whether one holds a container is asked once per type of
-    its values."""
+    for dict keys that are str, with each checkers.PairTable written as its
+    dict.  That call runs the pure-Python encoder (the C encoder does not
+    indent), so this frames each level itself and hands every container of
+    scalars to the C encoder whole; whether one holds a container is asked
+    once per type of its values.  The pieces are joined once, at the end:
+    a text per level would copy a pair table's text once a level."""
+    pieces = []
+    _put_text(obj, depth, pieces.append)
+    return "".join(pieces)
+
+
+def _put_text(obj, depth: int, put) -> None:
+    """put() each piece of report_text(obj, depth), in order.  A PairTable
+    is told by its type: isinstance would ask its abstract base class
+    (Mapping) of every scalar."""
+    if type(obj) is ck.PairTable:
+        return _put_pair_table(obj, depth, put)
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return _encoder(depth)(obj)
-    values = obj.values() if isinstance(obj, dict) else obj
+        return put(_encoder(depth)(obj))
+    is_dict = isinstance(obj, dict)
     inner = "\n" + "  " * (depth + 1)
-    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, values))):
-        body = _encoder(depth + 1)(obj)[1:-1]
-    elif isinstance(obj, dict):
-        body = ("," + inner).join(
-            f"{json.encoder.encode_basestring_ascii(key)}: {report_text(value, depth + 1)}"
-            for key, value in sorted(obj.items())
-        )
+    put(("{" if is_dict else "[") + inner)
+    kinds = set(map(type, obj.values() if is_dict else obj))
+    if ck.PairTable not in kinds and not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        put(_encoder(depth + 1)(obj)[1:-1])
+    elif is_dict:
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            put(f"{',' + inner if k else ''}{json.encoder.encode_basestring_ascii(key)}: ")
+            _put_text(value, depth + 1, put)
     else:
-        body = ("," + inner).join(report_text(value, depth + 1) for value in obj)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + inner + body + "\n" + "  " * depth + brackets[1]
+        for k, value in enumerate(obj):
+            if k:
+                put("," + inner)
+            _put_text(value, depth + 1, put)
+    put("\n" + "  " * depth + ("}" if is_dict else "]"))
+
+
+def _put_pair_table(table, depth: int, put) -> None:
+    """_put_text of a checkers.PairTable, written as its dict a row at a
+    time.  The sorted labels "i->j" run over the rows i and, within a row,
+    the columns j in str order, since "-" sorts below every digit.  Each
+    distinct value is encoded once, and one % format a row fills the row's
+    template, its labels joined around a "%s" a value."""
+    n = table.n
+    if not n:
+        return put("{}")
+    inner = "\n" + "  " * (depth + 1)
+    encoded = [report_text(value, depth + 1) for value in table.distinct]
+    order = sorted(range(n), key=str)
+    columns = [*map(str, order)]
+    # the row's values in column order; for n = 1 the one value, not a
+    # tuple, which % takes alike
+    pick = itemgetter(*order)
+    for k, i in enumerate(order):
+        put(("," if k else "{") + inner)
+        template = f'"{i}->' + f'": %s,{inner}"{i}->'.join(columns) + '": %s'
+        put(template % pick([*map(encoded.__getitem__, table.codes[i * n:(i + 1) * n])]))
+    put("\n" + "  " * depth + "}")
 
 
 def _write(stream, lines) -> None:
@@ -186,7 +225,9 @@ def _write(stream, lines) -> None:
     if stream is None:
         return
     try:
-        stream.write("".join(line + "\n" for line in lines))
+        for line in lines:  # a copy of a long line (a JSON report) would double its bytes
+            stream.write(line)
+            stream.write("\n")
         stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -586,7 +586,7 @@ def run_corpus(name_filter: str | None = None) -> list:
             results = []
             for exp in scenario.expectations:
                 actual, payload = _EXECUTORS[exp.kind](doc, exp)
-                text = json.dumps(payload, sort_keys=True, default=str)
+                text = json.dumps(payload, sort_keys=True, default=_as_json)
                 results.append({
                     "description": exp.describe(),
                     "expected": exp.expected,
@@ -601,6 +601,13 @@ def run_corpus(name_filter: str | None = None) -> list:
                 "results": results,
             })
     return rows
+
+
+def _as_json(obj):
+    """json.dumps's default for an evidence digest: a checkers.PairTable as
+    its dict, so the digest is the one of the dict it replaces, and any
+    other value as str."""
+    return dict(obj.items()) if isinstance(obj, ck.PairTable) else str(obj)
 
 
 def _matches(name: str, pattern: str) -> bool:

@@ -15,6 +15,7 @@ To re-pin after a deliberate change of evidence, print `_digests()`."""
 import hashlib
 import json
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -137,7 +138,9 @@ SKIPPED = {(system, "strongly-transitive") for system in ("PROD", "TPROD", "FPRO
 
 
 def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    # a pair table (checkers.PairTable, a Mapping) is digested as its dict
+    blob = json.dumps(payload, sort_keys=True,
+                      default=lambda o: dict(o) if isinstance(o, Mapping) else str(o)).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
