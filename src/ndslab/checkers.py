@@ -153,14 +153,15 @@ def system_laws(spec: mp.SystemSpec, law_horizon: int) -> mp.SystemLaws:
 
 
 def _pair_masks(spec: mp.SystemSpec, resolution: int, horizon: int):
-    """(basis, masks): masks[i * len(basis) + j] is the bitmask of N(B_i, B_j)
-    within [1, horizon] (bit n for member n), the row-major list of
-    hitting.pair_masks without its undecided times, kept for the checks of a
-    scoped_caches block.  A verdict names index k as the pair divmod(k, len(basis))."""
+    """(basis, values, codes): the bitmask of N(B_i, B_j) within [1, horizon]
+    (bit n for member n) is values[codes[i * len(basis) + j]], the factored
+    form of hitting.pair_masks without its undecided times (so two codes may
+    share a value), kept for the checks of a scoped_caches block.  A verdict
+    names index k as the pair divmod(k, len(basis))."""
 
     def make():
         basis = sp.enumerate_basis(spec.space, resolution)
-        return basis, ht.pair_masks(spec, basis, basis, horizon)[0]
+        return (basis, *ht.pair_masks(spec, basis, basis, horizon)[:2])
 
     return _kept(_MASK_CACHE, (spec, resolution, horizon), make)
 
@@ -234,26 +235,19 @@ def _refute_open(basis, idx, reason) -> tuple:
     return REFUTED, {"refuting_open": _label(basis, idx), "structural": reason}, ()
 
 
-def _subset_search(masks, m: int, k: int = 1) -> tuple:
-    """(failing, worst) over every m-subset of masks: failing is the first
-    subset with fewer than k common members (worst is then None); otherwise
-    worst is (t, subset) for the subset whose k-th common member t is the
-    latest, or None when there is no m-subset.
-
-    AND is idempotent and commutative, so a subset's verdict depends only on
-    its set of distinct mask values: each such set is decided once (its
-    k-th common member, or None when it has fewer than k), and the scan
-    keeps combinations order for the first failing and first worst."""
-    values = list(dict.fromkeys(masks))
-    index = {mask: i for i, mask in enumerate(values)}
-    ids = [index[mask] for mask in masks]
-    decided = {}
-    worst = None
-    for subset in combinations(range(len(masks)), m):
-        key = frozenset(ids[idx] for idx in subset)
+def _subset_search(values, codes, m: int, k: int = 1) -> tuple:
+    """(failing, worst) over every m-subset of the pairs, pair idx with mask
+    values[codes[idx]]: failing is the first subset with fewer than k common
+    members (worst is then None); otherwise worst is (t, subset) for the
+    subset whose k-th common member t is the latest, or None when there is
+    no m-subset.  AND is idempotent and commutative, so each set of codes
+    is decided once, and the scan keeps combinations order."""
+    decided, worst = {}, None
+    for subset in combinations(range(len(codes)), m):
+        key = frozenset(map(codes.__getitem__, subset))
         t = decided.get(key, False)
         if t is False:
-            inter = reduce(and_, (values[i] for i in key), -1)
+            inter = reduce(and_, map(values.__getitem__, key), -1)
             t = decided[key] = _nth_bit(inter, k) if inter.bit_count() >= k else None
         if t is None:
             return subset, None
@@ -269,34 +263,36 @@ def _pair_labels(n: int):
     return chain.from_iterable(map(f"{i}->".__add__, column) for i in range(n))
 
 
-def _pairs_where(masks, n: int, chosen) -> map:
-    """The pairs (i, j) of n basis opens whose mask (masks row-major) is in
+def _pairs_where(codes, n: int, chosen) -> map:
+    """The pairs (i, j) of n basis opens whose code (codes row-major) is in
     `chosen`, lazily, in row-major order."""
-    return map(divmod, compress(range(len(masks)), map(chosen.__contains__, masks)), repeat(n))
+    return map(divmod, compress(range(len(codes)), map(chosen.__contains__, codes)), repeat(n))
+
+
+def _unhit(values) -> set:
+    """The codes whose mask is empty."""
+    return {code for code, mask in enumerate(values) if not mask}
+
+
+def _unhit_pairs(codes, n: int, chosen) -> dict:
+    """The first 8 pairs whose code is in `chosen`, and their count."""
+    return {"unhit_pairs": ["%d->%d" % pair for pair in islice(_pairs_where(codes, n, chosen), 8)],
+            "unhit_count": sum(map(chosen.__contains__, codes))}
 
 
 class PairTable(Mapping):
-    """The read-only table {"i->j": value[mask]} over masks, the row-major
-    pair masks of n basis opens; value holds one entry per distinct mask.
-
-    It keeps each distinct value once (distinct: the values are times, so
-    there are no more of them than times, however many pairs) and, per
-    pair, the index of its value there (codes, row-major), and no mask: a
-    verdict kept by a caller holds no n^2 masks.  A label, entry or item is built only when
+    """The read-only table {"i->j": by_code[codes[i * n + j]]} over the
+    pairs of n basis opens: codes is the array of pair codes of
+    hitting.pair_masks itself and by_code a value a code, so a verdict kept
+    by a caller holds no mask.  A label, entry or item is built only when
     read; the keys are the labels of _pair_labels, and any other key raises
     KeyError.  It equals its dict, which dict(table) copies, and
     cli.report_text writes it a row at a time."""
 
-    __slots__ = ("n", "distinct", "codes")
+    __slots__ = ("n", "codes", "by_code")
 
-    def __init__(self, n: int, masks, value: dict):
-        from array import array  # loads with the first table, not at every start-up
-
-        self.n = n
-        self.distinct = list(dict.fromkeys(value.values()))
-        where = {v: k for k, v in enumerate(self.distinct)}
-        code = {mask: where[v] for mask, v in value.items()}
-        self.codes = array("I", map(code.__getitem__, masks))
+    def __init__(self, n: int, codes, by_code: list):
+        self.n, self.codes, self.by_code = n, codes, by_code
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -312,7 +308,7 @@ class PairTable(Mapping):
         # int() also reads "01", "+1", " 1", "1_0" and non-ASCII digits
         if not (0 <= i < self.n and 0 <= j < self.n and f"{i}->{j}" == label):
             raise KeyError(label)
-        return self.distinct[self.codes[i * self.n + j]]
+        return self.by_code[self.codes[i * self.n + j]]
 
     def values(self):
         return _PairValues(self)
@@ -321,7 +317,7 @@ class PairTable(Mapping):
         return _PairItems(self)
 
     def __repr__(self) -> str:
-        return f"<PairTable of {self.n}x{self.n} pairs, {len(self.distinct)} distinct values>"
+        return f"<PairTable of {self.n}x{self.n} pairs, {len(self.by_code)} codes>"
 
 
 class _PairValues(ValuesView):
@@ -329,7 +325,7 @@ class _PairValues(ValuesView):
 
     def __iter__(self):
         table = self._mapping
-        return map(table.distinct.__getitem__, table.codes)
+        return map(table.by_code.__getitem__, table.codes)
 
 
 class _PairItems(ItemsView):
@@ -337,11 +333,6 @@ class _PairItems(ItemsView):
 
     def __iter__(self):
         return zip(self._mapping, self._mapping.values())
-
-
-def _witness_entries(n: int, masks) -> PairTable:
-    """The first member of every pair, which must be hit, keyed "i->j"."""
-    return PairTable(n, masks, {mask: _first_bit(mask) for mask in set(masks)})
 
 
 def _quantifier_note(resolution: int, horizon: int) -> str:
@@ -376,50 +367,50 @@ def check_property(
 
 
 def _check_transitive(spec, prop, r, H, laws) -> tuple:
-    basis, masks = _pair_masks(spec, r, H)
+    basis, values, codes = _pair_masks(spec, r, H)
     n = len(basis)
-    if 0 not in masks:
-        entries = _witness_entries(n, masks)
+    if 0 not in values:
+        first = [*map(_first_bit, values)]
         return WITNESSED, {
-            "witness_times": entries,
-            "latest_first_hit": max(entries.distinct),
-            "pairs_checked": len(masks),
+            "witness_times": PairTable(n, codes, first),
+            "latest_first_hit": max(first),
+            "pairs_checked": len(codes),
         }, (_quantifier_note(r, H),)
+    unhit = _unhit(values)
     # _refute_unhit consumes its iterator: the head is read off a new one
-    return _refute_unhit(spec, laws, r, basis, _pairs_where(masks, n, {0})) or (
-        INCONCLUSIVE,
-        {"unhit_pairs": ["%d->%d" % pair for pair in islice(_pairs_where(masks, n, {0}), 8)],
-         "unhit_count": masks.count(0)},
+    return _refute_unhit(spec, laws, r, basis, _pairs_where(codes, n, unhit)) or (
+        INCONCLUSIVE, _unhit_pairs(codes, n, unhit),
         ("horizon exhausted without a structural refutation",),
     )
 
 
 def _check_weakly_mixing(spec, prop, r, H, laws) -> tuple:
-    basis, masks = _pair_masks(spec, r, H)
+    basis, values, codes = _pair_masks(spec, r, H)
     n = len(basis)
-    if 0 in masks:
-        return _refute_unhit(spec, laws, r, basis, _pairs_where(masks, n, {0})) or (
+    if 0 in values:
+        unhit = _unhit(values)
+        return _refute_unhit(spec, laws, r, basis, _pairs_where(codes, n, unhit)) or (
             INCONCLUSIVE,
-            {"unhit_pair": "%d->%d" % divmod(masks.index(0), n)},
+            {"unhit_pair": "%d->%d" % next(_pairs_where(codes, n, unhit))},
             ("a single pair already fails transitivity at this horizon",),
         )
-    common = reduce(and_, masks)
+    common = reduce(and_, values)
     if common:
         return WITNESSED, {
             "common_time_all_pairs": _first_bit(common),
-            "pairs_checked": len(masks),
-            "per_pair_first_hit": _witness_entries(n, masks),
+            "pairs_checked": len(codes),
+            "per_pair_first_hit": PairTable(n, codes, [*map(_first_bit, values)]),
         }, (_quantifier_note(r, H),)
     # no single universal time: every m-subset of pairs must share one (with
     # fewer than m pairs, the m-tuples repeat pairs: the largest is them all)
-    m = min(prop.order, len(masks))
-    if comb(len(masks), m) > 2_000_000:
+    m = min(prop.order, len(codes))
+    if comb(len(codes), m) > 2_000_000:
         return (
             INCONCLUSIVE,
             {"note": "tuple space too large without a universal common time"},
             ("lower the basis resolution or widen the horizon",),
         )
-    failing, worst = _subset_search(masks, m)
+    failing, worst = _subset_search(values, codes, m)
     if failing:
         return (
             INCONCLUSIVE,
@@ -434,24 +425,23 @@ def _check_weakly_mixing(spec, prop, r, H, laws) -> tuple:
 
 
 def _check_mixing(spec, prop, r, H, laws) -> tuple:
-    basis, masks = _pair_masks(spec, r, H)
+    basis, values, codes = _pair_masks(spec, r, H)
     n = len(basis)
-    # the tail start depends on the mask alone, and pairs share masks
-    tail_of = {mask: ht._tail_start(mask, H) for mask in set(masks)}
-    tailless = {mask for mask, start in tail_of.items() if start is None}
+    tails = [ht._tail_start(mask, H) for mask in values]
+    tailless = {code for code, start in enumerate(tails) if start is None}
     # a law's claim on any pair refutes, whatever the tails seen within the
     # horizon: every pair is asked, the tail-less ones first
-    asked = chain(_pairs_where(masks, n, tailless), product(range(n), range(n)))
+    asked = chain(_pairs_where(codes, n, tailless), product(range(n), range(n)))
     refuted = _refute_unhit(spec, laws, r, basis, asked, ht.GRADES)
     if refuted or tailless:
         return refuted or (
             INCONCLUSIVE,
-            {"pair_without_tail": "%d->%d" % next(_pairs_where(masks, n, tailless))},
+            {"pair_without_tail": "%d->%d" % next(_pairs_where(codes, n, tailless))},
             ("no cofinite tail within the horizon",),
         )
     return (
         WITNESSED,
-        {"tail_start_per_pair": PairTable(n, masks, tail_of), "latest_tail_start": max(tail_of.values())},
+        {"tail_start_per_pair": PairTable(n, codes, tails), "latest_tail_start": max(tails)},
         (_quantifier_note(r, H), "cofinite tails are horizon-censored evidence, not proofs"),
     )
 
@@ -477,16 +467,13 @@ def _check_totally_transitive(spec, prop, r, H, laws) -> tuple:
     # iterate s at time n is the base at time s*n, so its mask is the stride-s slice of the
     # base's (see _slot), read over max(1, H // s) times; no law is read for the iterate
     # (a shift or circle iterate has one), so an unhit pair leaves it inconclusive
-    basis, masks = _pair_masks(spec, r, max(H, prop.order))
-    digits = {mask: bin(mask)[:1:-1] for mask in set(masks)}
+    basis, values, codes = _pair_masks(spec, r, max(H, prop.order))
+    digits = [bin(mask)[:1:-1] for mask in values]
     for s in range(2, prop.order + 1):
         stop = s * max(1, H // s) + 1
-        unhit = {mask for mask, bits in digits.items() if "1" not in bits[s:stop:s]}
+        unhit = {code for code, bits in enumerate(digits) if "1" not in bits[s:stop:s]}
         if unhit:
-            empty = islice(_pairs_where(masks, len(basis), unhit), 8)
-            inner = {"unhit_pairs": ["%d->%d" % pair for pair in empty],
-                     "unhit_count": sum(map(unhit.__contains__, masks))}
-            return INCONCLUSIVE, {"iterate_order": s, "inner": inner}, ()
+            return INCONCLUSIVE, {"iterate_order": s, "inner": _unhit_pairs(codes, len(basis), unhit)}, ()
     statuses = dict.fromkeys(map(str, range(1, prop.order + 1)), WITNESSED)
     return WITNESSED, {"iterates_checked": prop.order, "statuses": statuses}, (_quantifier_note(r, H),)
 
@@ -595,8 +582,8 @@ def _check_strongly_transitive(spec, prop, r, H, laws) -> tuple:
 
 
 def _check_multi_transitive(spec, prop, r, H, laws) -> tuple:
-    basis, masks = _pair_masks(spec, r, prop.order * H)
-    common = reduce(and_, masks)
+    basis, values, codes = _pair_masks(spec, r, prop.order * H)
+    common = reduce(and_, values)
     law = laws.exponent
     # distinct basis opens are disjoint
     pair = (0, 1) if law is not None and len(basis) > 1 else None
@@ -618,8 +605,8 @@ def _check_multi_transitive(spec, prop, r, H, laws) -> tuple:
             continue
         # multi-transitivity implies transitivity: a pair that slot 1 never
         # hits refutes both
-        unhit = [divmod(k, len(basis)) for k, mask in enumerate(masks) if not mask & ((2 << H) - 2)]
-        return _refute_unhit(spec, laws, r, basis, unhit) or (
+        unhit = {code for code, mask in enumerate(values) if not mask & ((2 << H) - 2)}
+        return _refute_unhit(spec, laws, r, basis, _pairs_where(codes, len(basis), unhit)) or (
             INCONCLUSIVE,
             {"order": m, "note": "no universal common l within the horizon"},
             ("per-tuple search not exhausted; widen the horizon",),
@@ -638,33 +625,34 @@ def _slot(common: int, j: int, H: int) -> int:
     return int(digits[::-1] or "0", 2) << 1
 
 
-def _universal_l(masks, m: int, H: int) -> int:
-    """Bitmask of the l in [1, H] such that j*l is a member of every mask for
-    every j <= m: one l that works for every tuple simultaneously.  Bitwise
-    extraction commutes with intersection, so the masks are intersected
-    first."""
-    common = reduce(and_, masks)
+def _universal_l(values, m: int, H: int) -> int:
+    """Bitmask of the l in [1, H] such that j*l is a member of every mask of
+    `values` for every j <= m: one l that works for every tuple
+    simultaneously.  Bitwise extraction commutes with intersection, so the
+    masks are intersected first."""
+    common = reduce(and_, values)
     return reduce(and_, (_slot(common, j, H) for j in range(1, m + 1)))
 
 
 def _check_syndetically_transitive(spec, prop, r, H, laws) -> tuple:
-    basis, masks = _pair_masks(spec, r, H)
+    basis, values, codes = _pair_masks(spec, r, H)
     n = len(basis)
     # a set that is empty, finite or sparse has unbounded gaps
     refuted = _refute_unhit(spec, laws, r, basis, product(range(n), range(n)), ht.GRADES[:3])
-    if refuted or 0 in masks:
-        note = "a pair never hit within the horizon"
-        return refuted or (INCONCLUSIVE, {"unhit_pair": "%d->%d" % divmod(masks.index(0), n)}, (note,))
-    # the gap statistics depend on the mask alone, and pairs share masks
-    freq = {mask: ht._frequency(mask, H)[:2] for mask in set(masks)}
-    gaps, eventuals = zip(*freq.values())
+    if refuted:
+        return refuted
+    if 0 in values:
+        unhit = "%d->%d" % next(_pairs_where(codes, n, _unhit(values)))
+        return INCONCLUSIVE, {"unhit_pair": unhit}, ("a pair never hit within the horizon",)
+    freq = [ht._frequency(mask, H)[:2] for mask in values]
+    gaps, eventuals = zip(*freq)
     return WITNESSED, {
         "max_gap": max(gaps),
         "eventual_max_gap": max(eventuals),
-        "pairs_checked": len(masks),
+        "pairs_checked": len(codes),
         "per_pair": {
-            label: {"max_gap": freq[mask][0], "eventual_max_gap": freq[mask][1]}
-            for label, mask in islice(zip(_pair_labels(n), masks), 16)
+            label: {"max_gap": freq[code][0], "eventual_max_gap": freq[code][1]}
+            for label, code in islice(zip(_pair_labels(n), codes), 16)
         },
     }, (_quantifier_note(r, H), "gaps at the horizon edge are censored lower bounds")
 
@@ -1052,11 +1040,11 @@ def hitting_infinity_consistency(
             f"precondition failed: property is {verdict.status} at this configuration",
         )
     if prop.name == "weakly-mixing":
-        basis, masks = _pair_masks(spec, basis_resolution, horizon)
-        failing, worst = _subset_search(masks, 2, members_required)
+        basis, values, codes = _pair_masks(spec, basis_resolution, horizon)
+        failing, worst = _subset_search(values, codes, 2, members_required)
         if failing:
             a, b = failing
-            count = (masks[a] & masks[b]).bit_count()
+            count = (values[codes[a]] & values[codes[b]]).bit_count()
             n = len(basis)
             return ConsistencyReport(
                 False, members_required, None,
@@ -1067,8 +1055,8 @@ def hitting_infinity_consistency(
             "every pair tuple reaches the required count; worst k-th common time reported",
         )
     if prop.name == "multi-transitive":
-        _, masks = _pair_masks(spec, basis_resolution, prop.order * horizon)
-        universal = _universal_l(masks, prop.order, horizon)
+        _, values, _ = _pair_masks(spec, basis_resolution, prop.order * horizon)
+        universal = _universal_l(values, prop.order, horizon)
         count = universal.bit_count()
         if count < members_required:
             return ConsistencyReport(

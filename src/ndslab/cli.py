@@ -40,17 +40,16 @@ MAX_HORIZON = 10**6
 
 # the work a check may take on, estimated before it runs: the opens of its
 # basis, and the bytes of the sets of pair masks its property keeps
-# (checkers.PROPERTIES; N^2 pairs of N opens a set, each a mask of a bit a
-# time plus MASK_PAIR_BYTES of dict entry, key and int header), of the
-# prefix-class masks a check walks (CLASS_MASK_BYTES a class of dict entry,
-# key and int header, and 4 bytes a 30-bit digit of its mask) and of the
-# table laws' leads (LEAD_ENTRY_BYTES an entry, a pointer in a table tuple),
-# as tracemalloc measured.  A class of a finite leaf has a prefix table in
-# its key besides: a tuple, TABLE_KEY_BYTES of header and LEAD_ENTRY_BYTES
-# an entry
+# (checkers.PROPERTIES; _mask_set_bytes), of the prefix-class masks a check
+# walks (CLASS_MASK_BYTES a class of dict entry, key and int header, and 4
+# bytes a 30-bit digit of its mask) and of the table laws' leads
+# (LEAD_ENTRY_BYTES an entry, a pointer in a table tuple), as tracemalloc
+# measured.  A class of a finite leaf has a prefix table in its key
+# besides: a tuple, TABLE_KEY_BYTES of header and LEAD_ENTRY_BYTES an entry
 MAX_BASIS_OPENS = 1 << 16
 MAX_MASK_BYTES = 1 << 28
-MASK_PAIR_BYTES = 144
+PAIR_CODE_BYTES = 9
+CODE_BYTES = 256
 CLASS_MASK_BYTES = 96
 LEAD_ENTRY_BYTES = 8
 TABLE_KEY_BYTES = 40
@@ -195,14 +194,14 @@ def _put_text(obj, depth: int, put) -> None:
 def _put_pair_table(table, depth: int, put) -> None:
     """_put_text of a checkers.PairTable, written as its dict a row at a
     time.  The sorted labels "i->j" run over the rows i and, within a row,
-    the columns j in str order, since "-" sorts below every digit.  Each
-    distinct value is encoded once, and one % format a row fills the row's
+    the columns j in str order, since "-" sorts below every digit.  The
+    value of each code is encoded once, and one % format a row fills the row's
     template, its labels joined around a "%s" a value."""
     n = table.n
     if not n:
         return put("{}")
     inner = "\n" + "  " * (depth + 1)
-    encoded = [report_text(value, depth + 1) for value in table.distinct]
+    encoded = [report_text(value, depth + 1) for value in table.by_code]
     order = sorted(range(n), key=str)
     columns = [*map(str, order)]
     # the row's values in column order; for n = 1 the one value, not a
@@ -323,7 +322,7 @@ def _size_problem(args, doc, requests):
     that product may not pass MAX_HORIZON either.  Then the first request
     whose estimated work is over its budget: its basis has more than
     MAX_BASIS_OPENS opens, the bytes of the sets of pair masks its row of
-    checkers.PROPERTIES keeps (N^2 masks a set for N opens) pass
+    checkers.PROPERTIES keeps (_mask_set_bytes) pass
     MAX_MASK_BYTES, or the base indices it fills (_base_fill over its
     widest span, and the system's _law_fill) pass MAX_HORIZON, or the
     prefix-class masks its row walks (_class_mask_bytes) pass MAX_MASK_BYTES
@@ -352,7 +351,7 @@ def _size_problem(args, doc, requests):
         if n > MAX_BASIS_OPENS:
             return (f"{where} basis {basis} gives more than the budget of "
                     f"MAX_BASIS_OPENS = {MAX_BASIS_OPENS} opens")
-        sets = {span: n * n * (span // 8 + MASK_PAIR_BYTES) for span in spans(prop, horizon)}
+        sets = {span: _mask_set_bytes(system, basis, n, span) for span in spans(prop, horizon)}
         need = sum(sets.values())
         if need > MAX_MASK_BYTES:
             masks = " and ".join(f"{n * n} pair masks over {span} times" for span in sets)
@@ -409,6 +408,44 @@ def _class_mask_bytes(spec, span: int, limit: int) -> int:
         if need > limit:
             break
     return need
+
+
+def _mask_set_bytes(spec, r: int, n: int, span: int) -> int:
+    """The peak bytes of hitting.pair_masks(spec, basis, basis, span) for the
+    n opens of the basis at r: PAIR_CODE_BYTES a pair (its code, and its
+    cell in one class's array while the codes are built, each array growing
+    by a sixteenth), and a code CODE_BYTES (the lists, counts and dict
+    entries keeping it, a product's tuple of part codes) and two masks of
+    `span` bits.  There is at most a code a pair; past MAX_MASK_BYTES / 16
+    the codes are bounded off the prefix classes (_code_bound)."""
+    pairs, code = n * n, CODE_BYTES + 4 * span // 15
+    codes = pairs if pairs * code <= MAX_MASK_BYTES >> 4 else _code_bound(spec, r, span, pairs)
+    return pairs * PAIR_CODE_BYTES + codes * code
+
+
+def _code_bound(spec, r: int, span: int, most: int) -> int:
+    """min(most, an upper bound on those codes).  A code is a set of prefix
+    classes, so k classes give at most 2^k codes.  A shift class moving the
+    window of 2r + 1 cells by more than 2r meets every pair alike, so only
+    exponents within 2r count; a finite class moves each singleton into
+    one, so a nonempty code holds one of its k*N pairs met.  The circle's
+    codes are the grid's r offsets, and a product's are read off tuples of
+    its parts' codes.  The keys are read until the bound reaches `most`."""
+    space = spec.space
+    if isinstance(space, sp.ProductSpace):
+        parts = (_code_bound(part, r, span, _basis_size(part.space, r) ** 2) for part in spec.parts)
+        return min(most, prod(parts))
+    if isinstance(space, sp.CircleSpace):
+        return min(most, r)
+    keys = islice(ht._prefix_keys(spec, span), 1, None)
+    if isinstance(space, sp.ShiftSpace):
+        keys = (e for e in keys if abs(e) <= 2 * r)
+    met, classes = space.point_count if isinstance(space, sp.FiniteSpace) else most, set()
+    for key in keys:
+        classes.add(key)
+        if min(1 << len(classes), 1 + len(classes) * met) >= most:
+            return most
+    return min(1 << len(classes), 1 + len(classes) * met)
 
 
 def _basis_size(space, r: int) -> int:

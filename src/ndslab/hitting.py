@@ -16,10 +16,12 @@ horizon edge is reported as censored (a lower bound, never an exact gap).
 
 from __future__ import annotations
 
+from array import array
+from collections import _count_elements, defaultdict
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, islice
-from operator import and_, or_
+from itertools import chain, count, islice, repeat
+from operator import add, or_
 
 from . import maps as mp
 from . import spaces as sp
@@ -130,65 +132,114 @@ def _describe_open(A) -> str:
 
 
 def pair_masks(spec: mp.SystemSpec, opens, targets, horizon: int) -> tuple:
-    """(hits, undecided): hits[i * len(targets) + j] is the mask of
-    N(opens[i], targets[j]) within [1, horizon] (bit n for time n), a list
-    in row-major pair order; undecided maps the same index to the nonzero
-    mask of the times a declared angle cannot decide.  One walk of the
-    prefix classes decides every pair, a class in one join (_class_join),
-    which ORs the class's times into the cells it meets: a pair each, or an
-    offset each on the circle grid, spread to the pairs once at the end.
-    Cylinders on disjoint windows always meet, so the shift classes that
-    move the opens' window clear of the targets' hit every pair."""
+    """(values, codes, undecided): the masks of N(opens[i], targets[j])
+    within [1, horizon] (bit n for time n), each distinct one once.  Pair
+    i * len(targets) + j has code codes[i * len(targets) + j] (an
+    array("I")), values[code] is its mask and undecided[code] the nonzero
+    mask of the times a declared angle cannot decide.  Two pairs share a
+    code exactly when they share both masks, and every code is some pair's.
+    One walk of the prefix classes decides every pair, a class in one join
+    (_class_join) naming the cells it meets: a pair each, or an offset each
+    on the circle grid, whose r offsets keep their masks.  A pair's code is
+    the set of classes meeting it (_refine), and the classes are disjoint,
+    so distinct sets give distinct masks.  Cylinders on disjoint windows
+    always meet, so the shift classes moving the opens' window clear of the
+    targets' hit every pair."""
     space = spec.space
     if isinstance(space, sp.ProductSpace):
         return _product_masks(spec, opens, targets, horizon)
+    if not opens or not targets:
+        return [], array("I"), {}
     groups, clear = prefix_groups(spec, horizon), 0
-    if isinstance(space, sp.ShiftSpace) and opens and targets:
+    if isinstance(space, sp.ShiftSpace):
         lo, hi = min(U.start for U in opens), max(U.end for U in opens)
         start, end = min(V.start for V in targets), max(V.end for V in targets)
         for e in [e for e in groups if lo - e >= end or hi - e <= start]:
             clear |= groups.pop(e)
-    join, spread = _class_join(space, opens, targets)
-    cells = len(opens) * len(targets) if spread is None else len(opens)  # the grid's cells: r offsets
-    hits, undecided = [clear] * cells, {}
+    join, grid = _class_join(space, opens, targets)
+    if grid:  # r cells: each offset's masks, and pair (i, j) reads offset (i - j) mod r
+        r = len(opens)
+        offsets = [clear] * r, [0] * r
+        for key, times in groups.items():
+            for found, masks in zip(join(key_map(space, key)), offsets):
+                for d in found:
+                    masks[d] |= times
+        values, code_of, undecided = _distinct(zip(*offsets))
+        turned, codes = array("I", code_of[::-1] * 2), array("I")  # row i: the reversed offsets, turned
+        for i in range(r):
+            codes += turned[r - 1 - i:2 * r - 1 - i]
+        return values, codes, undecided
+    cells = len(opens) * len(targets)
+    codes, masks, sizes = array("I", bytes(4 * cells)), ([clear], [0]), [cells]
     for key, times in groups.items():
-        met, unknown = join(key_map(space, key))
-        for cell in met:
-            hits[cell] |= times
-        for cell in unknown:
-            undecided[cell] = undecided.get(cell, 0) | times
-    if spread is None:
-        return hits, undecided
-    return [hits[d] for d in spread], {k: undecided[d] for k, d in enumerate(spread) if d in undecided}
+        for kind, found in enumerate(join(key_map(space, key))):
+            if found:
+                _refine(codes, masks, sizes, found, kind, times)
+    return masks[0], codes, {code: times for code, times in enumerate(masks[1]) if times}
+
+
+def _distinct(masks) -> tuple:
+    """(values, code_of, undecided) of a sequence of (hits, undecided) mask
+    pairs: each distinct pair is a code, numbered in order of first
+    occurrence, and code_of lists the code of each."""
+    decided = {}
+    code_of = [decided.setdefault(pair, len(decided)) for pair in masks]
+    return [hits for hits, _ in decided], code_of, {code: u for code, (_, u) in enumerate(decided) if u}
+
+
+def _refine(codes, masks, sizes, found, kind: int, times: int) -> None:
+    """OR `times` into masks[kind] of the cells `found`, each listed once: a
+    code whose sizes[code] cells are all found keeps its number, and the
+    found cells of any other take a new code, a copy of its masks."""
+    moved, hits, unknown, ored = {}, *masks, masks[kind]
+    # the found cells of each code, by Counter's C loop without its constructor
+    _count_elements(moved, map(codes.__getitem__, found))
+    split = False
+    for code, count in moved.items():
+        if count < sizes[code]:
+            sizes[code] -= count
+            moved[code] = split = len(sizes)
+            sizes.append(count)
+            hits.append(hits[code])
+            unknown.append(unknown[code])
+            ored[split] |= times
+        else:
+            moved[code] = code
+            ored[code] |= times
+    if split:
+        for cell in found:
+            codes[cell] = moved[codes[cell]]
 
 
 def _class_join(space: sp.SpaceDesc, opens, targets) -> tuple:
-    """(join, spread): join(m) is (met, unknown), the cells where m(opens[i])
-    meets targets[j] and where a declared angle cannot decide, and spread
-    maps each pair index to its cell, or is None when the cells are the pair
-    indices.  Finite image points are looked up among the targets holding
-    them.  Cylinders on one window each meet where their words agree on the
-    overlap of the image window with the targets' (not empty once
-    pair_masks has popped the clear classes).  On the basis arcs rot^c(B_i)
-    meets B_j by the offset (i - j) mod r alone, so the cells are the r
-    offsets: closed-form on the builtin angle, one meet per offset on a
-    declared one.  Other opens are tested pair by pair."""
+    """(join, grid): join(m) is (met, unknown), the cells where m(opens[i])
+    meets targets[j] and where a declared angle cannot decide, each listed
+    once, and grid tells whether the cells are the offsets of the circle
+    grid rather than the pair indices.  Finite image points are looked up
+    among the targets holding them.  Cylinders on one window each meet
+    where their words agree on the overlap of the image window with the
+    targets' (not empty once pair_masks has popped the clear classes).  On
+    the basis arcs rot^c(B_i) meets B_j by the offset (i - j) mod r alone,
+    so the cells are the r offsets: closed-form on the builtin angle, one
+    meet per offset on a declared one.  Other opens are tested pair by
+    pair."""
     if isinstance(space, sp.FiniteSpace):
         holders = {}
         for j, V in enumerate(targets):
             for p in V.ids:
                 holders.setdefault(p, []).append(j)
         points = [(i * len(targets), p - 1) for i, U in enumerate(opens) for p in U.ids]  # (row, table index)
-        # a pair met at several image points is listed once for each
-        return lambda m: ([row + j for row, p in points for j in holders.get(m.table[p], ())], ()), None
+        # a pair met at several image points of a wider open is listed once
+        listed = dict.fromkeys if len(points) > len(opens) else list
+        return lambda m: ([*listed(row + j for row, p in points for j in holders.get(m.table[p], ()))], ()), False
     if isinstance(space, sp.ShiftSpace) and all(
         len({(A.start, A.end) for A in side}) == 1 for side in (opens, targets)
     ):
-        return partial(_overlap_join, opens, targets), None
+        return partial(_overlap_join, opens, targets), False
     r = len(opens)
     if isinstance(space, sp.CircleSpace) and r > 1 and [*opens] == [*targets] == sp.enumerate_basis(space, r):
-        return partial(_offset_join, space, opens), [(i - j) % r for i in range(r) for j in range(r)]
-    return partial(_tested_join, space, opens, targets), None
+        return partial(_offset_join, space, opens), True
+    return partial(_tested_join, space, opens, targets), False
 
 
 def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
@@ -199,7 +250,10 @@ def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
     for j, V in enumerate(targets):
         groups.setdefault(V.word[other], []).append(j)
     width = len(targets)
-    return [i * width + j for i, U in enumerate(opens) for j in groups.get(U.word[own], ())], ()
+    columns = [groups.get(U.word[own], ()) for U in opens]
+    # row i's cells: i * width plus each column of the targets agreeing with opens[i]
+    rows = map(map, repeat(add), map(repeat, range(0, len(opens) * width, width)), columns)
+    return array("I", chain.from_iterable(rows)), ()
 
 
 def _offset_join(space: sp.CircleSpace, basis, m: mp.RotPowTerm) -> tuple:
@@ -230,41 +284,46 @@ def _tested_join(space: sp.SpaceDesc, opens, targets, m: mp.NormalMap) -> tuple:
 
 
 def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
-    """pair_masks on a product.  A rectangle meets where all its sides do,
-    so each part answers for its distinct sides and the row of open i is
-    map(and_, ...) over its sides' rows, spread over the targets.  Where a
-    part has undecided times they are folded in part order, as
-    spaces.intersects reads the sides: a time stays alive while every side
-    so far meets, and an undecided side leaves its alive times undecided."""
-    parts = []
+    """pair_masks on a product: a rectangle meets where all its sides do.
+    Each part answers for its distinct sides and ends, and a pair's code is
+    read off the tuple of its sides' codes (a row of part codes a side,
+    spread over the targets), each tuple decided once: the AND of the parts'
+    values, with undecided times folded in part order as spaces.intersects
+    reads the sides (a time stays alive while every side so far meets, and
+    an undecided side leaves its alive times undecided)."""
+    columns, parts = [], []
     for k, part in enumerate(spec.parts):
         sides, ends = {}, {}  # each distinct side: its index among them
         side_of = [sides.setdefault(U.parts[k], len(sides)) for U in opens]
         end_of = [ends.setdefault(V.parts[k], len(ends)) for V in targets]
-        hits, undecided = pair_masks(part, [*sides], [*ends], horizon)
-        spread = [[hits[a * len(ends) + b] for b in end_of] for a in range(len(sides))]
-        parts.append((side_of, end_of, len(ends), spread, undecided))
-    rows = (reduce(partial(map, and_), (spread[side_of[i]] for side_of, _, _, spread, _ in parts))
-            for i in range(len(opens)))
-    hits, undecided = [*chain.from_iterable(rows)], {}
-    if any(part_undecided for *_, part_undecided in parts):
-        for k in range(len(hits)):
-            i, j = divmod(k, len(targets))
-            alive, unknown = (1 << horizon + 1) - 2, 0
-            for side_of, end_of, width, spread, part_undecided in parts:
-                unknown |= alive & part_undecided.get(side_of[i] * width + end_of[j], 0)
-                alive &= spread[side_of[i]][j]
-            if unknown:
-                undecided[k] = unknown
-    return hits, undecided
+        values, codes, undecided = pair_masks(part, [*sides], [*ends], horizon)
+        width = len(ends)
+        rows = [array("I", map(codes[a * width:a * width + width].__getitem__, end_of))
+                for a in range(len(sides))]
+        columns.append(chain.from_iterable(map(rows.__getitem__, side_of)))
+        parts.append((values, undecided))
+    tuples = defaultdict(count().__next__)
+    codes = array("I", map(tuples.__getitem__, zip(*columns)))
+
+    def decide(key):
+        alive, unknown = (1 << horizon + 1) - 2, 0
+        for (values, undecided), code in zip(parts, key):
+            unknown |= alive & undecided.get(code, 0)
+            alive &= values[code]
+        return alive, unknown
+
+    values, code_of, undecided = _distinct(map(decide, tuples))  # tuples deciding alike share a code
+    if len(values) < len(code_of):
+        codes = array("I", map(code_of.__getitem__, codes))
+    return values, codes, undecided
 
 
 def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:
     """N(U, V) restricted to [1, horizon]: times n with f_1^n(U) meeting V."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    hits, undecided = pair_masks(spec, (U,), (V,), horizon)
-    members, inconclusive = _mask_members(hits[0]), _mask_members(undecided.get(0, 0))
+    values, codes, undecided = pair_masks(spec, (U,), (V,), horizon)
+    members, inconclusive = _mask_members(values[codes[0]]), _mask_members(undecided.get(codes[0], 0))
     return HittingSet("hitting", spec, horizon, members, inconclusive, u=U, v=V)
 
 

@@ -42,6 +42,12 @@ FINITE_SWAP = "space finite(2);\nsystem F { else: table{1->2,2->1}; }\n"
 
 FINITE_ONE = "space finite(1);\nsystem F { else: table{1->1}; }\n"
 
+# a 300-cycle on finite(300): 90,000 pairs, whose tables over 64 times meet
+# at most 64 * 300 pairs, so that set has at most 19,201 codes; over more
+# than 300 times every pair may have a code of its own
+RING300 = ("space finite(300);\nsystem F { else: table{"
+           + ",".join(f"{k}->{k % 300 + 1}" for k in range(1, 301)) + "}; }\n")
+
 EX38_WITH_PRODUCT = """space circle(sqrt2m1);
 system F {
   at pow(3,0,k): rot^k;
@@ -368,39 +374,41 @@ class TestExitCodes:
         self, ndsl_file, capsys, no_masks, via
     ):
         # totally-transitive:m keeps the set of transitive over the horizon and,
-        # for m past it, the base masks over m times: 2^14 pairs at basis 3
+        # for m past it, the base masks over m times: 90,000 pairs of RING300,
+        # at most 19,201 codes over 64 times and a code a pair over m
         prop = "totally-transitive:200000"
         if via == "flag":
-            argv = ["check", ndsl_file(SIGMA), "--property", prop, "--horizon", "64", "--basis", "3"]
+            argv = ["check", ndsl_file(RING300), "--property", prop, "--horizon", "64", "--basis", "1"]
         else:
-            argv = ["check", ndsl_file(SIGMA + f"check F {prop} horizon 64 basis 3;\n")]
+            argv = ["check", ndsl_file(RING300 + f"check F {prop} horizon 64 basis 1;\n")]
         code, out, err = run(capsys, argv)
-        need = 128**2 * (64 // 8 + cli.MASK_PAIR_BYTES) + 128**2 * (200000 // 8 + cli.MASK_PAIR_BYTES)
+        need = (90000 * cli.PAIR_CODE_BYTES + 19201 * (cli.CODE_BYTES + 4 * 64 // 15)
+                + 90000 * (cli.PAIR_CODE_BYTES + cli.CODE_BYTES + 4 * 200000 // 15))
         assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
-        assert err == (f"ndslab: check F {prop}: basis 3 gives 128 opens, whose 16384 pair masks "
-                       f"over 64 times and 16384 pair masks over 200000 times need an estimated "
+        assert err == (f"ndslab: check F {prop}: basis 1 gives 300 opens, whose 90000 pair masks "
+                       f"over 64 times and 90000 pair masks over 200000 times need an estimated "
                        f"{need} bytes, over the budget of MAX_MASK_BYTES = {cli.MAX_MASK_BYTES} bytes\n")
 
     def test_totally_transitive_iterates_within_the_budget_are_accepted(self):
-        # estimated only: at basis 3 and horizon 64 the two sets and the
-        # one class mask of id fit up to m = 128695; from m = 128712 the sets
-        # alone pass the budget
+        # estimated only: on RING300 at horizon 64 the two sets and the class
+        # masks fit up to m = 9892; from m = 9942 the sets alone pass the budget
         args = cli._parse_args(["check", "x.ndsl"])
-        doc = ndsl.parse("space shift(2);\nsystem F { else: id; }\n")
-        for order in (3, 64, 128695):
-            request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 3)
+        doc = ndsl.parse(RING300)
+        for order in (3, 64, 9892):
+            request = ("F", ndsl.read_property(f"totally-transitive:{order}"), 64, 1)
             assert cli._size_problem(args, doc, [request]) is None
-        request = ("F", ndsl.read_property("totally-transitive:128712"), 64, 3)
-        assert "16384 pair masks over 128712 times need" in cli._size_problem(args, doc, [request])
+        request = ("F", ndsl.read_property("totally-transitive:9942"), 64, 1)
+        assert "90000 pair masks over 9942 times need" in cli._size_problem(args, doc, [request])
 
     def test_totally_transitive_up_to_the_horizon_is_priced_as_the_set_of_transitive(self):
-        # estimated only: 2^20 rectangle pairs over 64 times are one
-        # 159383552-byte set, which transitive and every iterate up to 64 share;
-        # two such sets would pass the budget
+        # estimated only: the 2^24 rectangle pairs of PROD at basis 1 over 64
+        # times are one 151274496-byte set, which transitive and every iterate
+        # up to 64 share; two such sets would pass the budget
         args = cli._parse_args(["check", "x.ndsl"])
-        doc = ndsl.parse(SHIFT_SQUARE)
-        assert 1024**2 * (64 // 8 + cli.MASK_PAIR_BYTES) == 159_383_552 > cli.MAX_MASK_BYTES // 2
-        requests = [("P", ndsl.read_property(prop), 64, 2)
+        doc = ndsl.parse(self.PROD)
+        assert 4096**2 * cli.PAIR_CODE_BYTES + 1024 * (cli.CODE_BYTES + 4 * 64 // 15) == 151_274_496
+        assert 151_274_496 > cli.MAX_MASK_BYTES // 2
+        requests = [("PROD", ndsl.read_property(prop), 64, 1)
                     for prop in ("transitive", "totally-transitive:2", "totally-transitive:3")]
         for request in requests:
             assert cli._size_problem(args, doc, [request]) is None
@@ -661,12 +669,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli.sp, "enumerate_basis", refuse)
 
     def test_pair_masks_over_the_budget_exit_three(self, ndsl_file, capsys, no_basis):
-        # 2^7 words a side at basis 3: 16384 rectangles and 268 M pairs
+        # 2^7 words a side at basis 3: 16384 rectangles and 268 M pairs; a
+        # side meets 6 classes of exponent within 6, so 2^6 codes a side
         code, out, err = run(capsys, [
             "check", ndsl_file(SHIFT_SQUARE), "--system", "P", "--property", "transitive",
             "--basis", "3", "--horizon", "8",
         ])
-        need = 16384**2 * (8 // 8 + cli.MASK_PAIR_BYTES)
+        need = 16384**2 * cli.PAIR_CODE_BYTES + 64 * 64 * (cli.CODE_BYTES + 4 * 8 // 15)
         assert code == 3 and out == "" and need > cli.MAX_MASK_BYTES
         assert err == (f"ndslab: check P transitive: basis 3 gives 16384 opens, whose 268435456 "
                        f"pair masks over 8 times need an estimated {need} bytes, over the budget "
@@ -686,39 +695,41 @@ class TestExitCodes:
                        f"of MAX_BASIS_OPENS = {cli.MAX_BASIS_OPENS} opens\n")
 
     def test_only_pair_mask_properties_are_held_to_the_mask_budget(self):
-        # estimated only: 1024 rectangles at basis 2, a million pairs over 2^12 times
-        doc = ndsl.parse(SHIFT_SQUARE)
+        # estimated only: 8192 words at basis 6, 2^26 pairs over 2^12 times
+        doc = ndsl.parse(SIGMA)
         args = cli._parse_args(["check", "x.ndsl"])
         for name, (_, params, spans, _) in ck.PROPERTIES.items():
             needs_delta = any(p.field == "delta" for p in params)
             prop = ck.PropertyKind(name, delta=Fraction(1, 2) if needs_delta else None)
-            problem = cli._size_problem(args, doc, [("P", prop, 4096, 2)])
+            problem = cli._size_problem(args, doc, [("F", prop, 4096, 6)])
             if spans(prop, 4096):
                 assert "MAX_MASK_BYTES" in problem
             else:
                 assert problem is None
-        assert cli._size_problem(args, doc, [("A", ndsl.read_property("transitive"), 4096, 2)]) is None
+        assert cli._size_problem(args, doc, [("F", ndsl.read_property("transitive"), 4096, 5)]) is None
 
+    # 4096 rectangles at basis 1 and 2^24 pairs; CS has 4 codes and ALT 8
     PROD = """space shift(2);
 system CS { else: sigma^1; }
 system ALT { at ap(1,2,k): sigma^k; at ap(2,2,k): sigma^-k; }
-system PROD = product(CS, ALT);
+system PROD = product(CS, ALT, CS, ALT);
 """
 
     def test_the_cached_masks_of_one_command_share_the_budget(self, ndsl_file, capsys, no_masks):
-        # estimated only: 1024 rectangles at basis 2, so 2^20 pair masks over
-        # 64 times for transitive and weakly-mixing (one set) and over 128
-        # for multi-transitive:2, each set under the budget alone
+        # estimated only: 2^24 pair masks over 64 times for transitive and
+        # weakly-mixing (one set) and over 128 for multi-transitive:2, each
+        # set under the budget alone
         doc = ndsl.parse(self.PROD)
         args = cli._parse_args(["check", "x.ndsl"])
-        one_set, other_set = (1024**2 * (span // 8 + cli.MASK_PAIR_BYTES) for span in (64, 128))
-        assert (one_set, other_set) == (159_383_552, 167_772_160)
-        checks = {name: ("PROD", ndsl.read_property(name), 64, 2)
+        one_set, other_set = (4096**2 * cli.PAIR_CODE_BYTES + 1024 * (cli.CODE_BYTES + 4 * span // 15)
+                              for span in (64, 128))
+        assert (one_set, other_set) == (151_274_496, 151_291_904)
+        checks = {name: ("PROD", ndsl.read_property(name), 64, 1)
                   for name in ("transitive", "weakly-mixing", "multi-transitive:2")}
         for request in checks.values():
             assert cli._size_problem(args, doc, [request]) is None
         assert cli._size_problem(args, doc, [checks["transitive"], checks["weakly-mixing"]]) is None
-        directives = "".join(f"check PROD {name} horizon 64 basis 2;\n"
+        directives = "".join(f"check PROD {name} horizon 64 basis 1;\n"
                              for name in ("transitive", "multi-transitive:2"))
         code, out, err = run(capsys, ["check", ndsl_file(self.PROD + directives)])
         need = one_set + other_set
@@ -751,12 +762,13 @@ system PROD = product(CS, ALT);
 
     def test_the_leads_share_the_budget_with_the_pair_masks(self):
         # estimated only: 10^7 lead entries (80 MB) and 10^6 pair masks over
-        # 512 times (208 MB), each under the budget alone
+        # 512 times (210 MB: 512 tables meet at most 512,000 pairs, so at
+        # most 512,001 codes), each under the budget alone
         args = cli._parse_args(["check", "x.ndsl"])
         doc = ndsl.parse(self.late_lead(1000, ""))
         minimal, transitive = (("F", ndsl.read_property(name), 512, 1) for name in ("minimal", "transitive"))
         assert cli._size_problem(args, doc, [minimal]) is None
-        masks = 1000**2 * (512 // 8 + cli.MASK_PAIR_BYTES)
+        masks = 1000**2 * cli.PAIR_CODE_BYTES + 512001 * (cli.CODE_BYTES + 4 * 512 // 15)
         need = masks + 10000 * 1000 * cli.LEAD_ENTRY_BYTES
         assert masks < cli.MAX_MASK_BYTES < need
         assert cli._size_problem(args, doc, [minimal, transitive]) == (
@@ -792,7 +804,7 @@ system PROD = product(CS, ALT);
             f"ndslab: check F transitive: {opens}")
         # the pair masks the checks hold together come last: the two PROD
         # checks pass the budget together, yet the later basis is named
-        held = "".join(f"check PROD {name} horizon 64 basis 2;\n"
+        held = "".join(f"check PROD {name} horizon 64 basis 1;\n"
                        for name in ("transitive", "multi-transitive:2"))
         assert error(self.PROD + held + "check CS transitive basis 9;\n") == (
             f"ndslab: check CS transitive: {opens}")
@@ -820,15 +832,30 @@ system PROD = product(CS, ALT);
             assert cli._basis_size(space, r) == len(sp.enumerate_basis(space, r))
 
     def test_the_mask_bytes_per_pair_cover_the_measured_ones(self):
-        doc = ndsl.parse(SHIFT_SQUARE)
-        for name, r, H in [("A", 2, 64), ("A", 3, 8), ("P", 1, 200)]:
+        # the peak while pair_masks builds a set, beside the class masks its
+        # walk reads, within the estimate with the codes bounded either way:
+        # a code a pair, or _code_bound, which the codes never pass
+        cases = [(SHIFT_SQUARE, "A", 2, 64), (SHIFT_SQUARE, "A", 3, 8), (SHIFT_SQUARE, "P", 1, 200),
+                 (SIGMA, "F", 4, 64), (EX36, "F", 2, 512), (RING300, "F", 1, 512),
+                 (FINITE_SWAP + "system P = product(F, F, F);\n", "P", 1, 300),
+                 (self.late_lead(20, "system P = product(F, F);\n"), "P", 1, 64),
+                 ("space circle(alpha(1/3 +- 1/2^12));\nsystem F { else: rot^1; }\n", "F", 8, 256),
+                 (EX38_WITH_PRODUCT, "F", 40, 256), (EX38_WITH_PRODUCT, "P", 6, 128)]
+        for source, name, r, H in cases:
+            spec = ndsl.parse(source).system(name)
+            basis = sp.enumerate_basis(spec.space, r)
             tracemalloc.start()
             try:
-                _, masks = ck._pair_masks(doc.system(name), r, H)
-                held = tracemalloc.get_traced_memory()[0]
+                values, codes, _ = cli.ht.pair_masks(spec, basis, basis, H)
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert held <= len(masks) * (H // 8 + cli.MASK_PAIR_BYTES)
+            pairs, code = len(codes), cli.CODE_BYTES + 4 * H // 15
+            bound = cli._code_bound(spec, r, H, pairs)
+            assert len(values) <= bound <= pairs, (name, r, H)
+            beside = peak - cli._class_mask_bytes(spec, H, cli.MAX_MASK_BYTES)
+            assert beside <= pairs * cli.PAIR_CODE_BYTES + bound * code, (name, r, H, peak)
+            assert beside <= cli._mask_set_bytes(spec, r, len(basis), H)
 
     def test_coprime_thirty_digit_steps_exit_three_at_the_crt_index(self, tmp_path):
         a, b = 10**29 + 1, 10**29 + 7

@@ -117,9 +117,10 @@ class TestHittingSet:
         basis = enumerate_basis(SHIFT, 2)
         W = Cylinder(-3, (0,) * 7)
         for spec in (ex36(), CONST_SIGMA):
-            hits, undecided = ht.pair_masks(spec, basis, (W,), 100)
-            assert list(by_pair(hits, len(basis), 1)) == [(i, 0) for i in range(len(basis))] and not undecided
-            for U, mask in zip(basis, hits):
+            values, codes, undecided = ht.pair_masks(spec, basis, (W,), 100)
+            hits = by_pair(values, codes, len(basis), 1)
+            assert list(hits) == [(i, 0) for i in range(len(basis))] and not undecided
+            for U, mask in zip(basis, hits.values()):
                 assert ht._mask_members(mask) == brute_force_hitting(spec, U, W, 100)
 
 

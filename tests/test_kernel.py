@@ -165,9 +165,9 @@ class TestPairMasks:
     @settings(max_examples=60, deadline=None)
     def test_every_pair_mask_matches_the_stepwise_oracle(self, case):
         spec, r, H = case
-        basis, masks = ck._pair_masks(spec, r, H)
-        assert len(masks) == len(basis) ** 2
-        for (i, j), mask in by_pair(masks, len(basis)).items():
+        basis, values, codes = ck._pair_masks(spec, r, H)
+        assert len(codes) == len(basis) ** 2
+        for (i, j), mask in by_pair(values, codes, len(basis)).items():
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], H)), (i, j)
 
     @pytest.mark.parametrize("r", [1, 2])
@@ -183,19 +183,20 @@ class TestPairMasks:
         ))
         assert [mp.prefix_compose(spec, n).exponent for n in (1, 2, 3)] == [
             sign * w, sign * 4 * r, sign * 2 * r]
-        basis, masks = ck._pair_masks(spec, r, 3)
-        assert all(mask & 0b110 == 0b110 for mask in masks)
-        assert not all(mask & 0b1000 for mask in masks)
-        for (i, j), mask in by_pair(masks, len(basis)).items():
+        basis, values, codes = ck._pair_masks(spec, r, 3)
+        masks = by_pair(values, codes, len(basis))
+        assert all(mask & 0b110 == 0b110 for mask in masks.values())
+        assert not all(mask & 0b1000 for mask in masks.values())
+        for (i, j), mask in masks.items():
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 3))
 
     def test_undecided_circle_indices_are_dropped(self):
         alpha = sp.AlphaEnclosure.custom(Fraction(1, 4), Fraction(1, 2**70))
         spec = mp.NdsSpec(sp.CircleSpace(alpha), (), mp.RotPowTerm(1))
-        basis, masks = ck._pair_masks(spec, 2, 8)
+        basis, values, codes = ck._pair_masks(spec, 2, 8)
         undecided = ht.hitting_set(spec, basis[0], basis[0], 8).inconclusive
         assert undecided  # the oracle below really meets undecided times
-        for (i, j), mask in by_pair(masks, len(basis)).items():
+        for (i, j), mask in by_pair(values, codes, len(basis)).items():
             assert mask == bits(ht.brute_force_hitting(spec, basis[i], basis[j], 8))
             assert not mask & bits(ht.hitting_set(spec, basis[i], basis[j], 8).inconclusive)
 
@@ -223,9 +224,9 @@ def meets_pairs(space, m, opens, targets=None) -> set:
 
 def class_pairs(spec, opens, targets, n=1) -> tuple:
     """(met, undecided): the sets of pairs pair_masks reports at time n."""
-    hits, undecided = ht.pair_masks(spec, opens, targets, n)
-    return tuple({pair for pair, mask in by_pair(masks, len(opens), len(targets)).items() if mask >> n & 1}
-                 for masks in (hits, undecided))
+    values, codes, undecided = ht.pair_masks(spec, opens, targets, n)
+    return tuple({pair for pair, mask in by_pair(masks, codes, len(opens), len(targets)).items() if mask >> n & 1}
+                 for masks in (values, undecided))
 
 
 class TestClassPairs:
@@ -341,9 +342,9 @@ class TestDerivedProductMasks:
     def test_pair_masks_match_the_per_time_oracle(self, kinds, r, data, shape, k, H):
         product = data.draw(product_parts(kinds))
         spec = mp.tail(product, k) if shape == "tail" else mp.iterate(product, k)
-        basis, masks = ck._pair_masks(spec, r, H)
-        assert len(masks) == len(basis) ** 2
-        masks = by_pair(masks, len(basis))
+        basis, values, codes = ck._pair_masks(spec, r, H)
+        assert len(codes) == len(basis) ** 2
+        masks = by_pair(values, codes, len(basis))
         # every third row: its images folded once, then tested on every column
         for i in range(0, len(basis), 3):
             images = list(folded_images(spec, basis[i], H))
@@ -365,8 +366,8 @@ class TestDerivedProductMasks:
 def masks_by_rectangle(spec, r, H) -> dict:
     """A product's pair masks one rectangle pair at a time: the AND of the
     component masks at each pair of sides, in (i, j) order."""
-    parts = [(len(part_basis), by_pair(part, len(part_basis)))
-             for part_basis, part in (ck._pair_masks(p, r, H) for p in spec.parts)]
+    parts = [(len(part_basis), by_pair(values, codes, len(part_basis)))
+             for part_basis, values, codes in (ck._pair_masks(p, r, H) for p in spec.parts)]
     index = list(product(*(range(size) for size, _ in parts)))
     return {
         (i, j): reduce(and_, (part[(a, b)] for (_, part), a, b in zip(parts, u, v)))
@@ -387,8 +388,8 @@ def test_product_rows_match_the_per_rectangle_and(kinds, r, data, shape, k, H):
     the same (i, j) order, for products, their tails and their iterates."""
     parts = data.draw(product_parts(kinds))
     spec = {"product": parts, "tail": mp.tail(parts, k), "iterate": mp.iterate(parts, k)}[shape]
-    basis, masks = ck._pair_masks(spec, r, H)
-    masks, oracle = by_pair(masks, len(basis)), masks_by_rectangle(spec, r, H)
+    basis, values, codes = ck._pair_masks(spec, r, H)
+    masks, oracle = by_pair(values, codes, len(basis)), masks_by_rectangle(spec, r, H)
     assert list(masks) == list(oracle) and masks == oracle
 
 
@@ -789,10 +790,10 @@ class TestHittingSets:
     def test_many_opens_by_many_targets_match_the_per_time_reference(self, data, case):
         spec, H = case
         us, vs = data.draw(open_lists(spec.space)), data.draw(open_lists(spec.space))
-        hits, undecided = ht.pair_masks(spec, us, vs, H)
-        assert len(hits) == len(us) * len(vs) and set(undecided) <= set(range(len(hits)))
+        values, codes, undecided = ht.pair_masks(spec, us, vs, H)
+        assert len(codes) == len(us) * len(vs) and set(undecided) <= set(range(len(values)))
         assert all(undecided.values())
-        hits, undecided = (by_pair(masks, len(us), len(vs)) for masks in (hits, undecided))
+        hits, undecided = (by_pair(masks, codes, len(us), len(vs)) for masks in (values, undecided))
         assert list(hits) == list(product(range(len(us)), range(len(vs))))
         for (i, j), mask in hits.items():
             reference = reference_set("hitting", spec, us[i], H, V=vs[j])
@@ -807,10 +808,10 @@ class TestHittingSets:
         spec, r, H = case
         basis = sp.enumerate_basis(spec.space, r)
         target = data.draw(st.one_of(opens(spec.space, r), open_sets(spec.space)))
-        hits, undecided = ht.pair_masks(spec, basis, (target,), H)
-        assert len(hits) == len(basis) and set(undecided) <= set(range(len(basis)))
-        undecided = by_pair(undecided, len(basis), 1)
-        for (i, _), mask in by_pair(hits, len(basis), 1).items():
+        values, codes, undecided = ht.pair_masks(spec, basis, (target,), H)
+        assert len(codes) == len(basis) and set(undecided) <= set(range(len(values)))
+        undecided = by_pair(undecided, codes, len(basis), 1)
+        for (i, _), mask in by_pair(values, codes, len(basis), 1).items():
             reference = reference_set("hitting", spec, basis[i], H, V=target)
             assert mask == bits(reference.members)
             assert undecided.get((i, 0), 0) == bits(reference.inconclusive), i
@@ -825,10 +826,10 @@ class TestHittingSets:
         H = 12
         for spec in (mp.ProductSpec((circle, finite)), mp.ProductSpec((finite, circle))):
             basis = sp.enumerate_basis(spec.space, 2)
-            hits, undecided = ht.pair_masks(spec, basis, basis, H)
+            values, codes, undecided = ht.pair_masks(spec, basis, basis, H)
             assert undecided  # the fold really meets undecided times
-            undecided = by_pair(undecided, len(basis))
-            for (i, j), mask in by_pair(hits, len(basis)).items():
+            undecided = by_pair(undecided, codes, len(basis))
+            for (i, j), mask in by_pair(values, codes, len(basis)).items():
                 reference = reference_set("hitting", spec, basis[i], H, V=basis[j])
                 assert mask == bits(reference.members), (i, j)
                 assert undecided.get((i, j), 0) == bits(reference.inconclusive), (i, j)
@@ -845,6 +846,31 @@ class TestHittingSets:
         assert len(ht.prefix_classes(spec, 1024)) == 513
         assert got == reference_set("hitting", spec, U, 1024, V=V)
         assert len(got.members) > 500
+
+    @given(st.data(), st.one_of(
+        st.tuples(shift_systems, st.integers(1, 2), st.integers(1, 24)),
+        st.tuples(circle_systems(), st.integers(2, 5), st.integers(1, 24)),
+        st.tuples(finite_systems(), st.just(1), st.integers(1, 16)),
+        st.tuples(derived_products, st.just(1), st.integers(1, 5)),
+        st.tuples(product_parts(("circle", "finite")), st.just(2), st.integers(1, 6)),
+        st.tuples(product_parts(("shift", "circle")), st.just(2), st.integers(1, 5)),
+    ), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_the_codes_are_canonical(self, data, case, on_basis):
+        """Every code is in range and some pair's, and no two codes share
+        both their hits and their undecided times, on the basis (the
+        offset grid on the circle) and on any opens against any targets."""
+        spec, r, H = case
+        if on_basis:
+            us = vs = sp.enumerate_basis(spec.space, r)
+        else:
+            us, vs = data.draw(open_lists(spec.space)), data.draw(open_lists(spec.space))
+        values, codes, undecided = ht.pair_masks(spec, us, vs, H)
+        assert codes.typecode == "I" and len(codes) == len(us) * len(vs)
+        assert set(codes) == set(range(len(values)))
+        assert set(undecided) <= set(range(len(values))) and all(undecided.values())
+        masks = [(hits, undecided.get(code, 0)) for code, hits in enumerate(values)]
+        assert len(set(masks)) == len(masks)
 
 
 def test_mask_members_walks_the_set_bits():
@@ -968,11 +994,11 @@ class TestOrbitQuestions:
     @settings(max_examples=60, deadline=None)
     def test_slots_of_the_pair_masks_match_the_per_bit_walk(self, case, m):
         spec, r, H = case
-        _, masks = ck._pair_masks(spec, r, m * H)
-        common = reduce(and_, masks)
+        _, values, _ = ck._pair_masks(spec, r, m * H)
+        common = reduce(and_, values)
         for j in range(1, m + 1):
             assert ck._slot(common, j, H) == slot_walk(common, j, H)
-        assert ck._universal_l(masks, m, H) == universal_walk(masks, m, H)
+        assert ck._universal_l(values, m, H) == universal_walk(values, m, H)
 
     @given(st.lists(st.integers(0, 2**200), min_size=1, max_size=4), st.integers(1, 6),
            st.integers(1, 40))

@@ -107,9 +107,9 @@ class TestSpecHash:
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != NdsSpec(SHIFT, a.rules, name="hash-other")
         with ck.scoped_caches():
-            _, masks = ck._pair_masks(a, 1, 40)
-            # b's call finds a's entry: one key, the same masks
-            assert ck._pair_masks(b, 1, 40)[1] is masks
+            _, _, codes = ck._pair_masks(a, 1, 40)
+            # b's call finds a's entry: one key, the same codes
+            assert ck._pair_masks(b, 1, 40)[2] is codes
             assert sum(key == (a, 1, 40) for key in ck._MASK_CACHE) == 1
 
 

@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,15 +19,13 @@ SIGMA = "space shift(2);\nsystem F { else: sigma^1; }\n"
 
 
 def table_and_dict(n: int, seed: int, values: list) -> tuple:
-    """(table, expected): a PairTable over n*n masks drawn by `seed` from as
-    many masks as `values`, mask k taking values[k], and the dict
+    """(table, expected): a PairTable over n*n codes drawn by `seed` from as
+    many codes as `values`, code k taking values[k], and the dict
     {"i->j": value} it stands for, built the plain way."""
     rng = random.Random(seed)
-    palette = [rng.getrandbits(40) | 1 << k for k in range(len(values))]
-    masks = [rng.choice(palette) for _ in range(n * n)]
-    value = dict(zip(palette, values))
-    expected = {f"{i}->{j}": value[masks[i * n + j]] for i in range(n) for j in range(n)}
-    return ck.PairTable(n, masks, {mask: value[mask] for mask in set(masks)}), expected
+    codes = array("I", (rng.randrange(len(values)) for _ in range(n * n)))
+    expected = {f"{i}->{j}": values[codes[i * n + j]] for i in range(n) for j in range(n)}
+    return ck.PairTable(n, codes, values), expected
 
 
 # n = 1 has a single column (one itemgetter index), and from n = 11 on the
@@ -81,10 +80,15 @@ def test_only_the_pair_labels_are_keys(n):
 
 
 def test_a_table_keeps_no_mask():
-    masks = [1 << 40 | k % 3 for k in range(9)]
-    table = ck.PairTable(3, masks, {mask: mask.bit_length() for mask in set(masks)})
-    assert table.distinct == [41] and list(table.codes) == [0] * 9
-    assert all(held is not masks for held in gc.get_referents(table))
+    """A check's table keeps the kernel's codes themselves and a value a
+    code, not the masks."""
+    spec = ndsl.parse(SIGMA).system("F")
+    with ck.scoped_caches():
+        table = ck.check_property(spec, ck.PropertyKind("transitive"), 1, 64).evidence["witness_times"]
+        _, values, codes = ck._pair_masks(spec, 1, 64)
+    assert table.codes is codes
+    assert table.by_code == [(mask & -mask).bit_length() - 1 for mask in values]
+    assert all(held is not values for held in gc.get_referents(table))
 
 
 @pytest.mark.parametrize("prop, field", [
@@ -101,8 +105,8 @@ def test_recheck_reads_a_table_as_its_dict(prop, field):
     assert ck.recheck_verdict(spec, v) is ck.recheck_verdict(spec, as_dict) is True
     # time 1 everywhere: sigma(B0) still pins cells -1 and 0, so B0 misses B7 then
     with ck.scoped_caches():
-        _, masks = ck._pair_masks(spec, 1, 64)
-        wrong = ck.PairTable(table.n, masks, dict.fromkeys(masks, 1))
+        _, values, codes = ck._pair_masks(spec, 1, 64)
+        wrong = ck.PairTable(table.n, codes, [1] * len(values))
     for evidence in ({**v.evidence, field: wrong}, {**v.evidence, field: dict(wrong)}):
         assert ck.recheck_verdict(spec, ck.Verdict(v.property, v.status, v.config, evidence)) is False
 
@@ -153,3 +157,27 @@ def test_a_check_takes_no_bytes_like_a_label_a_pair(rules, status):
     large = bytes_beyond_the_masks(mp.ProductSpec((shift, shift, swap)), "transitive")
     assert small[0] == large[0] == status
     assert large[1] - small[1] < 8 * (128**2 - 64**2)
+
+
+def test_the_cached_masks_of_a_million_pairs_hold_a_code_a_pair():
+    # CI's pair-table-1m: 1,048,576 pairs of a product at basis 2, 47
+    # distinct masks; a mask a pair held about 40 MB in the mask cache
+    source = ("space shift(2);\nsystem F { at ap(2,2,k): sigma^-k; at ap(5,2,k): sigma^k; }\n"
+              "system G { at ap(1,2,k): sigma^k; at ap(2,2,k): sigma^-k; }\nsystem P = product(F, G);\n")
+    spec = ndsl.parse(source).system("P")
+    tracemalloc.start()
+    try:
+        with ck.scoped_caches():
+            verdict = ck.check_property(spec, ck.PropertyKind("transitive"), 2, 32)
+            assert verdict.witnessed
+            ((basis, values, codes),) = ck._MASK_CACHE.values()
+            sizes = len(basis), len(values), len(codes)
+            del verdict, basis, values, codes
+            held = tracemalloc.get_traced_memory()[0]
+            ck._MASK_CACHE.clear()
+            freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sizes == (1024, 47, 1024**2)
+    # the codes' 4 MB, the distinct masks and the 1024 basis rectangles
+    assert 4 * 1024**2 <= freed < 5 * 1024**2
