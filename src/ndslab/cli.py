@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import prod
 from operator import itemgetter
@@ -40,7 +40,9 @@ MAX_HORIZON = 10**6
 
 # the work a check may take on, estimated before it runs: the opens of its
 # basis, and the bytes of the sets of pair masks its property keeps
-# (checkers.PROPERTIES; _mask_set_bytes), of the prefix-class masks a check
+# (checkers.PROPERTIES; _mask_set_bytes: PAIR_CODE_BYTES a pair for its code
+# and what its build holds a pair, CODE_BYTES and two masks a distinct
+# mask), of the prefix-class masks a check
 # walks (CLASS_MASK_BYTES a class of dict entry, key and int header, and 4
 # bytes a 30-bit digit of its mask) and of the table laws' leads
 # (LEAD_ENTRY_BYTES an entry, a pointer in a table tuple), as tracemalloc
@@ -159,10 +161,24 @@ def report_text(obj, depth: int = 0) -> str:
     indent), so this frames each level itself and hands every container of
     scalars to the C encoder whole; whether one holds a container is asked
     once per type of its values.  The pieces are joined once, at the end:
-    a text per level would copy a pair table's text once a level."""
+    a text per level would copy a pair table's text once a level.  A
+    command writes its report without this text (_put_report)."""
     pieces = []
     _put_text(obj, depth, pieces.append)
     return "".join(pieces)
+
+
+def _put_report(report: dict, put) -> None:
+    """put() the pieces of report_text(report) and its newline."""
+    _put_text(report, 0, put)
+    put("\n")
+
+
+def _put_lines(lines, put) -> None:
+    """put() each line and a newline after it."""
+    for line in lines:
+        put(line)
+        put("\n")
 
 
 def _put_text(obj, depth: int, put) -> None:
@@ -214,19 +230,19 @@ def _put_pair_table(table, depth: int, put) -> None:
     put("\n" + "  " * depth + "}")
 
 
-def _write(stream, lines) -> None:
-    """Write `lines` to `stream`, stdout or stderr.  A reader that closes
-    the pipe early (`| head`, `2>&1 | true`) ends the writing, not the
-    command: the stream goes to os.devnull from then on, so neither a later
-    write nor the flush at exit can fail and change the exit code.  A
-    descriptor closed before start-up (`2>&-`) leaves the stream None, and
-    nothing is written."""
+def _write(stream, put_all) -> None:
+    """Write to `stream`, stdout or stderr, each piece that put_all(put)
+    puts, as it comes: the stream buffers them, so a report is never held
+    whole (a JSON report of a million pairs is over 100 MB of text).  A
+    reader that closes the pipe early (`| head`, `2>&1 | true`) ends the
+    writing, not the command: the stream goes to os.devnull from then on,
+    so neither a later write nor the flush at exit can fail and change the
+    exit code.  A descriptor closed before start-up (`2>&-`) leaves the
+    stream None, and nothing is written."""
     if stream is None:
         return
     try:
-        for line in lines:  # a copy of a long line (a JSON report) would double its bytes
-            stream.write(line)
-            stream.write("\n")
+        put_all(stream.write)
         stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -303,14 +319,14 @@ def cmd_check(args) -> int:
     report["checks"] = checks
     if args.format == "json":
         # evidence keys are all str; Fractions and other exact values print as str
-        _write(sys.stdout, [report_text(report)])
+        _write(sys.stdout, partial(_put_report, report))
     else:
         lines = []
         for c in checks:
             lines.append(f"{c['status']:<13} {c['system']:<10} {c['property']:<28} "
                          f"basis={c['basis']} horizon={c['horizon']}")
             lines += [f"              note: {caveat}" for caveat in c["caveats"]]
-        _write(sys.stdout, lines)
+        _write(sys.stdout, partial(_put_lines, lines))
     return max(_EXIT[c["status"]] for c in checks)
 
 
@@ -412,12 +428,15 @@ def _class_mask_bytes(spec, span: int, limit: int) -> int:
 
 def _mask_set_bytes(spec, r: int, n: int, span: int) -> int:
     """The peak bytes of hitting.pair_masks(spec, basis, basis, span) for the
-    n opens of the basis at r: PAIR_CODE_BYTES a pair (its code, and its
-    cell in one class's array while the codes are built, each array growing
-    by a sixteenth), and a code CODE_BYTES (the lists, counts and dict
-    entries keeping it, a product's tuple of part codes) and two masks of
-    `span` bits.  There is at most a code a pair; past MAX_MASK_BYTES / 16
-    the codes are bounded off the prefix classes (_code_bound)."""
+    n opens of the basis at r: PAIR_CODE_BYTES a pair, and a code CODE_BYTES
+    (the lists, counts and dict entries keeping it, a product's entries of
+    its table of part codes) and two masks of `span` bits.  A pair holds its
+    4-byte code, and on the shift walk its cell in the array of cells one
+    class meets (each array growing by a sixteenth); a product writes its
+    codes in place from its parts' shorter arrays, a block row at a time,
+    and a finite space a row of masks at a time, so neither holds more a
+    pair.  There is at most a code a pair; past MAX_MASK_BYTES / 16 the
+    codes are bounded off the prefix classes (_code_bound)."""
     pairs, code = n * n, CODE_BYTES + 4 * span // 15
     codes = pairs if pairs * code <= MAX_MASK_BYTES >> 4 else _code_bound(spec, r, span, pairs)
     return pairs * PAIR_CODE_BYTES + codes * code
@@ -428,9 +447,9 @@ def _code_bound(spec, r: int, span: int, most: int) -> int:
     classes, so k classes give at most 2^k codes.  A shift class moving the
     window of 2r + 1 cells by more than 2r meets every pair alike, so only
     exponents within 2r count; a finite class moves each singleton into
-    one, so a nonempty code holds one of its k*N pairs met.  The circle's
-    codes are the grid's r offsets, and a product's are read off tuples of
-    its parts' codes.  The keys are read until the bound reaches `most`."""
+    one, so a nonempty mask holds one of its k*N pairs met.  The circle's
+    codes are the grid's r offsets, and a product's are pairs of its parts'
+    codes.  The keys are read until the bound reaches `most`."""
     space = spec.space
     if isinstance(space, sp.ProductSpace):
         parts = (_code_bound(part, r, span, _basis_size(part.space, r) ** 2) for part in spec.parts)
@@ -499,13 +518,13 @@ def cmd_corpus(args) -> int:
     report["scenarios"] = scenarios
     report["timing_ms"] = round(ms, 3)
     if args.format == "json":
-        _write(sys.stdout, [report_text(report)])
+        _write(sys.stdout, partial(_put_report, report))
     else:
         results = [(s["name"], r) for s in scenarios for r in s["results"]]
         width = max((len(r["description"]) for _, r in results), default=20)
-        _write(sys.stdout, [f"{'PASS' if r['passed'] else 'FAIL'} {name:<28} "
-                            f"{r['description']:<{width}} -> {r['actual']}"
-                            for name, r in results])
+        _write(sys.stdout, partial(_put_lines, [f"{'PASS' if r['passed'] else 'FAIL'} {name:<28} "
+                                                f"{r['description']:<{width}} -> {r['actual']}"
+                                                for name, r in results]))
     return 0 if all(s["passed"] for s in scenarios) else 1
 
 
@@ -516,15 +535,15 @@ def main(argv=None) -> int:
         with ck.scoped_caches():
             return cmd_check(args) if args.command == "check" else cmd_corpus(args)
     except _InputError as exc:
-        _write(sys.stderr, exc.args)
+        _write(sys.stderr, partial(_put_lines, exc.args))
         return 3
     except Exception as exc:  # any escape is a fault in ndslab, never a verdict
         import traceback  # only on this path: keeps it off every start-up
 
         where = traceback.extract_tb(exc.__traceback__)[-1]
         detail = " ".join(str(exc).split())
-        _write(sys.stderr, [f"ndslab: internal error: {type(exc).__name__}: {detail} "
-                            f"(at {os.path.basename(where.filename)}:{where.lineno})"])
+        _write(sys.stderr, partial(_put_lines, [f"ndslab: internal error: {type(exc).__name__}: {detail} "
+                                                f"(at {os.path.basename(where.filename)}:{where.lineno})"]))
         return 4
 
 

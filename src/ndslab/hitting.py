@@ -21,7 +21,7 @@ from collections import _count_elements, defaultdict
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, count, islice, repeat
-from operator import add, or_
+from operator import add, itemgetter, or_
 
 from . import maps as mp
 from . import spaces as sp
@@ -138,41 +138,39 @@ def pair_masks(spec: mp.SystemSpec, opens, targets, horizon: int) -> tuple:
     array("I")), values[code] is its mask and undecided[code] the nonzero
     mask of the times a declared angle cannot decide.  Two pairs share a
     code exactly when they share both masks, and every code is some pair's.
-    One walk of the prefix classes decides every pair, a class in one join
-    (_class_join) naming the cells it meets: a pair each, or an offset each
-    on the circle grid, whose r offsets keep their masks.  A pair's code is
-    the set of classes meeting it (_refine), and the classes are disjoint,
-    so distinct sets give distinct masks.  Cylinders on disjoint windows
-    always meet, so the shift classes moving the opens' window clear of the
-    targets' hit every pair."""
+    Each layout is read off its structure, with no step a pair: a product
+    folds its parts' codes (_product_masks), a finite space reads each
+    open's row off the transposed prefix tables (_finite_masks), and the
+    circle grid decides a class per offset, whose r masks the pairs share
+    (_grid_masks).  Otherwise one walk of the prefix classes decides every
+    pair, a class in one join naming the pairs it meets, each join reading
+    the class key: a pair's code is the set of classes meeting it
+    (_refine), and the classes are disjoint, so distinct sets give distinct
+    masks.  Cylinders on disjoint windows always meet, so the shift classes
+    moving the opens' window clear of the targets' hit every pair."""
     space = spec.space
-    if isinstance(space, sp.ProductSpace):
-        return _product_masks(spec, opens, targets, horizon)
     if not opens or not targets:
         return [], array("I"), {}
+    if isinstance(space, sp.ProductSpace):
+        return _product_masks(spec, opens, targets, horizon)
     groups, clear = prefix_groups(spec, horizon), 0
+    if isinstance(space, sp.FiniteSpace):
+        return _finite_masks(groups, opens, targets)
+    if isinstance(space, sp.CircleSpace) and len(opens) > 1 and [*opens] == [*targets] == sp.enumerate_basis(
+            space, len(opens)):
+        return _grid_masks(space, groups, opens)
+    join = partial(_tested_join, space, opens, targets)
     if isinstance(space, sp.ShiftSpace):
         lo, hi = min(U.start for U in opens), max(U.end for U in opens)
         start, end = min(V.start for V in targets), max(V.end for V in targets)
         for e in [e for e in groups if lo - e >= end or hi - e <= start]:
             clear |= groups.pop(e)
-    join, grid = _class_join(space, opens, targets)
-    if grid:  # r cells: each offset's masks, and pair (i, j) reads offset (i - j) mod r
-        r = len(opens)
-        offsets = [clear] * r, [0] * r
-        for key, times in groups.items():
-            for found, masks in zip(join(key_map(space, key)), offsets):
-                for d in found:
-                    masks[d] |= times
-        values, code_of, undecided = _distinct(zip(*offsets))
-        turned, codes = array("I", code_of[::-1] * 2), array("I")  # row i: the reversed offsets, turned
-        for i in range(r):
-            codes += turned[r - 1 - i:2 * r - 1 - i]
-        return values, codes, undecided
+        if all(len({(A.start, A.end) for A in side}) == 1 for side in (opens, targets)):
+            join = partial(_overlap_join, opens, targets)
     cells = len(opens) * len(targets)
-    codes, masks, sizes = array("I", bytes(4 * cells)), ([clear], [0]), [cells]
+    codes, masks, sizes = array("I", [0]) * cells, ([clear], [0]), [cells]
     for key, times in groups.items():
-        for kind, found in enumerate(join(key_map(space, key))):
+        for kind, found in enumerate(join(key)):
             if found:
                 _refine(codes, masks, sizes, found, kind, times)
     return masks[0], codes, {code: times for code, times in enumerate(masks[1]) if times}
@@ -211,39 +209,13 @@ def _refine(codes, masks, sizes, found, kind: int, times: int) -> None:
             codes[cell] = moved[codes[cell]]
 
 
-def _class_join(space: sp.SpaceDesc, opens, targets) -> tuple:
-    """(join, grid): join(m) is (met, unknown), the cells where m(opens[i])
-    meets targets[j] and where a declared angle cannot decide, each listed
-    once, and grid tells whether the cells are the offsets of the circle
-    grid rather than the pair indices.  Finite image points are looked up
-    among the targets holding them.  Cylinders on one window each meet
-    where their words agree on the overlap of the image window with the
-    targets' (not empty once pair_masks has popped the clear classes).  On
-    the basis arcs rot^c(B_i) meets B_j by the offset (i - j) mod r alone,
-    so the cells are the r offsets: closed-form on the builtin angle, one
-    meet per offset on a declared one.  Other opens are tested pair by
-    pair."""
-    if isinstance(space, sp.FiniteSpace):
-        holders = {}
-        for j, V in enumerate(targets):
-            for p in V.ids:
-                holders.setdefault(p, []).append(j)
-        points = [(i * len(targets), p - 1) for i, U in enumerate(opens) for p in U.ids]  # (row, table index)
-        # a pair met at several image points of a wider open is listed once
-        listed = dict.fromkeys if len(points) > len(opens) else list
-        return lambda m: ([*listed(row + j for row, p in points for j in holders.get(m.table[p], ()))], ()), False
-    if isinstance(space, sp.ShiftSpace) and all(
-        len({(A.start, A.end) for A in side}) == 1 for side in (opens, targets)
-    ):
-        return partial(_overlap_join, opens, targets), False
-    r = len(opens)
-    if isinstance(space, sp.CircleSpace) and r > 1 and [*opens] == [*targets] == sp.enumerate_basis(space, r):
-        return partial(_offset_join, space, opens), True
-    return partial(_tested_join, space, opens, targets), False
-
-
-def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
-    start, end = opens[0].start - m.exponent, opens[0].end - m.exponent  # the image window
+def _overlap_join(opens, targets, e: int) -> tuple:
+    """The cells where sigma^e(opens[i]) meets targets[j], the opens on one
+    window and the targets on another: they meet where their words agree on
+    the overlap of the image window with the targets' (not empty once
+    pair_masks has popped the clear classes), so each open is joined with
+    the targets of its own slice there."""
+    start, end = opens[0].start - e, opens[0].end - e  # the image window
     lo, hi = max(start, targets[0].start), min(end, targets[0].end)
     own, other = slice(lo - start, hi - start), slice(lo - targets[0].start, hi - targets[0].start)
     groups = {}
@@ -256,11 +228,40 @@ def _overlap_join(opens, targets, m: mp.ShiftPowTerm) -> tuple:
     return array("I", chain.from_iterable(rows)), ()
 
 
-def _offset_join(space: sp.CircleSpace, basis, m: mp.RotPowTerm) -> tuple:
-    """The offsets d where rot^c(B_d) meets B_0, and where it is undecided."""
+def _tested_join(space: sp.SpaceDesc, opens, targets, key) -> tuple:
+    """The cells where the map of class `key` takes opens[i] to meet
+    targets[j], and where a declared angle cannot decide, one meet each."""
+    m = key_map(space, key)
+    images = [mp.image(m, U) for U in opens]
+    meets = [_meets(space, A, V) for A in images for V in targets]
+    return [k for k, met in enumerate(meets) if met], [k for k, met in enumerate(meets) if met is None]
+
+
+def _grid_masks(space: sp.CircleSpace, groups: dict, basis) -> tuple:
+    """pair_masks of the r basis arcs against themselves: rot^c(B_i) meets
+    B_j by the offset (i - j) mod r alone, so a class ORs its times into the
+    masks of the r offsets, met and undecided: in closed form on the builtin
+    angle (_circle_offsets of the key) and one meet an offset on a declared
+    one.  The distinct offset masks are the codes (_distinct, over the
+    offsets), and pair (i, j) takes the code of offset (i - j) mod r: row i
+    is a turned slice of the reversed offset codes."""
+    r = len(basis)
+    offsets = [0] * r, [0] * r
     if space.alpha.kind == "sqrt2m1":
-        return _circle_offsets(m.coefficient, len(basis)), ()
-    return _tested_join(space, basis, basis[:1], m)
+        hits = offsets[0]
+        for c, times in groups.items():
+            for d in _circle_offsets(c, r):
+                hits[d] |= times
+    else:
+        for c, times in groups.items():
+            for found, masks in zip(_tested_join(space, basis, basis[:1], c), offsets):
+                for d in found:
+                    masks[d] |= times
+    values, code_of, undecided = _distinct(zip(*offsets))
+    turned, codes = array("I", code_of[::-1] * 2), array("I")
+    for i in range(r):
+        codes += turned[r - 1 - i:2 * r - 1 - i]
+    return values, codes, undecided
 
 
 def _circle_offsets(c: int, r: int) -> list:
@@ -277,45 +278,95 @@ def _circle_offsets(c: int, r: int) -> list:
     return sorted({-k % r, (-k - 1) % r})
 
 
-def _tested_join(space: sp.SpaceDesc, opens, targets, m: mp.NormalMap) -> tuple:
-    images = [mp.image(m, U) for U in opens]
-    meets = [_meets(space, A, V) for A in images for V in targets]
-    return [k for k, met in enumerate(meets) if met], [k for k, met in enumerate(meets) if met is None]
+def _finite_masks(groups: dict, opens, targets) -> tuple:
+    """pair_masks on a finite space off its prefix groups {table: times}:
+    f_1^n(U) meets V exactly when the prefix table sends a point of U into
+    V.  A point's column of the transposed tables is its image under every
+    class, read off the keys one point at a time; its classes are grouped
+    by image, each group's times ORed into a slot a point, and its row of
+    masks is read off the slots of each target's points (an open of several
+    points ORs its points' rows).  Distinct masks are numbered in pair
+    order as the rows are written, so no class refines any code."""
+    keys, times = [*groups], [*groups.values()]
+    points = [q for V in targets for q in V.ids] if all(len(V.ids) == 1 for V in targets) else None
+
+    def row(p: int) -> list:
+        images = [0] * (len(keys[0]) + 1)  # slot q: the times p goes to q
+        for q, t in zip(map(itemgetter(p - 1), keys), times):
+            images[q] |= t
+        if points:
+            return [*map(images.__getitem__, points)]
+        return [reduce(or_, map(images.__getitem__, V.ids)) for V in targets]
+
+    number, codes = defaultdict(count().__next__), array("I")
+    for U in opens:
+        codes.extend(map(number.__getitem__, reduce(partial(map, or_), map(row, U.ids))))
+    return [*number], codes, {}
 
 
 def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
     """pair_masks on a product: a rectangle meets where all its sides do.
-    Each part answers for its distinct sides and ends, and a pair's code is
-    read off the tuple of its sides' codes (a row of part codes a side,
-    spread over the targets), each tuple decided once: the AND of the parts'
-    values, with undecided times folded in part order as spaces.intersects
-    reads the sides (a time stays alive while every side so far meets, and
-    an undecided side leaves its alive times undecided)."""
-    columns, parts = [], []
+    The distinct sides of the opens by the distinct ends of the targets, in
+    itertools.product order (the basis's), form a grid of each part's
+    pairs, so each part answers for its own sides and ends once and the
+    parts' answers are folded from the last (_fold).  Opens or targets that
+    are not that grid read their codes off it, picked a row at a time and
+    renumbered in pair order, so every code stays some pair's."""
+    parts, rows, columns = [], [0] * len(opens), [0] * len(targets)
     for k, part in enumerate(spec.parts):
         sides, ends = {}, {}  # each distinct side: its index among them
         side_of = [sides.setdefault(U.parts[k], len(sides)) for U in opens]
-        end_of = [ends.setdefault(V.parts[k], len(ends)) for V in targets]
-        values, codes, undecided = pair_masks(part, [*sides], [*ends], horizon)
-        width = len(ends)
-        rows = [array("I", map(codes[a * width:a * width + width].__getitem__, end_of))
-                for a in range(len(sides))]
-        columns.append(chain.from_iterable(map(rows.__getitem__, side_of)))
-        parts.append((values, undecided))
-    tuples = defaultdict(count().__next__)
-    codes = array("I", map(tuples.__getitem__, zip(*columns)))
+        if targets is opens:  # the basis against itself: its sides once
+            ends, end_of = sides, side_of
+        else:
+            end_of = [ends.setdefault(V.parts[k], len(ends)) for V in targets]
+        rows = [row * len(sides) + a for row, a in zip(rows, side_of)]
+        columns = [column * len(ends) + b for column, b in zip(columns, end_of)]
+        parts.append((*pair_masks(part, [*sides], [*ends], horizon), len(sides), len(ends)))
+    grid = parts.pop()
+    while parts:
+        grid = _fold(parts.pop(), grid)
+    values, codes, undecided, height, width = grid
+    if rows == [*range(height)] and columns == [*range(width)]:
+        return values, codes, undecided
+    picked = array("I")
+    for row in rows:
+        picked.extend(map(codes[row * width:row * width + width].__getitem__, columns))
+    used = {code: k for k, code in enumerate(dict.fromkeys(picked))}
+    return ([*map(values.__getitem__, used)], array("I", map(used.__getitem__, picked)),
+            {used[code]: times for code, times in undecided.items() if code in used})
 
-    def decide(key):
-        alive, unknown = (1 << horizon + 1) - 2, 0
-        for (values, undecided), code in zip(parts, key):
-            unknown |= alive & undecided.get(code, 0)
-            alive &= values[code]
-        return alive, unknown
 
-    values, code_of, undecided = _distinct(map(decide, tuples))  # tuples deciding alike share a code
-    if len(values) < len(code_of):
-        codes = array("I", map(code_of.__getitem__, codes))
-    return values, codes, undecided
+def _fold(left: tuple, right: tuple) -> tuple:
+    """The pair masks of the grid of left's opens by right's, row (i, k)
+    against column (j, l) as in itertools.product, each side given as
+    (values, codes, undecided, number of opens, number of targets) and so
+    returned.  A pair
+    meets where both its sides do, and spaces.intersects reads the sides in
+    order: a time the left leaves undecided stays so, and one the right
+    leaves undecided is undecided where the left met, so (a, u) and (b, w)
+    give (a & b, u | a & w).  That fold is associative, so any grouping of
+    the parts reads as the left-to-right one.  Every (left code, right
+    code) is decided once, in a dense table, and the codes are written in
+    place a row at a time from blocks: left code x against right row k is
+    the block of table row x mapped over k's codes."""
+    left_values, left_codes, left_undecided, height, width = left
+    right_values, right_codes, right_undecided, right_height, right_width = right
+    values, code_of, undecided = _distinct(
+        (a & b, left_undecided.get(x, 0) | a & right_undecided.get(y, 0))
+        for x, a in enumerate(left_values) for y, b in enumerate(right_values))
+    n = len(right_values)
+    table = [code_of[x * n:x * n + n] for x in range(len(left_values))]
+    left_rows = [left_codes[i * width:(i + 1) * width] for i in range(height)]
+    codes, row = array("I", [0]) * (height * right_height * width * right_width), 4 * width * right_width
+    with memoryview(codes).cast("B") as out:
+        for k in range(right_height):
+            right_row = right_codes[k * right_width:(k + 1) * right_width]
+            blocks = [array("I", map(table_row.__getitem__, right_row)).tobytes() for table_row in table]
+            for i, left_row in enumerate(left_rows):
+                at = (i * right_height + k) * row
+                out[at:at + row] = b"".join(map(blocks.__getitem__, left_row))
+    return values, codes, undecided, height * right_height, width * right_width
 
 
 def hitting_set(spec: mp.SystemSpec, U, V, horizon: int) -> HittingSet:

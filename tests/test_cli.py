@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, report schema, determinism."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
+from functools import partial
 
 import jsonschema
 import pytest
@@ -835,8 +837,12 @@ system PROD = product(CS, ALT, CS, ALT);
         # the peak while pair_masks builds a set, beside the class masks its
         # walk reads, within the estimate with the codes bounded either way:
         # a code a pair, or _code_bound, which the codes never pass
+        # pair-table-1m's set: a product at basis 2, 1,048,576 pairs
+        pair_table = ("space shift(2);\nsystem F { at ap(2,2,k): sigma^-k; at ap(5,2,k): sigma^k; }\n"
+                      "system G { at ap(1,2,k): sigma^k; at ap(2,2,k): sigma^-k; }\nsystem P = product(F, G);\n")
         cases = [(SHIFT_SQUARE, "A", 2, 64), (SHIFT_SQUARE, "A", 3, 8), (SHIFT_SQUARE, "P", 1, 200),
-                 (SIGMA, "F", 4, 64), (EX36, "F", 2, 512), (RING300, "F", 1, 512),
+                 (SIGMA, "F", 4, 64), (EX36, "F", 2, 512), (RING300, "F", 1, 512), (RING300, "F", 1, 64),
+                 (pair_table, "P", 2, 32),
                  (FINITE_SWAP + "system P = product(F, F, F);\n", "P", 1, 300),
                  (self.late_lead(20, "system P = product(F, F);\n"), "P", 1, 64),
                  ("space circle(alpha(1/3 +- 1/2^12));\nsystem F { else: rot^1; }\n", "F", 8, 256),
@@ -1227,3 +1233,34 @@ class TestReportText:
         """A container holds containers exactly when one of its value types
         is a subclass of dict, list or tuple."""
         assert cli.report_text(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+    def test_a_json_report_is_written_without_its_text(self):
+        """A report goes to the stream in chunks as it is made: writing the
+        6.4 MB report of sigma^1 at basis 4 (262,144 pairs) holds a small
+        part of it, and the chunks are report_text and its newline."""
+
+        class Sink:
+            def __init__(self):
+                self.size, self.digest = 0, hashlib.sha256()
+
+            def write(self, text):
+                self.size += len(text)
+                self.digest.update(text.encode())
+
+            def flush(self):
+                pass
+
+        spec = ndsl.parse(SIGMA).system("F")
+        verdict = ck.check_property(spec, ndsl.read_property("transitive"), basis_resolution=4, horizon=64)
+        report = {"checks": [{"evidence": verdict.evidence, "status": verdict.status}], "schema": 1}
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            cli._write(sink, partial(cli._put_report, report))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = cli.report_text(report) + "\n"
+        assert sink.size == len(text) > 6_000_000
+        assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+        assert peak < sink.size // 16, peak

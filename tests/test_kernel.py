@@ -121,8 +121,8 @@ shift_systems = derived(st.one_of(shift_ap(), shift_pow()))
 
 
 @st.composite
-def circle_systems(draw):
-    alpha = draw(st.sampled_from([sp.DEFAULT_ALPHA] + CUSTOM_ALPHAS))
+def circle_systems(draw, alphas=(sp.DEFAULT_ALPHA, *CUSTOM_ALPHAS)):
+    alpha = draw(st.sampled_from(alphas))
     step = draw(st.integers(1, 3))
     rules = (
         mp.Rule(mp.ArithProgPattern(1, step), mp.FamilyTerm("rot", draw(st.integers(-2, 2)))),
@@ -263,14 +263,16 @@ class TestClassPairs:
         assert class_pairs(mp.NdsSpec(space, (), m), basis, basis) == (meets_pairs(space, m, basis), set())
 
     def test_a_product_class_is_read_off_its_parts(self, monkeypatch):
-        # no class is ever decided as one product map
-        keyed = []
-        key_map = ht.key_map
+        # no class is ever decided as one product map: each part's classes
+        # are walked, and no map is built on the product
+        walked, keyed = [], []
+        prefix_groups, key_map = ht.prefix_groups, ht.key_map
+        monkeypatch.setattr(ht, "prefix_groups", lambda spec, H: walked.append(spec.space) or prefix_groups(spec, H))
         monkeypatch.setattr(ht, "key_map", lambda space, key: keyed.append(space) or key_map(space, key))
         spec = mp.ProductSpec((mp.NdsSpec(SHIFT, (), mp.ShiftPowTerm(1)), mp.NdsSpec(SHIFT, ())))
         basis = sp.enumerate_basis(spec.space, 1)
         ht.pair_masks(spec, basis, basis, 8)
-        assert keyed and SHIFT in keyed and spec.space not in keyed
+        assert walked == [SHIFT, SHIFT] and spec.space not in keyed
 
 
 def offset_pairs(space, m, basis) -> tuple:
@@ -726,6 +728,14 @@ def open_sets(space):
     return st.tuples(*(open_sets(part) for part in space.parts)).map(sp.ProductOpen)
 
 
+def repeated_lists(space):
+    """One to four opens drawn from a pool of one to three, basis opens
+    and others (open_sets), so opens repeat and a product's sides seldom
+    form the grid of the basis."""
+    pool = st.lists(st.one_of(opens(space, 2), open_sets(space)), min_size=1, max_size=3)
+    return pool.flatmap(lambda drawn: st.lists(st.sampled_from(drawn), min_size=1, max_size=4))
+
+
 def open_lists(space):
     """One to three opens beyond the basis (open_sets); on the shift half
     the draws put them all on one window, which the overlap join reads."""
@@ -739,6 +749,17 @@ def open_lists(space):
 
 
 mixed_products = st.tuples(shift_systems, finite_systems()).map(mp.ProductSpec)
+# products whose pairs fold more than two parts' answers: a product as a
+# part, and a declared-angle circle before a shift factor, after it, or
+# both, so that undecided times fold in part order whatever the grouping
+declared_circles = circle_systems(CUSTOM_ALPHAS)
+folded_products = st.one_of(
+    st.tuples(mixed_products, circle_systems()).map(mp.ProductSpec),
+    st.tuples(circle_systems(), product_systems).map(mp.ProductSpec),
+    st.tuples(declared_circles, shift_systems).map(mp.ProductSpec),
+    st.tuples(shift_systems, declared_circles).map(mp.ProductSpec),
+    st.tuples(declared_circles, shift_systems, declared_circles).map(mp.ProductSpec),
+)
 derived_products = st.one_of(product_systems, mixed_products).flatmap(
     lambda spec: st.one_of(
         st.just(spec),
@@ -816,6 +837,60 @@ class TestHittingSets:
             assert mask == bits(reference.members)
             assert undecided.get((i, 0), 0) == bits(reference.inconclusive), i
 
+    @given(st.data(), st.one_of(
+        st.tuples(folded_products, st.integers(1, 5)),
+        st.tuples(derived_products, st.integers(1, 4)),
+        st.tuples(product_parts(("circle", "finite")), st.integers(1, 4)),
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_product_lists_off_the_grid_match_the_per_time_reference(self, data, case):
+        """Opens and targets that repeat, and sides that are not the grid of
+        the basis, on nested products and on declared-angle circles folded
+        before and after a shift factor: each pair's hits and undecided
+        times against the stepwise fold."""
+        spec, H = case
+        us, vs = data.draw(repeated_lists(spec.space)), data.draw(repeated_lists(spec.space))
+        values, codes, undecided = ht.pair_masks(spec, us, vs, H)
+        hits, undecided = (by_pair(masks, codes, len(us), len(vs)) for masks in (values, undecided))
+        for (i, j), mask in hits.items():
+            reference = reference_set("hitting", spec, us[i], H, V=vs[j])
+            assert mask == bits(reference.members) == bits(ht.brute_force_hitting(spec, us[i], vs[j], H))
+            assert undecided.get((i, j), 0) == bits(reference.inconclusive), (i, j)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["circle-first", "shift-first"])
+    @pytest.mark.parametrize("alpha", CUSTOM_ALPHAS, ids=lambda a: str(a.center))
+    def test_a_declared_angle_folds_in_part_order_off_the_grid(self, alpha, first):
+        """A declared-angle circle before or after a shift factor, asked
+        about repeated rectangles that are not a grid: a time the circle
+        leaves undecided is undecided exactly where every earlier side met."""
+        circle = mp.NdsSpec(sp.CircleSpace(alpha), (), mp.RotPowTerm(1))
+        shift = mp.NdsSpec(SHIFT, (mp.Rule(mp.ArithProgPattern(1, 2), mp.ShiftPowTerm(1)),),
+                           mp.ShiftPowTerm(-1))
+        spec = mp.ProductSpec((circle, shift) if first else (shift, circle))
+        basis, H = sp.enumerate_basis(spec.space, 2), 12
+        us = [basis[k % len(basis)] for k in (0, 7, 0, 33, 7, 64, 65)]
+        vs = [basis[k % len(basis)] for k in (1, 0, 40, 1, 96)]
+        values, codes, undecided = ht.pair_masks(spec, us, vs, H)
+        assert undecided  # the fold really meets undecided times
+        undecided = by_pair(undecided, codes, len(us), len(vs))
+        for (i, j), mask in by_pair(values, codes, len(us), len(vs)).items():
+            reference = reference_set("hitting", spec, us[i], H, V=vs[j])
+            assert mask == bits(reference.members), (i, j)
+            assert undecided.get((i, j), 0) == bits(reference.inconclusive), (i, j)
+
+    @given(st.data(), finite_systems(), st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_finite_sets_of_several_points_match_the_per_time_reference(self, data, spec, H):
+        """Opens and targets of several points: a pair is hit when some
+        point of the open goes into the target, the OR of its points' rows."""
+        sets = st.frozensets(st.integers(1, spec.space.point_count), min_size=2).map(sp.FiniteSet)
+        lists = st.lists(st.one_of(sets, opens(spec.space, 1)), min_size=1, max_size=5)
+        us, vs = data.draw(lists), data.draw(lists)
+        values, codes, undecided = ht.pair_masks(spec, us, vs, H)
+        assert not undecided
+        for (i, j), mask in by_pair(values, codes, len(us), len(vs)).items():
+            assert mask == bits(ht.brute_force_hitting(spec, us[i], vs[j], H)), (i, j)
+
     @pytest.mark.parametrize("alpha", CUSTOM_ALPHAS, ids=lambda a: str(a.center))
     def test_a_declared_angle_part_folds_its_undecided_times_by_index(self, alpha):
         """A product's undecided times come from its declared-angle part,
@@ -854,17 +929,21 @@ class TestHittingSets:
         st.tuples(derived_products, st.just(1), st.integers(1, 5)),
         st.tuples(product_parts(("circle", "finite")), st.just(2), st.integers(1, 6)),
         st.tuples(product_parts(("shift", "circle")), st.just(2), st.integers(1, 5)),
+        st.tuples(folded_products, st.just(2), st.integers(1, 4)),
     ), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_the_codes_are_canonical(self, data, case, on_basis):
         """Every code is in range and some pair's, and no two codes share
         both their hits and their undecided times, on the basis (the
-        offset grid on the circle) and on any opens against any targets."""
+        offset grid on the circle, the fold of a product's parts) and on
+        any opens against any targets: finite sets of several points, and
+        repeated rectangles whose sides are not a grid."""
         spec, r, H = case
         if on_basis:
             us = vs = sp.enumerate_basis(spec.space, r)
         else:
-            us, vs = data.draw(open_lists(spec.space)), data.draw(open_lists(spec.space))
+            lists = st.one_of(open_lists(spec.space), repeated_lists(spec.space))
+            us, vs = data.draw(lists), data.draw(lists)
         values, codes, undecided = ht.pair_masks(spec, us, vs, H)
         assert codes.typecode == "I" and len(codes) == len(us) * len(vs)
         assert set(codes) == set(range(len(values)))
