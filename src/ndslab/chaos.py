@@ -9,8 +9,10 @@ the tail convention (n >= H/2) and the thresholds are fixed.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
-from itertools import chain, islice, product as iter_product, repeat
+from io import BytesIO
+from itertools import chain, product as iter_product, repeat
 from operator import attrgetter, eq
 
 from . import maps as mp
@@ -104,16 +106,77 @@ def proximal_scrambled_candidates(a: sp.BiWord, b: sp.BiWord, count: int) -> lis
 
 # a construction of L levels builds 2^L witnesses
 MAX_ITINERARY_LEVELS = 16
-# the witnesses are planted, and checked, this many rows of the product order
-# at a time, so neither holds a buffer of all 2^L windows
+# the witnesses are checked this many rows of the product order at a time,
+# so the check of a dict of witnesses joins no buffer of all 2^L windows
 _CHUNK_ROWS = 1 << 8
+
+
+class WitnessTable(Mapping):
+    """The read-only table {word: x_word} of the 2^L witnesses of an L-level
+    construction, keyed by the A/B words of length L in
+    itertools.product("AB", repeat=L) order: `windows` is one `bytes`
+    buffer of their windows in that order, `width` cells (one byte a cell)
+    each, every window starting at `start`, with the tails (0,).  A witness,
+    a BiWord, is built only when read; any key that is not such a word
+    raises KeyError.  It equals its dict, which dict(table) copies."""
+
+    __slots__ = ("levels", "start", "width", "windows")
+
+    def __init__(self, levels: int, start: int, width: int, windows: bytes):
+        if not (levels >= 0 and width >= 1 and type(windows) is bytes and len(windows) == width << levels):
+            raise ValueError(f"a witness table of {levels} levels holds 2^{levels} windows of "
+                             f"{width} cells in a bytes buffer, got {type(windows).__name__} "
+                             f"of length {len(windows)}")
+        self.levels, self.start, self.width, self.windows = levels, start, width, windows
+
+    def __len__(self) -> int:
+        return 1 << self.levels
+
+    def __iter__(self):
+        return map("".join, iter_product("AB", repeat=self.levels))
+
+    def __getitem__(self, word):
+        if not (isinstance(word, str) and len(word) == self.levels) or word.strip("AB"):
+            raise KeyError(word)
+        at = int("0" + word.translate(_BITS), 2) * self.width
+        return sp.normal_biword(self.start, self.windows[at : at + self.width], _ZERO, _ZERO)
+
+    def values(self):
+        return _WitnessValues(self)
+
+    def items(self):
+        return _WitnessItems(self)
+
+    def __repr__(self) -> str:
+        return f"<WitnessTable of {len(self)} witnesses, windows of {self.width} cells from {self.start}>"
+
+
+_BITS, _ZERO = str.maketrans("AB", "01"), (0,)
+
+
+class _WitnessValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        table = self._mapping
+        width, size = table.width, len(table.windows)
+        cuts = map(slice, range(0, size, width), range(width, size + 1, width))
+        return map(sp.normal_biword, repeat(table.start), map(table.windows.__getitem__, cuts),
+                   repeat(_ZERO), repeat(_ZERO))
+
+
+class _WitnessItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
 
 
 @record
 class ItineraryConstruction:
     times: tuple  # p_1 < ... < p_K
     levels: tuple  # (A_i, B_i) cylinder pairs per level
-    witnesses: dict  # itinerary word (e.g. "ABBA") -> BiWord
+    witnesses: Mapping  # itinerary word (e.g. "ABBA") -> BiWord: a WitnessTable, {} with no levels
     verified: bool
 
 
@@ -196,36 +259,35 @@ def lemma21_construct(
     # a level's two targets share the window [-w, w], so either word covers
     # the same cells: its span starts at the level's prefix exponent
     spans = [A.start + e - lo for (A, _B), e in zip(level_sets, shifts)]
-    rows = min(_CHUNK_ROWS, 1 << levels)
-    cuts = list(map(slice, range(0, rows * width, width), range(width, rows * width + 1, width)))
-    labels = map("".join, iter_product("AB", repeat=levels))
-    witnesses, zero = {}, (0,)
-    for first in range(0, 1 << levels, rows):
-        chunk = bytes(_plant_chunk(row, rows, first, spans, words))
-        points = map(sp.normal_biword, repeat(lo), map(chunk.__getitem__, cuts), repeat(zero), repeat(zero))
-        witnesses.update(zip(islice(labels, rows), points))
+    witnesses = WitnessTable(levels, lo, width, _plant(row, spans, words))
     if not _verify_itineraries(spec, times, level_sets, witnesses):
         return ItineraryFailure(levels, "stepwise verification failed")
     return ItineraryConstruction(tuple(times), tuple(level_sets), witnesses, True)
 
 
-def _plant_chunk(row, rows, first, spans, words):
-    """Witnesses first .. first + rows - 1 of the product order as one buffer
-    of `rows` rows, `rows` a power of two dividing `first`: `row` repeated,
-    then each cell of level i's span (at `spans[i]` in the row) written for
-    the whole chunk as one strided slice.  In product order that cell's
-    column holds the A and the B word's symbol in blocks of 2^(L-1-i)."""
-    width, levels = len(row), len(spans)
-    chunk = row * rows
-    for i, (start, (u, v)) in enumerate(zip(spans, words)):
-        block = 1 << (levels - 1 - i)
-        for c in range(len(u)):
-            if block < rows:
-                column = (u[c : c + 1] * block + v[c : c + 1] * block) * (rows // (2 * block))
-            else:  # the chunk lies inside one block
-                column = (u, v)[first // block & 1][c : c + 1] * rows
-            chunk[start + c :: width] = column
-    return chunk
+def _plant(row, spans, words) -> bytes:
+    """The windows of all 2^L witnesses of the product order as one buffer.
+    The first is `row` with every level's A word written at its span
+    (`spans[i]` in the row).  In product order level i is worth n =
+    2^(L-1-i) rows, so rows n .. 2n-1 are rows 0 .. n-1 with level i's B
+    word: the last level is doubled first, each cell of its span written
+    for the copied rows as one strided slice.  The buffer is written in
+    place, in a BytesIO whose getvalue hands over its own bytes, so the
+    build peaks near the buffer itself."""
+    row = bytearray(row)
+    for start, (u, _v) in zip(spans, words):
+        row[start : start + len(u)] = u
+    width = len(row)
+    out = BytesIO(bytes(width << len(spans)))
+    with out.getbuffer() as buf:
+        buf[:width] = row
+        for k, (start, (_u, v)) in enumerate(zip(reversed(spans), reversed(words))):
+            n = 1 << k  # the worth of level L-1-k, whose B word rows n .. 2n-1 take
+            at, end = n * width, 2 * n * width
+            buf[at:end] = buf[:at]
+            for c in range(len(v)):
+                buf[at + start + c : end : width] = v[c : c + 1] * n
+    return out.getvalue()
 
 
 def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
@@ -237,16 +299,18 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
     column comes from the product order and the pulled-back cylinders alone,
     never from the construction's spans or words.
 
-    When the labels are exactly the A/B words of the levels' length in
-    product order and the witnesses share one `bytes` window, a level is
-    tested for all of them at once: where its two pulled-back words span one
-    stretch inside that window, membership is equality of the stretch with
-    the label's word as bytes, and in product order a cell of the stretch
-    reads the A word's and the B word's symbol in alternating blocks of
-    2^(L-1-i) down the witnesses.  The windows are joined a chunk of rows at
-    a time and each cell is compared as one strided slice of that buffer.
-    A word with a symbol no byte holds matches no window.  Every other
-    witness dict and level goes through `spaces.contains`."""
+    A WitnessTable of the levels' count is read as its buffer's rows.  Any
+    other mapping whose labels are exactly the A/B words of the levels'
+    length in product order, its witnesses sharing one `bytes` window, is
+    read as those windows joined, a chunk of rows at a time.  Either way a
+    level is tested for all witnesses at once: where its two pulled-back
+    words span one stretch inside that window, membership is equality of
+    the stretch with the label's word as bytes, and in product order a cell
+    of the stretch reads the A word's and the B word's symbol in
+    alternating blocks of 2^(L-1-i) down the witnesses, so each cell of a
+    chunk of rows is compared as one strided slice.  A word with a symbol
+    no byte holds matches no window.  Every other mapping and level goes
+    through `spaces.contains`."""
     space = spec.space
     pulled, m, n = [], mp.identity_map(space), 0
     for p, targets in zip(times, level_sets):
@@ -254,19 +318,27 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
             m = mp.compose(mp.step_normal(spec, step), m)
         n = p
         pulled.append(dict(zip("AB", (mp.preimage(m, t) for t in targets))))
-    levels, points = len(pulled), list(witnesses.values())
-    if not (len(points) == 1 << levels and all(map(isinstance, points, repeat(sp.BiWord)))
-            and all(map(eq, witnesses, map("".join, iter_product("AB", repeat=levels))))):
-        return all(
-            sp.contains(space, level[choice], x)
-            for label, x in witnesses.items()
-            for level, choice in zip(pulled, label)
-        )
-    windows = list(map(attrgetter("window"), points))
-    lo, width = points[0].window_start, len(windows[0])
-    shared = (set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
-              and set(map(type, windows)) == {bytes})
-    rows = min(_CHUNK_ROWS, len(points))
+    levels = len(pulled)
+    if isinstance(witnesses, WitnessTable) and witnesses.levels == levels:
+        lo, width, count, shared = witnesses.start, witnesses.width, len(witnesses), True
+        rows = min(_CHUNK_ROWS, count)
+        buffer, size = witnesses.windows, rows * width
+        chunks = (buffer[at : at + size] for at in range(0, len(buffer), size))
+    else:
+        points = list(witnesses.values())
+        if not (len(points) == 1 << levels and all(map(isinstance, points, repeat(sp.BiWord)))
+                and all(map(eq, witnesses, map("".join, iter_product("AB", repeat=levels))))):
+            return all(
+                sp.contains(space, level[choice], x)
+                for label, x in witnesses.items()
+                for level, choice in zip(pulled, label)
+            )
+        windows = list(map(attrgetter("window"), points))
+        lo, width, count = points[0].window_start, len(windows[0]), len(points)
+        shared = (set(map(attrgetter("window_start"), points)) == {lo} and set(map(len, windows)) == {width}
+                  and set(map(type, windows)) == {bytes})
+        rows = min(_CHUNK_ROWS, count)
+        chunks = (b"".join(windows[first : first + rows]) for first in range(0, count, rows))
     # (cell of the window, level block, column of a chunk whose rows read A
     # at that level, column of one whose rows read B) of each level cell read
     # by slices: a chunk covers whole blocks, or lies inside one block
@@ -290,10 +362,9 @@ def _verify_itineraries(spec, times, level_sets, witnesses) -> bool:
             return False
     if not cells:  # no level read by slices, so the windows need not be bytes
         return True
-    for first in range(0, len(points), rows):
-        buf = b"".join(windows[first : first + rows])
+    for first, chunk in zip(range(0, count, rows), chunks):
         for cell, block, a_col, b_col in cells:
             # `first & block` is set only for a chunk that lies inside a B block
-            if buf[cell::width] != (b_col if first & block else a_col):
+            if chunk[cell::width] != (b_col if first & block else a_col):
                 return False
     return True

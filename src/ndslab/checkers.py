@@ -703,9 +703,7 @@ def _check_minimal(spec, prop, r, H, laws) -> tuple:
     basis = sp.enumerate_basis(space, r)
     reps = _representatives(space)
     exact = isinstance(space, sp.FiniteSpace) and laws.table is not None
-    per_rep = {}
-    # every representative's orbit reads the same prefix classes
-    classes = None if exact else ht.prefix_classes(spec, H)
+    per_rep, classes = {}, None
     for idx, x in enumerate(reps):
         if exact:
             tab = laws.table
@@ -723,13 +721,17 @@ def _check_minimal(spec, prop, r, H, laws) -> tuple:
                     }, ()
             per_rep[f"point-{idx}"] = "dense (exact)"
             continue
-        hit_at = _first_visits(spec, x, basis, classes)
+        # a fixed point of every prefix has a one-point orbit, exactly: no
+        # class is walked for it
+        fixed = _is_prefix_invariant(spec, laws, x)
+        if not fixed and classes is None:
+            # every other representative's orbit reads the same prefix classes
+            classes = ht.prefix_classes(spec, H)
+        hit_at = _first_visits(spec, x, basis, {} if fixed else classes)
         if len(hit_at) == len(basis):
             per_rep[f"point-{idx}"] = max(hit_at.values())
             continue
         missed = next(i for i in range(len(basis)) if i not in hit_at)
-        # a fixed point of every prefix has a one-point orbit, exactly
-        fixed = _is_prefix_invariant(spec, laws, x)
         evidence = {"point": repr(x), "missed_open": _label(basis, missed)}
         if fixed and not sp.contains(space, basis[missed], x):
             return REFUTED, {**evidence, "structural": fixed}, ()

@@ -314,12 +314,11 @@ def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
     renumbered in pair order, so every code stays some pair's."""
     parts, rows, columns = [], [0] * len(opens), [0] * len(targets)
     for k, part in enumerate(spec.parts):
-        sides, ends = {}, {}  # each distinct side: its index among them
-        side_of = [sides.setdefault(U.parts[k], len(sides)) for U in opens]
+        sides, side_of = _number_sides([U.parts[k] for U in opens])
         if targets is opens:  # the basis against itself: its sides once
             ends, end_of = sides, side_of
         else:
-            end_of = [ends.setdefault(V.parts[k], len(ends)) for V in targets]
+            ends, end_of = _number_sides([V.parts[k] for V in targets])
         rows = [row * len(sides) + a for row, a in zip(rows, side_of)]
         columns = [column * len(ends) + b for column, b in zip(columns, end_of)]
         parts.append((*pair_masks(part, [*sides], [*ends], horizon), len(sides), len(ends)))
@@ -335,6 +334,17 @@ def _product_masks(spec: mp.ProductSpec, opens, targets, horizon: int) -> tuple:
     used = {code: k for k, code in enumerate(dict.fromkeys(picked))}
     return ([*map(values.__getitem__, used)], array("I", map(used.__getitem__, picked)),
             {used[code]: times for code, times in undecided.items() if code in used})
+
+
+def _number_sides(sides: list) -> tuple:
+    """({distinct side: its index among them}, the index of each side), in
+    order of first occurrence.  Sides are grouped by object first (`id`, a
+    C call; the list keeps every object alive), and one side of each group
+    is hashed through the record's `__hash__`: a basis shares its side
+    objects, so the 64 opens of a two-part basis hash 8 sides a part."""
+    ids, distinct = [*map(id, sides)], {}
+    index_of = {key: distinct.setdefault(side, len(distinct)) for key, side in dict(zip(ids, sides)).items()}
+    return distinct, [*map(index_of.__getitem__, ids)]
 
 
 def _fold(left: tuple, right: tuple) -> tuple:

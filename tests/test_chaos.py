@@ -3,6 +3,7 @@
 import gc
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from itertools import product as iter_product
@@ -195,6 +196,30 @@ class TestItineraryConstruction:
         words = ["".join(w) for w in iter_product("AB", repeat=levels)] if levels else []
         assert list(res.witnesses) == list(oracle) == words
         assert [repr(x) for x in res.witnesses.values()] == [repr(x) for x in oracle.values()]
+        if not levels:
+            assert res.witnesses == {}
+            return
+        # the witnesses are a WitnessTable that reads as the oracle's dict
+        table = res.witnesses
+        assert isinstance(table, chaos.WitnessTable) and len(table) == 1 << levels
+        assert [repr(table[w]) for w in words] == [repr(x) for _, x in table.items()] \
+            == [repr(x) for x in oracle.values()]
+        copied = dict(table)
+        assert copied == table == oracle and table == copied and list(copied) == words
+        assert chaos._verify_itineraries(spec, res.times, res.levels, copied)
+        for key in ["", "A" * (levels + 1), "AC" + "B" * (levels - 2), "A" * (levels - 1) + "C", b"AB", 0]:
+            with pytest.raises(KeyError):
+                table[key]
+            assert key not in table and table.get(key, "absent") == "absent"
+        again = lemma21_construct(spec, a, b, levels, 512).witnesses
+        assert repr(again) == repr(table) == (
+            f"<WitnessTable of {1 << levels} witnesses, windows of {table.width} cells from {table.start}>")
+        # a buffer of any other shape is refused
+        windows = table.windows
+        for other in (windows[:-1], windows + windows[-1:], windows[: len(windows) // 2], bytearray(windows)):
+            with pytest.raises(ValueError, match="holds 2\\^"):
+                chaos.WitnessTable(levels, table.start, table.width, other)
+        assert chaos.WitnessTable(levels, table.start, table.width, windows) == table
 
     @given(st.sampled_from(ITINERARY_SYSTEMS), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -413,6 +438,22 @@ class TestItineraryScale:
             if enabled:
                 gc.enable()
 
+    def test_a_construction_holds_little_beyond_its_windows(self):
+        """A 12-level construction on CS holds under width + 16 bytes a
+        witness, by tracemalloc: its windows, and no object a witness (a
+        BiWord, a label and a dict slot a witness took about 340 bytes)."""
+        levels = 12
+        lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), levels, 4096)  # fills any cache
+        tracemalloc.start()
+        try:
+            res = lemma21_construct(CONST_SIGMA, all_zeros(), all_ones(), levels, 4096)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(res, ItineraryConstruction) and len(res.witnesses) == 1 << levels
+        width = len(res.witnesses["A" * levels].window)
+        assert held < (1 << levels) * (width + 16)
+
 
 def counting_contains(monkeypatch):
     """Patch spaces.contains to append to a list per call; that list."""
@@ -450,7 +491,7 @@ class TestProductOrderCheck:
             raise AssertionError("the check called a helper of the construction")
 
         with pytest.MonkeyPatch.context() as mp_:
-            for owner, name in ((chaos, "_plant_chunk"), (chaos, "_target_cylinder"),
+            for owner, name in ((chaos, "_plant"), (chaos, "_target_cylinder"),
                                 (maps, "prefix_exponents"), (maps, "prefix_compose")):
                 mp_.setattr(owner, name, refuse)
             assert chaos._verify_itineraries(spec, res.times, res.levels, res.witnesses)
@@ -573,12 +614,12 @@ class TestColumnCheck:
     def test_a_wrong_plant_is_caught(self, spec, monkeypatch):
         """The construction with its last level's A and B words exchanged
         plants witnesses its own check refuses."""
-        plant = chaos._plant_chunk
+        plant = chaos._plant
 
-        def crossed(row, rows, first, spans, words):
-            return plant(row, rows, first, spans, words[:-1] + [words[-1][::-1]])
+        def crossed(row, spans, words):
+            return plant(row, spans, words[:-1] + [words[-1][::-1]])
 
-        monkeypatch.setattr(chaos, "_plant_chunk", crossed)
+        monkeypatch.setattr(chaos, "_plant", crossed)
         res = lemma21_construct(spec, all_zeros(), all_ones(), 3, 512)
         assert res == ItineraryFailure(3, "stepwise verification failed")
 

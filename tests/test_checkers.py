@@ -305,6 +305,29 @@ class TestMinimal:
         assert v.refuted
         assert "shift-invariant" in v.evidence["structural"]
 
+    def test_a_shift_invariant_point_is_refuted_with_no_class_walked(self, monkeypatch):
+        """On CS the all-zeros point is shift-invariant: its orbit is the
+        point alone, so the refutation walks no prefix class and cites what
+        a walk of every class would."""
+        r, H = 1, 64
+        laws = ck.system_laws(CONST_SIGMA, ck.DEFAULT_LAW_HORIZON)
+        basis = sp.enumerate_basis(SHIFT, r)
+        x = ck._representatives(SHIFT)[0]
+        walked = ck._first_visits(CONST_SIGMA, x, basis, ht.prefix_classes(CONST_SIGMA, H))
+        missed = next(i for i in range(len(basis)) if i not in walked)
+        expected = {"point": repr(x), "missed_open": ck._label(basis, missed),
+                    "structural": ck._is_prefix_invariant(CONST_SIGMA, laws, x)}
+
+        def refuse(*args):
+            raise AssertionError("a prefix class was walked")
+
+        monkeypatch.setattr(ht, "prefix_classes", refuse)
+        monkeypatch.setattr(mp, "apply", refuse)
+        v = ck.check_property(CONST_SIGMA, ck.PropertyKind("minimal"), r, H)
+        assert v.refuted and v.evidence == expected
+        monkeypatch.undo()
+        assert ck.recheck_verdict(CONST_SIGMA, v)
+
     def test_identity_law_refutes_on_the_circle(self):
         # no shift-invariant point here: the identity law is the reason
         spec = ndsl.parse("space circle(sqrt2m1);\nsystem F { else: id; }\n").system("F")
